@@ -16,6 +16,11 @@
 //! facade's id evaluation index (core over the *maintained* closure — no
 //! fixpoint recompute).
 //!
+//! A last row guards the facade's read shell rather than the join: a warm
+//! point read on a store of 30k single-blank components, through the live
+//! facade and through a pinned snapshot. Both build the same engine over
+//! the same index, so neither may cost a multiple of the other.
+//!
 //! Results land on stdout (criterion + report rows) and in
 //! `BENCH_e18.json` at the workspace root. The acceptance bar — id-space at
 //! least 5× faster than string-space on the 10k premise-free workload — is
@@ -198,6 +203,55 @@ fn run_point(
     }
 }
 
+/// Components in the blank-heavy store of [`blank_heavy_point`].
+const BLANK_COMPONENTS: usize = 30_000;
+
+/// Warm µs per point read — `(facade, snapshot)` — of the one ground triple
+/// in a store of [`BLANK_COMPONENTS`] single-blank components (distinct
+/// objects, so nothing folds). Anything the facade does per read that grows
+/// with the component count shows up here and nowhere else in this bench.
+fn blank_heavy_point() -> (f64, f64) {
+    let mut data = Graph::new();
+    for i in 0..BLANK_COMPONENTS {
+        data.insert(swdb_model::triple(
+            &format!("_:b{i}"),
+            "ex:p",
+            &format!("ex:o{i}"),
+        ));
+    }
+    data.insert(swdb_model::triple("ex:a", "ex:q", "ex:b"));
+    let mut db = SemanticWebDatabase::from_graph(data);
+    let q = swdb_query::query([("?X", "ex:q", "?Y")], [("?X", "ex:q", "?Y")]);
+    assert_eq!(db.answer(&q, Semantics::Union).len(), 1);
+    let snapshot = db.publish();
+    const READS: u32 = 2_000;
+    let per_read = |batch: Duration| batch.as_secs_f64() * 1e6 / f64::from(READS);
+    let facade = per_read(measure(|| {
+        for _ in 0..READS {
+            criterion::black_box(db.answer(&q, Semantics::Union));
+        }
+    }));
+    let pinned = per_read(measure(|| {
+        for _ in 0..READS {
+            criterion::black_box(snapshot.answer(&q, Semantics::Union).unwrap());
+        }
+    }));
+    report_row(
+        "E18",
+        &format!("blank_heavy components={BLANK_COMPONENTS} q=point"),
+        &[
+            ("facade_us", format!("{facade:.2}")),
+            ("snapshot_us", format!("{pinned:.2}")),
+        ],
+    );
+    assert!(
+        facade <= 5.0 * pinned + 1.0,
+        "a facade point read ({facade:.2} µs) costs a multiple of the snapshot's \
+         ({pinned:.2} µs): something per read scales with the component count"
+    );
+    (facade, pinned)
+}
+
 /// One instrumented pass over the 10k university point: every query once
 /// at `Counters` level, so the report shows the executor's probe/binding
 /// economy next to the timings.
@@ -210,7 +264,7 @@ fn instrumented_snapshot() -> String {
     db.metrics_snapshot()
 }
 
-fn write_json(rows: &[Row], cold: &[ColdRow], metrics_json: &str) {
+fn write_json(rows: &[Row], cold: &[ColdRow], blank_heavy: (f64, f64), metrics_json: &str) {
     let mut out = json_prologue("e18_id_query");
     out.push_str(
         "  \"acceptance\": \"id-space >= 5x string-space on the 10k premise-free workload\",\n",
@@ -240,6 +294,10 @@ fn write_json(rows: &[Row], cold: &[ColdRow], metrics_json: &str) {
         ));
     }
     out.push_str("  ],\n");
+    out.push_str(&format!(
+        "  \"blank_heavy\": {{\"components\": {BLANK_COMPONENTS}, \"query\": \"point\", \"facade_us\": {:.2}, \"snapshot_us\": {:.2}}},\n",
+        blank_heavy.0, blank_heavy.1
+    ));
     out.push_str(&metrics_block(metrics_json));
     out.push_str("\n}\n");
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_e18.json");
@@ -275,7 +333,7 @@ fn bench(c: &mut Criterion) {
         );
     }
     group.finish();
-    write_json(&rows, &cold, &instrumented_snapshot());
+    write_json(&rows, &cold, blank_heavy_point(), &instrumented_snapshot());
 }
 
 criterion_group! {

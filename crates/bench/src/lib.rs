@@ -1,6 +1,6 @@
 //! Shared configuration and reporting helpers for the experiment benchmarks.
 //!
-//! Every bench target (E01–E16, see `EXPERIMENTS.md`) uses [`quick`] so that
+//! Every bench target (`benches/e01_…` onwards) uses [`quick`] so that
 //! `cargo bench --workspace` completes in minutes rather than hours while
 //! still producing statistically usable medians. Where an experiment is
 //! about *sizes* rather than times (e.g. the quadratic closure growth of
@@ -35,11 +35,27 @@ pub fn report_row(experiment: &str, label: &str, columns: &[(&str, String)]) {
 /// `schema_version` itself and the embedded `metrics` snapshot block.
 pub const BENCH_SCHEMA_VERSION: u32 = 1;
 
+/// The commit the measured binary was built from, as `git describe` names
+/// it (`-dirty` when the work tree differs from it); `unknown` outside a
+/// git checkout.
+fn commit_id() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=12"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".to_owned(), |id| id.trim().to_owned())
+}
+
 /// Opens a `BENCH_*.json` report with the shared fields every emitter
-/// carries: the opening brace, `schema_version`, and the experiment name.
+/// carries: the opening brace, `schema_version`, the experiment name, and
+/// the commit the numbers were recorded at.
 pub fn json_prologue(experiment: &str) -> String {
     format!(
-        "{{\n  \"schema_version\": {BENCH_SCHEMA_VERSION},\n  \"experiment\": \"{experiment}\",\n"
+        "{{\n  \"schema_version\": {BENCH_SCHEMA_VERSION},\n  \"experiment\": \"{experiment}\",\n  \"commit\": \"{}\",\n",
+        commit_id()
     )
 }
 
@@ -70,6 +86,7 @@ mod tests {
         let p = super::json_prologue("e00_smoke");
         assert!(p.starts_with("{\n  \"schema_version\": "));
         assert!(p.contains("\"experiment\": \"e00_smoke\""));
+        assert!(p.contains("\n  \"commit\": \""));
     }
 
     #[test]

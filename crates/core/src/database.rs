@@ -9,14 +9,17 @@
 //!
 //! ## The read path
 //!
-//! Premise-free queries — the hot path — run **entirely in id space**
-//! through `swdb_query::exec`: the body is compiled to `TermId` patterns
+//! Every read — `answer`, `pre_answers`, `answer_is_empty`, `explain`, here
+//! and on a pinned [`crate::publish::PublishedSnapshot`] — is one
+//! [`swdb_query::QueryEngine`] built over the substrate the dispatch
+//! (`mechanism`) picks. Premise-free queries — the hot path — run
+//! **entirely in id space**: the body is compiled to `TermId` patterns
 //! against the store dictionary (a body constant that was never interned
-//! short-circuits to zero answers) and joined directly over a cached
-//! SPO/POS/OSP [`swdb_store::IdIndex`] of the evaluation graph. The
-//! evaluation graph keeps the paper's semantics: `nf(D) = core(cl(D))`
-//! under RDFS, `core(D)` under simple entailment — answers stay invariant
-//! under database equivalence (Theorem 4.6).
+//! short-circuits to zero answers), planned once per query shape, and
+//! joined directly over a cached SPO/POS/OSP [`swdb_store::IdIndex`] of the
+//! evaluation graph. The evaluation graph keeps the paper's semantics:
+//! `nf(D) = core(cl(D))` under RDFS, `core(D)` under simple entailment —
+//! answers stay invariant under database equivalence (Theorem 4.6).
 //!
 //! The whole pipeline behind that index is **incremental**. `cl(D)` is the
 //! maintained materialization of `swdb-reason` (semi-naive insert, DRed
@@ -30,13 +33,13 @@
 //! affected component(s). Nothing is dropped and rebuilt; the cold build
 //! (first query) itself runs component-by-component in id space.
 //!
-//! Queries **with premises** run through the same id engine, by one of two
+//! Queries **with premises** run through the same engine, by one of two
 //! mechanisms selected per query:
 //!
 //! * **Premise-free expansion** (simple regime, ground premise): the query
 //!   is rewritten into the union `Ω_q` of premise-free queries
-//!   (Proposition 5.9, [`swdb_query::premise_free_expansion`]) — computed
-//!   once per call — and every member joins the *same* cached evaluation
+//!   (Proposition 5.9, [`swdb_query::premise_free_expansion`]) — cached per
+//!   premise query — and every member joins the *same* cached evaluation
 //!   index; single answers dedupe across members in id space.
 //! * **Premise overlay** (RDFS regime, or blank-bearing premises): the
 //!   premise is treated as a *scoped, transient delta* over the maintained
@@ -44,8 +47,9 @@
 //!   the maintained closure without committing anything
 //!   ([`MaterializedStore::preview_insert`]), the incremental core engine
 //!   cores the overlaid set as a diff ([`swdb_normal::EvalOverlay`]), and
-//!   the query joins the layered view `index ∪ added − removed`
-//!   ([`swdb_hom::Overlay`]). The published evaluation index is never
+//!   the query — planned like any other — joins the layered view
+//!   `index ∪ added − removed` ([`swdb_hom::Overlay`]). The published
+//!   evaluation index is never
 //!   cloned or mutated — it is bit-identical before and after — and the
 //!   computed overlay is cached per premise, so repeated queries sharing a
 //!   premise pay for the delta once until the next mutation.
@@ -128,9 +132,9 @@ use swdb_durable::{
 use swdb_model::{BlankNode, Graph, Term, Triple};
 use swdb_normal::{CoreBudget, CoreBudgetMode, EvalOverlay, IdCoreEngine};
 use swdb_obs::{Counter, Gauge, Hist, Metrics, MetricsLevel};
-use swdb_query::{Explain, NormalizedDatabase, Query, Semantics};
+use swdb_query::{Explain, Mechanism, NormalizedDatabase, Query, QueryEngine, Semantics};
 use swdb_reason::{ClosureDelta, MaterializedStore};
-use swdb_store::{Dictionary, GraphStats, IdIndex, IdTriple};
+use swdb_store::{GraphStats, IdIndex, IdTriple};
 
 /// The entailment regime a database operates under.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -297,9 +301,8 @@ pub struct SemanticWebDatabase {
     /// The compiled plan + expansion cache (`swdb_query::plan`): join
     /// orders costed once per query shape and `Ω_q` expansions computed
     /// once per premise query, invalidated by a generation bump on every
-    /// mutation, regime switch, and dictionary growth. Defaults from
-    /// `SWDB_PLAN_CACHE` (on unless `0`/`off`); published snapshots get
-    /// their own cache (immutable substrate — it never invalidates).
+    /// mutation, regime switch, and dictionary growth. Published snapshots
+    /// get their own cache (immutable substrate — it never invalidates).
     plan_cache: swdb_query::PlanCache,
 }
 
@@ -385,7 +388,7 @@ impl SemanticWebDatabase {
             metrics,
             durability: None,
             durability_error: None,
-            plan_cache: swdb_query::PlanCache::from_env(),
+            plan_cache: swdb_query::PlanCache::new(true),
         }
     }
 
@@ -790,8 +793,9 @@ impl SemanticWebDatabase {
     /// it. The snapshot carries a clone of the dictionary and the evaluation
     /// `IdIndex` (built first if cold), the epoch (monotonically increasing
     /// from 1), and the degraded flags in force at publication time
-    /// (`non_minimal` from the core budget, `durability_detached` from the
-    /// fail-stop record). Every [`SnapshotReader`](crate::publish::SnapshotReader)
+    /// (`non_minimal` from the core budget, the fail-stop record of a
+    /// detached durability layer). Every
+    /// [`SnapshotReader`](crate::publish::SnapshotReader)
     /// handle on this database observes the new epoch on its next pin;
     /// already-pinned snapshots are untouched — that is the MVCC contract:
     /// a pinned snapshot stays bit-identical however the writer mutates,
@@ -811,7 +815,7 @@ impl SemanticWebDatabase {
             self.regime,
             self.graph.len(),
             engine.is_degraded(),
-            self.durability_error.is_some(),
+            self.durability_error.clone(),
             self.reasoner.store().dictionary().clone(),
             engine.index().clone(),
             self.metrics.clone(),
@@ -898,16 +902,17 @@ impl SemanticWebDatabase {
         }
     }
 
-    /// Whether the compiled plan + expansion cache is in use (defaults
-    /// from `SWDB_PLAN_CACHE`: on unless set to `0`/`off`/`false`/`no`).
+    /// Whether compiled plans and `Ω_q` expansions are kept between calls
+    /// (on by default).
     pub fn plan_cache_enabled(&self) -> bool {
         self.plan_cache.enabled()
     }
 
     /// Enables or disables the compiled plan + expansion cache. The cache
-    /// is replaced (emptied) either way; disabling routes every query back
-    /// through the classic per-call compile-and-probe path, which the
-    /// equivalence property tests pin the planned path against.
+    /// is replaced (emptied) either way. Disabling changes only what is
+    /// remembered: every query is still planned and runs on the same
+    /// executor, with its plan built for that one call — the baseline the
+    /// `e25_planner` bench measures the cache against.
     pub fn set_plan_cache_enabled(&mut self, enabled: bool) {
         self.plan_cache = swdb_query::PlanCache::new(enabled);
     }
@@ -1152,8 +1157,7 @@ impl SemanticWebDatabase {
 
     // ----- query answering -----
 
-    /// Ensures the id-space evaluation engine is built, then returns the
-    /// evaluation index with the dictionary it is encoded against.
+    /// Builds the id-space evaluation engine if it is not built yet.
     ///
     /// The evaluation graph is `nf(D) = core(cl(D))` under RDFS and
     /// `core(D)` under simple entailment. The cold build never leaves id
@@ -1162,16 +1166,6 @@ impl SemanticWebDatabase {
     /// under simple entailment the asserted store does. Afterwards the
     /// engine is kept in step by [`SemanticWebDatabase::feed_delta`], so
     /// this cold path runs once, not per mutation.
-    fn evaluation(&mut self) -> (&Dictionary, &IdIndex) {
-        self.ensure_evaluation();
-        (
-            self.reasoner.store().dictionary(),
-            self.evaluation.as_ref().expect("just initialised").index(),
-        )
-    }
-
-    /// Builds the evaluation engine if it is not built yet (the cold path
-    /// behind [`SemanticWebDatabase::evaluation`]).
     fn ensure_evaluation(&mut self) {
         if self.evaluation.is_none() {
             let dictionary = self.reasoner.store().dictionary();
@@ -1202,7 +1196,7 @@ impl SemanticWebDatabase {
     /// pin it against the recomputing `swdb_normal` pipeline up to
     /// isomorphism).
     pub fn evaluation_graph(&mut self) -> Graph {
-        self.evaluation();
+        self.ensure_evaluation();
         let store = self.reasoner.store();
         self.evaluation
             .as_ref()
@@ -1211,14 +1205,6 @@ impl SemanticWebDatabase {
             .iter()
             .map(|ids| store.materialize(ids))
             .collect()
-    }
-
-    /// Does this premise query go through the Proposition 5.9 expansion?
-    /// Delegates to the shared gate [`expansion_eligible`] (also used by
-    /// [`crate::publish::PublishedSnapshot`], whose servable set is exactly
-    /// "premise-free or expansion-eligible").
-    fn premise_via_expansion(&self, query: &Query) -> bool {
-        expansion_eligible(self.regime, query)
     }
 
     /// Returns the position of the cached overlay for this premise,
@@ -1273,15 +1259,45 @@ impl SemanticWebDatabase {
         self.premise_cache.len() - 1
     }
 
-    /// The evaluation substrate of an overlaid premise query: the
-    /// dictionary plus the layered view `index ∪ added − removed` over the
-    /// published evaluation index (computing and caching the overlay first
-    /// if needed).
-    fn premise_target(&mut self, premise: &Graph) -> (&Dictionary, swdb_hom::Overlay<'_>) {
-        let at = self.premise_overlay(premise);
-        let overlay = &self.premise_cache[at].1;
-        let target = overlay.target(self.evaluation.as_ref().expect("overlay built it").index());
-        (self.reasoner.store().dictionary(), target)
+    /// Builds the [`QueryEngine`] that answers `query` and hands it to the
+    /// matching closure: over the live evaluation index for the
+    /// premise-free and expansion mechanisms, over the layered view
+    /// `index ∪ added − removed` of the premise's (cached) overlay
+    /// otherwise. A closure cannot be generic over the target type, so a
+    /// caller passes its operation once per target. The engine carries the
+    /// degradation flag of the substrate it was built over — the overlay's
+    /// already folds the evaluation engine's in.
+    fn with_engine<R>(
+        &mut self,
+        query: &Query,
+        on_index: impl FnOnce(QueryEngine<'_, IdIndex>) -> R,
+        on_overlay: impl FnOnce(QueryEngine<'_, swdb_hom::Overlay<'_>>) -> R,
+    ) -> R {
+        let mechanism = mechanism(self.regime, query);
+        if mechanism == Mechanism::Overlay {
+            let at = self.premise_overlay(query.premise());
+            let overlay = &self.premise_cache[at].1;
+            let evaluation = self.evaluation.as_ref().expect("overlay built it");
+            on_overlay(QueryEngine {
+                dictionary: self.reasoner.store().dictionary(),
+                target: &overlay.target(evaluation.index()),
+                cache: &self.plan_cache,
+                metrics: &self.metrics,
+                mechanism,
+                non_minimal: overlay.non_minimal,
+            })
+        } else {
+            self.ensure_evaluation();
+            let evaluation = self.evaluation.as_ref().expect("just ensured");
+            on_index(QueryEngine {
+                dictionary: self.reasoner.store().dictionary(),
+                target: evaluation.index(),
+                cache: &self.plan_cache,
+                metrics: &self.metrics,
+                mechanism,
+                non_minimal: evaluation.is_degraded(),
+            })
+        }
     }
 
     /// Answers a query under the given semantics — entirely in id space.
@@ -1289,15 +1305,7 @@ impl SemanticWebDatabase {
     /// premise queries go through the Proposition 5.9 expansion or the
     /// premise overlay (see the module docs).
     pub fn answer(&mut self, query: &Query, semantics: Semantics) -> Graph {
-        let metrics = self.metrics.clone();
-        let t0 = metrics
-            .on(MetricsLevel::Debug)
-            .then(std::time::Instant::now);
-        let out = self.answer_inner(query, semantics, &metrics);
-        if let Some(t0) = t0 {
-            metrics.record(Hist::SpanQueryAnswerNs, t0.elapsed().as_nanos() as u64);
-        }
-        out
+        self.answer_with_status(query, semantics).0
     }
 
     /// [`SemanticWebDatabase::answer`] plus the degradation flag of the
@@ -1310,148 +1318,30 @@ impl SemanticWebDatabase {
     /// Callers that need minimality can poll
     /// [`SemanticWebDatabase::refresh_degraded`] and re-ask.
     pub fn answer_with_status(&mut self, query: &Query, semantics: Semantics) -> (Graph, bool) {
-        let answer = self.answer(query, semantics);
-        (answer, self.query_non_minimal(query))
+        self.with_engine(
+            query,
+            |engine| (engine.answer(query, semantics), engine.non_minimal),
+            |engine| (engine.answer(query, semantics), engine.non_minimal),
+        )
     }
 
-    /// The `non_minimal` flag for a query that was just answered: the
-    /// evaluation engine's degradation for the premise-free and expansion
-    /// mechanisms, the cached overlay's flag for the overlay mechanism
-    /// (which already folds the engine's state in). Falls back to the
-    /// engine state on a cache miss (e.g. the overlay was evicted between
-    /// answering and asking).
-    fn query_non_minimal(&self, query: &Query) -> bool {
-        let engine_degraded = self.evaluation.as_ref().is_some_and(|e| e.is_degraded());
-        if query.is_premise_free() || self.premise_via_expansion(query) {
-            return engine_degraded;
-        }
-        self.premise_cache
-            .iter()
-            .find(|(g, _)| g == query.premise())
-            .map_or(engine_degraded, |(_, overlay)| overlay.non_minimal)
-    }
-
-    /// The dispatch behind [`SemanticWebDatabase::answer`] (split out so the
-    /// span timing wraps every mechanism once).
-    fn answer_inner(&mut self, query: &Query, semantics: Semantics, metrics: &Metrics) -> Graph {
-        if query.is_premise_free() {
-            self.ensure_evaluation();
-            let dictionary = self.reasoner.store().dictionary();
-            let index = self.evaluation.as_ref().expect("just ensured").index();
-            return swdb_query::planned_answer(
-                &self.plan_cache,
-                query,
-                dictionary,
-                index,
-                semantics,
-                metrics,
-            );
-        }
-        if self.premise_via_expansion(query) {
-            self.ensure_evaluation();
-            let dictionary = self.reasoner.store().dictionary();
-            let index = self.evaluation.as_ref().expect("just ensured").index();
-            if self.plan_cache.enabled() {
-                let (members, _) = swdb_query::expansion_members(&self.plan_cache, query, metrics);
-                return swdb_query::planned_answer_union(
-                    &self.plan_cache,
-                    &members,
-                    dictionary,
-                    index,
-                    semantics,
-                    metrics,
-                );
-            }
-            let members = swdb_query::premise_free_expansion(query);
-            if metrics.on(MetricsLevel::Counters) {
-                metrics.count(Counter::QueryCompiled, 1);
-                let metered = swdb_query::MeteredTarget::new(index);
-                let answer = swdb_query::id_answer_union_of_queries(
-                    &members, dictionary, &metered, semantics,
-                );
-                metered.flush(metrics);
-                metrics.count(Counter::QueryAnswers, answer.len() as u64);
-                return answer;
-            }
-            return swdb_query::id_answer_union_of_queries(&members, dictionary, index, semantics);
-        }
-        let (dictionary, target) = self.premise_target(query.premise());
-        swdb_query::id_answer_metered(query, dictionary, &target, semantics, metrics)
-    }
-
-    /// Explains how [`SemanticWebDatabase::answer`] would (and does) execute
-    /// this query: the mechanism chosen by the dispatch (`premise_free`,
-    /// `expansion`, or `overlay`), the compiled pattern count, the join
-    /// order actually taken by the most-constrained-first solver (original
-    /// body-pattern indices, in descent order at the first full descent),
-    /// and the measured candidate probes, enumerated bindings, and answer
-    /// count. Runs the real execution pipeline with a recorder attached —
-    /// the join order reported is the one `swdb_query::exec` chooses, not a
-    /// re-derivation — so explaining is roughly as expensive as answering.
-    /// For the expansion mechanism, `members` counts the premise-free
-    /// members of `Ω_q`; `join_order` and `patterns` describe the first
-    /// member, probes/bindings/answers sum over all of them.
+    /// Explains how [`SemanticWebDatabase::answer`] executes this query, by
+    /// executing it: the mechanism the dispatch chose (`premise_free`,
+    /// `expansion`, or `overlay`), the compiled pattern count, the planned
+    /// join order the search descended through (original body-pattern
+    /// indices), the plan-cache outcome with the planner's estimated and
+    /// the store's actual per-pattern cardinalities, and the measured
+    /// planning probes, enumerated bindings, and answer count. It is one run
+    /// of the real pipeline with a recorder attached, so explaining costs
+    /// what answering costs. For the expansion mechanism, `members` counts
+    /// the premise-free members of `Ω_q`; `join_order` and `patterns`
+    /// describe the first member, probes and bindings sum over all of them.
     pub fn explain(&mut self, query: &Query, semantics: Semantics) -> Explain {
-        let metrics = self.metrics.clone();
-        if query.is_premise_free() {
-            self.ensure_evaluation();
-            let dictionary = self.reasoner.store().dictionary();
-            let index = self.evaluation.as_ref().expect("just ensured").index();
-            let mut explain = swdb_query::planned_explain(
-                &self.plan_cache,
-                query,
-                dictionary,
-                index,
-                semantics,
-                &metrics,
-            );
-            explain.non_minimal = self.query_non_minimal(query);
-            return explain;
-        }
-        if self.premise_via_expansion(query) {
-            self.ensure_evaluation();
-            let dictionary = self.reasoner.store().dictionary();
-            let index = self.evaluation.as_ref().expect("just ensured").index();
-            let mut explain = if self.plan_cache.enabled() {
-                let (members, hit) =
-                    swdb_query::expansion_members(&self.plan_cache, query, &metrics);
-                swdb_query::planned_explain_union(
-                    &self.plan_cache,
-                    &members,
-                    dictionary,
-                    index,
-                    semantics,
-                    &metrics,
-                    hit,
-                )
-            } else {
-                let members = swdb_query::premise_free_expansion(query);
-                let mut merged: Option<Explain> = None;
-                for member in &members {
-                    let e = swdb_query::explain_premise_free(member, dictionary, index, semantics);
-                    match merged.as_mut() {
-                        None => merged = Some(e),
-                        Some(m) => {
-                            m.probes += e.probes;
-                            m.bindings += e.bindings;
-                            m.answers += e.answers;
-                            m.truncated |= e.truncated;
-                        }
-                    }
-                }
-                let mut explain = merged.unwrap_or_else(|| Explain::empty("expansion", semantics));
-                explain.mechanism = "expansion";
-                explain.members = members.len();
-                explain
-            };
-            explain.non_minimal = self.query_non_minimal(query);
-            return explain;
-        }
-        let (dictionary, target) = self.premise_target(query.premise());
-        let mut explain = swdb_query::explain_premise_free(query, dictionary, &target, semantics);
-        explain.mechanism = "overlay";
-        explain.non_minimal = self.query_non_minimal(query);
-        explain
+        self.with_engine(
+            query,
+            |engine| engine.explain(query, semantics),
+            |engine| engine.explain(query, semantics),
+        )
     }
 
     /// The recomputing specification path for query answering: evaluates
@@ -1495,77 +1385,22 @@ impl SemanticWebDatabase {
     /// The pre-answer (list of single answers) of a query, computed through
     /// the same id paths as [`SemanticWebDatabase::answer`].
     pub fn pre_answers(&mut self, query: &Query) -> Vec<Graph> {
-        let metrics = self.metrics.clone();
-        if query.is_premise_free() {
-            self.ensure_evaluation();
-            let dictionary = self.reasoner.store().dictionary();
-            let index = self.evaluation.as_ref().expect("just ensured").index();
-            return swdb_query::planned_pre_answers(
-                &self.plan_cache,
-                query,
-                dictionary,
-                index,
-                &metrics,
-            );
-        }
-        if self.premise_via_expansion(query) {
-            self.ensure_evaluation();
-            let dictionary = self.reasoner.store().dictionary();
-            let index = self.evaluation.as_ref().expect("just ensured").index();
-            if self.plan_cache.enabled() {
-                let (members, _) = swdb_query::expansion_members(&self.plan_cache, query, &metrics);
-                return swdb_query::planned_pre_answers_union(
-                    &self.plan_cache,
-                    &members,
-                    dictionary,
-                    index,
-                    &metrics,
-                );
-            }
-            let members = swdb_query::premise_free_expansion(query);
-            return swdb_query::id_pre_answers_of_queries(&members, dictionary, index);
-        }
-        let (dictionary, target) = self.premise_target(query.premise());
-        swdb_query::id_pre_answers_metered(query, dictionary, &target, &metrics)
+        self.with_engine(
+            query,
+            |engine| engine.pre_answers(query),
+            |engine| engine.pre_answers(query),
+        )
     }
 
     /// Returns `true` if the query has no answer over this database. Every
-    /// path — premise-free, expansion, overlay — early-exits on the first
-    /// witnessing matching instead of materializing the pre-answer (for the
-    /// expansion, per member).
+    /// mechanism early-exits on the first witnessing matching instead of
+    /// materializing the pre-answer (for the expansion, per member).
     pub fn answer_is_empty(&mut self, query: &Query) -> bool {
-        let metrics = self.metrics.clone();
-        if query.is_premise_free() {
-            self.ensure_evaluation();
-            let dictionary = self.reasoner.store().dictionary();
-            let index = self.evaluation.as_ref().expect("just ensured").index();
-            return swdb_query::planned_answer_is_empty(
-                &self.plan_cache,
-                query,
-                dictionary,
-                index,
-                &metrics,
-            );
-        }
-        if self.premise_via_expansion(query) {
-            self.ensure_evaluation();
-            let dictionary = self.reasoner.store().dictionary();
-            let index = self.evaluation.as_ref().expect("just ensured").index();
-            if self.plan_cache.enabled() {
-                let (members, _) = swdb_query::expansion_members(&self.plan_cache, query, &metrics);
-                return swdb_query::planned_union_is_empty(
-                    &self.plan_cache,
-                    &members,
-                    dictionary,
-                    index,
-                    &metrics,
-                );
-            }
-            let members = swdb_query::premise_free_expansion(query);
-            return swdb_query::id_union_answer_is_empty(&members, dictionary, index);
-        }
-        let (dictionary, target) = self.premise_target(query.premise());
-        swdb_query::id_answer_is_empty_metered(query, dictionary, &target, &metrics)
+        self.with_engine(
+            query,
+            |engine| engine.answer_is_empty(query),
+            |engine| engine.answer_is_empty(query),
+        )
     }
 
     /// Answers a query and removes redundancy from the result (returns the
@@ -1593,10 +1428,22 @@ impl From<Graph> for SemanticWebDatabase {
     }
 }
 
-/// The shared dispatch gate for the Proposition 5.9 expansion, used by the
-/// facade's `answer` dispatch and by [`crate::publish::PublishedSnapshot`]
-/// (a snapshot can serve exactly the premise-free and expansion mechanisms —
-/// both need only the dictionary + index pair it carries).
+/// The dispatch: how a query is evaluated under a regime. The facade and
+/// [`crate::publish::PublishedSnapshot`] both build their [`QueryEngine`]
+/// from this one decision (a snapshot can serve exactly the premise-free
+/// and expansion mechanisms — both need only the dictionary + index pair it
+/// carries).
+pub(crate) fn mechanism(regime: EntailmentRegime, query: &Query) -> Mechanism {
+    if query.is_premise_free() {
+        Mechanism::PremiseFree
+    } else if expansion_eligible(regime, query) {
+        Mechanism::Expansion
+    } else {
+        Mechanism::Overlay
+    }
+}
+
+/// The gate for the Proposition 5.9 expansion.
 ///
 /// Only under simple entailment (once RDFS vocabulary is interpreted, a
 /// premise data triple can fire rules against stored schema, which no
@@ -1607,7 +1454,7 @@ impl From<Graph> for SemanticWebDatabase {
 /// *all* body variables, and μ substitutes some of those away per member,
 /// changing the Skolem values), and only within [`EXPANSION_MAP_BUDGET`].
 /// Everything else takes the overlay, which needs the mutable facade.
-pub(crate) fn expansion_eligible(regime: EntailmentRegime, query: &Query) -> bool {
+fn expansion_eligible(regime: EntailmentRegime, query: &Query) -> bool {
     let within_budget = (query.premise().len() as u64)
         .saturating_add(1)
         .checked_pow(query.body().len() as u32)
@@ -1932,7 +1779,7 @@ mod tests {
             graph([("ex:a", "ex:t", "ex:s")]),
         )
         .unwrap();
-        assert!(db.premise_via_expansion(&q));
+        assert_eq!(mechanism(db.regime(), &q), Mechanism::Expansion);
         let answers = db.answer_union(&q);
         assert!(answers.contains(&triple("ex:u", "ex:p", "ex:a")));
         assert_eq!(answers.len(), 1);
@@ -1958,7 +1805,7 @@ mod tests {
             graph([("ex:a", "ex:t", "ex:s"), ("ex:b", "ex:t", "ex:s")]),
         )
         .unwrap();
-        assert!(!db.premise_via_expansion(&q));
+        assert_eq!(mechanism(db.regime(), &q), Mechanism::Overlay);
         assert!(
             swdb_model::isomorphic(
                 &db.answer(&q, Semantics::Union),
@@ -1979,7 +1826,7 @@ mod tests {
             [Variable::new("Y")].into_iter().collect(),
         )
         .unwrap();
-        assert!(db.premise_via_expansion(&q));
+        assert_eq!(mechanism(db.regime(), &q), Mechanism::Expansion);
         let answers = db.answer_union(&q);
         assert!(
             answers.contains(&triple("ex:a", "ex:p", "ex:b")),

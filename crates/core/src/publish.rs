@@ -25,9 +25,9 @@
 //!
 //! The degraded flags ride the snapshot: `non_minimal` (core budget
 //! exhausted at publication time — answers sound and complete, possibly
-//! redundant) and `durability_detached` (the fail-stop record was set), so
-//! a reader reports the status of the state it is *actually answering
-//! from*, not the writer's current state.
+//! redundant) and the durability layer's fail-stop record, so a reader
+//! reports the status of the state it is *actually answering from*, not the
+//! writer's current state — without ever taking the writer's lock.
 //!
 //! [`SemanticWebDatabase`]: crate::SemanticWebDatabase
 //! [`SemanticWebDatabase::publish`]: crate::SemanticWebDatabase::publish
@@ -36,11 +36,11 @@ use std::fmt;
 use std::sync::{Arc, RwLock};
 
 use swdb_model::Graph;
-use swdb_obs::{Counter, Hist, Metrics, MetricsLevel};
-use swdb_query::{Explain, Query, Semantics};
+use swdb_obs::Metrics;
+use swdb_query::{Explain, Mechanism, Query, QueryEngine, Semantics};
 use swdb_store::{Dictionary, IdIndex};
 
-use crate::database::{expansion_eligible, EntailmentRegime};
+use crate::database::{mechanism, EntailmentRegime};
 
 /// Why a query cannot be answered on a pinned snapshot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -83,7 +83,8 @@ pub struct PublishedSnapshot {
     /// Asserted triples in the database at publication time.
     asserted: usize,
     non_minimal: bool,
-    durability_detached: bool,
+    /// Why the durability layer had detached by publication time, if it had.
+    durability_error: Option<String>,
     dictionary: Dictionary,
     index: IdIndex,
     metrics: Metrics,
@@ -104,7 +105,7 @@ impl PublishedSnapshot {
         regime: EntailmentRegime,
         asserted: usize,
         non_minimal: bool,
-        durability_detached: bool,
+        durability_error: Option<String>,
         dictionary: Dictionary,
         index: IdIndex,
         metrics: Metrics,
@@ -115,7 +116,7 @@ impl PublishedSnapshot {
             regime,
             asserted,
             non_minimal,
-            durability_detached,
+            durability_error,
             dictionary,
             index,
             metrics,
@@ -157,7 +158,13 @@ impl PublishedSnapshot {
     /// publication time: reads (this snapshot) are fine, but writes on the
     /// live database are no longer durable.
     pub fn durability_detached(&self) -> bool {
-        self.durability_detached
+        self.durability_error.is_some()
+    }
+
+    /// Why the durability layer had fail-stopped by publication time (the
+    /// facade's `durability_error` record), `None` while it was attached.
+    pub fn durability_error(&self) -> Option<&str> {
+        self.durability_error.as_deref()
     }
 
     /// The dictionary the snapshot's index is encoded against.
@@ -170,11 +177,28 @@ impl PublishedSnapshot {
         &self.index
     }
 
+    /// The [`QueryEngine`] over this snapshot for `query` — or
+    /// [`SnapshotQueryError::NeedsWriter`] when the dispatch picks the
+    /// overlay, which only the live database can build.
+    fn engine(&self, query: &Query) -> Result<QueryEngine<'_, IdIndex>, SnapshotQueryError> {
+        match mechanism(self.regime, query) {
+            Mechanism::Overlay => Err(SnapshotQueryError::NeedsWriter),
+            mechanism => Ok(QueryEngine {
+                dictionary: &self.dictionary,
+                target: &self.index,
+                cache: &self.plan_cache,
+                metrics: &self.metrics,
+                mechanism,
+                non_minimal: self.non_minimal,
+            }),
+        }
+    }
+
     /// Can [`PublishedSnapshot::answer`] serve this query? Exactly the
     /// premise-free and expansion-eligible mechanisms — both need only the
     /// dictionary + index pair the snapshot carries.
     pub fn supports(&self, query: &Query) -> bool {
-        query.is_premise_free() || expansion_eligible(self.regime, query)
+        self.engine(query).is_ok()
     }
 
     /// Answers a query against this snapshot — entirely in id space, with
@@ -182,67 +206,7 @@ impl PublishedSnapshot {
     /// Returns [`SnapshotQueryError::NeedsWriter`] for overlay-mechanism
     /// premise queries (see [`PublishedSnapshot::supports`]).
     pub fn answer(&self, query: &Query, semantics: Semantics) -> Result<Graph, SnapshotQueryError> {
-        let metrics = &self.metrics;
-        let t0 = metrics
-            .on(MetricsLevel::Debug)
-            .then(std::time::Instant::now);
-        let out = self.answer_inner(query, semantics, metrics)?;
-        if let Some(t0) = t0 {
-            metrics.record(Hist::SpanQueryAnswerNs, t0.elapsed().as_nanos() as u64);
-        }
-        Ok(out)
-    }
-
-    fn answer_inner(
-        &self,
-        query: &Query,
-        semantics: Semantics,
-        metrics: &Metrics,
-    ) -> Result<Graph, SnapshotQueryError> {
-        if query.is_premise_free() {
-            return Ok(swdb_query::planned_answer(
-                &self.plan_cache,
-                query,
-                &self.dictionary,
-                &self.index,
-                semantics,
-                metrics,
-            ));
-        }
-        if expansion_eligible(self.regime, query) {
-            if self.plan_cache.enabled() {
-                let (members, _) = swdb_query::expansion_members(&self.plan_cache, query, metrics);
-                return Ok(swdb_query::planned_answer_union(
-                    &self.plan_cache,
-                    &members,
-                    &self.dictionary,
-                    &self.index,
-                    semantics,
-                    metrics,
-                ));
-            }
-            let members = swdb_query::premise_free_expansion(query);
-            if metrics.on(MetricsLevel::Counters) {
-                metrics.count(Counter::QueryCompiled, 1);
-                let metered = swdb_query::MeteredTarget::new(&self.index);
-                let answer = swdb_query::id_answer_union_of_queries(
-                    &members,
-                    &self.dictionary,
-                    &metered,
-                    semantics,
-                );
-                metered.flush(metrics);
-                metrics.count(Counter::QueryAnswers, answer.len() as u64);
-                return Ok(answer);
-            }
-            return Ok(swdb_query::id_answer_union_of_queries(
-                &members,
-                &self.dictionary,
-                &self.index,
-                semantics,
-            ));
-        }
-        Err(SnapshotQueryError::NeedsWriter)
+        Ok(self.engine(query)?.answer(query, semantics))
     }
 
     /// [`PublishedSnapshot::answer`] plus the snapshot's `non_minimal`
@@ -260,69 +224,13 @@ impl PublishedSnapshot {
 
     /// The pre-answer (list of single answers) over this snapshot.
     pub fn pre_answers(&self, query: &Query) -> Result<Vec<Graph>, SnapshotQueryError> {
-        let metrics = &self.metrics;
-        if query.is_premise_free() {
-            return Ok(swdb_query::planned_pre_answers(
-                &self.plan_cache,
-                query,
-                &self.dictionary,
-                &self.index,
-                metrics,
-            ));
-        }
-        if expansion_eligible(self.regime, query) {
-            if self.plan_cache.enabled() {
-                let (members, _) = swdb_query::expansion_members(&self.plan_cache, query, metrics);
-                return Ok(swdb_query::planned_pre_answers_union(
-                    &self.plan_cache,
-                    &members,
-                    &self.dictionary,
-                    &self.index,
-                    metrics,
-                ));
-            }
-            let members = swdb_query::premise_free_expansion(query);
-            return Ok(swdb_query::id_pre_answers_of_queries(
-                &members,
-                &self.dictionary,
-                &self.index,
-            ));
-        }
-        Err(SnapshotQueryError::NeedsWriter)
+        Ok(self.engine(query)?.pre_answers(query))
     }
 
     /// `true` if the query has no answer over this snapshot (early-exits on
     /// the first witness).
     pub fn answer_is_empty(&self, query: &Query) -> Result<bool, SnapshotQueryError> {
-        let metrics = &self.metrics;
-        if query.is_premise_free() {
-            return Ok(swdb_query::planned_answer_is_empty(
-                &self.plan_cache,
-                query,
-                &self.dictionary,
-                &self.index,
-                metrics,
-            ));
-        }
-        if expansion_eligible(self.regime, query) {
-            if self.plan_cache.enabled() {
-                let (members, _) = swdb_query::expansion_members(&self.plan_cache, query, metrics);
-                return Ok(swdb_query::planned_union_is_empty(
-                    &self.plan_cache,
-                    &members,
-                    &self.dictionary,
-                    &self.index,
-                    metrics,
-                ));
-            }
-            let members = swdb_query::premise_free_expansion(query);
-            return Ok(swdb_query::id_union_answer_is_empty(
-                &members,
-                &self.dictionary,
-                &self.index,
-            ));
-        }
-        Err(SnapshotQueryError::NeedsWriter)
+        Ok(self.engine(query)?.answer_is_empty(query))
     }
 
     /// Explains how this snapshot executes the query (mechanism, compiled
@@ -335,61 +243,7 @@ impl PublishedSnapshot {
         query: &Query,
         semantics: Semantics,
     ) -> Result<Explain, SnapshotQueryError> {
-        let metrics = &self.metrics;
-        if query.is_premise_free() {
-            let mut explain = swdb_query::planned_explain(
-                &self.plan_cache,
-                query,
-                &self.dictionary,
-                &self.index,
-                semantics,
-                metrics,
-            );
-            explain.non_minimal = self.non_minimal;
-            return Ok(explain);
-        }
-        if expansion_eligible(self.regime, query) {
-            let mut explain = if self.plan_cache.enabled() {
-                let (members, hit) =
-                    swdb_query::expansion_members(&self.plan_cache, query, metrics);
-                swdb_query::planned_explain_union(
-                    &self.plan_cache,
-                    &members,
-                    &self.dictionary,
-                    &self.index,
-                    semantics,
-                    metrics,
-                    hit,
-                )
-            } else {
-                let members = swdb_query::premise_free_expansion(query);
-                let mut merged: Option<Explain> = None;
-                for member in &members {
-                    let e = swdb_query::explain_premise_free(
-                        member,
-                        &self.dictionary,
-                        &self.index,
-                        semantics,
-                    );
-                    match merged.as_mut() {
-                        None => merged = Some(e),
-                        Some(m) => {
-                            m.probes += e.probes;
-                            m.bindings += e.bindings;
-                            m.answers += e.answers;
-                            m.truncated |= e.truncated;
-                        }
-                    }
-                }
-                let mut explain = merged.unwrap_or_else(|| Explain::empty("expansion", semantics));
-                explain.mechanism = "expansion";
-                explain.members = members.len();
-                explain
-            };
-            explain.non_minimal = self.non_minimal;
-            return Ok(explain);
-        }
-        Err(SnapshotQueryError::NeedsWriter)
+        Ok(self.engine(query)?.explain(query, semantics))
     }
 }
 
@@ -412,11 +266,11 @@ impl PublishSlot {
                 EntailmentRegime::default(),
                 0,
                 false,
-                false,
+                None,
                 Dictionary::default(),
                 IdIndex::new(),
                 metrics,
-                swdb_query::PlanCache::from_env(),
+                swdb_query::PlanCache::new(true),
             ))),
         }
     }

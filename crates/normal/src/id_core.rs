@@ -378,6 +378,11 @@ pub struct IdCoreEngine {
     /// All maintained blank triples (the un-cored blank side).
     blank_full: BTreeSet<IdTriple>,
     components: Vec<Component>,
+    /// How many `components` are published uncored. Recounted by
+    /// [`IdCoreEngine::publish_degradation`], which every path that changes
+    /// a component's flag or the component set ends in, so that reads ask
+    /// [`IdCoreEngine::is_degraded`] in O(1).
+    uncored_count: usize,
     /// Predicate id → number of `blank_full` triples using it. A ground
     /// insertion whose predicate no blank triple uses cannot be the image of
     /// any fold and skips the core step entirely.
@@ -590,12 +595,12 @@ impl IdCoreEngine {
     /// Independent of the metrics level — degradation is engine state, not
     /// instrumentation.
     pub fn is_degraded(&self) -> bool {
-        self.components.iter().any(|c| c.uncored)
+        self.uncored_count > 0
     }
 
     /// Number of components currently published uncored.
     pub fn uncored_components(&self) -> usize {
-        self.components.iter().filter(|c| c.uncored).count()
+        self.uncored_count
     }
 
     /// Published (survivor) triples across the uncored components — the
@@ -662,12 +667,14 @@ impl IdCoreEngine {
         !self.is_degraded()
     }
 
-    /// Mirrors the engine's degradation state into the gauges (no-op with
-    /// metrics off; the engine state itself is always exact).
-    fn publish_degradation(&self) {
+    /// Recounts the uncored components and mirrors the degradation state
+    /// into the gauges (the gauges are a no-op with metrics off; the count
+    /// itself is always exact).
+    fn publish_degradation(&mut self) {
+        self.uncored_count = self.components.iter().filter(|c| c.uncored).count();
         if self.metrics.on(MetricsLevel::Counters) {
             self.metrics
-                .gauge_set(Gauge::UncoredComponents, self.uncored_components() as u64);
+                .gauge_set(Gauge::UncoredComponents, self.uncored_count as u64);
             self.metrics
                 .gauge_set(Gauge::UncoredTriples, self.uncored_triples() as u64);
         }
@@ -1093,10 +1100,15 @@ impl IdCoreEngine {
     }
 
     /// Debug-build invariants: the published index is exactly the ground
-    /// triples plus every component's survivors, and all support triples
-    /// are live.
+    /// triples plus every component's survivors, all support triples are
+    /// live, and the uncored count is current.
     fn debug_check(&self, dictionary: &Dictionary) {
         if cfg!(debug_assertions) {
+            debug_assert_eq!(
+                self.uncored_count,
+                self.components.iter().filter(|c| c.uncored).count(),
+                "a path changed an uncored flag without publish_degradation"
+            );
             let mut expected_blank: BTreeSet<IdTriple> = BTreeSet::new();
             for c in &self.components {
                 debug_assert!(c.survivors.is_subset(&c.full));

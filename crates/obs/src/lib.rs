@@ -259,7 +259,11 @@ keyed_enum! {
         SpanReasonDeleteNs => "span_reason_delete_ns",
         /// Wall time of one core-engine delta refresh, nanoseconds.
         SpanCoreRefreshNs => "span_core_refresh_ns",
-        /// Wall time of one facade query answer, nanoseconds.
+        /// Wall time of one `QueryEngine::answer` — plan lookup, execution
+        /// and answer assembly, for the facade and for pinned snapshots
+        /// alike — nanoseconds. Building the substrate the engine runs over
+        /// (a cold evaluation index, a premise overlay) happens before and is
+        /// not in it; the overlay build has `span_overlay_build_ns`.
         SpanQueryAnswerNs => "span_query_answer_ns",
         /// Wall time of one premise overlay build, nanoseconds.
         SpanOverlayBuildNs => "span_overlay_build_ns",

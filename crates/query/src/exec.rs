@@ -1,113 +1,68 @@
-//! Id-space execution of premise-free query bodies.
+//! Id-space execution of premise-free query bodies — the one executor.
 //!
 //! The string-space evaluator in [`crate::answer`] joins on cloned
 //! [`swdb_model::Term`]s through a [`swdb_hom::GraphIndex`] that is rebuilt
 //! for every call. This module is the production read path: a query body is
 //! *compiled* against a [`Dictionary`] — constants become [`TermId`]s,
-//! variables become dense slot numbers — and then executed by a
-//! selectivity-ordered backtracking join that probes an [`IdIndex`]
-//! (SPO/POS/OSP range scans) directly. Inside the join loop there is no term
-//! cloning and no string hashing: a binding is a `[Option<TermId>]` slot
-//! array, and terms are only decoded when a complete matching survives the
-//! constraint check and an answer is materialized.
+//! variables become dense slot numbers — and then executed by a backtracking
+//! join that scans an [`IdTarget`] (the SPO/POS/OSP range scans of an
+//! [`IdIndex`], or a premise [`swdb_hom::Overlay`]) in the static order the
+//! planner chose ([`crate::plan`]). There is exactly one way to run a body:
+//! every caller — the facade, a pinned snapshot, `explain` — reaches the
+//! enumeration cores here through [`crate::QueryEngine`] with a compiled
+//! body and a plan in hand, so the search itself never probes selectivity.
+//! Inside the join loop there is no term cloning and no string hashing: a
+//! binding is a `[Option<TermId>]` slot array, and terms are only decoded
+//! when a complete matching survives the constraint check and an answer is
+//! materialized.
 //!
 //! Compilation also yields a fast negative path: a body constant that was
 //! never interned cannot occur in any stored triple, so the query has zero
 //! matchings without touching the index ([`compile_body`] returns `None`).
 //!
 //! The string-space evaluator remains the executable specification; the
-//! property tests pin `id_matchings`/`id_answer` against
-//! [`crate::answer::matchings_against`]/[`crate::answer::answer_against`]
-//! over the same evaluation graph.
+//! property tests pin [`crate::id_matchings`] and the engine's answers
+//! against [`crate::answer::matchings_against`] /
+//! [`crate::answer::answer_against`] over the same evaluation graph.
 
+use std::collections::BTreeSet;
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use swdb_hom::{Binding, IdTarget, PatternGraph, PatternTerm, Variable, DEFAULT_SOLUTION_LIMIT};
 use swdb_model::{Graph, Term};
-use swdb_obs::{Counter, Metrics, MetricsLevel};
-use swdb_store::{Dictionary, IdIndex, IdPattern, IdTriple, TermId};
+use swdb_obs::Counter;
+use swdb_store::{Dictionary, IdIndex, TermId};
 
 use crate::answer::{combine, satisfies_constraints, single_answer, Semantics};
+use crate::engine::QueryEngine;
 use crate::query::Query;
 
 // The pattern representation and the backtracking join are shared with the
 // retraction search of `swdb-normal::id_core` and live in `swdb_hom`.
 pub use swdb_hom::id_solve::{IdPatternTerm, IdTriplePattern, JoinOrderLog};
 
-/// An [`IdTarget`] adapter that counts the selectivity probes
-/// ([`IdTarget::candidate_count`] calls) the join ordering spends against
-/// the wrapped target. Composable over any target — the plain evaluation
-/// [`IdIndex`] as well as the premise [`swdb_hom::Overlay`] — so one wrapper
-/// instruments every query mechanism.
-///
-/// The count is a relaxed local atomic (the target trait requires [`Sync`]);
-/// callers wrap a target only when metrics are enabled, so the `Off` path
-/// never even constructs one.
-pub struct MeteredTarget<'a, T: IdTarget> {
-    inner: &'a T,
-    probes: AtomicU64,
-}
-
-impl<'a, T: IdTarget> MeteredTarget<'a, T> {
-    /// Wraps a target with a fresh probe counter.
-    pub fn new(inner: &'a T) -> Self {
-        MeteredTarget {
-            inner,
-            probes: AtomicU64::new(0),
-        }
-    }
-
-    /// Selectivity probes spent so far.
-    pub fn probes(&self) -> u64 {
-        self.probes.load(Ordering::Relaxed)
-    }
-
-    /// Drains the probe count into [`Counter::QueryJoinProbes`].
-    pub fn flush(&self, metrics: &Metrics) {
-        metrics.count(
-            Counter::QueryJoinProbes,
-            self.probes.swap(0, Ordering::Relaxed),
-        );
-    }
-}
-
-impl<T: IdTarget> IdTarget for MeteredTarget<'_, T> {
-    fn candidate_count(&self, pattern: IdPattern) -> usize {
-        self.probes.fetch_add(1, Ordering::Relaxed);
-        self.inner.candidate_count(pattern)
-    }
-
-    fn scan_while(&self, pattern: IdPattern, visit: impl FnMut(IdTriple) -> bool) {
-        self.inner.scan_while(pattern, visit)
-    }
-
-    fn contains(&self, ids: IdTriple) -> bool {
-        self.inner.contains(ids)
-    }
-}
-
-/// Per-execution controls threaded through the enumeration cores, shared by
-/// the planned (static join order from `crate::plan`) and unplanned paths.
-/// `Default` is the classic behavior: compile per call, dynamic
-/// most-constrained-first selection, no recording.
-#[derive(Clone, Copy, Default)]
+/// The plan one execution runs under, threaded through the enumeration
+/// cores: every execution is planned (`crate::plan`), so the compiled body
+/// and its static join order are always present.
+#[derive(Clone, Copy)]
 pub(crate) struct ExecHooks<'a> {
-    /// Execute this static join order (original pattern indices) instead of
-    /// re-probing selectivity at every backtrack node.
-    pub order: Option<&'a [usize]>,
-    /// Record the join order actually taken (planned or dynamic).
+    /// The compiled body (re-instantiated against the live dictionary).
+    pub compiled: &'a CompiledBody,
+    /// The static join order (original pattern indices): the search issues
+    /// no selectivity probes of its own.
+    pub order: &'a [usize],
+    /// Record the join order actually taken (explain).
     pub recorder: Option<&'a JoinOrderLog>,
-    /// Use this pre-compiled body (a plan-cache hit) instead of compiling.
-    pub compiled: Option<&'a CompiledBody>,
 }
 
-/// What one enumeration actually did, reported back to explain/plan callers.
+/// What the executions behind one operation did, reported back to explain.
 #[derive(Clone, Copy, Default)]
 pub(crate) struct ExecStats {
+    /// Selectivity probes planning paid (zero on plan-cache hits).
+    pub probes: u64,
     /// Bindings (complete solutions) enumerated.
     pub bindings: u64,
-    /// The enumeration hit [`DEFAULT_SOLUTION_LIMIT`] and stopped: the
+    /// An enumeration hit [`DEFAULT_SOLUTION_LIMIT`] and stopped: the
     /// produced answer set (or emptiness verdict) may be incomplete.
     pub truncated: bool,
 }
@@ -255,266 +210,22 @@ impl<'a, T: IdTarget> IdSolver<'a, T> {
     }
 }
 
-/// Computes the constraint-satisfying matchings of a premise-free query
-/// against an id-indexed evaluation graph, decoding each surviving solution
-/// through the dictionary. Equals [`crate::answer::matchings_against`] over
-/// the same evaluation graph (the property tests pin this).
-pub fn id_matchings<T: IdTarget>(
-    query: &Query,
-    dictionary: &Dictionary,
-    target: &T,
-) -> Vec<Binding> {
-    let mut out = Vec::new();
-    for_each_matching(query, dictionary, target, Metrics::disabled(), |binding| {
-        out.push(binding)
-    });
-    out
+/// Single answers in first-seen order, deduplicated — across the members of
+/// a union when they share one accumulator (expansion members overlap
+/// heavily: constant heads produced by different `μ` often coincide).
+#[derive(Default)]
+pub(crate) struct Singles {
+    seen: BTreeSet<Graph>,
+    /// The distinct single answers so far.
+    pub list: Vec<Graph>,
 }
 
-/// Computes the pre-answer of a premise-free query over an id-indexed
-/// evaluation graph: Skolemization and head instantiation run on decoded
-/// bindings, everything before that stays in id space.
-///
-/// When the head contains no blank constants, a single answer is a function
-/// of the head-variable bindings alone (there is nothing to Skolemize, and
-/// constraints only mention head variables), so solutions are first
-/// projected onto the head-variable slots and deduplicated as `TermId`
-/// rows — only distinct projections are ever decoded.
-pub fn id_pre_answers<T: IdTarget>(
-    query: &Query,
-    dictionary: &Dictionary,
-    target: &T,
-) -> Vec<Graph> {
-    id_pre_answers_metered(query, dictionary, target, Metrics::disabled())
-}
-
-/// [`id_pre_answers`] with instrumentation: counts the compilation, the
-/// selectivity probes, the bindings enumerated and the single answers
-/// materialized into `metrics`. At `Off` it is the plain path — the target
-/// is not even wrapped.
-pub fn id_pre_answers_metered<T: IdTarget>(
-    query: &Query,
-    dictionary: &Dictionary,
-    target: &T,
-    metrics: &Metrics,
-) -> Vec<Graph> {
-    let mut stats = ExecStats::default();
-    if metrics.on(MetricsLevel::Counters) {
-        metrics.count(Counter::QueryCompiled, 1);
-        let metered = MeteredTarget::new(target);
-        let singles = id_pre_answers_core(
-            query,
-            dictionary,
-            &metered,
-            metrics,
-            ExecHooks::default(),
-            &mut stats,
-        );
-        metered.flush(metrics);
-        metrics.count(Counter::QueryAnswers, singles.len() as u64);
-        return singles;
-    }
-    id_pre_answers_core(
-        query,
-        dictionary,
-        target,
-        metrics,
-        ExecHooks::default(),
-        &mut stats,
-    )
-}
-
-/// Builds the underlying solver for a compiled body, honoring the hooks'
-/// static order and recorder.
-fn solver_with<'a, T: IdTarget>(
-    compiled: &'a CompiledBody,
-    target: &'a T,
-    hooks: ExecHooks<'a>,
-) -> swdb_hom::IdSolver<'a, T> {
-    let mut solver = swdb_hom::IdSolver::new(&compiled.patterns, compiled.vars.len(), target);
-    if let Some(order) = hooks.order {
-        solver = solver.with_order(order);
-    }
-    if let Some(recorder) = hooks.recorder {
-        solver = solver.recording_into(recorder);
-    }
-    solver
-}
-
-/// Resolves the compiled body for an execution: the hooks' pre-compiled one
-/// (a plan-cache hit — nothing to count), or a fresh per-call compilation
-/// (counted into [`Counter::QueryPatternsCompiled`]); `None` on the
-/// unknown-constant fast path.
-macro_rules! resolve_body {
-    ($query:expr, $dictionary:expr, $metrics:expr, $hooks:expr, $owned:ident) => {
-        match $hooks.compiled {
-            Some(compiled) => compiled,
-            None => match compile_body($query.body(), $dictionary) {
-                Some(compiled) => {
-                    $metrics.count(
-                        Counter::QueryPatternsCompiled,
-                        compiled.patterns.len() as u64,
-                    );
-                    $owned = compiled;
-                    &$owned
-                }
-                None => return Default::default(),
-            },
+impl Singles {
+    fn push(&mut self, single: Graph) {
+        if self.seen.insert(single.clone()) {
+            self.list.push(single);
         }
-    };
-}
-
-pub(crate) fn id_pre_answers_core<T: IdTarget>(
-    query: &Query,
-    dictionary: &Dictionary,
-    target: &T,
-    metrics: &Metrics,
-    hooks: ExecHooks<'_>,
-    stats: &mut ExecStats,
-) -> Vec<Graph> {
-    let mut seen = std::collections::BTreeSet::new();
-    let mut singles: Vec<Graph> = Vec::new();
-    if head_has_blank_consts(query) {
-        // Skolem values depend on every body variable: full decode per
-        // matching.
-        for_each_matching_hooked(
-            query,
-            dictionary,
-            target,
-            metrics,
-            hooks,
-            stats,
-            |binding| {
-                if let Some(answer) = single_answer(query, &binding) {
-                    if seen.insert(answer.clone()) {
-                        singles.push(answer);
-                    }
-                }
-            },
-        );
-        return singles;
     }
-    let owned;
-    let compiled = resolve_body!(query, dictionary, metrics, hooks, owned);
-    let head_slots = head_slot_projection(query, compiled);
-    let mut seen_rows = std::collections::BTreeSet::new();
-    let mut enumerated = 0usize;
-    solver_with(compiled, target, hooks).for_each_solution(&mut |slots| {
-        let row: Vec<TermId> = head_slots
-            .iter()
-            .map(|(slot, _)| slots[*slot].expect("complete solution"))
-            .collect();
-        if seen_rows.insert(row) {
-            let mut binding = Binding::new();
-            for (slot, var) in &head_slots {
-                let id = slots[*slot].expect("complete solution");
-                let term = dictionary.term_of(id).expect("dangling term id").clone();
-                binding.bind(var.clone(), term);
-            }
-            if satisfies_constraints(query, &binding) {
-                if let Some(answer) = single_answer(query, &binding) {
-                    if seen.insert(answer.clone()) {
-                        singles.push(answer);
-                    }
-                }
-            }
-        }
-        enumerated += 1;
-        if enumerated >= DEFAULT_SOLUTION_LIMIT {
-            stats.truncated = true;
-            metrics.count(Counter::QueryTruncations, 1);
-            ControlFlow::Break(())
-        } else {
-            ControlFlow::<()>::Continue(())
-        }
-    });
-    metrics.count(Counter::QueryBindings, enumerated as u64);
-    stats.bindings += enumerated as u64;
-    singles
-}
-
-/// Computes the answer of a premise-free query over an id-indexed evaluation
-/// graph under the requested semantics.
-///
-/// Union semantics with a blank-free head takes a fully direct path: the
-/// answer is exactly the set of head instantiations over the qualifying
-/// matchings, so distinct head projections stream straight into one answer
-/// graph — no per-matching `Binding`, no per-single `Graph`, no combine
-/// pass. Merge semantics and Skolemized heads go through
-/// [`id_pre_answers`] + [`combine`] like the string-space evaluator.
-pub fn id_answer<T: IdTarget>(
-    query: &Query,
-    dictionary: &Dictionary,
-    target: &T,
-    semantics: Semantics,
-) -> Graph {
-    id_answer_metered(query, dictionary, target, semantics, Metrics::disabled())
-}
-
-/// [`id_answer`] with instrumentation: counts the compilation, the
-/// selectivity probes, the bindings enumerated and the answer triples
-/// materialized into `metrics`. At `Off` it is the plain path — the target
-/// is not even wrapped.
-pub fn id_answer_metered<T: IdTarget>(
-    query: &Query,
-    dictionary: &Dictionary,
-    target: &T,
-    semantics: Semantics,
-    metrics: &Metrics,
-) -> Graph {
-    let mut stats = ExecStats::default();
-    if semantics == Semantics::Union && !head_has_blank_consts(query) {
-        if metrics.on(MetricsLevel::Counters) {
-            metrics.count(Counter::QueryCompiled, 1);
-            let metered = MeteredTarget::new(target);
-            let answer = id_answer_union_direct(
-                query,
-                dictionary,
-                &metered,
-                metrics,
-                ExecHooks::default(),
-                &mut stats,
-            );
-            metered.flush(metrics);
-            metrics.count(Counter::QueryAnswers, answer.len() as u64);
-            return answer;
-        }
-        return id_answer_union_direct(
-            query,
-            dictionary,
-            target,
-            metrics,
-            ExecHooks::default(),
-            &mut stats,
-        );
-    }
-    combine(
-        id_pre_answers_metered(query, dictionary, target, metrics),
-        semantics,
-    )
-}
-
-/// The semantics-dispatching answer core the planned and explain paths
-/// share: the union-direct projection when it applies, the
-/// pre-answers + [`combine`] pipeline otherwise. Counting conventions
-/// follow the cores (no `QueryCompiled`/`QueryAnswers`/probe flushing —
-/// callers own the metered shell).
-pub(crate) fn id_answer_core<T: IdTarget>(
-    query: &Query,
-    dictionary: &Dictionary,
-    target: &T,
-    semantics: Semantics,
-    metrics: &Metrics,
-    hooks: ExecHooks<'_>,
-    stats: &mut ExecStats,
-) -> Graph {
-    if semantics == Semantics::Union && !head_has_blank_consts(query) {
-        return id_answer_union_direct(query, dictionary, target, metrics, hooks, stats);
-    }
-    combine(
-        id_pre_answers_core(query, dictionary, target, metrics, hooks, stats),
-        semantics,
-    )
 }
 
 /// Returns `true` if the head mentions a blank-node constant — the case
@@ -550,230 +261,285 @@ fn head_slot_projection(query: &Query, compiled: &CompiledBody) -> Vec<(usize, V
         .collect()
 }
 
-/// The direct union path: equals
-/// `combine(id_pre_answers(..), Semantics::Union)` for blank-free heads
-/// (union identifies shared labels, so the union of the single answers is
-/// the set of all well-formed head instantiations; a single answer is
-/// dropped as a whole when any head pattern fails to instantiate, exactly
-/// as [`single_answer`] does).
-fn id_answer_union_direct<T: IdTarget>(
-    query: &Query,
-    dictionary: &Dictionary,
-    target: &T,
-    metrics: &Metrics,
-    hooks: ExecHooks<'_>,
-    stats: &mut ExecStats,
-) -> Graph {
-    let mut answer = Graph::new();
-    let owned;
-    let compiled = resolve_body!(query, dictionary, metrics, hooks, owned);
-    let head_slots = head_slot_projection(query, compiled);
-    // Constraints only mention head variables, so they become non-blank
-    // checks on projected slots.
-    let constraint_slots: Vec<usize> = query
-        .constraints()
-        .iter()
-        .map(|var| {
-            head_slots
-                .iter()
-                .find(|(_, known)| known == var)
-                .expect("constraints mention head variables")
-                .0
-        })
-        .collect();
-    // Per head pattern, each position is a constant term or a slot.
-    enum HeadPos {
-        Const(Term),
-        Slot(usize),
+/// The executor half of [`QueryEngine`]: what runs one premise-free member
+/// under its plan. `hooks` carries the member's compiled body and join
+/// order; `stats` accumulates over the members of one operation.
+impl<T: IdTarget> QueryEngine<'_, T> {
+    /// Runs the planned join over `target`, handing every complete solution to
+    /// `visit` until it breaks or [`DEFAULT_SOLUTION_LIMIT`] solutions were
+    /// passed over. Giving up is surfaced as `truncated` (the `non_minimal`
+    /// discipline, query-side) instead of silently reporting an incomplete
+    /// result.
+    fn enumerate(
+        &self,
+        hooks: ExecHooks<'_>,
+        stats: &mut ExecStats,
+        mut visit: impl FnMut(&[Option<TermId>]) -> ControlFlow<()>,
+    ) {
+        let compiled = hooks.compiled;
+        let mut solver =
+            swdb_hom::IdSolver::new(&compiled.patterns, compiled.vars.len(), self.target)
+                .with_order(hooks.order);
+        if let Some(recorder) = hooks.recorder {
+            solver = solver.recording_into(recorder);
+        }
+        let mut enumerated = 0usize;
+        let mut truncated = false;
+        solver.for_each_solution(&mut |slots| {
+            visit(slots)?;
+            enumerated += 1;
+            if enumerated >= DEFAULT_SOLUTION_LIMIT {
+                truncated = true;
+                return ControlFlow::Break(());
+            }
+            ControlFlow::Continue(())
+        });
+        if truncated {
+            stats.truncated = true;
+            self.metrics.count(Counter::QueryTruncations, 1);
+        }
+        self.metrics
+            .count(Counter::QueryBindings, enumerated as u64);
+        stats.bindings += enumerated as u64;
     }
-    let head_plan: Vec<[HeadPos; 3]> = query
-        .head()
-        .patterns()
-        .iter()
-        .map(|p| {
-            let position = |pos: &PatternTerm| match pos {
-                PatternTerm::Const(t) => HeadPos::Const(t.clone()),
-                PatternTerm::Var(v) => HeadPos::Slot(
-                    head_slots
-                        .iter()
-                        .find(|(_, known)| known == v)
-                        .expect("head variables are collected above")
-                        .0,
-                ),
-            };
-            [
-                position(&p.subject),
-                position(&p.predicate),
-                position(&p.object),
-            ]
-        })
-        .collect();
 
-    let mut seen_rows = std::collections::BTreeSet::new();
-    let mut enumerated = 0usize;
-    let mut row_triples: Vec<swdb_model::Triple> = Vec::with_capacity(head_plan.len());
-    solver_with(compiled, target, hooks).for_each_solution(&mut |slots| {
-        let row: Vec<TermId> = head_slots
-            .iter()
-            .map(|(slot, _)| slots[*slot].expect("complete solution"))
-            .collect();
-        if seen_rows.insert(row) {
-            let decoded = |slot: usize| -> &Term {
-                let id = slots[slot].expect("complete solution");
-                dictionary.term_of(id).expect("dangling term id")
-            };
-            let constrained_ok = constraint_slots
-                .iter()
-                .all(|&slot| !matches!(decoded(slot), Term::Blank(_)));
-            if constrained_ok {
-                // All-or-nothing: a blank in a predicate position drops the
-                // whole single answer, not just that triple.
-                row_triples.clear();
-                let mut well_formed = true;
-                for plan in &head_plan {
-                    let resolve = |pos: &HeadPos| -> Term {
-                        match pos {
-                            HeadPos::Const(t) => t.clone(),
-                            HeadPos::Slot(slot) => decoded(*slot).clone(),
-                        }
-                    };
-                    let predicate = match resolve(&plan[1]) {
-                        Term::Iri(iri) => iri,
-                        Term::Blank(_) => {
-                            well_formed = false;
-                            break;
-                        }
-                    };
-                    row_triples.push(swdb_model::Triple::new(
-                        resolve(&plan[0]),
-                        predicate,
-                        resolve(&plan[2]),
-                    ));
+    /// Enumerates the constraint-satisfying matchings of the body, decoded
+    /// through the dictionary.
+    pub(crate) fn exec_matchings(
+        &self,
+        query: &Query,
+        hooks: ExecHooks<'_>,
+        stats: &mut ExecStats,
+        mut accept: impl FnMut(Binding),
+    ) {
+        self.enumerate(hooks, stats, |slots| {
+            let binding = hooks.compiled.decode(slots, self.dictionary);
+            if satisfies_constraints(query, &binding) {
+                accept(binding);
+            }
+            ControlFlow::Continue(())
+        });
+    }
+
+    /// Adds the pre-answer of a premise-free query over `target` to `out`:
+    /// Skolemization and head instantiation run on decoded bindings, everything
+    /// before that stays in id space.
+    ///
+    /// When the head contains no blank constants, a single answer is a function
+    /// of the head-variable bindings alone (there is nothing to Skolemize, and
+    /// constraints only mention head variables), so solutions are first
+    /// projected onto the head-variable slots and deduplicated as `TermId`
+    /// rows — only distinct projections are ever decoded.
+    pub(crate) fn exec_pre_answers(
+        &self,
+        query: &Query,
+        hooks: ExecHooks<'_>,
+        stats: &mut ExecStats,
+        out: &mut Singles,
+    ) {
+        if head_has_blank_consts(query) {
+            // Skolem values depend on every body variable: full decode per
+            // matching.
+            self.exec_matchings(query, hooks, stats, |binding| {
+                if let Some(answer) = single_answer(query, &binding) {
+                    out.push(answer);
                 }
-                if well_formed {
-                    for t in row_triples.drain(..) {
-                        answer.insert(t);
+            });
+            return;
+        }
+        let head_slots = head_slot_projection(query, hooks.compiled);
+        let mut seen_rows = BTreeSet::new();
+        self.enumerate(hooks, stats, |slots| {
+            let row: Vec<TermId> = head_slots
+                .iter()
+                .map(|(slot, _)| slots[*slot].expect("complete solution"))
+                .collect();
+            if seen_rows.insert(row) {
+                let mut binding = Binding::new();
+                for (slot, var) in &head_slots {
+                    let id = slots[*slot].expect("complete solution");
+                    let term = self
+                        .dictionary
+                        .term_of(id)
+                        .expect("dangling term id")
+                        .clone();
+                    binding.bind(var.clone(), term);
+                }
+                if satisfies_constraints(query, &binding) {
+                    if let Some(answer) = single_answer(query, &binding) {
+                        out.push(answer);
                     }
                 }
             }
-        }
-        enumerated += 1;
-        if enumerated >= DEFAULT_SOLUTION_LIMIT {
-            stats.truncated = true;
-            metrics.count(Counter::QueryTruncations, 1);
-            ControlFlow::Break(())
-        } else {
-            ControlFlow::<()>::Continue(())
-        }
-    });
-    metrics.count(Counter::QueryBindings, enumerated as u64);
-    stats.bindings += enumerated as u64;
-    answer
-}
-
-/// Returns `true` if a premise-free query has an empty pre-answer over the
-/// id-indexed evaluation graph — i.e. no matching satisfies the constraints
-/// *and* instantiates the head to a well-formed graph. Early-exits on the
-/// first witness instead of materializing every matching, and — like every
-/// other enumeration path — gives up after [`DEFAULT_SOLUTION_LIMIT`]
-/// rejected matchings rather than exhausting a combinatorial cross product.
-pub fn id_answer_is_empty<T: IdTarget>(query: &Query, dictionary: &Dictionary, target: &T) -> bool {
-    id_answer_is_empty_metered(query, dictionary, target, Metrics::disabled())
-}
-
-/// [`id_answer_is_empty`] with instrumentation (see
-/// [`id_answer_metered`] for the counting conventions).
-pub fn id_answer_is_empty_metered<T: IdTarget>(
-    query: &Query,
-    dictionary: &Dictionary,
-    target: &T,
-    metrics: &Metrics,
-) -> bool {
-    let mut stats = ExecStats::default();
-    if metrics.on(MetricsLevel::Counters) {
-        metrics.count(Counter::QueryCompiled, 1);
-        let metered = MeteredTarget::new(target);
-        let empty = id_answer_is_empty_core(
-            query,
-            dictionary,
-            &metered,
-            metrics,
-            ExecHooks::default(),
-            &mut stats,
-        );
-        metered.flush(metrics);
-        return empty;
+            ControlFlow::Continue(())
+        });
     }
-    id_answer_is_empty_core(
-        query,
-        dictionary,
-        target,
-        metrics,
-        ExecHooks::default(),
-        &mut stats,
-    )
-}
 
-pub(crate) fn id_answer_is_empty_core<T: IdTarget>(
-    query: &Query,
-    dictionary: &Dictionary,
-    target: &T,
-    metrics: &Metrics,
-    hooks: ExecHooks<'_>,
-    stats: &mut ExecStats,
-) -> bool {
-    let owned;
-    let compiled = match hooks.compiled {
-        Some(compiled) => compiled,
-        None => match compile_body(query.body(), dictionary) {
-            Some(compiled) => {
-                metrics.count(
-                    Counter::QueryPatternsCompiled,
-                    compiled.patterns.len() as u64,
-                );
-                owned = compiled;
-                &owned
+    /// Computes the answer of a premise-free query over `target` under the
+    /// requested semantics.
+    ///
+    /// Union semantics with a blank-free head takes a fully direct path: the
+    /// answer is exactly the set of head instantiations over the qualifying
+    /// matchings, so distinct head projections stream straight into one answer
+    /// graph — no per-matching `Binding`, no per-single `Graph`, no combine
+    /// pass. Merge semantics and Skolemized heads go through
+    /// [`QueryEngine::exec_pre_answers`] + [`combine`] like the string-space
+    /// evaluator.
+    pub(crate) fn exec_answer(
+        &self,
+        query: &Query,
+        semantics: Semantics,
+        hooks: ExecHooks<'_>,
+        stats: &mut ExecStats,
+    ) -> Graph {
+        if semantics == Semantics::Union && !head_has_blank_consts(query) {
+            return self.exec_union_direct(query, hooks, stats);
+        }
+        let mut singles = Singles::default();
+        self.exec_pre_answers(query, hooks, stats, &mut singles);
+        combine(singles.list, semantics)
+    }
+
+    /// The direct union path: equals the union of the pre-answer for blank-free
+    /// heads (union identifies shared labels, so the union of the single
+    /// answers is the set of all well-formed head instantiations; a single
+    /// answer is dropped as a whole when any head pattern fails to instantiate,
+    /// exactly as [`single_answer`] does).
+    fn exec_union_direct(
+        &self,
+        query: &Query,
+        hooks: ExecHooks<'_>,
+        stats: &mut ExecStats,
+    ) -> Graph {
+        let mut answer = Graph::new();
+        let head_slots = head_slot_projection(query, hooks.compiled);
+        // Constraints only mention head variables, so they become non-blank
+        // checks on projected slots.
+        let constraint_slots: Vec<usize> = query
+            .constraints()
+            .iter()
+            .map(|var| {
+                head_slots
+                    .iter()
+                    .find(|(_, known)| known == var)
+                    .expect("constraints mention head variables")
+                    .0
+            })
+            .collect();
+        // Per head pattern, each position is a constant term or a slot.
+        enum HeadPos {
+            Const(Term),
+            Slot(usize),
+        }
+        let head_plan: Vec<[HeadPos; 3]> = query
+            .head()
+            .patterns()
+            .iter()
+            .map(|p| {
+                let position = |pos: &PatternTerm| match pos {
+                    PatternTerm::Const(t) => HeadPos::Const(t.clone()),
+                    PatternTerm::Var(v) => HeadPos::Slot(
+                        head_slots
+                            .iter()
+                            .find(|(_, known)| known == v)
+                            .expect("head variables are collected above")
+                            .0,
+                    ),
+                };
+                [
+                    position(&p.subject),
+                    position(&p.predicate),
+                    position(&p.object),
+                ]
+            })
+            .collect();
+
+        let mut seen_rows = BTreeSet::new();
+        let mut row_triples: Vec<swdb_model::Triple> = Vec::with_capacity(head_plan.len());
+        self.enumerate(hooks, stats, |slots| {
+            let row: Vec<TermId> = head_slots
+                .iter()
+                .map(|(slot, _)| slots[*slot].expect("complete solution"))
+                .collect();
+            if seen_rows.insert(row) {
+                let decoded = |slot: usize| -> &Term {
+                    let id = slots[slot].expect("complete solution");
+                    self.dictionary.term_of(id).expect("dangling term id")
+                };
+                let constrained_ok = constraint_slots
+                    .iter()
+                    .all(|&slot| !matches!(decoded(slot), Term::Blank(_)));
+                if constrained_ok {
+                    // All-or-nothing: a blank in a predicate position drops the
+                    // whole single answer, not just that triple.
+                    row_triples.clear();
+                    let mut well_formed = true;
+                    for plan in &head_plan {
+                        let resolve = |pos: &HeadPos| -> Term {
+                            match pos {
+                                HeadPos::Const(t) => t.clone(),
+                                HeadPos::Slot(slot) => decoded(*slot).clone(),
+                            }
+                        };
+                        let predicate = match resolve(&plan[1]) {
+                            Term::Iri(iri) => iri,
+                            Term::Blank(_) => {
+                                well_formed = false;
+                                break;
+                            }
+                        };
+                        row_triples.push(swdb_model::Triple::new(
+                            resolve(&plan[0]),
+                            predicate,
+                            resolve(&plan[2]),
+                        ));
+                    }
+                    if well_formed {
+                        for t in row_triples.drain(..) {
+                            answer.insert(t);
+                        }
+                    }
+                }
             }
-            // An unknown body constant matches nothing: genuinely empty.
-            None => return true,
-        },
-    };
-    let solver = solver_with(compiled, target, hooks);
-    let mut found = false;
-    let mut enumerated = 0usize;
-    solver.for_each_solution(&mut |slots| {
-        let binding = compiled.decode(slots, dictionary);
-        if satisfies_constraints(query, &binding) && single_answer(query, &binding).is_some() {
-            found = true;
-            return ControlFlow::Break(());
-        }
-        enumerated += 1;
-        if enumerated >= DEFAULT_SOLUTION_LIMIT {
-            // Giving up after this many *rejected* matchings means the
-            // verdict below is unreliable — surface it instead of silently
-            // reporting "empty" (the non_minimal discipline, query-side).
-            stats.truncated = true;
-            metrics.count(Counter::QueryTruncations, 1);
-            ControlFlow::Break(())
-        } else {
-            ControlFlow::<()>::Continue(())
-        }
-    });
-    metrics.count(Counter::QueryBindings, enumerated as u64);
-    stats.bindings += enumerated as u64;
-    !found
+            ControlFlow::Continue(())
+        });
+        answer
+    }
+
+    /// Returns `true` if a premise-free query has an empty pre-answer over
+    /// `target` — i.e. no matching satisfies the constraints *and* instantiates
+    /// the head to a well-formed graph. Early-exits on the first witness
+    /// instead of materializing every matching, and — like every other
+    /// enumeration — gives up after [`DEFAULT_SOLUTION_LIMIT`] rejected
+    /// matchings rather than exhausting a combinatorial cross product.
+    pub(crate) fn exec_is_empty(
+        &self,
+        query: &Query,
+        hooks: ExecHooks<'_>,
+        stats: &mut ExecStats,
+    ) -> bool {
+        let mut found = false;
+        self.enumerate(hooks, stats, |slots| {
+            let binding = hooks.compiled.decode(slots, self.dictionary);
+            if satisfies_constraints(query, &binding) && single_answer(query, &binding).is_some() {
+                found = true;
+                return ControlFlow::Break(());
+            }
+            ControlFlow::Continue(())
+        });
+        !found
+    }
 }
 
 /// A structured account of how one query execution actually ran: which
-/// mechanism answered it, the join order the most-constrained-first rule
-/// chose against live candidate counts, and the work it spent. Produced by
-/// [`explain_premise_free`] (and surfaced per query by the facade's
-/// `explain`).
+/// mechanism answered it, the planned join order it executed, and the work
+/// it spent. Produced by [`crate::QueryEngine::explain`] (and surfaced per
+/// query by the facade's `explain`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Explain {
-    /// How the query was answered: `"premise_free"`, or — set by the facade
-    /// — `"expansion"` (Proposition 5.9 union of premise-free members) or
-    /// `"overlay"` (scoped delta evaluation).
+    /// How the query was answered: `"premise_free"`, `"expansion"`
+    /// (Proposition 5.9 union of premise-free members) or `"overlay"`
+    /// (scoped delta evaluation) — see [`crate::Mechanism`].
     pub mechanism: &'static str,
     /// The requested answer semantics (`"union"` or `"merge"`).
     pub semantics: &'static str,
@@ -781,16 +547,17 @@ pub struct Explain {
     /// `"expansion"`).
     pub members: usize,
     /// Body patterns after compilation (0 when an unknown constant
-    /// short-circuited execution).
+    /// short-circuited execution); for `"expansion"`, the first member's.
     pub patterns: usize,
-    /// Original body-pattern indices in the order the search first chose
-    /// them (see [`JoinOrderLog`]); for `"expansion"`, the first member's
-    /// order.
+    /// Original body-pattern indices in the order the search descended
+    /// through them (see [`JoinOrderLog`]); for `"expansion"`, the first
+    /// member's order.
     pub join_order: Vec<usize>,
-    /// Selectivity probes ([`IdTarget::candidate_count`] calls) spent.
+    /// Selectivity probes ([`IdTarget::candidate_count`] calls) spent —
+    /// all of them at planning time, so zero on a plan-cache hit.
     pub probes: u64,
     /// Bindings (complete solutions) enumerated, capped by
-    /// [`DEFAULT_SOLUTION_LIMIT`].
+    /// [`DEFAULT_SOLUTION_LIMIT`] per member.
     pub bindings: u64,
     /// Triples in the materialized answer.
     pub answers: u64,
@@ -798,8 +565,8 @@ pub struct Explain {
     /// exhaustion left the published evaluation graph (or the premise
     /// overlay) a sound but possibly non-minimal superset of the true core.
     /// Answers are still sound and complete; merge-semantics answers may
-    /// carry redundant blank triples. Set by the facade from the engine's
-    /// degradation state; always `false` for an unbudgeted engine.
+    /// carry redundant blank triples. Always `false` for an unbudgeted
+    /// engine.
     pub non_minimal: bool,
     /// `true` when an enumeration behind this answer hit
     /// [`DEFAULT_SOLUTION_LIMIT`] and stopped: the answer set (or an
@@ -807,9 +574,10 @@ pub struct Explain {
     /// query-side analogue of `non_minimal` — also surfaced as the
     /// `query_truncations` counter and a snapshot warning.
     pub truncated: bool,
-    /// Whether this execution reused a cached plan: `"hit"`, `"miss"`
-    /// (planned from scratch, then cached), or `"off"` (plan cache
-    /// disabled, or a mechanism — the overlay — that does not plan).
+    /// Whether this execution reused a cached plan (for `"expansion"`, the
+    /// cached `Ω_q`): `"hit"`, `"miss"` (built, then cached), or `"off"`
+    /// (plan cache disabled — planned per call — or no plan consulted
+    /// because an unknown constant short-circuited execution).
     pub plan_cache: &'static str,
     /// The planner's per-pattern cardinality estimates (original body
     /// pattern order), recorded when the plan was built. Empty when no
@@ -823,7 +591,7 @@ pub struct Explain {
 
 impl Explain {
     /// The all-zero explain for a mechanism/semantics pair — the starting
-    /// point every explain path fills in.
+    /// point [`crate::QueryEngine::explain`] fills in.
     pub fn empty(mechanism: &'static str, semantics: Semantics) -> Self {
         Explain {
             mechanism,
@@ -885,147 +653,14 @@ impl Explain {
     }
 }
 
-/// Explains a premise-free execution against `target` in **one pass**: the
-/// production answer pipeline runs once with a [`JoinOrderLog`] recorder
-/// and a [`MeteredTarget`] attached, so `join_order`/`probes`/`bindings`
-/// and `answers` all describe the same run (an earlier version enumerated
-/// once for the counters and re-ran `id_answer` for the count — two runs
-/// that could not drift apart only by luck).
-pub fn explain_premise_free<T: IdTarget>(
-    query: &Query,
-    dictionary: &Dictionary,
-    target: &T,
-    semantics: Semantics,
-) -> Explain {
-    let explain = Explain::empty("premise_free", semantics);
-    explain_exec(
-        query,
-        dictionary,
-        target,
-        semantics,
-        ExecHooks::default(),
-        explain,
-    )
-}
-
-/// The shared explain engine: executes the real answer pipeline once under
-/// a recorder + metered target (honoring any planned static order in
-/// `hooks`) and fills the execution fields of `explain`. Plan-level fields
-/// (`plan_cache`, `estimated_cardinalities`) are the caller's to set.
-pub(crate) fn explain_exec<T: IdTarget>(
-    query: &Query,
-    dictionary: &Dictionary,
-    target: &T,
-    semantics: Semantics,
-    hooks: ExecHooks<'_>,
-    mut explain: Explain,
-) -> Explain {
-    let owned;
-    let compiled = match hooks.compiled {
-        Some(compiled) => compiled,
-        None => match compile_body(query.body(), dictionary) {
-            Some(compiled) => {
-                owned = compiled;
-                &owned
-            }
-            // Unknown body constant: the fast negative path runs no joins.
-            None => return explain,
-        },
-    };
-    explain.patterns = compiled.patterns.len();
-    let log = JoinOrderLog::new();
-    let metered = MeteredTarget::new(target);
-    let run_hooks = ExecHooks {
-        order: hooks.order,
-        recorder: Some(&log),
-        compiled: Some(compiled),
-    };
-    let mut stats = ExecStats::default();
-    let answer = id_answer_core(
-        query,
-        dictionary,
-        &metered,
-        semantics,
-        Metrics::disabled(),
-        run_hooks,
-        &mut stats,
-    );
-    explain.join_order = log.take();
-    // Accumulated: a planned caller pre-fills `probes` with the plan-time
-    // probing a cache miss paid (the planned execution itself probes zero
-    // candidates per backtrack node).
-    explain.probes += metered.probes();
-    explain.bindings = stats.bindings;
-    explain.answers = answer.len() as u64;
-    explain.truncated = stats.truncated;
-    // Probed against the raw target so the counts do not inflate `probes`.
-    let no_binding = vec![None; compiled.variables().len()];
-    explain.actual_cardinalities = compiled
-        .patterns()
-        .iter()
-        .map(|p| target.candidate_count(p.to_scan(&no_binding)) as u64)
-        .collect();
-    explain
-}
-
-/// Shared enumeration core: compile (with the unknown-constant fast path),
-/// solve in id space, decode, filter by constraints.
-fn for_each_matching<T: IdTarget>(
-    query: &Query,
-    dictionary: &Dictionary,
-    target: &T,
-    metrics: &Metrics,
-    accept: impl FnMut(Binding),
-) {
-    let mut stats = ExecStats::default();
-    for_each_matching_hooked(
-        query,
-        dictionary,
-        target,
-        metrics,
-        ExecHooks::default(),
-        &mut stats,
-        accept,
-    );
-}
-
-/// [`for_each_matching`] with execution hooks and stats reporting.
-fn for_each_matching_hooked<T: IdTarget>(
-    query: &Query,
-    dictionary: &Dictionary,
-    target: &T,
-    metrics: &Metrics,
-    hooks: ExecHooks<'_>,
-    stats: &mut ExecStats,
-    mut accept: impl FnMut(Binding),
-) {
-    let owned;
-    // A body constant that was never interned matches nothing.
-    let compiled = resolve_body!(query, dictionary, metrics, hooks, owned);
-    let solver = solver_with(compiled, target, hooks);
-    let mut seen = 0usize;
-    solver.for_each_solution(&mut |slots| {
-        let binding = compiled.decode(slots, dictionary);
-        if satisfies_constraints(query, &binding) {
-            accept(binding);
-        }
-        seen += 1;
-        if seen >= DEFAULT_SOLUTION_LIMIT {
-            stats.truncated = true;
-            metrics.count(Counter::QueryTruncations, 1);
-            ControlFlow::Break(())
-        } else {
-            ControlFlow::<()>::Continue(())
-        }
-    });
-    metrics.count(Counter::QueryBindings, seen as u64);
-    stats.bindings += seen as u64;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::answer::{answer_against, matchings_against, NormalizedDatabase};
+    use crate::answer::{
+        answer_against, matchings_against, pre_answers_against, NormalizedDatabase,
+    };
+    use crate::engine::{id_matchings, Mechanism, QueryEngine};
+    use crate::plan::PlanCache;
     use crate::query::{query, Query};
     use swdb_hom::pattern_graph;
     use swdb_model::{graph, Term};
@@ -1042,17 +677,29 @@ mod tests {
         ]))
     }
 
-    fn string_matchings(q: &Query, store: &TripleStore) -> Vec<Binding> {
-        let normalized = NormalizedDatabase::assume_normalized(store.to_graph());
-        matchings_against(q, &normalized)
+    /// The engine over a store's own index, planning per call.
+    fn engine<'a>(store: &'a TripleStore, cache: &'a PlanCache) -> QueryEngine<'a, IdIndex> {
+        QueryEngine {
+            dictionary: store.dictionary(),
+            target: store.id_index(),
+            cache,
+            metrics: swdb_obs::Metrics::disabled(),
+            mechanism: Mechanism::PremiseFree,
+            non_minimal: false,
+        }
+    }
+
+    /// The string-space reference over the same evaluation graph.
+    fn spec(store: &TripleStore) -> NormalizedDatabase {
+        NormalizedDatabase::assume_normalized(store.to_graph())
     }
 
     fn assert_same_matchings(q: &Query, store: &TripleStore) {
         let mut id = id_matchings(q, store.dictionary(), store.id_index());
-        let mut spec = string_matchings(q, store);
+        let mut reference = matchings_against(q, &spec(store));
         id.sort();
-        spec.sort();
-        assert_eq!(id, spec, "id-space and string-space matchings differ");
+        reference.sort();
+        assert_eq!(id, reference, "id-space and string-space matchings differ");
     }
 
     #[test]
@@ -1075,13 +722,16 @@ mod tests {
     #[test]
     fn unknown_constants_compile_to_the_empty_answer() {
         let s = store();
+        let off = PlanCache::new(false);
         let q = query(
             [("?X", "ex:sculpts", "?Y")],
             [("?X", "ex:sculpts", "?Y")], // predicate never interned
         );
         assert!(compile_body(q.body(), s.dictionary()).is_none());
         assert!(id_matchings(&q, s.dictionary(), s.id_index()).is_empty());
-        assert!(id_answer_is_empty(&q, s.dictionary(), s.id_index()));
+        assert!(engine(&s, &off).answer_is_empty(&q));
+        assert!(engine(&s, &off).pre_answers(&q).is_empty());
+        assert!(engine(&s, &off).answer(&q, Semantics::Union).is_empty());
     }
 
     #[test]
@@ -1103,12 +753,18 @@ mod tests {
         assert!(matchings
             .iter()
             .all(|b| !b.get(&swdb_hom::Variable::new("X")).unwrap().is_blank()));
+        // The union-direct projection applies the same filter on slots.
+        let off = PlanCache::new(false);
+        assert_eq!(
+            engine(&s, &off).answer(&constrained, Semantics::Union),
+            answer_against(&constrained, &spec(&s), Semantics::Union)
+        );
     }
 
     #[test]
     fn answers_agree_with_the_string_space_evaluator_under_both_semantics() {
         let s = store();
-        let normalized = NormalizedDatabase::assume_normalized(s.to_graph());
+        let off = PlanCache::new(false);
         // A head blank exercises Skolemization through the decoded bindings.
         let q = Query::new(
             pattern_graph([("?C", "ex:taughtBy", "_:T")]),
@@ -1116,19 +772,24 @@ mod tests {
         )
         .unwrap();
         for semantics in [Semantics::Union, Semantics::Merge] {
-            let id = id_answer(&q, s.dictionary(), s.id_index(), semantics);
-            let spec = answer_against(&q, &normalized, semantics);
+            let id = engine(&s, &off).answer(&q, semantics);
+            let reference = answer_against(&q, &spec(&s), semantics);
             assert!(
-                swdb_model::isomorphic(&id, &spec),
-                "{semantics:?}: {id} vs {spec}"
+                swdb_model::isomorphic(&id, &reference),
+                "{semantics:?}: {id} vs {reference}"
             );
         }
         // Union answers are bit-identical, not merely isomorphic: Skolem
         // labels depend only on the bindings.
         assert_eq!(
-            id_answer(&q, s.dictionary(), s.id_index(), Semantics::Union),
-            answer_against(&q, &normalized, Semantics::Union)
+            engine(&s, &off).answer(&q, Semantics::Union),
+            answer_against(&q, &spec(&s), Semantics::Union)
         );
+        let mut singles = engine(&s, &off).pre_answers(&q);
+        let mut reference = pre_answers_against(&q, &spec(&s));
+        singles.sort();
+        reference.sort();
+        assert_eq!(singles, reference);
     }
 
     #[test]
@@ -1137,10 +798,12 @@ mod tests {
         // the head's predicate position: the pre-answer is empty even
         // though a matching exists.
         let s = TripleStore::from_graph(&graph([("ex:s", "ex:p", "_:B")]));
+        let off = PlanCache::new(false);
         let q = query([("ex:s", "?O", "ex:marker")], [("ex:s", "ex:p", "?O")]);
         assert!(!id_matchings(&q, s.dictionary(), s.id_index()).is_empty());
-        assert!(id_pre_answers(&q, s.dictionary(), s.id_index()).is_empty());
-        assert!(id_answer_is_empty(&q, s.dictionary(), s.id_index()));
+        assert!(engine(&s, &off).pre_answers(&q).is_empty());
+        assert!(engine(&s, &off).answer_is_empty(&q));
+        assert!(engine(&s, &off).answer(&q, Semantics::Union).is_empty());
     }
 
     #[test]

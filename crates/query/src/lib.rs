@@ -11,8 +11,13 @@
 //!   (Proposition 5.9, Example 5.10);
 //! * [`redundancy`] — redundancy elimination in answers and the polynomial
 //!   leanness check for merge semantics (Theorems 6.2/6.3);
-//! * [`exec`] — the id-space execution engine: premise-free bodies compiled
-//!   to [`swdb_store::TermId`] patterns and joined directly against a
+//! * [`engine`] — the production read path: [`QueryEngine`] implements
+//!   answer / pre-answer / emptiness / explain once, over a list of
+//!   premise-free member queries against one id-space target;
+//! * [`plan`] — the cost-based planner and the shape-keyed plan cache every
+//!   execution goes through;
+//! * [`exec`] — the one executor: premise-free bodies compiled to
+//!   [`swdb_store::TermId`] patterns and joined in planned order against a
 //!   [`swdb_store::IdIndex`], with the string-space evaluator kept as the
 //!   executable specification.
 
@@ -20,6 +25,7 @@
 #![warn(missing_docs)]
 
 pub mod answer;
+pub mod engine;
 pub mod exec;
 pub mod plan;
 pub mod premise;
@@ -33,21 +39,13 @@ pub use answer::{
     matchings_against, pre_answers, pre_answers_against, satisfies_constraints, select,
     single_answer, NormalizedDatabase, Semantics,
 };
+pub use engine::{id_matchings, planned_answer, planned_answer_is_empty, Mechanism, QueryEngine};
 pub use exec::{
-    compile_body, explain_premise_free, head_has_blank_consts, id_answer, id_answer_is_empty,
-    id_answer_is_empty_metered, id_answer_metered, id_matchings, id_pre_answers,
-    id_pre_answers_metered, CompiledBody, Explain, IdPatternTerm, IdSolver, IdTriplePattern,
-    MeteredTarget,
+    compile_body, head_has_blank_consts, CompiledBody, Explain, IdPatternTerm, IdSolver,
+    IdTriplePattern,
 };
-pub use plan::{
-    expansion_members, planned_answer, planned_answer_is_empty, planned_answer_union,
-    planned_explain, planned_explain_union, planned_pre_answers, planned_pre_answers_union,
-    planned_union_is_empty, PlanCache, QueryShape, PLAN_CACHE_CAPACITY,
-};
-pub use premise::{
-    answer_union_of_queries, id_answer_union_of_queries, id_pre_answers_of_queries,
-    id_union_answer_is_empty, premise_free_expansion,
-};
+pub use plan::{expansion_members, PlanCache, QueryShape, PLAN_CACHE_CAPACITY};
+pub use premise::{answer_union_of_queries, premise_free_expansion};
 pub use redundancy::{
     answer_is_lean, eliminate_redundancy, merge_answer_is_lean, merge_answer_redundancy,
     MergeRedundancy,
@@ -140,7 +138,7 @@ mod proptests {
                 query([("ex:n0", "ex:p1", "?Y")], [("ex:n0", "ex:p1", "?Y")]),
             ];
             for q in &queries {
-                let mut id = crate::exec::id_matchings(q, store.dictionary(), store.id_index());
+                let mut id = crate::id_matchings(q, store.dictionary(), store.id_index());
                 let mut spec = crate::answer::matchings_against(q, &normalized);
                 id.sort();
                 spec.sort();

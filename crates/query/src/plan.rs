@@ -1,13 +1,13 @@
 //! The cost-based planner and the compiled plan cache.
 //!
-//! Before this module, every query re-paid its whole front half per call:
-//! [`crate::exec::compile_body`] rebuilt the id patterns, the join order was
-//! re-derived greedily from live [`IdTarget::candidate_count`] probes at
-//! *every backtrack node*, and the Proposition 5.9 expansion `Ω_q` —
-//! worst-case exponential (Theorem 5.12) — was recomputed on every premise
-//! query. This module pays those costs once per query *shape*:
+//! Every execution of a query body is planned: the executor
+//! ([`crate::exec`]) only ever runs a compiled body in a static join order,
+//! and this module is where both come from. What would otherwise be re-paid
+//! per call — walking the pattern terms, costing the join, and for premise
+//! queries the Proposition 5.9 expansion `Ω_q`, worst-case exponential
+//! (Theorem 5.12) — is paid once per query *shape*:
 //!
-//! * **Planning** ([`plan_order`]): a static join order is derived up front
+//! * **Planning** (`plan_order`): a static join order is derived up front
 //!   by simulating the join left to right — per round, each remaining
 //!   pattern is scored by its constants-only prefix count (an O(1)
 //!   [`IdIndex`](swdb_store::IdIndex) range count), damped for every
@@ -32,24 +32,20 @@
 //!   the exponential rewrite is paid once per repeated premise query.
 //!
 //! Answers are plan-invariant: a join order is a permutation of the body
-//! patterns, so the planned and unplanned paths enumerate the same solution
-//! set (property tests pin this across regimes and semantics). Disabling
-//! the cache (`SWDB_PLAN_CACHE=0`, or [`PlanCache::new`] with `false`)
-//! routes every entry point below to the classic per-call path.
+//! patterns, so every order enumerates the same solution set. A disabled
+//! cache ([`PlanCache::new`] with `false`) changes nothing but the caching:
+//! every lookup misses (uncounted), nothing is stored, and the same
+//! executor runs a plan built for that one call.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use swdb_hom::{IdTarget, PatternTerm, Variable};
 use swdb_model::{Graph, Term};
-use swdb_obs::{Counter, Metrics, MetricsLevel};
-use swdb_store::{Dictionary, TermId};
+use swdb_obs::{Counter, Metrics};
+use swdb_store::{Dictionary, IdPattern, IdTriple, TermId};
 
-use crate::answer::{combine, Semantics};
-use crate::exec::{
-    self, CompiledBody, ExecHooks, ExecStats, Explain, IdPatternTerm, IdTriplePattern,
-    MeteredTarget,
-};
+use crate::exec::{CompiledBody, ExecHooks, IdPatternTerm, IdTriplePattern, JoinOrderLog};
 use crate::premise::premise_free_expansion;
 use crate::query::Query;
 
@@ -175,8 +171,8 @@ fn shape_of(query: &Query) -> ShapeInfo<'_> {
 /// order, surfaced by `Explain::estimated_cardinalities`).
 #[derive(Debug)]
 pub struct PlanData {
-    order: Vec<usize>,
-    estimates: Vec<u64>,
+    pub(crate) order: Vec<usize>,
+    pub(crate) estimates: Vec<u64>,
 }
 
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -223,8 +219,9 @@ pub struct PlanCache {
 }
 
 impl PlanCache {
-    /// An empty cache, enabled or disabled. Disabled caches make every
-    /// planned entry point fall back to the classic per-call path.
+    /// An empty cache, enabled or disabled. A disabled cache never holds
+    /// an entry: every lookup misses without being counted and nothing is
+    /// stored, so each call plans for itself.
     pub fn new(enabled: bool) -> Self {
         PlanCache {
             enabled,
@@ -233,21 +230,7 @@ impl PlanCache {
         }
     }
 
-    /// An empty cache, enabled unless `SWDB_PLAN_CACHE` is set to `0`,
-    /// `off`, `false`, or `no`.
-    pub fn from_env() -> Self {
-        let disabled = std::env::var("SWDB_PLAN_CACHE")
-            .map(|v| {
-                matches!(
-                    v.trim().to_ascii_lowercase().as_str(),
-                    "0" | "off" | "false" | "no"
-                )
-            })
-            .unwrap_or(false);
-        PlanCache::new(!disabled)
-    }
-
-    /// Whether planned entry points use the cache at all.
+    /// Whether plans and expansions are kept between calls.
     pub fn enabled(&self) -> bool {
         self.enabled
     }
@@ -279,6 +262,9 @@ impl PlanCache {
     }
 
     fn lookup(&self, key: &CacheKey, metrics: &Metrics) -> Option<CacheValue> {
+        if !self.enabled {
+            return None;
+        }
         let generation = self.generation();
         let mut state = self.state.lock().expect("plan cache poisoned");
         match state.entries.get_mut(key) {
@@ -304,6 +290,9 @@ impl PlanCache {
     }
 
     fn store(&self, key: CacheKey, value: CacheValue, metrics: &Metrics) {
+        if !self.enabled {
+            return;
+        }
         let generation = self.generation();
         let mut state = self.state.lock().expect("plan cache poisoned");
         state.tick += 1;
@@ -405,14 +394,49 @@ fn plan_order<T: IdTarget>(
     (order, estimates)
 }
 
-/// A query prepared for planned execution: the re-instantiated compiled
-/// body, the (possibly cached) plan, whether the plan came from cache, and
-/// the candidate probes planning itself paid (zero on a hit).
-struct Prepared {
-    compiled: CompiledBody,
-    plan: Arc<PlanData>,
-    hit: bool,
-    plan_probes: u64,
+/// Counts the selectivity probes ([`IdTarget::candidate_count`] calls)
+/// planning spends against the wrapped target — the only probes a query
+/// pays, since a planned search issues none.
+struct MeteredTarget<'a, T: IdTarget> {
+    inner: &'a T,
+    /// A relaxed atomic only because the target trait requires [`Sync`].
+    probes: AtomicU64,
+}
+
+impl<T: IdTarget> IdTarget for MeteredTarget<'_, T> {
+    fn candidate_count(&self, pattern: IdPattern) -> usize {
+        self.probes.fetch_add(1, Ordering::Relaxed);
+        self.inner.candidate_count(pattern)
+    }
+
+    fn scan_while(&self, pattern: IdPattern, visit: impl FnMut(IdTriple) -> bool) {
+        self.inner.scan_while(pattern, visit)
+    }
+
+    fn contains(&self, ids: IdTriple) -> bool {
+        self.inner.contains(ids)
+    }
+}
+
+/// A query prepared for execution: the re-instantiated compiled body, the
+/// (possibly cached) plan, whether the plan came from cache, and the
+/// candidate probes planning itself paid (zero on a hit).
+pub(crate) struct Prepared {
+    pub compiled: CompiledBody,
+    pub plan: Arc<PlanData>,
+    pub hit: bool,
+    pub plan_probes: u64,
+}
+
+impl Prepared {
+    /// The executor's view of this plan.
+    pub fn hooks<'a>(&'a self, recorder: Option<&'a JoinOrderLog>) -> ExecHooks<'a> {
+        ExecHooks {
+            compiled: &self.compiled,
+            order: &self.plan.order,
+            recorder,
+        }
+    }
 }
 
 /// Re-instantiates a shape's body template against the live dictionary.
@@ -452,7 +476,7 @@ fn instantiate_body(info: &ShapeInfo<'_>, dictionary: &Dictionary) -> Option<Vec
 /// Shape-keys the query, re-instantiates its compiled body, and fetches (or
 /// builds and caches) its plan. `None` means a body constant was never
 /// interned — the caller returns the empty result without executing.
-fn prepare<T: IdTarget>(
+pub(crate) fn prepare<T: IdTarget>(
     cache: &PlanCache,
     query: &Query,
     dictionary: &Dictionary,
@@ -468,10 +492,13 @@ fn prepare<T: IdTarget>(
     let (plan, hit, plan_probes) = match cache.lookup(&key, metrics) {
         Some(CacheValue::Plan(plan)) => (plan, true, 0),
         _ => {
-            let metered = MeteredTarget::new(target);
+            let metered = MeteredTarget {
+                inner: target,
+                probes: AtomicU64::new(0),
+            };
             let (order, estimates) = plan_order(&patterns, slots, &metered);
-            let plan_probes = metered.probes();
-            metered.flush(metrics);
+            let plan_probes = metered.probes.into_inner();
+            metrics.count(Counter::QueryJoinProbes, plan_probes);
             let plan = Arc::new(PlanData { order, estimates });
             cache.store(key, CacheValue::Plan(plan.clone()), metrics);
             (plan, false, plan_probes)
@@ -485,149 +512,16 @@ fn prepare<T: IdTarget>(
     })
 }
 
-/// The planned counterpart of [`exec::id_answer_metered`]: fetches or
-/// builds the plan for the query's shape, then executes the static join
-/// order (zero per-node probes). Falls back to the classic per-call path
-/// when the cache is disabled. Answers are identical either way.
-pub fn planned_answer<T: IdTarget>(
-    cache: &PlanCache,
-    query: &Query,
-    dictionary: &Dictionary,
-    target: &T,
-    semantics: Semantics,
-    metrics: &Metrics,
-) -> Graph {
-    if !cache.enabled() {
-        return exec::id_answer_metered(query, dictionary, target, semantics, metrics);
-    }
-    let Some(prepared) = prepare(cache, query, dictionary, target, metrics) else {
-        return Graph::new();
-    };
-    let hooks = ExecHooks {
-        order: Some(&prepared.plan.order),
-        recorder: None,
-        compiled: Some(&prepared.compiled),
-    };
-    let mut stats = ExecStats::default();
-    if metrics.on(MetricsLevel::Counters) {
-        metrics.count(Counter::QueryCompiled, 1);
-        let answer = exec::id_answer_core(
-            query, dictionary, target, semantics, metrics, hooks, &mut stats,
-        );
-        metrics.count(Counter::QueryAnswers, answer.len() as u64);
-        return answer;
-    }
-    exec::id_answer_core(
-        query, dictionary, target, semantics, metrics, hooks, &mut stats,
-    )
-}
-
-/// The planned counterpart of [`exec::id_pre_answers_metered`].
-pub fn planned_pre_answers<T: IdTarget>(
-    cache: &PlanCache,
-    query: &Query,
-    dictionary: &Dictionary,
-    target: &T,
-    metrics: &Metrics,
-) -> Vec<Graph> {
-    if !cache.enabled() {
-        return exec::id_pre_answers_metered(query, dictionary, target, metrics);
-    }
-    let Some(prepared) = prepare(cache, query, dictionary, target, metrics) else {
-        return Vec::new();
-    };
-    let hooks = ExecHooks {
-        order: Some(&prepared.plan.order),
-        recorder: None,
-        compiled: Some(&prepared.compiled),
-    };
-    let mut stats = ExecStats::default();
-    if metrics.on(MetricsLevel::Counters) {
-        metrics.count(Counter::QueryCompiled, 1);
-        let singles =
-            exec::id_pre_answers_core(query, dictionary, target, metrics, hooks, &mut stats);
-        metrics.count(Counter::QueryAnswers, singles.len() as u64);
-        return singles;
-    }
-    exec::id_pre_answers_core(query, dictionary, target, metrics, hooks, &mut stats)
-}
-
-/// The planned counterpart of [`exec::id_answer_is_empty_metered`].
-pub fn planned_answer_is_empty<T: IdTarget>(
-    cache: &PlanCache,
-    query: &Query,
-    dictionary: &Dictionary,
-    target: &T,
-    metrics: &Metrics,
-) -> bool {
-    if !cache.enabled() {
-        return exec::id_answer_is_empty_metered(query, dictionary, target, metrics);
-    }
-    let Some(prepared) = prepare(cache, query, dictionary, target, metrics) else {
-        // An unknown body constant matches nothing: genuinely empty.
-        return true;
-    };
-    let hooks = ExecHooks {
-        order: Some(&prepared.plan.order),
-        recorder: None,
-        compiled: Some(&prepared.compiled),
-    };
-    let mut stats = ExecStats::default();
-    if metrics.on(MetricsLevel::Counters) {
-        metrics.count(Counter::QueryCompiled, 1);
-        return exec::id_answer_is_empty_core(
-            query, dictionary, target, metrics, hooks, &mut stats,
-        );
-    }
-    exec::id_answer_is_empty_core(query, dictionary, target, metrics, hooks, &mut stats)
-}
-
-/// The planned counterpart of [`exec::explain_premise_free`]: one pass of
-/// the real pipeline under the (possibly cached) plan, reporting the
-/// plan-cache outcome and the planner's estimated vs the store's actual
-/// per-pattern cardinalities.
-pub fn planned_explain<T: IdTarget>(
-    cache: &PlanCache,
-    query: &Query,
-    dictionary: &Dictionary,
-    target: &T,
-    semantics: Semantics,
-    metrics: &Metrics,
-) -> Explain {
-    if !cache.enabled() {
-        // `Explain::empty` defaults `plan_cache` to "off".
-        return exec::explain_premise_free(query, dictionary, target, semantics);
-    }
-    let mut explain = Explain::empty("premise_free", semantics);
-    let Some(prepared) = prepare(cache, query, dictionary, target, metrics) else {
-        // Unknown body constant: the fast negative path runs no joins (and
-        // consults no plan).
-        return explain;
-    };
-    explain.plan_cache = if prepared.hit { "hit" } else { "miss" };
-    explain.estimated_cardinalities = prepared.plan.estimates.clone();
-    explain.probes = prepared.plan_probes;
-    let hooks = ExecHooks {
-        order: Some(&prepared.plan.order),
-        recorder: None,
-        compiled: Some(&prepared.compiled),
-    };
-    exec::explain_exec(query, dictionary, target, semantics, hooks, explain)
-}
-
 /// The premise-free expansion `Ω_q` of a premise query, cached per exact
 /// query (shape + constants + premise) — the worst-case-exponential rewrite
 /// of Proposition 5.9 is paid once per repeated premise query. The `bool`
-/// reports whether the lookup was a hit (always `false` when the cache is
+/// reports whether the lookup was a hit (never, when the cache is
 /// disabled).
 pub fn expansion_members(
     cache: &PlanCache,
     query: &Query,
     metrics: &Metrics,
 ) -> (Arc<Vec<Query>>, bool) {
-    if !cache.enabled() {
-        return (Arc::new(premise_free_expansion(query)), false);
-    }
     let info = shape_of(query);
     let key = CacheKey::Expansion(
         info.shape.clone(),
@@ -642,95 +536,12 @@ pub fn expansion_members(
     (members, false)
 }
 
-/// Evaluates a union of premise-free member queries through the plan cache:
-/// each member gets its own (cached) plan, single answers are deduplicated
-/// across members exactly as [`crate::id_pre_answers_of_queries`] does.
-pub fn planned_pre_answers_union<T: IdTarget>(
-    cache: &PlanCache,
-    members: &[Query],
-    dictionary: &Dictionary,
-    target: &T,
-    metrics: &Metrics,
-) -> Vec<Graph> {
-    let mut seen = std::collections::BTreeSet::new();
-    let mut singles: Vec<Graph> = Vec::new();
-    for member in members {
-        for single in planned_pre_answers(cache, member, dictionary, target, metrics) {
-            if seen.insert(single.clone()) {
-                singles.push(single);
-            }
-        }
-    }
-    singles
-}
-
-/// The planned counterpart of [`crate::id_answer_union_of_queries`].
-pub fn planned_answer_union<T: IdTarget>(
-    cache: &PlanCache,
-    members: &[Query],
-    dictionary: &Dictionary,
-    target: &T,
-    semantics: Semantics,
-    metrics: &Metrics,
-) -> Graph {
-    combine(
-        planned_pre_answers_union(cache, members, dictionary, target, metrics),
-        semantics,
-    )
-}
-
-/// The planned counterpart of [`crate::id_union_answer_is_empty`].
-pub fn planned_union_is_empty<T: IdTarget>(
-    cache: &PlanCache,
-    members: &[Query],
-    dictionary: &Dictionary,
-    target: &T,
-    metrics: &Metrics,
-) -> bool {
-    members
-        .iter()
-        .all(|member| planned_answer_is_empty(cache, member, dictionary, target, metrics))
-}
-
-/// Merges per-member explains for the expansion mechanism, mirroring the
-/// facade's historical convention: `patterns`/`join_order` (and the
-/// cardinality columns) describe the first member, `probes`/`bindings`/
-/// `answers` sum over all of them. `plan_cache` reports the Ω_q expansion
-/// lookup (`expansion_hit`), the headline cache for premise queries.
-pub fn planned_explain_union<T: IdTarget>(
-    cache: &PlanCache,
-    members: &[Query],
-    dictionary: &Dictionary,
-    target: &T,
-    semantics: Semantics,
-    metrics: &Metrics,
-    expansion_hit: bool,
-) -> Explain {
-    let mut merged: Option<Explain> = None;
-    for member in members {
-        let e = planned_explain(cache, member, dictionary, target, semantics, metrics);
-        match merged.as_mut() {
-            None => merged = Some(e),
-            Some(m) => {
-                m.probes += e.probes;
-                m.bindings += e.bindings;
-                m.answers += e.answers;
-                m.truncated |= e.truncated;
-            }
-        }
-    }
-    let mut explain = merged.unwrap_or_else(|| Explain::empty("expansion", semantics));
-    explain.mechanism = "expansion";
-    explain.members = members.len();
-    if cache.enabled() {
-        explain.plan_cache = if expansion_hit { "hit" } else { "miss" };
-    }
-    explain
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::answer::{answer_against, NormalizedDatabase, Semantics};
+    use crate::engine::{planned_answer, Mechanism, QueryEngine};
+    use crate::exec::{self, Explain};
     use crate::query::query;
     use swdb_model::graph;
     use swdb_store::TripleStore;
@@ -783,8 +594,9 @@ mod tests {
     }
 
     #[test]
-    fn planned_answers_equal_unplanned_answers() {
+    fn planned_answers_equal_the_string_space_answers() {
         let s = store();
+        let reference = NormalizedDatabase::assume_normalized(s.to_graph());
         let cache = PlanCache::new(true);
         let metrics = Metrics::disabled();
         for q in [
@@ -806,8 +618,13 @@ mod tests {
                         semantics,
                         metrics,
                     );
-                    let unplanned = exec::id_answer(&q, s.dictionary(), s.id_index(), semantics);
-                    assert_eq!(planned, unplanned, "query {q:?} under {semantics:?}");
+                    // The store is blank-free, so even merge answers are
+                    // equal, not merely isomorphic.
+                    assert_eq!(
+                        planned,
+                        answer_against(&q, &reference, semantics),
+                        "query {q:?} under {semantics:?}"
+                    );
                 }
             }
         }
@@ -852,12 +669,27 @@ mod tests {
         }
     }
 
+    fn explain(cache: &PlanCache, s: &TripleStore, q: &Query) -> Explain {
+        QueryEngine {
+            dictionary: s.dictionary(),
+            target: s.id_index(),
+            cache,
+            metrics: Metrics::disabled(),
+            mechanism: Mechanism::PremiseFree,
+            non_minimal: false,
+        }
+        .explain(q, Semantics::Union)
+    }
+
     #[test]
-    fn disabled_cache_stays_empty_and_falls_back() {
+    fn disabled_cache_stays_empty_and_plans_per_call() {
         let s = store();
         let cache = PlanCache::new(false);
         let metrics = Metrics::disabled();
-        let q = query([("?X", "ex:takes", "?C")], [("?X", "ex:takes", "?C")]);
+        let q = query(
+            [("?S", "ex:studies", "?C")],
+            [("?S", "ex:takes", "?C"), ("ex:dept", "ex:offers", "?C")],
+        );
         let planned = planned_answer(
             &cache,
             &q,
@@ -866,56 +698,39 @@ mod tests {
             Semantics::Union,
             metrics,
         );
-        assert_eq!(
-            planned,
-            exec::id_answer(&q, s.dictionary(), s.id_index(), Semantics::Union)
-        );
+        let reference = NormalizedDatabase::assume_normalized(s.to_graph());
+        assert_eq!(planned, answer_against(&q, &reference, Semantics::Union));
         assert!(cache.is_empty());
-        let explain = planned_explain(
-            &cache,
-            &q,
-            s.dictionary(),
-            s.id_index(),
-            Semantics::Union,
-            metrics,
-        );
-        assert_eq!(explain.plan_cache, "off");
+        // Same executor, same plan — built for this one call, so both
+        // explains pay the planning probes and neither is a hit.
+        let first = explain(&cache, &s, &q);
+        assert_eq!(first.plan_cache, "off");
+        assert_eq!(first.join_order, vec![1, 0]);
+        assert!(first.probes > 0);
+        assert_eq!(explain(&cache, &s, &q), first);
+        assert!(cache.is_empty());
     }
 
     #[test]
-    fn planned_explain_reports_cache_state_and_cardinalities() {
+    fn explain_reports_cache_state_and_cardinalities() {
         let s = store();
         let cache = PlanCache::new(true);
-        let metrics = Metrics::disabled();
         let q = query(
             [("?S", "ex:studies", "?C")],
             [("?S", "ex:takes", "?C"), ("ex:dept", "ex:offers", "?C")],
         );
-        let first = planned_explain(
-            &cache,
-            &q,
-            s.dictionary(),
-            s.id_index(),
-            Semantics::Union,
-            metrics,
-        );
+        let first = explain(&cache, &s, &q);
         assert_eq!(first.plan_cache, "miss");
-        let second = planned_explain(
-            &cache,
-            &q,
-            s.dictionary(),
-            s.id_index(),
-            Semantics::Union,
-            metrics,
-        );
+        let second = explain(&cache, &s, &q);
         assert_eq!(second.plan_cache, "hit");
         assert_eq!(first.join_order, second.join_order);
         assert_eq!(first.join_order, vec![1, 0]);
         assert_eq!(first.estimated_cardinalities.len(), 2);
         assert_eq!(first.actual_cardinalities, vec![3, 2]);
         assert_eq!(first.answers, second.answers);
-        // The warm run re-probes nothing at plan time.
-        assert!(second.probes <= first.probes);
+        // All probing happens at plan time: the warm run pays none.
+        assert!(first.probes > 0);
+        assert_eq!(second.probes, 0);
         let rendered = second.to_json();
         assert!(rendered.contains("\"plan_cache\": \"hit\""));
         assert!(rendered.contains("\"estimated_cardinalities\": "));

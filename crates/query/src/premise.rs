@@ -13,12 +13,10 @@
 
 use std::collections::BTreeSet;
 
-use swdb_hom::{Binding, IdTarget, PatternGraph, PatternTerm, TriplePattern, Variable};
+use swdb_hom::{Binding, PatternGraph, PatternTerm, TriplePattern, Variable};
 use swdb_model::{Graph, Term, Triple};
-use swdb_store::Dictionary;
 
 use crate::answer::{combine, pre_answers, Semantics};
-use crate::exec;
 use crate::query::Query;
 
 /// Computes the premise-free expansion `Ω_q` of a query.
@@ -245,58 +243,6 @@ pub fn answer_union_of_queries(queries: &[Query], database: &Graph, semantics: S
     combine(singles, semantics)
 }
 
-/// The pre-answer of a union of premise-free queries in id space: every
-/// member is compiled and joined against the same evaluation target, and
-/// single answers are deduplicated *across* members (expansion members
-/// overlap heavily — constant heads produced by different `μ` often
-/// coincide). This is the execution half of Proposition 5.9: the expansion
-/// is computed once, each member reuses the cached id join target.
-pub fn id_pre_answers_of_queries<T: IdTarget>(
-    queries: &[Query],
-    dictionary: &Dictionary,
-    target: &T,
-) -> Vec<Graph> {
-    let mut seen = BTreeSet::new();
-    let mut singles: Vec<Graph> = Vec::new();
-    for q in queries {
-        for single in exec::id_pre_answers(q, dictionary, target) {
-            if seen.insert(single.clone()) {
-                singles.push(single);
-            }
-        }
-    }
-    singles
-}
-
-/// Evaluates a union of premise-free queries in id space under the
-/// requested semantics — the id engine's counterpart of
-/// [`answer_union_of_queries`], used by the facade to answer premise
-/// queries through their premise-free expansion.
-pub fn id_answer_union_of_queries<T: IdTarget>(
-    queries: &[Query],
-    dictionary: &Dictionary,
-    target: &T,
-    semantics: Semantics,
-) -> Graph {
-    combine(
-        id_pre_answers_of_queries(queries, dictionary, target),
-        semantics,
-    )
-}
-
-/// Returns `true` if no member of the union has an answer — emptiness of
-/// the expanded premise query. Early-exits on the first member with a
-/// witnessing matching instead of materializing any pre-answer.
-pub fn id_union_answer_is_empty<T: IdTarget>(
-    queries: &[Query],
-    dictionary: &Dictionary,
-    target: &T,
-) -> bool {
-    queries
-        .iter()
-        .all(|q| exec::id_answer_is_empty(q, dictionary, target))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -413,39 +359,6 @@ mod tests {
         assert!(answers.contains(&triple("ex:u", "ex:p", "ex:a")));
         // (u, q, a) is in the data, (a, t, s) in the premise.
         assert_eq!(answers.len(), 1);
-    }
-
-    #[test]
-    fn id_union_evaluation_matches_the_string_union_over_the_same_graph() {
-        let q = example_5_10();
-        let expansion = premise_free_expansion(&q);
-        let databases = [
-            graph([("ex:u", "ex:q", "ex:a")]),
-            graph([("ex:u", "ex:q", "ex:a"), ("ex:v", "ex:q", "ex:b")]),
-            graph([("ex:u", "ex:q", "ex:c"), ("ex:c", "ex:t", "ex:s")]),
-            Graph::new(),
-        ];
-        for d in &databases {
-            let store = swdb_store::TripleStore::from_graph(d);
-            for semantics in [Semantics::Union, Semantics::Merge] {
-                let id = id_answer_union_of_queries(
-                    &expansion,
-                    store.dictionary(),
-                    store.id_index(),
-                    semantics,
-                );
-                let spec = answer_union_of_queries(&expansion, d, semantics);
-                assert!(
-                    swdb_model::isomorphic(&id, &spec),
-                    "{semantics:?} over {d}: {id} vs {spec}"
-                );
-            }
-            assert_eq!(
-                id_union_answer_is_empty(&expansion, store.dictionary(), store.id_index()),
-                answer_union_of_queries(&expansion, d, Semantics::Union).is_empty(),
-                "emptiness diverged over {d}"
-            );
-        }
     }
 
     #[test]

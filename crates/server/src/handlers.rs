@@ -1,6 +1,7 @@
-//! Request routing and the endpoint handlers. Reads answer from pinned
-//! snapshots (no facade lock); writes and overlay-mechanism queries take
-//! the facade mutex. Every handler is total: bad input is a `4xx`, a
+//! Request routing and the endpoint handlers. Reads — `/health` and
+//! `/metrics` included — answer from pinned snapshots (no facade lock);
+//! writes and overlay-mechanism queries take the facade mutex. Every
+//! handler is total: bad input is a `4xx`, a
 //! degraded store is a `503`-for-writes, and nothing here unwinds on
 //! malformed bytes (panics would only come from engine bugs — which the
 //! worker's `catch_unwind` isolates to the one connection).
@@ -9,6 +10,7 @@ use std::sync::Arc;
 
 use swdb_core::{PublishedSnapshot, Semantics};
 use swdb_model::Graph;
+use swdb_query::Query;
 
 use crate::http::{Request, Response};
 use crate::Shared;
@@ -78,9 +80,15 @@ fn health(shared: &Shared) -> Response {
     )
 }
 
+/// `GET /metrics`: the shared counter sheet plus the pinned snapshot's
+/// durability record — never the facade lock, so the endpoint keeps
+/// answering behind exactly the writer stall it is needed to diagnose.
 fn metrics(shared: &Shared) -> Response {
-    let db = shared.lock_db();
-    Response::json(200, db.metrics_snapshot())
+    let mut snapshot = shared.metrics.snapshot();
+    if let Some(why) = shared.reader.pin().durability_error() {
+        snapshot.warnings.push(format!("durability_error: {why}"));
+    }
+    Response::json(200, snapshot.to_json())
 }
 
 /// `POST /ingest` and `POST /remove`: N-Triples body, mutate under the
@@ -127,6 +135,16 @@ fn ingest(shared: &Shared, request: &Request, removal: bool) -> Response {
     )
 }
 
+/// Answers an overlay-mechanism premise query — the one read shape a
+/// snapshot cannot serve — from the live facade, with the epoch it was
+/// answered at: every write handler publishes before it unlocks, so under
+/// the facade lock the live state is exactly the published one.
+fn answer_on_facade(shared: &Shared, query: &Query, semantics: Semantics) -> (Graph, bool, u64) {
+    let mut db = shared.lock_db();
+    let (answer, non_minimal) = db.answer_with_status(query, semantics);
+    (answer, non_minimal, db.published().epoch())
+}
+
 /// `POST /query` (N-Triples answer) and `POST /answer` (JSON envelope):
 /// parse the query, answer on the pinned snapshot — lock-free with respect
 /// to writers — falling back to the facade lock only for overlay-mechanism
@@ -151,13 +169,7 @@ fn query(shared: &Shared, request: &Request, envelope: bool) -> Response {
         Ok((answer, non_minimal)) => (answer, non_minimal, pinned.epoch()),
         // `SnapshotQueryError` is non-exhaustive; every variant means
         // "needs the live facade".
-        Err(_) => {
-            // Overlay-mechanism premise query: the one read shape that
-            // must consult the live facade.
-            let mut db = shared.lock_db();
-            let (answer, non_minimal) = db.answer_with_status(&parsed, semantics);
-            (answer, non_minimal, pinned.epoch())
-        }
+        Err(_) => answer_on_facade(shared, &parsed, semantics),
     };
     if !envelope {
         let body = swdb_store::serialize(&answer);
@@ -170,4 +182,76 @@ fn query(shared: &Shared, request: &Request, envelope: bool) -> Response {
         json_escape(&swdb_store::serialize(&answer)),
     );
     stamped(Response::json(200, body), epoch, non_minimal)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ServerConfig;
+    use std::sync::mpsc;
+    use std::time::Duration;
+    use swdb_core::SemanticWebDatabase;
+    use swdb_model::{graph, triple};
+
+    fn shared() -> Shared {
+        let db = SemanticWebDatabase::from_graph(graph([("ex:a", "ex:p", "ex:b")]));
+        Shared::new(db, ServerConfig::default())
+    }
+
+    fn get(path: &str) -> Request {
+        Request {
+            method: "GET".to_string(),
+            path: path.to_string(),
+            query: None,
+            body: Vec::new(),
+            keep_alive: false,
+        }
+    }
+
+    #[test]
+    fn the_overlay_fallback_stamps_the_epoch_it_answered_at() {
+        let shared = shared();
+        let pinned = shared.reader.pin();
+        // A write commits and publishes between the request's pin and its
+        // fallback to the facade.
+        {
+            let mut db = shared.lock_db();
+            db.insert(triple("ex:c", "ex:p", "ex:d"));
+            db.publish();
+        }
+        // RDFS regime + premise: the overlay mechanism.
+        let query = swdb_query::parse_query(
+            "(?X, ex:p, ?Y) <- (?X, ex:p, ?Y) WITH PREMISE { (ex:e, ex:p, ex:f) . }",
+        )
+        .expect("well formed");
+        assert!(pinned.answer_with_status(&query, Semantics::Union).is_err());
+        let (answer, _, epoch) = answer_on_facade(&shared, &query, Semantics::Union);
+        assert!(
+            answer.contains(&triple("ex:c", "ex:p", "ex:d")),
+            "answered from the live state, which has the write: {answer}"
+        );
+        assert_eq!(epoch, pinned.epoch() + 1, "stamped with that state's epoch");
+        assert_eq!(epoch, shared.reader.pin().epoch());
+    }
+
+    #[test]
+    fn health_and_metrics_answer_while_the_writer_holds_the_facade() {
+        let shared = shared();
+        let stalled_writer = shared.lock_db();
+        std::thread::scope(|scope| {
+            for path in ["/metrics", "/health"] {
+                let (done, status) = mpsc::channel();
+                let shared = &shared;
+                scope.spawn(move || {
+                    let _ = done.send(handle(shared, &get(path)).status);
+                });
+                assert_eq!(
+                    status.recv_timeout(Duration::from_secs(10)),
+                    Ok(200),
+                    "GET {path} must not wait for the facade lock"
+                );
+            }
+        });
+        drop(stalled_writer);
+    }
 }

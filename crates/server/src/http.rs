@@ -25,7 +25,7 @@ pub(crate) struct Request {
     /// Raw query string (without the `?`), if any.
     pub(crate) query: Option<String>,
     pub(crate) body: Vec<u8>,
-    keep_alive: bool,
+    pub(crate) keep_alive: bool,
 }
 
 impl Request {

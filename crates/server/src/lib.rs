@@ -138,6 +138,21 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
+    /// Takes the database's [`SnapshotReader`] before the facade goes
+    /// behind the serving mutex, so read requests pin snapshots without
+    /// touching the lock.
+    pub(crate) fn new(mut db: SemanticWebDatabase, config: ServerConfig) -> Self {
+        let metrics = db.metrics().clone();
+        Shared {
+            reader: db.reader(),
+            db: Mutex::new(db),
+            queue: WorkQueue::new(config.queue_depth.max(1), metrics.clone()),
+            metrics,
+            config,
+            shutdown: AtomicBool::new(false),
+        }
+    }
+
     /// Locks the facade, recovering from poisoning: handlers run under
     /// `catch_unwind`, and every facade method leaves the database in a
     /// consistent state or panics *before* mutating shared structure, so
@@ -157,23 +172,12 @@ pub struct Server;
 
 impl Server {
     /// Binds, spawns the worker pool and the accept loop, and returns the
-    /// running server's handle. The database's [`SnapshotReader`] is taken
-    /// before the facade goes behind the serving mutex, so read requests
-    /// pin snapshots without touching the lock.
-    pub fn start(mut db: SemanticWebDatabase, config: ServerConfig) -> io::Result<ServerHandle> {
-        let metrics = db.metrics().clone();
-        let reader = db.reader();
+    /// running server's handle.
+    pub fn start(db: SemanticWebDatabase, config: ServerConfig) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let workers = config.workers.max(1);
-        let shared = Arc::new(Shared {
-            db: Mutex::new(db),
-            reader,
-            metrics: metrics.clone(),
-            queue: WorkQueue::new(config.queue_depth.max(1), metrics.clone()),
-            config,
-            shutdown: AtomicBool::new(false),
-        });
+        let shared = Arc::new(Shared::new(db, config));
         let worker_threads: Vec<JoinHandle<()>> = (0..workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);

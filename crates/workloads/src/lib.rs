@@ -1,6 +1,6 @@
 //! # swdb-workloads — synthetic workload generators
 //!
-//! Seeded, reproducible generators for every experiment in `EXPERIMENTS.md`:
+//! Seeded, reproducible generators for every experiment in `swdb-bench`:
 //!
 //! * [`art`] — the Fig. 1 art-gallery graph and its queries (E01, E11);
 //! * [`random_rdf`] — random simple graphs, random RDFS schema graphs,

@@ -64,12 +64,20 @@
 //!
 //! ### The read path
 //!
-//! Query answering splits the same way. **Premise-free** queries — the hot
-//! read path — never touch the string-space machinery: the facade compiles
-//! the body to `TermId` patterns against the store dictionary
-//! (`query::exec`; a body constant that was never interned short-circuits
-//! to zero answers) and runs a selectivity-ordered backtracking join
-//! directly over a cached SPO/POS/OSP id-index of the evaluation graph —
+//! Query answering splits the same way, and it is **one engine**: the
+//! paper has a single read operation — match the body against `nf(D + P)`,
+//! instantiate the head — and [`query::QueryEngine`] implements it once
+//! (`answer`, `pre_answers`, `answer_is_empty`, `explain`) over "a list of
+//! premise-free member queries against one id-space target". The facade
+//! builds the engine over its live evaluation index or a premise overlay, a
+//! pinned [`core::PublishedSnapshot`] over its own index; which one is a
+//! single dispatch decision ([`query::Mechanism`]). **Premise-free**
+//! queries — the hot read path — never touch the string-space machinery:
+//! the body is compiled to `TermId` patterns against the store dictionary
+//! (a body constant that was never interned short-circuits to zero
+//! answers), planned ([`query::plan`]), and run by the one executor
+//! (`query::exec`) as a backtracking join in planned order directly over a
+//! cached SPO/POS/OSP id-index of the evaluation graph —
 //! `nf(D) = core(cl(D))` under RDFS, `core(D)` under simple entailment, so
 //! answers keep Theorem 4.6's invariance under database equivalence.
 //!
@@ -127,8 +135,8 @@
 //! JSON, including an early warning when the largest blank-node component
 //! exceeds `SWDB_BLANK_WARN` — the NP-hard tail of the core refresh).
 //! [`core::SemanticWebDatabase::explain`] reports, per query, the
-//! mechanism the dispatch chose, the compiled pattern count, and the join
-//! order the most-constrained-first solver actually took, with measured
+//! mechanism the dispatch chose, the compiled pattern count, and the
+//! planned join order the search actually descended through, with measured
 //! probe/binding/answer counts ([`query::Explain`]). The benches E17–E21
 //! embed a `metrics` block in their `BENCH_*.json` reports. The counters
 //! are schedule-invariant where the semantics are: closure delta sizes and
@@ -137,8 +145,9 @@
 //!
 //! ### Planning & plan cache
 //!
-//! Query execution is planned once per query *shape*, not per call
-//! ([`query::plan`]). A cost-based planner derives a static join order up
+//! Every query execution is planned, and planned once per query *shape*,
+//! not per call ([`query::plan`]) — premise-free queries, each member of a
+//! Prop. 5.9 expansion, and overlay queries alike. A cost-based planner derives a static join order up
 //! front — per-pattern cardinality estimates from O(1) `IdIndex` prefix
 //! counts ([`hom::IdTarget::candidate_count`]), damped by an
 //! adornment-style bound/free analysis as earlier patterns bind join
@@ -158,12 +167,15 @@
 //! estimated vs the store's actual per-pattern cardinalities, and the
 //! counter sheet carries `plan_cache_hits`/`misses`/`evictions` and a
 //! `query_truncations` warning when an enumeration hits the solution
-//! limit. Disable with `SWDB_PLAN_CACHE=0` (or
-//! [`core::SemanticWebDatabase::set_plan_cache_enabled`]) to route every
-//! query through the classic per-call compile-and-probe path — the
-//! randomized equivalence suite (`tests/plan_cache.rs`) pins both paths to
-//! identical answers across regimes and semantics, and CI runs the whole
-//! workspace once with the cache off.
+//! limit. There is no second, unplanned executor:
+//! [`core::SemanticWebDatabase::set_plan_cache_enabled`]`(false)` only
+//! stops *remembering* — lookups miss without being counted, nothing is
+//! stored, `explain()` says `off`, and each call runs the same executor
+//! under a plan built for that call (the baseline bench E25 measures the
+//! cache against). One randomized sweep (`tests/plan_cache.rs`) pins the
+//! facade with its cache cold, warm and disabled, and a pinned snapshot,
+//! to the recomputing specification across regimes, semantics and
+//! mechanisms.
 //!
 //! ### Serving & snapshots
 //!

@@ -76,9 +76,16 @@ fn random_database(seed: u64) -> Graph {
 fn assert_id_path_matches_spec(db: &mut SemanticWebDatabase, seed: u64, context: &str) {
     for regime in [EntailmentRegime::Rdfs, EntailmentRegime::Simple] {
         db.set_regime(regime);
+        let pinned = db.publish();
         for q in &query_pool() {
             let id_union = db.answer(q, Semantics::Union);
             let spec_union = db.answer_recomputed(q, Semantics::Union);
+            // A pinned snapshot is the same engine over a cloned substrate.
+            let pinned_union = pinned.answer(q, Semantics::Union).expect("premise free");
+            assert!(
+                isomorphic(&pinned_union, &spec_union),
+                "seed {seed} ({context}), {regime:?}: snapshot answers diverged for {q}: {pinned_union} vs {spec_union}"
+            );
             // The two paths core the evaluation graph independently (the
             // incremental engine vs the recomputing pipeline); the core is
             // unique up to isomorphism, so answers exposing blank nodes may

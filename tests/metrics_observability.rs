@@ -234,6 +234,17 @@ fn explain_reports_the_mechanism_and_the_executed_join_order() {
     assert_eq!(warm.actual_cardinalities, plan.actual_cardinalities);
     // And its JSON form carries the order verbatim.
     assert!(plan.to_json().contains("\"join_order\": [1, 0]"));
+    // With the cache disabled every call plans for itself — the same plan.
+    db.set_plan_cache_enabled(false);
+    let uncached = db.explain(&q, Semantics::Union);
+    assert_eq!(uncached.plan_cache, "off");
+    assert_eq!(uncached.join_order, plan.join_order);
+    assert_eq!(
+        db.explain(&q, Semantics::Union),
+        uncached,
+        "without the cache, explaining is deterministic"
+    );
+    db.set_plan_cache_enabled(true);
 
     // A premise query under RDFS takes the overlay mechanism.
     let with_premise = Query::with_premise(

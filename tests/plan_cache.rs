@@ -1,12 +1,14 @@
 //! End-to-end tests of the cost-based planner and the compiled plan cache
 //! through the facade: the invalidation matrix (mutation, regime switch,
 //! dictionary growth, clone isolation, snapshot independence), the counter
-//! sheet, and randomized planner-on ≡ planner-off equivalence across both
-//! regimes and both semantics.
+//! sheet, and one randomized sweep pinning every way of reading — the
+//! facade with its cache cold, warm and disabled, and a pinned snapshot —
+//! to the recomputing specification, across both regimes, both semantics
+//! and all three mechanisms.
 
 use semweb_foundations::core::{EntailmentRegime, MetricsLevel, SemanticWebDatabase, Semantics};
-use semweb_foundations::model::{graph, triple, Graph};
-use semweb_foundations::query::{query, Query};
+use semweb_foundations::model::{graph, isomorphic, triple, Graph};
+use semweb_foundations::query::{combine, query, Query};
 
 fn counting_db() -> SemanticWebDatabase {
     let mut db = SemanticWebDatabase::new();
@@ -39,9 +41,6 @@ fn cache_counters(db: &SemanticWebDatabase) -> (u64, u64) {
 #[test]
 fn repeated_shapes_hit_the_plan_cache() {
     let mut db = counting_db();
-    if !db.plan_cache_enabled() {
-        return; // SWDB_PLAN_CACHE=0 run: nothing to observe here.
-    }
     let q = takes_query();
     let first = db.answer(&q, Semantics::Union);
     let (hits0, misses0) = cache_counters(&db);
@@ -71,9 +70,6 @@ fn repeated_shapes_hit_the_plan_cache() {
 #[test]
 fn mutation_invalidates_cached_plans() {
     let mut db = counting_db();
-    if !db.plan_cache_enabled() {
-        return;
-    }
     let q = takes_query();
     db.answer(&q, Semantics::Union);
     db.answer(&q, Semantics::Union);
@@ -104,9 +100,6 @@ fn mutation_invalidates_cached_plans() {
 #[test]
 fn regime_switch_invalidates_cached_plans() {
     let mut db = counting_db();
-    if !db.plan_cache_enabled() {
-        return;
-    }
     let q = takes_query();
     db.answer(&q, Semantics::Union);
     db.answer(&q, Semantics::Union);
@@ -132,9 +125,6 @@ fn regime_switch_invalidates_cached_plans() {
 #[test]
 fn dictionary_growth_invalidates_cached_plans() {
     let mut db = counting_db();
-    if !db.plan_cache_enabled() {
-        return;
-    }
     let q = takes_query();
     db.answer(&q, Semantics::Union);
     db.answer(&q, Semantics::Union);
@@ -177,9 +167,6 @@ fn dictionary_growth_invalidates_cached_plans() {
 #[test]
 fn clones_get_a_fresh_plan_cache() {
     let mut db = counting_db();
-    if !db.plan_cache_enabled() {
-        return;
-    }
     let q = takes_query();
     db.answer(&q, Semantics::Union);
     db.answer(&q, Semantics::Union);
@@ -201,9 +188,6 @@ fn clones_get_a_fresh_plan_cache() {
 #[test]
 fn published_snapshots_plan_independently_of_the_writer() {
     let mut db = counting_db();
-    if !db.plan_cache_enabled() {
-        return;
-    }
     let q = takes_query();
     let snapshot = db.publish();
     let first = snapshot.answer(&q, Semantics::Union).expect("premise free");
@@ -314,6 +298,20 @@ fn probe_queries() -> Vec<Query> {
             graph([("ex:n2", "ex:p1", "ex:n4")]),
         )
         .expect("well formed"),
+        // A blank-bearing premise: the overlay in both regimes (`_:b0`
+        // deliberately collides with the generated blank labels).
+        Query::with_premise(
+            semweb_foundations::hom::pattern_graph([("?X", "ex:p1", "?Y")]),
+            semweb_foundations::hom::pattern_graph([("?X", "ex:p1", "?Y")]),
+            graph([("_:b0", "ex:p1", "ex:n5"), ("ex:n5", "ex:p1", "_:b0")]),
+        )
+        .expect("well formed"),
+        // A head blank: Skolemized single answers, no union-direct path.
+        Query::new(
+            semweb_foundations::hom::pattern_graph([("?X", "ex:seen", "_:W")]),
+            semweb_foundations::hom::pattern_graph([("?X", "ex:p0", "?Y")]),
+        )
+        .expect("well formed"),
     ]
 }
 
@@ -336,10 +334,12 @@ fn planned_answers_equal_unplanned_answers_over_random_databases() {
                 db.set_regime(regime);
                 db.insert_graph(&data);
             }
+            let pinned = on.publish();
             for (qi, q) in probe_queries().iter().enumerate() {
+                let context = format!("round {round} query {qi} {regime:?}");
                 for semantics in [Semantics::Union, Semantics::Merge] {
                     // Twice per query: once cold (plans + caches), once warm
-                    // (cache hits), both against the unplanned baseline.
+                    // (cache hits), both against the plan-per-call baseline.
                     for pass in 0..2 {
                         assert_eq!(
                             on.answer(q, semantics),
@@ -347,6 +347,52 @@ fn planned_answers_equal_unplanned_answers_over_random_databases() {
                             "round {round} query {qi} {regime:?} {semantics:?} pass {pass}"
                         );
                     }
+                    // ... and every reader against the specification (the
+                    // core is unique only up to isomorphism, Thm 3.10).
+                    let spec = on.answer_recomputed(q, semantics);
+                    for (reader, answer) in [
+                        ("warm facade", Some(on.answer(q, semantics))),
+                        ("uncached facade", Some(off.answer(q, semantics))),
+                        ("pinned snapshot", pinned.answer(q, semantics).ok()),
+                    ] {
+                        match answer {
+                            Some(answer) => assert!(
+                                isomorphic(&answer, &spec),
+                                "{context} {semantics:?}, {reader}: {answer} vs {spec}"
+                            ),
+                            None => assert!(
+                                !pinned.supports(q),
+                                "{context}: only overlay queries may need the writer"
+                            ),
+                        }
+                    }
+                }
+                // The pre-answer's union is the union answer, and emptiness
+                // is its emptiness — for every reader alike.
+                let spec = on.answer_recomputed(q, Semantics::Union);
+                for (reader, read) in [
+                    ("facade", Some((on.pre_answers(q), on.answer_is_empty(q)))),
+                    (
+                        "uncached facade",
+                        Some((off.pre_answers(q), off.answer_is_empty(q))),
+                    ),
+                    (
+                        "pinned snapshot",
+                        pinned
+                            .pre_answers(q)
+                            .ok()
+                            .zip(pinned.answer_is_empty(q).ok()),
+                    ),
+                ] {
+                    // `None`: an overlay query on the snapshot, checked above.
+                    let Some((singles, empty)) = read else {
+                        continue;
+                    };
+                    assert!(
+                        isomorphic(&combine(singles, Semantics::Union), &spec),
+                        "{context}, {reader}: pre-answers diverged from {spec}"
+                    );
+                    assert_eq!(empty, spec.is_empty(), "{context}, {reader}: emptiness");
                 }
                 assert_eq!(
                     on.answer_is_empty(q),
@@ -372,4 +418,29 @@ fn planned_answers_equal_unplanned_answers_over_random_databases() {
             );
         }
     }
+}
+
+#[test]
+fn overlay_queries_are_planned_like_every_other_mechanism() {
+    let mut db = counting_db();
+    // RDFS regime + premise: the overlay mechanism.
+    let q = Query::with_premise(
+        semweb_foundations::hom::pattern_graph([("?S", "ex:studies", "?C")]),
+        semweb_foundations::hom::pattern_graph([
+            ("?S", "ex:takes", "?C"),
+            ("ex:dept", "ex:offers", "?C"),
+        ]),
+        graph([("ex:dave", "ex:takes", "ex:AI")]),
+    )
+    .expect("well formed");
+    let cold = db.explain(&q, Semantics::Union);
+    assert_eq!(cold.mechanism, "overlay");
+    assert_eq!(cold.plan_cache, "miss");
+    assert_eq!(cold.estimated_cardinalities.len(), 2);
+    assert!(cold.probes > 0, "planning probed the overlay target");
+    let warm = db.explain(&q, Semantics::Union);
+    assert_eq!(warm.plan_cache, "hit");
+    assert_eq!(warm.probes, 0);
+    assert_eq!(warm.join_order, cold.join_order);
+    assert_eq!(warm.answers, 4, "three stored students plus the premise's");
 }
