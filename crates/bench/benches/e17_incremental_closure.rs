@@ -38,7 +38,9 @@ fn write_json(rows: &[Row], metrics_json: &str) {
     out.push_str(
         "  \"acceptance\": \"single incremental edit >= 10x faster than recomputation at 10k\",\n",
     );
-    out.push_str("  \"mode\": \"release, 50-edit average vs one recomputation\",\n  \"rows\": [\n");
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    out.push_str("  \"mode\": \"release, 50-edit average vs one recomputation\",\n");
+    out.push_str(&format!("  \"host_cores\": {cores},\n  \"rows\": [\n"));
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"triples\": {}, \"closure\": {}, \"full_ms\": {:.1}, \"insert_us\": {:.1}, \"delete_us\": {:.1}, \"insert_speedup\": {:.0}, \"delete_speedup\": {:.0}}}{}\n",

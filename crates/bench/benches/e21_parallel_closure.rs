@@ -1,29 +1,23 @@
-//! E21 — parallel sharded closure propagation: bulk-load throughput across
+//! E21 — the closure kernel's worker ceiling: bulk-load throughput across
 //! worker-thread counts.
 //!
-//! PR 2's frontier-batched semi-naive fixpoint (`DeltaClosure::insert_batch`)
-//! is the sequential baseline; this experiment measures the round-based
-//! sharded schedule (`swdb_reason::parallel`) that partitions each round's
-//! frontier by woken `(rule, hypothesis)` paths and runs the independent
-//! joins on `std::thread::scope` workers against an immutable snapshot of
-//! the closure index. Workloads: the university generator and the random
-//! RDFS schema generator at the 10k and 50k scales, loaded in one
-//! `MaterializedStore::insert_graph` batch at 1/2/4/8 threads.
+//! The closure engine has one schedule — the rounds of
+//! `swdb_reason::parallel`, which partition each round's frontier by woken
+//! `(rule, hypothesis)` paths and join the shards against an immutable
+//! snapshot of the closure index — and `threads` is the most workers a
+//! large round may spawn (`1`: never spawn). Workloads: the university
+//! generator and the random RDFS schema generator at the 10k and 50k
+//! scales, loaded in one `MaterializedStore::insert_graph` batch at
+//! 1/2/4/8 threads.
 //!
-//! Every parallel load is differentially pinned inside the bench: the
-//! maintained closure index must be **bit-identical** to the thread-count-1
-//! run, and the `added` delta log (the feed of the downstream
-//! `IdCoreEngine`) must be equal as a set. Results land on stdout and in
-//! `BENCH_e21.json` at the workspace root.
-//!
-//! Acceptance: ≥ 2× bulk-load speedup at 4 threads over the sequential
-//! batch path on the 10k university workload — asserted when
-//! `E21_ASSERT_SPEEDUP=1` is set on a host with ≥ 4 cores (shared CI
-//! runners and small hosts skip the assert). The identity checks always
-//! run, and the recorded numbers state the core count, so the JSON never
-//! claims parallel speedup the hardware cannot produce.
+//! Every load is differentially pinned inside the bench: the maintained
+//! closure index must be **bit-identical** to the 1-worker run, and the
+//! `added` delta log (the feed of the downstream `IdCoreEngine`) must be
+//! the same **sequence**. Results land on stdout and in `BENCH_e21.json`
+//! at the workspace root, with `speedup_vs_one_worker` next to the core
+//! count of the host that measured it, so the JSON never claims a parallel
+//! speedup the hardware cannot produce.
 
-use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -97,39 +91,30 @@ fn bench(c: &mut Criterion) {
         ] {
             let n = data.len();
 
-            // Sequential baseline (the PR 2 batch path, preserved exactly
-            // at thread count 1), plus the reference closure and log for
-            // the differential pins.
+            // The 1-worker run: the baseline, plus the reference closure
+            // and log for the differential pins.
             let mut reference = MaterializedStore::with_threads(1);
-            let reference_added: BTreeSet<_> = reference
-                .insert_graph_with_delta(&data)
-                .added
-                .into_iter()
-                .collect();
-            let sequential = measure(2, || {
+            let reference_added = reference.insert_graph_with_delta(&data).added;
+            let one_worker = measure(2, || {
                 let mut m = MaterializedStore::with_threads(1);
                 m.insert_graph(&data);
                 criterion::black_box(m.closure_len());
             });
-            let sequential_ms = sequential.as_secs_f64() * 1e3;
+            let one_worker_ms = one_worker.as_secs_f64() * 1e3;
             rows.push(Row {
                 workload,
                 triples: n,
                 closure_triples: reference.closure_len(),
                 threads: 1,
-                load_ms: sequential_ms,
+                load_ms: one_worker_ms,
                 speedup: 1.0,
             });
 
             for &threads in &THREAD_SWEEP[1..] {
                 // Differential pin: bit-identical closure index, identical
-                // added-log set.
+                // added-log sequence.
                 let mut parallel = MaterializedStore::with_threads(threads);
-                let added: BTreeSet<_> = parallel
-                    .insert_graph_with_delta(&data)
-                    .added
-                    .into_iter()
-                    .collect();
+                let added = parallel.insert_graph_with_delta(&data).added;
                 assert_eq!(
                     parallel.closure_index(),
                     reference.closure_index(),
@@ -152,17 +137,17 @@ fn bench(c: &mut Criterion) {
                     closure_triples: reference.closure_len(),
                     threads,
                     load_ms,
-                    speedup: sequential_ms / load_ms.max(1e-9),
+                    speedup: one_worker_ms / load_ms.max(1e-9),
                 });
                 report_row(
                     "E21",
                     &format!("{workload} n={n} threads={threads}"),
                     &[
                         ("load_ms", format!("{load_ms:.1}")),
-                        ("sequential_ms", format!("{sequential_ms:.1}")),
+                        ("one_worker_ms", format!("{one_worker_ms:.1}")),
                         (
                             "speedup",
-                            format!("{:.2}x", sequential_ms / load_ms.max(1e-9)),
+                            format!("{:.2}x", one_worker_ms / load_ms.max(1e-9)),
                         ),
                     ],
                 );
@@ -189,40 +174,11 @@ fn bench(c: &mut Criterion) {
     }
     group.finish();
     write_json(&rows, cores, &instrumented_snapshot());
-
-    // Acceptance: the 2× bar at 4 threads is a statement about dedicated
-    // parallel hardware. It is asserted only when `E21_ASSERT_SPEEDUP=1`
-    // is set on a host with ≥ 4 cores — shared CI runners report 4 vCPUs
-    // over 2 noisy physical cores, where a hard assert would flake — and
-    // otherwise the measured ratio is reported (and recorded in the JSON)
-    // without failing the run. The differential identity checks above are
-    // unconditional.
-    let point = rows
-        .iter()
-        .find(|r| {
-            r.workload == "university" && r.triples > 5_000 && r.triples < 20_000 && r.threads == 4
-        })
-        .expect("the 10k university / 4-thread point was measured");
-    let assert_requested = std::env::var("E21_ASSERT_SPEEDUP").is_ok_and(|v| v.trim() == "1");
-    if assert_requested && cores >= 4 {
-        assert!(
-            point.speedup >= 2.0,
-            "bulk load at 4 threads must beat the sequential batch path 2x \
-             on the 10k university workload: measured {:.2}x",
-            point.speedup
-        );
-    } else {
-        println!(
-            "[E21] 10k university at 4 threads: {:.2}x vs sequential on {cores} core(s); \
-             the 2x acceptance bar is asserted with E21_ASSERT_SPEEDUP=1 on >= 4 dedicated cores",
-            point.speedup
-        );
-    }
 }
 
 /// One instrumented 4-thread bulk load at `Debug` level: the report carries
 /// the round structure, shard sizes and per-round utilization histograms of
-/// the sharded schedule.
+/// the round kernel.
 fn instrumented_snapshot() -> String {
     let metrics = Metrics::new(MetricsLevel::Debug);
     let data = university_workload(10_000);
@@ -235,14 +191,14 @@ fn instrumented_snapshot() -> String {
 fn write_json(rows: &[Row], cores: usize, metrics_json: &str) {
     let mut out = json_prologue("e21_parallel_closure");
     out.push_str(
-        "  \"acceptance\": \"bulk load at 4 threads >= 2x the sequential batch path on 10k university (asserted with E21_ASSERT_SPEEDUP=1 on >= 4 dedicated cores); closure index and added log bit-identical at every thread count\",\n",
+        "  \"acceptance\": \"closure index bit-identical and added log the same sequence at every thread count\",\n",
     );
     out.push_str("  \"mode\": \"release, best-of-N after warm-up\",\n");
     out.push_str(&format!("  \"host_cores\": {cores},\n"));
     out.push_str("  \"bulk_load\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"triples\": {}, \"closure_triples\": {}, \"threads\": {}, \"load_ms\": {:.1}, \"speedup_vs_sequential\": {:.2}}}{}\n",
+            "    {{\"workload\": \"{}\", \"triples\": {}, \"closure_triples\": {}, \"threads\": {}, \"load_ms\": {:.1}, \"speedup_vs_one_worker\": {:.2}}}{}\n",
             r.workload,
             r.triples,
             r.closure_triples,

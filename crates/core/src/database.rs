@@ -67,30 +67,27 @@
 //! insert propagation, DRed delete), and the exact closure delta it reports
 //! feeds the evaluation engine and the asserted-store core.
 //!
-//! The propagation itself has **two interchangeable execution schedules**,
-//! selected by [`SemanticWebDatabase::set_threads`] (default: the
-//! `SWDB_THREADS` environment variable, else the machine's available
-//! parallelism):
+//! The propagation itself has **one schedule**, `swdb_reason::parallel`'s
+//! rounds: each round partitions the frontier by the `(rule, hypothesis)`
+//! paths its predicates wake, joins the shards against an immutable
+//! snapshot of the closure index, and commits the merged, deduplicated
+//! conclusions single-threadedly as the next frontier. The DRed delete's
+//! overdeletion cascade and the premise preview are the same rounds with a
+//! different filter and commit target. [`SemanticWebDatabase::set_threads`]
+//! (default: the machine's available parallelism) is the **worker
+//! ceiling** of a round — a large round spawns at most that many scoped
+//! workers, `1` never spawns, and small rounds (single-triple edits) run
+//! inline regardless, so point-write latency never pays a spawn.
 //!
-//! * thread count 1 — the original sequential depth-first schedule,
-//!   preserved exactly;
-//! * thread count `n > 1` — `swdb_reason::parallel`'s round-based sharded
-//!   schedule: each round partitions the frontier by the
-//!   `(rule, hypothesis)` paths its predicates wake, runs the independent
-//!   rule joins on up to `n` scoped worker threads against an immutable
-//!   snapshot of the closure index, and commits the merged, deduplicated
-//!   conclusions single-threadedly as the next frontier. The DRed delete's
-//!   overdeletion cascade and rederivation probes parallelize the same way.
-//!
-//! Because the RDFS rules are monotone and the closure is a set, both
-//! schedules reach the identical fixpoint — the maintained closure index,
-//! the delta logs consumed by the evaluation engine, and therefore the
+//! Because the RDFS rules are monotone, the closure is a set and every
+//! round is sorted, the ceiling changes where joins run and nothing else —
+//! the maintained closure index, the delta logs consumed by the evaluation
+//! engine (as sequences), the `reason_*` counters, and therefore the
 //! published evaluation index are bit-identical across thread counts. The
 //! differential tests (`crates/reason/tests/parallel_differential.rs`, the
 //! facade stress test `tests/parallel_facade_stress.rs`) sweep thread
 //! counts to keep that claim executable; bench E21 records the bulk-load
-//! throughput. Small rounds (single-triple edits) run inline regardless of
-//! the configured ceiling, so point-write latency never pays a spawn.
+//! throughput.
 //!
 //! ## Degraded mode — bounding the NP-hard tail
 //!
@@ -160,23 +157,13 @@ const PREMISE_CACHE_CAPACITY: usize = 8;
 /// linear in the delta.
 const EXPANSION_MAP_BUDGET: u64 = 1 << 19;
 
-/// The default worker-thread ceiling for closure maintenance: the
-/// `SWDB_THREADS` environment variable when set to a positive integer,
-/// otherwise [`std::thread::available_parallelism`]. `1` selects the
-/// sequential schedule exactly; the differential tests pin every count to
-/// the same closure, so the choice is purely a throughput knob.
+/// The default worker ceiling for closure maintenance:
+/// [`std::thread::available_parallelism`]. Every count maintains the same
+/// closure, so the choice is purely a throughput knob.
 fn default_threads() -> usize {
-    match std::env::var("SWDB_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-    {
-        // Any explicit setting wins; 0 clamps to 1 (the sequential
-        // schedule), matching `set_threads(0)`.
-        Some(n) => n.max(1),
-        None => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    }
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 /// The WAL compaction threshold: `SWDB_WAL_COMPACT` (records; `0` disables
@@ -266,9 +253,6 @@ pub struct SemanticWebDatabase {
     /// simple entailment the evaluation engine already cores the asserted
     /// graph). Built on first minimize, then maintained under base deltas.
     asserted_core: Option<IdCoreEngine>,
-    /// Worker-thread ceiling for closure propagation and DRed cascades
-    /// (mirrored into the reasoner; see [`SemanticWebDatabase::set_threads`]).
-    threads: usize,
     /// Per-component budget for the NP-hard core searches (mirrored into
     /// both maintained engines; see
     /// [`SemanticWebDatabase::set_core_budget`]). Defaults from
@@ -348,7 +332,6 @@ impl Clone for SemanticWebDatabase {
             evaluation: self.evaluation.clone(),
             premise_cache: self.premise_cache.clone(),
             asserted_core: self.asserted_core.clone(),
-            threads: self.threads,
             core_budget: self.core_budget,
             metrics: self.metrics.clone(),
             durability: None,
@@ -372,8 +355,7 @@ impl SemanticWebDatabase {
     /// The in-memory constructor behind [`Default`]: everything wired to
     /// the given metrics handle, no durability attached.
     fn detached_with_metrics(metrics: Metrics) -> Self {
-        let threads = default_threads();
-        let mut reasoner = MaterializedStore::with_threads(threads);
+        let mut reasoner = MaterializedStore::with_threads(default_threads());
         reasoner.set_metrics(metrics.clone());
         SemanticWebDatabase {
             graph: Graph::default(),
@@ -382,7 +364,6 @@ impl SemanticWebDatabase {
             evaluation: None,
             premise_cache: Vec::new(),
             asserted_core: None,
-            threads,
             core_budget: CoreBudgetMode::from_env(),
             publish_slot: Arc::new(crate::publish::PublishSlot::empty(metrics.clone())),
             metrics,
@@ -542,7 +523,7 @@ impl SemanticWebDatabase {
         );
         let mut reasoner =
             MaterializedStore::restore(&snapshot.terms, &snapshot.base, &snapshot.closure);
-        reasoner.set_threads(self.threads);
+        reasoner.set_threads(self.reasoner.threads());
         reasoner.set_metrics(self.metrics.clone());
         self.reasoner = reasoner;
         self.graph = self.reasoner.store().to_graph();
@@ -632,21 +613,20 @@ impl SemanticWebDatabase {
         self.metrics.gauge_set(Gauge::WalLiveRecords, 0);
     }
 
-    /// Sets the worker-thread ceiling for the write path (clamped to at
-    /// least 1). `1` runs the original sequential propagation/DRed
-    /// schedule; higher counts run `swdb_reason::parallel`'s round-based
-    /// sharded schedule on bulk work (small rounds stay inline). The
-    /// maintained closure — and with it every published read structure —
-    /// is identical for every count, so no cache is invalidated here.
+    /// Sets the worker ceiling for the write path (clamped to at least 1):
+    /// a large round of closure propagation or DRed cascade spawns at most
+    /// this many workers; `1` never spawns, and small rounds stay inline at
+    /// any value. The maintained closure — and with it every published
+    /// read structure — is identical for every count, so no cache is
+    /// invalidated here.
     pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-        self.reasoner.set_threads(self.threads);
+        self.reasoner.set_threads(threads);
     }
 
-    /// The configured worker-thread ceiling (defaults to `SWDB_THREADS` or
-    /// the machine's available parallelism).
+    /// The configured worker ceiling (defaults to the machine's available
+    /// parallelism).
     pub fn threads(&self) -> usize {
-        self.threads
+        self.reasoner.threads()
     }
 
     /// Sets the per-component budget for the NP-hard core searches (the

@@ -292,11 +292,23 @@ fn recovery_is_incremental_not_recomputed() {
     let dir = scratch_dir("no-recompute");
     let mut db = SemanticWebDatabase::new();
     db.persist_to(&dir).expect("persist");
-    db.insert_graph(&graph([
+    let stored = graph([
         ("ex:p", rdfs::SP, "ex:q"),
         ("ex:q", rdfs::DOM, "ex:C"),
         ("ex:a", "ex:p", "ex:b"),
-    ]));
+    ]);
+    db.insert_graph(&stored);
+    // Positive control for the `reason_rounds == 0` guard below: building
+    // the same store by `insert_graph` does report rounds — at a worker
+    // ceiling of 1 too, so the guard cannot pass vacuously anywhere.
+    let mut rebuilt = SemanticWebDatabase::new();
+    rebuilt.set_threads(1);
+    rebuilt.set_metrics_level(MetricsLevel::Counters);
+    rebuilt.insert_graph(&stored);
+    assert!(
+        rebuilt.metrics().snapshot().counter("reason_rounds") > 0,
+        "a cold rebuild runs a closure fixpoint and must say so"
+    );
     // Build the evaluation engine so its state rides in the snapshot.
     let q = swdb_query::query([("?X", "ex:q", "?Y")], [("?X", "ex:q", "?Y")]);
     assert_eq!(db.answer(&q, Semantics::Union).len(), 1);

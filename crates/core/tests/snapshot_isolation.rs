@@ -1,7 +1,7 @@
 //! Snapshot-isolation contract of the publication layer
 //! (`swdb_core::publish`): a pinned [`PublishedSnapshot`] is bit-identical
 //! before, during, and after concurrent writer mutations — across writer
-//! thread schedules (`SWDB_THREADS` 1 vs 4) — and the degraded flags a
+//! worker ceilings (`set_threads` 1 vs 4) — and the degraded flags a
 //! reader observes are the ones of the substrate it actually answers from
 //! (the snapshot), not the writer's current state.
 
@@ -42,8 +42,8 @@ fn index_bits(snapshot: &PublishedSnapshot) -> Vec<IdTriple> {
 /// insert/remove/publish on the live database from the main thread, and
 /// reader threads answering on the pin throughout. Every observation —
 /// the raw id-index bits and the answer graphs — must be identical to the
-/// pre-mutation baseline, under both the sequential (1) and the sharded
-/// (4) writer schedule.
+/// pre-mutation baseline, under a writer that never spawns (1) and one
+/// that may spawn four workers per round (4).
 #[test]
 fn pinned_snapshot_is_bit_identical_under_concurrent_writer_mutations() {
     let mut by_thread_count: Vec<Graph> = Vec::new();
@@ -108,11 +108,11 @@ fn pinned_snapshot_is_bit_identical_under_concurrent_writer_mutations() {
         assert_ne!(index_bits(&fresh), baseline_bits);
         by_thread_count.push(fresh.answer(&creators_query(), Semantics::Union).unwrap());
     }
-    // And the published read state is schedule-invariant: the sequential
-    // and sharded writers publish identical answers.
+    // And the published read state does not depend on the worker ceiling:
+    // both writers publish identical answers.
     assert_eq!(
         by_thread_count[0], by_thread_count[1],
-        "published snapshots must be identical across SWDB_THREADS 1 vs 4"
+        "published snapshots must be identical across thread counts 1 vs 4"
     );
 }
 

@@ -113,20 +113,27 @@ macro_rules! keyed_enum {
 keyed_enum! {
     /// The monotonic counters of the stack, one slot each.
     Counter {
-        /// Semi-naive propagation rounds committed (round-based schedule).
+        /// Semi-naive rounds of *committed* fixpoints: insert propagation
+        /// and the re-propagation phase of a DRed delete. Overdeletion
+        /// cascades and premise previews commit nothing and count none, so
+        /// `0` means "no closure fixpoint ran". The same at every thread
+        /// count.
         ReasonRounds => "reason_rounds",
-        /// Rounds that actually ran on scoped worker threads.
+        /// Committed rounds that actually ran on scoped worker threads —
+        /// the one `reason_*` counter the worker ceiling moves.
         ReasonParallelRounds => "reason_parallel_rounds",
-        /// `(rule, hypothesis)` shards evaluated across all rounds.
+        /// `(rule, hypothesis)` shards evaluated across all committed
+        /// rounds.
         ReasonShards => "reason_shards",
-        /// Rule conclusions kept at evaluation time (all rules; the
-        /// per-rule split lives in the rule-firing slots). Schedule-
-        /// dependent: the depth-first and round-based schedules evaluate
-        /// different numbers of instances on the way to the same fixpoint.
+        /// Rule firings of committed rounds (all rules; the per-rule split
+        /// lives in the rule-firing slots): conclusions accepted by the
+        /// round's freshness pre-filter, counted *before* the per-round
+        /// dedup — two shards deriving one triple in one round fire twice.
+        /// The same at every thread count.
         ReasonRuleFirings => "reason_rule_firings",
-        /// Triples added to the maintained closure (schedule-invariant).
+        /// Triples added to the maintained closure.
         ReasonClosureAdded => "reason_closure_added",
-        /// Triples removed from the maintained closure (schedule-invariant).
+        /// Triples removed from the maintained closure.
         ReasonClosureRemoved => "reason_closure_removed",
         /// Triples overdeleted by the DRed cascade before rederivation.
         ReasonOverdeleted => "reason_overdeleted",

@@ -19,22 +19,20 @@
 //!   after the last external support disappears. DRed's
 //!   overdelete/rederive pair is insensitive to derivation cycles.
 //!
-//! Both mutations have **two interchangeable execution schedules** selected
-//! by [`DeltaClosure::set_threads`]:
-//!
-//! * `threads == 1` (the default) — the original sequential schedule:
-//!   depth-first, triple-at-a-time propagation and push-time-memoised DRed
-//!   cascades. This code path is preserved exactly.
-//! * `threads > 1` — the round-based sharded schedule of [`crate::parallel`]:
-//!   each round partitions the frontier by the `(rule, hypothesis)` paths
-//!   its predicates wake, runs the independent joins on scoped worker
-//!   threads against an immutable snapshot of the closure index, then
-//!   merges/dedupes the conclusions single-threadedly and commits them as
-//!   the next frontier. Because the rules are monotone and the closure is a
-//!   set, both schedules reach the identical fixpoint — the differential
-//!   tests in `crates/reason/tests/` sweep thread counts and pin the
-//!   closure, the delta logs (as sets) and the downstream evaluation index
-//!   against the sequential run.
+//! Both mutations run on **one schedule and one rule-firing kernel**,
+//! `parallel::round_conclusions`: a round joins the whole frontier
+//! against an immutable view, sorts and dedupes the conclusions, and the
+//! single-threaded caller commits them as the next frontier. Insert
+//! propagation commits into the closure; the DRed overdeletion cascade runs
+//! the same rounds with a "still in the closure, not an axiom" filter; the
+//! premise preview runs them over the layered `closure ∪ overlay` view and
+//! commits into the overlay. [`DeltaClosure::set_threads`] is a **worker
+//! ceiling** — "spawn at most this many workers per round", so `1` means
+//! "never spawn" — not a code-path selector: the per-round sort makes the
+//! rounds, both delta logs (as sequences) and every `reason_*` counter
+//! except `reason_parallel_rounds` identical at every count. The
+//! differential tests in `crates/reason/tests/` sweep thread counts and pin
+//! all of that against the string-space `swdb_entailment::rdfs_closure`.
 //!
 //! The five axiomatic triples of rule (9) are seeded at construction and are
 //! never deleted — they hold in every closure, including the closure of the
@@ -119,29 +117,8 @@ fn join_exists<V: IdTarget>(closure: &V, hypotheses: &[&TriplePattern], binding:
     found
 }
 
-/// Existence of a complete binding joining against the *asserted* store
-/// only. Used to prune overdeletion: a derivation whose premises are all
-/// still-asserted facts survives any cascade.
-fn join_exists_base(base: &TripleStore, hypotheses: &[&TriplePattern], binding: Binding) -> bool {
-    if hypotheses.is_empty() {
-        return true;
-    }
-    let (hyp, rest) = split_most_bound(hypotheses, &binding);
-    let mut found = false;
-    base.scan_ids_while(hyp.to_scan(&binding), |t| {
-        let mut extended = binding;
-        if hyp.unify(t, &mut extended) && join_exists_base(base, &rest, extended) {
-            found = true;
-            return false;
-        }
-        true
-    });
-    found
-}
-
 /// The instantiation condition: every guarded variable must be bound to a
-/// URI id. Shared between the engine methods and the parallel workers,
-/// which only hold the `is_iri` slice, not the engine.
+/// URI id.
 pub(crate) fn guards_pass(
     is_iri: &[bool],
     guards: &[crate::pattern::VarId],
@@ -168,40 +145,15 @@ pub(crate) fn flush_firings(metrics: &Metrics, fired: &[u64; RULE_SLOTS]) {
     metrics.count(Counter::ReasonRuleFirings, total);
 }
 
-/// Is `t` the conclusion of some rule instance whose hypotheses are all
-/// *asserted* (present in the base store)? Such support is independent of
-/// any closure cascade. Free-standing so the parallel DRed prune probes can
-/// run it from worker threads over shared snapshots.
-fn one_step_from_base(
-    rules: &RuleSystem,
-    is_iri: &[bool],
-    base: &TripleStore,
-    t: IdTriple,
-) -> bool {
-    for rule in rules.rules() {
-        for conclusion in &rule.conclusions {
-            let mut binding = EMPTY_BINDING;
-            if !conclusion.unify(t, &mut binding) {
-                continue;
-            }
-            if !guards_pass(is_iri, &rule.iri_guards, &binding) {
-                continue;
-            }
-            let hypotheses: Vec<&TriplePattern> = rule.hypotheses.iter().collect();
-            if join_exists_base(base, &hypotheses, binding) {
-                return true;
-            }
-        }
-    }
-    false
-}
-
 /// Is `t` the conclusion of some rule instance whose hypotheses all hold in
-/// `closure`? Free-standing for the parallel rederivation probes.
-fn one_step_from_closure(
+/// `view`? Called with the surviving closure (DRed rederivation) and with
+/// the asserted store's index (DRed overdeletion prune: support from
+/// still-asserted premises alone is independent of any cascade). Free-
+/// standing so the probes can run from worker threads over shared snapshots.
+fn one_step_derivable<V: IdTarget>(
     rules: &RuleSystem,
     is_iri: &[bool],
-    closure: &IdIndex,
+    view: &V,
     t: IdTriple,
 ) -> bool {
     for rule in rules.rules() {
@@ -217,7 +169,7 @@ fn one_step_from_closure(
                 continue;
             }
             let hypotheses: Vec<&TriplePattern> = rule.hypotheses.iter().collect();
-            if join_exists(closure, &hypotheses, binding) {
+            if join_exists(view, &hypotheses, binding) {
                 return true;
             }
         }
@@ -234,9 +186,9 @@ pub struct DeltaClosure {
     /// `is_iri[id]` — whether the interned term is a URI (blank nodes may
     /// never instantiate a conclusion's predicate position).
     is_iri: Vec<bool>,
-    /// Worker threads for propagation and DRed cascades. `1` selects the
-    /// original sequential depth-first schedule; `> 1` the round-based
-    /// sharded schedule of [`crate::parallel`].
+    /// Worker ceiling: a round of propagation, DRed cascade or probing
+    /// spawns at most this many workers (`1` — never spawn). It changes
+    /// where the joins run, never what they compute.
     threads: usize,
     /// Instrumentation handle (a disabled default unless wired by the
     /// owner). Clones of the engine share the same counters.
@@ -284,11 +236,11 @@ impl DeltaClosure {
         &self.metrics
     }
 
-    /// Sets the worker-thread count for propagation and DRed cascades
-    /// (clamped to at least 1). `1` — the default — runs the original
-    /// sequential schedule; any higher count runs the round-based sharded
-    /// schedule, which reaches the identical fixpoint (see the module
-    /// docs). The count is a ceiling: small rounds run inline regardless.
+    /// Sets the worker ceiling for propagation and DRed cascades (clamped
+    /// to at least 1, the default): a round spawns at most this many
+    /// workers, and small rounds run inline regardless. The closure, both
+    /// delta logs and the counters are the same at every value (see the
+    /// module docs).
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
     }
@@ -306,10 +258,6 @@ impl DeltaClosure {
             let iri = matches!(dictionary.term_of(id as TermId), Some(Term::Iri(_)));
             self.is_iri.push(iri);
         }
-    }
-
-    fn guards_ok(&self, guards: &[crate::pattern::VarId], binding: &Binding) -> bool {
-        guards_pass(&self.is_iri, guards, binding)
     }
 
     /// Number of triples in the maintained closure.
@@ -381,7 +329,7 @@ impl DeltaClosure {
     /// semi-naive round; returns how many of them were new to the closure.
     ///
     /// All deltas enter the closure before any rule fires, then a single
-    /// [`DeltaClosure::propagate`] fixpoint runs with the whole batch as the
+    /// propagation fixpoint runs with the whole batch as the
     /// initial frontier. Compared to one propagation round per triple this
     /// amortizes the index probes: a conclusion reachable from several
     /// deltas is derived (and joined against) once, and every rule join
@@ -419,7 +367,7 @@ impl DeltaClosure {
         let fresh = frontier.len();
         if fresh > 0 {
             added.extend(frontier.iter().copied());
-            self.propagate_logged(frontier, added);
+            self.propagate_rounds(frontier, added);
         }
         self.metrics.count(
             Counter::ReasonClosureAdded,
@@ -432,26 +380,14 @@ impl DeltaClosure {
         fresh
     }
 
-    /// Semi-naive frontier propagation: every queued triple is new to the
-    /// closure and is joined only against rules its predicate wakes. Every
-    /// fresh conclusion is appended to `added` (the queue itself is not
-    /// logged — callers know their own frontier). Dispatches between the
-    /// sequential depth-first schedule (`threads == 1`, the original code
-    /// path) and the round-based sharded schedule; both compute the same
-    /// fixpoint and log the same `added` *set*.
-    fn propagate_logged(&mut self, queue: Vec<IdTriple>, added: &mut Vec<IdTriple>) {
-        if self.threads <= 1 {
-            self.propagate_depth_first(queue, added);
-        } else {
-            self.propagate_rounds(queue, added);
-        }
-    }
-
-    /// Round-based sharded propagation (see [`crate::parallel`]): each
-    /// round joins the whole frontier against an immutable snapshot of the
-    /// closure on worker threads, then commits the merged conclusions
-    /// single-threadedly as the next frontier. The per-round sort makes the
-    /// schedule — and the `added` log — deterministic across thread counts.
+    /// Semi-naive frontier propagation in rounds (see [`crate::parallel`]):
+    /// every frontier triple is new to the closure and is joined only
+    /// against the rules its predicate wakes; each round joins the whole
+    /// frontier against an immutable snapshot of the closure, then commits
+    /// the merged conclusions single-threadedly as the next frontier. Every
+    /// fresh conclusion is appended to `added` (the initial frontier is not
+    /// logged — callers know their own). The per-round sort makes the
+    /// schedule — and the `added` log — the same at every thread count.
     fn propagate_rounds(&mut self, mut frontier: Vec<IdTriple>, added: &mut Vec<IdTriple>) {
         let mut rounds = 0u64;
         while !frontier.is_empty() {
@@ -478,53 +414,16 @@ impl DeltaClosure {
         self.metrics.count(Counter::ReasonRounds, rounds);
     }
 
-    /// The original sequential schedule: depth-first, triple-at-a-time.
-    /// Rule firings are batched into a local array and flushed once — the
-    /// off path pays a plain register increment per firing, no atomics.
-    fn propagate_depth_first(&mut self, mut queue: Vec<IdTriple>, added: &mut Vec<IdTriple>) {
-        let mut fired = [0u64; RULE_SLOTS];
-        while let Some(delta) = queue.pop() {
-            let paths: Vec<_> = self.rules.paths_for_predicate(delta.1).collect();
-            for (rule_idx, hyp_idx) in paths {
-                let rule = &self.rules.rules()[rule_idx];
-                let mut seed = EMPTY_BINDING;
-                if !rule.hypotheses[hyp_idx].unify(delta, &mut seed) {
-                    continue;
-                }
-                let remaining: Vec<&TriplePattern> = rule
-                    .hypotheses
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| i != hyp_idx)
-                    .map(|(_, h)| h)
-                    .collect();
-                let mut bindings = Vec::new();
-                join_all(&self.closure, &remaining, seed, &mut bindings);
-                for binding in bindings {
-                    if !self.guards_ok(&rule.iri_guards, &binding) {
-                        continue;
-                    }
-                    for conclusion in &rule.conclusions {
-                        let derived = conclusion.instantiate(&binding);
-                        if self.closure.insert(derived) {
-                            fired[rule_idx % RULE_SLOTS] += 1;
-                            queue.push(derived);
-                            added.push(derived);
-                        }
-                    }
-                }
-            }
-        }
-        flush_firings(&self.metrics, &fired);
-    }
-
     /// Computes `RDFS-cl(G ∪ Δ) − RDFS-cl(G)` — the closure growth a
     /// transient batch insert would cause — **without mutating** the
-    /// maintained closure. The same frontier-batched semi-naive round as
-    /// [`DeltaClosure::insert_batch_logged`] runs, but fresh conclusions
-    /// accumulate in a private overlay and every rule join probes the
-    /// layered view `closure ∪ overlay` ([`swdb_hom::Overlay`]), so the
-    /// cost scales with the delta's consequences, never with `|cl(G)|`.
+    /// maintained closure. The same rounds as
+    /// [`DeltaClosure::insert_batch_logged`] run — so the result is the
+    /// `added` log committing the batch would report, in the same order —
+    /// but fresh conclusions accumulate in a private overlay and every rule
+    /// join probes the layered view `closure ∪ overlay`
+    /// ([`swdb_hom::Overlay`]), so the cost scales with the delta's
+    /// consequences, never with `|cl(G)|`. Nothing is committed, so the
+    /// only counter a preview ticks is `reason_previews`.
     ///
     /// This is the reasoning half of transient premise evaluation: the
     /// returned triples (the premise's fresh members plus everything they
@@ -538,53 +437,25 @@ impl DeltaClosure {
     ) -> Vec<IdTriple> {
         self.metrics.count(Counter::ReasonPreviews, 1);
         let mut extra = IdIndex::new();
-        let mut added: Vec<IdTriple> = Vec::new();
-        let mut queue: Vec<IdTriple> = Vec::new();
-        for t in deltas {
-            if !self.closure.contains(t) && extra.insert(t) {
-                queue.push(t);
-                added.push(t);
-            }
-        }
-        while let Some(delta) = queue.pop() {
-            let mut fresh: Vec<IdTriple> = Vec::new();
-            {
-                let view = Overlay::new(&self.closure, &extra);
-                let paths: Vec<_> = self.rules.paths_for_predicate(delta.1).collect();
-                for (rule_idx, hyp_idx) in paths {
-                    let rule = &self.rules.rules()[rule_idx];
-                    let mut seed = EMPTY_BINDING;
-                    if !rule.hypotheses[hyp_idx].unify(delta, &mut seed) {
-                        continue;
-                    }
-                    let remaining: Vec<&TriplePattern> = rule
-                        .hypotheses
-                        .iter()
-                        .enumerate()
-                        .filter(|&(i, _)| i != hyp_idx)
-                        .map(|(_, h)| h)
-                        .collect();
-                    let mut bindings = Vec::new();
-                    join_all(&view, &remaining, seed, &mut bindings);
-                    for binding in bindings {
-                        if !self.guards_ok(&rule.iri_guards, &binding) {
-                            continue;
-                        }
-                        for conclusion in &rule.conclusions {
-                            let derived = conclusion.instantiate(&binding);
-                            if !view.contains(derived) {
-                                fresh.push(derived);
-                            }
-                        }
-                    }
-                }
-            }
-            for t in fresh {
-                if extra.insert(t) {
-                    queue.push(t);
-                    added.push(t);
-                }
-            }
+        let mut frontier: Vec<IdTriple> = deltas
+            .into_iter()
+            .filter(|&t| !self.closure.contains(t) && extra.insert(t))
+            .collect();
+        let mut added = frontier.clone();
+        while !frontier.is_empty() {
+            let view = Overlay::new(&self.closure, &extra);
+            let fresh = crate::parallel::round_conclusions(
+                &self.rules,
+                &view,
+                &self.is_iri,
+                &frontier,
+                self.threads,
+                &|t| !view.contains(t),
+                Metrics::disabled(),
+            );
+            frontier.clear();
+            frontier.extend(fresh.into_iter().filter(|&t| extra.insert(t)));
+            added.extend(frontier.iter().copied());
         }
         added
     }
@@ -599,7 +470,14 @@ impl DeltaClosure {
 
     /// Like [`DeltaClosure::delete`], but appends every triple that *left
     /// the closure* for good (overdeleted and neither rederived nor
-    /// recovered by the propagation of the rederived set) to `removed`.
+    /// recovered by the propagation of the rederived set) to `removed`, in
+    /// `(s, p, o)` order.
+    ///
+    /// DRed on the round kernel: the overdeletion cascade is the join shape
+    /// of insert propagation run with a "still in the closure, not an
+    /// axiom" filter, the per-candidate prune and rederivation probes are
+    /// independent reads spread by `parallel::parallel_mask`, and
+    /// phase 3 is ordinary insert propagation.
     pub fn delete_logged(
         &mut self,
         t: IdTriple,
@@ -613,52 +491,29 @@ impl DeltaClosure {
             .metrics
             .on(MetricsLevel::Debug)
             .then(std::time::Instant::now);
-        let logged_before = removed.len();
-        let deleted = if self.threads <= 1 {
-            self.delete_sequential(t, base, removed)
-        } else {
-            self.delete_parallel(t, base, removed)
-        };
-        self.metrics.count(
-            Counter::ReasonClosureRemoved,
-            (removed.len() - logged_before) as u64,
-        );
-        if let Some(t0) = t0 {
-            self.metrics
-                .record(Hist::SpanReasonDeleteNs, t0.elapsed().as_nanos() as u64);
-        }
-        deleted
-    }
 
-    /// DRed with the round-based sharded schedule: the overdeletion cascade
-    /// runs as parallel join rounds (the same shape as insert propagation,
-    /// with a "currently in the closure" filter), the per-candidate prune
-    /// and rederivation probes are independent reads parallelized by
-    /// [`crate::parallel::parallel_mask`], and phase 3 is ordinary
-    /// (round-based) insert propagation.
-    ///
-    /// One scheduling difference from the sequential path is deliberate and
-    /// harmless: sequential rederivation inserts candidates while iterating,
-    /// so a candidate can be rederived *through* an earlier rederived triple
-    /// already back in the closure. Here all probes run against the
-    /// post-overdeletion snapshot; a candidate that misses its one-step
-    /// support this way is recovered by phase 3 instead — the rederived set
-    /// propagates as ordinary inserts, and anything one-step derivable from
-    /// it (transitively) is re-added and struck from `gone`. The final
-    /// closure and the `removed` set are identical; the differential tests
-    /// sweep thread counts to pin this.
-    fn delete_parallel(
-        &mut self,
-        t: IdTriple,
-        base: &TripleStore,
-        removed: &mut Vec<IdTriple>,
-    ) -> bool {
-        // Phase 1 — overdelete, round by round. Workers emit conclusions
-        // still present in the closure (never axioms); the merge dedupes
-        // against previous rounds, then the prune probes — still-asserted,
-        // or one-step derivable from still-asserted premises alone — run in
-        // parallel over the fresh candidates, once each (the memoisation
-        // the sequential path does at push time).
+        // Phase 1 — overdelete: everything with a derivation path from `t`,
+        // computed round by round against the still-intact closure (the
+        // standard DRed overapproximation), with two sound prunes that keep
+        // cascades local. A candidate is *not* overdeleted when
+        //
+        // * it is still asserted in the base store — assertion is support
+        //   that no cascade can take away, or
+        // * it has a one-step derivation from still-asserted premises alone
+        //   — those premises survive by the same argument, so the
+        //   derivation does too.
+        //
+        // Pruned facts stay in the closure, and — because they genuinely
+        // keep their membership — everything derived from them keeps its
+        // support, so not traversing them loses nothing. Without these
+        // prunes every deletion of a data triple drags the reflexive core
+        // (`(p, sp, p)`, `(c, sc, c)`) into the overdeletion set, and those
+        // facts support a large fraction of the closure.
+        //
+        // `over` holds the doomed, `spared` the candidates a probe already
+        // saved, so a triple reachable through many derivation edges pays
+        // for its (expensive) probes once. The cascade's firings are not
+        // rule firings of a committed fixpoint and are not counted.
         let mut over: BTreeSet<IdTriple> = BTreeSet::new();
         let mut spared: BTreeSet<IdTriple> = BTreeSet::new();
         over.insert(t);
@@ -678,7 +533,8 @@ impl DeltaClosure {
                 .filter(|d| !over.contains(d) && !spared.contains(d))
                 .collect();
             let survives = crate::parallel::parallel_mask(&fresh, self.threads, &|&d| {
-                base.contains_id_triple(d) || one_step_from_base(&self.rules, &self.is_iri, base, d)
+                base.contains_id_triple(d)
+                    || one_step_derivable(&self.rules, &self.is_iri, base.id_index(), d)
             });
             frontier.clear();
             for (d, survives) in fresh.into_iter().zip(survives) {
@@ -695,13 +551,15 @@ impl DeltaClosure {
             self.closure.remove(doomed);
         }
 
-        // Phase 2 — rederive: probe every overdeleted triple against the
-        // surviving closure snapshot in parallel, then re-insert the
-        // survivors in one batch.
+        // Phase 2 — rederive: an overdeleted triple survives if it is still
+        // asserted or still follows in one step from the surviving closure.
+        // All probes read the post-overdeletion snapshot; a candidate whose
+        // only support is another rederived triple misses here and is
+        // recovered by phase 3 instead.
         let candidates: Vec<IdTriple> = over.iter().copied().collect();
         let back = crate::parallel::parallel_mask(&candidates, self.threads, &|&c| {
             base.contains_id_triple(c)
-                || one_step_from_closure(&self.rules, &self.is_iri, &self.closure, c)
+                || one_step_derivable(&self.rules, &self.is_iri, &self.closure, c)
         });
         let rederived: Vec<IdTriple> = candidates
             .into_iter()
@@ -724,138 +582,20 @@ impl DeltaClosure {
             gone.remove(r);
         }
         let mut recovered = Vec::new();
-        self.propagate_logged(rederived, &mut recovered);
+        self.propagate_rounds(rederived, &mut recovered);
         for r in &recovered {
             gone.remove(r);
         }
         let deleted = gone.contains(&t);
         debug_assert_eq!(deleted, !self.closure.contains(t));
-        removed.extend(gone);
-        deleted
-    }
-
-    /// DRed with the original sequential schedule.
-    fn delete_sequential(
-        &mut self,
-        t: IdTriple,
-        base: &TripleStore,
-        removed: &mut Vec<IdTriple>,
-    ) -> bool {
-        // Phase 1 — overdelete: everything with a derivation path from `t`,
-        // computed against the still-intact closure (the standard DRed
-        // overapproximation), with two sound prunes that keep cascades
-        // local. A candidate is *not* overdeleted when
-        //
-        // * it is still asserted in the base store — assertion is support
-        //   that no cascade can take away, or
-        // * it has a one-step derivation from still-asserted premises alone
-        //   — those premises survive by the same argument, so the
-        //   derivation does too.
-        //
-        // Pruned facts stay in the closure, and — because they genuinely
-        // keep their membership — everything derived from them keeps its
-        // support, so not traversing them loses nothing. Without these
-        // prunes every deletion of a data triple drags the reflexive core
-        // (`(p, sp, p)`, `(c, sc, c)`) into the overdeletion set, and those
-        // facts support a large fraction of the closure.
-        //
-        // Both the membership dedup and the (expensive) prune probes run at
-        // *push* time, memoised per candidate: `over` holds the doomed,
-        // `spared` the candidates a probe already saved, so a triple
-        // reachable through many derivation edges pays for its checks once.
-        let mut over: BTreeSet<IdTriple> = BTreeSet::new();
-        let mut spared: BTreeSet<IdTriple> = BTreeSet::new();
-        let mut queue = vec![t];
-        over.insert(t);
-        while let Some(doomed) = queue.pop() {
-            let paths: Vec<_> = self.rules.paths_for_predicate(doomed.1).collect();
-            for (rule_idx, hyp_idx) in paths {
-                let rule = &self.rules.rules()[rule_idx];
-                let mut seed = EMPTY_BINDING;
-                if !rule.hypotheses[hyp_idx].unify(doomed, &mut seed) {
-                    continue;
-                }
-                let remaining: Vec<&TriplePattern> = rule
-                    .hypotheses
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| i != hyp_idx)
-                    .map(|(_, h)| h)
-                    .collect();
-                let mut bindings = Vec::new();
-                join_all(&self.closure, &remaining, seed, &mut bindings);
-                for binding in bindings {
-                    if !self.guards_ok(&rule.iri_guards, &binding) {
-                        continue;
-                    }
-                    for conclusion in &rule.conclusions {
-                        let derived = conclusion.instantiate(&binding);
-                        if !self.closure.contains(derived)
-                            || self.axioms.contains(&derived)
-                            || over.contains(&derived)
-                            || spared.contains(&derived)
-                        {
-                            continue;
-                        }
-                        if base.contains_id_triple(derived)
-                            || self.one_step_derivable_from_base(derived, base)
-                        {
-                            spared.insert(derived);
-                        } else {
-                            over.insert(derived);
-                            queue.push(derived);
-                        }
-                    }
-                }
-            }
-        }
-
-        for &doomed in &over {
-            self.closure.remove(doomed);
-        }
-
-        // Phase 2 — rederive: an overdeleted triple survives if it is still
-        // asserted or still follows in one step from the surviving closure.
-        let mut rederived = Vec::new();
-        for &candidate in &over {
-            if base.contains_id_triple(candidate) || self.one_step_derivable(candidate) {
-                self.closure.insert(candidate);
-                rederived.push(candidate);
-            }
-        }
         self.metrics
-            .count(Counter::ReasonOverdeleted, over.len() as u64);
-        self.metrics
-            .count(Counter::ReasonRederived, rederived.len() as u64);
-
-        // Phase 3 — propagate the rederived triples; anything they still
-        // support is recovered exactly like an ordinary insert.
-        let mut gone = over;
-        for r in &rederived {
-            gone.remove(r);
-        }
-        let mut recovered = Vec::new();
-        self.propagate_logged(rederived, &mut recovered);
-        for r in &recovered {
-            gone.remove(r);
-        }
-        let deleted = gone.contains(&t);
-        debug_assert_eq!(deleted, !self.closure.contains(t));
+            .count(Counter::ReasonClosureRemoved, gone.len() as u64);
         removed.extend(gone);
+        if let Some(t0) = t0 {
+            self.metrics
+                .record(Hist::SpanReasonDeleteNs, t0.elapsed().as_nanos() as u64);
+        }
         deleted
-    }
-
-    /// Is `t` the conclusion of some rule instance whose hypotheses are all
-    /// *asserted* (present in the base store)? Such support is independent
-    /// of any closure cascade.
-    fn one_step_derivable_from_base(&self, t: IdTriple, base: &TripleStore) -> bool {
-        one_step_from_base(&self.rules, &self.is_iri, base, t)
-    }
-
-    /// Is `t` the conclusion of some rule instance whose hypotheses all hold
-    /// in the current closure?
-    fn one_step_derivable(&self, t: IdTriple) -> bool {
-        one_step_from_closure(&self.rules, &self.is_iri, &self.closure, t)
     }
 }
 

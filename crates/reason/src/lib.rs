@@ -13,20 +13,22 @@
 //!   triple wakes only the `(rule, hypothesis)` paths its predicate can
 //!   match (the inferdf-style indexing);
 //! * [`swdb_store::IdIndex`] — the SPO/POS/OSP index the closure lives in;
-//! * [`delta`] — [`DeltaClosure`]: semi-naive insert propagation and
-//!   DRed (overdelete/rederive) deletion;
-//! * [`parallel`] — the round-based sharded execution schedule: a frontier
-//!   is partitioned by the `(rule, hypothesis)` paths its predicates wake,
-//!   the independent joins run on `std::thread::scope` workers against an
-//!   immutable snapshot of the closure index, and the merged conclusions
-//!   are committed single-threadedly as the next round's frontier.
-//!   Selected per engine by [`DeltaClosure::set_threads`] /
-//!   [`MaterializedStore::set_threads`] (`1` ⇒ the original sequential
-//!   schedule, preserved exactly); the rules are monotone and the closure
-//!   is a set, so every thread count reaches the identical fixpoint — the
-//!   differential tests under `tests/` sweep thread counts and pin the
-//!   closure and both delta logs against the sequential engine and against
-//!   `swdb_entailment::rdfs_closure`;
+//! * [`delta`] — [`DeltaClosure`]: semi-naive insert propagation, DRed
+//!   (overdelete/rederive) deletion and the non-mutating premise preview —
+//!   three loops around one kernel;
+//! * [`parallel`] — that kernel, the only place a rule fires: one *round*
+//!   partitions a frontier by the `(rule, hypothesis)` paths its predicates
+//!   wake, joins the shards against an immutable view (the closure index,
+//!   or the closure-plus-overlay view of a preview) and returns the sorted,
+//!   deduplicated conclusions for the single-threaded caller to commit as
+//!   the next frontier. [`DeltaClosure::set_threads`] /
+//!   [`MaterializedStore::set_threads`] set a *worker ceiling* — a large
+//!   round spawns at most that many `std::thread::scope` workers, `1`
+//!   never spawns — and nothing else: the rules are monotone, the closure
+//!   is a set and every round is sorted, so the closure, both delta logs
+//!   (as sequences) and the counters are the same at every count. The
+//!   differential tests under `tests/` sweep thread counts and pin all of
+//!   it against `swdb_entailment::rdfs_closure`;
 //! * [`materialized`] — [`MaterializedStore`]: a [`swdb_store::TripleStore`]
 //!   plus its maintained closure, with closure-answered pattern scans.
 //!

@@ -57,24 +57,24 @@ impl MaterializedStore {
         MaterializedStore { store, engine }
     }
 
-    /// Creates an empty store whose closure maintenance may use up to
-    /// `threads` worker threads (see [`MaterializedStore::set_threads`]).
+    /// Creates an empty store whose closure maintenance may spawn up to
+    /// `threads` workers per round (see [`MaterializedStore::set_threads`]).
     pub fn with_threads(threads: usize) -> Self {
         let mut materialized = MaterializedStore::new();
         materialized.set_threads(threads);
         materialized
     }
 
-    /// Sets the worker-thread ceiling for closure propagation and DRed
-    /// cascades. `1` (the default) runs the original sequential schedule;
-    /// higher counts run the round-based sharded schedule of
-    /// `swdb_reason::parallel`, which reaches the identical closure — the
-    /// differential tests sweep thread counts to pin this.
+    /// Sets the worker ceiling for closure propagation and DRed cascades:
+    /// a large round of `swdb_reason::parallel` spawns at most this many
+    /// workers, `1` (the default) never spawns. The closure, the reported
+    /// [`ClosureDelta`]s and the counters are the same at every value —
+    /// the differential tests sweep thread counts to pin this.
     pub fn set_threads(&mut self, threads: usize) {
         self.engine.set_threads(threads);
     }
 
-    /// The configured worker-thread ceiling.
+    /// The configured worker ceiling.
     pub fn threads(&self) -> usize {
         self.engine.threads()
     }

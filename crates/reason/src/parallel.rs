@@ -1,47 +1,50 @@
-//! Round-based, sharded parallel evaluation of the RDFS rule joins.
+//! The one rule-firing kernel: round-based, sharded evaluation of the RDFS
+//! rule joins.
 //!
-//! [`crate::DeltaClosure`]'s sequential propagation is depth-first and
-//! triple-at-a-time: pop a delta, join it against the closure, push fresh
-//! conclusions, repeat. This module restructures the same semi-naive
-//! computation into **rounds** so the independent rule joins can run on
-//! worker threads (`std::thread::scope` — std only, no external thread
-//! pool):
+//! `round_conclusions` is the only place a rule fires. A semi-naive
+//! fixpoint is a sequence of **rounds**, and every consumer — insert
+//! propagation, the DRed overdeletion cascade and the premise preview of
+//! [`crate::DeltaClosure`] — is a loop around it that differs only in the
+//! view the round joins against, the filter its conclusions pass, and where
+//! the caller commits them:
 //!
 //! 1. **Shard** — the current frontier is partitioned by the
 //!    `(rule, hypothesis)` paths its predicates wake
 //!    ([`crate::rules::RuleSystem::paths_for_predicate`]): one shard is one
 //!    path plus every frontier triple that wakes it. Two shards never share
 //!    a join, so they are embarrassingly parallel.
-//! 2. **Join** — shards are balanced across workers (longest-processing-
-//!    time-first greedy assignment) and every worker joins its shards
-//!    against one shared, immutable snapshot view of the closure (the
-//!    [`swdb_store::IdIndex`] read-snapshot guarantee; the [`IdTarget`]
-//!    `Sync` bound makes the sharing a compile-time fact).
-//! 3. **Merge** — worker conclusions are concatenated, sorted, deduplicated
+//! 2. **Join** — every shard is joined against one shared, immutable view
+//!    (the [`swdb_store::IdIndex`] read-snapshot guarantee; the [`IdTarget`]
+//!    `Sync` bound makes the sharing a compile-time fact). A round of at
+//!    least `INLINE_TASK_THRESHOLD` join tasks over more than one shard
+//!    balances its shards (longest-processing-time-first) across at most
+//!    `threads` `std::thread::scope` workers — std only, no thread pool;
+//!    any smaller round, and every round under a ceiling of 1, runs the
+//!    same shards inline on the calling thread.
+//! 3. **Merge** — the conclusions are concatenated, sorted, deduplicated
 //!    and returned; the single-threaded caller commits the fresh ones and
 //!    makes them the next round's frontier.
 //!
-//! ## Why the fixpoint cannot change
+//! ## Why the thread count cannot change anything
 //!
 //! The rules (2)–(13) are *monotone* (a conclusion derivable from a set of
 //! triples stays derivable from any superset) and the closure is a *set*
-//! (commits are idempotent and order-insensitive). Round-parallel
-//! derivation therefore reaches exactly the fixpoint the depth-first loop
-//! reaches: every rule instance with a hypothesis in the frontier is
-//! evaluated against a view that contains the whole frontier (the frontier
-//! is committed before the round runs), so no instance is missed, and no
-//! instance can derive anything outside `RDFS-cl(G)` because each round
-//! only applies the rules. The per-round sort additionally makes the
-//! *rounds themselves* — and with them the `added` delta log — identical
-//! for every thread count ≥ 2, which the differential tests in
-//! `crates/reason/tests/` make executable (thread count 1 preserves the
-//! original depth-first code path bit for bit; its log is the same *set*).
+//! (commits are idempotent and order-insensitive), so rounds reach exactly
+//! the least fixpoint `RDFS-cl(G)`: every rule instance with a hypothesis
+//! in the frontier is evaluated against a view that contains the whole
+//! frontier (the frontier is committed before the round runs), so no
+//! instance is missed, and no instance can derive anything outside
+//! `RDFS-cl(G)` because each round only applies the rules. The per-round
+//! sort additionally makes the *rounds themselves* — and with them both
+//! delta logs, as sequences, and every counter but the number of rounds
+//! that actually spawned — independent of the shard-to-worker assignment,
+//! which is all `threads` decides. The differential tests in
+//! `crates/reason/tests/` sweep thread counts (1 included) to keep that
+//! executable.
 //!
-//! The DRed delete reuses the same machinery: the overdeletion cascade is
-//! the same join shape (run with a "currently in the closure" filter
-//! instead of a freshness filter), and the per-candidate prune/rederive
-//! probes are independent membership checks parallelized by
-//! [`parallel_mask`].
+//! The DRed delete's per-candidate prune/rederive probes are independent
+//! membership checks spread over the same worker ceiling by
+//! `parallel_mask`.
 
 use std::thread;
 
@@ -61,22 +64,28 @@ const INLINE_TASK_THRESHOLD: usize = 64;
 
 /// One shard: a `(rule, hypothesis)` path plus the frontier triples whose
 /// predicate woke it.
-type Shard = (RulePath, Vec<IdTriple>);
+type Shard<'a> = (RulePath, &'a [IdTriple]);
 
-/// Partitions the frontier into shards keyed by woken rule path.
-fn shard_frontier(rules: &RuleSystem, frontier: &[IdTriple]) -> Vec<Shard> {
-    let mut by_path: std::collections::BTreeMap<RulePath, Vec<IdTriple>> =
-        std::collections::BTreeMap::new();
-    for &t in frontier {
-        for path in rules.paths_for_predicate(t.1) {
-            by_path.entry(path).or_default().push(t);
-        }
+/// Partitions a frontier **sorted by predicate** into shards keyed by woken
+/// rule path, without copying a triple: a path keyed on a constant
+/// predicate is woken by exactly that predicate's run of the frontier, a
+/// variable-predicate path by all of it.
+fn shard_frontier<'a>(rules: &RuleSystem, by_predicate: &'a [IdTriple]) -> Vec<Shard<'a>> {
+    let mut shards = Vec::new();
+    for run in by_predicate.chunk_by(|a, b| a.1 == b.1) {
+        shards.extend(rules.keyed_paths(run[0].1).iter().map(|&path| (path, run)));
     }
-    by_path.into_iter().collect()
+    shards.extend(
+        rules
+            .wildcard_paths()
+            .iter()
+            .map(|&path| (path, by_predicate)),
+    );
+    shards
 }
 
 /// Greedy longest-first balancing of shards into at most `threads` buckets.
-fn balance(mut shards: Vec<Shard>, threads: usize) -> Vec<Vec<Shard>> {
+fn balance(mut shards: Vec<Shard<'_>>, threads: usize) -> Vec<Vec<Shard<'_>>> {
     shards.sort_by_key(|(_, deltas)| std::cmp::Reverse(deltas.len()));
     let buckets = threads.min(shards.len()).max(1);
     let mut out: Vec<(usize, Vec<Shard>)> = (0..buckets).map(|_| (0, Vec::new())).collect();
@@ -135,15 +144,15 @@ fn eval_shard<V: IdTarget>(
     }
 }
 
-/// Runs one propagation round: joins the whole frontier against the
-/// immutable `view` on up to `threads` workers and returns the sorted,
-/// deduplicated conclusions accepted by `keep`.
+/// Runs one round: joins the whole frontier against the immutable `view`
+/// on up to `threads` workers and returns the sorted, deduplicated
+/// conclusions accepted by `keep`.
 ///
 /// `keep` is a read-only pre-filter evaluated inside the workers (against
 /// the same snapshot) so the merge only sees plausible conclusions; the
 /// caller still re-checks at commit time, because two shards of the same
 /// round can derive the same triple.
-pub(crate) fn round_conclusions<V>(
+pub(crate) fn round_conclusions<V: IdTarget>(
     rules: &RuleSystem,
     view: &V,
     is_iri: &[bool],
@@ -151,11 +160,10 @@ pub(crate) fn round_conclusions<V>(
     threads: usize,
     keep: &(impl Fn(IdTriple) -> bool + Sync),
     metrics: &Metrics,
-) -> Vec<IdTriple>
-where
-    V: IdTarget + Sync,
-{
-    let shards = shard_frontier(rules, frontier);
+) -> Vec<IdTriple> {
+    let mut by_predicate = frontier.to_vec();
+    by_predicate.sort_unstable_by_key(|t| t.1);
+    let shards = shard_frontier(rules, &by_predicate);
     let tasks: usize = shards.iter().map(|(_, deltas)| deltas.len()).sum();
     metrics.count(Counter::ReasonShards, shards.len() as u64);
     if metrics.on(MetricsLevel::Debug) {
@@ -163,18 +171,22 @@ where
             metrics.record(Hist::ShardSize, deltas.len() as u64);
         }
     }
-    // Workers accumulate rule firings into plain local arrays (no shared
-    // atomics inside the joins); the per-worker batches are flushed after
-    // the round — at `Off` this whole scheme costs register increments.
-    let mut fired = [0u64; RULE_SLOTS];
-    let mut fresh = if threads <= 1 || shards.len() <= 1 || tasks < INLINE_TASK_THRESHOLD {
+    // A worker's share of the round. Rule firings accumulate in a plain
+    // local array (no shared atomics inside the joins) and are flushed
+    // after the round — at `Off` this whole scheme costs register
+    // increments.
+    let eval = |bucket: &[Shard]| {
         let mut out = Vec::new();
-        for (path, deltas) in &shards {
+        let mut fired = [0u64; RULE_SLOTS];
+        for &(path, deltas) in bucket {
             eval_shard(
-                rules, view, is_iri, *path, deltas, keep, &mut out, &mut fired,
+                rules, view, is_iri, path, deltas, keep, &mut out, &mut fired,
             );
         }
-        out
+        (out, fired)
+    };
+    let results = if threads <= 1 || shards.len() <= 1 || tasks < INLINE_TASK_THRESHOLD {
+        vec![eval(&shards)]
     } else {
         metrics.count(Counter::ReasonParallelRounds, 1);
         let buckets = balance(shards, threads);
@@ -191,40 +203,30 @@ where
             let utilization = 100 * total / (loads.len().max(1) * busiest);
             metrics.record(Hist::RoundUtilizationPct, utilization as u64);
         }
-        let mut results: Vec<(Vec<IdTriple>, [u64; RULE_SLOTS])> = Vec::new();
         thread::scope(|scope| {
             let workers: Vec<_> = buckets
                 .iter()
-                .map(|bucket| {
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        let mut fired = [0u64; RULE_SLOTS];
-                        for (path, deltas) in bucket {
-                            eval_shard(
-                                rules, view, is_iri, *path, deltas, keep, &mut out, &mut fired,
-                            );
-                        }
-                        (out, fired)
-                    })
-                })
+                .map(|bucket| scope.spawn(|| eval(bucket)))
                 .collect();
-            results = workers
+            workers
                 .into_iter()
                 .map(|w| w.join().expect("propagation worker panicked"))
-                .collect();
-        });
-        let mut merged = Vec::new();
-        for (out, worker_fired) in results {
-            merged.push(out);
-            for (slot, n) in worker_fired.into_iter().enumerate() {
-                fired[slot] += n;
-            }
-        }
-        merged.concat()
+                .collect()
+        })
     };
+    // The first share's buffer becomes the round's (an inline round copies
+    // nothing); `balance` never returns zero buckets.
+    let mut results = results.into_iter();
+    let (mut fresh, mut fired) = results.next().expect("at least one share");
+    for (out, worker_fired) in results {
+        fresh.extend(out);
+        for (slot, n) in worker_fired.into_iter().enumerate() {
+            fired[slot] += n;
+        }
+    }
     flush_firings(metrics, &fired);
     // Sorting makes the round — and therefore the whole fixpoint schedule
-    // and the `added` log — independent of the shard-to-worker assignment
+    // and the delta logs — independent of the shard-to-worker assignment
     // and of the thread count.
     fresh.sort_unstable();
     fresh.dedup();
@@ -244,7 +246,9 @@ pub(crate) fn parallel_mask<T: Sync>(
     if threads <= 1 || items.len() < INLINE_TASK_THRESHOLD {
         return items.iter().map(test).collect();
     }
-    let chunk = items.len().div_ceil(threads.min(items.len()));
+    // No worker gets fewer probes than a round would run inline, so the
+    // spawn count is bounded by the batch, whatever the ceiling.
+    let chunk = items.len().div_ceil(threads).max(INLINE_TASK_THRESHOLD);
     let mut mask = Vec::with_capacity(items.len());
     thread::scope(|scope| {
         let workers: Vec<_> = items
@@ -264,9 +268,8 @@ mod tests {
 
     #[test]
     fn balance_spreads_load_without_losing_shards() {
-        let shards: Vec<Shard> = (0..7)
-            .map(|i| ((i, 0), vec![(0, 0, 0); 1 + (i % 3)]))
-            .collect();
+        let deltas = [(0, 0, 0); 3];
+        let shards: Vec<Shard> = (0..7).map(|i| ((i, 0), &deltas[..1 + (i % 3)])).collect();
         let total: usize = shards.iter().map(|(_, d)| d.len()).sum();
         let buckets = balance(shards, 3);
         assert_eq!(buckets.len(), 3);
@@ -285,7 +288,7 @@ mod tests {
 
     #[test]
     fn balance_with_more_threads_than_shards_stays_dense() {
-        let shards: Vec<Shard> = vec![((0, 0), vec![(1, 2, 3)])];
+        let shards: Vec<Shard> = vec![((0, 0), &[(1, 2, 3)])];
         let buckets = balance(shards, 8);
         assert_eq!(buckets.len(), 1, "empty buckets are never created");
     }
@@ -303,5 +306,48 @@ mod tests {
         }
         let tiny: Vec<u32> = (0..5).collect();
         assert_eq!(parallel_mask(&tiny, 8, &test).len(), 5);
+
+        // An absurd ceiling is bounded by the batch: no worker gets fewer
+        // than `INLINE_TASK_THRESHOLD` probes, so 500 items spawn at most 8.
+        let workers = std::sync::Mutex::new(std::collections::BTreeSet::new());
+        let tracking = |x: &u32| {
+            let id = format!("{:?}", thread::current().id());
+            workers.lock().unwrap().insert(id);
+            test(x)
+        };
+        assert_eq!(
+            parallel_mask(&items, usize::MAX, &tracking),
+            items.iter().map(test).collect::<Vec<bool>>(),
+            "threads=usize::MAX"
+        );
+        let spawned = workers.lock().unwrap().len();
+        assert!(
+            (2..=8).contains(&spawned),
+            "{spawned} workers for 500 items"
+        );
+    }
+
+    #[test]
+    fn shards_are_the_woken_paths_over_borrowed_runs() {
+        let rules = RuleSystem::new(crate::rules::Vocabulary {
+            sp: 0,
+            sc: 1,
+            ty: 2,
+            dom: 3,
+            range: 4,
+        });
+        // Sorted by predicate: two `type` triples, one plain-predicate one.
+        let frontier = [(10, 2, 11), (12, 2, 11), (10, 99, 12)];
+        let shards = shard_frontier(&rules, &frontier);
+        let mut expected: std::collections::BTreeMap<RulePath, Vec<IdTriple>> = Default::default();
+        for &t in &frontier {
+            for path in rules.paths_for_predicate(t.1) {
+                expected.entry(path).or_default().push(t);
+            }
+        }
+        assert_eq!(shards.len(), expected.len(), "one shard per woken path");
+        for (path, deltas) in shards {
+            assert_eq!(deltas, expected[&path], "path {path:?}");
+        }
     }
 }

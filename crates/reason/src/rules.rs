@@ -252,14 +252,23 @@ impl RuleSystem {
         self.vocab.axioms()
     }
 
+    /// The paths whose hypothesis has the constant predicate `p`: woken by
+    /// `p`-triples only.
+    pub(crate) fn keyed_paths(&self, p: TermId) -> &[RulePath] {
+        self.by_predicate.get(&p).map_or(&[], Vec::as_slice)
+    }
+
+    /// The variable-predicate paths: woken by every delta triple.
+    pub(crate) fn wildcard_paths(&self) -> &[RulePath] {
+        &self.wildcard
+    }
+
     /// The `(rule, hypothesis)` paths a delta triple with predicate `p`
     /// wakes: the paths keyed on `p` plus the variable-predicate paths.
     pub fn paths_for_predicate(&self, p: TermId) -> impl Iterator<Item = RulePath> + '_ {
-        self.by_predicate
-            .get(&p)
-            .into_iter()
-            .flatten()
-            .chain(self.wildcard.iter())
+        self.keyed_paths(p)
+            .iter()
+            .chain(self.wildcard_paths())
             .copied()
     }
 }

@@ -1,24 +1,21 @@
-//! Differential property tests for the round-based sharded (parallel)
-//! closure schedule.
+//! Differential property tests for the closure engine's worker ceiling.
 //!
-//! The claim the parallel engine rests on — monotone rules over a set
-//! cannot be reordered into a different fixpoint — is made executable
-//! here: for randomized batch inserts, interleaved edit scripts and DRed
-//! delete cascades, the engine is run at every thread count in
-//! [`THREAD_SWEEP`] and pinned, after **every** mutation, against
+//! The claim the engine rests on — monotone rules over a set, evaluated in
+//! sorted rounds, cannot be rescheduled into a different result — is made
+//! executable here: for randomized batch inserts, premise previews,
+//! interleaved edit scripts and DRed delete cascades, the engine is run at
+//! every thread count in [`THREAD_SWEEP`] (1 — never spawn — included) and
+//! pinned, after **every** mutation, against
 //!
-//! * the sequential engine (`threads == 1`, the original depth-first code
-//!   path) — the maintained closure *index* must be bit-identical, and the
-//!   `added`/`removed` delta logs that feed the downstream `IdCoreEngine`
-//!   must be equal **as sets** (the schedules discover the same triples in
-//!   different orders);
+//! * every other count — the maintained closure *index* must be
+//!   bit-identical, and the `added`/`removed` delta logs that feed the
+//!   downstream `IdCoreEngine`, like the previews, must be equal **as
+//!   sequences** (one schedule: the same rounds in the same order);
 //! * the executable specification `swdb_entailment::rdfs_closure`, so the
 //!   sweep cannot agree on a wrong answer.
 //!
 //! All engines replay the same operations in the same order, so the shared
 //! dictionaries assign identical ids and id-level comparison is exact.
-
-use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -28,13 +25,14 @@ use swdb_model::{rdfs, Graph, Iri, Term, Triple};
 use swdb_reason::MaterializedStore;
 use swdb_store::IdTriple;
 
-/// Thread counts the differential sweep covers: the preserved sequential
-/// path, the smallest parallel schedule, and an oversubscribed one (more
-/// workers than this machine has cores — the schedule must not care).
+/// Worker ceilings the differential sweep covers: never spawn, the
+/// smallest spawning ceiling, and an oversubscribed one (more workers than
+/// this machine has cores — the result must not care).
 const THREAD_SWEEP: [usize; 3] = [1, 2, 8];
 
-fn as_set(log: &[IdTriple]) -> BTreeSet<IdTriple> {
-    log.iter().copied().collect()
+/// The string-space triples behind an id log, as a graph.
+fn materialized(engine: &MaterializedStore, log: &[IdTriple]) -> Graph {
+    log.iter().map(|&t| engine.store().materialize(t)).collect()
 }
 
 /// Random graphs mixing plain data with RDFS vocabulary triples, blank
@@ -121,13 +119,26 @@ fn assert_lockstep(engines: &[MaterializedStore], context: &str) -> Result<(), S
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// One frontier-batched bulk load: closure index bit-identical across
-    /// the sweep, `added` log identical as a set, and the agreed closure is
-    /// the specification's.
+    /// One frontier-batched bulk load, then a preview and a commit of a
+    /// second batch: closure index, `added` logs and the preview identical
+    /// across the sweep as sequences; the preview leaves the closure alone,
+    /// equals the log of committing the same batch, and is the
+    /// specification's `cl(G ∪ Δ) − cl(G)`.
     #[test]
-    fn parallel_bulk_load_matches_sequential_and_spec(g in arb_rdfs_graph(18)) {
+    fn parallel_bulk_load_matches_sequential_and_spec(
+        g in arb_rdfs_graph(18),
+        extra in arb_rdfs_graph(8),
+    ) {
         let mut sequential = MaterializedStore::with_threads(1);
         let seq = sequential.insert_graph_with_delta(&g);
+        prop_assert_eq!(sequential.closure_graph(), rdfs_closure(&g));
+        let ids = sequential.intern_graph(&extra);
+        let seq_preview = sequential.preview_insert(&ids);
+        prop_assert_eq!(
+            materialized(&sequential, &seq_preview),
+            rdfs_closure(&g.union(&extra)).difference(&rdfs_closure(&g)),
+            "preview is not cl(G ∪ Δ) − cl(G)"
+        );
         for &threads in &THREAD_SWEEP[1..] {
             let mut parallel = MaterializedStore::with_threads(threads);
             let delta = parallel.insert_graph_with_delta(&g);
@@ -138,19 +149,40 @@ proptest! {
                 threads
             );
             prop_assert_eq!(
-                as_set(&delta.added),
-                as_set(&seq.added),
+                &delta.added,
+                &seq.added,
                 "added log diverged at threads={}",
                 threads
             );
             prop_assert_eq!(&delta.base, &seq.base, "asserted base diverged");
+            prop_assert_eq!(parallel.intern_graph(&extra), ids.clone(), "interned ids diverged");
+            prop_assert_eq!(
+                parallel.preview_insert(&ids),
+                seq_preview.clone(),
+                "preview diverged at threads={}",
+                threads
+            );
+            prop_assert_eq!(
+                parallel.closure_index(),
+                sequential.closure_index(),
+                "preview touched the closure at threads={}",
+                threads
+            );
+            prop_assert_eq!(
+                parallel.insert_graph_with_delta(&extra).added,
+                seq_preview.clone(),
+                "committing the batch logged something else than its preview at threads={}",
+                threads
+            );
         }
-        prop_assert_eq!(sequential.closure_graph(), rdfs_closure(&g));
+        prop_assert_eq!(sequential.insert_graph_with_delta(&extra).added, seq_preview);
+        prop_assert_eq!(sequential.closure_graph(), rdfs_closure(&g.union(&extra)));
     }
 
     /// Interleaved single inserts, batch inserts and DRed deletes: after
     /// every operation the whole sweep is in lockstep, and both per-op
-    /// delta logs agree as sets with the sequential engine's.
+    /// delta logs are the same sequences at every count; a batch is
+    /// previewed before it is committed, and commits what it previewed.
     #[test]
     fn interleaved_edits_stay_in_lockstep_across_thread_counts(
         seed in 0u64..512,
@@ -169,7 +201,16 @@ proptest! {
                     for t in batch.iter() {
                         shadow.insert(t.clone());
                     }
-                    engines.iter_mut().map(|e| e.insert_graph_with_delta(&batch)).collect()
+                    engines
+                        .iter_mut()
+                        .map(|e| {
+                            let ids = e.intern_graph(&batch);
+                            let preview = e.preview_insert(&ids);
+                            let delta = e.insert_graph_with_delta(&batch);
+                            assert_eq!(preview, delta.added, "preview vs commit (step {step})");
+                            delta
+                        })
+                        .collect()
                 }
                 // Single insert.
                 1 | 2 => {
@@ -185,14 +226,14 @@ proptest! {
             for (delta, &threads) in deltas.iter().zip(&THREAD_SWEEP).skip(1) {
                 prop_assert_eq!(&delta.base, &deltas[0].base, "base diverged (step {})", step);
                 prop_assert_eq!(
-                    as_set(&delta.added),
-                    as_set(&deltas[0].added),
+                    &delta.added,
+                    &deltas[0].added,
                     "added log diverged at threads={} (step {}, op {})",
                     threads, step, kind
                 );
                 prop_assert_eq!(
-                    as_set(&delta.removed),
-                    as_set(&deltas[0].removed),
+                    &delta.removed,
+                    &deltas[0].removed,
                     "removed log diverged at threads={} (step {}, op {})",
                     threads, step, kind
                 );
@@ -215,9 +256,9 @@ proptest! {
         }
         assert_lockstep(&engines, "after fill")?;
         for (i, t) in pool.iter().enumerate() {
-            let removed: Vec<BTreeSet<IdTriple>> = engines
+            let removed: Vec<Vec<IdTriple>> = engines
                 .iter_mut()
-                .map(|e| as_set(&e.remove_with_delta(t).removed))
+                .map(|e| e.remove_with_delta(t).removed)
                 .collect();
             for (log, &threads) in removed.iter().zip(&THREAD_SWEEP).skip(1) {
                 prop_assert_eq!(

@@ -44,18 +44,19 @@
 //! [`reason::DeltaClosure`] maintains the closure under **insert**
 //! (semi-naive propagation: only the new frontier is joined — batched for
 //! bulk loads via `insert_batch`) and **delete** (DRed
-//! overdelete/rederive, immune to the rule system's derivation cycles).
-//! Propagation runs on one of two interchangeable schedules: the
-//! sequential depth-first loop (thread count 1, preserved exactly) or the
-//! round-based sharded schedule of [`reason::parallel`], which partitions
-//! each round's frontier by woken `(rule, hypothesis)` paths and runs the
-//! independent joins on scoped worker threads against an immutable
-//! snapshot of the closure index — monotone rules over a set make the
-//! fixpoint schedule-independent, and differential tests sweep thread
-//! counts to pin the closure, both delta logs and the published evaluation
-//! index bit-for-bit against the sequential run
-//! (`core::SemanticWebDatabase::set_threads`; default `SWDB_THREADS` or
-//! the machine's available parallelism).
+//! overdelete/rederive, immune to the rule system's derivation cycles),
+//! and previews a transient premise's consequences without committing them.
+//! All three are loops around one rule-firing kernel, the rounds of
+//! [`reason::parallel`]: a round partitions the frontier by woken
+//! `(rule, hypothesis)` paths, joins the shards against an immutable view
+//! of the closure index and returns the sorted, deduplicated conclusions.
+//! The thread count (`core::SemanticWebDatabase::set_threads`; default the
+//! machine's available parallelism) is the worker ceiling of a large
+//! round and nothing else — monotone rules over a set, evaluated in sorted
+//! rounds, make the closure, both delta logs, the counters and the
+//! published evaluation index bit-identical at every count, and
+//! differential tests sweep thread counts to pin that against the
+//! string-space specification.
 //! [`reason::MaterializedStore`] packages a `TripleStore` with its
 //! maintained closure; [`core::SemanticWebDatabase`] keeps one and serves
 //! `closure()` / `closure_contains()` from it, while
@@ -139,9 +140,10 @@
 //! planned join order the search actually descended through, with measured
 //! probe/binding/answer counts ([`query::Explain`]). The benches E17–E21
 //! embed a `metrics` block in their `BENCH_*.json` reports. The counters
-//! are schedule-invariant where the semantics are: closure delta sizes and
-//! query/core counters are pinned equal across `SWDB_THREADS` by
-//! `tests/metrics_observability.rs`.
+//! do not depend on the worker ceiling: every `reason_*` counter except
+//! `reason_parallel_rounds` (rounds that actually spawned), the per-rule
+//! firings and the query/core counters are pinned equal across thread
+//! counts by `tests/metrics_observability.rs`.
 //!
 //! ### Planning & plan cache
 //!
