@@ -7,6 +7,18 @@
 //! normal form, query answering under both semantics, and redundancy
 //! elimination.
 //!
+//! ## What the facade owns
+//!
+//! One chain and **no string state**: the asserted set `D` (the reasoner's
+//! dictionary-encoded [`swdb_store::TripleStore`], the only copy) → its
+//! maintained closure index ([`MaterializedStore`]) → the core engines
+//! ([`swdb_normal::IdCoreEngine`]) → the publication slot readers pin.
+//! Writes, publication, recovery and premise evaluation move ids along it.
+//! Terms are decoded where a caller asks for them: an answer, `to_ntriples`,
+//! `stats`, and the string-space specification methods (`entails`,
+//! `closure_recomputed`, `core`, `normal_form`, `is_lean`,
+//! `answer_recomputed`), which build a [`Graph`] of `D` when *they* are called.
+//!
 //! ## The read path
 //!
 //! Every read — `answer`, `pre_answers`, `answer_is_empty`, `explain`, here
@@ -131,7 +143,7 @@ use swdb_normal::{CoreBudget, CoreBudgetMode, EvalOverlay, IdCoreEngine};
 use swdb_obs::{Counter, Gauge, Hist, Metrics, MetricsLevel};
 use swdb_query::{Explain, Mechanism, NormalizedDatabase, Query, QueryEngine, Semantics};
 use swdb_reason::{ClosureDelta, MaterializedStore};
-use swdb_store::{GraphStats, IdIndex, IdTriple};
+use swdb_store::{GraphStats, IdIndex, IdTriple, TripleStore};
 
 /// The entailment regime a database operates under.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -230,12 +242,11 @@ fn replay_parse_error(e: swdb_store::ParseError) -> io::Error {
 /// derived structures needed to answer queries.
 #[derive(Debug)]
 pub struct SemanticWebDatabase {
-    graph: Graph,
     regime: EntailmentRegime,
-    /// The dictionary-encoded store plus its incrementally maintained
-    /// `RDFS-cl(G)` (`swdb-reason`). Every mutation updates it in place —
-    /// semi-naive propagation on insert, DRed on remove — so closure reads
-    /// never recompute a fixpoint.
+    /// The asserted set `D` (the dictionary-encoded store, its only copy)
+    /// plus its incrementally maintained `RDFS-cl(G)` (`swdb-reason`). Every
+    /// mutation updates both in place — semi-naive propagation on insert,
+    /// DRed on remove — so closure reads never recompute a fixpoint.
     reasoner: MaterializedStore,
     /// The incremental core engine over the evaluation graph queries run
     /// against (`nf(D)` under RDFS, `core(D)` under simple entailment),
@@ -326,7 +337,6 @@ impl Clone for SemanticWebDatabase {
     /// own directory with [`SemanticWebDatabase::persist_to`]).
     fn clone(&self) -> Self {
         SemanticWebDatabase {
-            graph: self.graph.clone(),
             regime: self.regime,
             reasoner: self.reasoner.clone(),
             evaluation: self.evaluation.clone(),
@@ -358,7 +368,6 @@ impl SemanticWebDatabase {
         let mut reasoner = MaterializedStore::with_threads(default_threads());
         reasoner.set_metrics(metrics.clone());
         SemanticWebDatabase {
-            graph: Graph::default(),
             regime: EntailmentRegime::default(),
             reasoner,
             evaluation: None,
@@ -526,7 +535,6 @@ impl SemanticWebDatabase {
         reasoner.set_threads(self.reasoner.threads());
         reasoner.set_metrics(self.metrics.clone());
         self.reasoner = reasoner;
-        self.graph = self.reasoner.store().to_graph();
         let dictionary = self.reasoner.store().dictionary();
         self.evaluation = snapshot.evaluation.first().map(|state| {
             IdCoreEngine::from_state(state, dictionary, self.metrics.clone(), self.core_budget)
@@ -550,9 +558,7 @@ impl SemanticWebDatabase {
             }
             WalRecord::RemoveGraph(text) => {
                 let graph = swdb_store::parse(text).map_err(replay_parse_error)?;
-                for triple in graph.iter() {
-                    self.remove(triple);
-                }
+                self.remove_graph(&graph);
             }
             WalRecord::SetRegime(wire) => self.set_regime(decode_regime(*wire)),
             WalRecord::SetBudget {
@@ -771,8 +777,9 @@ impl SemanticWebDatabase {
     /// Atomically publishes the current evaluation state as an immutable
     /// [`PublishedSnapshot`](crate::publish::PublishedSnapshot) and returns
     /// it. The snapshot carries a clone of the dictionary and the evaluation
-    /// `IdIndex` (built first if cold), the epoch (monotonically increasing
-    /// from 1), and the degraded flags in force at publication time
+    /// `IdIndex` (built first if cold) — ids, nothing is decoded — the
+    /// epoch (monotonically increasing from 1), the store's triple count,
+    /// and the degraded flags in force at publication time
     /// (`non_minimal` from the core budget, the fail-stop record of a
     /// detached durability layer). Every
     /// [`SnapshotReader`](crate::publish::SnapshotReader)
@@ -793,7 +800,7 @@ impl SemanticWebDatabase {
         let snapshot = Arc::new(crate::publish::PublishedSnapshot::new(
             epoch,
             self.regime,
-            self.graph.len(),
+            self.reasoner.store().len(),
             engine.is_degraded(),
             self.durability_error.clone(),
             self.reasoner.store().dictionary().clone(),
@@ -845,7 +852,6 @@ impl SemanticWebDatabase {
     pub fn from_graph(graph: Graph) -> Self {
         let mut db = SemanticWebDatabase::default();
         db.reasoner.insert_graph(&graph);
-        db.graph = graph;
         db
     }
 
@@ -855,9 +861,9 @@ impl SemanticWebDatabase {
         Ok(SemanticWebDatabase::from_graph(swdb_store::parse(text)?))
     }
 
-    /// Serializes the stored graph.
+    /// Serializes the asserted triples (decoded into a [`Graph`] for the call).
     pub fn to_ntriples(&self) -> String {
-        swdb_store::serialize(&self.graph)
+        swdb_store::serialize(&self.reasoner.to_graph())
     }
 
     /// The entailment regime in force.
@@ -897,19 +903,21 @@ impl SemanticWebDatabase {
         self.plan_cache = swdb_query::PlanCache::new(enabled);
     }
 
-    /// The stored graph (the raw assertions, not their closure).
-    pub fn graph(&self) -> &Graph {
-        &self.graph
+    /// The asserted set (the raw assertions, not their closure), borrowed:
+    /// `contains`, `len` and `iter_ids` decode nothing, `to_graph()` decodes
+    /// every triple into an owned [`Graph`].
+    pub fn graph(&self) -> &TripleStore {
+        self.reasoner.store()
     }
 
     /// Number of asserted triples.
     pub fn len(&self) -> usize {
-        self.graph.len()
+        self.reasoner.store().len()
     }
 
     /// Returns `true` if no triple is asserted.
     pub fn is_empty(&self) -> bool {
-        self.graph.is_empty()
+        self.reasoner.store().is_empty()
     }
 
     /// Inserts a triple. Returns `true` if it was new. The maintained
@@ -917,9 +925,9 @@ impl SemanticWebDatabase {
     /// cached evaluation index absorbs the closure delta in place.
     pub fn insert(&mut self, triple: impl Into<Triple>) -> bool {
         let triple = triple.into();
-        let added = self.graph.insert(triple.clone());
+        let delta = self.reasoner.insert_with_delta(&triple);
+        let added = !delta.base.is_empty();
         if added {
-            let delta = self.reasoner.insert_with_delta(&triple);
             self.feed_delta(&delta, false);
             if self.durability.is_some() {
                 let text = swdb_store::serialize(&std::iter::once(triple).collect());
@@ -929,20 +937,30 @@ impl SemanticWebDatabase {
         added
     }
 
-    /// Removes a triple. Returns `true` if it was present. The maintained
-    /// closure retracts exactly the consequences that lost support (DRed),
-    /// and the cached evaluation index absorbs the closure delta in place.
+    /// Removes a triple (`remove_graph` of one); `true` if it was present.
     pub fn remove(&mut self, triple: &Triple) -> bool {
-        let removed = self.graph.remove(triple);
-        if removed {
+        self.remove_graph(&std::iter::once(triple.clone()).collect()) == 1
+    }
+
+    /// Removes every triple of a graph, returning how many were present —
+    /// the one removal path (`remove`, `minimize`, WAL replay, `/remove`).
+    /// Per triple, the maintained closure retracts exactly the consequences
+    /// that lost support (DRed) and the engines absorb the delta in place;
+    /// the call commits **one** WAL record holding the triples that were
+    /// present (none → no record): a crash recovers all removed or none.
+    pub fn remove_graph(&mut self, graph: &Graph) -> usize {
+        let mut removed = Graph::new();
+        for triple in graph.iter() {
             let delta = self.reasoner.remove_with_delta(triple);
-            self.feed_delta(&delta, true);
-            if self.durability.is_some() {
-                let text = swdb_store::serialize(&std::iter::once(triple.clone()).collect());
-                self.log_wal(&[WalRecord::RemoveGraph(text)]);
+            if !delta.base.is_empty() {
+                self.feed_delta(&delta, true);
+                removed.insert(triple.clone());
             }
         }
-        removed
+        if self.durability.is_some() && !removed.is_empty() {
+            self.log_wal(&[WalRecord::RemoveGraph(swdb_store::serialize(&removed))]);
+        }
+        removed.len()
     }
 
     /// Inserts every triple of a graph. The maintained closure is extended
@@ -951,9 +969,6 @@ impl SemanticWebDatabase {
     /// fixpoint per triple, so bulk loads amortize the index probes; the
     /// evaluation index absorbs the whole batch as one delta.
     pub fn insert_graph(&mut self, graph: &Graph) {
-        for t in graph.iter() {
-            self.graph.insert(t.clone());
-        }
         let delta = self.reasoner.insert_graph_with_delta(graph);
         self.feed_delta(&delta, false);
         if self.durability.is_some() && !graph.is_empty() {
@@ -991,25 +1006,15 @@ impl SemanticWebDatabase {
             };
             engine.apply_delta(added, removed, dictionary);
         }
-        // The largest-blank-component early warning fires on every commit,
-        // not just on demand: the engine path observes it inside
-        // `apply_delta`; before the engine's cold build the stored graph is
-        // scanned directly (gated on the metrics level, so the unobserved
-        // write path pays one relaxed load).
-        if self.evaluation.is_none() && self.metrics.on(MetricsLevel::Counters) {
-            let stats = GraphStats::of(&self.graph);
-            self.metrics
-                .observe_largest_blank_component(stats.largest_blank_component() as u64);
-        }
     }
 
-    /// Descriptive statistics of the stored graph. Also feeds the
-    /// largest-blank-component early warning: the observation updates the
-    /// metrics gauge and counts a warning when the size exceeds the
-    /// configured threshold (`SWDB_BLANK_WARN`, or
+    /// Descriptive statistics of the asserted triples (decoded for the call).
+    /// Also feeds the largest-blank-component early warning on demand: the
+    /// observation updates the metrics gauge and counts a warning when the
+    /// size exceeds the configured threshold (`SWDB_BLANK_WARN`, or
     /// [`swdb_obs::Metrics::set_blank_warn_threshold`]).
     pub fn stats(&self) -> GraphStats {
-        let stats = GraphStats::of(&self.graph);
+        let stats = GraphStats::of(&self.reasoner.to_graph());
         self.metrics
             .observe_largest_blank_component(stats.largest_blank_component() as u64);
         stats
@@ -1019,18 +1024,20 @@ impl SemanticWebDatabase {
 
     /// Does the database entail the given graph under the current regime?
     pub fn entails(&self, conclusion: &Graph) -> bool {
+        let stored = self.reasoner.to_graph();
         match self.regime {
-            EntailmentRegime::Simple => swdb_entailment::simple_entails(&self.graph, conclusion),
-            EntailmentRegime::Rdfs => swdb_entailment::entails(&self.graph, conclusion),
+            EntailmentRegime::Simple => swdb_entailment::simple_entails(&stored, conclusion),
+            EntailmentRegime::Rdfs => swdb_entailment::entails(&stored, conclusion),
         }
     }
 
     /// Is the database equivalent to the given graph under the current
     /// regime?
     pub fn equivalent_to(&self, other: &Graph) -> bool {
+        let stored = self.reasoner.to_graph();
         match self.regime {
-            EntailmentRegime::Simple => swdb_entailment::simple_equivalent(&self.graph, other),
-            EntailmentRegime::Rdfs => swdb_entailment::equivalent(&self.graph, other),
+            EntailmentRegime::Simple => swdb_entailment::simple_equivalent(&stored, other),
+            EntailmentRegime::Rdfs => swdb_entailment::equivalent(&stored, other),
         }
     }
 
@@ -1048,7 +1055,7 @@ impl SemanticWebDatabase {
     /// executable specification the incremental path is property-tested
     /// against.
     pub fn closure_recomputed(&self) -> Graph {
-        swdb_normal::closure(&self.graph)
+        swdb_normal::closure(&self.reasoner.to_graph())
     }
 
     /// Membership in `cl(D)` as one indexed probe against the maintained
@@ -1065,54 +1072,35 @@ impl SemanticWebDatabase {
 
     /// The core of the stored graph.
     pub fn core(&self) -> Graph {
-        swdb_normal::core(&self.graph)
+        swdb_normal::core(&self.reasoner.to_graph())
     }
 
     /// The normal form `nf(D)` under the current regime: `core(cl(D))` for
     /// RDFS, `core(D)` for simple entailment.
     pub fn normal_form(&self) -> Graph {
+        let stored = self.reasoner.to_graph();
         match self.regime {
-            EntailmentRegime::Simple => swdb_normal::core(&self.graph),
-            EntailmentRegime::Rdfs => swdb_normal::normal_form(&self.graph),
+            EntailmentRegime::Simple => swdb_normal::core(&stored),
+            EntailmentRegime::Rdfs => swdb_normal::normal_form(&stored),
         }
     }
 
     /// Is the stored graph lean?
     pub fn is_lean(&self) -> bool {
-        swdb_normal::is_lean(&self.graph)
+        swdb_normal::is_lean(&self.reasoner.to_graph())
     }
 
-    /// Replaces the stored graph by its core, removing redundancy while
+    /// Replaces the asserted set by its core, removing redundancy while
     /// preserving equivalence. Returns the number of triples removed.
     ///
-    /// The core of the *asserted* graph is read off an [`IdCoreEngine`] in
-    /// id space — under simple entailment the evaluation engine already is
+    /// The core of the *asserted* set is read off an [`IdCoreEngine`] in id
+    /// space — under simple entailment the evaluation engine already is
     /// one; under RDFS a second engine over the asserted store is built
-    /// lazily here and then maintained under base deltas — so minimizing
-    /// never runs the string-space retraction search.
+    /// lazily here and then maintained under base deltas — and diffed
+    /// against the store's ids: no string-space retraction search, and only
+    /// the dropped triples are decoded. The core is a subset (the engine
+    /// retracts, never renames), so the drop is one `remove_graph`.
     pub fn minimize(&mut self) -> usize {
-        let before = self.graph.len();
-        let core = self.asserted_core_graph();
-        // The core is a subgraph: retract the dropped triples one by one so
-        // the maintained closure — and with it the maintained engines —
-        // shrinks incrementally too.
-        let dropped: Vec<Triple> = self.graph.difference(&core).iter().cloned().collect();
-        for t in &dropped {
-            let delta = self.reasoner.remove_with_delta(t);
-            self.feed_delta(&delta, true);
-        }
-        self.graph = core;
-        if self.durability.is_some() && !dropped.is_empty() {
-            let text = swdb_store::serialize(&dropped.iter().cloned().collect());
-            self.log_wal(&[WalRecord::RemoveGraph(text)]);
-        }
-        before - self.graph.len()
-    }
-
-    /// The core of the asserted graph, decoded from the maintained id
-    /// engine that covers it. The result is a genuine subgraph of the
-    /// stored graph (the engine retracts, never renames).
-    fn asserted_core_graph(&mut self) -> Graph {
         let engine = if self.regime == EntailmentRegime::Simple {
             self.ensure_evaluation();
             self.evaluation.as_ref().expect("just ensured")
@@ -1128,11 +1116,12 @@ impl SemanticWebDatabase {
             self.asserted_core.as_ref().expect("just built")
         };
         let store = self.reasoner.store();
-        engine
-            .index()
-            .iter()
+        let dropped: Graph = store
+            .iter_ids()
+            .filter(|&ids| !engine.index().contains(ids))
             .map(|ids| store.materialize(ids))
-            .collect()
+            .collect();
+        self.remove_graph(&dropped)
     }
 
     // ----- query answering -----
@@ -1191,7 +1180,7 @@ impl SemanticWebDatabase {
     /// computing (and caching) it on a miss.
     ///
     /// The premise's terms are interned (append-only; no index is touched),
-    /// its blanks renamed apart from every interned blank label first — the
+    /// its blanks renamed apart from the asserted triples' blanks first — the
     /// id-space counterpart of the capture-avoiding `Graph::merge` the spec
     /// path uses. Under RDFS the transient delta is the premise's closure
     /// growth `cl(D + P) − cl(D)`, previewed against the maintained closure
@@ -1210,7 +1199,7 @@ impl SemanticWebDatabase {
             .metrics
             .on(MetricsLevel::Debug)
             .then(std::time::Instant::now);
-        let renamed = rename_premise_apart(premise, &self.graph);
+        let renamed = rename_premise_apart(premise, self.reasoner.store());
         let before = self.reasoner.store().dictionary().len();
         let ids = self.reasoner.intern_graph(&renamed);
         if self.reasoner.store().dictionary().len() != before {
@@ -1340,14 +1329,15 @@ impl SemanticWebDatabase {
     /// `D + P` the capture-avoiding merge. Premise-free queries drop the
     /// `+ P`.
     fn normalized_for(&self, query: &Query) -> NormalizedDatabase {
+        let stored = self.reasoner.to_graph();
         match (self.regime, query.is_premise_free()) {
-            (EntailmentRegime::Rdfs, true) => NormalizedDatabase::without_premise(&self.graph),
-            (EntailmentRegime::Rdfs, false) => NormalizedDatabase::new(&self.graph, query),
+            (EntailmentRegime::Rdfs, true) => NormalizedDatabase::without_premise(&stored),
+            (EntailmentRegime::Rdfs, false) => NormalizedDatabase::new(&stored, query),
             (EntailmentRegime::Simple, true) => {
-                NormalizedDatabase::assume_normalized(swdb_normal::core(&self.graph))
+                NormalizedDatabase::assume_normalized(swdb_normal::core(&stored))
             }
             (EntailmentRegime::Simple, false) => NormalizedDatabase::assume_normalized(
-                swdb_normal::core(&self.graph.merge(query.premise())),
+                swdb_normal::core(&stored.merge(query.premise())),
             ),
         }
     }
@@ -1445,34 +1435,39 @@ fn expansion_eligible(regime: EntailmentRegime, query: &Query) -> bool {
         && within_budget
 }
 
-/// Renames apart every premise blank whose label also names a blank of the
-/// stored graph — the id-space counterpart of the capture avoidance in
-/// [`Graph::merge`]: a premise blank is existentially scoped to the query
-/// and must never be identified with a database blank that happens to share
-/// its label. Every blank reachable by evaluation (the evaluation graph's,
-/// the closure's) is a stored-graph blank, so clashing against the stored
-/// graph — not the append-only dictionary — suffices and keeps the renaming
-/// deterministic across repeated queries (no per-repeat fresh labels).
-fn rename_premise_apart(premise: &Graph, stored: &Graph) -> Graph {
-    let mine = stored.blank_nodes();
+/// Renames apart every premise blank whose label also names a blank of an
+/// asserted triple — the id-space counterpart of the capture avoidance in
+/// [`Graph::merge`]: a premise blank is scoped to the query and must never
+/// be identified with a database blank that shares its label. Clashing
+/// against asserted triples (every blank evaluation reaches is one of
+/// theirs), not the append-only dictionary, keeps the renaming deterministic
+/// across repeats. One pass over the asserted id triples collects their
+/// blank ids — no label is decoded — on every cold premise, as the walk of
+/// the string mirror did before PR 16; CHANGES.md, PR 16, says why index
+/// probes do not replace it in the same change.
+fn rename_premise_apart(premise: &Graph, stored: &TripleStore) -> Graph {
+    let dictionary = stored.dictionary();
+    let mine: std::collections::BTreeSet<swdb_store::TermId> = stored
+        .iter_ids()
+        .flat_map(|(s, _, o)| [s, o])
+        .filter(|&id| dictionary.is_blank(id))
+        .collect();
+    let is_stored = |label: &str| {
+        let id = dictionary.id_of(&Term::blank(label));
+        id.is_some_and(|id| mine.contains(&id))
+    };
     let theirs = premise.blank_nodes();
-    let clashes: Vec<&BlankNode> = theirs.iter().filter(|b| mine.contains(*b)).collect();
+    let clashes: Vec<&BlankNode> = theirs.iter().filter(|b| is_stored(b.as_str())).collect();
     if clashes.is_empty() {
         return premise.clone();
     }
-    let used: std::collections::BTreeSet<&str> = mine
-        .iter()
-        .chain(theirs.iter())
-        .map(|b| b.as_str())
-        .collect();
-    let mut renaming: std::collections::BTreeMap<BlankNode, Term> =
-        std::collections::BTreeMap::new();
+    let mut renaming = std::collections::BTreeMap::new();
     let mut counter = 0usize;
     for blank in clashes {
         let fresh = loop {
             let candidate = format!("{}~p{}", blank.as_str(), counter);
             counter += 1;
-            if !used.contains(candidate.as_str()) {
+            if !theirs.iter().any(|b| b.as_str() == candidate) && !is_stored(&candidate) {
                 break candidate;
             }
         };
@@ -1582,7 +1577,7 @@ mod tests {
     fn closure_core_and_normal_form_are_consistent() {
         let db = sample();
         let cl = db.closure();
-        assert!(db.graph().is_subgraph_of(&cl));
+        assert!(db.graph().to_graph().is_subgraph_of(&cl));
         assert!(db.equivalent_to(&cl));
         let nf = db.normal_form();
         assert!(db.equivalent_to(&nf));
@@ -1867,6 +1862,41 @@ mod tests {
             ),
             "capture avoidance must match the merge-based spec"
         );
+    }
+
+    #[test]
+    fn a_repeated_clashing_premise_reuses_its_fresh_label() {
+        // The renaming clashes against the blanks of asserted triples, not
+        // against the append-only dictionary (which remembers the first
+        // ask's `X~p0`): every cold re-ask picks the same fresh label, so a
+        // stream of repeats interns nothing new.
+        let mut db = SemanticWebDatabase::from_graph(graph([
+            ("ex:a", "ex:p", "_:X"),
+            ("_:X", "ex:marked", "ex:yes"),
+            ("ex:b", "ex:p", "ex:c"),
+        ]));
+        let q = swdb_query::Query::with_premise(
+            swdb_hom::pattern_graph([("?S", "ex:p", "?W")]),
+            swdb_hom::pattern_graph([("?S", "ex:p", "?W")]),
+            graph([("ex:b", "ex:p", "_:X")]),
+        )
+        .unwrap();
+        // The invalidating write toggles a triple over interned terms.
+        let toggled = triple("ex:c", "ex:p", "ex:a");
+        let mut interned = None;
+        for ask in 0..20 {
+            let id = db.answer(&q, Semantics::Union);
+            assert!(
+                swdb_model::isomorphic(&id, &db.answer_recomputed(&q, Semantics::Union)),
+                "ask {ask}: {id}"
+            );
+            let terms = db.reasoner().store().dictionary().len();
+            assert_eq!(*interned.get_or_insert(terms), terms, "ask {ask} interned");
+            if !db.remove(&toggled) {
+                db.insert(toggled.clone());
+            }
+            assert!(db.premise_cache.is_empty(), "the write invalidated");
+        }
     }
 
     #[test]

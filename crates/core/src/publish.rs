@@ -16,6 +16,10 @@
 //! `answer`/`explain` on it can never block — or be blocked by —
 //! `insert`/`remove` on the live database.
 //!
+//! Publication decodes nothing: the clones copy ids and the term table, the
+//! asserted count is the store's `len()`. Terms are decoded once per answer
+//! triple, when a reader materialises an answer [`Graph`] from its pin.
+//!
 //! What a snapshot can serve is exactly what the dictionary + index pair
 //! determines: premise-free queries (the hot path) and premise queries
 //! eligible for the Proposition 5.9 expansion. Premise queries that need

@@ -14,8 +14,10 @@
 //! full reference state.
 //!
 //! Around the matrix: a property test pinning WAL replay ≡ direct
-//! mutation over random scripts, a double-crash during recovery, degraded
-//! mode surviving a reopen exactly, and metrics-pinned proof that
+//! mutation over random scripts, a second one pinning the facade's
+//! asserted set against a plain `Graph` model after every step of such a
+//! script (checkpoint + reopen included), a double-crash during recovery,
+//! degraded mode surviving a reopen exactly, and metrics-pinned proof that
 //! recovery never recomputes the closure or re-runs a core search.
 
 use std::path::PathBuf;
@@ -50,7 +52,7 @@ fn cleanup(dir: &PathBuf) {
 /// a recovered store legitimately assigns different ids than the
 /// original (queries intern scratch terms that are never logged).
 fn state_of(db: &SemanticWebDatabase) -> (Graph, Graph, EntailmentRegime) {
-    (db.graph().clone(), db.closure(), db.regime())
+    (db.graph().to_graph(), db.closure(), db.regime())
 }
 
 type Step = fn(&mut SemanticWebDatabase);
@@ -58,7 +60,9 @@ type Step = fn(&mut SemanticWebDatabase);
 /// The crash-matrix mutation script: every WAL record kind appears, plus
 /// an explicit snapshot rotation mid-script so the matrix sweeps the
 /// rotation fault sites too, plus RDFS schema so mutations carry
-/// non-trivial closure deltas through the incremental engines.
+/// non-trivial closure deltas through the incremental engines. The last
+/// step is a four-triple `remove_graph` (plus one absent triple): one WAL
+/// record, so a fault inside it recovers all four removed or none.
 fn script() -> Vec<Step> {
     vec![
         |db| {
@@ -89,6 +93,16 @@ fn script() -> Vec<Step> {
                 ("ex:d", "ex:p", "ex:e"),
                 ("_:blank", "ex:q", "ex:d"),
             ]))
+        },
+        |db| {
+            let removed = db.remove_graph(&graph([
+                ("ex:b", "ex:p", "ex:c"),
+                ("ex:c", "ex:q", "ex:d"),
+                ("ex:d", "ex:p", "ex:e"),
+                ("_:blank", "ex:q", "ex:d"),
+                ("ex:never", "ex:p", "ex:asserted"),
+            ]));
+            assert_eq!(removed, 4);
         },
     ]
 }
@@ -124,9 +138,16 @@ fn crash_point_matrix_recovers_a_consistent_prefix_at_every_fault_site() {
     db.persist_to_with_io(&probe_dir, Arc::new(probe_io.clone()))
         .expect("probe persist");
     probe_io.disarm(); // count only the script's own operations
-    for step in &steps {
+    for step in &steps[..total - 1] {
         step(&mut db);
     }
+    let before = db.wal_records();
+    steps[total - 1](&mut db);
+    assert_eq!(
+        db.wal_records(),
+        before + 1,
+        "the four-triple remove_graph commits exactly one WAL record"
+    );
     assert!(db.is_durable(), "probe run must not detach");
     assert_eq!(state_of(&db), refs[total]);
     let ops = probe_io.ops();
@@ -424,54 +445,80 @@ enum Op {
     Insert(usize, usize, usize),
     Remove(usize, usize, usize),
     InsertBatch(Vec<(usize, usize, usize)>),
+    RemoveBatch(Vec<(usize, usize, usize)>),
     SetRegime(bool),
     Minimize,
+    Publish,
+    /// `snapshot_now`; the model test also reopens the directory.
+    Checkpoint,
 }
 
+/// Nodes 4 and 5 are blanks (so `minimize` has something to fold), and two
+/// of the five predicates are RDFS vocabulary (so mutations carry closure
+/// deltas).
 fn triple_of(s: usize, p: usize, o: usize) -> Triple {
-    triple(
-        &format!("ex:n{s}"),
-        &format!("ex:p{}", p % 3),
-        &format!("ex:n{o}"),
-    )
+    let node = |i: usize| match i {
+        4 | 5 => format!("_:b{i}"),
+        _ => format!("ex:n{i}"),
+    };
+    let predicate = match p % 5 {
+        3 => rdfs::SC.to_string(),
+        4 => rdfs::TYPE.to_string(),
+        k => format!("ex:p{k}"),
+    };
+    triple(&node(s), &predicate, &node(o))
 }
 
-fn apply(db: &mut SemanticWebDatabase, op: &Op) {
+fn graph_of(batch: &[(usize, usize, usize)]) -> Graph {
+    batch
+        .iter()
+        .map(|(s, p, o)| triple_of(*s, *p, *o))
+        .collect()
+}
+
+/// Applies one op, returning the count the facade reported for it (`bool`s
+/// as 0/1; 0 for the ops that report nothing).
+fn apply(db: &mut SemanticWebDatabase, op: &Op) -> usize {
     match op {
-        Op::Insert(s, p, o) => {
-            db.insert(triple_of(*s, *p, *o));
-        }
-        Op::Remove(s, p, o) => {
-            db.remove(&triple_of(*s, *p, *o));
-        }
+        Op::Insert(s, p, o) => usize::from(db.insert(triple_of(*s, *p, *o))),
+        Op::Remove(s, p, o) => usize::from(db.remove(&triple_of(*s, *p, *o))),
         Op::InsertBatch(batch) => {
-            db.insert_graph(
-                &batch
-                    .iter()
-                    .map(|(s, p, o)| triple_of(*s, *p, *o))
-                    .collect(),
-            );
+            db.insert_graph(&graph_of(batch));
+            0
         }
-        Op::SetRegime(simple) => db.set_regime(if *simple {
-            EntailmentRegime::Simple
-        } else {
-            EntailmentRegime::Rdfs
-        }),
-        Op::Minimize => {
-            db.minimize();
+        Op::RemoveBatch(batch) => db.remove_graph(&graph_of(batch)),
+        Op::SetRegime(simple) => {
+            db.set_regime(if *simple {
+                EntailmentRegime::Simple
+            } else {
+                EntailmentRegime::Rdfs
+            });
+            0
+        }
+        Op::Minimize => db.minimize(),
+        Op::Publish => {
+            db.publish();
+            0
+        }
+        Op::Checkpoint => {
+            let _ = db.snapshot_now();
+            0
         }
     }
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     let id = 0..6usize;
+    let batch = proptest::collection::vec((id.clone(), id.clone(), id.clone()), 1..5);
     prop_oneof![
         4 => (id.clone(), id.clone(), id.clone()).prop_map(|(s, p, o)| Op::Insert(s, p, o)),
         2 => (id.clone(), id.clone(), id.clone()).prop_map(|(s, p, o)| Op::Remove(s, p, o)),
-        2 => proptest::collection::vec((id.clone(), id.clone(), id.clone()), 1..5)
-            .prop_map(Op::InsertBatch),
+        2 => batch.clone().prop_map(Op::InsertBatch),
+        2 => batch.prop_map(Op::RemoveBatch),
         1 => prop_oneof![Just(Op::SetRegime(true)), Just(Op::SetRegime(false))],
         1 => Just(Op::Minimize),
+        1 => Just(Op::Publish),
+        1 => Just(Op::Checkpoint),
     ]
 }
 
@@ -493,10 +540,76 @@ proptest! {
         prop_assert!(durable.is_durable());
         prop_assert_eq!(state_of(&durable), state_of(&reference));
         drop(durable);
-        // Every reopen replays the whole script from the WAL (no snapshot
-        // was ever rotated after persist_to's initial empty one).
+        // The reopen loads the last checkpoint (or persist_to's empty
+        // snapshot) and replays the script's suffix from the WAL.
         let recovered = SemanticWebDatabase::open(&dir).expect("reopen");
         prop_assert_eq!(state_of(&recovered), state_of(&reference));
         cleanup(&dir);
+    }
+
+    /// The facade keeps no string copy of `D`, so a plain `Graph` is the
+    /// explicit model: after every step of a random script — from either
+    /// starting regime, across checkpoint + reopen — the store-backed
+    /// `len()`, `graph()`, `to_ntriples()`, the reported counts and the
+    /// published `asserted_triples()` are what the model says.
+    #[test]
+    fn the_asserted_set_agrees_with_a_plain_graph_model_at_every_step(
+        ops in proptest::collection::vec(op_strategy(), 1..30),
+    ) {
+        for regime in [EntailmentRegime::Rdfs, EntailmentRegime::Simple] {
+            let dir = scratch_dir("model-prop");
+            let mut db = SemanticWebDatabase::with_regime(regime);
+            db.persist_to(&dir).expect("persist");
+            let mut model = Graph::new();
+            // What the publication slot must report: the model's size at
+            // the last publish (a reopened database starts unpublished).
+            let mut published = 0;
+            for op in &ops {
+                let reported = apply(&mut db, op);
+                let expected = match op {
+                    Op::Insert(s, p, o) => usize::from(model.insert(triple_of(*s, *p, *o))),
+                    Op::Remove(s, p, o) => usize::from(model.remove(&triple_of(*s, *p, *o))),
+                    Op::InsertBatch(batch) => {
+                        model.extend(graph_of(batch));
+                        0
+                    }
+                    Op::RemoveBatch(batch) => graph_of(batch)
+                        .iter()
+                        .filter(|t| model.remove(t))
+                        .count(),
+                    Op::Minimize => {
+                        // Which lean equivalent subgraph survives is the
+                        // engine's choice (the core is unique only up to
+                        // isomorphism): check it is one, then follow it.
+                        let core = db.graph().to_graph();
+                        prop_assert!(core.is_subgraph_of(&model));
+                        prop_assert!(swdb_normal::is_lean(&core));
+                        prop_assert!(swdb_entailment::simple_equivalent(&core, &model));
+                        let dropped = model.len() - core.len();
+                        model = core;
+                        dropped
+                    }
+                    Op::Publish => {
+                        published = model.len();
+                        0
+                    }
+                    Op::Checkpoint => {
+                        prop_assert!(db.is_durable());
+                        drop(db);
+                        db = SemanticWebDatabase::open(&dir).expect("reopen");
+                        published = 0;
+                        0
+                    }
+                    Op::SetRegime(_) => 0,
+                };
+                prop_assert_eq!(reported, expected, "{:?} reported the wrong count", op);
+                prop_assert_eq!(db.len(), model.len());
+                prop_assert_eq!(db.is_empty(), model.is_empty());
+                prop_assert_eq!(db.graph().to_graph(), model);
+                prop_assert_eq!(db.to_ntriples(), swdb_store::serialize(&model));
+                prop_assert_eq!(db.published().asserted_triples(), published);
+            }
+            cleanup(&dir);
+        }
     }
 }

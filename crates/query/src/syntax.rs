@@ -252,7 +252,66 @@ fn format_patterns(pg: &PatternGraph) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use swdb_model::graph;
+
+    /// What `Query::with_all` guarantees, re-derived from the accessors —
+    /// the parser must never hand out a query that skipped that gate — plus
+    /// the printer and the evaluator accepting it without panicking.
+    fn assert_well_formed(query: &Query) {
+        let rebuilt = Query::with_all(
+            query.head().clone(),
+            query.body().clone(),
+            query.premise().clone(),
+            query.constraints().clone(),
+        );
+        assert_eq!(rebuilt.as_ref(), Ok(query));
+        let _ = format_query(query);
+        let _ = crate::answer::answer_union(query, &graph([("a", "p", "b"), ("b", "sc", "c")]));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Arbitrary bytes, lossily decoded, never panic or hang the query
+        /// parser.
+        #[test]
+        fn arbitrary_bytes_never_panic_the_parser(bytes in proptest::collection::vec(0u8..255, 0..300)) {
+            let input = String::from_utf8_lossy(&bytes).into_owned();
+            if let Ok(query) = parse_query(&input) {
+                assert_well_formed(&query);
+            }
+        }
+
+        /// Junk spliced into a valid query — at any character boundary, so
+        /// inside terms, patterns, the premise block and the keywords — is
+        /// a syntax error or a well-formed query, never a panic.
+        #[test]
+        fn junk_spliced_into_a_valid_query_fails_cleanly(
+            which in 0usize..4,
+            junk in proptest::collection::vec(0u8..255, 1..24),
+            at in 0usize..200,
+        ) {
+            let valid = [
+                "(?A, creates, ?Y) <- (?A, type, Flemish), (?A, paints, ?Y)",
+                "(?X, relative, Peter) <- (?X, relative, Peter) \
+                 WITH PREMISE { (son, sp, relative) . } WHERE BOUND ?X",
+                "(?X, p, _:W) <- (?X, p, ?Y) WITH PREMISE { <ex:a> <ex:t> <ex:s> . _:B <ex:t> <ex:s> . }",
+                "(?X, ?P, ?Y) <- (?X, ?P, ?Y)",
+            ][which];
+            assert_well_formed(&parse_query(valid).expect("the unspliced query parses"));
+
+            let junk = String::from_utf8_lossy(&junk).into_owned();
+            let mut at = at.min(valid.len());
+            while !valid.is_char_boundary(at) {
+                at -= 1;
+            }
+            let spliced = format!("{}{junk}{}", &valid[..at], &valid[at..]);
+            if let Ok(query) = parse_query(&spliced) {
+                assert_well_formed(&query);
+            }
+        }
+    }
 
     #[test]
     fn parses_the_flemish_example() {

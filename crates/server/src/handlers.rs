@@ -115,7 +115,7 @@ fn ingest(shared: &Shared, request: &Request, removal: bool) -> Response {
         return retry_later(shared, &why);
     }
     let changed = if removal {
-        graph.iter().filter(|t| db.remove(t)).count()
+        db.remove_graph(&graph)
     } else {
         let before = db.len();
         db.insert_graph(&graph);
@@ -206,6 +206,42 @@ mod tests {
             body: Vec::new(),
             keep_alive: false,
         }
+    }
+
+    fn post(path: &str, body: &str) -> Request {
+        Request {
+            method: "POST".to_string(),
+            body: body.as_bytes().to_vec(),
+            ..get(path)
+        }
+    }
+
+    #[test]
+    fn a_remove_request_commits_one_wal_record_however_many_triples_it_names() {
+        let dir = std::env::temp_dir().join(format!("swdb-handlers-remove-{}", std::process::id()));
+        let mut db = SemanticWebDatabase::new();
+        db.persist_to(&dir).expect("attach durability");
+        let shared = Shared::new(db, ServerConfig::default());
+        let four = "<ex:a> <ex:p> <ex:b> .\n<ex:b> <ex:p> <ex:c> .\n\
+                    <ex:c> <ex:p> <ex:d> .\n<ex:d> <ex:p> <ex:e> .\n";
+        assert_eq!(handle(&shared, &post("/ingest", four)).status, 200);
+        let before = shared.lock_db().wal_records();
+
+        let with_an_absent_one = format!("{four}<ex:never> <ex:p> <ex:asserted> .\n");
+        let response = handle(&shared, &post("/remove", &with_an_absent_one));
+        assert_eq!(response.status, 200);
+        let body = String::from_utf8(response.body).expect("JSON");
+        assert!(body.contains("\"removed\": 4"), "{body}");
+        assert_eq!(shared.lock_db().wal_records(), before + 1);
+
+        // Nothing present, nothing logged.
+        assert_eq!(handle(&shared, &post("/remove", four)).status, 200);
+        assert_eq!(shared.lock_db().wal_records(), before + 1);
+
+        drop(shared);
+        let recovered = SemanticWebDatabase::open(&dir).expect("reopen");
+        assert!(recovered.is_empty(), "the one record removes all four");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -58,7 +58,10 @@
 //! differential tests sweep thread counts to pin that against the
 //! string-space specification.
 //! [`reason::MaterializedStore`] packages a `TripleStore` with its
-//! maintained closure; [`core::SemanticWebDatabase`] keeps one and serves
+//! maintained closure; [`core::SemanticWebDatabase`] keeps one — its only
+//! copy of the asserted set: a `Graph` of `D` exists only while a
+//! specification or export method (`closure_recomputed()`,
+//! `answer_recomputed()`, `to_ntriples()`, …) runs — and serves
 //! `closure()` / `closure_contains()` from it, while
 //! `closure_recomputed()` preserves the specification path that the
 //! property tests compare against.

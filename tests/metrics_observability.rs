@@ -53,7 +53,7 @@ fn run_mixed_workload(threads: usize) -> MetricsSnapshot {
     assert!(!db.answer_is_empty(&q1));
 
     // Remove a handful of asserted triples to drive the DRed path.
-    let victims: Vec<_> = db.graph().iter().take(5).cloned().collect();
+    let victims: Vec<_> = db.graph().to_graph().iter().take(5).cloned().collect();
     for t in victims {
         db.remove(&t);
     }
