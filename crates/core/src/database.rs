@@ -58,10 +58,13 @@
 //!   engines. Its closure growth `cl(D + P) − cl(D)` is previewed against
 //!   the maintained closure without committing anything
 //!   ([`MaterializedStore::preview_insert`]), the incremental core engine
-//!   cores the overlaid set as a diff ([`swdb_normal::EvalOverlay`]), and
-//!   the query — planned like any other — joins the layered view
-//!   `index ∪ added − removed` ([`swdb_hom::Overlay`]). The published
-//!   evaluation index is never
+//!   puts that delta through the insert half of its own delta refresh —
+//!   the same function a commit runs — against a layered view of the
+//!   published index, keeping the view's diff
+//!   ([`swdb_normal::EvalOverlay`]) and dropping the component state a
+//!   commit would have kept, and the query — planned like any other —
+//!   joins the layered view `index ∪ added − removed`
+//!   ([`swdb_hom::Overlay`]). The published evaluation index is never
 //!   cloned or mutated — it is bit-identical before and after — and the
 //!   computed overlay is cached per premise, so repeated queries sharing a
 //!   premise pay for the delta once until the next mutation.

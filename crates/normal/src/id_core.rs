@@ -41,11 +41,32 @@
 //! `support` sets record, and every fold map is replayed onto all support
 //! sets so they always name live triples of the published index.
 //!
+//! ### One kernel
+//!
+//! `core(G)` is one operation iterated to a fixpoint (Def. 3.7, Thm 3.10),
+//! and so is the code: `fold_to_fixpoint` is the only place a retraction
+//! search starts. It takes a view of the evaluation graph and one
+//! component — from its full set when the component is stale, from its
+//! survivors when it may only retract further — draws the component's
+//! budget slice, applies folds to the view until none is left or the slice
+//! runs out, and returns the survivors, the composed map and whether it
+//! ran out. `Cells::commit` is the only place that result is written into
+//! a component (and replayed onto the others' support sets), which makes
+//! it the only place a component's uncored share changes; the cold build,
+//! [`IdCoreEngine::apply_delta`] and [`IdCoreEngine::recore_uncored`] are
+//! sweeps of kernel-then-commit over the engine's components under three
+//! filters (stale / a survivor shares a newly visible predicate / uncored).
+//!
 //! Besides durable deltas, the engine also cores **scoped** deltas:
-//! [`IdCoreEngine::overlay_core`] runs the same insert-path algorithm
-//! against a layered view and returns an [`EvalOverlay`] diff instead of
-//! touching the published index — the substrate of transient query-premise
-//! evaluation (`D + P` for one query, then dropped).
+//! [`IdCoreEngine::overlay_core`] runs `apply_delta`'s insert half, the
+//! same function, against a layered view of the published index and a
+//! scratch copy of the few components that half can reach, and returns the
+//! view's [`EvalOverlay`] diff — the substrate of transient query-premise
+//! evaluation (`D + P` for one query, then dropped). The durable paths
+//! keep what the commits wrote; the overlay drops its scratch components.
+//! Either way every component is cored on its own, under its own slice, so
+//! an overlay's searches are never larger than the ones the same delta
+//! would cost as a commit.
 //!
 //! ### Degraded mode — bounding the NP-hard tail
 //!
@@ -244,7 +265,9 @@ pub struct EvalOverlay {
     pub added: IdIndex,
     /// Published triples the overlaid delta folds away.
     pub removed: BTreeSet<IdTriple>,
-    /// Set when a budget slice ran out while coring the overlay: the view
+    /// Set when committing the delta would leave the engine degraded — a
+    /// budget slice ran out while coring the overlay, or an uncored
+    /// component it did not get to re-core is still published: the view
     /// `published ∪ added − removed` is still a sound evaluation state
     /// (equivalent to, and a superset of, the true overlaid core) but may
     /// not be minimal. See the module's "Degraded mode" section.
@@ -324,13 +347,26 @@ struct Component {
     /// component's folds rely on. All of them are in the evaluation index;
     /// deleting one invalidates the folds and forces a re-core.
     support: BTreeSet<IdTriple>,
-    /// Set when `full` changed and the cached survivors are meaningless.
+    /// Set when `full` changed or `support` lost a triple: the cached
+    /// survivors are meaningless and the next refresh re-cores from `full`.
     stale: bool,
     /// Set when the last coring slice ran out of budget: `survivors` is a
     /// sound superset of the local core (every applied fold was a genuine
     /// retraction) but may not be minimal. Cleared when a later slice
     /// reaches the fold fixpoint.
     uncored: bool,
+}
+
+impl Component {
+    fn touches(&self, blanks: &BTreeSet<TermId>) -> bool {
+        !blanks.is_empty() && self.blanks.iter().any(|b| blanks.contains(b))
+    }
+
+    /// Could a survivor fold onto a triple using one of `preds`? A map
+    /// fixes predicates, so only then.
+    fn shares_pred(&self, preds: &BTreeSet<TermId>) -> bool {
+        self.survivors.iter().any(|t| preds.contains(&t.1))
+    }
 }
 
 /// A verbatim dump of one blank component's cached core state — the unit of
@@ -364,6 +400,240 @@ pub struct CoreEngineState {
     pub components: Vec<ComponentState>,
 }
 
+/// What the coring kernel hands back for one component.
+struct Cored {
+    /// The component's triples still visible in the view.
+    survivors: BTreeSet<IdTriple>,
+    /// The composition of `folds`.
+    composed: IdMap,
+    /// Every fold applied to the view, in order.
+    folds: Vec<IdMap>,
+    /// The budget slice ran out before the fold fixpoint.
+    exhausted: bool,
+}
+
+/// One run of the coring kernel ([`fold_to_fixpoint`]) over some components:
+/// the budget policy, the predicates that became visible (the only possible
+/// new fold images), and the work tally, flushed to [`Metrics`] once.
+#[derive(Default)]
+struct Coring {
+    mode: CoreBudgetMode,
+    warn_threshold: u64,
+    added_preds: BTreeSet<TermId>,
+    searches: u64,
+    fold_steps: u64,
+    recored: u64,
+    exhausted_slices: u64,
+    replays: u64,
+}
+
+impl Coring {
+    fn flush(&self, metrics: &Metrics) {
+        metrics.count(Counter::CoreComponentsRecored, self.recored);
+        metrics.count(Counter::CoreFoldSteps, self.fold_steps);
+        metrics.count(Counter::CoreRetractionSearches, self.searches);
+        metrics.count(Counter::CoreBudgetExhausted, self.exhausted_slices);
+        metrics.count(Counter::CoreSupportReplays, self.replays);
+    }
+}
+
+/// The uncored components and their published (survivor) triples — what
+/// `is_degraded` and the degradation gauges read in O(1).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Uncored {
+    components: usize,
+    triples: usize,
+}
+
+impl Uncored {
+    fn enter(&mut self, c: &Component) {
+        if c.uncored {
+            self.components += 1;
+            self.triples += c.survivors.len();
+        }
+    }
+
+    fn leave(&mut self, c: &Component) {
+        if c.uncored {
+            self.components -= 1;
+            self.triples -= c.survivors.len();
+        }
+    }
+}
+
+/// The blank components plus the aggregates every commit reports, kept
+/// current where they change: the largest size where components leave and
+/// enter the partition, a component's uncored share in [`Cells::commit`]. The engine
+/// owns one; [`IdCoreEngine::overlay_core`] runs a scratch one.
+#[derive(Clone, Debug, Default)]
+struct Cells {
+    list: Vec<Component>,
+    uncored: Uncored,
+    /// Size in triples of the largest component.
+    largest: usize,
+}
+
+impl Cells {
+    fn push(&mut self, c: Component) {
+        self.uncored.enter(&c);
+        self.largest = self.largest.max(c.full.len());
+        self.list.push(c);
+    }
+
+    /// Takes out the components a blank-structural delta touches. A delta
+    /// triple can merge, split, extend or shrink exactly the components it
+    /// shares a blank with: any other component's triples mention none of
+    /// the delta's blanks, so its partition cell is untouched and its
+    /// cached core state carries over wholesale.
+    fn dissolve(&mut self, delta_blanks: &BTreeSet<TermId>) -> Vec<Component> {
+        if delta_blanks.is_empty() {
+            return Vec::new();
+        }
+        let (dissolved, kept) = std::mem::take(&mut self.list)
+            .into_iter()
+            .partition(|c| c.touches(delta_blanks));
+        self.list = kept;
+        self.largest = self.list.iter().map(|c| c.full.len()).max().unwrap_or(0);
+        dissolved
+    }
+
+    /// Retires `old` and appends the blank components of its still
+    /// `maintained` triples plus the `fresh` ones: a cell whose full triple
+    /// set reappears unchanged among `old` (bucketed by first triple)
+    /// carries its cached core state over wholesale; every other cell
+    /// starts stale.
+    fn partition_and_inherit(
+        &mut self,
+        old: Vec<Component>,
+        maintained: &BTreeSet<IdTriple>,
+        fresh: impl IntoIterator<Item = IdTriple>,
+        dictionary: &Dictionary,
+    ) {
+        let triples = old
+            .iter()
+            .flat_map(|c| c.full.iter().copied())
+            .filter(|t| maintained.contains(t))
+            .chain(fresh);
+        let parts = blank_components(triples, |id| dictionary.is_blank(id));
+        let mut by_first: BTreeMap<IdTriple, Vec<Component>> = BTreeMap::new();
+        for c in old {
+            self.uncored.leave(&c);
+            if let Some(&first) = c.full.first() {
+                by_first.entry(first).or_default().push(c);
+            }
+        }
+        for part in parts {
+            let inherited = part.triples.first().and_then(|first| {
+                let bucket = by_first.get_mut(first)?;
+                let at = bucket.iter().position(|c| c.full == part.triples)?;
+                Some(bucket.swap_remove(at))
+            });
+            self.push(match inherited {
+                Some(c) => Component {
+                    blanks: part.blanks,
+                    full: part.triples,
+                    ..c
+                },
+                None => Component {
+                    blanks: part.blanks,
+                    full: part.triples,
+                    survivors: BTreeSet::new(),
+                    support: BTreeSet::new(),
+                    stale: true,
+                    uncored: false,
+                },
+            });
+        }
+    }
+
+    /// The insert half of a delta, against any view. A triple mentioning a
+    /// delta blank either was in a component the delta dissolves or is
+    /// `fresh`, so the union-find runs over that local set alone instead of
+    /// the whole blank side. Then the stale components are re-cored from
+    /// their full sets, and every component whose survivors could fold onto
+    /// a newly visible triple gets the chance to retract further; folds
+    /// only remove triples, so that one sweep reaches the fixpoint.
+    fn insert_half<T: CoreIndex>(
+        &mut self,
+        view: &mut T,
+        coring: &mut Coring,
+        delta_blanks: &BTreeSet<TermId>,
+        fresh: impl IntoIterator<Item = IdTriple>,
+        maintained: &BTreeSet<IdTriple>,
+        dictionary: &Dictionary,
+    ) {
+        let dissolved = self.dissolve(delta_blanks);
+        self.partition_and_inherit(dissolved, maintained, fresh, dictionary);
+        self.sweep(view, coring, |c| c.stale);
+        let added_preds = std::mem::take(&mut coring.added_preds);
+        if !added_preds.is_empty() {
+            self.sweep(view, coring, |c| c.shares_pred(&added_preds));
+        }
+    }
+
+    /// Runs the kernel over every eligible component, in order, committing
+    /// each result before the next search.
+    fn sweep<T: CoreIndex>(
+        &mut self,
+        view: &mut T,
+        coring: &mut Coring,
+        eligible: impl Fn(&Component) -> bool,
+    ) {
+        for i in 0..self.list.len() {
+            if eligible(&self.list[i]) {
+                let cored = fold_to_fixpoint(view, &self.list[i], coring);
+                self.commit(i, cored, coring);
+            }
+        }
+    }
+
+    /// The one commit point: writes a kernel result into component `i` and
+    /// replays its folds onto every other component's support set, keeping
+    /// them pointed at live triples. Out of budget, the survivors so far
+    /// are published as-is — a sound superset of the local core (see
+    /// "Degraded mode") — and the component waits for a retry; reaching the
+    /// fold fixpoint from the *current* graph proves local leanness
+    /// regardless of history, so it clears a stale uncored flag too.
+    fn commit(&mut self, i: usize, cored: Cored, coring: &mut Coring) {
+        let comp = &mut self.list[i];
+        self.uncored.leave(comp);
+        if comp.stale || !cored.folds.is_empty() {
+            let source = if comp.stale {
+                &comp.full
+            } else {
+                &comp.support
+            };
+            comp.support = remap_set(source, &cored.composed);
+            comp.survivors = cored.survivors;
+            comp.stale = false;
+            coring.recored += 1;
+        }
+        comp.uncored = cored.exhausted;
+        self.uncored.enter(comp);
+        if cored.folds.is_empty() {
+            return;
+        }
+        for (j, other) in self.list.iter_mut().enumerate() {
+            if j == i {
+                continue;
+            }
+            for map in &cored.folds {
+                // A fold only moves the origin component's blanks; most
+                // support sets never mention them, so probe before paying
+                // for a rebuild of the set.
+                let touched = other
+                    .support
+                    .iter()
+                    .any(|(s, _, o)| map.contains_key(s) || map.contains_key(o));
+                if touched {
+                    other.support = remap_set(&other.support, map);
+                    coring.replays += 1;
+                }
+            }
+        }
+    }
+}
+
 /// An incrementally maintained `core(·)` over id-triples.
 ///
 /// Feed it the maintained closure (RDFS regime) or the asserted store
@@ -377,12 +647,7 @@ pub struct IdCoreEngine {
     eval: IdIndex,
     /// All maintained blank triples (the un-cored blank side).
     blank_full: BTreeSet<IdTriple>,
-    components: Vec<Component>,
-    /// How many `components` are published uncored. Recounted by
-    /// [`IdCoreEngine::publish_degradation`], which every path that changes
-    /// a component's flag or the component set ends in, so that reads ask
-    /// [`IdCoreEngine::is_degraded`] in O(1).
-    uncored_count: usize,
+    cells: Cells,
     /// Predicate id → number of `blank_full` triples using it. A ground
     /// insertion whose predicate no blank triple uses cannot be the image of
     /// any fold and skips the core step entirely.
@@ -408,24 +673,19 @@ impl IdCoreEngine {
         triples: impl IntoIterator<Item = IdTriple>,
         dictionary: &Dictionary,
     ) -> Self {
-        IdCoreEngine::from_triples_metered(triples, dictionary, Metrics::default())
+        IdCoreEngine::from_triples_budgeted(
+            triples,
+            dictionary,
+            Metrics::default(),
+            CoreBudgetMode::default(),
+        )
     }
 
-    /// [`IdCoreEngine::from_triples`] with the metrics handle attached
-    /// before the cold build runs, so the initial coring is observed too.
-    pub fn from_triples_metered(
-        triples: impl IntoIterator<Item = IdTriple>,
-        dictionary: &Dictionary,
-        metrics: Metrics,
-    ) -> Self {
-        IdCoreEngine::from_triples_budgeted(triples, dictionary, metrics, CoreBudgetMode::default())
-    }
-
-    /// [`IdCoreEngine::from_triples_metered`] with the budget mode
-    /// configured *before* the cold build, so the initial component coring
-    /// is already bounded — on adversarial input the first build is exactly
-    /// where the NP-hard tail bites, and a budget attached afterwards would
-    /// come too late.
+    /// [`IdCoreEngine::from_triples`] with the metrics handle and the
+    /// budget mode configured *before* the cold build, so the initial
+    /// component coring is observed and already bounded — on adversarial
+    /// input the first build is exactly where the NP-hard tail bites, and a
+    /// budget attached afterwards would come too late.
     pub fn from_triples_budgeted(
         triples: impl IntoIterator<Item = IdTriple>,
         dictionary: &Dictionary,
@@ -444,10 +704,19 @@ impl IdCoreEngine {
                 engine.eval.insert(t);
             }
         }
-        engine.rebuild_components(dictionary);
-        let dirty = (0..engine.components.len()).collect();
-        engine.refresh(dirty, BTreeSet::new());
-        engine.debug_check(dictionary);
+        {
+            let _span = engine.metrics.span(Hist::SpanCoreRefreshNs);
+            let mut coring = engine.coring(BTreeSet::new());
+            engine.cells.insert_half(
+                &mut engine.eval,
+                &mut coring,
+                &BTreeSet::new(),
+                engine.blank_full.iter().copied(),
+                &engine.blank_full,
+                dictionary,
+            );
+            engine.report(&coring, dictionary);
+        }
         engine
     }
 
@@ -464,7 +733,8 @@ impl IdCoreEngine {
                 .filter(|&t| !is_blank_triple(dictionary, t))
                 .collect(),
             components: self
-                .components
+                .cells
+                .list
                 .iter()
                 .map(|c| ComponentState {
                     full: c.full.iter().copied().collect(),
@@ -495,7 +765,9 @@ impl IdCoreEngine {
         }
         for comp in &state.components {
             let full: BTreeSet<IdTriple> = comp.full.iter().copied().collect();
+            let mut blanks = BTreeSet::new();
             for &t in &full {
+                note_blanks(dictionary, &mut blanks, t);
                 if engine.blank_full.insert(t) {
                     *engine.blank_pred_refs.entry(t.1).or_insert(0) += 1;
                 }
@@ -504,12 +776,7 @@ impl IdCoreEngine {
             for &t in &survivors {
                 engine.eval.insert(t);
             }
-            let blanks = full
-                .iter()
-                .flat_map(|&(s, _, o)| [s, o])
-                .filter(|&id| dictionary.is_blank(id))
-                .collect();
-            engine.components.push(Component {
+            engine.cells.push(Component {
                 blanks,
                 full,
                 survivors,
@@ -518,8 +785,7 @@ impl IdCoreEngine {
                 uncored: comp.uncored,
             });
         }
-        engine.observe_blank_components();
-        engine.publish_degradation();
+        engine.publish_gauges();
         engine.debug_check(dictionary);
         engine
     }
@@ -558,12 +824,12 @@ impl IdCoreEngine {
 
     /// Number of blank components.
     pub fn component_count(&self) -> usize {
-        self.components.len()
+        self.cells.list.len()
     }
 
     /// The components' sizes in triples, ascending.
     pub fn component_sizes(&self) -> Vec<usize> {
-        let mut sizes: Vec<usize> = self.components.iter().map(|c| c.full.len()).collect();
+        let mut sizes: Vec<usize> = self.cells.list.iter().map(|c| c.full.len()).collect();
         sizes.sort_unstable();
         sizes
     }
@@ -571,11 +837,7 @@ impl IdCoreEngine {
     /// Size in triples of the largest blank component (0 when none) — the
     /// driver of the worst-case core search, observed on every commit.
     pub fn largest_component_size(&self) -> usize {
-        self.components
-            .iter()
-            .map(|c| c.full.len())
-            .max()
-            .unwrap_or(0)
+        self.cells.largest
     }
 
     /// The configured component-coring budget mode.
@@ -595,22 +857,18 @@ impl IdCoreEngine {
     /// Independent of the metrics level — degradation is engine state, not
     /// instrumentation.
     pub fn is_degraded(&self) -> bool {
-        self.uncored_count > 0
+        self.cells.uncored.components > 0
     }
 
     /// Number of components currently published uncored.
     pub fn uncored_components(&self) -> usize {
-        self.uncored_count
+        self.cells.uncored.components
     }
 
     /// Published (survivor) triples across the uncored components — the
     /// portion of the evaluation index that may be non-minimal.
     pub fn uncored_triples(&self) -> usize {
-        self.components
-            .iter()
-            .filter(|c| c.uncored)
-            .map(|c| c.survivors.len())
-            .sum()
+        self.cells.uncored.triples
     }
 
     /// The quiet-refresh retry of degraded mode: gives every uncored
@@ -620,63 +878,42 @@ impl IdCoreEngine {
     /// engine left degraded mode entirely — guaranteed when called under
     /// [`CoreBudgetMode::Unlimited`].
     pub fn recore_uncored(&mut self, dictionary: &Dictionary) -> bool {
-        let threshold = self.metrics.blank_warn_threshold();
-        let mode = self.budget_mode;
-        let mut searches = 0u64;
-        let mut fold_steps = 0u64;
-        let mut recored = 0u64;
-        let mut exhausted_slices = 0u64;
-        for i in 0..self.components.len() {
-            if !self.components[i].uncored {
-                continue;
-            }
-            let mut folds = Vec::new();
-            {
-                let comp = &mut self.components[i];
-                let budget = mode.slice(comp.survivors.len(), threshold);
-                let mut current = comp.survivors.clone();
-                let composed = fold_to_fixpoint(
-                    &mut self.eval,
-                    &mut current,
-                    &comp.blanks,
-                    &mut folds,
-                    &mut searches,
-                    budget.as_ref(),
-                );
-                if !folds.is_empty() {
-                    comp.survivors = current;
-                    comp.support = remap_set(&comp.support, &composed);
-                }
-                comp.uncored = budget.as_ref().is_some_and(|b| b.is_exhausted());
-                if comp.uncored {
-                    exhausted_slices += 1;
-                }
-            }
-            recored += 1;
-            fold_steps += folds.len() as u64;
-            self.replay_folds(&folds, i);
-        }
-        self.metrics.count(Counter::CoreComponentsRecored, recored);
-        self.metrics.count(Counter::CoreFoldSteps, fold_steps);
-        self.metrics
-            .count(Counter::CoreRetractionSearches, searches);
-        self.metrics
-            .count(Counter::CoreBudgetExhausted, exhausted_slices);
-        self.publish_degradation();
-        self.debug_check(dictionary);
+        let mut coring = self.coring(BTreeSet::new());
+        self.cells.sweep(&mut self.eval, &mut coring, |c| c.uncored);
+        self.report(&coring, dictionary);
         !self.is_degraded()
     }
 
-    /// Recounts the uncored components and mirrors the degradation state
-    /// into the gauges (the gauges are a no-op with metrics off; the count
-    /// itself is always exact).
-    fn publish_degradation(&mut self) {
-        self.uncored_count = self.components.iter().filter(|c| c.uncored).count();
+    /// Starts a run of the kernel under the engine's budget mode.
+    fn coring(&self, added_preds: BTreeSet<TermId>) -> Coring {
+        Coring {
+            mode: self.budget_mode,
+            warn_threshold: self.metrics.blank_warn_threshold(),
+            added_preds,
+            ..Coring::default()
+        }
+    }
+
+    /// Ends a run that committed into the published index: its tally, the
+    /// gauges, the invariants.
+    fn report(&self, coring: &Coring, dictionary: &Dictionary) {
+        coring.flush(&self.metrics);
+        self.publish_gauges();
+        self.debug_check(dictionary);
+    }
+
+    /// Every commit is an observation point: reports the largest blank
+    /// component to the early-warning gauge and mirrors the degradation
+    /// state (no-ops below the counters level, O(1) above it).
+    fn publish_gauges(&self) {
         if self.metrics.on(MetricsLevel::Counters) {
             self.metrics
-                .gauge_set(Gauge::UncoredComponents, self.uncored_count as u64);
+                .observe_largest_blank_component(self.cells.largest as u64);
+            let uncored = self.cells.uncored;
             self.metrics
-                .gauge_set(Gauge::UncoredTriples, self.uncored_triples() as u64);
+                .gauge_set(Gauge::UncoredComponents, uncored.components as u64);
+            self.metrics
+                .gauge_set(Gauge::UncoredTriples, uncored.triples as u64);
         }
     }
 
@@ -699,17 +936,10 @@ impl IdCoreEngine {
     ) {
         let mut removed_from_eval: BTreeSet<IdTriple> = BTreeSet::new();
         let mut blank_delta_ids: BTreeSet<TermId> = BTreeSet::new();
-        let note_blanks = |ids: &mut BTreeSet<TermId>, (s, _, o): IdTriple| {
-            for id in [s, o] {
-                if dictionary.is_blank(id) {
-                    ids.insert(id);
-                }
-            }
-        };
         for &t in removed {
             if is_blank_triple(dictionary, t) {
                 if self.blank_full.remove(&t) {
-                    note_blanks(&mut blank_delta_ids, t);
+                    note_blanks(dictionary, &mut blank_delta_ids, t);
                     if let Some(refs) = self.blank_pred_refs.get_mut(&t.1) {
                         *refs -= 1;
                         if *refs == 0 {
@@ -729,7 +959,7 @@ impl IdCoreEngine {
         for &t in added {
             if is_blank_triple(dictionary, t) {
                 if self.blank_full.insert(t) {
-                    note_blanks(&mut blank_delta_ids, t);
+                    note_blanks(dictionary, &mut blank_delta_ids, t);
                     blank_added.push(t);
                     *self.blank_pred_refs.entry(t.1).or_insert(0) += 1;
                 }
@@ -741,24 +971,27 @@ impl IdCoreEngine {
             .iter()
             .any(|p| self.blank_pred_refs.contains_key(p));
         if blank_delta_ids.is_empty() && removed_from_eval.is_empty() && !relevant_add {
-            // The pure ground fast path: the index is already the core. The
-            // early-warning gauge is still refreshed — every mutation commit
-            // is an observation point, not just the coring ones.
-            self.observe_blank_components();
+            // The pure ground fast path: the index is already the core, and
+            // no component changed.
+            self.publish_gauges();
             return;
         }
-        if !blank_delta_ids.is_empty() {
-            self.update_components(&blank_added, &blank_delta_ids, dictionary);
+        for c in &mut self.cells.list {
+            if removed_from_eval.iter().any(|t| c.support.contains(t)) {
+                c.stale = true;
+            }
         }
-        let dirty: Vec<usize> = self
-            .components
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.stale || removed_from_eval.iter().any(|t| c.support.contains(t)))
-            .map(|(i, _)| i)
-            .collect();
-        self.refresh(dirty, added_preds);
-        self.debug_check(dictionary);
+        let _span = self.metrics.span(Hist::SpanCoreRefreshNs);
+        let mut coring = self.coring(added_preds);
+        self.cells.insert_half(
+            &mut self.eval,
+            &mut coring,
+            &blank_delta_ids,
+            blank_added,
+            &self.blank_full,
+            dictionary,
+        );
+        self.report(&coring, dictionary);
     }
 
     /// Is the triple part of the maintained set (cored away or not)? Ground
@@ -776,341 +1009,82 @@ impl IdCoreEngine {
     ///
     /// `delta` must be additions the engine does not already maintain (the
     /// closure preview under RDFS, the not-yet-asserted premise triples
-    /// under simple entailment); the algorithm mirrors the insert half of
-    /// [`IdCoreEngine::apply_delta`]. Ground delta triples always survive
-    /// (maps fix URIs). Blank delta triples form a blob with every existing
-    /// component they transitively share a blank with; the blob is restored
-    /// to its full set and re-cored into the diff. Finally, components
-    /// whose survivors could fold onto a newly visible triple (matching
-    /// predicate) get the chance to retract further — their folded
-    /// survivors land in `removed`, the published index keeps them.
+    /// under simple entailment). It is put through
+    /// [`IdCoreEngine::apply_delta`]'s own insert half, against a layered
+    /// view of the published index and a scratch copy of the only
+    /// components that half can reach — those sharing a blank with the
+    /// delta (dissolved and repartitioned) or a predicate with anything it
+    /// can make visible (candidates for retracting further) — and the
+    /// scratch components are dropped instead of committed. So the diff is
+    /// exactly what committing `delta` would publish: newly visible triples
+    /// land in `added`, folded *published* triples in `removed`.
     ///
     /// The engine's [`CoreBudgetMode`] governs the overlay's searches too
     /// (a hostile premise must not stall the shared engine): when a slice
     /// runs out the diff is returned as-is — sound, per the module's
     /// "Degraded mode" argument — with [`EvalOverlay::non_minimal`] set.
     pub fn overlay_core(&self, delta: &[IdTriple], dictionary: &Dictionary) -> EvalOverlay {
-        let mut searches = 0u64;
-        let mut fold_steps = 0u64;
-        let mut recored = 0u64;
-        let mut exhausted_slices = 0u64;
-        let threshold = self.metrics.blank_warn_threshold();
-        let mode = self.budget_mode;
         let mut view = OverlayCoreView {
             base: &self.eval,
             diff: EvalOverlay::default(),
         };
-        let mut added_preds: BTreeSet<TermId> = BTreeSet::new();
-        let mut fresh_blank: BTreeSet<IdTriple> = BTreeSet::new();
+        let mut coring = self.coring(BTreeSet::new());
+        let mut delta_blanks: BTreeSet<TermId> = BTreeSet::new();
+        let mut blank_added: Vec<IdTriple> = Vec::new();
         for &t in delta {
             if is_blank_triple(dictionary, t) {
                 if !self.blank_full.contains(&t) {
-                    fresh_blank.insert(t);
+                    note_blanks(dictionary, &mut delta_blanks, t);
+                    blank_added.push(t);
                 }
             } else if view.insert(t) {
-                added_preds.insert(t.1);
+                coring.added_preds.insert(t.1);
             }
         }
-        let mut folds = Vec::new();
-        let mut affected: Vec<usize> = Vec::new();
-        if !fresh_blank.is_empty() {
-            // The blob: the fresh blank triples plus every component they
-            // transitively connect to through shared blanks.
-            let mut blob_blanks: BTreeSet<TermId> = fresh_blank
-                .iter()
-                .flat_map(|&(s, _, o)| [s, o])
-                .filter(|&id| dictionary.is_blank(id))
-                .collect();
-            loop {
-                let mut grew = false;
-                for (i, c) in self.components.iter().enumerate() {
-                    if !affected.contains(&i) && c.blanks.iter().any(|b| blob_blanks.contains(b)) {
-                        blob_blanks.extend(c.blanks.iter().copied());
-                        affected.push(i);
-                        grew = true;
-                    }
-                }
-                if !grew {
-                    break;
-                }
-            }
-            let mut current: BTreeSet<IdTriple> = fresh_blank;
-            for &i in &affected {
-                current.extend(self.components[i].full.iter().copied());
-            }
-            // Restore the blob's full set into the view (previously folded
-            // triples come back until the fresh local search decides their
-            // fate), then core it.
-            for &t in &current {
-                if view.insert(t) {
-                    added_preds.insert(t.1);
-                }
-            }
-            let budget = mode.slice(current.len(), threshold);
-            fold_to_fixpoint(
-                &mut view,
-                &mut current,
-                &blob_blanks,
-                &mut folds,
-                &mut searches,
-                budget.as_ref(),
-            );
-            if budget.as_ref().is_some_and(|b| b.is_exhausted()) {
-                view.diff.non_minimal = true;
-                exhausted_slices += 1;
-            }
-            recored += 1;
-            fold_steps += folds.len() as u64;
+        let components = &self.cells.list;
+        let mut scratch = Cells {
+            uncored: self.cells.uncored,
+            ..Cells::default()
+        };
+        if !delta_blanks.is_empty() {
+            let touched = components.iter().filter(|c| c.touches(&delta_blanks));
+            scratch.list.extend(touched.cloned());
         }
-        if !added_preds.is_empty() {
-            // Progressive pass over the components outside the blob,
-            // exactly as in `refresh`: a newly visible triple can be a fold
-            // image only for survivors sharing its predicate, and folds
-            // only remove, so one sweep reaches the fixpoint. Folded
-            // survivors are *published* triples — they land in the diff's
-            // removals while the published index keeps them.
-            for (i, comp) in self.components.iter().enumerate() {
-                if affected.contains(&i) {
-                    continue;
-                }
-                if comp.survivors.iter().all(|t| !added_preds.contains(&t.1)) {
-                    continue;
-                }
-                let before = folds.len();
-                let budget = mode.slice(comp.survivors.len(), threshold);
-                let mut current = comp.survivors.clone();
-                fold_to_fixpoint(
-                    &mut view,
-                    &mut current,
-                    &comp.blanks,
-                    &mut folds,
-                    &mut searches,
-                    budget.as_ref(),
-                );
-                if budget.as_ref().is_some_and(|b| b.is_exhausted()) {
-                    view.diff.non_minimal = true;
-                    exhausted_slices += 1;
-                }
-                if folds.len() > before {
-                    recored += 1;
-                    fold_steps += (folds.len() - before) as u64;
-                }
-            }
-        }
-        // An overlay over an already-degraded engine inherits the
-        // non-minimality of the published survivors it layers over.
-        if self.is_degraded() {
-            view.diff.non_minimal = true;
-        }
-        self.metrics.count(Counter::CoreComponentsRecored, recored);
-        self.metrics.count(Counter::CoreFoldSteps, fold_steps);
-        self.metrics
-            .count(Counter::CoreRetractionSearches, searches);
-        self.metrics
-            .count(Counter::CoreBudgetExhausted, exhausted_slices);
-        view.diff
-    }
-
-    /// Repartitions only the components a blank-structural delta touches.
-    ///
-    /// A delta triple can merge, split, extend or shrink exactly the
-    /// components it shares a blank with: any other component's triples
-    /// mention none of the delta's blanks, so its partition cell is
-    /// untouched and its cached core state carries over wholesale. The
-    /// union-find therefore runs over the *local* triple set only — the
-    /// live triples of the dissolved components plus the freshly added
-    /// blank triples (a triple mentioning a delta blank either was in a
-    /// component owning that blank, or is itself part of the delta) —
-    /// instead of the whole blank side (ROADMAP item).
-    fn update_components(
-        &mut self,
-        blank_added: &[IdTriple],
-        delta_blanks: &BTreeSet<TermId>,
-        dictionary: &Dictionary,
-    ) {
-        let all = std::mem::take(&mut self.components);
-        let (dissolved, kept): (Vec<Component>, Vec<Component>) = all
-            .into_iter()
-            .partition(|c| c.blanks.iter().any(|b| delta_blanks.contains(b)));
-        self.components = kept;
-        let mut local: BTreeSet<IdTriple> = dissolved
+        // Everything the half can make visible is a delta triple or a
+        // restored triple of a component it dissolves.
+        let reachable_preds: BTreeSet<TermId> = delta
             .iter()
-            .flat_map(|c| c.full.iter().copied())
-            .filter(|t| self.blank_full.contains(t))
+            .chain(scratch.list.iter().flat_map(|c| &c.full))
+            .map(|t| t.1)
             .collect();
-        local.extend(blank_added.iter().copied());
-        partition_and_inherit(&mut self.components, local, dissolved, dictionary);
-    }
-
-    /// Recomputes the component partition of `blank_full` from scratch (the
-    /// cold-build path; deltas go through
-    /// [`IdCoreEngine::update_components`]), inheriting the cached core
-    /// state of every component whose full triple set is unchanged and
-    /// marking the rest stale.
-    fn rebuild_components(&mut self, dictionary: &Dictionary) {
-        let old = std::mem::take(&mut self.components);
-        partition_and_inherit(
-            &mut self.components,
-            self.blank_full.iter().copied(),
-            old,
+        let reachable = components
+            .iter()
+            .filter(|c| !c.touches(&delta_blanks) && c.shares_pred(&reachable_preds));
+        scratch.list.extend(reachable.cloned());
+        scratch.insert_half(
+            &mut view,
+            &mut coring,
+            &delta_blanks,
+            blank_added,
+            &self.blank_full,
             dictionary,
         );
-    }
-
-    /// Re-cores the dirty components from their full sets, then gives every
-    /// other component whose survivors could fold onto a freshly published
-    /// triple the chance to retract further. Every fold map is replayed onto
-    /// all components' support sets, keeping them pointed at live triples.
-    fn refresh(&mut self, dirty: Vec<usize>, mut added_preds: BTreeSet<TermId>) {
-        let t0 = self
-            .metrics
-            .on(MetricsLevel::Debug)
-            .then(std::time::Instant::now);
-        let mut searches = 0u64;
-        let mut fold_steps = 0u64;
-        let mut recored = dirty.len() as u64;
-        let mut exhausted_slices = 0u64;
-        let threshold = self.metrics.blank_warn_threshold();
-        let mode = self.budget_mode;
-        for &i in &dirty {
-            let mut folds = Vec::new();
-            {
-                let comp = &mut self.components[i];
-                // Restore the full set: previously folded triples come back
-                // until the fresh local core search decides their fate.
-                for &t in &comp.full {
-                    if self.eval.insert(t) {
-                        added_preds.insert(t.1);
-                    }
-                }
-                let budget = mode.slice(comp.full.len(), threshold);
-                let mut current = comp.full.clone();
-                let composed = fold_to_fixpoint(
-                    &mut self.eval,
-                    &mut current,
-                    &comp.blanks,
-                    &mut folds,
-                    &mut searches,
-                    budget.as_ref(),
-                );
-                comp.survivors = current;
-                comp.support = comp.full.iter().map(|&t| apply_map(&composed, t)).collect();
-                comp.stale = false;
-                // Out of budget: the survivors so far are published as-is —
-                // a sound superset of the local core (see "Degraded mode") —
-                // and the component waits for a quiet-refresh retry.
-                comp.uncored = budget.as_ref().is_some_and(|b| b.is_exhausted());
-                if comp.uncored {
-                    exhausted_slices += 1;
-                }
-            }
-            fold_steps += folds.len() as u64;
-            self.replay_folds(&folds, i);
-        }
-        if !added_preds.is_empty() {
-            // Progressive pass: a newly published triple can be the image of
-            // a fold only for a survivor pattern with the same predicate.
-            // Folds only remove triples, so one sweep reaches the fixpoint.
-            for i in 0..self.components.len() {
-                let comp = &self.components[i];
-                if comp.survivors.iter().all(|t| !added_preds.contains(&t.1)) {
-                    continue;
-                }
-                let mut folds = Vec::new();
-                {
-                    let comp = &mut self.components[i];
-                    let budget = mode.slice(comp.survivors.len(), threshold);
-                    let mut current = comp.survivors.clone();
-                    let composed = fold_to_fixpoint(
-                        &mut self.eval,
-                        &mut current,
-                        &comp.blanks,
-                        &mut folds,
-                        &mut searches,
-                        budget.as_ref(),
-                    );
-                    if !folds.is_empty() {
-                        comp.survivors = current;
-                        comp.support = remap_set(&comp.support, &composed);
-                    }
-                    // Reaching the fold fixpoint from the *current* graph
-                    // proves local leanness regardless of history, so an
-                    // unexhausted pass clears a stale uncored flag too.
-                    comp.uncored = budget.as_ref().is_some_and(|b| b.is_exhausted());
-                    if comp.uncored {
-                        exhausted_slices += 1;
-                    }
-                }
-                if !folds.is_empty() {
-                    recored += 1;
-                    fold_steps += folds.len() as u64;
-                }
-                self.replay_folds(&folds, i);
-            }
-        }
-        self.metrics.count(Counter::CoreComponentsRecored, recored);
-        self.metrics.count(Counter::CoreFoldSteps, fold_steps);
-        self.metrics
-            .count(Counter::CoreRetractionSearches, searches);
-        self.metrics
-            .count(Counter::CoreBudgetExhausted, exhausted_slices);
-        self.observe_blank_components();
-        self.publish_degradation();
-        if let Some(t0) = t0 {
-            self.metrics
-                .record(Hist::SpanCoreRefreshNs, t0.elapsed().as_nanos() as u64);
-        }
-    }
-
-    /// Reports the largest blank component to the early-warning gauge (a
-    /// no-op below the counters level).
-    fn observe_blank_components(&self) {
-        if self.metrics.on(MetricsLevel::Counters) {
-            self.metrics
-                .observe_largest_blank_component(self.largest_component_size() as u64);
-        }
-    }
-
-    /// Applies fold maps produced while processing component `origin` to
-    /// every other component's support set.
-    fn replay_folds(&mut self, folds: &[IdMap], origin: usize) {
-        if folds.is_empty() {
-            return;
-        }
-        let mut replays = 0u64;
-        for (j, other) in self.components.iter_mut().enumerate() {
-            if j == origin {
-                continue;
-            }
-            for map in folds {
-                // A fold only moves the origin component's blanks; most
-                // support sets never mention them, so probe before paying
-                // for a rebuild of the set.
-                let touched = other
-                    .support
-                    .iter()
-                    .any(|(s, _, o)| map.contains_key(s) || map.contains_key(o));
-                if touched {
-                    other.support = remap_set(&other.support, map);
-                    replays += 1;
-                }
-            }
-        }
-        self.metrics.count(Counter::CoreSupportReplays, replays);
+        coring.flush(&self.metrics);
+        // What `is_degraded` would say after committing: the untouched
+        // components keep their flags, the scratch ones have fresh ones.
+        view.diff.non_minimal = scratch.uncored.components > 0;
+        view.diff
     }
 
     /// Debug-build invariants: the published index is exactly the ground
     /// triples plus every component's survivors, all support triples are
-    /// live, and the uncored count is current.
+    /// live, and the cached aggregates are current.
     fn debug_check(&self, dictionary: &Dictionary) {
         if cfg!(debug_assertions) {
-            debug_assert_eq!(
-                self.uncored_count,
-                self.components.iter().filter(|c| c.uncored).count(),
-                "a path changed an uncored flag without publish_degradation"
-            );
+            let mut uncored = Uncored::default();
             let mut expected_blank: BTreeSet<IdTriple> = BTreeSet::new();
-            for c in &self.components {
+            for c in &self.cells.list {
+                uncored.enter(c);
                 debug_assert!(c.survivors.is_subset(&c.full));
                 debug_assert!(
                     c.support.iter().all(|t| self.eval.contains(*t)),
@@ -1118,6 +1092,15 @@ impl IdCoreEngine {
                 );
                 expected_blank.extend(c.survivors.iter().copied());
             }
+            debug_assert_eq!(
+                self.cells.uncored, uncored,
+                "a path changed an uncored flag outside the commit point"
+            );
+            debug_assert_eq!(
+                self.cells.largest,
+                self.component_sizes().last().copied().unwrap_or(0),
+                "a path changed the partition without updating the largest size"
+            );
             let published_blank: BTreeSet<IdTriple> = self
                 .eval
                 .iter()
@@ -1135,80 +1118,54 @@ fn is_blank_triple(dictionary: &Dictionary, (s, _, o): IdTriple) -> bool {
     dictionary.is_blank(s) || dictionary.is_blank(o)
 }
 
-/// Partitions `triples` into blank components and appends the cells to
-/// `components` — the shared inheritance protocol of the cold rebuild and
-/// the incremental repartition: a cell whose full triple set reappears
-/// unchanged among `old` (bucketed by first triple) carries its cached core
-/// state over wholesale; every other cell starts stale.
-fn partition_and_inherit(
-    components: &mut Vec<Component>,
-    triples: impl IntoIterator<Item = IdTriple>,
-    old: Vec<Component>,
-    dictionary: &Dictionary,
-) {
-    let mut by_first: BTreeMap<IdTriple, Vec<Component>> = BTreeMap::new();
-    for c in old {
-        if let Some(&first) = c.full.first() {
-            by_first.entry(first).or_default().push(c);
-        }
-    }
-    for part in blank_components(triples, |id| dictionary.is_blank(id)) {
-        let inherited = part.triples.first().and_then(|first| {
-            let bucket = by_first.get_mut(first)?;
-            let at = bucket.iter().position(|c| c.full == part.triples)?;
-            Some(bucket.swap_remove(at))
-        });
-        components.push(match inherited {
-            Some(c) => Component {
-                blanks: part.blanks,
-                full: part.triples,
-                survivors: c.survivors,
-                support: c.support,
-                stale: c.stale,
-                uncored: c.uncored,
-            },
-            None => Component {
-                blanks: part.blanks,
-                full: part.triples,
-                survivors: BTreeSet::new(),
-                support: BTreeSet::new(),
-                stale: true,
-                uncored: false,
-            },
-        });
-    }
+fn note_blanks(dictionary: &Dictionary, ids: &mut BTreeSet<TermId>, (s, _, o): IdTriple) {
+    ids.extend([s, o].into_iter().filter(|&id| dictionary.is_blank(id)));
 }
 
-/// Retracts `current` — the component's triples presently in `eval` — to a
-/// local fixpoint. Each successful fold map is applied to `eval` (dropping
-/// the folded triples), pushed to `folds`, and composed into the returned
-/// map. On return without budget exhaustion no triple of `current` can be
-/// avoided: the component is locally lean. With an exhausted budget the
-/// loop stops early; everything applied so far is still a genuine
-/// retraction, so `current` is a sound superset of the local core (the
-/// caller checks [`Budget::is_exhausted`] and flags the component).
-fn fold_to_fixpoint<T: CoreIndex>(
-    eval: &mut T,
-    current: &mut BTreeSet<IdTriple>,
-    blanks: &BTreeSet<TermId>,
-    folds: &mut Vec<IdMap>,
-    searches: &mut u64,
-    budget: Option<&Budget>,
-) -> IdMap {
+/// The coring kernel: retracts the triples of `comp` visible in `view` to
+/// a local fixpoint under one budget slice. A stale component starts over
+/// from its full set (previously folded triples come back into the view
+/// until the fresh local search decides their fate), any other retracts
+/// further from its survivors. Each successful fold map is applied to the
+/// view (dropping the folded triples) and composed into the result. On
+/// return without budget exhaustion no surviving triple can be avoided: the
+/// component is locally lean. With an exhausted budget the loop stops early;
+/// everything applied so far is still a genuine retraction, so the survivors
+/// are a sound superset of the local core.
+fn fold_to_fixpoint<T: CoreIndex>(view: &mut T, comp: &Component, coring: &mut Coring) -> Cored {
+    let start = if comp.stale {
+        for &t in &comp.full {
+            if view.insert(t) {
+                coring.added_preds.insert(t.1);
+            }
+        }
+        &comp.full
+    } else {
+        &comp.survivors
+    };
+    let budget = coring.mode.slice(start.len(), coring.warn_threshold);
+    let mut survivors = start.clone();
     let mut composed = IdMap::new();
-    while let Some(map) = find_fold(eval, current, blanks, searches, budget) {
-        let image: BTreeSet<IdTriple> = current.iter().map(|&t| apply_map(&map, t)).collect();
-        for &t in current.iter() {
+    let mut folds = Vec::new();
+    while let Some(map) = find_fold(
+        view,
+        &survivors,
+        &comp.blanks,
+        &mut coring.searches,
+        budget.as_ref(),
+    ) {
+        let image = remap_set(&survivors, &map);
+        for &t in survivors.iter() {
             if !image.contains(&t) {
-                eval.remove(t);
+                view.remove(t);
             }
         }
         // Images that still mention the component's blanks are the surviving
         // component triples; the rest (ground triples, other components'
         // triples) are pure support.
-        *current = image
+        survivors = image
             .into_iter()
-            .filter(|&(s, _, o)| blanks.contains(&s) || blanks.contains(&o))
+            .filter(|&(s, _, o)| comp.blanks.contains(&s) || comp.blanks.contains(&o))
             .collect();
         for v in composed.values_mut() {
             if let Some(&w) = map.get(v) {
@@ -1220,7 +1177,15 @@ fn fold_to_fixpoint<T: CoreIndex>(
         }
         folds.push(map);
     }
-    composed
+    let exhausted = budget.is_some_and(|b| b.is_exhausted());
+    coring.fold_steps += folds.len() as u64;
+    coring.exhausted_slices += u64::from(exhausted);
+    Cored {
+        survivors,
+        composed,
+        folds,
+        exhausted,
+    }
 }
 
 /// Searches for a retraction witness: a map `μ` over the component's blanks

@@ -6,8 +6,8 @@
 
 use proptest::prelude::*;
 use swdb_model::{isomorphic, Graph, Iri, Term, Triple};
-use swdb_normal::{core, is_lean, IdCoreEngine};
-use swdb_store::TripleStore;
+use swdb_normal::{core, is_lean, CoreBudget, CoreBudgetMode, IdCoreEngine};
+use swdb_store::{IdTriple, TripleStore};
 
 /// Blank-heavy triples over a tight label pool: five reusable blanks and
 /// four URIs force shared labels, multi-triple components and plenty of
@@ -94,5 +94,67 @@ proptest! {
         let b = decoded_eval(&store, &dripped);
         prop_assert!(isomorphic(&a, &b), "batched {a} vs dripped {b}");
         assert_engine_matches_spec(&store, &batched, "batched load");
+    }
+
+    #[test]
+    fn the_overlay_is_what_committing_would_publish(
+        base in proptest::collection::vec(arb_triple(), 0..10),
+        delta in proptest::collection::vec(arb_triple(), 1..6),
+        budget in prop_oneof![
+            Just(CoreBudgetMode::Unlimited),
+            (0u64..40).prop_map(|n| CoreBudgetMode::Budgeted(CoreBudget::steps(n))),
+        ],
+    ) {
+        // The overlay puts the delta through `apply_delta`'s own insert half
+        // against a layered view, so it must describe what a commit would
+        // publish. The two are compared up to isomorphism, not as id sets:
+        // the layered view scans the published index before the diff and
+        // the committed index scans both in key order, so a search with two
+        // witnesses may keep a different (isomorphic) representative — base
+        // {(B0 p B3), (B1 p B4), (B4 p n1)} + (B0 p B4) keeps (B1 p B4) in
+        // the overlay and (B0 p B4) in the commit — and under a step budget
+        // may run out of steps in one and not in the other.
+        let base = Graph::from_triples(base);
+        let mut store = TripleStore::from_graph(&base);
+        let ids: Vec<IdTriple> = store.iter_ids().collect();
+        let mut engine = IdCoreEngine::new();
+        engine.set_core_budget(budget);
+        engine.apply_delta(&ids, &[], store.dictionary());
+        let union = base.union(&Graph::from_triples(delta.clone()));
+        let delta: Vec<IdTriple> = delta
+            .iter()
+            .map(|t| {
+                let s = store.intern(t.subject());
+                let p = store.intern(&Term::Iri(t.predicate().clone()));
+                let o = store.intern(t.object());
+                (s, p, o)
+            })
+            .filter(|&t| !engine.maintains(t))
+            .collect();
+        let published_before = engine.index().clone();
+        let overlay = engine.overlay_core(&delta, store.dictionary());
+        prop_assert_eq!(engine.index(), &published_before, "the engine's own index moved");
+        prop_assert!(overlay.added.iter().all(|t| !engine.index().contains(t)));
+        prop_assert!(overlay.removed.iter().all(|&t| engine.index().contains(t)));
+        let overlaid: Graph = engine
+            .index()
+            .iter()
+            .filter(|t| !overlay.removed.contains(t))
+            .chain(overlay.added.iter())
+            .map(|t| store.materialize(t))
+            .collect();
+        // Sound whatever the budget: nothing invented, nothing of the core
+        // lost — and an unflagged overlay is the core itself.
+        let spec = core(&union);
+        prop_assert!(overlaid.is_subgraph_of(&union));
+        prop_assert!(isomorphic(&core(&overlaid), &spec), "{overlaid} vs {spec} under {budget:?}");
+        prop_assert!(overlay.non_minimal || isomorphic(&overlaid, &spec), "unflagged {overlaid}");
+        let mut committed = engine.clone();
+        committed.apply_delta(&delta, &[], store.dictionary());
+        if budget == CoreBudgetMode::Unlimited {
+            let published = decoded_eval(&store, &committed);
+            prop_assert!(isomorphic(&overlaid, &published), "{overlaid} vs commit {published}");
+            prop_assert_eq!(overlay.non_minimal, committed.is_degraded());
+        }
     }
 }

@@ -121,7 +121,7 @@ fn read_request(
         if buf.len() > config.max_head_bytes {
             return ReadOutcome::Bad(Response::text(431, "request head too large\n"));
         }
-        match fill(stream, buf, deadline) {
+        match fill(stream, buf, shared, deadline) {
             Fill::Got => {}
             Fill::Eof => return ReadOutcome::Closed,
             Fill::TimedOut => {
@@ -181,7 +181,7 @@ fn read_request(
     // ---- body ----
     let body_start = head_end + 4;
     while buf.len() < body_start + content_length {
-        match fill(stream, buf, deadline) {
+        match fill(stream, buf, shared, deadline) {
             Fill::Got => {}
             Fill::Eof => return ReadOutcome::Closed,
             Fill::TimedOut => return ReadOutcome::TimedOut,
@@ -217,8 +217,11 @@ enum Fill {
 
 /// One deadline-aware read into `buf`: the socket timeout is the poll
 /// quantum, the *deadline* is enforced here — a client dripping one byte
-/// per poll cannot extend it.
-fn fill(stream: &mut TcpStream, buf: &mut Vec<u8>, deadline: Instant) -> Fill {
+/// per poll cannot extend it. While `buf` is empty the connection idles
+/// between requests, and a poll tick that sees the server shutting down
+/// closes it instead of waiting out the deadline; once a request's first
+/// byte has arrived it is read and answered (drain-on-shutdown).
+fn fill(stream: &mut TcpStream, buf: &mut Vec<u8>, shared: &Shared, deadline: Instant) -> Fill {
     let mut chunk = [0u8; 4096];
     loop {
         let now = Instant::now();
@@ -233,7 +236,9 @@ fn fill(stream: &mut TcpStream, buf: &mut Vec<u8>, deadline: Instant) -> Fill {
                 return Fill::Got;
             }
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                continue;
+                if buf.is_empty() && shared.shutting_down() {
+                    return Fill::Eof;
+                }
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(_) => return Fill::Err,

@@ -348,6 +348,74 @@ fn durability_fail_stop_degrades_to_503_writes_200_reads() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Reads exactly one response (head + `content-length` body) off a
+/// keep-alive connection.
+fn read_one_response(stream: &mut TcpStream) -> String {
+    let mut out = Vec::new();
+    let mut byte = [0u8; 1];
+    while !out.ends_with(b"\r\n\r\n") {
+        stream.read_exact(&mut byte).expect("response head");
+        out.push(byte[0]);
+    }
+    let head = String::from_utf8_lossy(&out).into_owned();
+    let length: usize = head
+        .lines()
+        .find_map(|l| l.strip_prefix("content-length: "))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("content-length");
+    let mut body = vec![0u8; length];
+    stream.read_exact(&mut body).expect("response body");
+    head + &String::from_utf8_lossy(&body)
+}
+
+#[test]
+fn shutdown_closes_idle_keep_alive_connections_and_drains_in_flight_requests() {
+    let read_timeout = Duration::from_secs(10);
+    let config = ServerConfig {
+        read_timeout,
+        ..ServerConfig::default()
+    };
+    let server = Server::start(SemanticWebDatabase::new(), config).expect("server start");
+    let addr = server.addr();
+    let health = "GET /health HTTP/1.1\r\nhost: t\r\n\r\n";
+    let client_timeout = Some(Duration::from_secs(30));
+    // One connection that has been served once and now idles in keep-alive…
+    let mut idle = TcpStream::connect(addr).unwrap();
+    idle.set_read_timeout(client_timeout).unwrap();
+    idle.write_all(health.as_bytes()).unwrap();
+    assert!(read_one_response(&mut idle).starts_with("HTTP/1.1 200"));
+    // …and one whose worker holds the first half of a request.
+    let mut in_flight = TcpStream::connect(addr).unwrap();
+    in_flight.set_read_timeout(client_timeout).unwrap();
+    in_flight.write_all(health.as_bytes()).unwrap();
+    assert!(read_one_response(&mut in_flight).starts_with("HTTP/1.1 200"));
+    let (first_half, second_half) = health.split_at(10);
+    in_flight.write_all(first_half.as_bytes()).unwrap();
+
+    let started = std::time::Instant::now();
+    let shutdown = std::thread::spawn(move || server.shutdown());
+    // The listener closes once the accept loop has seen the flag: from
+    // then on every worker's poll tick sees it too.
+    while TcpStream::connect(addr).is_ok() {
+        std::thread::yield_now();
+    }
+    // The idle connection is closed without waiting out its read deadline…
+    let mut rest = Vec::new();
+    assert_eq!(idle.read_to_end(&mut rest).expect("clean close"), 0);
+    // …while the request that had begun is still read and answered.
+    in_flight.write_all(second_half.as_bytes()).unwrap();
+    let answer = read_one_response(&mut in_flight);
+    assert!(answer.starts_with("HTTP/1.1 200"), "{answer:?}");
+    assert!(answer.contains("connection: close"), "{answer:?}");
+    let db = shutdown.join().expect("shutdown thread");
+    assert!(db.is_empty());
+    assert!(
+        started.elapsed() < read_timeout / 2,
+        "shutdown waited out the idle connection's read deadline: {:?}",
+        started.elapsed()
+    );
+}
+
 #[test]
 fn graceful_shutdown_rotates_and_hands_the_store_back() {
     let dir = tmp_dir("shutdown");
