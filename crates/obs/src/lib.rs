@@ -207,8 +207,13 @@ keyed_enum! {
         SnapshotsPublished => "snapshots_published",
         /// Connections accepted by the HTTP front end.
         ServerAccepted => "server_accepted",
-        /// Requests fully served (any status) by the HTTP front end.
+        /// Requests read and dispatched to a handler by the HTTP front end
+        /// (any status; counted before the answer is written).
         ServerRequests => "server_requests",
+        /// Socket writes issued for responses. Pipelined answers share a
+        /// write, so `server_requests / server_flushes` is the batch size
+        /// actually achieved.
+        ServerFlushes => "server_flushes",
         /// Connections shed with `503 Retry-After` because the bounded
         /// accept/work queue was full.
         ServerShed => "server_shed",

@@ -6,6 +6,7 @@
 //! malformed bytes (panics would only come from engine bugs — which the
 //! worker's `catch_unwind` isolates to the one connection).
 
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use swdb_core::{PublishedSnapshot, Semantics};
@@ -15,34 +16,27 @@ use swdb_query::Query;
 use crate::http::{Request, Response};
 use crate::Shared;
 
-/// Minimal JSON string escaping for the handful of strings we embed.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Appends `s` to `out` with the minimal JSON string escaping.
+fn push_json_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
+            '"' | '\\' => out.extend(['\\', c]),
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
-    out
 }
 
 /// Stamps the snapshot-substrate headers every data-bearing response
 /// carries: which epoch answered, and whether that substrate was degraded.
-fn stamped(response: Response, epoch: u64, degraded: bool) -> Response {
+fn stamped(mut response: Response, epoch: u64, degraded: bool) -> Response {
+    response.stamp = Some((epoch, degraded));
     response
-        .header("x-swdb-epoch", epoch.to_string())
-        .header("x-swdb-degraded", degraded.to_string())
-}
-
-fn retry_later(shared: &Shared, why: &str) -> Response {
-    Response::text(503, format!("{why}\n"))
-        .header("retry-after", shared.config.retry_after_secs.to_string())
 }
 
 /// The route table.
@@ -110,9 +104,8 @@ fn ingest(shared: &Shared, request: &Request, removal: bool) -> Response {
     };
     let mut db = shared.lock_db();
     if let Some(why) = db.durability_error() {
-        let why = format!("writes unavailable — {why}");
-        drop(db);
-        return retry_later(shared, &why);
+        // `503`: the renderer adds `retry-after`.
+        return Response::text(503, format!("writes unavailable — {why}\n"));
     }
     let changed = if removal {
         db.remove_graph(&graph)
@@ -175,12 +168,12 @@ fn query(shared: &Shared, request: &Request, envelope: bool) -> Response {
         let body = swdb_store::serialize(&answer);
         return stamped(Response::text(200, body), epoch, non_minimal);
     }
-    let body = format!(
-        "{{\"epoch\": {epoch}, \"non_minimal\": {non_minimal}, \"answers\": {}, \
-         \"triples\": \"{}\"}}",
+    let mut body = format!(
+        "{{\"epoch\": {epoch}, \"non_minimal\": {non_minimal}, \"answers\": {}, \"triples\": \"",
         answer.len(),
-        json_escape(&swdb_store::serialize(&answer)),
     );
+    swdb_store::ntriples::write_graph(&answer, |piece| push_json_escaped(&mut body, piece));
+    body.push_str("\"}");
     stamped(Response::json(200, body), epoch, non_minimal)
 }
 

@@ -1,14 +1,15 @@
 //! Hand-rolled HTTP/1.1: deadline-enforced request reading (keep-alive and
-//! pipelining via a per-connection carry buffer), size caps, and response
-//! writing. The parser is deliberately strict — anything malformed is a
-//! `400` and the connection closes — because on a fault-hardened server an
-//! ambiguous request is an attack surface, not a compatibility feature.
+//! pipelining via a per-connection input buffer), size caps, and the
+//! per-connection output buffer answers leave through (crate docs,
+//! "Pipelining and flushing"). The parser is deliberately strict — anything
+//! malformed is a `400` and the connection closes — because an ambiguous
+//! request is an attack surface, and a mis-framed body *is* the next request.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use swdb_obs::{Counter, Hist, MetricsLevel};
+use swdb_obs::{Counter, Hist};
 
 use crate::handlers;
 use crate::Shared;
@@ -16,6 +17,12 @@ use crate::Shared;
 /// Poll quantum for the deadline loops: short enough that a deadline is
 /// enforced promptly, long enough to stay off the scheduler's back.
 const POLL: Duration = Duration::from_millis(50);
+/// Least room offered to a socket read (it doubles as a body arrives).
+const READ_CHUNK: usize = 16 << 10;
+/// Pending output at or over this is written at once.
+const HIGH_WATER: usize = 64 << 10;
+/// Output is held for this long after its requests were read, no longer.
+const HOLD: Duration = Duration::from_millis(1);
 
 /// One parsed request.
 pub(crate) struct Request {
@@ -43,9 +50,9 @@ pub(crate) struct Response {
     pub(crate) status: u16,
     pub(crate) body: Vec<u8>,
     pub(crate) content_type: &'static str,
-    pub(crate) headers: Vec<(String, String)>,
-    /// Force `Connection: close` regardless of the request's wish.
-    pub(crate) close: bool,
+    /// The `x-swdb-epoch` / `x-swdb-degraded` stamps of a data-bearing
+    /// response: which epoch answered, and whether it was `non_minimal`.
+    pub(crate) stamp: Option<(u64, bool)>,
 }
 
 impl Response {
@@ -54,8 +61,7 @@ impl Response {
             status,
             body: body.into(),
             content_type,
-            headers: Vec::new(),
-            close: false,
+            stamp: None,
         }
     }
 
@@ -65,16 +71,6 @@ impl Response {
 
     pub(crate) fn text(status: u16, body: impl Into<Vec<u8>>) -> Self {
         Response::new(status, "text/plain; charset=utf-8", body)
-    }
-
-    pub(crate) fn header(mut self, name: &str, value: String) -> Self {
-        self.headers.push((name.to_string(), value));
-        self
-    }
-
-    fn closing(mut self) -> Self {
-        self.close = true;
-        self
     }
 }
 
@@ -93,10 +89,9 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-enum ReadOutcome {
-    Ready(Request),
-    /// Peer closed (or half-closed) before a complete request: nothing to
-    /// answer.
+/// Why no request was read.
+enum Unread {
+    /// Peer closed before a complete request: nothing to answer.
     Closed,
     /// Protocol violation: answer this and close.
     Bad(Response),
@@ -104,227 +99,258 @@ enum ReadOutcome {
     TimedOut,
 }
 
-/// Reads one complete request from `stream`, carrying leftover pipelined
-/// bytes across calls in `buf`. Every byte must arrive before `deadline`.
-fn read_request(
-    stream: &mut TcpStream,
-    buf: &mut Vec<u8>,
-    shared: &Shared,
-    deadline: Instant,
-) -> ReadOutcome {
-    let config = &shared.config;
-    // ---- head ----
-    let head_end = loop {
-        if let Some(at) = find_head_end(buf) {
-            break at;
+fn bad<T>(status: u16, why: &'static str) -> Result<T, Unread> {
+    Err(Unread::Bad(Response::text(status, why)))
+}
+
+/// One connection's buffers. `inp[at..end]` is received and unconsumed (the
+/// rest of a pipelined batch), `inp[end..]` room for the next socket read;
+/// `out` holds answers not yet written. [`Connection::flush`] is the only
+/// socket write, and the `Drop` flush covers every way out, a panic included.
+struct Connection<'a> {
+    stream: &'a TcpStream,
+    shared: &'a Shared,
+    inp: Vec<u8>,
+    at: usize,
+    end: usize,
+    /// How much of the head at `at` has been searched for its end.
+    scanned: usize,
+    /// The socket read timeout last set.
+    timeout: Duration,
+    out: Vec<u8>,
+    /// When the requests now being answered were read off the socket.
+    since: Instant,
+}
+
+impl<'a> Connection<'a> {
+    fn new(shared: &'a Shared, stream: &'a TcpStream) -> Self {
+        let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
+        Connection {
+            stream,
+            shared,
+            inp: Vec::new(),
+            at: 0,
+            end: 0,
+            scanned: 0,
+            timeout: Duration::ZERO,
+            out: Vec::new(),
+            since: Instant::now(),
         }
-        if buf.len() > config.max_head_bytes {
-            return ReadOutcome::Bad(Response::text(431, "request head too large\n"));
-        }
-        match fill(stream, buf, shared, deadline) {
-            Fill::Got => {}
-            Fill::Eof => return ReadOutcome::Closed,
-            Fill::TimedOut => {
-                // An idle keep-alive connection timing out between
-                // requests is a normal close, not a protocol error.
-                return if buf.is_empty() {
-                    ReadOutcome::Closed
-                } else {
-                    ReadOutcome::TimedOut
-                };
-            }
-            Fill::Err => return ReadOutcome::Closed,
-        }
-    };
-    let head = match std::str::from_utf8(&buf[..head_end]) {
-        Ok(h) => h.to_string(),
-        Err(_) => return ReadOutcome::Bad(Response::text(400, "non-UTF-8 request head\n")),
-    };
-    let mut lines = head.split("\r\n");
-    let request_line = lines.next().unwrap_or("");
-    let mut parts = request_line.split(' ');
-    let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(t), Some(v), None) if !m.is_empty() && t.starts_with('/') => (m, t, v),
-        _ => return ReadOutcome::Bad(Response::text(400, "malformed request line\n")),
-    };
-    if version != "HTTP/1.1" && version != "HTTP/1.0" {
-        return ReadOutcome::Bad(Response::text(400, "unsupported HTTP version\n"));
     }
-    let mut content_length: usize = 0;
-    let mut keep_alive = version == "HTTP/1.1";
-    for line in lines {
-        let Some((name, value)) = line.split_once(':') else {
-            return ReadOutcome::Bad(Response::text(400, "malformed header line\n"));
+
+    /// Renders `response` into `out`; returns `false` when the connection
+    /// must close afterwards (`keep` is false, or a write failed).
+    fn push(&mut self, response: &Response, keep: bool) -> bool {
+        let (out, status, length) = (&mut self.out, response.status, response.body.len());
+        let (phrase, kind) = (reason(status), response.content_type);
+        let connection = if keep { "keep-alive" } else { "close" };
+        let _ = write!(
+            out,
+            "HTTP/1.1 {status} {phrase}\r\ncontent-type: {kind}\r\ncontent-length: {length}\r\nconnection: {connection}\r\n"
+        );
+        if status == 503 {
+            let secs = self.shared.config.retry_after_secs;
+            let _ = write!(out, "retry-after: {secs}\r\n");
+        }
+        if let Some((epoch, flag)) = response.stamp {
+            let _ = write!(out, "x-swdb-epoch: {epoch}\r\nx-swdb-degraded: {flag}\r\n");
+        }
+        out.extend_from_slice(b"\r\n");
+        out.extend_from_slice(&response.body);
+        let hold = self.out.len() < HIGH_WATER && self.since.elapsed() < HOLD;
+        keep && (hold || self.flush())
+    }
+
+    /// Writes what is pending, if anything; `false` on a write error.
+    fn flush(&mut self) -> bool {
+        if self.out.is_empty() {
+            return true;
+        }
+        self.shared.metrics.count(Counter::ServerFlushes, 1);
+        let sent = self.stream.write_all(&self.out).is_ok();
+        self.out.clear();
+        sent
+    }
+
+    /// Reads one complete request, leaving what follows it for the next
+    /// call. Every byte must arrive before `deadline`.
+    fn read_request(&mut self, deadline: Instant) -> Result<Request, Unread> {
+        let config = &self.shared.config;
+        // ---- head ----
+        let head_end = loop {
+            let window = &self.inp[self.at..self.end];
+            let from = self.scanned.saturating_sub(3);
+            if let Some(found) = window[from..].windows(4).position(|w| w == b"\r\n\r\n") {
+                break from + found;
+            }
+            self.scanned = window.len();
+            if window.len() > config.max_head_bytes {
+                return bad(431, "request head too large\n");
+            }
+            self.fill(deadline)?;
         };
-        let value = value.trim();
-        if name.eq_ignore_ascii_case("content-length") {
-            match value.parse::<usize>() {
-                Ok(n) => content_length = n,
-                Err(_) => return ReadOutcome::Bad(Response::text(400, "bad Content-Length\n")),
-            }
-        } else if name.eq_ignore_ascii_case("transfer-encoding") {
-            return ReadOutcome::Bad(Response::text(
-                501,
-                "chunked transfer encoding not supported\n",
-            ));
-        } else if name.eq_ignore_ascii_case("connection") {
-            if value.eq_ignore_ascii_case("close") {
-                keep_alive = false;
-            } else if value.eq_ignore_ascii_case("keep-alive") {
-                keep_alive = true;
-            }
+        self.scanned = 0;
+        let Ok(head) = std::str::from_utf8(&self.inp[self.at..self.at + head_end]) else {
+            return bad(400, "non-UTF-8 request head\n");
+        };
+        let mut lines = head.split("\r\n");
+        let mut parts = lines.next().unwrap_or("").split(' ');
+        let (method, target, version) =
+            match (parts.next(), parts.next(), parts.next(), parts.next()) {
+                (Some(m), Some(t), Some(v), None) if !m.is_empty() && t.starts_with('/') => {
+                    (m.to_string(), t, v)
+                }
+                _ => return bad(400, "malformed request line\n"),
+            };
+        if version != "HTTP/1.1" && version != "HTTP/1.0" {
+            return bad(400, "unsupported HTTP version\n");
         }
-    }
-    if content_length > config.max_request_bytes {
-        return ReadOutcome::Bad(Response::text(413, "request body too large\n"));
-    }
-    // ---- body ----
-    let body_start = head_end + 4;
-    while buf.len() < body_start + content_length {
-        match fill(stream, buf, shared, deadline) {
-            Fill::Got => {}
-            Fill::Eof => return ReadOutcome::Closed,
-            Fill::TimedOut => return ReadOutcome::TimedOut,
-            Fill::Err => return ReadOutcome::Closed,
-        }
-    }
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p.to_string(), Some(q.to_string())),
-        None => (target.to_string(), None),
-    };
-    let body = buf[body_start..body_start + content_length].to_vec();
-    // Keep pipelined leftovers for the next request on this connection.
-    buf.drain(..body_start + content_length);
-    ReadOutcome::Ready(Request {
-        method: method.to_string(),
-        path,
-        query,
-        body,
-        keep_alive,
-    })
-}
-
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
-}
-
-enum Fill {
-    Got,
-    Eof,
-    TimedOut,
-    Err,
-}
-
-/// One deadline-aware read into `buf`: the socket timeout is the poll
-/// quantum, the *deadline* is enforced here — a client dripping one byte
-/// per poll cannot extend it. While `buf` is empty the connection idles
-/// between requests, and a poll tick that sees the server shutting down
-/// closes it instead of waiting out the deadline; once a request's first
-/// byte has arrived it is read and answered (drain-on-shutdown).
-fn fill(stream: &mut TcpStream, buf: &mut Vec<u8>, shared: &Shared, deadline: Instant) -> Fill {
-    let mut chunk = [0u8; 4096];
-    loop {
-        let now = Instant::now();
-        if now >= deadline {
-            return Fill::TimedOut;
-        }
-        let _ = stream.set_read_timeout(Some(POLL.min(deadline - now)));
-        match stream.read(&mut chunk) {
-            Ok(0) => return Fill::Eof,
-            Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
-                return Fill::Got;
-            }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if buf.is_empty() && shared.shutting_down() {
-                    return Fill::Eof;
+        let mut content_length: Option<usize> = None;
+        let mut keep_alive = version == "HTTP/1.1";
+        for line in lines {
+            let Some((name, value)) = line.split_once(':') else {
+                return bad(400, "malformed header line\n");
+            };
+            let value = value.trim();
+            if name.eq_ignore_ascii_case("content-length") {
+                // Digits only (`usize::from_str` takes a sign) and one value
+                // only: the body's length frames the next request.
+                let digits = !value.is_empty() && value.bytes().all(|b| b.is_ascii_digit());
+                match value.parse::<usize>() {
+                    Ok(n) if digits && content_length.is_none_or(|seen| seen == n) => {
+                        content_length = Some(n);
+                    }
+                    _ => return bad(400, "bad Content-Length\n"),
+                }
+            } else if name.eq_ignore_ascii_case("transfer-encoding") {
+                return bad(501, "chunked transfer encoding not supported\n");
+            } else if name.eq_ignore_ascii_case("connection") {
+                if value.eq_ignore_ascii_case("close") {
+                    keep_alive = false;
+                } else if value.eq_ignore_ascii_case("keep-alive") {
+                    keep_alive = true;
                 }
             }
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => return Fill::Err,
+        }
+        let content_length = content_length.unwrap_or(0);
+        if content_length > config.max_request_bytes {
+            return bad(413, "request body too large\n");
+        }
+        let (path, query) = match target.split_once('?') {
+            Some((p, q)) => (p.to_string(), Some(q.to_string())),
+            None => (target.to_string(), None),
+        };
+        // ---- body ----
+        let total = head_end + 4 + content_length;
+        while self.end - self.at < total {
+            self.fill(deadline)?;
+        }
+        self.at += total;
+        Ok(Request {
+            method,
+            path,
+            query,
+            body: self.inp[self.at - content_length..self.at].to_vec(),
+            keep_alive,
+        })
+    }
+
+    /// One deadline-aware socket read: the socket timeout is the poll
+    /// quantum, the *deadline* is enforced here — a client dripping one
+    /// byte per poll cannot extend it. With nothing buffered the connection
+    /// idles between requests, and a poll tick that sees the server shutting
+    /// down closes it; a request whose first byte has arrived is read and
+    /// answered (drain-on-shutdown).
+    fn fill(&mut self, deadline: Instant) -> Result<(), Unread> {
+        // Never wait for the peer with answers unsent: it may wait for them.
+        if !self.flush() {
+            return Err(Unread::Closed);
+        }
+        // Whole requests were consumed in place: only a partial one moves.
+        self.inp.copy_within(self.at..self.end, 0);
+        (self.at, self.end) = (0, self.end - self.at);
+        let room = self.end.max(READ_CHUNK);
+        self.inp.resize(self.inp.len().max(self.end + room), 0);
+        loop {
+            let now = Instant::now();
+            if now >= deadline {
+                return Err(Unread::TimedOut);
+            }
+            let timeout = POLL.min(deadline - now);
+            if timeout != self.timeout {
+                let _ = self.stream.set_read_timeout(Some(timeout));
+                self.timeout = timeout;
+            }
+            match self.stream.read(&mut self.inp[self.end..]) {
+                Ok(0) => return Err(Unread::Closed),
+                Ok(n) => {
+                    self.since = Instant::now();
+                    self.end += n;
+                    return Ok(());
+                }
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    if self.end == 0 && self.shared.shutting_down() {
+                        return Err(Unread::Closed);
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => return Err(Unread::Closed),
+            }
         }
     }
 }
 
-/// Serializes and writes a response; returns `false` when the connection
-/// must close afterwards (by response demand, request wish, or write
-/// error).
-fn write_response(stream: &mut TcpStream, response: &Response, keep_alive: bool) -> bool {
-    let keep = keep_alive && !response.close;
-    let mut head = format!(
-        "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n",
-        response.status,
-        reason(response.status),
-        response.content_type,
-        response.body.len(),
-        if keep { "keep-alive" } else { "close" },
-    );
-    for (name, value) in &response.headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
+impl Drop for Connection<'_> {
+    fn drop(&mut self) {
+        self.flush();
     }
-    head.push_str("\r\n");
-    let mut out = head.into_bytes();
-    out.extend_from_slice(&response.body);
-    let written = stream.write_all(&out).is_ok() && stream.flush().is_ok();
-    keep && written
 }
 
 /// The overload answer written from the accept loop when the work queue
 /// is full: best-effort, bounded by the write timeout, never blocks the
 /// acceptor on a dead peer.
-pub(crate) fn shed(mut stream: TcpStream, retry_after_secs: u64, write_timeout: Duration) {
-    let _ = stream.set_write_timeout(Some(write_timeout));
-    let response = Response::text(503, "server overloaded, retry later\n")
-        .header("retry-after", retry_after_secs.to_string())
-        .closing();
-    let _ = write_response(&mut stream, &response, false);
+pub(crate) fn shed(shared: &Shared, stream: TcpStream) {
+    let response = Response::text(503, "server overloaded, retry later\n");
+    Connection::new(shared, &stream).push(&response, false);
 }
 
 /// Serves one connection to completion: up to `max_requests_per_connection`
 /// keep-alive requests, each under its own read deadline, each answered
-/// through [`handlers::handle`]. Every exit path has written whatever
-/// answer the protocol allows and lets the socket drop.
-pub(crate) fn serve_connection(shared: &Shared, mut stream: TcpStream) {
+/// through [`handlers::handle`]. Every exit path has appended whatever the
+/// protocol allows; dropping the connection writes it.
+pub(crate) fn serve_connection(shared: &Shared, stream: &TcpStream) {
     let config = &shared.config;
-    let _ = stream.set_write_timeout(Some(config.write_timeout));
     let _ = stream.set_nodelay(true);
-    let mut buf: Vec<u8> = Vec::new();
+    let mut conn = Connection::new(shared, stream);
     for served in 0..config.max_requests_per_connection {
         let deadline = Instant::now() + config.read_timeout;
-        match read_request(&mut stream, &mut buf, shared, deadline) {
-            ReadOutcome::Ready(request) => {
+        let (response, keep) = match conn.read_request(deadline) {
+            Ok(request) => {
                 shared.metrics.count(Counter::ServerRequests, 1);
-                let t0 = shared.metrics.on(MetricsLevel::Debug).then(Instant::now);
-                let mut response = handlers::handle(shared, &request);
-                if let Some(t0) = t0 {
-                    shared
-                        .metrics
-                        .record(Hist::SpanServerRequestNs, t0.elapsed().as_nanos() as u64);
-                }
+                let span = shared.metrics.span(Hist::SpanServerRequestNs);
+                let response = handlers::handle(shared, &request);
+                drop(span);
                 // Drain-on-shutdown: answer the in-flight request, then
                 // close instead of idling in keep-alive.
-                if shared.shutting_down() || served + 1 == config.max_requests_per_connection {
-                    response = response.closing();
-                }
-                if !write_response(&mut stream, &response, request.keep_alive) {
-                    return;
-                }
+                let keep = request.keep_alive
+                    && served + 1 < config.max_requests_per_connection
+                    && !shared.shutting_down();
+                (response, keep)
             }
-            ReadOutcome::Closed => return,
-            ReadOutcome::TimedOut => {
+            // Idling out between requests is a normal close, not a `408`.
+            Err(Unread::TimedOut) if conn.at == conn.end => return,
+            Err(Unread::Closed) => return,
+            Err(Unread::TimedOut) => {
                 shared.metrics.count(Counter::ServerTimeouts, 1);
-                let response = Response::text(408, "request deadline exceeded\n").closing();
-                let _ = write_response(&mut stream, &response, false);
-                return;
+                (Response::text(408, "request deadline exceeded\n"), false)
             }
-            ReadOutcome::Bad(response) => {
+            Err(Unread::Bad(response)) => {
                 shared.metrics.count(Counter::ServerBadRequests, 1);
-                let _ = write_response(&mut stream, &response.closing(), false);
-                return;
+                (response, false)
             }
+        };
+        if !conn.push(&response, keep) {
+            return;
         }
     }
 }

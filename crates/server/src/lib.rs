@@ -35,8 +35,8 @@
 //!   bounded work queue; when it is full the connection is *shed* with
 //!   `503` + `Retry-After` instead of queuing unbounded latency.
 //! - **Panic isolation**: each connection is served under
-//!   `catch_unwind`; a panicking handler closes that connection, counts
-//!   `server_panics`, and the worker keeps serving.
+//!   `catch_unwind`; a panicking handler counts `server_panics` and closes
+//!   that connection, and the worker keeps serving.
 //! - **Degraded serving**: when the store's durability layer fail-stops,
 //!   writes return `503` + `Retry-After` (they would not be durable);
 //!   reads keep serving from snapshots with `200`.
@@ -44,6 +44,24 @@
 //!   lets in-flight requests drain under their deadlines, joins every
 //!   worker, then takes a final [`snapshot_now`] (WAL rotation) and
 //!   returns the database.
+//!
+//! ## Pipelining and flushing
+//!
+//! A connection's answers are appended to one output buffer and leave in
+//! one socket write per drained batch (`server_requests / server_flushes`
+//! on `/metrics` is the batch size achieved). The buffer is written
+//! 1. before every socket read — a lone caller sees one write per response
+//!    as before, and a half-sent next request holds no answer back;
+//! 2. once 64 KiB are pending — a large body leaves at once and the buffer
+//!    never outgrows one body + 64 KiB;
+//! 3. once 1 ms has passed since the requests it answers were read — no
+//!    answer is held longer, and a batch slower than that goes on to leave
+//!    one answer per write, as every batch did before;
+//! 4. on every way out of the connection — close, the request bound,
+//!    `4xx`/`408`, shutdown drain, a handler panic (one `Drop`).
+//!
+//! The two numbers are constants, not [`ServerConfig`] fields: no caller
+//! needs another value, and an option would be a second path to test.
 //!
 //! ```no_run
 //! use swdb_core::SemanticWebDatabase;
@@ -263,11 +281,7 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
         shared.metrics.count(Counter::ServerAccepted, 1);
         if let Err(stream) = shared.queue.push(stream) {
             shared.metrics.count(Counter::ServerShed, 1);
-            http::shed(
-                stream,
-                shared.config.retry_after_secs,
-                shared.config.write_timeout,
-            );
+            http::shed(shared, stream);
         }
     }
 }
@@ -277,8 +291,10 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
 /// worker.
 fn worker_loop(shared: &Shared) {
     while let Some(stream) = shared.queue.pop() {
+        // The socket outlives the unwind: a panic is counted before the
+        // peer can see its connection close.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            http::serve_connection(shared, stream);
+            http::serve_connection(shared, &stream);
         }));
         if outcome.is_err() {
             shared.metrics.count(Counter::ServerPanics, 1);

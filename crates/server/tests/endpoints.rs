@@ -31,12 +31,18 @@ fn request(addr: SocketAddr, method: &str, target: &str, body: &str) -> (u16, St
     send_raw(addr, raw.as_bytes())
 }
 
+/// A client connection that gives up on a read after 5 s.
+fn connect(addr: SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    stream
+}
+
 /// Writes raw bytes, reads to EOF, parses the first status line.
 fn send_raw(addr: SocketAddr, raw: &[u8]) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
+    let mut stream = connect(addr);
     stream.write_all(raw).expect("write");
     let mut out = String::new();
     let _ = stream.read_to_string(&mut out);
@@ -51,6 +57,8 @@ fn send_raw(addr: SocketAddr, raw: &[u8]) -> (u16, String) {
 fn body_of(response: &str) -> &str {
     response.split("\r\n\r\n").nth(1).unwrap_or("")
 }
+
+const ALL_P: &str = "(?X, ex:p, ?Y) <- (?X, ex:p, ?Y)";
 
 fn quick_config() -> ServerConfig {
     ServerConfig {
@@ -171,6 +179,28 @@ fn protocol_violations_get_the_right_4xx() {
     );
     let (status, _) = send_raw(addr, huge_header.as_bytes());
     assert_eq!(status, 431, "head over the cap");
+
+    // A body's length frames the next pipelined request, so it is read one
+    // way or refused: no sign, no two different values.
+    let framed = |lengths: &str| {
+        let raw = format!("POST /query HTTP/1.1\r\n{lengths}connection: close\r\n\r\n{ALL_P}");
+        send_raw(addr, raw.as_bytes()).0
+    };
+    let n = ALL_P.len();
+    assert_eq!(framed(&format!("content-length: +{n}\r\n")), 400, "signed");
+    assert_eq!(
+        framed(&format!(
+            "content-length: {n}\r\ncontent-length: {}\r\n",
+            n - 1
+        )),
+        400,
+        "two different lengths"
+    );
+    assert_eq!(
+        framed(&format!("content-length: {n}\r\nContent-Length: {n}\r\n")),
+        200,
+        "an identical duplicate is unambiguous"
+    );
 
     // After all that abuse the server still serves.
     let (status, _) = request(addr, "GET", "/health", "");
@@ -414,6 +444,195 @@ fn shutdown_closes_idle_keep_alive_connections_and_drains_in_flight_requests() {
         "shutdown waited out the idle connection's read deadline: {:?}",
         started.elapsed()
     );
+}
+
+/// A keep-alive `POST /query` for the triples with predicate `ex:p{i}`.
+fn point_query(i: usize) -> String {
+    let body = format!("(?X, ex:p{i}, ?Y) <- (?X, ex:p{i}, ?Y)");
+    format!(
+        "POST /query HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{body}",
+        body.len()
+    )
+}
+
+/// A counting server holding `<ex:s{i}> <ex:p{i}> <ex:o{i}>` for `i < n`.
+fn start_with_points(n: usize, config: ServerConfig) -> ServerHandle {
+    let mut db = SemanticWebDatabase::new();
+    db.set_metrics_level(MetricsLevel::Counters);
+    let server = Server::start(db, config).expect("server start");
+    let triples: String = (0..n)
+        .map(|i| format!("<ex:s{i}> <ex:p{i}> <ex:o{i}> .\n"))
+        .collect();
+    assert_eq!(request(server.addr(), "POST", "/ingest", &triples).0, 200);
+    server
+}
+
+fn flushes(server: &ServerHandle) -> u64 {
+    server.metrics().snapshot().counter("server_flushes")
+}
+
+#[test]
+fn pipelined_answers_leave_in_order_and_share_socket_writes() {
+    let server = start_with_points(32, quick_config());
+    let batch: String = (0..32).map(point_query).collect();
+    let mut stream = connect(server.addr());
+    // Answers are held for 1 ms of wall clock at most, which a preempted
+    // worker can lose: order is checked on every batch, the write count on
+    // the best of three.
+    let mut fewest_writes = u64::MAX;
+    for _ in 0..3 {
+        let before = flushes(&server);
+        stream.write_all(batch.as_bytes()).unwrap();
+        for i in 0..32 {
+            let response = read_one_response(&mut stream);
+            assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+            assert_eq!(
+                body_of(&response),
+                format!("<ex:s{i}> <ex:p{i}> <ex:o{i}> .\n"),
+                "answer {i} out of order"
+            );
+        }
+        fewest_writes = fewest_writes.min(flushes(&server) - before);
+    }
+    // One write when the batch arrived whole; lenient for segment splits.
+    assert!(
+        (1..=16).contains(&fewest_writes),
+        "{fewest_writes} writes for 32 answers"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn an_answer_does_not_wait_for_the_rest_of_a_half_sent_request() {
+    let config = ServerConfig {
+        read_timeout: Duration::from_secs(10),
+        ..ServerConfig::default()
+    };
+    let server = start_with_points(1, config);
+    let mut stream = connect(server.addr());
+    let one = point_query(0);
+    let (first_half, second_half) = one.split_at(one.len() / 2);
+    stream
+        .write_all(format!("{one}{first_half}").as_bytes())
+        .unwrap();
+    // The client's 5 s read timeout is half the server's read deadline.
+    let response = read_one_response(&mut stream);
+    assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+    stream.write_all(second_half.as_bytes()).unwrap();
+    assert!(read_one_response(&mut stream).starts_with("HTTP/1.1 200"));
+    server.shutdown();
+}
+
+#[test]
+fn answers_pending_when_a_later_request_panics_or_is_refused_are_delivered() {
+    let config = ServerConfig {
+        workers: 1,
+        enable_test_endpoints: true,
+        ..quick_config()
+    };
+    let server = start_with_points(1, config);
+    let panic = "POST /panic HTTP/1.1\r\ncontent-length: 0\r\n\r\n";
+    for (then, status_after) in [(panic, None), ("NONSENSE\r\n\r\n", Some(400))] {
+        let mut stream = connect(server.addr());
+        let sent = format!("{}{then}", point_query(0));
+        stream.write_all(sent.as_bytes()).unwrap();
+        let mut out = String::new();
+        let _ = stream.read_to_string(&mut out);
+        let responses: Vec<&str> = out.split("HTTP/1.1 ").skip(1).collect();
+        assert!(responses[0].starts_with("200"), "{out:?}");
+        assert!(
+            responses[0].ends_with("<ex:s0> <ex:p0> <ex:o0> .\n"),
+            "{out:?}"
+        );
+        match status_after {
+            Some(status) => assert!(responses[1].starts_with(&status.to_string()), "{out:?}"),
+            None => assert_eq!(responses.len(), 1, "a panic answers nothing: {out:?}"),
+        }
+    }
+    // The one worker outlived the panic.
+    assert_eq!(request(server.addr(), "GET", "/health", "").0, 200);
+    assert_eq!(server.metrics().snapshot().counter("server_panics"), 1);
+    server.shutdown();
+}
+
+#[test]
+fn a_large_body_is_written_at_once_and_framed_exactly() {
+    let server = start_default();
+    let triples: String = (0..2000)
+        .map(|i| format!("<ex:subject-number-{i:04}> <ex:p> <ex:object-number-{i:04}> .\n"))
+        .collect();
+    assert!(triples.len() > 64 << 10);
+    assert_eq!(request(server.addr(), "POST", "/ingest", &triples).0, 200);
+    let scan = format!(
+        "POST /query HTTP/1.1\r\ncontent-length: {}\r\n\r\n{ALL_P}",
+        ALL_P.len()
+    );
+    let before = flushes(&server);
+    let mut stream = connect(server.addr());
+    stream
+        .write_all(format!("{scan}GET /health HTTP/1.1\r\n\r\n").as_bytes())
+        .unwrap();
+    // `read_one_response` reads exactly `content-length` bytes of body.
+    let response = read_one_response(&mut stream);
+    assert!(body_of(&response) == triples, "the answer is the document");
+    assert!(read_one_response(&mut stream).contains("\"asserted_triples\": 2000"));
+    // The scan left when it crossed the high-water mark, the small answer
+    // behind it when the connection next waited for the client.
+    assert_eq!(flushes(&server) - before, 2);
+    server.shutdown();
+}
+
+#[test]
+fn the_request_bound_answers_exactly_that_many_of_a_longer_batch() {
+    let config = ServerConfig {
+        max_requests_per_connection: 3,
+        ..quick_config()
+    };
+    let server = start_with_points(5, config);
+    let batch: String = (0..5).map(point_query).collect();
+    let mut stream = connect(server.addr());
+    stream.write_all(batch.as_bytes()).unwrap();
+    let mut out = String::new();
+    let _ = stream.read_to_string(&mut out);
+    let connections: Vec<&str> = out
+        .lines()
+        .filter_map(|l| l.strip_prefix("connection: "))
+        .collect();
+    assert_eq!(
+        connections,
+        ["keep-alive", "keep-alive", "close"],
+        "{out:?}"
+    );
+    assert!(out.ends_with("<ex:s2> <ex:p2> <ex:o2> .\n"), "{out:?}");
+    server.shutdown();
+}
+
+#[test]
+fn shutdown_mid_batch_delivers_every_answer_that_was_computed() {
+    let server = start_with_points(1, quick_config());
+    let metrics = server.metrics().clone();
+    let dispatched_before = metrics.snapshot().counter("server_requests");
+    let answer = "<ex:s0> <ex:p0> <ex:o0> .\n";
+    let mut stream = connect(server.addr());
+    // A worker owns the connection before the batch and the shutdown race.
+    stream.write_all(point_query(0).as_bytes()).unwrap();
+    assert_eq!(body_of(&read_one_response(&mut stream)), answer);
+    stream
+        .write_all(point_query(0).repeat(400).as_bytes())
+        .unwrap();
+    server.shutdown();
+    let mut out = String::new();
+    // The unread rest of the batch may turn the close into a reset.
+    let _ = stream.read_to_string(&mut out);
+    let dispatched = metrics.snapshot().counter("server_requests") - dispatched_before;
+    assert_eq!(
+        1 + out.matches(answer).count() as u64,
+        dispatched,
+        "every dispatched request's answer is delivered"
+    );
+    if dispatched < 401 {
+        assert_eq!(out.matches("connection: close").count(), 1, "{out:?}");
+    }
 }
 
 #[test]

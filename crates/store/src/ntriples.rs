@@ -15,9 +15,7 @@
 //! so compact forms like `ex:paints` are fine), blank nodes with the usual
 //! `_:` prefix. One triple per line, terminated by a period.
 
-use std::fmt::Write as _;
-
-use swdb_model::{Graph, Iri, Term, Triple};
+use swdb_model::{Graph, Term, Triple};
 
 /// An error produced while parsing the N-Triples-style syntax.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -38,28 +36,34 @@ impl std::error::Error for ParseError {}
 
 /// Serializes a graph, one triple per line, in deterministic order.
 pub fn serialize(graph: &Graph) -> String {
-    let mut out = String::new();
-    for t in graph.iter() {
-        let _ = writeln!(
-            out,
-            "{} {} {} .",
-            serialize_term(t.subject()),
-            serialize_iri(t.predicate()),
-            serialize_term(t.object()),
-        );
-    }
+    let mut size = 0;
+    write_graph(graph, |piece| size += piece.len());
+    let mut out = String::with_capacity(size);
+    write_graph(graph, |piece| out.push_str(piece));
     out
 }
 
-fn serialize_term(term: &Term) -> String {
-    match term {
-        Term::Iri(iri) => serialize_iri(iri),
-        Term::Blank(b) => format!("_:{}", b.as_str()),
+/// Hands `sink` the text [`serialize`] returns, piece by piece and without
+/// allocating — for callers that size or transform it as it is produced.
+pub fn write_graph(graph: &Graph, mut sink: impl FnMut(&str)) {
+    for t in graph.iter() {
+        write_term(t.subject(), &mut sink);
+        sink(" <");
+        sink(t.predicate().as_str());
+        sink("> ");
+        write_term(t.object(), &mut sink);
+        sink(" .\n");
     }
 }
 
-fn serialize_iri(iri: &Iri) -> String {
-    format!("<{}>", iri.as_str())
+fn write_term(term: &Term, sink: &mut impl FnMut(&str)) {
+    let (open, text, close) = match term {
+        Term::Iri(iri) => ("<", iri.as_str(), ">"),
+        Term::Blank(b) => ("_:", b.as_str(), ""),
+    };
+    sink(open);
+    sink(text);
+    sink(close);
 }
 
 /// Parses a graph from the N-Triples-style syntax.
@@ -159,7 +163,7 @@ fn truncated(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swdb_model::{graph, triple};
+    use swdb_model::{graph, triple, Iri};
 
     #[test]
     fn serialize_then_parse_round_trips() {
@@ -171,6 +175,27 @@ mod tests {
         let text = serialize(&g);
         let parsed = parse(&text).expect("round trip parses");
         assert_eq!(parsed, g);
+    }
+
+    #[test]
+    fn serialize_writes_exactly_these_bytes() {
+        // URIs and blanks in every position they may take; URIs sort first.
+        let g = graph([
+            ("_:X", "ex:q", "_:Y"),
+            ("_:X", "ex:p", "ex:b"),
+            ("ex:a", "ex:p", "_:Y"),
+            ("ex:a", "ex:p", "ex:b"),
+        ]);
+        let text = serialize(&g);
+        assert_eq!(
+            text,
+            "<ex:a> <ex:p> <ex:b> .\n<ex:a> <ex:p> _:Y .\n\
+             _:X <ex:p> <ex:b> .\n_:X <ex:q> _:Y .\n"
+        );
+        let mut pieces = String::new();
+        write_graph(&g, |piece| pieces.push_str(piece));
+        assert_eq!(pieces, text, "the sink sees the same bytes");
+        assert_eq!(serialize(&Graph::new()), "");
     }
 
     #[test]
