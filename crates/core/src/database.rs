@@ -144,7 +144,9 @@ use swdb_durable::{
 use swdb_model::{BlankNode, Graph, Term, Triple};
 use swdb_normal::{CoreBudget, CoreBudgetMode, EvalOverlay, IdCoreEngine};
 use swdb_obs::{Counter, Gauge, Hist, Metrics, MetricsLevel};
-use swdb_query::{Explain, Mechanism, NormalizedDatabase, Query, QueryEngine, Semantics};
+use swdb_query::{
+    AnswerSet, Explain, Mechanism, NormalizedDatabase, Query, QueryEngine, Semantics,
+};
 use swdb_reason::{ClosureDelta, MaterializedStore};
 use swdb_store::{GraphStats, IdIndex, IdTriple, TripleStore};
 
@@ -900,8 +902,8 @@ impl SemanticWebDatabase {
     /// Enables or disables the compiled plan + expansion cache. The cache
     /// is replaced (emptied) either way. Disabling changes only what is
     /// remembered: every query is still planned and runs on the same
-    /// executor, with its plan built for that one call — the baseline the
-    /// `e25_planner` bench measures the cache against.
+    /// executor, with its plan built for that one call — the baseline
+    /// `tests/plan_cache.rs` holds the cache against.
     pub fn set_plan_cache_enabled(&mut self, enabled: bool) {
         self.plan_cache = swdb_query::PlanCache::new(enabled);
     }
@@ -1290,10 +1292,20 @@ impl SemanticWebDatabase {
     /// Callers that need minimality can poll
     /// [`SemanticWebDatabase::refresh_degraded`] and re-ask.
     pub fn answer_with_status(&mut self, query: &Query, semantics: Semantics) -> (Graph, bool) {
+        let answer = self.answer_set(query, semantics);
+        let non_minimal = answer.non_minimal;
+        (answer.into_graph(self.graph().dictionary()), non_minimal)
+    }
+
+    /// [`SemanticWebDatabase::answer_with_status`] as the engine's
+    /// [`AnswerSet`] — the flag rides on it, with whether the answer was
+    /// truncated — in its owned form: ids of the live dictionary mean
+    /// nothing to a caller that has let go of the database.
+    pub fn answer_set(&mut self, query: &Query, semantics: Semantics) -> AnswerSet {
         self.with_engine(
             query,
-            |engine| (engine.answer(query, semantics), engine.non_minimal),
-            |engine| (engine.answer(query, semantics), engine.non_minimal),
+            |e| e.answer_set(query, semantics).into_owned(e.dictionary),
+            |e| e.answer_set(query, semantics).into_owned(e.dictionary),
         )
     }
 

@@ -18,7 +18,8 @@
 //!
 //! Publication decodes nothing: the clones copy ids and the term table, the
 //! asserted count is the store's `len()`. Terms are decoded once per answer
-//! triple, when a reader materialises an answer [`Graph`] from its pin.
+//! triple, when a reader renders an [`AnswerSet`] from its pin (or asks for
+//! the answer as a [`Graph`]).
 //!
 //! What a snapshot can serve is exactly what the dictionary + index pair
 //! determines: premise-free queries (the hot path) and premise queries
@@ -41,7 +42,7 @@ use std::sync::{Arc, RwLock};
 
 use swdb_model::Graph;
 use swdb_obs::Metrics;
-use swdb_query::{Explain, Mechanism, Query, QueryEngine, Semantics};
+use swdb_query::{AnswerSet, Explain, Mechanism, Query, QueryEngine, Semantics};
 use swdb_store::{Dictionary, IdIndex};
 
 use crate::database::{mechanism, EntailmentRegime};
@@ -211,6 +212,16 @@ impl PublishedSnapshot {
     /// premise queries (see [`PublishedSnapshot::supports`]).
     pub fn answer(&self, query: &Query, semantics: Semantics) -> Result<Graph, SnapshotQueryError> {
         Ok(self.engine(query)?.answer(query, semantics))
+    }
+
+    /// [`PublishedSnapshot::answer`] as the engine's [`AnswerSet`]: rendered
+    /// against [`PublishedSnapshot::dictionary`], no answer [`Graph`] is built.
+    pub fn answer_set(
+        &self,
+        query: &Query,
+        semantics: Semantics,
+    ) -> Result<AnswerSet, SnapshotQueryError> {
+        Ok(self.engine(query)?.answer_set(query, semantics))
     }
 
     /// [`PublishedSnapshot::answer`] plus the snapshot's `non_minimal`

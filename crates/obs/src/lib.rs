@@ -147,9 +147,12 @@ keyed_enum! {
         QueryPatternsCompiled => "query_patterns_compiled",
         /// `candidate_count` selectivity probes issued by the join planner.
         QueryJoinProbes => "query_join_probes",
-        /// Bindings (complete pattern matchings) enumerated by the solver.
+        /// Bindings (complete pattern matchings) enumerated by the solver:
+        /// the solutions behind `query_answers`.
         QueryBindings => "query_bindings",
-        /// Answers materialized into result graphs.
+        /// Answer triples produced (single answers, for `pre_answers`).
+        /// `query_bindings / query_answers` is the duplication the answer
+        /// path's id-space dedup absorbs before any term is decoded.
         QueryAnswers => "query_answers",
         /// Enumerations cut off at the solution limit: the produced answer
         /// set (or emptiness verdict) may be incomplete. The query-side

@@ -26,7 +26,7 @@ use swdb_obs::{Counter, Hist, Metrics};
 use swdb_store::Dictionary;
 
 use crate::answer::{combine, Semantics};
-use crate::exec::{ExecHooks, ExecStats, Explain, JoinOrderLog, Singles};
+use crate::exec::{AnswerSet, ExecHooks, ExecStats, Explain, JoinOrderLog, Singles};
 use crate::plan::{self, expansion_members, PlanCache, Prepared};
 use crate::query::Query;
 
@@ -127,34 +127,49 @@ impl<T: IdTarget> QueryEngine<'_, T> {
                 self.exec_pre_answers(member, hooks, stats, &mut out)
             });
         }
-        out.list
+        out.into_list()
     }
 
-    fn answer_traced(&self, query: &Query, semantics: Semantics, trace: &mut Trace<'_>) -> Graph {
-        let answer = self.with_members(query, |members, expansion_hit| {
+    fn answer_traced(
+        &self,
+        query: &Query,
+        semantics: Semantics,
+        trace: &mut Trace<'_>,
+    ) -> AnswerSet {
+        let mut answer = self.with_members(query, |members, expansion_hit| {
             trace.expansion_hit = expansion_hit;
             trace.members = members.len();
             match members {
                 // One member answers directly: under union semantics its
-                // head projections stream straight into the answer graph,
-                // with no detour through single answers.
+                // head instantiations stay id triples, with no detour
+                // through single answers.
                 [only] => self
                     .execute(only, trace, |hooks, stats| {
                         self.exec_answer(only, semantics, hooks, stats)
                     })
                     .unwrap_or_default(),
-                _ => combine(self.singles(members, trace), semantics),
+                _ => combine(self.singles(members, trace), semantics).into(),
             }
         });
+        answer.truncated = trace.stats.truncated;
+        answer.non_minimal = self.non_minimal;
         self.metrics
             .count(Counter::QueryAnswers, answer.len() as u64);
         answer
     }
 
-    /// The answer under the given semantics — entirely in id space.
-    pub fn answer(&self, query: &Query, semantics: Semantics) -> Graph {
+    /// The answer under the given semantics — entirely in id space, and
+    /// left there when nothing in it is a new term (see [`AnswerSet`]).
+    pub fn answer_set(&self, query: &Query, semantics: Semantics) -> AnswerSet {
         let _span = self.metrics.span(Hist::SpanQueryAnswerNs);
         self.answer_traced(query, semantics, &mut Trace::default())
+    }
+
+    /// [`QueryEngine::answer_set`] as a [`Graph`]: the one assembly path,
+    /// decoded for library callers.
+    pub fn answer(&self, query: &Query, semantics: Semantics) -> Graph {
+        self.answer_set(query, semantics)
+            .into_graph(self.dictionary)
     }
 
     /// The pre-answer: the list of distinct single answers.

@@ -18,7 +18,9 @@
 //!   execution goes through;
 //! * [`exec`] — the one executor: premise-free bodies compiled to
 //!   [`swdb_store::TermId`] patterns and joined in planned order against a
-//!   [`swdb_store::IdIndex`], with the string-space evaluator kept as the
+//!   [`swdb_store::IdIndex`], answers kept as id triples ([`AnswerSet`])
+//!   and decoded only into the response buffer (or by `into_graph` for
+//!   library callers), with the string-space evaluator kept as the
 //!   executable specification.
 
 #![forbid(unsafe_code)]
@@ -41,7 +43,7 @@ pub use answer::{
 };
 pub use engine::{id_matchings, planned_answer, planned_answer_is_empty, Mechanism, QueryEngine};
 pub use exec::{
-    compile_body, head_has_blank_consts, CompiledBody, Explain, IdPatternTerm, IdSolver,
+    compile_body, head_has_blank_consts, AnswerSet, CompiledBody, Explain, IdPatternTerm, IdSolver,
     IdTriplePattern,
 };
 pub use plan::{expansion_members, PlanCache, QueryShape, PLAN_CACHE_CAPACITY};
@@ -71,6 +73,37 @@ mod proptests {
                 .map(|(s, p, o)| Triple::new(s, p, o))
                 .collect()
         })
+    }
+
+    /// The bytes are the contract: over `target` (whose triples are
+    /// `evaluation`), the union answer of `q` renders to exactly what its
+    /// graph serializes to, and that graph is the string-space evaluator's.
+    fn check_union_answer<T: swdb_hom::IdTarget>(
+        q: &crate::Query,
+        dictionary: &swdb_store::Dictionary,
+        target: &T,
+        evaluation: Graph,
+    ) -> Result<(), String> {
+        use crate::answer::{answer_against, NormalizedDatabase, Semantics};
+        let cache = crate::PlanCache::new(false);
+        let engine = crate::QueryEngine {
+            dictionary,
+            target,
+            cache: &cache,
+            metrics: swdb_obs::Metrics::disabled(),
+            mechanism: crate::Mechanism::PremiseFree,
+            non_minimal: false,
+        };
+        let set = engine.answer_set(q, Semantics::Union);
+        let graph = engine.answer(q, Semantics::Union);
+        let mut bytes = String::new();
+        set.write_ntriples(dictionary, |piece| bytes.push_str(piece));
+        prop_assert_eq!(&bytes, &swdb_store::serialize(&graph), "bytes of {q:?}");
+        prop_assert_eq!(set.len(), graph.len());
+        let spec = NormalizedDatabase::assume_normalized(evaluation);
+        let spec = answer_against(q, &spec, Semantics::Union);
+        prop_assert_eq!(set.into_graph(dictionary), spec, "answer of {q:?}");
+        Ok(())
     }
 
     proptest! {
@@ -144,6 +177,95 @@ mod proptests {
                 spec.sort();
                 prop_assert_eq!(id, spec);
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn union_answers_render_the_bytes_their_graph_serializes_to(
+            d in proptest::collection::vec((0usize..5, 0usize..2, 0usize..5), 0..=24),
+            body in proptest::collection::vec((0usize..8, 0usize..5, 0usize..8), 1..=2),
+            head in proptest::collection::vec((0usize..9, 0usize..6, 0usize..9), 1..=3),
+            constrained in 0usize..8,
+            split in 0usize..3,
+        ) {
+            // A dense store: three URIs (one of them also a predicate) and two blanks
+            // under two predicates.
+            let term = |c: usize| match c {
+                0 | 1 => Term::iri(format!("ex:n{c}")),
+                2 => Term::iri("ex:p0"),
+                _ => Term::blank(format!("B{c}")),
+            };
+            let d: Graph = d
+                .iter()
+                .map(|&(s, p, o)| Triple::new(term(s), swdb_model::Iri::new(format!("ex:p{p}")), term(o)))
+                .collect();
+            // Body: variables ?V0..?V5 (one of them also usable as a
+            // predicate, so a predicate variable can join a node) and the
+            // constants the stores are drawn from.
+            let node = |c: usize| if c < 6 { format!("?V{c}") } else { format!("ex:n{}", c - 6) };
+            let pred = |c: usize| if c < 2 { format!("?V{}", 6 - c) } else { format!("ex:p{}", c % 2) };
+            let body: Vec<_> = body.iter().map(|&(s, p, o)| (node(s), pred(p), node(o))).collect();
+            let body_vars: Vec<&String> = body
+                .iter()
+                .flat_map(|(s, p, o)| [s, p, o])
+                .filter(|t| t.starts_with('?'))
+                .collect();
+            // Head: body variables (repeats and projections that drop
+            // variables both arise), constants the body also names, and
+            // constants nothing ever interned.
+            let var = |c: usize| body_vars.get(c % body_vars.len().max(1)).map(|v| v.to_string());
+            let head_node = |c: usize| match c {
+                0..=4 => var(c).unwrap_or_else(|| "ex:n0".to_string()),
+                5 | 6 => format!("ex:n{}", c - 5),
+                _ => format!("ex:fresh{c}"),
+            };
+            let head_pred = |c: usize| match c {
+                0 | 1 => var(c).unwrap_or_else(|| "ex:p0".to_string()),
+                2 | 3 => format!("ex:p{}", c - 2),
+                4 => "ex:n0".to_string(),
+                _ => "ex:freshP".to_string(),
+            };
+            let head: Vec<_> = head
+                .iter()
+                .map(|&(s, p, o)| (head_node(s), head_pred(p), head_node(o)))
+                .collect();
+            let strs = |ts: &[(String, String, String)]| {
+                swdb_hom::pattern_graph(ts.iter().map(|(s, p, o)| (s.as_str(), p.as_str(), o.as_str())))
+            };
+            let head = strs(&head);
+            let constraints = head
+                .variables()
+                .into_iter()
+                .enumerate()
+                .filter(|(i, _)| constrained >> i & 1 == 1)
+                .map(|(_, v)| v);
+            let Ok(q) = crate::Query::with_constraints(head.clone(), strs(&body), constraints) else {
+                return Ok(());
+            };
+
+            // Regime 1: a bare index.
+            let store = swdb_store::TripleStore::from_graph(&d);
+            check_union_answer(&q, store.dictionary(), store.id_index(), d.clone())?;
+
+            // Regime 2: the same dictionary under `base ∪ added − removed`.
+            let (mut base, mut added) = (swdb_store::IdIndex::new(), swdb_store::IdIndex::new());
+            let mut removed = std::collections::BTreeSet::new();
+            let mut evaluation = Graph::new();
+            for (i, ids) in store.iter_ids().enumerate() {
+                match (i + split) % 3 {
+                    0 => added.insert(ids),
+                    1 => base.insert(ids),
+                    _ => base.insert(ids) && removed.insert(ids),
+                };
+                if (i + split) % 3 < 2 {
+                    evaluation.insert(store.materialize(ids));
+                }
+            }
+            let overlay = swdb_hom::Overlay::with_removed(&base, &added, &removed);
+            check_union_answer(&q, store.dictionary(), &overlay, evaluation)?;
         }
     }
 }

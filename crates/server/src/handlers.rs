@@ -1,6 +1,9 @@
 //! Request routing and the endpoint handlers. Reads — `/health` and
 //! `/metrics` included — answer from pinned snapshots (no facade lock);
-//! writes and overlay-mechanism queries take the facade mutex. Every
+//! writes and overlay-mechanism queries take the facade mutex. A query's
+//! answer is rendered from its [`AnswerSet`] straight into the response body
+//! (a union read never holds an answer graph) and says so when it was cut
+//! off at the solution limit (`x-swdb-truncated: true`). Every
 //! handler is total: bad input is a `4xx`, a
 //! degraded store is a `503`-for-writes, and nothing here unwinds on
 //! malformed bytes (panics would only come from engine bugs — which the
@@ -11,7 +14,7 @@ use std::sync::Arc;
 
 use swdb_core::{PublishedSnapshot, Semantics};
 use swdb_model::Graph;
-use swdb_query::Query;
+use swdb_query::{AnswerSet, Query};
 
 use crate::http::{Request, Response};
 use crate::Shared;
@@ -35,7 +38,7 @@ fn push_json_escaped(out: &mut String, s: &str) {
 /// Stamps the snapshot-substrate headers every data-bearing response
 /// carries: which epoch answered, and whether that substrate was degraded.
 fn stamped(mut response: Response, epoch: u64, degraded: bool) -> Response {
-    response.stamp = Some((epoch, degraded));
+    response.stamp = Some((epoch, degraded, false));
     response
 }
 
@@ -131,11 +134,11 @@ fn ingest(shared: &Shared, request: &Request, removal: bool) -> Response {
 /// Answers an overlay-mechanism premise query — the one read shape a
 /// snapshot cannot serve — from the live facade, with the epoch it was
 /// answered at: every write handler publishes before it unlocks, so under
-/// the facade lock the live state is exactly the published one.
-fn answer_on_facade(shared: &Shared, query: &Query, semantics: Semantics) -> (Graph, bool, u64) {
+/// the facade lock the live state is exactly the published one. The facade
+/// hands the answer back in its owned form, which needs no dictionary.
+fn answer_on_facade(shared: &Shared, query: &Query, semantics: Semantics) -> (AnswerSet, u64) {
     let mut db = shared.lock_db();
-    let (answer, non_minimal) = db.answer_with_status(query, semantics);
-    (answer, non_minimal, db.published().epoch())
+    (db.answer_set(query, semantics), db.published().epoch())
 }
 
 /// `POST /query` (N-Triples answer) and `POST /answer` (JSON envelope):
@@ -158,23 +161,32 @@ fn query(shared: &Shared, request: &Request, envelope: bool) -> Response {
         }
     };
     let pinned: Arc<PublishedSnapshot> = shared.reader.pin();
-    let (answer, non_minimal, epoch) = match pinned.answer_with_status(&parsed, semantics) {
-        Ok((answer, non_minimal)) => (answer, non_minimal, pinned.epoch()),
+    let (answer, epoch) = match pinned.answer_set(&parsed, semantics) {
+        Ok(answer) => (answer, pinned.epoch()),
         // `SnapshotQueryError` is non-exhaustive; every variant means
         // "needs the live facade".
         Err(_) => answer_on_facade(shared, &parsed, semantics),
     };
-    if !envelope {
-        let body = swdb_store::serialize(&answer);
-        return stamped(Response::text(200, body), epoch, non_minimal);
-    }
-    let mut body = format!(
-        "{{\"epoch\": {epoch}, \"non_minimal\": {non_minimal}, \"answers\": {}, \"triples\": \"",
-        answer.len(),
-    );
-    swdb_store::ntriples::write_graph(&answer, |piece| push_json_escaped(&mut body, piece));
-    body.push_str("\"}");
-    stamped(Response::json(200, body), epoch, non_minimal)
+    let (dictionary, mut body) = (pinned.dictionary(), String::new());
+    let mut response = if envelope {
+        let (flag, count) = (answer.non_minimal, answer.len());
+        let _ = write!(
+            body,
+            "{{\"epoch\": {epoch}, \"non_minimal\": {flag}, \"answers\": {count}, "
+        );
+        if answer.truncated {
+            body.push_str("\"truncated\": true, ");
+        }
+        body.push_str("\"triples\": \"");
+        answer.write_ntriples(dictionary, |piece| push_json_escaped(&mut body, piece));
+        body.push_str("\"}");
+        Response::json(200, body)
+    } else {
+        answer.write_ntriples(dictionary, |piece| body.push_str(piece));
+        Response::text(200, body)
+    };
+    response.stamp = Some((epoch, answer.non_minimal, answer.truncated));
+    response
 }
 
 #[cfg(test)]
@@ -254,7 +266,9 @@ mod tests {
         )
         .expect("well formed");
         assert!(pinned.answer_with_status(&query, Semantics::Union).is_err());
-        let (answer, _, epoch) = answer_on_facade(&shared, &query, Semantics::Union);
+        let (answer, epoch) = answer_on_facade(&shared, &query, Semantics::Union);
+        // Owned: the dictionary argument is not consulted.
+        let answer = answer.into_graph(pinned.dictionary());
         assert!(
             answer.contains(&triple("ex:c", "ex:p", "ex:d")),
             "answered from the live state, which has the write: {answer}"

@@ -51,8 +51,9 @@ pub(crate) struct Response {
     pub(crate) body: Vec<u8>,
     pub(crate) content_type: &'static str,
     /// The `x-swdb-epoch` / `x-swdb-degraded` stamps of a data-bearing
-    /// response: which epoch answered, and whether it was `non_minimal`.
-    pub(crate) stamp: Option<(u64, bool)>,
+    /// response — which epoch answered, whether it was `non_minimal` — and
+    /// whether to add `x-swdb-truncated: true` (a complete answer has none).
+    pub(crate) stamp: Option<(u64, bool, bool)>,
 }
 
 impl Response {
@@ -152,8 +153,11 @@ impl<'a> Connection<'a> {
             let secs = self.shared.config.retry_after_secs;
             let _ = write!(out, "retry-after: {secs}\r\n");
         }
-        if let Some((epoch, flag)) = response.stamp {
+        if let Some((epoch, flag, truncated)) = response.stamp {
             let _ = write!(out, "x-swdb-epoch: {epoch}\r\nx-swdb-degraded: {flag}\r\n");
+            if truncated {
+                out.extend_from_slice(b"x-swdb-truncated: true\r\n");
+            }
         }
         out.extend_from_slice(b"\r\n");
         out.extend_from_slice(&response.body);

@@ -636,6 +636,81 @@ fn shutdown_mid_batch_delivers_every_answer_that_was_computed() {
 }
 
 #[test]
+fn answers_over_blanks_are_these_exact_bytes() {
+    let server = start_default();
+    let addr = server.addr();
+    // Blanks in subject and in object position; URIs sort before blanks.
+    let stored = "_:b1 <ex:p> <ex:o1> .\n<ex:s1> <ex:p> _:b2 .\n<ex:s2> <ex:p> <ex:o2> .\n";
+    assert_eq!(request(addr, "POST", "/ingest", stored).0, 200);
+    let (_, response) = request(addr, "POST", "/query", ALL_P);
+    assert_eq!(
+        response,
+        "HTTP/1.1 200 OK\r\ncontent-type: text/plain; charset=utf-8\r\n\
+         content-length: 69\r\nconnection: close\r\n\
+         x-swdb-epoch: 2\r\nx-swdb-degraded: false\r\n\r\n\
+         <ex:s1> <ex:p> _:b2 .\n<ex:s2> <ex:p> <ex:o2> .\n_:b1 <ex:p> <ex:o1> .\n"
+    );
+    let (_, response) = request(addr, "POST", "/answer", ALL_P);
+    assert_eq!(
+        body_of(&response),
+        "{\"epoch\": 2, \"non_minimal\": false, \"answers\": 3, \"triples\": \"\
+         <ex:s1> <ex:p> _:b2 .\\n<ex:s2> <ex:p> <ex:o2> .\\n_:b1 <ex:p> <ex:o1> .\\n\"}"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn an_answer_cut_off_at_the_solution_limit_says_so_on_the_wire() {
+    let server = start_default();
+    let addr = server.addr();
+    let hundred: String = (0..100)
+        .map(|i| format!("<ex:s{i}> <ex:p> <ex:o{i}> .\n"))
+        .collect();
+    assert_eq!(request(addr, "POST", "/ingest", &hundred).0, 200);
+    let truncations = || server.metrics().snapshot().counter("query_truncations");
+
+    // 100^2 solutions: complete, and the response says nothing about it.
+    let two = "(?A, ex:q, ?B) <- (?A, ex:p, ?B), (?C, ex:p, ?D)";
+    let (status, response) = request(addr, "POST", "/query", two);
+    assert_eq!(status, 200);
+    assert!(!response.contains("truncated"), "{response}");
+    assert_eq!(truncations(), 0);
+
+    // 100^3 = 10^6 solutions: the enumeration stops at the limit.
+    let three = format!("{two}, (?E, ex:p, ?F)");
+    let ask = |target: &str| {
+        let mut stream = connect(addr);
+        // A debug build takes seconds over a million solutions.
+        let patience = Some(Duration::from_secs(120));
+        stream.set_read_timeout(patience).unwrap();
+        let head = format!("POST {target} HTTP/1.1\r\nhost: t\r\nconnection: close\r\n");
+        write!(
+            stream,
+            "{head}content-length: {}\r\n\r\n{three}",
+            three.len()
+        )
+        .unwrap();
+        let mut response = String::new();
+        let _ = stream.read_to_string(&mut response);
+        response
+    };
+    let response = ask("/query");
+    assert!(response.starts_with("HTTP/1.1 200 OK\r\n"), "{response}");
+    let head = response.split("\r\n\r\n").next().unwrap();
+    assert!(
+        head.ends_with("x-swdb-degraded: false\r\nx-swdb-truncated: true"),
+        "{head}"
+    );
+    assert_eq!(truncations(), 1);
+    let response = ask("/answer");
+    assert!(
+        body_of(&response).contains("\"answers\": 100, \"truncated\": true, \"triples\":"),
+        "{response}"
+    );
+    server.shutdown();
+}
+
+#[test]
 fn graceful_shutdown_rotates_and_hands_the_store_back() {
     let dir = tmp_dir("shutdown");
     let mut db = SemanticWebDatabase::new();

@@ -56,7 +56,8 @@ pub fn write_graph(graph: &Graph, mut sink: impl FnMut(&str)) {
     }
 }
 
-fn write_term(term: &Term, sink: &mut impl FnMut(&str)) {
+/// Hands `sink` one term as [`write_graph`] writes it: `<uri>` or `_:label`.
+pub fn write_term(term: &Term, sink: &mut impl FnMut(&str)) {
     let (open, text, close) = match term {
         Term::Iri(iri) => ("<", iri.as_str(), ">"),
         Term::Blank(b) => ("_:", b.as_str(), ""),

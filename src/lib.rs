@@ -97,8 +97,8 @@
 //! [`reason::MaterializedStore`]: ground deltas are `O(log n)` index
 //! maintenance, blank-touching deltas re-core only the affected
 //! component(s); nothing is dropped and rebuilt. Bindings stay `TermId`s
-//! until a matching survives the constraint check and the answer graph is
-//! materialized.
+//! and so does the answer ([`query::AnswerSet`]): terms are decoded only
+//! into the response buffer, or by `into_graph` for library callers.
 //!
 //! Queries **with premises** run through the same id engine — no query
 //! path evaluates in string space anymore. Two mechanisms, selected per
@@ -176,8 +176,8 @@
 //! [`core::SemanticWebDatabase::set_plan_cache_enabled`]`(false)` only
 //! stops *remembering* — lookups miss without being counted, nothing is
 //! stored, `explain()` says `off`, and each call runs the same executor
-//! under a plan built for that call (the baseline bench E25 measures the
-//! cache against). One randomized sweep (`tests/plan_cache.rs`) pins the
+//! under a plan built for that call (the baseline `tests/plan_cache.rs`
+//! holds the cache against). One randomized sweep (`tests/plan_cache.rs`) pins the
 //! facade with its cache cold, warm and disabled, and a pinned snapshot,
 //! to the recomputing specification across regimes, semantics and
 //! mechanisms.
