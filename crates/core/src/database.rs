@@ -101,8 +101,7 @@
 //! published evaluation index are bit-identical across thread counts. The
 //! differential tests (`crates/reason/tests/parallel_differential.rs`, the
 //! facade stress test `tests/parallel_facade_stress.rs`) sweep thread
-//! counts to keep that claim executable; bench E21 records the bulk-load
-//! throughput.
+//! counts to keep that claim executable.
 //!
 //! ## Degraded mode — bounding the NP-hard tail
 //!
@@ -134,8 +133,7 @@
 //! benign workloads are bit-identical to the unbudgeted engine.
 
 use std::io;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 use std::sync::Arc;
 
 use swdb_durable::{
@@ -282,7 +280,7 @@ pub struct SemanticWebDatabase {
     metrics: Metrics,
     /// The attached crash-safe durability layer (`swdb-durable`): snapshots
     /// plus a write-ahead log under a data directory. `None` — the default
-    /// unless `SWDB_DATA_DIR` is set or [`SemanticWebDatabase::open`] /
+    /// unless [`SemanticWebDatabase::open`] /
     /// [`SemanticWebDatabase::persist_to`] was used — keeps the database
     /// purely in memory. The discipline on any IO error is **fail-stop**:
     /// the layer detaches (recorded in
@@ -306,32 +304,9 @@ pub struct SemanticWebDatabase {
     plan_cache: swdb_query::PlanCache,
 }
 
-/// Sequence number making `SWDB_DATA_DIR` subdirectories unique within one
-/// process (combined with the pid for uniqueness across processes).
-static DATA_DIR_SEQ: AtomicU64 = AtomicU64::new(0);
-
 impl Default for SemanticWebDatabase {
     fn default() -> Self {
-        let mut db = SemanticWebDatabase::detached_with_metrics(Metrics::from_env());
-        // Opt-in ambient durability: with SWDB_DATA_DIR set, every database
-        // persists into its own fresh subdirectory. Attachment failure is
-        // deliberately silent here (a default constructor cannot return
-        // `Result`); use `open`/`persist_to` for checked attachment.
-        if let Ok(root) = std::env::var("SWDB_DATA_DIR") {
-            if !root.trim().is_empty() {
-                let seq = DATA_DIR_SEQ.fetch_add(1, Ordering::SeqCst);
-                let dir = PathBuf::from(root).join(format!("db-{}-{seq}", std::process::id()));
-                if let Ok((durability, _)) = Durability::open(
-                    &dir,
-                    Arc::new(StdIo),
-                    db.metrics.clone(),
-                    wal_compact_threshold(),
-                ) {
-                    db.durability = Some(durability);
-                }
-            }
-        }
-        db
+        SemanticWebDatabase::detached_with_metrics(Metrics::from_env())
     }
 }
 
@@ -354,9 +329,9 @@ impl Clone for SemanticWebDatabase {
             // A fresh, unpublished slot: readers pinned on the original keep
             // observing the original's publications, never the clone's.
             publish_slot: Arc::new(crate::publish::PublishSlot::empty(self.metrics.clone())),
-            // A fresh, empty plan cache (same enablement): the clone's
-            // mutations must never resurrect plans costed on the original.
-            plan_cache: swdb_query::PlanCache::new(self.plan_cache.enabled()),
+            // A fresh, empty plan cache: the clone's mutations must never
+            // resurrect plans costed on the original.
+            plan_cache: swdb_query::PlanCache::new(true),
         }
     }
 }
@@ -813,7 +788,7 @@ impl SemanticWebDatabase {
             self.metrics.clone(),
             // The snapshot is immutable, so its plans stay valid for its
             // whole lifetime: a fresh cache, never invalidated.
-            swdb_query::PlanCache::new(self.plan_cache.enabled()),
+            swdb_query::PlanCache::new(true),
         ));
         self.publish_slot.swap(Arc::clone(&snapshot));
         self.metrics.count(Counter::SnapshotsPublished, 1);
@@ -891,21 +866,6 @@ impl SemanticWebDatabase {
                 self.log_wal(&[WalRecord::SetRegime(encode_regime(regime))]);
             }
         }
-    }
-
-    /// Whether compiled plans and `Ω_q` expansions are kept between calls
-    /// (on by default).
-    pub fn plan_cache_enabled(&self) -> bool {
-        self.plan_cache.enabled()
-    }
-
-    /// Enables or disables the compiled plan + expansion cache. The cache
-    /// is replaced (emptied) either way. Disabling changes only what is
-    /// remembered: every query is still planned and runs on the same
-    /// executor, with its plan built for that one call — the baseline
-    /// `tests/plan_cache.rs` holds the cache against.
-    pub fn set_plan_cache_enabled(&mut self, enabled: bool) {
-        self.plan_cache = swdb_query::PlanCache::new(enabled);
     }
 
     /// The asserted set (the raw assertions, not their closure), borrowed:

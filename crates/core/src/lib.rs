@@ -53,8 +53,8 @@
 //! ## Durability & recovery
 //!
 //! A database can be made **crash-safe**: attach a data directory with
-//! [`SemanticWebDatabase::persist_to`] (or the `SWDB_DATA_DIR`
-//! environment variable), and every mutation commits to an append-only,
+//! [`SemanticWebDatabase::persist_to`] (or open one with
+//! [`SemanticWebDatabase::open`]), and every mutation commits to an append-only,
 //! per-record-checksummed **write-ahead log** with one append plus one
 //! fsync per facade call. [`SemanticWebDatabase::snapshot_now`] — or
 //! automatic compaction past `SWDB_WAL_COMPACT` records — rotates a

@@ -13,24 +13,24 @@
 //! commits. Re-applying the remaining suffix must then converge on the
 //! full reference state.
 //!
-//! Around the matrix: a property test pinning WAL replay ≡ direct
-//! mutation over random scripts, a second one pinning the facade's
-//! asserted set against a plain `Graph` model after every step of such a
-//! script (checkpoint + reopen included), a double-crash during recovery,
-//! degraded mode surviving a reopen exactly, and metrics-pinned proof that
-//! recovery never recomputes the closure or re-runs a core search.
+//! Around the matrix: a double-crash during recovery, degraded mode
+//! surviving a reopen exactly, fail-stop on IO errors, and metrics-pinned
+//! proof that recovery never recomputes the closure or re-runs a core
+//! search. Random scripts of mutations, checkpoints, crashes and injected
+//! write failures run against a plain-graph model in the root package's
+//! `tests/oracle.rs`; WAL compaction has its own binary
+//! (`wal_compaction.rs`) because it sets a process-global variable.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use proptest::prelude::*;
 use swdb_core::durable::{FaultIo, FaultKind};
 use swdb_core::{
     CoreBudget, CoreBudgetMode, EntailmentRegime, Metrics, MetricsLevel, SemanticWebDatabase,
     Semantics,
 };
-use swdb_model::{graph, rdfs, triple, Graph, Triple};
+use swdb_model::{graph, rdfs, triple, Graph};
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -409,207 +409,4 @@ fn io_errors_fail_stop_without_poisoning_the_in_memory_database() {
     let recovered = SemanticWebDatabase::open(&dir).expect("reopen");
     assert_eq!(recovered.len(), 1);
     cleanup(&dir);
-}
-
-/// WAL compaction: past the threshold the log rotates into a snapshot on
-/// its own, and the recovered state is unaffected.
-#[test]
-fn wal_compaction_rotates_automatically_and_preserves_state() {
-    let dir = scratch_dir("compact");
-    std::env::set_var("SWDB_WAL_COMPACT", "5");
-    let mut db = SemanticWebDatabase::new();
-    let result = db.persist_to(&dir);
-    std::env::remove_var("SWDB_WAL_COMPACT");
-    result.expect("persist");
-
-    for i in 0..12 {
-        db.insert(triple(format!("ex:s{i}").as_str(), "ex:p", "ex:o"));
-    }
-    assert!(db.is_durable());
-    assert!(
-        db.wal_records() <= 5,
-        "compaction must have rotated: {} live records",
-        db.wal_records()
-    );
-    let expected = state_of(&db);
-    drop(db);
-    let recovered = SemanticWebDatabase::open(&dir).expect("reopen");
-    assert_eq!(state_of(&recovered), expected);
-    cleanup(&dir);
-}
-
-// ----- WAL replay ≡ direct mutation, over random scripts -----
-
-#[derive(Clone, Debug)]
-enum Op {
-    Insert(usize, usize, usize),
-    Remove(usize, usize, usize),
-    InsertBatch(Vec<(usize, usize, usize)>),
-    RemoveBatch(Vec<(usize, usize, usize)>),
-    SetRegime(bool),
-    Minimize,
-    Publish,
-    /// `snapshot_now`; the model test also reopens the directory.
-    Checkpoint,
-}
-
-/// Nodes 4 and 5 are blanks (so `minimize` has something to fold), and two
-/// of the five predicates are RDFS vocabulary (so mutations carry closure
-/// deltas).
-fn triple_of(s: usize, p: usize, o: usize) -> Triple {
-    let node = |i: usize| match i {
-        4 | 5 => format!("_:b{i}"),
-        _ => format!("ex:n{i}"),
-    };
-    let predicate = match p % 5 {
-        3 => rdfs::SC.to_string(),
-        4 => rdfs::TYPE.to_string(),
-        k => format!("ex:p{k}"),
-    };
-    triple(&node(s), &predicate, &node(o))
-}
-
-fn graph_of(batch: &[(usize, usize, usize)]) -> Graph {
-    batch
-        .iter()
-        .map(|(s, p, o)| triple_of(*s, *p, *o))
-        .collect()
-}
-
-/// Applies one op, returning the count the facade reported for it (`bool`s
-/// as 0/1; 0 for the ops that report nothing).
-fn apply(db: &mut SemanticWebDatabase, op: &Op) -> usize {
-    match op {
-        Op::Insert(s, p, o) => usize::from(db.insert(triple_of(*s, *p, *o))),
-        Op::Remove(s, p, o) => usize::from(db.remove(&triple_of(*s, *p, *o))),
-        Op::InsertBatch(batch) => {
-            db.insert_graph(&graph_of(batch));
-            0
-        }
-        Op::RemoveBatch(batch) => db.remove_graph(&graph_of(batch)),
-        Op::SetRegime(simple) => {
-            db.set_regime(if *simple {
-                EntailmentRegime::Simple
-            } else {
-                EntailmentRegime::Rdfs
-            });
-            0
-        }
-        Op::Minimize => db.minimize(),
-        Op::Publish => {
-            db.publish();
-            0
-        }
-        Op::Checkpoint => {
-            let _ = db.snapshot_now();
-            0
-        }
-    }
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    let id = 0..6usize;
-    let batch = proptest::collection::vec((id.clone(), id.clone(), id.clone()), 1..5);
-    prop_oneof![
-        4 => (id.clone(), id.clone(), id.clone()).prop_map(|(s, p, o)| Op::Insert(s, p, o)),
-        2 => (id.clone(), id.clone(), id.clone()).prop_map(|(s, p, o)| Op::Remove(s, p, o)),
-        2 => batch.clone().prop_map(Op::InsertBatch),
-        2 => batch.prop_map(Op::RemoveBatch),
-        1 => prop_oneof![Just(Op::SetRegime(true)), Just(Op::SetRegime(false))],
-        1 => Just(Op::Minimize),
-        1 => Just(Op::Publish),
-        1 => Just(Op::Checkpoint),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Replaying a WAL reproduces, in term space, exactly the state direct
-    /// mutation built — including the maintained closure and the regime.
-    #[test]
-    fn wal_replay_is_equivalent_to_direct_mutation(ops in proptest::collection::vec(op_strategy(), 1..25)) {
-        let dir = scratch_dir("replay-prop");
-        let mut durable = SemanticWebDatabase::new();
-        durable.persist_to(&dir).expect("persist");
-        let mut reference = SemanticWebDatabase::new();
-        for op in &ops {
-            apply(&mut durable, op);
-            apply(&mut reference, op);
-        }
-        prop_assert!(durable.is_durable());
-        prop_assert_eq!(state_of(&durable), state_of(&reference));
-        drop(durable);
-        // The reopen loads the last checkpoint (or persist_to's empty
-        // snapshot) and replays the script's suffix from the WAL.
-        let recovered = SemanticWebDatabase::open(&dir).expect("reopen");
-        prop_assert_eq!(state_of(&recovered), state_of(&reference));
-        cleanup(&dir);
-    }
-
-    /// The facade keeps no string copy of `D`, so a plain `Graph` is the
-    /// explicit model: after every step of a random script — from either
-    /// starting regime, across checkpoint + reopen — the store-backed
-    /// `len()`, `graph()`, `to_ntriples()`, the reported counts and the
-    /// published `asserted_triples()` are what the model says.
-    #[test]
-    fn the_asserted_set_agrees_with_a_plain_graph_model_at_every_step(
-        ops in proptest::collection::vec(op_strategy(), 1..30),
-    ) {
-        for regime in [EntailmentRegime::Rdfs, EntailmentRegime::Simple] {
-            let dir = scratch_dir("model-prop");
-            let mut db = SemanticWebDatabase::with_regime(regime);
-            db.persist_to(&dir).expect("persist");
-            let mut model = Graph::new();
-            // What the publication slot must report: the model's size at
-            // the last publish (a reopened database starts unpublished).
-            let mut published = 0;
-            for op in &ops {
-                let reported = apply(&mut db, op);
-                let expected = match op {
-                    Op::Insert(s, p, o) => usize::from(model.insert(triple_of(*s, *p, *o))),
-                    Op::Remove(s, p, o) => usize::from(model.remove(&triple_of(*s, *p, *o))),
-                    Op::InsertBatch(batch) => {
-                        model.extend(graph_of(batch));
-                        0
-                    }
-                    Op::RemoveBatch(batch) => graph_of(batch)
-                        .iter()
-                        .filter(|t| model.remove(t))
-                        .count(),
-                    Op::Minimize => {
-                        // Which lean equivalent subgraph survives is the
-                        // engine's choice (the core is unique only up to
-                        // isomorphism): check it is one, then follow it.
-                        let core = db.graph().to_graph();
-                        prop_assert!(core.is_subgraph_of(&model));
-                        prop_assert!(swdb_normal::is_lean(&core));
-                        prop_assert!(swdb_entailment::simple_equivalent(&core, &model));
-                        let dropped = model.len() - core.len();
-                        model = core;
-                        dropped
-                    }
-                    Op::Publish => {
-                        published = model.len();
-                        0
-                    }
-                    Op::Checkpoint => {
-                        prop_assert!(db.is_durable());
-                        drop(db);
-                        db = SemanticWebDatabase::open(&dir).expect("reopen");
-                        published = 0;
-                        0
-                    }
-                    Op::SetRegime(_) => 0,
-                };
-                prop_assert_eq!(reported, expected, "{:?} reported the wrong count", op);
-                prop_assert_eq!(db.len(), model.len());
-                prop_assert_eq!(db.is_empty(), model.is_empty());
-                prop_assert_eq!(db.graph().to_graph(), model);
-                prop_assert_eq!(db.to_ntriples(), swdb_store::serialize(&model));
-                prop_assert_eq!(db.published().asserted_triples(), published);
-            }
-            cleanup(&dir);
-        }
-    }
 }

@@ -8,8 +8,7 @@
 use std::sync::Arc;
 
 use swdb_core::{
-    CoreBudget, CoreBudgetMode, EntailmentRegime, PublishedSnapshot, SemanticWebDatabase,
-    Semantics, SnapshotQueryError,
+    CoreBudget, CoreBudgetMode, EntailmentRegime, PublishedSnapshot, SemanticWebDatabase, Semantics,
 };
 use swdb_model::{graph, rdfs, Graph};
 use swdb_query::query;
@@ -156,72 +155,6 @@ fn degraded_flags_ride_the_published_snapshot() {
     assert!(!fresh.non_minimal());
     let (_, fresh_flag) = fresh.answer_with_status(&q, Semantics::Union).unwrap();
     assert!(!fresh_flag);
-}
-
-/// The snapshot serves exactly the premise-free and expansion mechanisms;
-/// overlay-mechanism premise queries are refused with `NeedsWriter` and
-/// the answers it does serve agree with the facade's.
-#[test]
-fn snapshot_dispatch_matches_the_facade() {
-    let mut db = SemanticWebDatabase::with_regime(EntailmentRegime::Simple);
-    db.insert_graph(&graph([
-        ("ex:u", "ex:q", "ex:a"),
-        ("ex:u", "ex:q", "ex:c"),
-        ("ex:c", "ex:t", "ex:s"),
-    ]));
-    let pinned = db.reader().pin();
-
-    let premise_free = query([("?X", "ex:q", "?Y")], [("?X", "ex:q", "?Y")]);
-    assert!(pinned.supports(&premise_free));
-    assert_eq!(
-        pinned.answer(&premise_free, Semantics::Union).unwrap(),
-        db.answer(&premise_free, Semantics::Union)
-    );
-    assert_eq!(
-        pinned.pre_answers(&premise_free).unwrap().len(),
-        db.pre_answers(&premise_free).len()
-    );
-    assert!(!pinned.answer_is_empty(&premise_free).unwrap());
-    let explain = pinned.explain(&premise_free, Semantics::Union).unwrap();
-    assert_eq!(explain.mechanism, "premise_free");
-
-    // Ground premise under simple entailment: the Prop. 5.9 expansion —
-    // snapshot-servable.
-    let expansion = swdb_query::Query::with_premise(
-        swdb_hom::pattern_graph([("?X", "ex:p", "?Y")]),
-        swdb_hom::pattern_graph([("?X", "ex:q", "?Y"), ("?Y", "ex:t", "ex:s")]),
-        graph([("ex:a", "ex:t", "ex:s")]),
-    )
-    .unwrap();
-    assert!(pinned.supports(&expansion));
-    assert_eq!(
-        pinned.answer(&expansion, Semantics::Union).unwrap(),
-        db.answer(&expansion, Semantics::Union)
-    );
-    assert_eq!(
-        pinned
-            .explain(&expansion, Semantics::Union)
-            .unwrap()
-            .mechanism,
-        "expansion"
-    );
-
-    // A blank-bearing premise needs the overlay — only the facade can.
-    let overlay = swdb_query::Query::with_premise(
-        swdb_hom::pattern_graph([("?X", "ex:q", "?Y")]),
-        swdb_hom::pattern_graph([("?X", "ex:q", "?Y")]),
-        graph([("ex:w", "ex:q", "_:P")]),
-    )
-    .unwrap();
-    assert!(!pinned.supports(&overlay));
-    assert!(matches!(
-        pinned.answer(&overlay, Semantics::Union),
-        Err(SnapshotQueryError::NeedsWriter)
-    ));
-    assert!(matches!(
-        pinned.explain(&overlay, Semantics::Union),
-        Err(SnapshotQueryError::NeedsWriter)
-    ));
 }
 
 /// Publication bookkeeping: epochs are monotone, `published()` tracks the

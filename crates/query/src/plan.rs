@@ -685,7 +685,7 @@ mod tests {
     fn disabled_cache_stays_empty_and_plans_per_call() {
         let s = store();
         let cache = PlanCache::new(false);
-        let metrics = Metrics::disabled();
+        let metrics = Metrics::new(swdb_obs::MetricsLevel::Counters);
         let q = query(
             [("?S", "ex:studies", "?C")],
             [("?S", "ex:takes", "?C"), ("ex:dept", "ex:offers", "?C")],
@@ -696,11 +696,15 @@ mod tests {
             s.dictionary(),
             s.id_index(),
             Semantics::Union,
-            metrics,
+            &metrics,
         );
         let reference = NormalizedDatabase::assume_normalized(s.to_graph());
         assert_eq!(planned, answer_against(&q, &reference, Semantics::Union));
         assert!(cache.is_empty());
+        // Nothing is remembered, so nothing counts as a hit or a miss.
+        let counted = metrics.snapshot();
+        assert_eq!(counted.counter("plan_cache_hits"), 0);
+        assert_eq!(counted.counter("plan_cache_misses"), 0);
         // Same executor, same plan — built for this one call, so both
         // explains pay the planning probes and neither is a hit.
         let first = explain(&cache, &s, &q);

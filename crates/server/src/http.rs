@@ -6,7 +6,7 @@
 //! request is an attack surface, and a mis-framed body *is* the next request.
 
 use std::io::{ErrorKind, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 
 use swdb_obs::{Counter, Hist};
@@ -174,6 +174,36 @@ impl<'a> Connection<'a> {
         let sent = self.stream.write_all(&self.out).is_ok();
         self.out.clear();
         sent
+    }
+
+    /// The close the server initiates. A socket closed with input unread
+    /// sends a reset, which can destroy answers the peer has not read yet,
+    /// so when input is left — the rest of a batch, or bytes waiting in the
+    /// socket — this half-closes after the flush and discards input until
+    /// EOF, an error or one [`POLL`]. A peer that closes first never comes
+    /// here.
+    fn close_unread(&mut self) {
+        let mut stream = self.stream;
+        let waiting = || {
+            let peeked = stream.set_nonblocking(true).is_ok()
+                && matches!(stream.peek(&mut [0]), Ok(n) if n > 0);
+            let _ = stream.set_nonblocking(false);
+            peeked
+        };
+        if !self.flush() || (self.at == self.end && !waiting()) {
+            return;
+        }
+        let _ = stream.shutdown(Shutdown::Write);
+        let deadline = Instant::now() + POLL;
+        let mut sink = [0; 4096];
+        while let Some(left) = deadline.checked_duration_since(Instant::now()) {
+            let _ = stream.set_read_timeout(Some(left.max(Duration::from_millis(1))));
+            match stream.read(&mut sink) {
+                Ok(n) if n > 0 => {}
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                _ => return,
+            }
+        }
     }
 
     /// Reads one complete request, leaving what follows it for the next
@@ -354,6 +384,9 @@ pub(crate) fn serve_connection(shared: &Shared, stream: &TcpStream) {
             }
         };
         if !conn.push(&response, keep) {
+            if !keep {
+                conn.close_unread();
+            }
             return;
         }
     }

@@ -58,7 +58,10 @@
 //!    answer is held longer, and a batch slower than that goes on to leave
 //!    one answer per write, as every batch did before;
 //! 4. on every way out of the connection — close, the request bound,
-//!    `4xx`/`408`, shutdown drain, a handler panic (one `Drop`).
+//!    `4xx`/`408`, shutdown drain, a handler panic (one `Drop`). When the
+//!    server closes with input still unread it half-closes and drains that
+//!    input for up to 50 ms first: a close over unread input is a reset,
+//!    and a reset can discard answers already written.
 //!
 //! The two numbers are constants, not [`ServerConfig`] fields: no caller
 //! needs another value, and an option would be a second path to test.

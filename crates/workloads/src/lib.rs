@@ -9,7 +9,7 @@
 //! * [`hard`] — graph-homomorphism encodings: colourability, cliques,
 //!   (non-)lean cycles (E03, E08), and the adversarial core family —
 //!   blank cliques, hidden folds, deep chains, wide fans — behind the
-//!   degraded-mode tests and bench E22;
+//!   degraded-mode tests (`crates/core/tests/adversarial_budget.rs`);
 //! * [`university`] — a LUBM-style university instance with schema-aware
 //!   queries (E11, E15, E16).
 

@@ -141,8 +141,7 @@
 //! [`core::SemanticWebDatabase::explain`] reports, per query, the
 //! mechanism the dispatch chose, the compiled pattern count, and the
 //! planned join order the search actually descended through, with measured
-//! probe/binding/answer counts ([`query::Explain`]). The benches E17–E21
-//! embed a `metrics` block in their `BENCH_*.json` reports. The counters
+//! probe/binding/answer counts ([`query::Explain`]). The counters
 //! do not depend on the worker ceiling: every `reason_*` counter except
 //! `reason_parallel_rounds` (rounds that actually spawned), the per-rule
 //! firings and the query/core counters are pinned equal across thread
@@ -172,15 +171,13 @@
 //! estimated vs the store's actual per-pattern cardinalities, and the
 //! counter sheet carries `plan_cache_hits`/`misses`/`evictions` and a
 //! `query_truncations` warning when an enumeration hits the solution
-//! limit. There is no second, unplanned executor:
-//! [`core::SemanticWebDatabase::set_plan_cache_enabled`]`(false)` only
-//! stops *remembering* — lookups miss without being counted, nothing is
-//! stored, `explain()` says `off`, and each call runs the same executor
-//! under a plan built for that call (the baseline `tests/plan_cache.rs`
-//! holds the cache against). One randomized sweep (`tests/plan_cache.rs`) pins the
-//! facade with its cache cold, warm and disabled, and a pinned snapshot,
-//! to the recomputing specification across regimes, semantics and
-//! mechanisms.
+//! limit. There is no second, unplanned executor: a disabled
+//! [`query::PlanCache`] only stops *remembering* — lookups miss without
+//! being counted, nothing is stored, `explain()` says `off`, and each call
+//! runs the same executor under a plan built for that call. The
+//! model-based oracle (`tests/oracle.rs`) pins the facade with its cache
+//! cold and warm, and a pinned snapshot, to the recomputing specification
+//! across regimes, semantics and mechanisms.
 //!
 //! ### Serving & snapshots
 //!

@@ -6,45 +6,15 @@
 //! answer semantics, across mutations that invalidate the evaluation cache.
 
 use semweb_foundations::core::{EntailmentRegime, SemanticWebDatabase, Semantics};
-use semweb_foundations::hom::{pattern_graph, Variable};
-use semweb_foundations::model::{graph, isomorphic, rdfs, triple, Graph};
-use semweb_foundations::query::{query, Query};
+use semweb_foundations::model::{isomorphic, rdfs, triple, Graph};
+use semweb_foundations::query::query;
 use semweb_foundations::workloads::{
     inject_blank_redundancy, schema_graph, simple_graph, SchemaGraphConfig, SimpleGraphConfig,
 };
 
-/// A pool covering the pattern shapes the engine dispatches on: single
-/// patterns, joins, variable predicates, repeated variables, ground
-/// constants (interned and never-interned), must-bind constraints, head
-/// blanks (Skolemization), and RDFS vocabulary in the body.
-fn query_pool() -> Vec<Query> {
-    vec![
-        query([("?X", "ex:p0", "?Y")], [("?X", "ex:p0", "?Y")]),
-        query(
-            [("?X", "ex:p0", "?Z")],
-            [("?X", "ex:p0", "?Y"), ("?Y", "ex:p1", "?Z")],
-        ),
-        query([("?X", "?P", "?Y")], [("?X", "?P", "?Y")]),
-        query([("ex:n0", "ex:related", "?Y")], [("ex:n0", "?P", "?Y")]),
-        query([("?X", "ex:p0", "?X")], [("?X", "ex:p0", "?X")]),
-        query(
-            [("?X", "ex:neverInterned", "?Y")],
-            [("?X", "ex:neverInterned", "?Y")],
-        ),
-        query([("?X", rdfs::TYPE, "?C")], [("?X", rdfs::TYPE, "?C")]),
-        Query::with_constraints(
-            pattern_graph([("?X", "ex:p0", "?Y")]),
-            pattern_graph([("?X", "ex:p0", "?Y")]),
-            [Variable::new("X"), Variable::new("Y")],
-        )
-        .expect("well formed"),
-        Query::new(
-            pattern_graph([("?X", "ex:witnessed", "_:W")]),
-            pattern_graph([("?X", "ex:p0", "?Y")]),
-        )
-        .expect("well formed"),
-    ]
-}
+mod pools;
+
+use pools::{premise_query_pool, query_pool};
 
 fn random_database(seed: u64) -> Graph {
     let base = if seed.is_multiple_of(2) {
@@ -111,55 +81,6 @@ fn assert_id_path_matches_spec(db: &mut SemanticWebDatabase, seed: u64, context:
         }
     }
     db.set_regime(EntailmentRegime::Rdfs);
-}
-
-/// Premise queries covering both id mechanisms: ground simple premises
-/// (expansion path under the simple regime), RDFS-vocabulary premises
-/// (overlay with closure preview), blank-bearing premises (overlay in both
-/// regimes; capture-prone label `_:B0` deliberately collides with the
-/// generators' blank labels), and a premise that is entirely already
-/// asserted (empty overlay).
-fn premise_query_pool(seed: u64) -> Vec<Query> {
-    let fresh = format!("ex:prem{seed}");
-    let data_premise = graph([
-        (fresh.as_str(), "ex:p0", "ex:n0"),
-        ("ex:n0", "ex:p1", fresh.as_str()),
-    ]);
-    vec![
-        Query::with_premise(
-            pattern_graph([("?X", "ex:p0", "?Y")]),
-            pattern_graph([("?X", "ex:p0", "?Y")]),
-            data_premise.clone(),
-        )
-        .expect("well formed"),
-        Query::with_premise(
-            pattern_graph([("?X", "ex:p0", "?Z")]),
-            pattern_graph([("?X", "ex:p0", "?Y"), ("?Y", "ex:p1", "?Z")]),
-            data_premise,
-        )
-        .expect("well formed"),
-        Query::with_premise(
-            pattern_graph([("?X", rdfs::TYPE, "?C")]),
-            pattern_graph([("?X", rdfs::TYPE, "?C")]),
-            graph([
-                ("ex:p0", rdfs::DOM, "ex:Origin"),
-                ("ex:p1", rdfs::SP, "ex:p0"),
-            ]),
-        )
-        .expect("well formed"),
-        Query::with_premise(
-            pattern_graph([("?X", "ex:p1", "?Y")]),
-            pattern_graph([("?X", "ex:p1", "?Y")]),
-            graph([("_:B0", "ex:p1", "ex:n1"), ("ex:n1", "ex:p1", "_:B0")]),
-        )
-        .expect("well formed"),
-        Query::with_premise(
-            pattern_graph([("?X", "ex:p0", "?Y")]),
-            pattern_graph([("?X", "ex:p0", "?Y")]),
-            graph([("ex:n0", "ex:p0", "ex:n1")]),
-        )
-        .expect("well formed"),
-    ]
 }
 
 fn assert_premise_paths_match_spec(db: &mut SemanticWebDatabase, seed: u64, context: &str) {

@@ -1,14 +1,15 @@
-//! The acceptance property behind bench E18: premise-free answering through
-//! the id-space read path beats the string-space evaluator by a wide
-//! margin once the evaluation structures are warm. Demonstrated here at a
-//! scale that stays fast in debug builds with a conservative 5× bar
-//! (best-of-N on both sides; the release-mode margin recorded in
-//! `BENCH_e18.json` is far larger); the bench reports it at 1k/10k.
+//! Two ratio pins on the id-space read path, at scales that stay fast in
+//! debug builds (best-of-N on both sides of each ratio): premise-free
+//! answering beats the string-space evaluator by a conservative 5× once the
+//! evaluation structures are warm, and a point read through the live facade
+//! costs no multiple of the same read on a pinned snapshot however many
+//! blank components the store holds.
 
 use std::time::{Duration, Instant};
 
 use semweb_foundations::core::{SemanticWebDatabase, Semantics};
-use semweb_foundations::query::{answer_against, NormalizedDatabase};
+use semweb_foundations::model::{triple, Graph};
+use semweb_foundations::query::{answer_against, query, NormalizedDatabase};
 use semweb_foundations::workloads::{university, UniversityConfig};
 
 fn best_of(n: usize, mut f: impl FnMut()) -> Duration {
@@ -60,5 +61,37 @@ fn warm_id_space_answering_beats_string_space_by_5x() {
     assert!(
         string_time >= id_time * 5,
         "expected >=5x speedup: string-space {string_time:?} vs id-space {id_time:?}"
+    );
+}
+
+/// Both readers build the same engine over the same index, so anything the
+/// facade does per read that grows with the number of blank components —
+/// 10⁴ single-blank components with distinct objects, so nothing folds —
+/// shows up as a multiple of the snapshot's cost.
+#[test]
+fn a_facade_point_read_costs_no_multiple_of_a_snapshot_read_on_a_blank_heavy_store() {
+    let mut data = Graph::new();
+    for i in 0..10_000 {
+        data.insert(triple(&format!("_:b{i}"), "ex:p", &format!("ex:o{i}")));
+    }
+    data.insert(triple("ex:a", "ex:q", "ex:b"));
+    let mut db = SemanticWebDatabase::from_graph(data);
+    let q = query([("?X", "ex:q", "?Y")], [("?X", "ex:q", "?Y")]);
+    assert_eq!(db.answer(&q, Semantics::Union).len(), 1);
+    let snapshot = db.publish();
+    const READS: u32 = 200;
+    let facade = best_of(5, || {
+        for _ in 0..READS {
+            std::hint::black_box(db.answer(&q, Semantics::Union));
+        }
+    }) / READS;
+    let pinned = best_of(5, || {
+        for _ in 0..READS {
+            std::hint::black_box(snapshot.answer(&q, Semantics::Union).expect("premise free"));
+        }
+    }) / READS;
+    assert!(
+        facade <= pinned * 5 + Duration::from_micros(1),
+        "a facade point read ({facade:?}) costs a multiple of the snapshot's ({pinned:?})"
     );
 }

@@ -1,13 +1,14 @@
 //! End-to-end tests of the `swdb-reason` subsystem through the facade: the
 //! maintained closure against the recomputing specification on real
-//! workloads, closure-answered scans, and the headline property that a
-//! single-triple edit is orders of magnitude cheaper than recomputation.
+//! workloads, closure-answered scans, the headline property that a
+//! single-triple edit is orders of magnitude cheaper than recomputation,
+//! and its normal-form counterpart in core-engine counters.
 
 use std::time::Instant;
 
-use semweb_foundations::core::SemanticWebDatabase;
+use semweb_foundations::core::{MetricsLevel, SemanticWebDatabase, Semantics};
 use semweb_foundations::entailment::rdfs_closure;
-use semweb_foundations::model::{rdfs, triple, Iri, Term};
+use semweb_foundations::model::{rdfs, triple, Iri, Term, Triple};
 use semweb_foundations::reason::MaterializedStore;
 use semweb_foundations::workloads::{
     schema_graph, university, SchemaGraphConfig, UniversityConfig,
@@ -72,8 +73,8 @@ fn closure_scans_see_inferred_triples_through_the_reasoner() {
 
 #[test]
 fn single_triple_edits_beat_full_recomputation_by_an_order_of_magnitude() {
-    // The acceptance property behind bench E17, demonstrated at a scale
-    // that stays fast in debug builds; the bench reports it at 1k/10k.
+    // The acceptance property of incremental maintenance, demonstrated at
+    // a scale that stays fast in debug builds.
     let g = schema_graph(
         &SchemaGraphConfig {
             classes: 16,
@@ -126,4 +127,59 @@ fn single_triple_edits_beat_full_recomputation_by_an_order_of_magnitude() {
         materialized.remove(delta);
     }
     assert_eq!(materialized.closure_graph(), full);
+}
+
+/// The normal form is refreshed by the delta, not rebuilt, and counters say
+/// so: on a warm facade over the 1k-triple university workload, a ground
+/// edit round trip never starts a core retraction search or re-cores a
+/// component, and a blank-touching one re-cores the one component it
+/// creates, however many others the store holds.
+#[test]
+fn edits_re_core_only_the_components_they_touch() {
+    let data = university(
+        &UniversityConfig {
+            departments: 6,
+            courses_per_department: 10,
+            professors_per_department: 6,
+            students_per_department: 30,
+            enrollments_per_student: 3,
+        },
+        0xE19,
+    );
+    let mut db = SemanticWebDatabase::from_graph(data);
+    db.set_metrics_level(MetricsLevel::Counters);
+    let q = semweb_foundations::workloads::university::workers_query();
+    assert!(
+        !db.answer(&q, Semantics::Union).is_empty(),
+        "the engine is warm"
+    );
+    let components = db.stats().blank_components;
+    assert!(components >= 10, "{components} blank components");
+    let round_trip = |db: &mut SemanticWebDatabase, edit: Triple| {
+        let before = db.metrics().snapshot();
+        assert!(db.insert(edit.clone()));
+        assert!(db.remove(&edit));
+        let after = db.metrics().snapshot();
+        let moved = |key| after.counter(key) - before.counter(key);
+        (
+            moved("core_retraction_searches"),
+            moved("core_components_recored"),
+        )
+    };
+    let ground = triple("uni:profFresh", "uni:worksFor", "uni:dept0");
+    assert_eq!(
+        round_trip(&mut db, ground),
+        (0, 0),
+        "a ground edit is index maintenance"
+    );
+    let blank = Triple::new(
+        Term::iri("uni:studentFresh"),
+        Iri::new("uni:advisedBy"),
+        Term::blank("advisorFresh"),
+    );
+    let (_, recored) = round_trip(&mut db, blank);
+    assert_eq!(
+        recored, 1,
+        "only the new component is re-cored, of {components}"
+    );
 }

@@ -258,13 +258,9 @@ fn explain_reports_the_mechanism_and_the_executed_join_order() {
     // Re-explaining hits the plan cache: the outcome is identical except
     // for `plan_cache` itself and the probes the warm run no longer pays.
     let warm = db.explain(&q, Semantics::Union);
-    if db.plan_cache_enabled() {
-        assert_eq!(plan.plan_cache, "miss");
-        assert_eq!(warm.plan_cache, "hit");
-        assert!(warm.probes <= plan.probes);
-    } else {
-        assert_eq!(warm, plan, "without the cache, explaining is deterministic");
-    }
+    assert_eq!(plan.plan_cache, "miss");
+    assert_eq!(warm.plan_cache, "hit");
+    assert!(warm.probes <= plan.probes);
     assert_eq!(warm.mechanism, plan.mechanism);
     assert_eq!(warm.join_order, plan.join_order);
     assert_eq!(warm.answers, plan.answers);
@@ -272,17 +268,6 @@ fn explain_reports_the_mechanism_and_the_executed_join_order() {
     assert_eq!(warm.actual_cardinalities, plan.actual_cardinalities);
     // And its JSON form carries the order verbatim.
     assert!(plan.to_json().contains("\"join_order\": [1, 0]"));
-    // With the cache disabled every call plans for itself — the same plan.
-    db.set_plan_cache_enabled(false);
-    let uncached = db.explain(&q, Semantics::Union);
-    assert_eq!(uncached.plan_cache, "off");
-    assert_eq!(uncached.join_order, plan.join_order);
-    assert_eq!(
-        db.explain(&q, Semantics::Union),
-        uncached,
-        "without the cache, explaining is deterministic"
-    );
-    db.set_plan_cache_enabled(true);
 
     // A premise query under RDFS takes the overlay mechanism.
     let with_premise = Query::with_premise(
