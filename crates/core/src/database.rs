@@ -756,8 +756,9 @@ impl SemanticWebDatabase {
 
     /// Atomically publishes the current evaluation state as an immutable
     /// [`PublishedSnapshot`](crate::publish::PublishedSnapshot) and returns
-    /// it. The snapshot carries a clone of the dictionary and the evaluation
-    /// `IdIndex` (built first if cold) — ids, nothing is decoded — the
+    /// it. The snapshot carries a clone of the dictionary and *shares* the
+    /// evaluation `IdIndex` (built first if cold; the clone copies only the
+    /// index's root fence arrays) — ids, nothing is decoded — the
     /// epoch (monotonically increasing from 1), the store's triple count,
     /// and the degraded flags in force at publication time
     /// (`non_minimal` from the core budget, the fail-stop record of a
@@ -769,7 +770,7 @@ impl SemanticWebDatabase {
     /// and a reader answering on one never blocks `insert`/`remove`.
     ///
     /// Publication is **explicit**: mutations do not republish on their
-    /// own (a bulk load would otherwise clone the index per triple). The
+    /// own (a bulk load would otherwise publish once per triple). The
     /// serving layer (`swdb-server`) publishes once per write request.
     pub fn publish(&mut self) -> Arc<crate::publish::PublishedSnapshot> {
         let metrics = self.metrics.clone();

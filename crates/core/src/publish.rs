@@ -5,9 +5,9 @@
 //! The facade ([`SemanticWebDatabase`]) is a single-owner value: every read
 //! path takes `&mut self` (the evaluation index builds lazily), so shared
 //! serving would force readers and writers through one lock. This module
-//! splits the read side off: [`SemanticWebDatabase::publish`] clones the
+//! splits the read side off: [`SemanticWebDatabase::publish`] hands the
 //! two structures query answering actually needs — the append-only
-//! [`Dictionary`] and the evaluation [`IdIndex`] — into an immutable
+//! [`Dictionary`] and the evaluation [`IdIndex`] — to an immutable
 //! [`PublishedSnapshot`] behind an `Arc`, and swaps it into a shared slot.
 //! A [`SnapshotReader`] pins the current snapshot with one brief read-lock
 //! acquisition (held only for the `Arc` clone — the std-only equivalent of
@@ -16,8 +16,11 @@
 //! `answer`/`explain` on it can never block — or be blocked by —
 //! `insert`/`remove` on the live database.
 //!
-//! Publication decodes nothing: the clones copy ids and the term table, the
-//! asserted count is the store's `len()`. Terms are decoded once per answer
+//! Publication decodes nothing. The index is *shared*, not copied: its
+//! clone copies the root fence arrays of a persistent layout and shares
+//! every node and leaf with the writer, whose next edit copies only the
+//! chunks it touches (see [`swdb_store::id_index`]). The dictionary is still
+//! cloned per publish. The asserted count is the store's `len()`. Terms are decoded once per answer
 //! triple, when a reader renders an [`AnswerSet`] from its pin (or asks for
 //! the answer as a [`Graph`]).
 //!

@@ -695,15 +695,17 @@ impl IdCoreEngine {
         let mut engine = IdCoreEngine::new();
         engine.metrics = metrics;
         engine.budget_mode = budget;
+        let mut ground = Vec::new();
         for t in triples {
             if is_blank_triple(dictionary, t) {
                 if engine.blank_full.insert(t) {
                     *engine.blank_pred_refs.entry(t.1).or_insert(0) += 1;
                 }
             } else {
-                engine.eval.insert(t);
+                ground.push(t);
             }
         }
+        engine.eval.extend(ground);
         {
             let _span = engine.metrics.span(Hist::SpanCoreRefreshNs);
             let mut coring = engine.coring(BTreeSet::new());
@@ -760,9 +762,7 @@ impl IdCoreEngine {
         let mut engine = IdCoreEngine::new();
         engine.metrics = metrics;
         engine.budget_mode = budget;
-        for &t in &state.ground {
-            engine.eval.insert(t);
-        }
+        let mut published = state.ground.clone();
         for comp in &state.components {
             let full: BTreeSet<IdTriple> = comp.full.iter().copied().collect();
             let mut blanks = BTreeSet::new();
@@ -773,9 +773,7 @@ impl IdCoreEngine {
                 }
             }
             let survivors: BTreeSet<IdTriple> = comp.survivors.iter().copied().collect();
-            for &t in &survivors {
-                engine.eval.insert(t);
-            }
+            published.extend(&survivors);
             engine.cells.push(Component {
                 blanks,
                 full,
@@ -785,6 +783,7 @@ impl IdCoreEngine {
                 uncored: comp.uncored,
             });
         }
+        engine.eval.extend(published);
         engine.publish_gauges();
         engine.debug_check(dictionary);
         engine
@@ -954,8 +953,8 @@ impl IdCoreEngine {
                 removed_from_eval.insert(t);
             }
         }
-        let mut added_preds: BTreeSet<TermId> = BTreeSet::new();
         let mut blank_added: Vec<IdTriple> = Vec::new();
+        let mut ground_added: Vec<IdTriple> = Vec::new();
         for &t in added {
             if is_blank_triple(dictionary, t) {
                 if self.blank_full.insert(t) {
@@ -963,10 +962,16 @@ impl IdCoreEngine {
                     blank_added.push(t);
                     *self.blank_pred_refs.entry(t.1).or_insert(0) += 1;
                 }
-            } else if self.eval.insert(t) {
-                added_preds.insert(t.1);
+            } else {
+                ground_added.push(t);
             }
         }
+        let added_preds: BTreeSet<TermId> = self
+            .eval
+            .insert_all(&ground_added)
+            .into_iter()
+            .map(|t| t.1)
+            .collect();
         let relevant_add = added_preds
             .iter()
             .any(|p| self.blank_pred_refs.contains_key(p));

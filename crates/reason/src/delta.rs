@@ -312,9 +312,7 @@ impl DeltaClosure {
     /// (the durability layer checksums the pair together) and for having
     /// called [`DeltaClosure::sync_terms`] first.
     pub fn adopt_closure(&mut self, triples: impl IntoIterator<Item = IdTriple>) {
-        for t in triples {
-            self.closure.insert(t);
-        }
+        self.closure.extend(triples);
     }
 
     /// Applies an inserted base triple; returns `true` if the closure grew.
@@ -358,12 +356,8 @@ impl DeltaClosure {
             .on(MetricsLevel::Debug)
             .then(std::time::Instant::now);
         let logged_before = added.len();
-        let mut frontier = Vec::new();
-        for t in deltas {
-            if self.closure.insert(t) {
-                frontier.push(t);
-            }
-        }
+        let deltas: Vec<IdTriple> = deltas.into_iter().collect();
+        let frontier = self.closure.insert_all(&deltas);
         let fresh = frontier.len();
         if fresh > 0 {
             added.extend(frontier.iter().copied());
@@ -403,13 +397,8 @@ impl DeltaClosure {
                 &|t| !self.closure.contains(t),
                 &self.metrics,
             );
-            frontier.clear();
-            for t in fresh {
-                if self.closure.insert(t) {
-                    frontier.push(t);
-                    added.push(t);
-                }
-            }
+            frontier = self.closure.insert_all(&fresh);
+            added.extend_from_slice(&frontier);
         }
         self.metrics.count(Counter::ReasonRounds, rounds);
     }
@@ -566,9 +555,7 @@ impl DeltaClosure {
             .zip(back)
             .filter_map(|(c, back)| back.then_some(c))
             .collect();
-        for &r in &rederived {
-            self.closure.insert(r);
-        }
+        self.closure.extend(rederived.iter().copied());
         self.metrics
             .count(Counter::ReasonOverdeleted, over.len() as u64);
         self.metrics

@@ -126,9 +126,7 @@ impl MaterializedStore {
         let mut engine = DeltaClosure::new(vocab);
         engine.sync_terms(store.dictionary());
         engine.adopt_closure(closure.iter().copied());
-        for &t in base {
-            store.insert_id_triple(t);
-        }
+        store.insert_id_triples(base);
         MaterializedStore { store, engine }
     }
 
@@ -189,14 +187,11 @@ impl MaterializedStore {
     /// was already derivable still counts there even though the closure did
     /// not grow by it.
     pub fn insert_graph_with_delta(&mut self, graph: &Graph) -> ClosureDelta {
-        let mut delta = ClosureDelta::default();
-        for t in graph.iter() {
-            let (ids, added) = self.store.insert_with_ids(t);
-            if added {
-                delta.base.push(ids);
-            }
-        }
-        self.engine.sync_terms(self.store.dictionary());
+        let ids = self.intern_graph(graph);
+        let mut delta = ClosureDelta {
+            base: self.store.insert_id_triples(&ids),
+            ..ClosureDelta::default()
+        };
         self.engine
             .insert_batch_logged(delta.base.iter().copied(), &mut delta.added);
         delta

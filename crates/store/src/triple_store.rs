@@ -115,6 +115,12 @@ impl TripleStore {
         self.index.insert(ids)
     }
 
+    /// Inserts already-interned triples as one batch; returns the ones that
+    /// were new, in the order given (see [`IdIndex::insert_all`]).
+    pub fn insert_id_triples(&mut self, ids: &[IdTriple]) -> Vec<IdTriple> {
+        self.index.insert_all(ids)
+    }
+
     /// Removes a triple; returns `true` if it was present.
     pub fn remove(&mut self, triple: &Triple) -> bool {
         self.remove_with_ids(triple).is_some()
