@@ -48,26 +48,26 @@
 //! Queries **with premises** run through the same engine, by one of two
 //! mechanisms selected per query:
 //!
-//! * **Premise-free expansion** (simple regime, ground premise): the query
-//!   is rewritten into the union `Ω_q` of premise-free queries
-//!   (Proposition 5.9, [`swdb_query::premise_free_expansion`]) — cached per
-//!   premise query — and every member joins the *same* cached evaluation
-//!   index; single answers dedupe across members in id space.
-//! * **Premise overlay** (RDFS regime, or blank-bearing premises): the
-//!   premise is treated as a *scoped, transient delta* over the maintained
-//!   engines. Its closure growth `cl(D + P) − cl(D)` is previewed against
-//!   the maintained closure without committing anything
-//!   ([`MaterializedStore::preview_insert`]), the incremental core engine
-//!   puts that delta through the insert half of its own delta refresh —
-//!   the same function a commit runs — against a layered view of the
-//!   published index, keeping the view's diff
-//!   ([`swdb_normal::EvalOverlay`]) and dropping the component state a
-//!   commit would have kept, and the query — planned like any other —
-//!   joins the layered view `index ∪ added − removed`
-//!   ([`swdb_hom::Overlay`]). The published evaluation index is never
-//!   cloned or mutated — it is bit-identical before and after — and the
-//!   computed overlay is cached per premise, so repeated queries sharing a
-//!   premise pay for the delta once until the next mutation.
+//! * **Premise-free expansion** (simple regime, ground premise, and an
+//!   evaluation graph without blank triples): the query is rewritten into
+//!   the union `Ω_q` of premise-free queries (Proposition 5.9,
+//!   [`swdb_query::premise_free_expansion`]) — cached per premise query —
+//!   and every member joins the *same* cached evaluation index; single
+//!   answers dedupe across members in id space.
+//! * **Premise overlay** (everything else): the premise is a *hypothetical
+//!   write*, committed into a fork of the maintained state. Its closure
+//!   growth `cl(D + P) − cl(D)` is computed by committing the premise into
+//!   a fork of the closure index ([`MaterializedStore::preview_insert`]),
+//!   and the incremental core engine commits that delta into a fork of
+//!   the evaluation index with the insert half of its own delta refresh —
+//!   the same function a commit runs — dropping the component state a
+//!   commit would have kept ([`swdb_normal::EvalOverlay`]). The query —
+//!   planned like any other — joins the fork, which is the index a commit
+//!   would publish. A fork is a clone of the persistent index: it shares
+//!   every chunk the premise leaves alone, so the published evaluation
+//!   index is bit-identical before and after, and the fork is cached per
+//!   premise, so repeated queries sharing a premise pay for the delta once
+//!   until the next mutation.
 //!
 //! The string-space evaluator remains the executable specification via
 //! [`SemanticWebDatabase::answer_recomputed`] — `nf(D + P)` normalized
@@ -146,7 +146,7 @@ use swdb_query::{
     AnswerSet, Explain, Mechanism, NormalizedDatabase, Query, QueryEngine, Semantics,
 };
 use swdb_reason::{ClosureDelta, MaterializedStore};
-use swdb_store::{GraphStats, IdIndex, IdTriple, TripleStore};
+use swdb_store::{GraphStats, IdTriple, TripleStore};
 
 /// The entailment regime a database operates under.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -257,10 +257,10 @@ pub struct SemanticWebDatabase {
     /// use, then *maintained* under the closure deltas of every mutation —
     /// neither the closure fixpoint nor the core is ever recomputed for it.
     evaluation: Option<IdCoreEngine>,
-    /// Cached premise overlays, keyed by premise graph: the scoped
-    /// evaluation-index diff a premise induces ([`EvalOverlay`]), valid
-    /// until the next mutation or regime switch. Repeated queries sharing a
-    /// premise hit the cache and skip the closure preview + overlay core.
+    /// Cached premise forks, keyed by premise graph: the evaluation index
+    /// with the premise committed into it ([`EvalOverlay`]), valid until the
+    /// next mutation or regime switch. Repeated queries sharing a premise
+    /// hit the cache and skip the closure preview + overlay core.
     premise_cache: Vec<(Graph, EvalOverlay)>,
     /// A second core engine over the *asserted* store, powering
     /// [`SemanticWebDatabase::minimize`] under the RDFS regime (under
@@ -631,7 +631,7 @@ impl SemanticWebDatabase {
     /// engine on benign data), larger ones get a slice proportional to the
     /// threshold.
     ///
-    /// Cached premise overlays are invalidated: an overlay computed under a
+    /// Cached premise forks are invalidated: a fork computed under a
     /// different budget may carry a different `non_minimal` flag.
     pub fn set_core_budget(&mut self, mode: CoreBudgetMode) {
         self.core_budget = mode;
@@ -783,6 +783,7 @@ impl SemanticWebDatabase {
             self.regime,
             self.reasoner.store().len(),
             engine.is_degraded(),
+            engine.component_count() == 0,
             self.durability_error.clone(),
             self.reasoner.store().dictionary().clone(),
             engine.index().clone(),
@@ -1142,8 +1143,8 @@ impl SemanticWebDatabase {
             .collect()
     }
 
-    /// Returns the position of the cached overlay for this premise,
-    /// computing (and caching) it on a miss.
+    /// Returns the position of the cached fork for this premise, computing
+    /// (and caching) it on a miss.
     ///
     /// The premise's terms are interned (append-only; no index is touched),
     /// its blanks renamed apart from the asserted triples' blanks first — the
@@ -1151,8 +1152,8 @@ impl SemanticWebDatabase {
     /// path uses. Under RDFS the transient delta is the premise's closure
     /// growth `cl(D + P) − cl(D)`, previewed against the maintained closure
     /// without committing; under simple entailment it is the premise's
-    /// not-yet-asserted triples. The evaluation engine then cores the
-    /// overlaid set as a scoped diff — the published index stays
+    /// not-yet-asserted triples. The evaluation engine then commits that
+    /// delta into a fork of its index — the published index stays
     /// bit-identical.
     fn premise_overlay(&mut self, premise: &Graph) -> usize {
         self.ensure_evaluation();
@@ -1194,45 +1195,31 @@ impl SemanticWebDatabase {
         self.premise_cache.len() - 1
     }
 
-    /// Builds the [`QueryEngine`] that answers `query` and hands it to the
-    /// matching closure: over the live evaluation index for the
-    /// premise-free and expansion mechanisms, over the layered view
-    /// `index ∪ added − removed` of the premise's (cached) overlay
-    /// otherwise. A closure cannot be generic over the target type, so a
-    /// caller passes its operation once per target. The engine carries the
-    /// degradation flag of the substrate it was built over — the overlay's
-    /// already folds the evaluation engine's in.
-    fn with_engine<R>(
-        &mut self,
-        query: &Query,
-        on_index: impl FnOnce(QueryEngine<'_, IdIndex>) -> R,
-        on_overlay: impl FnOnce(QueryEngine<'_, swdb_hom::Overlay<'_>>) -> R,
-    ) -> R {
-        let mechanism = mechanism(self.regime, query);
-        if mechanism == Mechanism::Overlay {
+    /// Builds the [`QueryEngine`] that answers `query` and hands it to
+    /// `run`: over the live evaluation index for the premise-free and
+    /// expansion mechanisms, over the fork of it the premise was committed
+    /// into (cached per premise) otherwise. The engine carries the
+    /// degradation flag of the index it was built over — a fork's already
+    /// folds the evaluation engine's in.
+    fn with_engine<R>(&mut self, query: &Query, run: impl FnOnce(QueryEngine<'_>) -> R) -> R {
+        self.ensure_evaluation();
+        let evaluation = self.evaluation.as_ref().expect("just ensured");
+        let mechanism = mechanism(self.regime, query, evaluation.component_count() == 0);
+        let (target, non_minimal) = if mechanism == Mechanism::Overlay {
             let at = self.premise_overlay(query.premise());
-            let overlay = &self.premise_cache[at].1;
-            let evaluation = self.evaluation.as_ref().expect("overlay built it");
-            on_overlay(QueryEngine {
-                dictionary: self.reasoner.store().dictionary(),
-                target: &overlay.target(evaluation.index()),
-                cache: &self.plan_cache,
-                metrics: &self.metrics,
-                mechanism,
-                non_minimal: overlay.non_minimal,
-            })
+            let fork = &self.premise_cache[at].1;
+            (&fork.index, fork.non_minimal)
         } else {
-            self.ensure_evaluation();
-            let evaluation = self.evaluation.as_ref().expect("just ensured");
-            on_index(QueryEngine {
-                dictionary: self.reasoner.store().dictionary(),
-                target: evaluation.index(),
-                cache: &self.plan_cache,
-                metrics: &self.metrics,
-                mechanism,
-                non_minimal: evaluation.is_degraded(),
-            })
-        }
+            (evaluation.index(), evaluation.is_degraded())
+        };
+        run(QueryEngine {
+            dictionary: self.reasoner.store().dictionary(),
+            target,
+            cache: &self.plan_cache,
+            metrics: &self.metrics,
+            mechanism,
+            non_minimal,
+        })
     }
 
     /// Answers a query under the given semantics — entirely in id space.
@@ -1263,11 +1250,9 @@ impl SemanticWebDatabase {
     /// truncated — in its owned form: ids of the live dictionary mean
     /// nothing to a caller that has let go of the database.
     pub fn answer_set(&mut self, query: &Query, semantics: Semantics) -> AnswerSet {
-        self.with_engine(
-            query,
-            |e| e.answer_set(query, semantics).into_owned(e.dictionary),
-            |e| e.answer_set(query, semantics).into_owned(e.dictionary),
-        )
+        self.with_engine(query, |e| {
+            e.answer_set(query, semantics).into_owned(e.dictionary)
+        })
     }
 
     /// Explains how [`SemanticWebDatabase::answer`] executes this query, by
@@ -1282,11 +1267,7 @@ impl SemanticWebDatabase {
     /// the premise-free members of `Ω_q`; `join_order` and `patterns`
     /// describe the first member, probes and bindings sum over all of them.
     pub fn explain(&mut self, query: &Query, semantics: Semantics) -> Explain {
-        self.with_engine(
-            query,
-            |engine| engine.explain(query, semantics),
-            |engine| engine.explain(query, semantics),
-        )
+        self.with_engine(query, |engine| engine.explain(query, semantics))
     }
 
     /// The recomputing specification path for query answering: evaluates
@@ -1331,22 +1312,14 @@ impl SemanticWebDatabase {
     /// The pre-answer (list of single answers) of a query, computed through
     /// the same id paths as [`SemanticWebDatabase::answer`].
     pub fn pre_answers(&mut self, query: &Query) -> Vec<Graph> {
-        self.with_engine(
-            query,
-            |engine| engine.pre_answers(query),
-            |engine| engine.pre_answers(query),
-        )
+        self.with_engine(query, |engine| engine.pre_answers(query))
     }
 
     /// Returns `true` if the query has no answer over this database. Every
     /// mechanism early-exits on the first witnessing matching instead of
     /// materializing the pre-answer (for the expansion, per member).
     pub fn answer_is_empty(&mut self, query: &Query) -> bool {
-        self.with_engine(
-            query,
-            |engine| engine.answer_is_empty(query),
-            |engine| engine.answer_is_empty(query),
-        )
+        self.with_engine(query, |engine| engine.answer_is_empty(query))
     }
 
     /// Answers a query and removes redundancy from the result (returns the
@@ -1374,22 +1347,28 @@ impl From<Graph> for SemanticWebDatabase {
     }
 }
 
-/// The dispatch: how a query is evaluated under a regime. The facade and
-/// [`crate::publish::PublishedSnapshot`] both build their [`QueryEngine`]
-/// from this one decision (a snapshot can serve exactly the premise-free
-/// and expansion mechanisms — both need only the dictionary + index pair it
-/// carries).
-pub(crate) fn mechanism(regime: EntailmentRegime, query: &Query) -> Mechanism {
+/// The dispatch: how a query is evaluated under a regime, over an
+/// evaluation engine that holds no blank triple (`ground`) or does. The
+/// facade and [`crate::publish::PublishedSnapshot`] both build their
+/// [`QueryEngine`] from this one decision (a snapshot can serve exactly the
+/// premise-free and expansion mechanisms — both need only the dictionary +
+/// index pair it carries).
+pub(crate) fn mechanism(regime: EntailmentRegime, query: &Query, ground: bool) -> Mechanism {
     if query.is_premise_free() {
         Mechanism::PremiseFree
-    } else if expansion_eligible(regime, query) {
+    } else if ground && expansion_eligible(regime, query) {
         Mechanism::Expansion
     } else {
         Mechanism::Overlay
     }
 }
 
-/// The gate for the Proposition 5.9 expansion.
+/// The gate for the Proposition 5.9 expansion, past the dispatch's own
+/// condition that the evaluation engine holds no blank triple: then
+/// `nf(D + P) = core(D) ∪ P` for a ground premise `P`, which is what the
+/// members enumerate. Over a blank triple of `D` the union of `Ω_q` is only
+/// equivalent to the answer, not isomorphic: a premise triple can make that
+/// blank redundant in `nf(D + P)` while the members still match it.
 ///
 /// Only under simple entailment (once RDFS vocabulary is interpreted, a
 /// premise data triple can fire rules against stored schema, which no
@@ -1730,7 +1709,7 @@ mod tests {
             graph([("ex:a", "ex:t", "ex:s")]),
         )
         .unwrap();
-        assert_eq!(mechanism(db.regime(), &q), Mechanism::Expansion);
+        assert_eq!(mechanism(db.regime(), &q, true), Mechanism::Expansion);
         let answers = db.answer_union(&q);
         assert!(answers.contains(&triple("ex:u", "ex:p", "ex:a")));
         assert_eq!(answers.len(), 1);
@@ -1739,6 +1718,27 @@ mod tests {
             "the expansion path needs no overlay"
         );
         assert!(!db.answer_is_empty(&q));
+    }
+
+    #[test]
+    fn a_premise_that_makes_a_stored_blank_redundant_is_answered_exactly() {
+        // The premise triple makes the stored blank redundant in
+        // nf(D + P) = {(n0, p0, n1)}, but the union of Ω_q over core(D)
+        // would still match (n0, p0, _:B0): only a ground evaluation graph
+        // may take the expansion.
+        let mut db = SemanticWebDatabase::with_regime(EntailmentRegime::Simple);
+        db.insert(triple("ex:n0", "ex:p0", "_:B0"));
+        let q = swdb_query::Query::with_premise(
+            swdb_hom::pattern_graph([("?X", "ex:p0", "?Y")]),
+            swdb_hom::pattern_graph([("?X", "ex:p0", "?Y")]),
+            graph([("ex:n0", "ex:p0", "ex:n1")]),
+        )
+        .unwrap();
+        let spec = db.answer_recomputed(&q, Semantics::Union);
+        assert_eq!(spec, graph([("ex:n0", "ex:p0", "ex:n1")]));
+        let answer = db.answer(&q, Semantics::Union);
+        assert!(swdb_model::isomorphic(&answer, &spec), "{answer} vs {spec}");
+        assert!(!db.publish().supports(&q), "the snapshot refuses, too");
     }
 
     #[test]
@@ -1756,7 +1756,7 @@ mod tests {
             graph([("ex:a", "ex:t", "ex:s"), ("ex:b", "ex:t", "ex:s")]),
         )
         .unwrap();
-        assert_eq!(mechanism(db.regime(), &q), Mechanism::Overlay);
+        assert_eq!(mechanism(db.regime(), &q, true), Mechanism::Overlay);
         assert!(
             swdb_model::isomorphic(
                 &db.answer(&q, Semantics::Union),
@@ -1777,7 +1777,7 @@ mod tests {
             [Variable::new("Y")].into_iter().collect(),
         )
         .unwrap();
-        assert_eq!(mechanism(db.regime(), &q), Mechanism::Expansion);
+        assert_eq!(mechanism(db.regime(), &q, true), Mechanism::Expansion);
         let answers = db.answer_union(&q);
         assert!(
             answers.contains(&triple("ex:a", "ex:p", "ex:b")),

@@ -91,6 +91,9 @@ pub struct PublishedSnapshot {
     /// Asserted triples in the database at publication time.
     asserted: usize,
     non_minimal: bool,
+    /// The evaluation engine held no blank triple at publication time (the
+    /// dispatch's expansion gate).
+    ground: bool,
     /// Why the durability layer had detached by publication time, if it had.
     durability_error: Option<String>,
     dictionary: Dictionary,
@@ -113,6 +116,7 @@ impl PublishedSnapshot {
         regime: EntailmentRegime,
         asserted: usize,
         non_minimal: bool,
+        ground: bool,
         durability_error: Option<String>,
         dictionary: Dictionary,
         index: IdIndex,
@@ -124,6 +128,7 @@ impl PublishedSnapshot {
             regime,
             asserted,
             non_minimal,
+            ground,
             durability_error,
             dictionary,
             index,
@@ -188,8 +193,8 @@ impl PublishedSnapshot {
     /// The [`QueryEngine`] over this snapshot for `query` — or
     /// [`SnapshotQueryError::NeedsWriter`] when the dispatch picks the
     /// overlay, which only the live database can build.
-    fn engine(&self, query: &Query) -> Result<QueryEngine<'_, IdIndex>, SnapshotQueryError> {
-        match mechanism(self.regime, query) {
+    fn engine(&self, query: &Query) -> Result<QueryEngine<'_>, SnapshotQueryError> {
+        match mechanism(self.regime, query, self.ground) {
             Mechanism::Overlay => Err(SnapshotQueryError::NeedsWriter),
             mechanism => Ok(QueryEngine {
                 dictionary: &self.dictionary,
@@ -284,6 +289,7 @@ impl PublishSlot {
                 EntailmentRegime::default(),
                 0,
                 false,
+                true,
                 None,
                 Dictionary::default(),
                 IdIndex::new(),

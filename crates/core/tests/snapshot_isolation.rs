@@ -121,7 +121,8 @@ fn pinned_snapshot_is_bit_identical_under_concurrent_writer_mutations() {
 /// the recovery.
 #[test]
 fn degraded_flags_ride_the_published_snapshot() {
-    let clique = swdb_workloads::blank_clique(7);
+    // The smallest clique a 5-step slice cannot finish coring: enc(K_2).
+    let clique = swdb_workloads::blank_clique(2);
     let mut db = SemanticWebDatabase::with_regime(EntailmentRegime::Simple);
     db.set_core_budget(CoreBudgetMode::Budgeted(CoreBudget::steps(5)));
     db.insert_graph(&clique);
@@ -143,7 +144,10 @@ fn degraded_flags_ride_the_published_snapshot() {
         "degradation never drops answers"
     );
 
-    // Recover the live database and publish the recovery.
+    // A retry under the same slice stays degraded; lifting the budget
+    // recovers the live database, and the recovery is published.
+    assert!(!db.refresh_degraded(), "5 steps cannot finish the clique");
+    assert!(db.is_degraded());
     db.set_core_budget(CoreBudgetMode::Unlimited);
     assert!(db.refresh_degraded());
     db.publish();

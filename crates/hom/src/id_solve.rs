@@ -9,23 +9,20 @@
 //! no string hashing, no materialized candidate `Vec`.
 //!
 //! The target of the search is abstracted behind [`IdTarget`] so the same
-//! solver drives three different consumers:
+//! solver drives two consumers:
 //!
-//! * `swdb-query::exec` joins compiled query bodies against a plain
-//!   [`IdIndex`] (the cached evaluation index of the facade's read path) —
-//!   or against an [`Overlay`], the layered view `base ∪ added − removed`
-//!   that evaluates a *scoped* delta (a query premise) over a published
-//!   index without cloning or mutating it;
+//! * `swdb-query::exec` joins compiled query bodies against an [`IdIndex`]:
+//!   the evaluation index, or — for a query premise — a fork of it that the
+//!   premise was committed into (a clone of the persistent index shares
+//!   every chunk the premise does not touch);
 //! * `swdb-normal::id_core` runs the *retraction search* of the core
 //!   computation — an endomorphism avoiding one triple — against an
-//!   [`Avoiding`] view that masks the avoided triple out of any target
-//!   (Definition 3.7: `G` is not lean iff some `μ : G → G − {t}` exists);
-//!   since [`Avoiding`] is generic, the same search also cores overlays.
+//!   [`Avoiding`] view that masks the avoided triple out of an index
+//!   (Definition 3.7: `G` is not lean iff some `μ : G → G − {t}` exists).
 //!
 //! Join ordering is the shared [`crate::most_constrained`] rule; selectivity
 //! comes from [`IdTarget::candidate_count`] (a range count, no allocation).
 
-use std::collections::BTreeSet;
 use std::ops::ControlFlow;
 
 use swdb_obs::Budget;
@@ -72,8 +69,8 @@ impl IdTriplePattern {
 /// What an [`IdSolver`] searches against: anything that can count and
 /// enumerate the triples matching an [`IdPattern`].
 /// A target is also required to be [`Sync`]: every implementor is a purely
-/// immutable snapshot view (shared references into `BTreeSet`-backed
-/// indexes, no interior mutability), and the parallel closure-propagation
+/// immutable snapshot view (shared references into [`IdIndex`]es, no
+/// interior mutability beyond atomics), and the parallel closure-propagation
 /// workers in `swdb-reason` share one `&impl IdTarget` across
 /// `std::thread::scope` threads. The bound makes that sharing a compile-time
 /// guarantee instead of a convention.
@@ -110,21 +107,20 @@ impl IdTarget for IdIndex {
     }
 }
 
-/// An [`IdTarget`] with one triple masked out: the target `G − {t}` of the
-/// retraction search. Masking beats cloning — the non-leanness probe runs
-/// once per blank triple per round, and a clone per probe is exactly the
-/// quadratic blowup the string-space `find_map_avoiding` pays. Generic over
-/// the underlying target so the same view drives the durable core engine
-/// (over the published [`IdIndex`]) and the scoped premise-overlay core
-/// (over an [`Overlay`]).
-pub struct Avoiding<'a, T: IdTarget = IdIndex> {
-    target: &'a T,
+/// An [`IdIndex`] with one triple masked out: the target `G − {t}` of the
+/// retraction search. Masking beats editing — the non-leanness probe runs
+/// once per blank triple per round, and a copy per probe is exactly the
+/// quadratic blowup the string-space `find_map_avoiding` pays. The core
+/// engine searches its evaluation index through it, and a premise's fork of
+/// that index the same way.
+pub struct Avoiding<'a> {
+    target: &'a IdIndex,
     avoid: IdTriple,
 }
 
-impl<'a, T: IdTarget> Avoiding<'a, T> {
+impl<'a> Avoiding<'a> {
     /// Creates the masked view `target − {avoid}`.
-    pub fn new(target: &'a T, avoid: IdTriple) -> Self {
+    pub fn new(target: &'a IdIndex, avoid: IdTriple) -> Self {
         Avoiding { target, avoid }
     }
 
@@ -136,7 +132,7 @@ impl<'a, T: IdTarget> Avoiding<'a, T> {
     }
 }
 
-impl<T: IdTarget> IdTarget for Avoiding<'_, T> {
+impl IdTarget for Avoiding<'_> {
     fn candidate_count(&self, pattern: IdPattern) -> usize {
         let raw = self.target.candidate_count(pattern);
         raw - usize::from(self.masks(pattern))
@@ -149,89 +145,6 @@ impl<T: IdTarget> IdTarget for Avoiding<'_, T> {
 
     fn contains(&self, ids: IdTriple) -> bool {
         ids != self.avoid && self.target.contains(ids)
-    }
-}
-
-/// The empty removal set shared by overlays constructed without removals.
-static EMPTY_REMOVALS: BTreeSet<IdTriple> = BTreeSet::new();
-
-/// A layered view `base ∪ added − removed` over a published [`IdIndex`]:
-/// the evaluation target of a *scoped* delta. The base index stays exactly
-/// as published — the overlay contributes the delta's additions and masks
-/// the base triples the delta invalidates — so a transient graph (a query
-/// premise and its consequences) can be queried over `D + P` without
-/// cloning or mutating the durable structures for `D`.
-///
-/// Invariants the constructor's caller maintains: `added` is disjoint from
-/// `base`, and `removed ⊆ base`. Counts then compose exactly.
-pub struct Overlay<'a> {
-    base: &'a IdIndex,
-    added: &'a IdIndex,
-    removed: &'a BTreeSet<IdTriple>,
-}
-
-impl<'a> Overlay<'a> {
-    /// A purely additive overlay: `base ∪ added`.
-    pub fn new(base: &'a IdIndex, added: &'a IdIndex) -> Self {
-        Overlay {
-            base,
-            added,
-            removed: &EMPTY_REMOVALS,
-        }
-    }
-
-    /// The full layered view `base ∪ added − removed`.
-    pub fn with_removed(
-        base: &'a IdIndex,
-        added: &'a IdIndex,
-        removed: &'a BTreeSet<IdTriple>,
-    ) -> Self {
-        Overlay {
-            base,
-            added,
-            removed,
-        }
-    }
-}
-
-fn pattern_admits((s, p, o): IdPattern, (ts, tp, to): IdTriple) -> bool {
-    s.is_none_or(|s| s == ts) && p.is_none_or(|p| p == tp) && o.is_none_or(|o| o == to)
-}
-
-impl IdTarget for Overlay<'_> {
-    fn candidate_count(&self, pattern: IdPattern) -> usize {
-        // `removed ⊆ base` and `added ∩ base = ∅`, so the three counts
-        // compose without double counting. The removal set is the handful
-        // of base triples a scoped delta folds away, so a linear filter
-        // beats indexing it three ways.
-        let masked = if self.removed.is_empty() {
-            0
-        } else {
-            self.removed
-                .iter()
-                .filter(|&&t| pattern_admits(pattern, t))
-                .count()
-        };
-        self.base.candidate_count(pattern) + self.added.candidate_count(pattern) - masked
-    }
-
-    fn scan_while(&self, pattern: IdPattern, mut visit: impl FnMut(IdTriple) -> bool) {
-        let mut stopped = false;
-        self.base.scan_while(pattern, |t| {
-            if self.removed.contains(&t) {
-                return true;
-            }
-            let keep = visit(t);
-            stopped = !keep;
-            keep
-        });
-        if !stopped {
-            self.added.scan_while(pattern, visit);
-        }
-    }
-
-    fn contains(&self, ids: IdTriple) -> bool {
-        self.added.contains(ids) || (self.base.contains(ids) && !self.removed.contains(&ids))
     }
 }
 
@@ -636,78 +549,6 @@ mod tests {
         ];
         let avoiding = Avoiding::new(&idx, (1, 10, 2));
         assert!(!IdSolver::new(&patterns, 1, &avoiding).exists());
-    }
-
-    #[test]
-    fn overlay_layers_additions_and_removals_over_the_base() {
-        let idx = index();
-        let mut added = IdIndex::new();
-        added.insert((9, 10, 2));
-        let removed: BTreeSet<IdTriple> = [(1, 10, 2)].into_iter().collect();
-        let overlay = Overlay::with_removed(&idx, &added, &removed);
-        assert!(overlay.contains((9, 10, 2)), "added triple is visible");
-        assert!(!overlay.contains((1, 10, 2)), "removed triple is masked");
-        assert!(overlay.contains((1, 10, 3)), "base survives");
-        // Counts compose: base has 3 (p=10), minus 1 removed, plus 1 added.
-        assert_eq!(overlay.candidate_count((None, Some(10), None)), 3);
-        let mut seen: Vec<IdTriple> = Vec::new();
-        overlay.scan_while((None, Some(10), None), |t| {
-            seen.push(t);
-            true
-        });
-        seen.sort_unstable();
-        assert_eq!(seen, vec![(1, 10, 3), (4, 10, 2), (9, 10, 2)]);
-        // Early exit stops before the added layer is scanned.
-        let mut first = Vec::new();
-        overlay.scan_while((None, Some(10), None), |t| {
-            first.push(t);
-            false
-        });
-        assert_eq!(first.len(), 1);
-    }
-
-    #[test]
-    fn solver_joins_across_the_overlay_layers() {
-        // (?X, 10, ?Y), (?Y, 11, ?Z) where the second hop only exists in
-        // the added layer.
-        let idx = index();
-        let mut added = IdIndex::new();
-        added.insert((3, 11, 7));
-        let removed = BTreeSet::new();
-        let overlay = Overlay::with_removed(&idx, &added, &removed);
-        let patterns = [
-            pattern(var(0), constant(10), var(1)),
-            pattern(var(1), constant(11), var(2)),
-        ];
-        let solver = IdSolver::new(&patterns, 3, &overlay);
-        let mut solutions: Vec<Vec<TermId>> = Vec::new();
-        solver.for_each_solution(&mut |slots| {
-            solutions.push(slots.iter().map(|s| s.unwrap()).collect());
-            ControlFlow::<()>::Continue(())
-        });
-        solutions.sort();
-        assert_eq!(
-            solutions,
-            vec![vec![1, 2, 3], vec![1, 3, 7], vec![4, 2, 3]],
-            "the [1, 3, 7] chain crosses from the base into the added layer"
-        );
-    }
-
-    #[test]
-    fn avoiding_composes_with_the_overlay() {
-        let idx = index();
-        let mut added = IdIndex::new();
-        added.insert((1, 10, 9));
-        let overlay = Overlay::new(&idx, &added);
-        let avoiding = Avoiding::new(&overlay, (1, 10, 9));
-        assert!(!avoiding.contains((1, 10, 9)));
-        assert_eq!(avoiding.candidate_count((Some(1), Some(10), None)), 2);
-        let mut seen = Vec::new();
-        avoiding.scan_while((Some(1), Some(10), None), |t| {
-            seen.push(t);
-            true
-        });
-        assert_eq!(seen, vec![(1, 10, 2), (1, 10, 3)]);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! crate (entailment, leanness, cores, query answering, containment) is a
 //! thin layer of orchestration over these searches.
 //!
-//! * [`pattern`] — triple patterns, pattern graphs, bindings (valuations),
-//!   and the `Q_G` translation of §2.4.
+//! * [`pattern`](mod@pattern) — triple patterns, pattern graphs, bindings
+//!   (valuations), and the `Q_G` translation of §2.4.
 //! * [`index`] — per-predicate / per-position indexes of the target graph.
 //! * [`solve`] — the backtracking matcher with dynamic most-constrained-first
 //!   join ordering.
@@ -32,9 +32,7 @@ pub mod pattern;
 pub mod solve;
 
 pub use acyclic::{acyclic_exists, has_blank_induced_cycle, is_acyclic_pattern};
-pub use id_solve::{
-    Avoiding, IdPatternTerm, IdSolver, IdTarget, IdTriplePattern, JoinOrderLog, Overlay,
-};
+pub use id_solve::{Avoiding, IdPatternTerm, IdSolver, IdTarget, IdTriplePattern, JoinOrderLog};
 pub use index::GraphIndex;
 pub use maps::{
     all_maps, exists_map, exists_map_indexed, find_map, find_map_avoiding, find_map_indexed,

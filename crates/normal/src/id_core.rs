@@ -2,8 +2,8 @@
 //!
 //! [`IdCoreEngine`] maintains `core(G)` (Theorem 3.10) for a mutating set of
 //! id-triples without ever re-running the monolithic string-space retraction
-//! of [`crate::core`]. It is the read-path counterpart of `swdb-reason`'s
-//! incremental closure: together they keep the evaluation graph
+//! of [`crate::core`](mod@crate::core). It is the read-path counterpart of
+//! `swdb-reason`'s incremental closure: together they keep the evaluation graph
 //! `nf(D) = core(cl(D))` of Theorem 4.6 maintained under deltas instead of
 //! rebuilt per mutation. Three ideas, layered:
 //!
@@ -59,14 +59,15 @@
 //!
 //! Besides durable deltas, the engine also cores **scoped** deltas:
 //! [`IdCoreEngine::overlay_core`] runs `apply_delta`'s insert half, the
-//! same function, against a layered view of the published index and a
-//! scratch copy of the few components that half can reach, and returns the
-//! view's [`EvalOverlay`] diff — the substrate of transient query-premise
-//! evaluation (`D + P` for one query, then dropped). The durable paths
-//! keep what the commits wrote; the overlay drops its scratch components.
-//! Either way every component is cored on its own, under its own slice, so
-//! an overlay's searches are never larger than the ones the same delta
-//! would cost as a commit.
+//! same function, against a fork of the published index (a clone of the
+//! persistent index, which shares every chunk the delta leaves alone) and
+//! a scratch copy of the few components that half can reach, and returns
+//! the fork as an [`EvalOverlay`] — the substrate of transient
+//! query-premise evaluation (`D + P` for one query, then dropped). The
+//! durable paths keep what the commits wrote; the fork drops its scratch
+//! components. The kernel searches a fork exactly as it searches the
+//! committed index, so a fork's index and flag are the ones committing the
+//! same delta would publish, under every budget.
 //!
 //! ### Degraded mode — bounding the NP-hard tail
 //!
@@ -82,7 +83,7 @@
 //! [`IdCoreEngine::recore_uncored`] retries it with a fresh slice on the
 //! next quiet refresh. The same slices govern [`IdCoreEngine::overlay_core`]
 //! so a poisoned what-if premise cannot stall the shared engine either; the
-//! diff then reports [`EvalOverlay::non_minimal`].
+//! fork then reports [`EvalOverlay::non_minimal`].
 //!
 //! **Why publishing uncored is sound.** The engine shrinks the published
 //! set only by *applying a found witness*: every fold applied before the
@@ -102,7 +103,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
-use swdb_hom::{Avoiding, IdPatternTerm, IdSolver, IdTarget, IdTriplePattern, Overlay};
+use swdb_hom::{Avoiding, IdPatternTerm, IdSolver, IdTriplePattern};
 use swdb_obs::{Budget, Counter, Gauge, Hist, Metrics, MetricsLevel};
 use swdb_store::{Dictionary, IdIndex, IdTriple, TermId};
 
@@ -122,27 +123,6 @@ fn apply_map(map: &IdMap, (s, p, o): IdTriple) -> IdTriple {
 
 fn remap_set(set: &BTreeSet<IdTriple>, map: &IdMap) -> BTreeSet<IdTriple> {
     set.iter().map(|&t| apply_map(map, t)).collect()
-}
-
-/// What the core retraction publishes into: a mutable view of the
-/// evaluation graph the fold search reads through [`IdTarget`]. The durable
-/// engine folds the real published [`IdIndex`]; the scoped premise overlay
-/// folds a layered diff against it without touching the published index.
-trait CoreIndex: IdTarget {
-    /// Makes a triple visible; returns `true` if it was not visible before.
-    fn insert(&mut self, t: IdTriple) -> bool;
-    /// Hides a triple; returns `true` if it was visible before.
-    fn remove(&mut self, t: IdTriple) -> bool;
-}
-
-impl CoreIndex for IdIndex {
-    fn insert(&mut self, t: IdTriple) -> bool {
-        IdIndex::insert(self, t)
-    }
-
-    fn remove(&mut self, t: IdTriple) -> bool {
-        IdIndex::remove(self, t)
-    }
 }
 
 /// An explicit per-slice budget: fold-search steps and/or wall-clock
@@ -252,86 +232,22 @@ impl CoreBudgetMode {
     }
 }
 
-/// The result of a *scoped* core computation over `maintained ∪ delta`: the
-/// triples the delta makes newly visible (`added`, disjoint from the
-/// published index) and the published triples it folds away (`removed`).
-/// `published ∪ added − removed` is the core of the overlaid set; the
-/// engine that produced it is untouched, so the overlay can be dropped — or
-/// cached and replayed — without any cleanup.
+/// A premise committed into a fork: the evaluation index `maintained ∪
+/// delta` would publish, forked from the engine's own index (a clone of the
+/// persistent index shares every chunk the delta leaves alone). The engine
+/// that produced it is untouched, so the fork can be dropped — or cached
+/// and queried again — without any cleanup.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EvalOverlay {
-    /// Newly visible triples (the delta's survivors plus restored blank
-    /// triples the delta's presence un-folds).
-    pub added: IdIndex,
-    /// Published triples the overlaid delta folds away.
-    pub removed: BTreeSet<IdTriple>,
+    /// The forked evaluation index with the delta committed into it.
+    pub index: IdIndex,
     /// Set when committing the delta would leave the engine degraded — a
-    /// budget slice ran out while coring the overlay, or an uncored
-    /// component it did not get to re-core is still published: the view
-    /// `published ∪ added − removed` is still a sound evaluation state
-    /// (equivalent to, and a superset of, the true overlaid core) but may
-    /// not be minimal. See the module's "Degraded mode" section.
+    /// budget slice ran out while coring the fork, or an uncored component
+    /// it did not get to re-core is still published: the fork is still a
+    /// sound evaluation state (equivalent to, and a superset of, the true
+    /// core) but may not be minimal. See the module's "Degraded mode"
+    /// section.
     pub non_minimal: bool,
-}
-
-impl EvalOverlay {
-    /// Returns `true` if the overlay changes nothing — evaluating over the
-    /// published index alone is then already exact.
-    pub fn is_empty(&self) -> bool {
-        self.added.is_empty() && self.removed.is_empty()
-    }
-
-    /// The layered [`IdTarget`] view `base ∪ added − removed` queries run
-    /// against.
-    pub fn target<'a>(&'a self, base: &'a IdIndex) -> Overlay<'a> {
-        Overlay::with_removed(base, &self.added, &self.removed)
-    }
-}
-
-/// The mutable working state of a scoped core computation: the published
-/// index (read-only) plus the diff under construction.
-struct OverlayCoreView<'a> {
-    base: &'a IdIndex,
-    diff: EvalOverlay,
-}
-
-impl OverlayCoreView<'_> {
-    fn as_target(&self) -> Overlay<'_> {
-        self.diff.target(self.base)
-    }
-}
-
-impl IdTarget for OverlayCoreView<'_> {
-    fn candidate_count(&self, pattern: swdb_store::IdPattern) -> usize {
-        self.as_target().candidate_count(pattern)
-    }
-
-    fn scan_while(&self, pattern: swdb_store::IdPattern, visit: impl FnMut(IdTriple) -> bool) {
-        self.as_target().scan_while(pattern, visit)
-    }
-
-    fn contains(&self, ids: IdTriple) -> bool {
-        self.as_target().contains(ids)
-    }
-}
-
-impl CoreIndex for OverlayCoreView<'_> {
-    fn insert(&mut self, t: IdTriple) -> bool {
-        if self.diff.removed.remove(&t) {
-            return true;
-        }
-        if self.base.contains(t) {
-            return false;
-        }
-        self.diff.added.insert(t)
-    }
-
-    fn remove(&mut self, t: IdTriple) -> bool {
-        if self.diff.added.remove(t) {
-            return true;
-        }
-        self.base.contains(t) && self.diff.removed.insert(t)
-    }
 }
 
 /// One blank component with its cached core state.
@@ -546,16 +462,17 @@ impl Cells {
         }
     }
 
-    /// The insert half of a delta, against any view. A triple mentioning a
-    /// delta blank either was in a component the delta dissolves or is
-    /// `fresh`, so the union-find runs over that local set alone instead of
-    /// the whole blank side. Then the stale components are re-cored from
-    /// their full sets, and every component whose survivors could fold onto
-    /// a newly visible triple gets the chance to retract further; folds
-    /// only remove triples, so that one sweep reaches the fixpoint.
-    fn insert_half<T: CoreIndex>(
+    /// The insert half of a delta, against the engine's index or a fork of
+    /// it (`view`). A triple mentioning a delta blank either was in a
+    /// component the delta dissolves or is `fresh`, so the union-find runs
+    /// over that local set alone instead of the whole blank side. Then the
+    /// stale components are re-cored from their full sets, and every
+    /// component whose survivors could fold onto a newly visible triple gets
+    /// the chance to retract further; folds only remove triples, so that one
+    /// sweep reaches the fixpoint.
+    fn insert_half(
         &mut self,
-        view: &mut T,
+        view: &mut IdIndex,
         coring: &mut Coring,
         delta_blanks: &BTreeSet<TermId>,
         fresh: impl IntoIterator<Item = IdTriple>,
@@ -573,9 +490,9 @@ impl Cells {
 
     /// Runs the kernel over every eligible component, in order, committing
     /// each result before the next search.
-    fn sweep<T: CoreIndex>(
+    fn sweep(
         &mut self,
-        view: &mut T,
+        view: &mut IdIndex,
         coring: &mut Coring,
         eligible: impl Fn(&Component) -> bool,
     ) {
@@ -1006,46 +923,44 @@ impl IdCoreEngine {
         self.eval.contains(t) || self.blank_full.contains(&t)
     }
 
-    /// Cores `maintained ∪ delta` as a *scoped* diff against the published
-    /// index, without mutating the engine — the substrate of transient
-    /// premise evaluation: queries over `D + P` run against
-    /// `published ∪ overlay.added − overlay.removed`, and dropping the
-    /// overlay afterwards leaves the durable state bit-identical.
+    /// Commits `maintained ∪ delta` into a *fork* of the published index,
+    /// without mutating the engine — the substrate of transient premise
+    /// evaluation: queries over `D + P` run against the returned
+    /// [`EvalOverlay::index`], and dropping it afterwards leaves the durable
+    /// state bit-identical.
     ///
     /// `delta` must be additions the engine does not already maintain (the
     /// closure preview under RDFS, the not-yet-asserted premise triples
     /// under simple entailment). It is put through
-    /// [`IdCoreEngine::apply_delta`]'s own insert half, against a layered
-    /// view of the published index and a scratch copy of the only
-    /// components that half can reach — those sharing a blank with the
-    /// delta (dissolved and repartitioned) or a predicate with anything it
-    /// can make visible (candidates for retracting further) — and the
-    /// scratch components are dropped instead of committed. So the diff is
-    /// exactly what committing `delta` would publish: newly visible triples
-    /// land in `added`, folded *published* triples in `removed`.
+    /// [`IdCoreEngine::apply_delta`]'s own insert half, against a clone of
+    /// the published index (which shares every chunk the delta leaves
+    /// alone) and a scratch copy of the only components that half can
+    /// reach — those sharing a blank with the delta (dissolved and
+    /// repartitioned) or a predicate with anything it can make visible
+    /// (candidates for retracting further) — and the scratch components are
+    /// dropped instead of committed. The kernel searches the fork exactly
+    /// as it would search the committed index, so the fork *is* the index
+    /// committing `delta` would publish, triple for triple.
     ///
-    /// The engine's [`CoreBudgetMode`] governs the overlay's searches too
-    /// (a hostile premise must not stall the shared engine): when a slice
-    /// runs out the diff is returned as-is — sound, per the module's
-    /// "Degraded mode" argument — with [`EvalOverlay::non_minimal`] set.
+    /// The engine's [`CoreBudgetMode`] governs the fork's searches too (a
+    /// hostile premise must not stall the shared engine): when a slice runs
+    /// out the fork is returned as-is — sound, per the module's "Degraded
+    /// mode" argument — with [`EvalOverlay::non_minimal`] set.
     pub fn overlay_core(&self, delta: &[IdTriple], dictionary: &Dictionary) -> EvalOverlay {
-        let mut view = OverlayCoreView {
-            base: &self.eval,
-            diff: EvalOverlay::default(),
-        };
-        let mut coring = self.coring(BTreeSet::new());
+        let mut index = self.eval.clone();
         let mut delta_blanks: BTreeSet<TermId> = BTreeSet::new();
         let mut blank_added: Vec<IdTriple> = Vec::new();
+        let mut ground_added: Vec<IdTriple> = Vec::new();
         for &t in delta {
-            if is_blank_triple(dictionary, t) {
-                if !self.blank_full.contains(&t) {
-                    note_blanks(dictionary, &mut delta_blanks, t);
-                    blank_added.push(t);
-                }
-            } else if view.insert(t) {
-                coring.added_preds.insert(t.1);
+            if !is_blank_triple(dictionary, t) {
+                ground_added.push(t);
+            } else if !self.blank_full.contains(&t) {
+                note_blanks(dictionary, &mut delta_blanks, t);
+                blank_added.push(t);
             }
         }
+        let added = index.insert_all(&ground_added);
+        let mut coring = self.coring(added.into_iter().map(|t| t.1).collect());
         let components = &self.cells.list;
         let mut scratch = Cells {
             uncored: self.cells.uncored,
@@ -1067,7 +982,7 @@ impl IdCoreEngine {
             .filter(|c| !c.touches(&delta_blanks) && c.shares_pred(&reachable_preds));
         scratch.list.extend(reachable.cloned());
         scratch.insert_half(
-            &mut view,
+            &mut index,
             &mut coring,
             &delta_blanks,
             blank_added,
@@ -1077,8 +992,10 @@ impl IdCoreEngine {
         coring.flush(&self.metrics);
         // What `is_degraded` would say after committing: the untouched
         // components keep their flags, the scratch ones have fresh ones.
-        view.diff.non_minimal = scratch.uncored.components > 0;
-        view.diff
+        EvalOverlay {
+            index,
+            non_minimal: scratch.uncored.components > 0,
+        }
     }
 
     /// Debug-build invariants: the published index is exactly the ground
@@ -1137,7 +1054,7 @@ fn note_blanks(dictionary: &Dictionary, ids: &mut BTreeSet<TermId>, (s, _, o): I
 /// component is locally lean. With an exhausted budget the loop stops early;
 /// everything applied so far is still a genuine retraction, so the survivors
 /// are a sound superset of the local core.
-fn fold_to_fixpoint<T: CoreIndex>(view: &mut T, comp: &Component, coring: &mut Coring) -> Cored {
+fn fold_to_fixpoint(view: &mut IdIndex, comp: &Component, coring: &mut Coring) -> Cored {
     let start = if comp.stale {
         for &t in &comp.full {
             if view.insert(t) {
@@ -1199,8 +1116,8 @@ fn fold_to_fixpoint<T: CoreIndex>(view: &mut T, comp: &Component, coring: &mut C
 /// variables; the target is the published index with the avoided triple
 /// masked out, so ground triples and other components' survivors are valid
 /// fold images exactly as in the global search.
-fn find_fold<T: CoreIndex>(
-    eval: &T,
+fn find_fold(
+    eval: &IdIndex,
     current: &BTreeSet<IdTriple>,
     blanks: &BTreeSet<TermId>,
     searches: &mut u64,
@@ -1512,24 +1429,9 @@ mod tests {
         }
     }
 
-    /// Decodes the published index overlaid with a diff.
-    fn decode_overlay(store: &TripleStore, engine: &IdCoreEngine, overlay: &EvalOverlay) -> Graph {
-        engine
-            .index()
-            .iter()
-            .filter(|t| !overlay.removed.contains(t))
-            .chain(overlay.added.iter())
-            .map(|t| store.materialize(t))
-            .collect()
-    }
-
-    /// The overlaid core must be isomorphic to the spec core of the
-    /// combined graph, and computing it must leave the engine untouched.
-    fn assert_overlay_is_core_of_union(base: &Graph, delta: &Graph) {
-        let mut store = TripleStore::from_graph(base);
-        let engine = IdCoreEngine::from_triples(store.iter_ids(), store.dictionary());
-        let published_before = engine.index().clone();
-        let ids: Vec<IdTriple> = delta
+    /// Interns a delta graph into the store's dictionary.
+    fn intern_all(store: &mut TripleStore, delta: &Graph) -> Vec<IdTriple> {
+        delta
             .iter()
             .map(|t| {
                 let s = store.intern(t.subject());
@@ -1537,19 +1439,33 @@ mod tests {
                 let o = store.intern(t.object());
                 (s, p, o)
             })
-            .filter(|&t| !engine.maintains(t))
-            .collect();
-        let overlay = engine.overlay_core(&ids, store.dictionary());
+            .collect()
+    }
+
+    /// Decodes a premise's fork of the published index.
+    fn decode_fork(store: &TripleStore, fork: &EvalOverlay) -> Graph {
+        fork.index.iter().map(|t| store.materialize(t)).collect()
+    }
+
+    /// The fork must be isomorphic to the spec core of the combined graph,
+    /// and computing it must leave the engine untouched.
+    fn assert_fork_is_core_of_union(base: &Graph, delta: &Graph) {
+        let mut store = TripleStore::from_graph(base);
+        let engine = IdCoreEngine::from_triples(store.iter_ids(), store.dictionary());
+        let published_before = engine.index().clone();
+        let mut ids = intern_all(&mut store, delta);
+        ids.retain(|&t| !engine.maintains(t));
+        let fork = engine.overlay_core(&ids, store.dictionary());
         assert_eq!(
             engine.index(),
             &published_before,
             "overlay_core must not perturb the published index"
         );
-        let decoded = decode_overlay(&store, &engine, &overlay);
+        let decoded = decode_fork(&store, &fork);
         let expected = crate::core(&base.union(delta));
         assert!(
             isomorphic(&decoded, &expected),
-            "overlaid core {decoded} differs from spec core {expected} for {base} + {delta}"
+            "forked core {decoded} differs from spec core {expected} for {base} + {delta}"
         );
     }
 
@@ -1557,31 +1473,26 @@ mod tests {
     fn overlay_core_of_a_ground_delta_is_purely_additive() {
         let base = graph([("ex:a", "ex:p", "_:X"), ("_:X", "ex:q", "ex:c")]);
         let delta = graph([("ex:z", "ex:r", "ex:w")]);
-        assert_overlay_is_core_of_union(&base, &delta);
+        assert_fork_is_core_of_union(&base, &delta);
     }
 
     #[test]
-    fn overlay_ground_delta_can_fold_published_blanks_into_removals() {
-        // The delta gives X a ground fold target: both blank triples must be
-        // *removed* by the overlay while the engine keeps publishing them.
+    fn a_ground_delta_can_fold_published_blanks_out_of_the_fork() {
+        // The delta gives X a ground fold target: both blank triples must
+        // leave the fork while the engine keeps publishing them.
         let base = graph([("ex:a", "ex:p", "_:X"), ("_:X", "ex:q", "ex:c")]);
         let delta = graph([("ex:a", "ex:p", "ex:b"), ("ex:b", "ex:q", "ex:c")]);
         let mut store = TripleStore::from_graph(&base);
         let engine = IdCoreEngine::from_triples(store.iter_ids(), store.dictionary());
-        let ids: Vec<IdTriple> = delta
-            .iter()
-            .map(|t| {
-                let s = store.intern(t.subject());
-                let p = store.intern(&swdb_model::Term::Iri(t.predicate().clone()));
-                let o = store.intern(t.object());
-                (s, p, o)
-            })
-            .collect();
-        let overlay = engine.overlay_core(&ids, store.dictionary());
-        assert_eq!(overlay.added.len(), 2, "both ground delta triples survive");
-        assert_eq!(overlay.removed.len(), 2, "both blank triples fold away");
+        let ids = intern_all(&mut store, &delta);
+        let fork = engine.overlay_core(&ids, store.dictionary());
+        assert_eq!(
+            fork.index,
+            ids.iter().copied().collect::<IdIndex>(),
+            "the fork holds exactly the two ground triples"
+        );
         assert_eq!(engine.len(), 2, "published index untouched");
-        assert_overlay_is_core_of_union(&base, &delta);
+        assert_fork_is_core_of_union(&base, &delta);
     }
 
     #[test]
@@ -1594,10 +1505,10 @@ mod tests {
             ("ex:a", "ex:p", "_:X"),
         ]);
         let delta = graph([("_:X", "ex:q", "ex:c")]);
-        assert_overlay_is_core_of_union(&base, &delta);
+        assert_fork_is_core_of_union(&base, &delta);
         // And a delta that keeps the blob alive (distinguishing edge).
         let delta2 = graph([("_:X", "ex:r", "ex:d")]);
-        assert_overlay_is_core_of_union(&base, &delta2);
+        assert_fork_is_core_of_union(&base, &delta2);
     }
 
     #[test]
@@ -1614,17 +1525,40 @@ mod tests {
             graph([("ex:a", "ex:p", "_:Y"), ("_:Y", "ex:q", "ex:b")]),
             graph([("ex:a", "ex:p", "_:Y"), ("_:Y", "ex:s", "ex:e")]),
         ] {
-            assert_overlay_is_core_of_union(&base, &delta);
+            assert_fork_is_core_of_union(&base, &delta);
         }
     }
 
     #[test]
-    fn overlay_on_empty_delta_is_empty() {
+    fn an_empty_delta_forks_the_published_index_unchanged() {
         let base = graph([("ex:a", "ex:p", "_:X")]);
         let store = TripleStore::from_graph(&base);
         let engine = IdCoreEngine::from_triples(store.iter_ids(), store.dictionary());
-        let overlay = engine.overlay_core(&[], store.dictionary());
-        assert!(overlay.is_empty());
+        let fork = engine.overlay_core(&[], store.dictionary());
+        assert_eq!(&fork.index, engine.index());
+        assert!(!fork.non_minimal);
+    }
+
+    #[test]
+    fn a_fork_keeps_the_representative_a_commit_keeps() {
+        // Both (B1 p0 B4) and the delta's (B0 p0 B4) can fold onto the
+        // other; which one survives depends on the order the retraction
+        // search meets the candidates, so only an index scanned in key
+        // order — the one a commit searches — keeps the commit's choice.
+        let base = graph([
+            ("_:B0", "ex:p0", "_:B3"),
+            ("_:B1", "ex:p0", "_:B4"),
+            ("_:B4", "ex:p0", "ex:n1"),
+        ]);
+        let delta = graph([("_:B0", "ex:p0", "_:B4")]);
+        let mut store = TripleStore::from_graph(&base);
+        let engine = IdCoreEngine::from_triples(store.iter_ids(), store.dictionary());
+        let ids = intern_all(&mut store, &delta);
+        let fork = engine.overlay_core(&ids, store.dictionary());
+        let mut committed = engine.clone();
+        committed.apply_delta(&ids, &[], store.dictionary());
+        assert_eq!(&fork.index, committed.index());
+        assert_eq!(fork.non_minimal, committed.is_degraded());
     }
 
     #[test]
@@ -1747,31 +1681,23 @@ mod tests {
         let delta = graph([("_:X", "ex:q", "ex:c")]);
         let mut store = TripleStore::from_graph(&base);
         let mut engine = IdCoreEngine::from_triples(store.iter_ids(), store.dictionary());
-        let ids: Vec<IdTriple> = delta
-            .iter()
-            .map(|t| {
-                let s = store.intern(t.subject());
-                let p = store.intern(&swdb_model::Term::Iri(t.predicate().clone()));
-                let o = store.intern(t.object());
-                (s, p, o)
-            })
-            .collect();
+        let ids = intern_all(&mut store, &delta);
         engine.set_core_budget(CoreBudgetMode::Budgeted(CoreBudget::steps(1)));
         let starved = engine.overlay_core(&ids, store.dictionary());
         assert!(starved.non_minimal, "exhaustion is reported, not hidden");
-        let decoded = decode_overlay(&store, &engine, &starved);
+        let decoded = decode_fork(&store, &starved);
         let union = base.union(&delta);
         assert!(
             decoded.iter().all(|t| union.contains(t)),
-            "sound: nothing outside the overlaid set is reported"
+            "sound: nothing outside the combined set is reported"
         );
         assert!(decoded.len() >= crate::core(&union).len());
-        // The same overlay under no budget folds X away and is not flagged.
+        // The same fork under no budget folds X away and is not flagged.
         engine.set_core_budget(CoreBudgetMode::Unlimited);
         let full = engine.overlay_core(&ids, store.dictionary());
         assert!(!full.non_minimal);
         assert!(isomorphic(
-            &decode_overlay(&store, &engine, &full),
+            &decode_fork(&store, &full),
             &crate::core(&union)
         ));
     }

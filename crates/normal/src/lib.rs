@@ -4,9 +4,9 @@
 //!
 //! * [`lean`] — lean graphs and non-leanness witnesses (Definition 3.7,
 //!   Theorem 3.12(1));
-//! * [`core`] — cores of RDF graphs with witnessing retractions
+//! * [`core`](mod@core) — cores of RDF graphs with witnessing retractions
 //!   (Theorems 3.10–3.12);
-//! * [`closure`] — the semantic closure `cl(G)` via Skolemization
+//! * [`closure`](mod@closure) — the semantic closure `cl(G)` via Skolemization
 //!   (Definition 3.5, Theorem 3.6) and its relation to `RDFS-cl`;
 //! * [`minimal`] — minimal representations, their non-uniqueness in general
 //!   (Examples 3.14/3.15) and the unique case of Theorem 3.16;
@@ -15,7 +15,7 @@
 //! * [`components`] / [`id_core`] — the production-path core: blank-node
 //!   component decomposition and the incremental, id-space core engine that
 //!   maintains `core(·)` under deltas instead of recomputing it (the
-//!   [`core`] module remains the executable specification it is pinned
+//!   [`core`](mod@core) module remains the executable specification it is pinned
 //!   against).
 
 #![forbid(unsafe_code)]

@@ -5,25 +5,25 @@
 //! Theorem 4.6) — with Proposition 5.9 rewriting a premise query into a
 //! union of premise-free ones. [`QueryEngine`] is that operation: a borrowed
 //! view of one evaluation substrate that evaluates *a list of premise-free
-//! member queries against one [`IdTarget`]*. The three [`Mechanism`]s differ
-//! only in the list and the target:
+//! member queries against one [`IdIndex`]*. The three [`Mechanism`]s differ
+//! only in the list and the index:
 //!
 //! * premise-free — the query itself, against the evaluation index;
 //! * expansion — the members of `Ω_q` ([`expansion_members`]), against the
 //!   same index, single answers deduplicated across members;
-//! * overlay — the query itself (its premise is already part of the
-//!   target), against the layered view `index ∪ added − removed`
-//!   ([`swdb_hom::Overlay`]).
+//! * overlay — the query itself, against a fork of the evaluation index
+//!   that its premise was committed into (`nf(D + P)`; see
+//!   `swdb_normal::IdCoreEngine::overlay_core`).
 //!
 //! Every member is planned ([`crate::plan`]) and run by the one executor
 //! ([`crate::exec`]). The live facade, a pinned snapshot and `explain` all
 //! come through here, so the dispatch, the counting conventions and the
 //! degradation flag reported with an answer exist once.
 
-use swdb_hom::{Binding, IdTarget};
+use swdb_hom::Binding;
 use swdb_model::Graph;
 use swdb_obs::{Counter, Hist, Metrics};
-use swdb_store::Dictionary;
+use swdb_store::{Dictionary, IdIndex};
 
 use crate::answer::{combine, Semantics};
 use crate::exec::{AnswerSet, ExecHooks, ExecStats, Explain, JoinOrderLog, Singles};
@@ -38,7 +38,7 @@ pub enum Mechanism {
     /// Proposition 5.9: the union of the premise-free members of `Ω_q`,
     /// each joining the same evaluation index.
     Expansion,
-    /// The premise as a scoped, transient delta over the evaluation index.
+    /// The premise committed into a fork of the evaluation index.
     Overlay,
 }
 
@@ -55,11 +55,11 @@ impl Mechanism {
 
 /// A borrowed view of one evaluation substrate with the four read
 /// operations on it. It owns nothing: building one per call is free.
-pub struct QueryEngine<'a, T: IdTarget> {
+pub struct QueryEngine<'a> {
     /// The dictionary `target` is encoded against.
     pub dictionary: &'a Dictionary,
     /// What bodies are matched against.
-    pub target: &'a T,
+    pub target: &'a IdIndex,
     /// Where plans and `Ω_q` expansions are kept between calls.
     pub cache: &'a PlanCache,
     /// Where the work is counted.
@@ -84,7 +84,7 @@ struct Trace<'r> {
     stats: ExecStats,
 }
 
-impl<T: IdTarget> QueryEngine<'_, T> {
+impl QueryEngine<'_> {
     /// Runs `over` on the premise-free member queries that evaluate `query`
     /// against this engine's target, plus the `Ω_q` lookup outcome.
     fn with_members<R>(&self, query: &Query, over: impl FnOnce(&[Query], Option<bool>) -> R) -> R {
@@ -240,12 +240,12 @@ impl<T: IdTarget> QueryEngine<'_, T> {
 }
 
 /// The engine behind the premise-free free-function entry points below.
-fn premise_free<'a, T: IdTarget>(
+fn premise_free<'a>(
     cache: &'a PlanCache,
     dictionary: &'a Dictionary,
-    target: &'a T,
+    target: &'a IdIndex,
     metrics: &'a Metrics,
-) -> QueryEngine<'a, T> {
+) -> QueryEngine<'a> {
     QueryEngine {
         dictionary,
         target,
@@ -257,12 +257,12 @@ fn premise_free<'a, T: IdTarget>(
 }
 
 /// [`QueryEngine::answer`] for a premise-free query against a bare
-/// dictionary + target pair.
-pub fn planned_answer<T: IdTarget>(
+/// dictionary + index pair.
+pub fn planned_answer(
     cache: &PlanCache,
     query: &Query,
     dictionary: &Dictionary,
-    target: &T,
+    target: &IdIndex,
     semantics: Semantics,
     metrics: &Metrics,
 ) -> Graph {
@@ -270,12 +270,12 @@ pub fn planned_answer<T: IdTarget>(
 }
 
 /// [`QueryEngine::answer_is_empty`] for a premise-free query against a bare
-/// dictionary + target pair.
-pub fn planned_answer_is_empty<T: IdTarget>(
+/// dictionary + index pair.
+pub fn planned_answer_is_empty(
     cache: &PlanCache,
     query: &Query,
     dictionary: &Dictionary,
-    target: &T,
+    target: &IdIndex,
     metrics: &Metrics,
 ) -> bool {
     premise_free(cache, dictionary, target, metrics).answer_is_empty(query)
@@ -285,11 +285,7 @@ pub fn planned_answer_is_empty<T: IdTarget>(
 /// id-indexed evaluation graph, decoded through the dictionary. Equals
 /// [`crate::answer::matchings_against`] over the same evaluation graph (the
 /// property tests pin this).
-pub fn id_matchings<T: IdTarget>(
-    query: &Query,
-    dictionary: &Dictionary,
-    target: &T,
-) -> Vec<Binding> {
+pub fn id_matchings(query: &Query, dictionary: &Dictionary, target: &IdIndex) -> Vec<Binding> {
     let (cache, metrics) = (PlanCache::new(false), Metrics::disabled());
     let engine = premise_free(&cache, dictionary, target, metrics);
     let mut out = Vec::new();

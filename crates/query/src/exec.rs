@@ -1,13 +1,13 @@
 //! Id-space execution of premise-free query bodies — the one executor.
 //!
-//! The string-space evaluator in [`crate::answer`] joins on cloned
+//! The string-space evaluator in [`crate::answer`](mod@crate::answer) joins on cloned
 //! [`swdb_model::Term`]s through a [`swdb_hom::GraphIndex`] that is rebuilt
 //! for every call. This module is the production read path: a query body is
 //! *compiled* against a [`Dictionary`] — constants become [`TermId`]s,
 //! variables become dense slot numbers — and then executed by a backtracking
-//! join that scans an [`IdTarget`] (the SPO/POS/OSP range scans of an
-//! [`IdIndex`], or a premise [`swdb_hom::Overlay`]) in the static order the
-//! planner chose ([`crate::plan`]). There is exactly one way to run a body:
+//! join that scans an [`IdIndex`] (its SPO/POS/OSP range scans) in the
+//! static order the planner chose ([`crate::plan`]). There is exactly one
+//! way to run a body:
 //! every caller — the facade, a pinned snapshot, `explain` — reaches the
 //! enumeration cores here through [`crate::QueryEngine`] with a compiled
 //! body and a plan in hand, so the search itself never probes selectivity.
@@ -30,7 +30,7 @@ use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::ControlFlow;
 
-use swdb_hom::{Binding, IdTarget, PatternGraph, PatternTerm, Variable, DEFAULT_SOLUTION_LIMIT};
+use swdb_hom::{Binding, PatternGraph, PatternTerm, Variable, DEFAULT_SOLUTION_LIMIT};
 use swdb_model::{Graph, Term, Triple};
 use swdb_obs::Counter;
 use swdb_store::ntriples::{write_graph, write_term};
@@ -150,21 +150,20 @@ pub fn compile_body(body: &PatternGraph, dictionary: &Dictionary) -> Option<Comp
 }
 
 /// A prepared id-space matcher: one compiled body against one evaluation
-/// target — a plain [`IdIndex`] (the cached evaluation index) or any other
-/// [`IdTarget`] such as the premise overlay view [`swdb_hom::Overlay`].
+/// index.
 ///
 /// A thin query-shaped wrapper over the shared [`swdb_hom::IdSolver`] —
 /// dynamic most-constrained-first pattern selection via
-/// [`IdTarget::candidate_count`] (a range count, no allocation), candidates
-/// visited in place via [`IdTarget::scan_while`] (no materialized candidate
+/// [`IdIndex::candidate_count`] (a range count, no allocation), candidates
+/// visited in place via [`IdIndex::scan_while`] (no materialized candidate
 /// `Vec`, no term clones).
-pub struct IdSolver<'a, T: IdTarget = IdIndex> {
-    inner: swdb_hom::IdSolver<'a, T>,
+pub struct IdSolver<'a> {
+    inner: swdb_hom::IdSolver<'a, IdIndex>,
 }
 
-impl<'a, T: IdTarget> IdSolver<'a, T> {
-    /// Creates a solver for the given compiled body and evaluation target.
-    pub fn new(body: &'a CompiledBody, target: &'a T) -> Self {
+impl<'a> IdSolver<'a> {
+    /// Creates a solver for the given compiled body and evaluation index.
+    pub fn new(body: &'a CompiledBody, target: &'a IdIndex) -> Self {
         IdSolver {
             inner: swdb_hom::IdSolver::new(&body.patterns, body.vars.len(), target),
         }
@@ -336,7 +335,7 @@ pub fn head_has_blank_consts(query: &Query) -> bool {
 /// The executor half of [`QueryEngine`]: what runs one premise-free member
 /// under its plan. `hooks` carries the member's compiled body and join
 /// order; `stats` accumulates over the members of one operation.
-impl<T: IdTarget> QueryEngine<'_, T> {
+impl QueryEngine<'_> {
     /// Runs the planned join over `target`, handing every complete solution to
     /// `visit` until it breaks or [`DEFAULT_SOLUTION_LIMIT`] solutions were
     /// passed over. Giving up is surfaced as `truncated` (the `non_minimal`
@@ -600,7 +599,8 @@ impl<T: IdTarget> QueryEngine<'_, T> {
 pub struct Explain {
     /// How the query was answered: `"premise_free"`, `"expansion"`
     /// (Proposition 5.9 union of premise-free members) or `"overlay"`
-    /// (scoped delta evaluation) — see [`crate::Mechanism`].
+    /// (the premise committed into a fork of the index) — see
+    /// [`crate::Mechanism`].
     pub mechanism: &'static str,
     /// The requested answer semantics (`"union"` or `"merge"`).
     pub semantics: &'static str,
@@ -614,7 +614,7 @@ pub struct Explain {
     /// through them (see [`JoinOrderLog`]); for `"expansion"`, the first
     /// member's order.
     pub join_order: Vec<usize>,
-    /// Selectivity probes ([`IdTarget::candidate_count`] calls) spent —
+    /// Selectivity probes ([`IdIndex::candidate_count`] calls) spent —
     /// all of them at planning time, so zero on a plan-cache hit.
     pub probes: u64,
     /// Bindings (complete solutions) enumerated, capped by
@@ -623,8 +623,8 @@ pub struct Explain {
     /// Triples in the materialized answer.
     pub answers: u64,
     /// `true` when the evaluation substrate was degraded — a core-budget
-    /// exhaustion left the published evaluation graph (or the premise
-    /// overlay) a sound but possibly non-minimal superset of the true core.
+    /// exhaustion left the published evaluation graph (or the premise's
+    /// fork of it) a sound but possibly non-minimal superset of the true core.
     /// Answers are still sound and complete; merge-semantics answers may
     /// carry redundant blank triples. Always `false` for an unbudgeted
     /// engine.
@@ -739,7 +739,7 @@ mod tests {
     }
 
     /// The engine over a store's own index, planning per call.
-    fn engine<'a>(store: &'a TripleStore, cache: &'a PlanCache) -> QueryEngine<'a, IdIndex> {
+    fn engine<'a>(store: &'a TripleStore, cache: &'a PlanCache) -> QueryEngine<'a> {
         QueryEngine {
             dictionary: store.dictionary(),
             target: store.id_index(),

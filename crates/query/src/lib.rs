@@ -2,9 +2,9 @@
 //!
 //! Implements §4 and §6 of *Foundations of Semantic Web Databases*:
 //!
-//! * [`query`] — queries `(H, B, P, C)` with premises and must-bind
+//! * [`query`](mod@query) — queries `(H, B, P, C)` with premises and must-bind
 //!   constraints (Definition 4.1), including the identity query of Note 4.7;
-//! * [`answer`] — matchings against `nf(D + P)`, Skolemization of head
+//! * [`answer`](mod@answer) — matchings against `nf(D + P)`, Skolemization of head
 //!   blanks, pre-answers, union- and merge-semantics answers
 //!   (Definition 4.3, Propositions 4.5/4.6);
 //! * [`premise`] — premise elimination into unions of premise-free queries
@@ -78,10 +78,10 @@ mod proptests {
     /// The bytes are the contract: over `target` (whose triples are
     /// `evaluation`), the union answer of `q` renders to exactly what its
     /// graph serializes to, and that graph is the string-space evaluator's.
-    fn check_union_answer<T: swdb_hom::IdTarget>(
+    fn check_union_answer(
         q: &crate::Query,
         dictionary: &swdb_store::Dictionary,
-        target: &T,
+        target: &swdb_store::IdIndex,
         evaluation: Graph,
     ) -> Result<(), String> {
         use crate::answer::{answer_against, NormalizedDatabase, Semantics};
@@ -250,22 +250,32 @@ mod proptests {
             let store = swdb_store::TripleStore::from_graph(&d);
             check_union_answer(&q, store.dictionary(), store.id_index(), d.clone())?;
 
-            // Regime 2: the same dictionary under `base ∪ added − removed`.
-            let (mut base, mut added) = (swdb_store::IdIndex::new(), swdb_store::IdIndex::new());
-            let mut removed = std::collections::BTreeSet::new();
-            let mut evaluation = Graph::new();
-            for (i, ids) in store.iter_ids().enumerate() {
-                match (i + split) % 3 {
-                    0 => added.insert(ids),
-                    1 => base.insert(ids),
-                    _ => base.insert(ids) && removed.insert(ids),
-                };
-                if (i + split) % 3 < 2 {
-                    evaluation.insert(store.materialize(ids));
+            // Regime 2: the same dictionary under a fork of a published
+            // index. Filler triples over fresh terms spread the index over
+            // more than one leaf; the fork re-inserts a third of `d` the
+            // published index lacks and removes another third, so its scans
+            // cross copied and shared chunks.
+            let mut published = store.clone();
+            let filler = |i: usize| Term::iri(format!("ex:f{i}"));
+            for i in 0..96 {
+                published.insert(&Triple::new(filler(i), swdb_model::Iri::new("ex:filler"), filler(i + 1)));
+            }
+            let thirds: Vec<_> = store.iter_ids().enumerate().map(|(i, t)| ((i + split) % 3, t)).collect();
+            for &(third, t) in &thirds {
+                if third == 0 {
+                    published.remove_id_triple(t);
                 }
             }
-            let overlay = swdb_hom::Overlay::with_removed(&base, &added, &removed);
-            check_union_answer(&q, store.dictionary(), &overlay, evaluation)?;
+            let mut fork = published.id_index().clone();
+            for &(third, t) in &thirds {
+                match third {
+                    0 => fork.insert(t),
+                    1 => fork.remove(t),
+                    _ => false,
+                };
+            }
+            let evaluation = fork.iter().map(|t| published.materialize(t)).collect();
+            check_union_answer(&q, published.dictionary(), &fork, evaluation)?;
         }
     }
 }

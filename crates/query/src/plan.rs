@@ -10,7 +10,7 @@
 //! * **Planning** (`plan_order`): a static join order is derived up front
 //!   by simulating the join left to right — per round, each remaining
 //!   pattern is scored by its constants-only prefix count (an O(1)
-//!   [`IdIndex`](swdb_store::IdIndex) range count), damped for every
+//!   [`IdIndex`] range count), damped for every
 //!   position an adornment-style bound/free analysis shows already bound by
 //!   earlier patterns (a bound join variable narrows the scan; lacking
 //!   per-value statistics the damping is a fixed factor). The shared
@@ -43,7 +43,7 @@ use std::sync::{Arc, Mutex};
 use swdb_hom::{IdTarget, PatternTerm, Variable};
 use swdb_model::{Graph, Term};
 use swdb_obs::{Counter, Metrics};
-use swdb_store::{Dictionary, IdPattern, IdTriple, TermId};
+use swdb_store::{Dictionary, IdIndex, IdPattern, IdTriple, TermId};
 
 use crate::exec::{CompiledBody, ExecHooks, IdPatternTerm, IdTriplePattern, JoinOrderLog};
 use crate::premise::premise_free_expansion;
@@ -397,13 +397,13 @@ fn plan_order<T: IdTarget>(
 /// Counts the selectivity probes ([`IdTarget::candidate_count`] calls)
 /// planning spends against the wrapped target — the only probes a query
 /// pays, since a planned search issues none.
-struct MeteredTarget<'a, T: IdTarget> {
-    inner: &'a T,
+struct MeteredTarget<'a> {
+    inner: &'a IdIndex,
     /// A relaxed atomic only because the target trait requires [`Sync`].
     probes: AtomicU64,
 }
 
-impl<T: IdTarget> IdTarget for MeteredTarget<'_, T> {
+impl IdTarget for MeteredTarget<'_> {
     fn candidate_count(&self, pattern: IdPattern) -> usize {
         self.probes.fetch_add(1, Ordering::Relaxed);
         self.inner.candidate_count(pattern)
@@ -476,11 +476,11 @@ fn instantiate_body(info: &ShapeInfo<'_>, dictionary: &Dictionary) -> Option<Vec
 /// Shape-keys the query, re-instantiates its compiled body, and fetches (or
 /// builds and caches) its plan. `None` means a body constant was never
 /// interned — the caller returns the empty result without executing.
-pub(crate) fn prepare<T: IdTarget>(
+pub(crate) fn prepare(
     cache: &PlanCache,
     query: &Query,
     dictionary: &Dictionary,
-    target: &T,
+    target: &IdIndex,
     metrics: &Metrics,
 ) -> Option<Prepared> {
     let info = shape_of(query);

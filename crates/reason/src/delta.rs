@@ -25,8 +25,8 @@
 //! single-threaded caller commits them as the next frontier. Insert
 //! propagation commits into the closure; the DRed overdeletion cascade runs
 //! the same rounds with a "still in the closure, not an axiom" filter; the
-//! premise preview runs them over the layered `closure ∪ overlay` view and
-//! commits into the overlay. [`DeltaClosure::set_threads`] is a **worker
+//! premise preview runs them against a fork of the closure index and
+//! commits into the fork. [`DeltaClosure::set_threads`] is a **worker
 //! ceiling** — "spawn at most this many workers per round", so `1` means
 //! "never spawn" — not a code-path selector: the per-round sort makes the
 //! rounds, both delta logs (as sequences) and every `reason_*` counter
@@ -40,7 +40,7 @@
 
 use std::collections::BTreeSet;
 
-use swdb_hom::{IdTarget, Overlay};
+use swdb_hom::IdTarget;
 use swdb_model::Term;
 use swdb_obs::{Counter, Hist, Metrics, MetricsLevel, RULE_SLOTS};
 use swdb_store::{Dictionary, IdPattern, IdTriple, TermId, TripleStore};
@@ -75,9 +75,8 @@ fn split_most_bound<'a>(
 
 /// Joins `hypotheses` (most selective first) against `closure`, starting
 /// from `binding`, appending every complete binding to `out`. Generic over
-/// the scan target so the same join runs against the maintained closure
-/// index and against the layered closure-plus-overlay view of a transient
-/// premise preview.
+/// the scan target (see [`IdTarget`]'s `Sync` bound: the round workers
+/// share one view).
 pub(crate) fn join_all<V: IdTarget>(
     closure: &V,
     hypotheses: &[&TriplePattern],
@@ -175,6 +174,43 @@ fn one_step_derivable<V: IdTarget>(
         }
     }
     false
+}
+
+/// Semi-naive frontier propagation in rounds (see [`crate::parallel`]):
+/// every frontier triple is new to `closure` and is joined only against the
+/// rules its predicate wakes; each round joins the whole frontier against
+/// an immutable snapshot of `closure`, then commits the merged conclusions
+/// single-threadedly as the next frontier. Every fresh conclusion is
+/// appended to `added` (the initial frontier is not logged — callers know
+/// their own). The per-round sort makes the schedule — and the `added` log
+/// — the same at every thread count.
+fn propagate_rounds(
+    rules: &RuleSystem,
+    closure: &mut IdIndex,
+    is_iri: &[bool],
+    threads: usize,
+    mut frontier: Vec<IdTriple>,
+    added: &mut Vec<IdTriple>,
+    metrics: &Metrics,
+) {
+    let mut rounds = 0u64;
+    while !frontier.is_empty() {
+        rounds += 1;
+        metrics.record(Hist::FrontierSize, frontier.len() as u64);
+        let view = &*closure;
+        let fresh = crate::parallel::round_conclusions(
+            rules,
+            view,
+            is_iri,
+            &frontier,
+            threads,
+            &|t| !view.contains(t),
+            metrics,
+        );
+        frontier = closure.insert_all(&fresh);
+        added.extend_from_slice(&frontier);
+    }
+    metrics.count(Counter::ReasonRounds, rounds);
 }
 
 /// An incrementally maintained RDFS closure over id-triples.
@@ -374,50 +410,36 @@ impl DeltaClosure {
         fresh
     }
 
-    /// Semi-naive frontier propagation in rounds (see [`crate::parallel`]):
-    /// every frontier triple is new to the closure and is joined only
-    /// against the rules its predicate wakes; each round joins the whole
-    /// frontier against an immutable snapshot of the closure, then commits
-    /// the merged conclusions single-threadedly as the next frontier. Every
-    /// fresh conclusion is appended to `added` (the initial frontier is not
-    /// logged — callers know their own). The per-round sort makes the
-    /// schedule — and the `added` log — the same at every thread count.
-    fn propagate_rounds(&mut self, mut frontier: Vec<IdTriple>, added: &mut Vec<IdTriple>) {
-        let mut rounds = 0u64;
-        while !frontier.is_empty() {
-            rounds += 1;
-            self.metrics
-                .record(Hist::FrontierSize, frontier.len() as u64);
-            let fresh = crate::parallel::round_conclusions(
-                &self.rules,
-                &self.closure,
-                &self.is_iri,
-                &frontier,
-                self.threads,
-                &|t| !self.closure.contains(t),
-                &self.metrics,
-            );
-            frontier = self.closure.insert_all(&fresh);
-            added.extend_from_slice(&frontier);
-        }
-        self.metrics.count(Counter::ReasonRounds, rounds);
+    /// Propagates `frontier` into the maintained closure (see
+    /// [`propagate_rounds`]).
+    fn propagate_rounds(&mut self, frontier: Vec<IdTriple>, added: &mut Vec<IdTriple>) {
+        propagate_rounds(
+            &self.rules,
+            &mut self.closure,
+            &self.is_iri,
+            self.threads,
+            frontier,
+            added,
+            &self.metrics,
+        );
     }
 
     /// Computes `RDFS-cl(G ∪ Δ) − RDFS-cl(G)` — the closure growth a
     /// transient batch insert would cause — **without mutating** the
-    /// maintained closure. The same rounds as
-    /// [`DeltaClosure::insert_batch_logged`] run — so the result is the
-    /// `added` log committing the batch would report, in the same order —
-    /// but fresh conclusions accumulate in a private overlay and every rule
-    /// join probes the layered view `closure ∪ overlay`
-    /// ([`swdb_hom::Overlay`]), so the cost scales with the delta's
-    /// consequences, never with `|cl(G)|`. Nothing is committed, so the
-    /// only counter a preview ticks is `reason_previews`.
+    /// maintained closure: the batch is committed into a *fork* of the
+    /// closure index (a clone of the persistent index shares every chunk
+    /// the batch's consequences leave alone), by the same rounds
+    /// [`DeltaClosure::insert_batch_logged`] runs. So the result is the
+    /// `added` log committing the batch would report, in the same order,
+    /// and the cost scales with the delta's consequences, never with
+    /// `|cl(G)|`. The fork's rounds report to no counter, so the only one a
+    /// preview ticks is `reason_previews`.
     ///
     /// This is the reasoning half of transient premise evaluation: the
     /// returned triples (the premise's fresh members plus everything they
-    /// newly derive) overlay the evaluation index for the duration of one
-    /// query and are then dropped — the durable engine is untouched.
+    /// newly derive) are committed into a fork of the evaluation index for
+    /// the duration of one query and are then dropped — the durable engine
+    /// is untouched.
     ///
     /// The ids must be interned and covered by [`DeltaClosure::sync_terms`].
     pub fn preview_insert_batch(
@@ -425,27 +447,18 @@ impl DeltaClosure {
         deltas: impl IntoIterator<Item = IdTriple>,
     ) -> Vec<IdTriple> {
         self.metrics.count(Counter::ReasonPreviews, 1);
-        let mut extra = IdIndex::new();
-        let mut frontier: Vec<IdTriple> = deltas
-            .into_iter()
-            .filter(|&t| !self.closure.contains(t) && extra.insert(t))
-            .collect();
-        let mut added = frontier.clone();
-        while !frontier.is_empty() {
-            let view = Overlay::new(&self.closure, &extra);
-            let fresh = crate::parallel::round_conclusions(
-                &self.rules,
-                &view,
-                &self.is_iri,
-                &frontier,
-                self.threads,
-                &|t| !view.contains(t),
-                Metrics::disabled(),
-            );
-            frontier.clear();
-            frontier.extend(fresh.into_iter().filter(|&t| extra.insert(t)));
-            added.extend(frontier.iter().copied());
-        }
+        let mut fork = self.closure.clone();
+        let deltas: Vec<IdTriple> = deltas.into_iter().collect();
+        let mut added = fork.insert_all(&deltas);
+        propagate_rounds(
+            &self.rules,
+            &mut fork,
+            &self.is_iri,
+            self.threads,
+            added.clone(),
+            &mut added,
+            Metrics::disabled(),
+        );
         added
     }
 

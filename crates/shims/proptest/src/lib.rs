@@ -1,10 +1,11 @@
 //! In-tree shim for the `proptest` crate.
 //!
 //! The build environment has no access to crates.io, so this crate provides
-//! the API surface the workspace's property tests use: the [`Strategy`]
-//! trait with `prop_map`, tuple and integer-range strategies,
-//! [`collection::vec`], the `prop_oneof!` union macro, and the `proptest!` /
-//! `prop_assert!` / `prop_assert_eq!` test macros.
+//! the API surface the workspace's property tests use: the
+//! [`Strategy`](strategy::Strategy) trait with `prop_map`, tuple and
+//! integer-range strategies, [`collection::vec`], the `prop_oneof!` union
+//! macro, and the `proptest!` / `prop_assert!` / `prop_assert_eq!` test
+//! macros.
 //!
 //! Semantics: each test runs `ProptestConfig::cases` deterministic cases
 //! (seeded per case index, so failures are reproducible), and a failing

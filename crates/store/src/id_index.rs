@@ -10,8 +10,8 @@
 //!
 //! Each ordering is a persistent two-level tree. The root is a *fence array*
 //! (the first key under each child) over `Arc`'d nodes; each node is a fence
-//! array over `Arc`'d leaves, and a leaf is a sorted `Vec` of about [`LEAF`]
-//! keys. A leaf or node splits when it grows past twice its build size and is
+//! array over `Arc`'d leaves, and a leaf is a sorted `Vec` of about 64
+//! keys (`LEAF`). A leaf or node splits when it grows past twice its build size and is
 //! merged into a neighbour when it shrinks below a quarter of it, so every
 //! range is a few contiguous slices:
 //!

@@ -10,7 +10,7 @@
 //!   (non-)lean cycles (E03, E08), and the adversarial core family —
 //!   blank cliques, hidden folds, deep chains, wide fans — behind the
 //!   degraded-mode tests (`crates/core/tests/adversarial_budget.rs`);
-//! * [`university`] — a LUBM-style university instance with schema-aware
+//! * [`university`](mod@university) — a LUBM-style university instance with schema-aware
 //!   queries (E11, E15, E16).
 
 #![forbid(unsafe_code)]

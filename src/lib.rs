@@ -102,19 +102,21 @@
 //!
 //! Queries **with premises** run through the same id engine — no query
 //! path evaluates in string space anymore. Two mechanisms, selected per
-//! query: ground premises under simple entailment take the
-//! **premise-free expansion** of Proposition 5.9
-//! ([`query::premise_free_expansion`]), every member joining the cached
-//! evaluation index with answers deduplicated across members in id space;
-//! everything else takes the **premise overlay** — the premise is a
-//! *scoped, transient delta* whose closure growth is previewed against the
-//! maintained closure without committing
-//! ([`reason::MaterializedStore::preview_insert`]), cored as a diff by the
-//! incremental engine ([`normal::IdCoreEngine::overlay_core`] →
-//! [`normal::EvalOverlay`]), and joined through the layered
-//! [`hom::Overlay`] view `index ∪ added − removed`. The published
-//! evaluation index stays bit-identical across an overlaid query, and
-//! overlays are cached per premise until the next mutation. The
+//! query: ground premises under simple entailment, over an evaluation
+//! graph without blank triples, take the **premise-free expansion** of
+//! Proposition 5.9 ([`query::premise_free_expansion`]), every member
+//! joining the cached evaluation index with answers deduplicated across
+//! members in id space; everything else takes the **premise overlay** —
+//! the premise is a *hypothetical write*, committed into forks: its closure
+//! growth into a fork of the closure index
+//! ([`reason::MaterializedStore::preview_insert`]), that growth into a fork
+//! of the evaluation index by the incremental engine's own insert half
+//! ([`normal::IdCoreEngine::overlay_core`] → [`normal::EvalOverlay`]), and
+//! the query joins the fork — the index a commit would publish. A fork is
+//! a clone of the persistent [`store::IdIndex`], sharing every chunk the
+//! premise leaves alone, so the published evaluation index stays
+//! bit-identical across a premise query, and forks are cached per premise
+//! until the next mutation. The
 //! string-space evaluator remains the executable specification
 //! (`core::SemanticWebDatabase::answer_recomputed`) that the equivalence
 //! property tests pin both mechanisms against — the core is unique up to

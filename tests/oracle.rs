@@ -371,9 +371,8 @@ impl<'a> Harness<'a> {
             let answers = BOTH.map(|s| db.answer_set(&q, s));
             let (pre, empty) = (db.pre_answers(&q), db.answer_is_empty(&q));
             let explain = db.explain(&q, Semantics::Union);
-            let exact = explain.mechanism != "expansion";
             let read = (answers, db.graph().dictionary(), pre, empty);
-            let flag = holds("facade", &q, &spec, read, exact)?;
+            let flag = holds("facade", &q, &spec, read)?;
             prop_assert_eq!(explain.non_minimal, flag, "explain's flag for {}", q);
             let servable = explain.mechanism != "overlay";
             prop_assert_eq!(pinned.supports(&q), servable, "snapshot dispatch for {}", q);
@@ -387,7 +386,7 @@ impl<'a> Harness<'a> {
             let empty = pinned.answer_is_empty(&q).expect("servable");
             let read = (answers, pinned.dictionary(), pre, empty);
             prop_assert_eq!(
-                holds("snapshot", &q, &spec, read, exact)?,
+                holds("snapshot", &q, &spec, read)?,
                 flag,
                 "snapshot flag for {}",
                 q
@@ -456,12 +455,11 @@ impl<'a> Harness<'a> {
                 "/answer vs /query for {}",
                 q
             );
-            let exact = !flag && self.db.explain(q, Semantics::Union).mechanism != "expansion";
             for ((_, body), semantics) in [(&union, Semantics::Union), (&merge, Semantics::Merge)] {
                 let spec = self.db.answer_recomputed(q, semantics);
                 let answer = parse(body).map_err(|e| e.to_string())?;
                 prop_assert!(
-                    agrees(exact, &answer, &spec),
+                    agrees(!flag, &answer, &spec),
                     "wire (non_minimal {}) for {}: {} vs {}",
                     flag,
                     q,
@@ -480,9 +478,7 @@ impl<'a> Harness<'a> {
 
 /// An exact answer is the specification's up to isomorphism (Theorem
 /// 3.10). One flagged `non_minimal` is only equivalent to it — sound and
-/// complete, with redundancy a finished core search would fold — and so is
-/// a Proposition 5.9 expansion's: the union of `Ω_q` over `core(D)` keeps a
-/// blank of `D` that the premise makes redundant in `core(D + P)`.
+/// complete, with redundancy a finished core search would fold.
 fn agrees(exact: bool, answer: &Graph, spec: &Graph) -> bool {
     if exact {
         isomorphic(answer, spec)
@@ -493,17 +489,15 @@ fn agrees(exact: bool, answer: &Graph, spec: &Graph) -> bool {
 
 /// One surface's reading of `q` — its union and merge answers, its
 /// pre-answer and emptiness — held to the specification's union and merge
-/// answers, exactly unless flagged or `exact` is false. Returns the flag,
-/// which both answers must carry alike.
+/// answers, exactly unless flagged. Returns the flag, which both answers
+/// must carry alike.
 fn holds(
     surface: &str,
     q: &Query,
     [union, merge]: &[Graph; 2],
     (answers, dictionary, pre, empty): ([AnswerSet; 2], &Dictionary, Vec<Graph>, bool),
-    exact: bool,
 ) -> Result<bool, String> {
     let flag = answers[0].non_minimal;
-    let exact = exact && !flag;
     for answer in &answers {
         prop_assert!(
             answer.non_minimal == flag && !answer.truncated,
@@ -520,7 +514,7 @@ fn holds(
         (&pre, union),
     ] {
         prop_assert!(
-            agrees(exact, answer, spec),
+            agrees(!flag, answer, spec),
             "{} (non_minimal {}) for {}: {} vs {}",
             surface,
             flag,
