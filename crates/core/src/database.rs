@@ -146,7 +146,7 @@ use swdb_query::{
     AnswerSet, Explain, Mechanism, NormalizedDatabase, Query, QueryEngine, Semantics,
 };
 use swdb_reason::{ClosureDelta, MaterializedStore};
-use swdb_store::{GraphStats, IdTriple, TripleStore};
+use swdb_store::{Dictionary, GraphStats, IdTriple, TripleStore};
 
 /// The entailment regime a database operates under.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -296,6 +296,12 @@ pub struct SemanticWebDatabase {
     /// Starts at epoch 0 (empty); [`SemanticWebDatabase::publish`] swaps in
     /// the next epoch.
     publish_slot: Arc<crate::publish::PublishSlot>,
+    /// The dictionary the last [`SemanticWebDatabase::publish`] handed to
+    /// its snapshot. The dictionary is append-only, so while its length is
+    /// unchanged the next publish shares this `Arc` instead of cloning.
+    /// Cleared when the reasoner is replaced wholesale (snapshot restore),
+    /// so sharing never crosses two different dictionaries.
+    published_dictionary: Option<Arc<Dictionary>>,
     /// The compiled plan + expansion cache (`swdb_query::plan`): join
     /// orders costed once per query shape and `Ω_q` expansions computed
     /// once per premise query, invalidated by a generation bump on every
@@ -329,6 +335,7 @@ impl Clone for SemanticWebDatabase {
             // A fresh, unpublished slot: readers pinned on the original keep
             // observing the original's publications, never the clone's.
             publish_slot: Arc::new(crate::publish::PublishSlot::empty(self.metrics.clone())),
+            published_dictionary: None,
             // A fresh, empty plan cache: the clone's mutations must never
             // resurrect plans costed on the original.
             plan_cache: swdb_query::PlanCache::new(true),
@@ -355,6 +362,7 @@ impl SemanticWebDatabase {
             asserted_core: None,
             core_budget: CoreBudgetMode::from_env(),
             publish_slot: Arc::new(crate::publish::PublishSlot::empty(metrics.clone())),
+            published_dictionary: None,
             metrics,
             durability: None,
             durability_error: None,
@@ -515,6 +523,7 @@ impl SemanticWebDatabase {
         reasoner.set_threads(self.reasoner.threads());
         reasoner.set_metrics(self.metrics.clone());
         self.reasoner = reasoner;
+        self.published_dictionary = None;
         let dictionary = self.reasoner.store().dictionary();
         self.evaluation = snapshot.evaluation.first().map(|state| {
             IdCoreEngine::from_state(state, dictionary, self.metrics.clone(), self.core_budget)
@@ -756,9 +765,11 @@ impl SemanticWebDatabase {
 
     /// Atomically publishes the current evaluation state as an immutable
     /// [`PublishedSnapshot`](crate::publish::PublishedSnapshot) and returns
-    /// it. The snapshot carries a clone of the dictionary and *shares* the
-    /// evaluation `IdIndex` (built first if cold; the clone copies only the
-    /// index's root fence arrays) — ids, nothing is decoded — the
+    /// it. The snapshot *shares* the dictionary — the one the previous
+    /// publish handed out, while no write has interned a new term since;
+    /// a clone otherwise — and the evaluation `IdIndex` (built first if
+    /// cold; the clone copies only the index's root fence arrays). It
+    /// carries ids, nothing is decoded, plus the
     /// epoch (monotonically increasing from 1), the store's triple count,
     /// and the degraded flags in force at publication time
     /// (`non_minimal` from the core budget, the fail-stop record of a
@@ -777,6 +788,11 @@ impl SemanticWebDatabase {
         let span = metrics.span(Hist::SpanSnapshotPublishNs);
         self.ensure_evaluation();
         let engine = self.evaluation.as_ref().expect("just ensured");
+        let live = self.reasoner.store().dictionary();
+        let dictionary = match &self.published_dictionary {
+            Some(shared) if shared.len() == live.len() => Arc::clone(shared),
+            _ => Arc::clone(self.published_dictionary.insert(Arc::new(live.clone()))),
+        };
         let epoch = self.publish_slot.pin().epoch() + 1;
         let snapshot = Arc::new(crate::publish::PublishedSnapshot::new(
             epoch,
@@ -785,14 +801,16 @@ impl SemanticWebDatabase {
             engine.is_degraded(),
             engine.component_count() == 0,
             self.durability_error.clone(),
-            self.reasoner.store().dictionary().clone(),
+            dictionary,
             engine.index().clone(),
             self.metrics.clone(),
             // The snapshot is immutable, so its plans stay valid for its
             // whole lifetime: a fresh cache, never invalidated.
             swdb_query::PlanCache::new(true),
         ));
-        self.publish_slot.swap(Arc::clone(&snapshot));
+        let replaced = self.publish_slot.swap(Arc::clone(&snapshot));
+        // Freed (if this was its last pin) after the slot's lock is released.
+        drop(replaced);
         self.metrics.count(Counter::SnapshotsPublished, 1);
         self.metrics.gauge_set(Gauge::PublishedEpoch, epoch);
         drop(span);
@@ -1393,24 +1411,33 @@ fn expansion_eligible(regime: EntailmentRegime, query: &Query) -> bool {
 /// Renames apart every premise blank whose label also names a blank of an
 /// asserted triple — the id-space counterpart of the capture avoidance in
 /// [`Graph::merge`]: a premise blank is scoped to the query and must never
-/// be identified with a database blank that shares its label. Clashing
-/// against asserted triples (every blank evaluation reaches is one of
-/// theirs), not the append-only dictionary, keeps the renaming deterministic
-/// across repeats. One pass over the asserted id triples collects their
-/// blank ids — no label is decoded — on every cold premise, as the walk of
-/// the string mirror did before PR 16; CHANGES.md, PR 16, says why index
-/// probes do not replace it in the same change.
+/// be identified with a database blank that shares its label.
+///
+/// The clash test is a membership test per label, not a scan of `D`: look
+/// the blank up in the dictionary, then ask the asserted store for one
+/// subject-position and one object-position count (a blank is never a
+/// predicate). A ground premise touches the store not at all; a blank
+/// premise costs O(premise blanks · log n), fresh candidates included.
+///
+/// The test asks the asserted triples, not the append-only dictionary: the
+/// dictionary remembers every label ever interned — removed triples' blanks
+/// and earlier asks' fresh labels alike — while every blank evaluation
+/// reaches is one of the asserted triples'. So a repeated premise picks the
+/// same fresh label each time and interns nothing new, and a label freed by
+/// a removal is no longer a clash.
 fn rename_premise_apart(premise: &Graph, stored: &TripleStore) -> Graph {
-    let dictionary = stored.dictionary();
-    let mine: std::collections::BTreeSet<swdb_store::TermId> = stored
-        .iter_ids()
-        .flat_map(|(s, _, o)| [s, o])
-        .filter(|&id| dictionary.is_blank(id))
-        .collect();
-    let is_stored = |label: &str| {
-        let id = dictionary.id_of(&Term::blank(label));
-        id.is_some_and(|id| mine.contains(&id))
-    };
+    rename_clashing_blanks(premise, |label| {
+        stored.id_of(&Term::blank(label)).is_some_and(|id| {
+            stored.candidate_count((Some(id), None, None)) > 0
+                || stored.candidate_count((None, None, Some(id))) > 0
+        })
+    })
+}
+
+/// Renames every premise blank `is_stored` reports to the first
+/// `label~pK` (one counter across the premise) that neither names another
+/// premise blank nor is stored itself.
+fn rename_clashing_blanks(premise: &Graph, is_stored: impl Fn(&str) -> bool) -> Graph {
     let theirs = premise.blank_nodes();
     let clashes: Vec<&BlankNode> = theirs.iter().filter(|b| is_stored(b.as_str())).collect();
     if clashes.is_empty() {
@@ -1872,6 +1899,71 @@ mod tests {
                 db.insert(toggled.clone());
             }
             assert!(db.premise_cache.is_empty(), "the write invalidated");
+        }
+    }
+
+    /// The reference the probes replaced: one walk over the asserted
+    /// triples collects their blank ids, and a label clashes when its id is
+    /// among them.
+    fn rename_premise_apart_by_walk(premise: &Graph, stored: &TripleStore) -> Graph {
+        let dictionary = stored.dictionary();
+        let mine: std::collections::BTreeSet<swdb_store::TermId> = stored
+            .iter_ids()
+            .flat_map(|(s, _, o)| [s, o])
+            .filter(|&id| dictionary.is_blank(id))
+            .collect();
+        rename_clashing_blanks(premise, |label| {
+            let id = dictionary.id_of(&Term::blank(label));
+            id.is_some_and(|id| mine.contains(&id))
+        })
+    }
+
+    /// Store terms: blanks the premise's labels clash with, and fresh
+    /// candidates (`B0~p0`, …) that may themselves be asserted.
+    const STORED_TERMS: [&str; 8] = [
+        "ex:n0", "ex:n1", "_:B0", "_:B1", "_:B2", "_:B0~p0", "_:B1~p0", "_:B0~p1",
+    ];
+    /// Premise subjects: clashing or not depending on the store, `_:P`
+    /// never, `_:B0~p0` a premise blank that is also `_:B0`'s first
+    /// candidate.
+    const PREMISE_SUBJECTS: [&str; 5] = ["ex:n0", "_:B0", "_:B1", "_:P", "_:B0~p0"];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn probing_renames_premises_exactly_as_the_walk_did(
+            stored in proptest::collection::vec((0usize..8, 0usize..2, 0usize..8), 0..12),
+            removed in proptest::collection::vec(0usize..12, 0..6),
+            premise in proptest::collection::vec((0usize..5, 0usize..2, 0usize..2), 0..=3),
+        ) {
+            let predicate = |p: usize| ["ex:p0", "ex:p1"][p];
+            let mut store = TripleStore::new();
+            let triples: Vec<Triple> = stored
+                .iter()
+                .map(|&(s, p, o)| triple(STORED_TERMS[s], predicate(p), STORED_TERMS[o]))
+                .collect();
+            for t in &triples {
+                store.insert(t);
+            }
+            // Removed triples leave their blanks in the dictionary with no
+            // asserted triple mentioning them.
+            for &at in &removed {
+                if let Some(t) = triples.get(at) {
+                    store.remove(t);
+                }
+            }
+            let premise: Graph = premise
+                .iter()
+                .map(|&(s, p, o)| triple(PREMISE_SUBJECTS[s], predicate(p), STORED_TERMS[o]))
+                .collect();
+            proptest::prop_assert_eq!(
+                rename_premise_apart(&premise, &store),
+                rename_premise_apart_by_walk(&premise, &store),
+                "premise {} over {:?}",
+                premise,
+                store.iter_ids().map(|ids| store.materialize(ids)).collect::<Vec<_>>()
+            );
         }
     }
 

@@ -19,10 +19,13 @@
 //! Publication decodes nothing. The index is *shared*, not copied: its
 //! clone copies the root fence arrays of a persistent layout and shares
 //! every node and leaf with the writer, whose next edit copies only the
-//! chunks it touches (see [`swdb_store::id_index`]). The dictionary is still
-//! cloned per publish. The asserted count is the store's `len()`. Terms are decoded once per answer
-//! triple, when a reader renders an [`AnswerSet`] from its pin (or asks for
-//! the answer as a [`Graph`]).
+//! chunks it touches (see [`swdb_store::id_index`]). The dictionary is
+//! shared while it has not grown: a publish reuses the `Arc` it last
+//! published when the append-only dictionary's length is unchanged, and
+//! clones it only after a write interned a new term. The asserted count is
+//! the store's `len()`. Terms are decoded once per answer triple, when a
+//! reader renders an [`AnswerSet`] from its pin (or asks for the answer as
+//! a [`Graph`]).
 //!
 //! What a snapshot can serve is exactly what the dictionary + index pair
 //! determines: premise-free queries (the hot path) and premise queries
@@ -96,7 +99,9 @@ pub struct PublishedSnapshot {
     ground: bool,
     /// Why the durability layer had detached by publication time, if it had.
     durability_error: Option<String>,
-    dictionary: Dictionary,
+    /// Shared with every other snapshot published while the dictionary did
+    /// not grow (and with the facade, which hands it to the next publish).
+    dictionary: Arc<Dictionary>,
     index: IdIndex,
     metrics: Metrics,
     /// The snapshot's own compiled plan + expansion cache
@@ -118,7 +123,7 @@ impl PublishedSnapshot {
         non_minimal: bool,
         ground: bool,
         durability_error: Option<String>,
-        dictionary: Dictionary,
+        dictionary: Arc<Dictionary>,
         index: IdIndex,
         metrics: Metrics,
         plan_cache: swdb_query::PlanCache,
@@ -272,9 +277,10 @@ impl PublishedSnapshot {
 
 /// The shared slot a database publishes into: one `RwLock` around the
 /// current `Arc`. The write lock is held only for the pointer swap and the
-/// read lock only for the `Arc` clone — neither section ever computes — so
-/// this is the std-only stand-in for an atomic arc-swap: readers pin in
-/// O(1) and then run entirely on their pinned value.
+/// read lock only for the `Arc` clone — neither section ever computes, nor
+/// frees: the replaced snapshot is handed back and dropped after the guard
+/// is released — so this is the std-only stand-in for an atomic arc-swap:
+/// readers pin in O(1) and then run entirely on their pinned value.
 #[derive(Debug)]
 pub(crate) struct PublishSlot {
     current: RwLock<Arc<PublishedSnapshot>>,
@@ -291,7 +297,7 @@ impl PublishSlot {
                 false,
                 true,
                 None,
-                Dictionary::default(),
+                Arc::default(),
                 IdIndex::new(),
                 metrics,
                 swdb_query::PlanCache::new(true),
@@ -299,12 +305,15 @@ impl PublishSlot {
         }
     }
 
-    /// Atomically replaces the current snapshot. Lock poisoning is
-    /// recovered from: a panic elsewhere never holds this lock across
-    /// user code, so the stored value is always a fully published snapshot.
-    pub(crate) fn swap(&self, next: Arc<PublishedSnapshot>) {
+    /// Atomically replaces the current snapshot and returns the one it
+    /// replaced, so the caller drops it — possibly the last reference, and
+    /// then a free of everything the snapshot owned alone — outside the
+    /// lock, where no `pin` waits for it. Lock poisoning is recovered from:
+    /// a panic elsewhere never holds this lock across user code, so the
+    /// stored value is always a fully published snapshot.
+    pub(crate) fn swap(&self, next: Arc<PublishedSnapshot>) -> Arc<PublishedSnapshot> {
         let mut slot = self.current.write().unwrap_or_else(|e| e.into_inner());
-        *slot = next;
+        std::mem::replace(&mut *slot, next)
     }
 
     /// Clones out the current snapshot.
@@ -347,3 +356,68 @@ const _: () = {
     assert_send_sync::<PublishedSnapshot>();
     assert_send_sync::<SnapshotReader>();
 };
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::SemanticWebDatabase;
+    use swdb_model::{graph, triple, Term};
+
+    fn database() -> SemanticWebDatabase {
+        SemanticWebDatabase::from_graph(graph([("ex:a", "ex:p", "ex:b"), ("ex:b", "ex:p", "_:X")]))
+    }
+
+    #[test]
+    fn a_write_of_known_terms_shares_the_published_dictionary() {
+        let mut db = database();
+        let before = db.publish();
+        assert!(db.insert(triple("ex:b", "ex:p", "ex:a")));
+        assert!(db.remove(&triple("ex:a", "ex:p", "ex:b")));
+        let after = db.publish();
+        assert_eq!(after.epoch(), before.epoch() + 1);
+        assert!(Arc::ptr_eq(&before.dictionary, &after.dictionary));
+        assert_ne!(after.index(), before.index(), "the index did move on");
+    }
+
+    #[test]
+    fn a_growing_write_publishes_a_new_dictionary_and_old_pins_still_resolve() {
+        let mut db = database();
+        let before = db.publish();
+        let had: Vec<(swdb_store::TermId, Term)> = before
+            .dictionary()
+            .iter()
+            .map(|(id, term)| (id, term.clone()))
+            .collect();
+        let indexed = before.index().clone();
+        db.insert(triple("ex:c", "ex:p", "ex:a"));
+        let after = db.publish();
+        assert!(!Arc::ptr_eq(&before.dictionary, &after.dictionary));
+        assert!(after.dictionary().id_of(&Term::iri("ex:c")).is_some());
+        assert_eq!(before.dictionary().id_of(&Term::iri("ex:c")), None);
+        for (id, term) in &had {
+            assert_eq!(before.dictionary().term_of(*id), Some(term));
+            assert_eq!(after.dictionary().term_of(*id), Some(term));
+        }
+        assert_eq!(*before.index(), indexed, "the pin is untouched");
+        for (s, p, o) in before.index().iter() {
+            assert!([s, p, o]
+                .iter()
+                .all(|&id| before.dictionary().term_of(id).is_some()));
+        }
+        // Sharing resumes from the new dictionary.
+        db.remove(&triple("ex:c", "ex:p", "ex:a"));
+        assert!(Arc::ptr_eq(&after.dictionary, &db.publish().dictionary));
+    }
+
+    #[test]
+    fn swap_hands_back_the_snapshot_it_replaced() {
+        let mut db = database();
+        let first = db.publish();
+        let slot = PublishSlot::empty(db.metrics().clone());
+        assert_eq!(slot.swap(Arc::clone(&first)).epoch(), 0);
+        let second = db.publish();
+        let replaced = slot.swap(Arc::clone(&second));
+        assert!(Arc::ptr_eq(&replaced, &first));
+        assert!(Arc::ptr_eq(&slot.pin(), &second));
+    }
+}

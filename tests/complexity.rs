@@ -1,0 +1,168 @@
+//! Complexity pins: the O(delta) claims of the write and premise paths,
+//! checked as allocation counts instead of clocks.
+//!
+//! Each pin runs one operation on a database of `N` asserted triples and on
+//! one of `4N`, with the same delta, and counts the heap allocations the
+//! operation makes on the calling thread. Work that is independent of the
+//! database's size allocates the same at both sizes, up to [`SLACK`]: a
+//! persistent-index write may split a chunk at one size and not at the
+//! other. Work that walks the database does not — a set of every asserted
+//! blank, or a copy of the dictionary, allocates in proportion to it.
+//!
+//! The counter is a `#[global_allocator]` wrapping [`System`] with a
+//! thread-local tally, so the test harness's other threads do not count.
+//! Everything is deterministic: the fixtures are fixed, the closure engine
+//! runs on one worker, metrics are off, and nothing reads a clock.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use semweb_foundations::core::{MetricsLevel, SemanticWebDatabase, Semantics};
+use semweb_foundations::hom::pattern_graph;
+use semweb_foundations::model::{graph, rdfs, triple, Graph};
+use semweb_foundations::query::Query;
+
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn tally() {
+    // `try_with`: the allocator also runs while thread-locals are torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call forwards to `System` unchanged; the tally touches only
+// a const-initialised thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        tally();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        tally();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        tally();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Runs `op` and returns its result with the allocations it made on this
+/// thread (reallocations included).
+fn allocations<R>(op: impl FnOnce() -> R) -> (R, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = op();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// The smaller database size; the larger is four times it.
+const N: usize = 2_000;
+
+/// How far apart the two sizes' allocation counts may be.
+const SLACK: u64 = 8;
+
+/// `n` asserted triples under RDFS: half ground, half two-triple blank
+/// components (`n / 4` of them), none of which shares a predicate with the
+/// premise below, plus the premise's fixed neighbourhood. Built and warmed
+/// on one worker with metrics off.
+fn fixture(n: usize) -> SemanticWebDatabase {
+    let mut db = SemanticWebDatabase::new();
+    db.set_threads(1);
+    db.set_metrics_level(MetricsLevel::Off);
+    let mut g = Graph::new();
+    for i in 0..n / 2 {
+        g.insert(triple(
+            &format!("ex:s{i}"),
+            "ex:ground",
+            &format!("ex:o{i}"),
+        ));
+    }
+    for i in 0..n / 4 {
+        let blank = format!("_:B{i}");
+        g.insert(triple(&format!("ex:s{i}"), "ex:hasBlank", &blank));
+        g.insert(triple(&blank, "ex:blankTo", &format!("ex:o{i}")));
+    }
+    g.insert(triple("ex:a", "ex:likes", "ex:z"));
+    g.insert(triple("ex:knows", "ex:label", "ex:k"));
+    db.insert_graph(&g);
+    db.publish();
+    db
+}
+
+/// A write of known terms (interns nothing) that invalidates the premise
+/// cache and the plan cache.
+fn toggle(db: &mut SemanticWebDatabase) {
+    let t = triple("ex:z", "ex:ground", "ex:a");
+    if !db.remove(&t) {
+        db.insert(t);
+    }
+}
+
+/// A ground premise over RDFS vocabulary: an overlay, answered
+/// `{(ex:a ex:knows ex:z)}` at every size.
+fn premise_query() -> Query {
+    Query::with_premise(
+        pattern_graph([("?X", "ex:knows", "?Y")]),
+        pattern_graph([("?X", "ex:knows", "?Y")]),
+        graph([("ex:likes", rdfs::SP, "ex:knows")]),
+    )
+    .unwrap()
+}
+
+fn assert_flat(what: &str, small: u64, large: u64) {
+    assert!(
+        small.abs_diff(large) <= SLACK,
+        "{what}: {small} allocations at {N} triples, {large} at {}",
+        4 * N
+    );
+}
+
+/// A cold ground premise — capture avoidance, interning, the closure
+/// preview, the overlay core and the join over the fork — allocates
+/// independently of the number of asserted triples: renaming apart probes
+/// the store per premise blank and never walks it.
+#[test]
+fn a_cold_ground_premise_allocates_independently_of_the_database() {
+    let q = premise_query();
+    let cold = |n: usize| {
+        let mut db = fixture(n);
+        // The first ask builds what every later one reuses.
+        db.answer(&q, Semantics::Union);
+        toggle(&mut db);
+        let (answer, count) = allocations(|| db.answer(&q, Semantics::Union));
+        assert_eq!(answer, graph([("ex:a", "ex:knows", "ex:z")]));
+        count
+    };
+    assert_flat("cold ground premise", cold(N), cold(4 * N));
+}
+
+/// `publish()` after a write that interns no new term allocates
+/// independently of the database: the index is shared chunk by chunk and
+/// the dictionary `Arc` the previous publish handed out is reused.
+#[test]
+fn publishing_a_write_of_known_terms_allocates_independently_of_the_database() {
+    let publish = |n: usize| {
+        let mut db = fixture(n);
+        toggle(&mut db);
+        let (snapshot, count) = allocations(|| db.publish());
+        assert_eq!(snapshot.dictionary().len(), db.graph().dictionary().len());
+        count
+    };
+    assert_flat(
+        "publish after a known-term write",
+        publish(N),
+        publish(4 * N),
+    );
+}
