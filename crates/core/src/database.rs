@@ -21,10 +21,15 @@
 //!
 //! ## The read path
 //!
-//! Every read — `answer`, `pre_answers`, `answer_is_empty`, `explain`, here
-//! and on a pinned [`crate::publish::PublishedSnapshot`] — is one
+//! Every read runs on a snapshot. A pinned
+//! [`crate::publish::PublishedSnapshot`] answers every query, and the
+//! facade's `answer`, `pre_answers`, `answer_is_empty` and `explain` read
+//! through an unpublished snapshot of its own — built by the constructor
+//! `publish` uses, on the first read after a mutation, and dropped at the
+//! start of the next mutation. So there is one read implementation: one
 //! [`swdb_query::QueryEngine`] built over the substrate the dispatch
-//! (`mechanism`) picks. Premise-free queries — the hot path — run
+//! (`mechanism`) picks, with the snapshot's plan cache, which nothing needs
+//! to invalidate because a snapshot never changes. Premise-free queries — the hot path — run
 //! **entirely in id space**: the body is compiled to `TermId` patterns
 //! against the store dictionary (a body constant that was never interned
 //! short-circuits to zero answers), planned once per query shape, and
@@ -55,19 +60,21 @@
 //!   and every member joins the *same* cached evaluation index; single
 //!   answers dedupe across members in id space.
 //! * **Premise overlay** (everything else): the premise is a *hypothetical
-//!   write*, committed into a fork of the maintained state. Its closure
-//!   growth `cl(D + P) − cl(D)` is computed by committing the premise into
-//!   a fork of the closure index ([`MaterializedStore::preview_insert`]),
-//!   and the incremental core engine commits that delta into a fork of
-//!   the evaluation index with the insert half of its own delta refresh —
-//!   the same function a commit runs — dropping the component state a
-//!   commit would have kept ([`swdb_normal::EvalOverlay`]). The query —
-//!   planned like any other — joins the fork, which is the index a commit
-//!   would publish. A fork is a clone of the persistent index: it shares
-//!   every chunk the premise leaves alone, so the published evaluation
-//!   index is bit-identical before and after, and the fork is cached per
-//!   premise, so repeated queries sharing a premise pay for the delta once
-//!   until the next mutation.
+//!   write*, committed into forks of the snapshot's state. Its terms are
+//!   interned into an extension of the snapshot's dictionary
+//!   ([`swdb_store::Dictionary::extending`]), never into the live one. Its
+//!   closure growth `cl(D + P) − cl(D)` is computed by committing the
+//!   premise into a fork of the closure index
+//!   ([`MaterializedStore::preview_insert_over`]), and the incremental core
+//!   engine commits that delta into a fork of the evaluation index with
+//!   the insert half of its own delta refresh — the same function a commit
+//!   runs — dropping the component state a commit would have kept
+//!   ([`swdb_normal::EvalOverlay`]). The query — planned like any other —
+//!   joins the fork, which is the index a commit would publish. A fork is a
+//!   clone of the persistent index: it shares every chunk the premise
+//!   leaves alone, so the snapshot is bit-identical before and after, and
+//!   the snapshot keeps the forks of its last few premises, so repeated
+//!   queries sharing a premise pay for the delta once.
 //!
 //! The string-space evaluator remains the executable specification via
 //! [`SemanticWebDatabase::answer_recomputed`] — `nf(D + P)` normalized
@@ -140,13 +147,13 @@ use swdb_durable::{
     Durability, Io, SnapshotPayload, StdIo, WalRecord, DEFAULT_WAL_COMPACT_THRESHOLD,
 };
 use swdb_model::{BlankNode, Graph, Term, Triple};
-use swdb_normal::{CoreBudget, CoreBudgetMode, EvalOverlay, IdCoreEngine};
+use swdb_normal::{CoreBudget, CoreBudgetMode, IdCoreEngine};
 use swdb_obs::{Counter, Gauge, Hist, Metrics, MetricsLevel};
-use swdb_query::{
-    AnswerSet, Explain, Mechanism, NormalizedDatabase, Query, QueryEngine, Semantics,
-};
+use swdb_query::{AnswerSet, Explain, Mechanism, NormalizedDatabase, Query, Semantics};
 use swdb_reason::{ClosureDelta, MaterializedStore};
-use swdb_store::{Dictionary, GraphStats, IdTriple, TripleStore};
+use swdb_store::{GraphStats, IdTriple, TripleStore};
+
+use crate::publish::PublishedSnapshot;
 
 /// The entailment regime a database operates under.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -159,9 +166,6 @@ pub enum EntailmentRegime {
     #[default]
     Rdfs,
 }
-
-/// How many distinct premises keep a cached overlay between mutations.
-const PREMISE_CACHE_CAPACITY: usize = 8;
 
 /// Worst-case budget for the Proposition 5.9 expansion: the subset
 /// enumeration visits at most `Σ_{R ⊆ B} |P|^|R| = (|P| + 1)^|B|` maps, so
@@ -257,11 +261,10 @@ pub struct SemanticWebDatabase {
     /// use, then *maintained* under the closure deltas of every mutation —
     /// neither the closure fixpoint nor the core is ever recomputed for it.
     evaluation: Option<IdCoreEngine>,
-    /// Cached premise forks, keyed by premise graph: the evaluation index
-    /// with the premise committed into it ([`EvalOverlay`]), valid until the
-    /// next mutation or regime switch. Repeated queries sharing a premise
-    /// hit the cache and skip the closure preview + overlay core.
-    premise_cache: Vec<(Graph, EvalOverlay)>,
+    /// The unpublished snapshot the facade's reads run on ("The read
+    /// path"). A mutation drops it before interning anything, so the
+    /// dictionary is never copied for it.
+    view: Option<PublishedSnapshot>,
     /// A second core engine over the *asserted* store, powering
     /// [`SemanticWebDatabase::minimize`] under the RDFS regime (under
     /// simple entailment the evaluation engine already cores the asserted
@@ -296,18 +299,6 @@ pub struct SemanticWebDatabase {
     /// Starts at epoch 0 (empty); [`SemanticWebDatabase::publish`] swaps in
     /// the next epoch.
     publish_slot: Arc<crate::publish::PublishSlot>,
-    /// The dictionary the last [`SemanticWebDatabase::publish`] handed to
-    /// its snapshot. The dictionary is append-only, so while its length is
-    /// unchanged the next publish shares this `Arc` instead of cloning.
-    /// Cleared when the reasoner is replaced wholesale (snapshot restore),
-    /// so sharing never crosses two different dictionaries.
-    published_dictionary: Option<Arc<Dictionary>>,
-    /// The compiled plan + expansion cache (`swdb_query::plan`): join
-    /// orders costed once per query shape and `Ω_q` expansions computed
-    /// once per premise query, invalidated by a generation bump on every
-    /// mutation, regime switch, and dictionary growth. Published snapshots
-    /// get their own cache (immutable substrate — it never invalidates).
-    plan_cache: swdb_query::PlanCache,
 }
 
 impl Default for SemanticWebDatabase {
@@ -326,7 +317,10 @@ impl Clone for SemanticWebDatabase {
             regime: self.regime,
             reasoner: self.reasoner.clone(),
             evaluation: self.evaluation.clone(),
-            premise_cache: self.premise_cache.clone(),
+            // The clone reads through a snapshot of its own, with a fresh
+            // plan cache: its mutations must never meet plans costed on
+            // the original.
+            view: None,
             asserted_core: self.asserted_core.clone(),
             core_budget: self.core_budget,
             metrics: self.metrics.clone(),
@@ -335,10 +329,6 @@ impl Clone for SemanticWebDatabase {
             // A fresh, unpublished slot: readers pinned on the original keep
             // observing the original's publications, never the clone's.
             publish_slot: Arc::new(crate::publish::PublishSlot::empty(self.metrics.clone())),
-            published_dictionary: None,
-            // A fresh, empty plan cache: the clone's mutations must never
-            // resurrect plans costed on the original.
-            plan_cache: swdb_query::PlanCache::new(true),
         }
     }
 }
@@ -358,15 +348,13 @@ impl SemanticWebDatabase {
             regime: EntailmentRegime::default(),
             reasoner,
             evaluation: None,
-            premise_cache: Vec::new(),
+            view: None,
             asserted_core: None,
             core_budget: CoreBudgetMode::from_env(),
             publish_slot: Arc::new(crate::publish::PublishSlot::empty(metrics.clone())),
-            published_dictionary: None,
             metrics,
             durability: None,
             durability_error: None,
-            plan_cache: swdb_query::PlanCache::new(true),
         }
     }
 
@@ -512,6 +500,7 @@ impl SemanticWebDatabase {
     /// propagation, and the core engines restore from their exported
     /// component states without any retraction search.
     fn restore_from_snapshot(&mut self, snapshot: &SnapshotPayload) {
+        self.view = None;
         self.regime = decode_regime(snapshot.regime);
         self.core_budget = decode_budget(
             snapshot.budget_mode,
@@ -523,7 +512,6 @@ impl SemanticWebDatabase {
         reasoner.set_threads(self.reasoner.threads());
         reasoner.set_metrics(self.metrics.clone());
         self.reasoner = reasoner;
-        self.published_dictionary = None;
         let dictionary = self.reasoner.store().dictionary();
         self.evaluation = snapshot.evaluation.first().map(|state| {
             IdCoreEngine::from_state(state, dictionary, self.metrics.clone(), self.core_budget)
@@ -531,9 +519,6 @@ impl SemanticWebDatabase {
         self.asserted_core = snapshot.asserted_core.first().map(|state| {
             IdCoreEngine::from_state(state, dictionary, self.metrics.clone(), self.core_budget)
         });
-        self.premise_cache.clear();
-        // The dictionary was rebuilt wholesale: doom every cached plan.
-        self.plan_cache.bump_generation();
     }
 
     /// Re-applies one WAL record through the live mutation paths (the
@@ -640,11 +625,12 @@ impl SemanticWebDatabase {
     /// engine on benign data), larger ones get a slice proportional to the
     /// threshold.
     ///
-    /// Cached premise forks are invalidated: a fork computed under a
-    /// different budget may carry a different `non_minimal` flag.
+    /// The facade's snapshot is dropped with its premise forks: a fork
+    /// computed under a different budget may carry a different
+    /// `non_minimal` flag.
     pub fn set_core_budget(&mut self, mode: CoreBudgetMode) {
+        self.view = None;
         self.core_budget = mode;
-        self.premise_cache.clear();
         if let Some(engine) = self.evaluation.as_mut() {
             engine.set_core_budget(mode);
         }
@@ -704,13 +690,10 @@ impl SemanticWebDatabase {
     /// core search from the published survivors (monotone — applied folds
     /// are genuine retractions, so no work is lost). Returns `true` when no
     /// component remains uncored; guaranteed to fully recover under
-    /// [`CoreBudgetMode::Unlimited`]. Cached premise overlays are
-    /// invalidated because the published evaluation index may shrink.
+    /// [`CoreBudgetMode::Unlimited`]. The facade's snapshot is dropped
+    /// because the evaluation index may shrink.
     pub fn refresh_degraded(&mut self) -> bool {
-        self.premise_cache.clear();
-        // The published evaluation index may shrink under a resumed core
-        // search, invalidating costed cardinalities.
-        self.plan_cache.bump_generation();
+        self.view = None;
         let dictionary = self.reasoner.store().dictionary();
         let mut recovered = true;
         if let Some(engine) = self.evaluation.as_mut() {
@@ -763,15 +746,16 @@ impl SemanticWebDatabase {
 
     // ----- publication (the MVCC read side) -----
 
-    /// Atomically publishes the current evaluation state as an immutable
-    /// [`PublishedSnapshot`](crate::publish::PublishedSnapshot) and returns
-    /// it. The snapshot *shares* the dictionary — the one the previous
-    /// publish handed out, while no write has interned a new term since;
-    /// a clone otherwise — and the evaluation `IdIndex` (built first if
-    /// cold; the clone copies only the index's root fence arrays). It
+    /// Atomically publishes the current read state as an immutable
+    /// [`PublishedSnapshot`] and returns
+    /// it. The snapshot *shares* what it holds — the dictionary `Arc`, the
+    /// asserted, closure and evaluation indexes (built first if cold; a
+    /// clone copies only an index's root fence arrays) and the core
+    /// engine's components — so publication is independent of the
+    /// database's size, and a later write copies only what it touches. It
     /// carries ids, nothing is decoded, plus the
-    /// epoch (monotonically increasing from 1), the store's triple count,
-    /// and the degraded flags in force at publication time
+    /// epoch (monotonically increasing from 1) and the degraded flags in
+    /// force at publication time
     /// (`non_minimal` from the core budget, the fail-stop record of a
     /// detached durability layer). Every
     /// [`SnapshotReader`](crate::publish::SnapshotReader)
@@ -783,31 +767,11 @@ impl SemanticWebDatabase {
     /// Publication is **explicit**: mutations do not republish on their
     /// own (a bulk load would otherwise publish once per triple). The
     /// serving layer (`swdb-server`) publishes once per write request.
-    pub fn publish(&mut self) -> Arc<crate::publish::PublishedSnapshot> {
+    pub fn publish(&mut self) -> Arc<PublishedSnapshot> {
         let metrics = self.metrics.clone();
         let span = metrics.span(Hist::SpanSnapshotPublishNs);
-        self.ensure_evaluation();
-        let engine = self.evaluation.as_ref().expect("just ensured");
-        let live = self.reasoner.store().dictionary();
-        let dictionary = match &self.published_dictionary {
-            Some(shared) if shared.len() == live.len() => Arc::clone(shared),
-            _ => Arc::clone(self.published_dictionary.insert(Arc::new(live.clone()))),
-        };
         let epoch = self.publish_slot.pin().epoch() + 1;
-        let snapshot = Arc::new(crate::publish::PublishedSnapshot::new(
-            epoch,
-            self.regime,
-            self.reasoner.store().len(),
-            engine.is_degraded(),
-            engine.component_count() == 0,
-            self.durability_error.clone(),
-            dictionary,
-            engine.index().clone(),
-            self.metrics.clone(),
-            // The snapshot is immutable, so its plans stay valid for its
-            // whole lifetime: a fresh cache, never invalidated.
-            swdb_query::PlanCache::new(true),
-        ));
+        let snapshot = Arc::new(self.snapshot(epoch));
         let replaced = self.publish_slot.swap(Arc::clone(&snapshot));
         // Freed (if this was its last pin) after the slot's lock is released.
         drop(replaced);
@@ -815,6 +779,30 @@ impl SemanticWebDatabase {
         self.metrics.gauge_set(Gauge::PublishedEpoch, epoch);
         drop(span);
         snapshot
+    }
+
+    /// The one snapshot constructor, behind `publish` and the facade's own
+    /// reads: clones of the reasoner and the evaluation engine (built first
+    /// if cold), which share everything that grows with the database.
+    fn snapshot(&mut self, epoch: u64) -> PublishedSnapshot {
+        self.ensure_evaluation();
+        PublishedSnapshot::new(
+            epoch,
+            self.regime,
+            self.durability_error.clone(),
+            self.reasoner.clone(),
+            self.evaluation.clone().expect("just ensured"),
+            self.metrics.clone(),
+        )
+    }
+
+    /// The facade's own snapshot (module docs, "The read path"): never
+    /// published, and rebuilt on the first read after a mutation.
+    fn view(&mut self) -> &PublishedSnapshot {
+        if self.view.is_none() {
+            self.view = Some(self.snapshot(0));
+        }
+        self.view.as_ref().expect("built above")
     }
 
     /// A clonable, `Send + Sync` handle onto this database's publication
@@ -834,7 +822,7 @@ impl SemanticWebDatabase {
     /// [`SemanticWebDatabase::publish`]). Equivalent to pinning through a
     /// [`SnapshotReader`](crate::publish::SnapshotReader), but borrowable
     /// from `&self`.
-    pub fn published(&self) -> Arc<crate::publish::PublishedSnapshot> {
+    pub fn published(&self) -> Arc<PublishedSnapshot> {
         self.publish_slot.pin()
     }
 
@@ -871,17 +859,14 @@ impl SemanticWebDatabase {
         self.regime
     }
 
-    /// Switches the entailment regime (invalidates the normalization cache
-    /// and the cached premise overlays; the asserted-store core used by
-    /// `minimize` is regime-independent and survives).
+    /// Switches the entailment regime (drops the evaluation engine and the
+    /// facade's snapshot; the asserted-store core used by `minimize` is
+    /// regime-independent and survives).
     pub fn set_regime(&mut self, regime: EntailmentRegime) {
         if self.regime != regime {
             self.regime = regime;
             self.evaluation = None;
-            self.premise_cache.clear();
-            // Plans were costed against the old regime's evaluation index;
-            // expansions are regime-gated. Doom both.
-            self.plan_cache.bump_generation();
+            self.view = None;
             if self.durability.is_some() {
                 self.log_wal(&[WalRecord::SetRegime(encode_regime(regime))]);
             }
@@ -909,6 +894,7 @@ impl SemanticWebDatabase {
     /// closure is extended by delta propagation, not recomputed, and the
     /// cached evaluation index absorbs the closure delta in place.
     pub fn insert(&mut self, triple: impl Into<Triple>) -> bool {
+        self.view = None;
         let triple = triple.into();
         let delta = self.reasoner.insert_with_delta(&triple);
         let added = !delta.base.is_empty();
@@ -934,6 +920,7 @@ impl SemanticWebDatabase {
     /// the call commits **one** WAL record holding the triples that were
     /// present (none → no record): a crash recovers all removed or none.
     pub fn remove_graph(&mut self, graph: &Graph) -> usize {
+        self.view = None;
         let mut removed = Graph::new();
         for triple in graph.iter() {
             let delta = self.reasoner.remove_with_delta(triple);
@@ -954,6 +941,7 @@ impl SemanticWebDatabase {
     /// fixpoint per triple, so bulk loads amortize the index probes; the
     /// evaluation index absorbs the whole batch as one delta.
     pub fn insert_graph(&mut self, graph: &Graph) {
+        self.view = None;
         let delta = self.reasoner.insert_graph_with_delta(graph);
         self.feed_delta(&delta, false);
         if self.durability.is_some() && !graph.is_empty() {
@@ -965,13 +953,8 @@ impl SemanticWebDatabase {
     /// Under RDFS the evaluation graph is `core(cl(D))`, so the evaluation
     /// engine consumes the *closure* delta; under simple entailment it is
     /// `core(D)`, so it consumes the base assertion/retraction itself. The
-    /// asserted-store core (if built) always consumes the base delta, and
-    /// every mutation invalidates the cached premise overlays.
+    /// asserted-store core (if built) always consumes the base delta.
     fn feed_delta(&mut self, delta: &ClosureDelta, removal: bool) {
-        self.premise_cache.clear();
-        // Mutation: the evaluation index (and possibly the dictionary)
-        // changed under every costed plan.
-        self.plan_cache.bump_generation();
         let none: &[IdTriple] = &[];
         if let Some(engine) = self.evaluation.as_mut() {
             let dictionary = self.reasoner.store().dictionary();
@@ -1161,85 +1144,6 @@ impl SemanticWebDatabase {
             .collect()
     }
 
-    /// Returns the position of the cached fork for this premise, computing
-    /// (and caching) it on a miss.
-    ///
-    /// The premise's terms are interned (append-only; no index is touched),
-    /// its blanks renamed apart from the asserted triples' blanks first — the
-    /// id-space counterpart of the capture-avoiding `Graph::merge` the spec
-    /// path uses. Under RDFS the transient delta is the premise's closure
-    /// growth `cl(D + P) − cl(D)`, previewed against the maintained closure
-    /// without committing; under simple entailment it is the premise's
-    /// not-yet-asserted triples. The evaluation engine then commits that
-    /// delta into a fork of its index — the published index stays
-    /// bit-identical.
-    fn premise_overlay(&mut self, premise: &Graph) -> usize {
-        self.ensure_evaluation();
-        if let Some(at) = self.premise_cache.iter().position(|(g, _)| g == premise) {
-            self.metrics.count(Counter::OverlayCacheHits, 1);
-            return at;
-        }
-        self.metrics.count(Counter::OverlayCacheMisses, 1);
-        let t0 = self
-            .metrics
-            .on(MetricsLevel::Debug)
-            .then(std::time::Instant::now);
-        let renamed = rename_premise_apart(premise, self.reasoner.store());
-        let before = self.reasoner.store().dictionary().len();
-        let ids = self.reasoner.intern_graph(&renamed);
-        if self.reasoner.store().dictionary().len() != before {
-            // Interning the premise grew the dictionary. Plans never cache
-            // resolved ids (constants re-resolve per call), but the growth
-            // is the agreed invalidation signal alongside mutation and
-            // regime switch: doom cached plans so none outlives a
-            // dictionary it was not costed under.
-            self.plan_cache.bump_generation();
-        }
-        let engine = self.evaluation.as_ref().expect("just ensured");
-        let delta: Vec<IdTriple> = match self.regime {
-            EntailmentRegime::Rdfs => self.reasoner.preview_insert(&ids),
-            EntailmentRegime::Simple => ids.into_iter().filter(|&t| !engine.maintains(t)).collect(),
-        };
-        let overlay = engine.overlay_core(&delta, self.reasoner.store().dictionary());
-        if let Some(t0) = t0 {
-            self.metrics
-                .record(Hist::SpanOverlayBuildNs, t0.elapsed().as_nanos() as u64);
-        }
-        if self.premise_cache.len() >= PREMISE_CACHE_CAPACITY {
-            self.premise_cache.remove(0);
-            self.metrics.count(Counter::OverlayCacheEvictions, 1);
-        }
-        self.premise_cache.push((premise.clone(), overlay));
-        self.premise_cache.len() - 1
-    }
-
-    /// Builds the [`QueryEngine`] that answers `query` and hands it to
-    /// `run`: over the live evaluation index for the premise-free and
-    /// expansion mechanisms, over the fork of it the premise was committed
-    /// into (cached per premise) otherwise. The engine carries the
-    /// degradation flag of the index it was built over — a fork's already
-    /// folds the evaluation engine's in.
-    fn with_engine<R>(&mut self, query: &Query, run: impl FnOnce(QueryEngine<'_>) -> R) -> R {
-        self.ensure_evaluation();
-        let evaluation = self.evaluation.as_ref().expect("just ensured");
-        let mechanism = mechanism(self.regime, query, evaluation.component_count() == 0);
-        let (target, non_minimal) = if mechanism == Mechanism::Overlay {
-            let at = self.premise_overlay(query.premise());
-            let fork = &self.premise_cache[at].1;
-            (&fork.index, fork.non_minimal)
-        } else {
-            (evaluation.index(), evaluation.is_degraded())
-        };
-        run(QueryEngine {
-            dictionary: self.reasoner.store().dictionary(),
-            target,
-            cache: &self.plan_cache,
-            metrics: &self.metrics,
-            mechanism,
-            non_minimal,
-        })
-    }
-
     /// Answers a query under the given semantics — entirely in id space.
     /// Premise-free queries join the cached evaluation index directly;
     /// premise queries go through the Proposition 5.9 expansion or the
@@ -1268,8 +1172,10 @@ impl SemanticWebDatabase {
     /// truncated — in its owned form: ids of the live dictionary mean
     /// nothing to a caller that has let go of the database.
     pub fn answer_set(&mut self, query: &Query, semantics: Semantics) -> AnswerSet {
-        self.with_engine(query, |e| {
-            e.answer_set(query, semantics).into_owned(e.dictionary)
+        self.view().read(query, |engine| {
+            engine
+                .answer_set(query, semantics)
+                .into_owned(engine.dictionary)
         })
     }
 
@@ -1285,7 +1191,8 @@ impl SemanticWebDatabase {
     /// the premise-free members of `Ω_q`; `join_order` and `patterns`
     /// describe the first member, probes and bindings sum over all of them.
     pub fn explain(&mut self, query: &Query, semantics: Semantics) -> Explain {
-        self.with_engine(query, |engine| engine.explain(query, semantics))
+        self.view()
+            .read(query, |engine| engine.explain(query, semantics))
     }
 
     /// The recomputing specification path for query answering: evaluates
@@ -1330,14 +1237,15 @@ impl SemanticWebDatabase {
     /// The pre-answer (list of single answers) of a query, computed through
     /// the same id paths as [`SemanticWebDatabase::answer`].
     pub fn pre_answers(&mut self, query: &Query) -> Vec<Graph> {
-        self.with_engine(query, |engine| engine.pre_answers(query))
+        self.view().read(query, |engine| engine.pre_answers(query))
     }
 
     /// Returns `true` if the query has no answer over this database. Every
     /// mechanism early-exits on the first witnessing matching instead of
     /// materializing the pre-answer (for the expansion, per member).
     pub fn answer_is_empty(&mut self, query: &Query) -> bool {
-        self.with_engine(query, |engine| engine.answer_is_empty(query))
+        self.view()
+            .read(query, |engine| engine.answer_is_empty(query))
     }
 
     /// Answers a query and removes redundancy from the result (returns the
@@ -1366,11 +1274,9 @@ impl From<Graph> for SemanticWebDatabase {
 }
 
 /// The dispatch: how a query is evaluated under a regime, over an
-/// evaluation engine that holds no blank triple (`ground`) or does. The
-/// facade and [`crate::publish::PublishedSnapshot`] both build their
-/// [`QueryEngine`] from this one decision (a snapshot can serve exactly the
-/// premise-free and expansion mechanisms — both need only the dictionary +
-/// index pair it carries).
+/// evaluation engine that holds no blank triple (`ground`) or does. Every
+/// read runs on a [`PublishedSnapshot`], which builds its
+/// [`swdb_query::QueryEngine`] from this one decision.
 pub(crate) fn mechanism(regime: EntailmentRegime, query: &Query, ground: bool) -> Mechanism {
     if query.is_premise_free() {
         Mechanism::PremiseFree
@@ -1396,7 +1302,7 @@ pub(crate) fn mechanism(regime: EntailmentRegime, query: &Query, ground: bool) -
 /// single answers), only for blank-free heads (head blanks Skolemize over
 /// *all* body variables, and μ substitutes some of those away per member,
 /// changing the Skolem values), and only within [`EXPANSION_MAP_BUDGET`].
-/// Everything else takes the overlay, which needs the mutable facade.
+/// Everything else takes the overlay.
 fn expansion_eligible(regime: EntailmentRegime, query: &Query) -> bool {
     let within_budget = (query.premise().len() as u64)
         .saturating_add(1)
@@ -1423,9 +1329,9 @@ fn expansion_eligible(regime: EntailmentRegime, query: &Query) -> bool {
 /// dictionary remembers every label ever interned — removed triples' blanks
 /// and earlier asks' fresh labels alike — while every blank evaluation
 /// reaches is one of the asserted triples'. So a repeated premise picks the
-/// same fresh label each time and interns nothing new, and a label freed by
-/// a removal is no longer a clash.
-fn rename_premise_apart(premise: &Graph, stored: &TripleStore) -> Graph {
+/// same fresh label each time, and a label freed by a removal is no longer
+/// a clash.
+pub(crate) fn rename_premise_apart(premise: &Graph, stored: &TripleStore) -> Graph {
     rename_clashing_blanks(premise, |label| {
         stored.id_of(&Term::blank(label)).is_some_and(|id| {
             stored.candidate_count((Some(id), None, None)) > 0
@@ -1729,6 +1635,7 @@ mod tests {
     #[test]
     fn ground_simple_premises_take_the_expansion_path() {
         let mut db = SemanticWebDatabase::with_regime(EntailmentRegime::Simple);
+        db.set_metrics_level(MetricsLevel::Counters);
         db.insert(triple("ex:u", "ex:q", "ex:a"));
         let q = swdb_query::Query::with_premise(
             swdb_hom::pattern_graph([("?X", "ex:p", "?Y")]),
@@ -1740,8 +1647,9 @@ mod tests {
         let answers = db.answer_union(&q);
         assert!(answers.contains(&triple("ex:u", "ex:p", "ex:a")));
         assert_eq!(answers.len(), 1);
-        assert!(
-            db.premise_cache.is_empty(),
+        assert_eq!(
+            db.metrics().snapshot().counter("overlay_cache_misses"),
+            0,
             "the expansion path needs no overlay"
         );
         assert!(!db.answer_is_empty(&q));
@@ -1765,7 +1673,8 @@ mod tests {
         assert_eq!(spec, graph([("ex:n0", "ex:p0", "ex:n1")]));
         let answer = db.answer(&q, Semantics::Union);
         assert!(swdb_model::isomorphic(&answer, &spec), "{answer} vs {spec}");
-        assert!(!db.publish().supports(&q), "the snapshot refuses, too");
+        let pinned = db.publish().answer(&q, Semantics::Union).expect("answered");
+        assert!(swdb_model::isomorphic(&pinned, &spec), "the snapshot, too");
     }
 
     #[test]
@@ -1826,18 +1735,26 @@ mod tests {
             graph([("ex:son", rdfs::SP, "ex:relative")]),
         )
         .unwrap();
+        db.set_metrics_level(MetricsLevel::Counters);
+        let overlays = |db: &SemanticWebDatabase| {
+            let snapshot = db.metrics().snapshot();
+            (
+                snapshot.counter("overlay_cache_hits"),
+                snapshot.counter("overlay_cache_misses"),
+            )
+        };
         let _ = db.answer_union(&q);
-        assert_eq!(db.premise_cache.len(), 1);
+        assert_eq!(overlays(&db), (0, 1));
         let _ = db.answer_union(&q);
-        assert_eq!(db.premise_cache.len(), 1, "second call hits the cache");
+        assert_eq!(overlays(&db), (1, 1), "second call hits the cache");
         db.insert(triple("ex:Mary", "ex:son", "ex:Peter"));
-        assert!(
-            db.premise_cache.is_empty(),
-            "mutations invalidate premise overlays"
-        );
         let answers = db.answer_union(&q);
         assert!(answers.contains(&triple("ex:Mary", "ex:relative", "ex:Peter")));
-        assert_eq!(db.premise_cache.len(), 1);
+        assert_eq!(
+            overlays(&db),
+            (1, 2),
+            "mutations invalidate premise overlays"
+        );
     }
 
     #[test]
@@ -1898,7 +1815,7 @@ mod tests {
             if !db.remove(&toggled) {
                 db.insert(toggled.clone());
             }
-            assert!(db.premise_cache.is_empty(), "the write invalidated");
+            assert_eq!(db.metrics().snapshot().counter("overlay_cache_hits"), 0);
         }
     }
 

@@ -23,7 +23,7 @@
 //! ## Observability
 //!
 //! Every engine a [`SemanticWebDatabase`] owns — the reasoner, the core
-//! engines, the query executor, the premise-overlay cache — records into
+//! engines, the query executor, a snapshot's premise-overlay cache — records into
 //! one shared [`obs::Metrics`] handle. Recording is off by default and
 //! near-free when off (one relaxed atomic load per site; hot loops batch
 //! into locals). Turn it on with the `SWDB_METRICS` environment variable
@@ -97,15 +97,16 @@
 //! serving it to many threads through one lock would let any writer stall
 //! every reader. The **publication layer** ([`publish`]) splits the read
 //! side off: [`SemanticWebDatabase::publish`] atomically swaps an
-//! immutable, epoch-stamped [`PublishedSnapshot`] — the dictionary + the
-//! evaluation `IdIndex`, plus the degraded flags in force — into a shared
-//! slot, and every [`SnapshotReader`] handle pins the current snapshot in
-//! O(1) and answers on the pin with **no further coordination**: a pinned
-//! snapshot stays bit-identical however the writer mutates, so
-//! `answer`/`explain` on it never blocks — or is blocked by —
-//! `insert`/`remove`. Premise queries that need the overlay mechanism are
-//! the one exception ([`SnapshotQueryError::NeedsWriter`]); route those to
-//! the live database.
+//! immutable, epoch-stamped [`PublishedSnapshot`] — shared clones of the
+//! reasoner and the evaluation engine, plus the degraded flags in force —
+//! into a shared slot, and every [`SnapshotReader`] handle pins the current
+//! snapshot in O(1) and answers on the pin with **no further
+//! coordination**: a pinned snapshot stays bit-identical however the
+//! writer mutates, so `answer`/`explain` on it never blocks — or is blocked
+//! by — `insert`/`remove`. A snapshot answers every query, premise queries
+//! included: a premise is committed into forks of the pin, its terms into
+//! an extension of the pinned dictionary, and the live database is never
+//! touched. The facade's own reads run on a snapshot too.
 //!
 //! ```
 //! use swdb_core::{SemanticWebDatabase, Semantics};

@@ -1,38 +1,38 @@
 //! The publication layer: immutable, epoch-stamped MVCC snapshots of the
-//! evaluation state, atomically swapped by the writer and pinned by any
-//! number of reader threads.
+//! database's read state, atomically swapped by the writer and pinned by
+//! any number of reader threads.
 //!
-//! The facade ([`SemanticWebDatabase`]) is a single-owner value: every read
-//! path takes `&mut self` (the evaluation index builds lazily), so shared
+//! The facade ([`SemanticWebDatabase`]) is a single-owner value, so shared
 //! serving would force readers and writers through one lock. This module
-//! splits the read side off: [`SemanticWebDatabase::publish`] hands the
-//! two structures query answering actually needs — the append-only
-//! [`Dictionary`] and the evaluation [`IdIndex`] — to an immutable
-//! [`PublishedSnapshot`] behind an `Arc`, and swaps it into a shared slot.
-//! A [`SnapshotReader`] pins the current snapshot with one brief read-lock
-//! acquisition (held only for the `Arc` clone — the std-only equivalent of
-//! an arc-swap), after which the reader answers queries with **no further
-//! coordination whatsoever**: a pinned snapshot is immutable, so
-//! `answer`/`explain` on it can never block — or be blocked by —
-//! `insert`/`remove` on the live database.
+//! splits the read side off: [`SemanticWebDatabase::publish`] hands a clone
+//! of the whole read state — the reasoner (asserted store, dictionary,
+//! maintained closure and rule system) and the evaluation engine — to an
+//! immutable [`PublishedSnapshot`] behind an `Arc`, and swaps it into a
+//! shared slot. A [`SnapshotReader`] pins the current snapshot with one
+//! brief read-lock acquisition (held only for the `Arc` clone — the
+//! std-only equivalent of an arc-swap), after which the reader answers
+//! queries with **no further coordination whatsoever**: a pinned snapshot
+//! is immutable, so `answer`/`explain` on it can never block — or be
+//! blocked by — `insert`/`remove` on the live database.
 //!
-//! Publication decodes nothing. The index is *shared*, not copied: its
-//! clone copies the root fence arrays of a persistent layout and shares
-//! every node and leaf with the writer, whose next edit copies only the
-//! chunks it touches (see [`swdb_store::id_index`]). The dictionary is
-//! shared while it has not grown: a publish reuses the `Arc` it last
-//! published when the append-only dictionary's length is unchanged, and
-//! clones it only after a write interned a new term. The asserted count is
-//! the store's `len()`. Terms are decoded once per answer triple, when a
-//! reader renders an [`AnswerSet`] from its pin (or asks for the answer as
-//! a [`Graph`]).
+//! Publication copies nothing that grows with the database. Every large
+//! structure is persistent or `Arc`-shared: the indexes share their chunks
+//! with the writer, whose next edit copies only the chunks it touches (see
+//! [`swdb_store::id_index`]); the dictionary is one `Arc` the writer copies
+//! only when it interns a new term while a snapshot still holds it; the
+//! core engine's components are `Arc`s too. Terms are decoded once per
+//! answer triple, when a reader renders an [`AnswerSet`] from its pin (or
+//! asks for the answer as a [`Graph`]).
 //!
-//! What a snapshot can serve is exactly what the dictionary + index pair
-//! determines: premise-free queries (the hot path) and premise queries
-//! eligible for the Proposition 5.9 expansion. Premise queries that need
-//! the overlay mechanism require the mutable reasoner and return
-//! [`SnapshotQueryError::NeedsWriter`] — the serving layer falls back to
-//! the locked facade for those.
+//! A snapshot answers **every** query. A premise is hypothetical and scoped
+//! to one query (Def. 4.3): it is answered against `nf(D + P)` for the `D`
+//! of the pin, by committing `P` into forks — its terms into an extension
+//! of the pinned dictionary ([`Dictionary::extending`]), its closure growth
+//! into a fork of the pinned closure index, that growth into a fork of the
+//! pinned evaluation index — and joining the last. Nothing the writer owns
+//! is touched, the live dictionary included. The forks of the last
+//! `PREMISE_CACHE_CAPACITY` (8) premises are kept on the snapshot, which is
+//! immutable, so they never need invalidating.
 //!
 //! The degraded flags ride the snapshot: `non_minimal` (core budget
 //! exhausted at publication time — answers sound and complete, possibly
@@ -43,102 +43,83 @@
 //! [`SemanticWebDatabase`]: crate::SemanticWebDatabase
 //! [`SemanticWebDatabase::publish`]: crate::SemanticWebDatabase::publish
 
-use std::fmt;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
-use swdb_model::Graph;
-use swdb_obs::Metrics;
-use swdb_query::{AnswerSet, Explain, Mechanism, Query, QueryEngine, Semantics};
-use swdb_store::{Dictionary, IdIndex};
+use swdb_model::{Graph, Term};
+use swdb_normal::{EvalOverlay, IdCoreEngine};
+use swdb_obs::{Counter, Hist, Metrics};
+use swdb_query::{AnswerSet, Explain, Mechanism, PlanCache, Query, QueryEngine, Semantics};
+use swdb_reason::MaterializedStore;
+use swdb_store::{Dictionary, IdIndex, IdTriple};
 
-use crate::database::{mechanism, EntailmentRegime};
+use crate::database::{mechanism, rename_premise_apart, EntailmentRegime};
 
-/// Why a query cannot be answered on a pinned snapshot.
+/// How many distinct premises keep their forks on one snapshot.
+const PREMISE_CACHE_CAPACITY: usize = 8;
+
+/// The error of a snapshot read. It has no value: a snapshot answers every
+/// query. The `Result` the read methods return is kept for their callers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum SnapshotQueryError {
-    /// The query's premise needs the overlay mechanism (closure preview +
-    /// scoped core diff), which lives in the mutable facade — answer it
-    /// through [`SemanticWebDatabase::answer`](crate::SemanticWebDatabase::answer)
-    /// on the live database instead.
-    NeedsWriter,
+pub enum SnapshotQueryError {}
+
+/// A premise committed into forks of a snapshot: the extension of the
+/// snapshot's dictionary holding the premise's new terms, and the
+/// evaluation index with the premise's closure growth committed into it.
+#[derive(Debug)]
+struct PremiseFork {
+    dictionary: Dictionary,
+    overlay: EvalOverlay,
 }
 
-impl fmt::Display for SnapshotQueryError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SnapshotQueryError::NeedsWriter => write!(
-                f,
-                "query needs the premise overlay, which only the live \
-                 (writable) database can compute — not servable from an \
-                 immutable snapshot"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for SnapshotQueryError {}
-
-/// An immutable, epoch-stamped snapshot of the evaluation state: everything
-/// a reader needs to answer premise-free and expansion-eligible queries,
-/// plus the degraded flags in force when it was published. Values are
-/// created by [`SemanticWebDatabase::publish`](crate::SemanticWebDatabase::publish)
+/// An immutable, epoch-stamped snapshot of the read state: everything a
+/// reader needs to answer any query, plus the degraded flags in force when
+/// it was published. Values are created by
+/// [`SemanticWebDatabase::publish`](crate::SemanticWebDatabase::publish)
 /// and shared as `Arc<PublishedSnapshot>`; every method takes `&self`, so
 /// any number of threads query one snapshot concurrently.
 #[derive(Debug)]
 pub struct PublishedSnapshot {
     /// Publication sequence number: 0 is the empty placeholder a fresh
-    /// slot holds, real publications count from 1.
+    /// slot holds (and the facade's own, unpublished snapshot), real
+    /// publications count from 1.
     epoch: u64,
     regime: EntailmentRegime,
-    /// Asserted triples in the database at publication time.
-    asserted: usize,
-    non_minimal: bool,
-    /// The evaluation engine held no blank triple at publication time (the
-    /// dispatch's expansion gate).
-    ground: bool,
     /// Why the durability layer had detached by publication time, if it had.
     durability_error: Option<String>,
-    /// Shared with every other snapshot published while the dictionary did
-    /// not grow (and with the facade, which hands it to the next publish).
-    dictionary: Arc<Dictionary>,
-    index: IdIndex,
+    /// The asserted store with its dictionary and maintained closure.
+    reasoner: MaterializedStore,
+    /// The evaluation engine; its index is what queries join.
+    evaluation: IdCoreEngine,
     metrics: Metrics,
     /// The snapshot's own compiled plan + expansion cache
-    /// (`swdb_query::plan`). The snapshot is immutable, so — unlike the
-    /// writer's cache — nothing ever invalidates it: every repeated query
-    /// shape served from this snapshot reuses its plan for the snapshot's
-    /// whole lifetime.
-    plan_cache: swdb_query::PlanCache,
+    /// (`swdb_query::plan`). The snapshot is immutable, so nothing ever
+    /// invalidates it.
+    plan_cache: PlanCache,
+    /// The forks of the premises asked last, oldest first.
+    premises: Mutex<Vec<(Graph, Arc<PremiseFork>)>>,
 }
 
 impl PublishedSnapshot {
-    /// Assembles a snapshot (crate-internal: the facade's `publish` is the
-    /// only constructor).
-    #[allow(clippy::too_many_arguments)]
+    /// Assembles a snapshot over clones of the facade's read state
+    /// (crate-internal: the facade builds every snapshot, published or its
+    /// own).
     pub(crate) fn new(
         epoch: u64,
         regime: EntailmentRegime,
-        asserted: usize,
-        non_minimal: bool,
-        ground: bool,
         durability_error: Option<String>,
-        dictionary: Arc<Dictionary>,
-        index: IdIndex,
+        reasoner: MaterializedStore,
+        evaluation: IdCoreEngine,
         metrics: Metrics,
-        plan_cache: swdb_query::PlanCache,
     ) -> Self {
         PublishedSnapshot {
             epoch,
             regime,
-            asserted,
-            non_minimal,
-            ground,
             durability_error,
-            dictionary,
-            index,
+            reasoner,
+            evaluation,
             metrics,
-            plan_cache,
+            plan_cache: PlanCache::new(true),
+            premises: Mutex::default(),
         }
     }
 
@@ -155,21 +136,22 @@ impl PublishedSnapshot {
 
     /// Asserted triples in the database at publication time.
     pub fn asserted_triples(&self) -> usize {
-        self.asserted
+        self.reasoner.len()
     }
 
     /// Triples in the snapshot's evaluation index (`nf(D)` under RDFS,
     /// `core(D)` under simple entailment, as of publication).
     pub fn evaluation_triples(&self) -> usize {
-        self.index.len()
+        self.evaluation.len()
     }
 
     /// `true` when a core-budget exhaustion had left the published
     /// evaluation index a sound but possibly non-minimal superset of the
     /// true core at publication time. Answers from this snapshot are still
-    /// sound and complete; they may mention redundant blanks.
+    /// sound and complete; they may mention redundant blanks. A premise
+    /// answer carries its own flag (the fork's), on its [`AnswerSet`].
     pub fn non_minimal(&self) -> bool {
-        self.non_minimal
+        self.evaluation.is_degraded()
     }
 
     /// `true` when the database's durability layer had fail-stopped by
@@ -187,91 +169,157 @@ impl PublishedSnapshot {
 
     /// The dictionary the snapshot's index is encoded against.
     pub fn dictionary(&self) -> &Dictionary {
-        &self.dictionary
+        self.reasoner.store().dictionary()
     }
 
     /// The snapshot's evaluation index.
     pub fn index(&self) -> &IdIndex {
-        &self.index
+        self.evaluation.index()
     }
 
-    /// The [`QueryEngine`] over this snapshot for `query` — or
-    /// [`SnapshotQueryError::NeedsWriter`] when the dispatch picks the
-    /// overlay, which only the live database can build.
-    fn engine(&self, query: &Query) -> Result<QueryEngine<'_>, SnapshotQueryError> {
-        match mechanism(self.regime, query, self.ground) {
-            Mechanism::Overlay => Err(SnapshotQueryError::NeedsWriter),
-            mechanism => Ok(QueryEngine {
-                dictionary: &self.dictionary,
-                target: &self.index,
-                cache: &self.plan_cache,
-                metrics: &self.metrics,
-                mechanism,
-                non_minimal: self.non_minimal,
-            }),
+    /// Runs `run` on the [`QueryEngine`] the dispatch picks for `query`:
+    /// over the evaluation index for the premise-free and expansion
+    /// mechanisms, over the fork the premise was committed into otherwise.
+    /// The engine carries the flag of the index it reads — a fork's
+    /// already folds the evaluation engine's in.
+    pub(crate) fn read<R>(&self, query: &Query, run: impl FnOnce(QueryEngine<'_>) -> R) -> R {
+        let mechanism = mechanism(self.regime, query, self.evaluation.component_count() == 0);
+        let fork;
+        let (dictionary, target, non_minimal) = if mechanism == Mechanism::Overlay {
+            fork = self.premise_fork(query.premise());
+            (
+                &fork.dictionary,
+                &fork.overlay.index,
+                fork.overlay.non_minimal,
+            )
+        } else {
+            (self.dictionary(), self.index(), self.non_minimal())
+        };
+        run(QueryEngine {
+            dictionary,
+            target,
+            cache: &self.plan_cache,
+            metrics: &self.metrics,
+            mechanism,
+            non_minimal,
+        })
+    }
+
+    /// The fork `premise` is committed into, from the cache or built now.
+    ///
+    /// The premise's blanks are renamed apart from the asserted triples'
+    /// first — the id-space counterpart of the capture-avoiding
+    /// `Graph::merge` the specification uses — and its terms interned into
+    /// an extension of the pinned dictionary. Under RDFS the delta is the
+    /// premise's closure growth `cl(D + P) − cl(D)`, committed into a fork
+    /// of the pinned closure index; under simple entailment it is the
+    /// premise itself. The evaluation engine then commits that delta into a
+    /// fork of its index.
+    fn premise_fork(&self, premise: &Graph) -> Arc<PremiseFork> {
+        let cached = |premises: &[(Graph, Arc<PremiseFork>)]| {
+            let (_, fork) = premises.iter().find(|(g, _)| g == premise)?;
+            Some(Arc::clone(fork))
+        };
+        if let Some(fork) = cached(&self.premises.lock().unwrap_or_else(|e| e.into_inner())) {
+            self.metrics.count(Counter::OverlayCacheHits, 1);
+            return fork;
         }
-    }
-
-    /// Can [`PublishedSnapshot::answer`] serve this query? Exactly the
-    /// premise-free and expansion-eligible mechanisms — both need only the
-    /// dictionary + index pair the snapshot carries.
-    pub fn supports(&self, query: &Query) -> bool {
-        self.engine(query).is_ok()
+        self.metrics.count(Counter::OverlayCacheMisses, 1);
+        let _span = self.metrics.span(Hist::SpanOverlayBuildNs);
+        let store = self.reasoner.store();
+        let renamed = rename_premise_apart(premise, store);
+        let mut dictionary = Dictionary::extending(Arc::clone(store.shared_dictionary()));
+        let mut intern = |term: &Term| dictionary.intern(term);
+        let ids: Vec<IdTriple> = renamed
+            .iter()
+            .map(|t| {
+                let predicate = Term::Iri(t.predicate().clone());
+                (intern(t.subject()), intern(&predicate), intern(t.object()))
+            })
+            .collect();
+        let delta = match self.regime {
+            EntailmentRegime::Rdfs => self.reasoner.preview_insert_over(&ids, &dictionary),
+            EntailmentRegime::Simple => ids,
+        };
+        let overlay = self.evaluation.overlay_core(&delta, &dictionary);
+        let fork = Arc::new(PremiseFork {
+            dictionary,
+            overlay,
+        });
+        let mut premises = self.premises.lock().unwrap_or_else(|e| e.into_inner());
+        if premises.len() >= PREMISE_CACHE_CAPACITY {
+            premises.remove(0);
+            self.metrics.count(Counter::OverlayCacheEvictions, 1);
+        }
+        premises.push((premise.clone(), Arc::clone(&fork)));
+        fork
     }
 
     /// Answers a query against this snapshot — entirely in id space, with
     /// no access to (and therefore no contention on) the live database.
-    /// Returns [`SnapshotQueryError::NeedsWriter`] for overlay-mechanism
-    /// premise queries (see [`PublishedSnapshot::supports`]).
     pub fn answer(&self, query: &Query, semantics: Semantics) -> Result<Graph, SnapshotQueryError> {
-        Ok(self.engine(query)?.answer(query, semantics))
+        Ok(self
+            .answer_set(query, semantics)?
+            .into_graph(self.dictionary()))
     }
 
-    /// [`PublishedSnapshot::answer`] as the engine's [`AnswerSet`]: rendered
-    /// against [`PublishedSnapshot::dictionary`], no answer [`Graph`] is built.
+    /// [`PublishedSnapshot::answer`] as the engine's [`AnswerSet`],
+    /// rendered against [`PublishedSnapshot::dictionary`]; no answer
+    /// [`Graph`] is built. A premise answer comes in its owned form: its
+    /// ids would name terms of the premise's own dictionary extension.
     pub fn answer_set(
         &self,
         query: &Query,
         semantics: Semantics,
     ) -> Result<AnswerSet, SnapshotQueryError> {
-        Ok(self.engine(query)?.answer_set(query, semantics))
+        Ok(self.read(query, |engine| {
+            let answer = engine.answer_set(query, semantics);
+            if engine.mechanism == Mechanism::Overlay {
+                answer.into_owned(engine.dictionary)
+            } else {
+                answer
+            }
+        }))
     }
 
-    /// [`PublishedSnapshot::answer`] plus the snapshot's `non_minimal`
-    /// flag — the analogue of
+    /// [`PublishedSnapshot::answer`] plus the `non_minimal` flag of the
+    /// index it was answered from — the analogue of
     /// [`SemanticWebDatabase::answer_with_status`](crate::SemanticWebDatabase::answer_with_status),
     /// except the flag describes the substrate actually answered from (this
-    /// snapshot), not the live database's current state.
+    /// snapshot, or the fork its premise was committed into), not the live
+    /// database's current state.
     pub fn answer_with_status(
         &self,
         query: &Query,
         semantics: Semantics,
     ) -> Result<(Graph, bool), SnapshotQueryError> {
-        Ok((self.answer(query, semantics)?, self.non_minimal))
+        let answer = self.answer_set(query, semantics)?;
+        let non_minimal = answer.non_minimal;
+        Ok((answer.into_graph(self.dictionary()), non_minimal))
     }
 
     /// The pre-answer (list of single answers) over this snapshot.
     pub fn pre_answers(&self, query: &Query) -> Result<Vec<Graph>, SnapshotQueryError> {
-        Ok(self.engine(query)?.pre_answers(query))
+        Ok(self.read(query, |engine| engine.pre_answers(query)))
     }
 
     /// `true` if the query has no answer over this snapshot (early-exits on
     /// the first witness).
     pub fn answer_is_empty(&self, query: &Query) -> Result<bool, SnapshotQueryError> {
-        Ok(self.engine(query)?.answer_is_empty(query))
+        Ok(self.read(query, |engine| engine.answer_is_empty(query)))
     }
 
     /// Explains how this snapshot executes the query (mechanism, compiled
     /// patterns, executed join order, probe/binding/answer counts — the
     /// same contract as
     /// [`SemanticWebDatabase::explain`](crate::SemanticWebDatabase::explain)),
-    /// with `non_minimal` reporting the snapshot's flag.
+    /// with `non_minimal` reporting the flag of the index answered from.
     pub fn explain(
         &self,
         query: &Query,
         semantics: Semantics,
     ) -> Result<Explain, SnapshotQueryError> {
-        Ok(self.engine(query)?.explain(query, semantics))
+        Ok(self.read(query, |engine| engine.explain(query, semantics)))
     }
 }
 
@@ -293,14 +341,10 @@ impl PublishSlot {
             current: RwLock::new(Arc::new(PublishedSnapshot::new(
                 0,
                 EntailmentRegime::default(),
-                0,
-                false,
-                true,
                 None,
-                Arc::default(),
-                IdIndex::new(),
+                MaterializedStore::new(),
+                IdCoreEngine::new(),
                 metrics,
-                swdb_query::PlanCache::new(true),
             ))),
         }
     }
@@ -367,6 +411,10 @@ mod tests {
         SemanticWebDatabase::from_graph(graph([("ex:a", "ex:p", "ex:b"), ("ex:b", "ex:p", "_:X")]))
     }
 
+    fn shared(snapshot: &PublishedSnapshot) -> &Arc<Dictionary> {
+        snapshot.reasoner.store().shared_dictionary()
+    }
+
     #[test]
     fn a_write_of_known_terms_shares_the_published_dictionary() {
         let mut db = database();
@@ -375,7 +423,7 @@ mod tests {
         assert!(db.remove(&triple("ex:a", "ex:p", "ex:b")));
         let after = db.publish();
         assert_eq!(after.epoch(), before.epoch() + 1);
-        assert!(Arc::ptr_eq(&before.dictionary, &after.dictionary));
+        assert!(Arc::ptr_eq(shared(&before), shared(&after)));
         assert_ne!(after.index(), before.index(), "the index did move on");
     }
 
@@ -391,7 +439,7 @@ mod tests {
         let indexed = before.index().clone();
         db.insert(triple("ex:c", "ex:p", "ex:a"));
         let after = db.publish();
-        assert!(!Arc::ptr_eq(&before.dictionary, &after.dictionary));
+        assert!(!Arc::ptr_eq(shared(&before), shared(&after)));
         assert!(after.dictionary().id_of(&Term::iri("ex:c")).is_some());
         assert_eq!(before.dictionary().id_of(&Term::iri("ex:c")), None);
         for (id, term) in &had {
@@ -406,7 +454,7 @@ mod tests {
         }
         // Sharing resumes from the new dictionary.
         db.remove(&triple("ex:c", "ex:p", "ex:a"));
-        assert!(Arc::ptr_eq(&after.dictionary, &db.publish().dictionary));
+        assert!(Arc::ptr_eq(shared(&after), shared(&db.publish())));
     }
 
     #[test]

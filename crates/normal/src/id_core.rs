@@ -101,6 +101,7 @@
 //! `non_minimal` through the facade's answer path instead of hiding it.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use std::time::Duration;
 
 use swdb_hom::{Avoiding, IdPatternTerm, IdSolver, IdTriplePattern};
@@ -381,9 +382,11 @@ impl Uncored {
 /// current where they change: the largest size where components leave and
 /// enter the partition, a component's uncored share in [`Cells::commit`]. The engine
 /// owns one; [`IdCoreEngine::overlay_core`] runs a scratch one.
+/// The list and its components are `Arc`s shared with the engine's clones:
+/// a write copies what it changes ([`Cells::get_mut`]).
 #[derive(Clone, Debug, Default)]
 struct Cells {
-    list: Vec<Component>,
+    list: Arc<Vec<Arc<Component>>>,
     uncored: Uncored,
     /// Size in triples of the largest component.
     largest: usize,
@@ -393,7 +396,12 @@ impl Cells {
     fn push(&mut self, c: Component) {
         self.uncored.enter(&c);
         self.largest = self.largest.max(c.full.len());
-        self.list.push(c);
+        Arc::make_mut(&mut self.list).push(Arc::new(c));
+    }
+
+    /// Component `i`, unshared first if a clone still holds it.
+    fn get_mut(&mut self, i: usize) -> &mut Component {
+        Arc::make_mut(&mut Arc::make_mut(&mut self.list)[i])
     }
 
     /// Takes out the components a blank-structural delta touches. A delta
@@ -401,14 +409,15 @@ impl Cells {
     /// shares a blank with: any other component's triples mention none of
     /// the delta's blanks, so its partition cell is untouched and its
     /// cached core state carries over wholesale.
-    fn dissolve(&mut self, delta_blanks: &BTreeSet<TermId>) -> Vec<Component> {
+    fn dissolve(&mut self, delta_blanks: &BTreeSet<TermId>) -> Vec<Arc<Component>> {
         if delta_blanks.is_empty() {
             return Vec::new();
         }
-        let (dissolved, kept) = std::mem::take(&mut self.list)
+        let list = Arc::make_mut(&mut self.list);
+        let (dissolved, kept) = std::mem::take(list)
             .into_iter()
             .partition(|c| c.touches(delta_blanks));
-        self.list = kept;
+        *list = kept;
         self.largest = self.list.iter().map(|c| c.full.len()).max().unwrap_or(0);
         dissolved
     }
@@ -420,18 +429,18 @@ impl Cells {
     /// starts stale.
     fn partition_and_inherit(
         &mut self,
-        old: Vec<Component>,
-        maintained: &BTreeSet<IdTriple>,
+        old: Vec<Arc<Component>>,
+        maintained: &IdIndex,
         fresh: impl IntoIterator<Item = IdTriple>,
         dictionary: &Dictionary,
     ) {
         let triples = old
             .iter()
             .flat_map(|c| c.full.iter().copied())
-            .filter(|t| maintained.contains(t))
+            .filter(|&t| maintained.contains(t))
             .chain(fresh);
         let parts = blank_components(triples, |id| dictionary.is_blank(id));
-        let mut by_first: BTreeMap<IdTriple, Vec<Component>> = BTreeMap::new();
+        let mut by_first: BTreeMap<IdTriple, Vec<Arc<Component>>> = BTreeMap::new();
         for c in old {
             self.uncored.leave(&c);
             if let Some(&first) = c.full.first() {
@@ -448,7 +457,7 @@ impl Cells {
                 Some(c) => Component {
                     blanks: part.blanks,
                     full: part.triples,
-                    ..c
+                    ..Arc::unwrap_or_clone(c)
                 },
                 None => Component {
                     blanks: part.blanks,
@@ -476,7 +485,7 @@ impl Cells {
         coring: &mut Coring,
         delta_blanks: &BTreeSet<TermId>,
         fresh: impl IntoIterator<Item = IdTriple>,
-        maintained: &BTreeSet<IdTriple>,
+        maintained: &IdIndex,
         dictionary: &Dictionary,
     ) {
         let dissolved = self.dissolve(delta_blanks);
@@ -510,10 +519,15 @@ impl Cells {
     /// are published as-is — a sound superset of the local core (see
     /// "Degraded mode") — and the component waits for a retry; reaching the
     /// fold fixpoint from the *current* graph proves local leanness
-    /// regardless of history, so it clears a stale uncored flag too.
+    /// regardless of history, so it clears a stale uncored flag too. A
+    /// result that changes nothing writes nothing.
     fn commit(&mut self, i: usize, cored: Cored, coring: &mut Coring) {
-        let comp = &mut self.list[i];
-        self.uncored.leave(comp);
+        let current = &self.list[i];
+        if !current.stale && cored.folds.is_empty() && current.uncored == cored.exhausted {
+            return;
+        }
+        self.uncored.leave(&self.list[i]);
+        let comp = self.get_mut(i);
         if comp.stale || !cored.folds.is_empty() {
             let source = if comp.stale {
                 &comp.full
@@ -526,23 +540,21 @@ impl Cells {
             coring.recored += 1;
         }
         comp.uncored = cored.exhausted;
-        self.uncored.enter(comp);
+        self.uncored.enter(&self.list[i]);
         if cored.folds.is_empty() {
             return;
         }
-        for (j, other) in self.list.iter_mut().enumerate() {
-            if j == i {
-                continue;
-            }
+        for j in (0..self.list.len()).filter(|&j| j != i) {
             for map in &cored.folds {
                 // A fold only moves the origin component's blanks; most
                 // support sets never mention them, so probe before paying
                 // for a rebuild of the set.
-                let touched = other
+                let touched = self.list[j]
                     .support
                     .iter()
                     .any(|(s, _, o)| map.contains_key(s) || map.contains_key(o));
                 if touched {
+                    let other = self.get_mut(j);
                     other.support = remap_set(&other.support, map);
                     coring.replays += 1;
                 }
@@ -562,8 +574,9 @@ pub struct IdCoreEngine {
     /// The published evaluation index: all ground triples plus every
     /// component's survivors.
     eval: IdIndex,
-    /// All maintained blank triples (the un-cored blank side).
-    blank_full: BTreeSet<IdTriple>,
+    /// All maintained blank triples (the un-cored blank side), in a
+    /// persistent index so a clone of the engine shares it.
+    blank_full: IdIndex,
     cells: Cells,
     /// Predicate id → number of `blank_full` triples using it. A ground
     /// insertion whose predicate no blank triple uses cannot be the image of
@@ -612,16 +625,10 @@ impl IdCoreEngine {
         let mut engine = IdCoreEngine::new();
         engine.metrics = metrics;
         engine.budget_mode = budget;
-        let mut ground = Vec::new();
-        for t in triples {
-            if is_blank_triple(dictionary, t) {
-                if engine.blank_full.insert(t) {
-                    *engine.blank_pred_refs.entry(t.1).or_insert(0) += 1;
-                }
-            } else {
-                ground.push(t);
-            }
-        }
+        let (blank, ground): (Vec<IdTriple>, Vec<IdTriple>) = triples
+            .into_iter()
+            .partition(|&t| is_blank_triple(dictionary, t));
+        engine.note_blank_triples(&blank);
         engine.eval.extend(ground);
         {
             let _span = engine.metrics.span(Hist::SpanCoreRefreshNs);
@@ -630,7 +637,7 @@ impl IdCoreEngine {
                 &mut engine.eval,
                 &mut coring,
                 &BTreeSet::new(),
-                engine.blank_full.iter().copied(),
+                engine.blank_full.iter(),
                 &engine.blank_full,
                 dictionary,
             );
@@ -680,14 +687,18 @@ impl IdCoreEngine {
         engine.metrics = metrics;
         engine.budget_mode = budget;
         let mut published = state.ground.clone();
+        let blank: Vec<IdTriple> = state
+            .components
+            .iter()
+            .flat_map(|c| &c.full)
+            .copied()
+            .collect();
+        engine.note_blank_triples(&blank);
         for comp in &state.components {
             let full: BTreeSet<IdTriple> = comp.full.iter().copied().collect();
             let mut blanks = BTreeSet::new();
             for &t in &full {
                 note_blanks(dictionary, &mut blanks, t);
-                if engine.blank_full.insert(t) {
-                    *engine.blank_pred_refs.entry(t.1).or_insert(0) += 1;
-                }
             }
             let survivors: BTreeSet<IdTriple> = comp.survivors.iter().copied().collect();
             published.extend(&survivors);
@@ -704,6 +715,16 @@ impl IdCoreEngine {
         engine.publish_gauges();
         engine.debug_check(dictionary);
         engine
+    }
+
+    /// Adds maintained blank triples to the blank side and counts their
+    /// predicates; returns the ones that were new.
+    fn note_blank_triples(&mut self, triples: &[IdTriple]) -> Vec<IdTriple> {
+        let fresh = self.blank_full.insert_all(triples);
+        for t in &fresh {
+            *self.blank_pred_refs.entry(t.1).or_insert(0) += 1;
+        }
+        fresh
     }
 
     /// Attaches a metrics handle: components re-cored, retraction-search
@@ -854,7 +875,7 @@ impl IdCoreEngine {
         let mut blank_delta_ids: BTreeSet<TermId> = BTreeSet::new();
         for &t in removed {
             if is_blank_triple(dictionary, t) {
-                if self.blank_full.remove(&t) {
+                if self.blank_full.remove(t) {
                     note_blanks(dictionary, &mut blank_delta_ids, t);
                     if let Some(refs) = self.blank_pred_refs.get_mut(&t.1) {
                         *refs -= 1;
@@ -870,18 +891,11 @@ impl IdCoreEngine {
                 removed_from_eval.insert(t);
             }
         }
-        let mut blank_added: Vec<IdTriple> = Vec::new();
-        let mut ground_added: Vec<IdTriple> = Vec::new();
-        for &t in added {
-            if is_blank_triple(dictionary, t) {
-                if self.blank_full.insert(t) {
-                    note_blanks(dictionary, &mut blank_delta_ids, t);
-                    blank_added.push(t);
-                    *self.blank_pred_refs.entry(t.1).or_insert(0) += 1;
-                }
-            } else {
-                ground_added.push(t);
-            }
+        let (blank, ground_added): (Vec<IdTriple>, Vec<IdTriple>) =
+            added.iter().partition(|&&t| is_blank_triple(dictionary, t));
+        let blank_added = self.note_blank_triples(&blank);
+        for &t in &blank_added {
+            note_blanks(dictionary, &mut blank_delta_ids, t);
         }
         let added_preds: BTreeSet<TermId> = self
             .eval
@@ -898,9 +912,10 @@ impl IdCoreEngine {
             self.publish_gauges();
             return;
         }
-        for c in &mut self.cells.list {
-            if removed_from_eval.iter().any(|t| c.support.contains(t)) {
-                c.stale = true;
+        for i in 0..self.cells.list.len() {
+            let c = &self.cells.list[i];
+            if !c.stale && removed_from_eval.iter().any(|t| c.support.contains(t)) {
+                self.cells.get_mut(i).stale = true;
             }
         }
         let _span = self.metrics.span(Hist::SpanCoreRefreshNs);
@@ -920,7 +935,7 @@ impl IdCoreEngine {
     /// triples live in the published index, blank triples in the full blank
     /// side.
     pub fn maintains(&self, t: IdTriple) -> bool {
-        self.eval.contains(t) || self.blank_full.contains(&t)
+        self.eval.contains(t) || self.blank_full.contains(t)
     }
 
     /// Commits `maintained ∪ delta` into a *fork* of the published index,
@@ -929,9 +944,9 @@ impl IdCoreEngine {
     /// [`EvalOverlay::index`], and dropping it afterwards leaves the durable
     /// state bit-identical.
     ///
-    /// `delta` must be additions the engine does not already maintain (the
-    /// closure preview under RDFS, the not-yet-asserted premise triples
-    /// under simple entailment). It is put through
+    /// `delta` is additions (the closure preview under RDFS, the premise
+    /// under simple entailment); those the engine already maintains are
+    /// skipped. It is put through
     /// [`IdCoreEngine::apply_delta`]'s own insert half, against a clone of
     /// the published index (which shares every chunk the delta leaves
     /// alone) and a scratch copy of the only components that half can
@@ -954,7 +969,7 @@ impl IdCoreEngine {
         for &t in delta {
             if !is_blank_triple(dictionary, t) {
                 ground_added.push(t);
-            } else if !self.blank_full.contains(&t) {
+            } else if !self.blank_full.contains(t) {
                 note_blanks(dictionary, &mut delta_blanks, t);
                 blank_added.push(t);
             }
@@ -962,25 +977,31 @@ impl IdCoreEngine {
         let added = index.insert_all(&ground_added);
         let mut coring = self.coring(added.into_iter().map(|t| t.1).collect());
         let components = &self.cells.list;
-        let mut scratch = Cells {
-            uncored: self.cells.uncored,
-            ..Cells::default()
-        };
-        if !delta_blanks.is_empty() {
-            let touched = components.iter().filter(|c| c.touches(&delta_blanks));
-            scratch.list.extend(touched.cloned());
-        }
+        let mut picked: Vec<Arc<Component>> = components
+            .iter()
+            .filter(|c| c.touches(&delta_blanks))
+            .cloned()
+            .collect();
         // Everything the half can make visible is a delta triple or a
-        // restored triple of a component it dissolves.
+        // restored triple of a component it dissolves, and only a predicate
+        // some blank triple uses can be a survivor's.
         let reachable_preds: BTreeSet<TermId> = delta
             .iter()
-            .chain(scratch.list.iter().flat_map(|c| &c.full))
+            .chain(picked.iter().flat_map(|c| &c.full))
             .map(|t| t.1)
+            .filter(|p| self.blank_pred_refs.contains_key(p))
             .collect();
-        let reachable = components
-            .iter()
-            .filter(|c| !c.touches(&delta_blanks) && c.shares_pred(&reachable_preds));
-        scratch.list.extend(reachable.cloned());
+        if !reachable_preds.is_empty() {
+            let reachable = components
+                .iter()
+                .filter(|c| !c.touches(&delta_blanks) && c.shares_pred(&reachable_preds));
+            picked.extend(reachable.cloned());
+        }
+        let mut scratch = Cells {
+            list: Arc::new(picked),
+            uncored: self.cells.uncored,
+            largest: 0,
+        };
         scratch.insert_half(
             &mut index,
             &mut coring,
@@ -1005,7 +1026,7 @@ impl IdCoreEngine {
         if cfg!(debug_assertions) {
             let mut uncored = Uncored::default();
             let mut expected_blank: BTreeSet<IdTriple> = BTreeSet::new();
-            for c in &self.cells.list {
+            for c in self.cells.list.iter() {
                 uncored.enter(c);
                 debug_assert!(c.survivors.is_subset(&c.full));
                 debug_assert!(

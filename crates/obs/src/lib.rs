@@ -177,7 +177,7 @@ keyed_enum! {
         CoreRetractionSearches => "core_retraction_searches",
         /// Early warnings: largest blank component exceeded the threshold.
         CoreBlankWarnings => "core_blank_warnings",
-        /// Premise overlay cache hits in the facade.
+        /// Premise overlay cache hits on a snapshot.
         OverlayCacheHits => "overlay_cache_hits",
         /// Premise overlay cache misses (overlay built from scratch).
         OverlayCacheMisses => "overlay_cache_misses",

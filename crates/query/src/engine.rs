@@ -16,8 +16,9 @@
 //!   `swdb_normal::IdCoreEngine::overlay_core`).
 //!
 //! Every member is planned ([`crate::plan`]) and run by the one executor
-//! ([`crate::exec`]). The live facade, a pinned snapshot and `explain` all
-//! come through here, so the dispatch, the counting conventions and the
+//! ([`crate::exec`]). Every read — on a pinned snapshot or through the
+//! facade, which reads on a snapshot of its own — and `explain` come
+//! through here, so the dispatch, the counting conventions and the
 //! degradation flag reported with an answer exist once.
 
 use swdb_hom::Binding;

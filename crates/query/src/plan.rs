@@ -24,9 +24,9 @@
 //!   and head/constraint projections with constants replaced by table
 //!   indices, and a hit re-instantiates them against the live dictionary
 //!   (per-call constant resolution — dictionary growth can never leave a
-//!   stale [`TermId`] in a reused plan). A generation counter, bumped by
-//!   the facade on mutation, regime switch, and dictionary growth,
-//!   invalidates entries lazily.
+//!   stale [`TermId`] in a reused plan). Nothing invalidates an entry: a
+//!   cache belongs to one immutable snapshot, so the substrate its plans
+//!   were costed against never changes under them.
 //! * **Expansion caching**: `Ω_q` ([`crate::premise_free_expansion`]) is
 //!   cached per premise query in the same LRU ([`expansion_members`]), so
 //!   the exponential rewrite is paid once per repeated premise query.
@@ -193,7 +193,6 @@ enum CacheValue {
 
 #[derive(Debug)]
 struct CacheEntry {
-    generation: u64,
     last_used: u64,
     value: CacheValue,
 }
@@ -204,17 +203,15 @@ struct CacheState {
     tick: u64,
 }
 
-/// The compiled plan + expansion cache: a small LRU with lazy generational
-/// invalidation. Owners bump [`PlanCache::bump_generation`] whenever the
-/// substrate a plan was costed against changes — the facade does so on
-/// mutation, regime switch, and dictionary growth; a published snapshot is
-/// immutable, so its cache never invalidates. Interior mutability is a
-/// plain mutex: the lock is held for a `BTreeMap` probe, orders of
-/// magnitude shorter than the planning or execution it saves.
+/// The compiled plan + expansion cache: a small LRU. Each published
+/// snapshot owns one — the facade reads through a snapshot of its own — and
+/// a snapshot is immutable, so no entry ever goes stale and nothing
+/// invalidates one. Interior mutability is a plain mutex: the lock is held
+/// for a `BTreeMap` probe, orders of magnitude shorter than the planning or
+/// execution it saves.
 #[derive(Debug)]
 pub struct PlanCache {
     enabled: bool,
-    generation: AtomicU64,
     state: Mutex<CacheState>,
 }
 
@@ -225,7 +222,6 @@ impl PlanCache {
     pub fn new(enabled: bool) -> Self {
         PlanCache {
             enabled,
-            generation: AtomicU64::new(0),
             state: Mutex::new(CacheState::default()),
         }
     }
@@ -235,19 +231,7 @@ impl PlanCache {
         self.enabled
     }
 
-    /// Invalidates every cached entry (lazily: entries stamped with an
-    /// older generation are discarded on their next lookup).
-    pub fn bump_generation(&self) {
-        self.generation.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The current generation.
-    pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Relaxed)
-    }
-
-    /// Cached entries, including ones an older generation has already
-    /// doomed (they are discarded on lookup).
+    /// Cached entries.
     pub fn len(&self) -> usize {
         self.state
             .lock()
@@ -265,22 +249,14 @@ impl PlanCache {
         if !self.enabled {
             return None;
         }
-        let generation = self.generation();
         let mut state = self.state.lock().expect("plan cache poisoned");
+        state.tick += 1;
+        let tick = state.tick;
         match state.entries.get_mut(key) {
-            Some(entry) if entry.generation == generation => {
-                state.tick += 1;
-                let tick = state.tick;
-                let entry = state.entries.get_mut(key).expect("probed above");
+            Some(entry) => {
                 entry.last_used = tick;
                 metrics.count(Counter::PlanCacheHits, 1);
                 Some(entry.value.clone())
-            }
-            Some(_) => {
-                state.entries.remove(key);
-                metrics.count(Counter::PlanCacheEvictions, 1);
-                metrics.count(Counter::PlanCacheMisses, 1);
-                None
             }
             None => {
                 metrics.count(Counter::PlanCacheMisses, 1);
@@ -293,14 +269,12 @@ impl PlanCache {
         if !self.enabled {
             return;
         }
-        let generation = self.generation();
         let mut state = self.state.lock().expect("plan cache poisoned");
         state.tick += 1;
         let tick = state.tick;
         state.entries.insert(
             key,
             CacheEntry {
-                generation,
                 last_used: tick,
                 value,
             },
@@ -628,21 +602,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn generation_bump_invalidates_cached_plans() {
-        let s = store();
-        let cache = PlanCache::new(true);
-        let metrics = Metrics::disabled();
-        let q = query([("?X", "ex:takes", "?C")], [("?X", "ex:takes", "?C")]);
-        let miss = prepare(&cache, &q, s.dictionary(), s.id_index(), metrics).unwrap();
-        assert!(!miss.hit);
-        let hit = prepare(&cache, &q, s.dictionary(), s.id_index(), metrics).unwrap();
-        assert!(hit.hit);
-        cache.bump_generation();
-        let after = prepare(&cache, &q, s.dictionary(), s.id_index(), metrics).unwrap();
-        assert!(!after.hit, "a bumped generation dooms the cached plan");
     }
 
     #[test]

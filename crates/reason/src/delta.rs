@@ -39,11 +39,11 @@
 //! empty graph.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use swdb_hom::IdTarget;
-use swdb_model::Term;
 use swdb_obs::{Counter, Hist, Metrics, MetricsLevel, RULE_SLOTS};
-use swdb_store::{Dictionary, IdPattern, IdTriple, TermId, TripleStore};
+use swdb_store::{Dictionary, IdPattern, IdTriple, TripleStore};
 
 use crate::pattern::{Binding, TriplePattern, EMPTY_BINDING};
 use crate::rules::{RuleSystem, Vocabulary};
@@ -117,15 +117,15 @@ fn join_exists<V: IdTarget>(closure: &V, hypotheses: &[&TriplePattern], binding:
 }
 
 /// The instantiation condition: every guarded variable must be bound to a
-/// URI id.
+/// URI id — one the dictionary does not classify as a blank node.
 pub(crate) fn guards_pass(
-    is_iri: &[bool],
+    dictionary: &Dictionary,
     guards: &[crate::pattern::VarId],
     binding: &Binding,
 ) -> bool {
-    guards.iter().all(|&v| {
-        binding[v as usize].is_some_and(|id| is_iri.get(id as usize).copied().unwrap_or(false))
-    })
+    guards
+        .iter()
+        .all(|&v| binding[v as usize].is_some_and(|id| !dictionary.is_blank(id)))
 }
 
 /// Flushes a locally accumulated per-rule firing batch into the shared
@@ -151,7 +151,7 @@ pub(crate) fn flush_firings(metrics: &Metrics, fired: &[u64; RULE_SLOTS]) {
 /// standing so the probes can run from worker threads over shared snapshots.
 fn one_step_derivable<V: IdTarget>(
     rules: &RuleSystem,
-    is_iri: &[bool],
+    dictionary: &Dictionary,
     view: &V,
     t: IdTriple,
 ) -> bool {
@@ -164,7 +164,7 @@ fn one_step_derivable<V: IdTarget>(
             // The only guarded variable (rule (3)'s conclusion predicate)
             // is bound by the conclusion unification, so guards can be
             // checked before the join.
-            if !guards_pass(is_iri, &rule.iri_guards, &binding) {
+            if !guards_pass(dictionary, &rule.iri_guards, &binding) {
                 continue;
             }
             let hypotheses: Vec<&TriplePattern> = rule.hypotheses.iter().collect();
@@ -187,7 +187,7 @@ fn one_step_derivable<V: IdTarget>(
 fn propagate_rounds(
     rules: &RuleSystem,
     closure: &mut IdIndex,
-    is_iri: &[bool],
+    dictionary: &Dictionary,
     threads: usize,
     mut frontier: Vec<IdTriple>,
     added: &mut Vec<IdTriple>,
@@ -201,7 +201,7 @@ fn propagate_rounds(
         let fresh = crate::parallel::round_conclusions(
             rules,
             view,
-            is_iri,
+            dictionary,
             &frontier,
             threads,
             &|t| !view.contains(t),
@@ -216,12 +216,10 @@ fn propagate_rounds(
 /// An incrementally maintained RDFS closure over id-triples.
 #[derive(Clone, Debug)]
 pub struct DeltaClosure {
-    rules: RuleSystem,
+    /// Immutable once built, so clones of the engine share it.
+    rules: Arc<RuleSystem>,
     closure: IdIndex,
     axioms: BTreeSet<IdTriple>,
-    /// `is_iri[id]` — whether the interned term is a URI (blank nodes may
-    /// never instantiate a conclusion's predicate position).
-    is_iri: Vec<bool>,
     /// Worker ceiling: a round of propagation, DRed cascade or probing
     /// spawns at most this many workers (`1` — never spawn). It changes
     /// where the joins run, never what they compute.
@@ -243,10 +241,9 @@ impl DeltaClosure {
             axioms.insert(axiom);
         }
         DeltaClosure {
-            rules,
+            rules: Arc::new(rules),
             closure,
             axioms,
-            is_iri: Vec::new(),
             threads: 1,
             metrics: Metrics::default(),
         }
@@ -284,16 +281,6 @@ impl DeltaClosure {
     /// The configured worker-thread ceiling.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Extends the IRI-ness cache to cover every id interned so far. Must be
-    /// called after interning new terms and before propagating deltas that
-    /// mention them.
-    pub fn sync_terms(&mut self, dictionary: &Dictionary) {
-        for id in self.is_iri.len()..dictionary.len() {
-            let iri = matches!(dictionary.term_of(id as TermId), Some(Term::Iri(_)));
-            self.is_iri.push(iri);
-        }
     }
 
     /// Number of triples in the maintained closure.
@@ -345,22 +332,18 @@ impl DeltaClosure {
     /// deserialization; re-deriving it would pay the cold fixpoint the
     /// incremental machinery exists to avoid. The caller is responsible for
     /// the set actually being `RDFS-cl` of the base it restores alongside
-    /// (the durability layer checksums the pair together) and for having
-    /// called [`DeltaClosure::sync_terms`] first.
+    /// (the durability layer checksums the pair together).
     pub fn adopt_closure(&mut self, triples: impl IntoIterator<Item = IdTriple>) {
         self.closure.extend(triples);
     }
 
-    /// Applies an inserted base triple; returns `true` if the closure grew.
-    ///
-    /// The triple's ids must already be interned and covered by
-    /// [`DeltaClosure::sync_terms`].
-    pub fn insert(&mut self, t: IdTriple) -> bool {
-        self.insert_batch([t]) == 1
-    }
-
     /// Applies a batch of inserted base triples in one frontier-batched
-    /// semi-naive round; returns how many of them were new to the closure.
+    /// semi-naive round; returns how many of them were new to the closure,
+    /// and appends every triple that *entered the closure* (the batch's
+    /// fresh members plus all fresh conclusions) to `added` — the delta a
+    /// downstream incremental consumer (the evaluation-index core engine)
+    /// needs to stay in step. The ids must be interned in `dictionary`,
+    /// which the rule guards read.
     ///
     /// All deltas enter the closure before any rule fires, then a single
     /// propagation fixpoint runs with the whole batch as the
@@ -371,18 +354,10 @@ impl DeltaClosure {
     /// batch members as fresh conclusions. The resulting closure is
     /// identical — the property tests pin bulk loads against
     /// `rdfs_closure`.
-    pub fn insert_batch(&mut self, deltas: impl IntoIterator<Item = IdTriple>) -> usize {
-        let mut added = Vec::new();
-        self.insert_batch_logged(deltas, &mut added)
-    }
-
-    /// Like [`DeltaClosure::insert_batch`], but appends every triple that
-    /// *entered the closure* (the batch's fresh members plus all fresh
-    /// conclusions) to `added` — the delta a downstream incremental consumer
-    /// (the evaluation-index core engine) needs to stay in step.
     pub fn insert_batch_logged(
         &mut self,
         deltas: impl IntoIterator<Item = IdTriple>,
+        dictionary: &Dictionary,
         added: &mut Vec<IdTriple>,
     ) -> usize {
         // Manual span: the RAII guard would borrow `self.metrics` across
@@ -397,7 +372,7 @@ impl DeltaClosure {
         let fresh = frontier.len();
         if fresh > 0 {
             added.extend(frontier.iter().copied());
-            self.propagate_rounds(frontier, added);
+            self.propagate_rounds(frontier, dictionary, added);
         }
         self.metrics.count(
             Counter::ReasonClosureAdded,
@@ -412,11 +387,16 @@ impl DeltaClosure {
 
     /// Propagates `frontier` into the maintained closure (see
     /// [`propagate_rounds`]).
-    fn propagate_rounds(&mut self, frontier: Vec<IdTriple>, added: &mut Vec<IdTriple>) {
+    fn propagate_rounds(
+        &mut self,
+        frontier: Vec<IdTriple>,
+        dictionary: &Dictionary,
+        added: &mut Vec<IdTriple>,
+    ) {
         propagate_rounds(
             &self.rules,
             &mut self.closure,
-            &self.is_iri,
+            dictionary,
             self.threads,
             frontier,
             added,
@@ -441,10 +421,13 @@ impl DeltaClosure {
     /// the duration of one query and are then dropped — the durable engine
     /// is untouched.
     ///
-    /// The ids must be interned and covered by [`DeltaClosure::sync_terms`].
+    /// The ids must be interned in `dictionary` — the closure's own, or an
+    /// extension of it ([`Dictionary::extending`]) holding the batch's new
+    /// terms.
     pub fn preview_insert_batch(
         &self,
         deltas: impl IntoIterator<Item = IdTriple>,
+        dictionary: &Dictionary,
     ) -> Vec<IdTriple> {
         self.metrics.count(Counter::ReasonPreviews, 1);
         let mut fork = self.closure.clone();
@@ -453,7 +436,7 @@ impl DeltaClosure {
         propagate_rounds(
             &self.rules,
             &mut fork,
-            &self.is_iri,
+            dictionary,
             self.threads,
             added.clone(),
             &mut added,
@@ -462,18 +445,12 @@ impl DeltaClosure {
         added
     }
 
-    /// Applies a deleted base triple (already removed from `base`); returns
+    /// Applies a deleted base triple (already removed from `base`): returns
     /// `true` if the triple left the closure, `false` when it is still
-    /// derivable (or axiomatic) and therefore survives.
-    pub fn delete(&mut self, t: IdTriple, base: &TripleStore) -> bool {
-        let mut removed = Vec::new();
-        self.delete_logged(t, base, &mut removed)
-    }
-
-    /// Like [`DeltaClosure::delete`], but appends every triple that *left
-    /// the closure* for good (overdeleted and neither rederived nor
-    /// recovered by the propagation of the rederived set) to `removed`, in
-    /// `(s, p, o)` order.
+    /// derivable (or axiomatic) and therefore survives, and appends every
+    /// triple that *left the closure* for good (overdeleted and neither
+    /// rederived nor recovered by the propagation of the rederived set) to
+    /// `removed`, in `(s, p, o)` order.
     ///
     /// DRed on the round kernel: the overdeletion cascade is the join shape
     /// of insert propagation run with a "still in the closure, not an
@@ -524,7 +501,7 @@ impl DeltaClosure {
             let candidates = crate::parallel::round_conclusions(
                 &self.rules,
                 &self.closure,
-                &self.is_iri,
+                base.dictionary(),
                 &frontier,
                 self.threads,
                 &|d| self.closure.contains(d) && !self.axioms.contains(&d),
@@ -536,7 +513,7 @@ impl DeltaClosure {
                 .collect();
             let survives = crate::parallel::parallel_mask(&fresh, self.threads, &|&d| {
                 base.contains_id_triple(d)
-                    || one_step_derivable(&self.rules, &self.is_iri, base.id_index(), d)
+                    || one_step_derivable(&self.rules, base.dictionary(), base.id_index(), d)
             });
             frontier.clear();
             for (d, survives) in fresh.into_iter().zip(survives) {
@@ -561,7 +538,7 @@ impl DeltaClosure {
         let candidates: Vec<IdTriple> = over.iter().copied().collect();
         let back = crate::parallel::parallel_mask(&candidates, self.threads, &|&c| {
             base.contains_id_triple(c)
-                || one_step_derivable(&self.rules, &self.is_iri, &self.closure, c)
+                || one_step_derivable(&self.rules, base.dictionary(), &self.closure, c)
         });
         let rederived: Vec<IdTriple> = candidates
             .into_iter()
@@ -582,7 +559,7 @@ impl DeltaClosure {
             gone.remove(r);
         }
         let mut recovered = Vec::new();
-        self.propagate_rounds(rederived, &mut recovered);
+        self.propagate_rounds(rederived, base.dictionary(), &mut recovered);
         for r in &recovered {
             gone.remove(r);
         }
@@ -602,7 +579,7 @@ impl DeltaClosure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swdb_model::rdfs;
+    use swdb_model::{rdfs, Term};
 
     /// A store plus engine wired by hand (MaterializedStore packages this).
     fn setup() -> (TripleStore, DeltaClosure) {
@@ -614,22 +591,19 @@ mod tests {
             dom: store.intern(&Term::iri(rdfs::DOM)),
             range: store.intern(&Term::iri(rdfs::RANGE)),
         };
-        let mut engine = DeltaClosure::new(vocab);
-        engine.sync_terms(store.dictionary());
-        (store, engine)
+        (store, DeltaClosure::new(vocab))
     }
 
     fn put(store: &mut TripleStore, engine: &mut DeltaClosure, t: &swdb_model::Triple) {
         let (ids, added) = store.insert_with_ids(t);
-        engine.sync_terms(store.dictionary());
         if added {
-            engine.insert(ids);
+            engine.insert_batch_logged([ids], store.dictionary(), &mut Vec::new());
         }
     }
 
     fn del(store: &mut TripleStore, engine: &mut DeltaClosure, t: &swdb_model::Triple) {
         if let Some(ids) = store.remove_with_ids(t) {
-            engine.delete(ids, store);
+            engine.delete_logged(ids, store, &mut Vec::new());
         }
     }
 

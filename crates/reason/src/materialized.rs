@@ -52,8 +52,7 @@ impl MaterializedStore {
             dom: store.intern(&Term::iri(swdb_model::rdfs::DOM)),
             range: store.intern(&Term::iri(swdb_model::rdfs::RANGE)),
         };
-        let mut engine = DeltaClosure::new(vocab);
-        engine.sync_terms(store.dictionary());
+        let engine = DeltaClosure::new(vocab);
         MaterializedStore { store, engine }
     }
 
@@ -124,7 +123,6 @@ impl MaterializedStore {
             range: store.intern(&Term::iri(swdb_model::rdfs::RANGE)),
         };
         let mut engine = DeltaClosure::new(vocab);
-        engine.sync_terms(store.dictionary());
         engine.adopt_closure(closure.iter().copied());
         store.insert_id_triples(base);
         MaterializedStore { store, engine }
@@ -164,16 +162,16 @@ impl MaterializedStore {
         let (ids, added) = self.store.insert_with_ids(triple);
         if added {
             delta.base.push(ids);
-            self.engine.sync_terms(self.store.dictionary());
-            self.engine.insert_batch_logged([ids], &mut delta.added);
+            self.engine
+                .insert_batch_logged([ids], self.store.dictionary(), &mut delta.added);
         }
         delta
     }
 
     /// Inserts every triple of a graph, extending the closure in **one**
     /// frontier-batched semi-naive round (see
-    /// [`DeltaClosure::insert_batch`]): the whole batch is interned and
-    /// asserted first, terms are synced once, and a single propagation
+    /// [`DeltaClosure::insert_batch_logged`]): the whole batch is interned and
+    /// asserted first, and a single propagation
     /// fixpoint runs with all fresh triples as the initial frontier — bulk
     /// loads amortize the per-delta index probes instead of paying a
     /// propagation round per triple. Returns the number of newly asserted
@@ -192,36 +190,42 @@ impl MaterializedStore {
             base: self.store.insert_id_triples(&ids),
             ..ClosureDelta::default()
         };
-        self.engine
-            .insert_batch_logged(delta.base.iter().copied(), &mut delta.added);
+        self.engine.insert_batch_logged(
+            delta.base.iter().copied(),
+            self.store.dictionary(),
+            &mut delta.added,
+        );
         delta
     }
 
-    /// Interns every term of a graph into the shared dictionary — nothing
+    /// Interns every term of a graph into the store's dictionary — nothing
     /// is asserted and no closure propagation runs — and returns the
-    /// graph's id triples. The substrate of *transient* premise
-    /// evaluation: the ids are durable (the dictionary is append-only, so
-    /// interning perturbs no index), while the store and the maintained
-    /// closure stay untouched.
+    /// graph's id triples. The ids are durable (the dictionary is
+    /// append-only, so interning perturbs no index), while the store and
+    /// the maintained closure stay untouched. A premise answered on a
+    /// snapshot interns into an extension of the dictionary instead and
+    /// previews with [`MaterializedStore::preview_insert_over`].
     pub fn intern_graph(&mut self, graph: &Graph) -> Vec<IdTriple> {
-        let ids = graph
-            .iter()
-            .map(|t| {
-                let s = self.store.intern(t.subject());
-                let p = self.store.intern(&Term::Iri(t.predicate().clone()));
-                let o = self.store.intern(t.object());
-                (s, p, o)
-            })
-            .collect();
-        self.engine.sync_terms(self.store.dictionary());
-        ids
+        graph.iter().map(|t| self.store.intern_triple(t)).collect()
     }
 
     /// Previews the closure growth of transiently inserting the given id
     /// triples — `RDFS-cl(G ∪ Δ) − RDFS-cl(G)` — without perturbing the
     /// maintained closure (see [`DeltaClosure::preview_insert_batch`]).
     pub fn preview_insert(&self, ids: &[IdTriple]) -> Vec<IdTriple> {
-        self.engine.preview_insert_batch(ids.iter().copied())
+        self.preview_insert_over(ids, self.store.dictionary())
+    }
+
+    /// [`MaterializedStore::preview_insert`] of ids interned in `dictionary`,
+    /// an extension of the store's own ([`swdb_store::Dictionary::extending`])
+    /// that holds the batch's new terms: the store is never written.
+    pub fn preview_insert_over(
+        &self,
+        ids: &[IdTriple],
+        dictionary: &swdb_store::Dictionary,
+    ) -> Vec<IdTriple> {
+        self.engine
+            .preview_insert_batch(ids.iter().copied(), dictionary)
     }
 
     /// Removes a triple; returns `true` if it was asserted. The closure is

@@ -50,7 +50,7 @@ use std::thread;
 
 use swdb_hom::IdTarget;
 use swdb_obs::{Counter, Hist, Metrics, MetricsLevel, RULE_SLOTS};
-use swdb_store::IdTriple;
+use swdb_store::{Dictionary, IdTriple};
 
 use crate::delta::{flush_firings, guards_pass, join_all};
 use crate::pattern::{TriplePattern, EMPTY_BINDING};
@@ -107,7 +107,7 @@ fn balance(mut shards: Vec<Shard<'_>>, threads: usize) -> Vec<Vec<Shard<'_>>> {
 fn eval_shard<V: IdTarget>(
     rules: &RuleSystem,
     view: &V,
-    is_iri: &[bool],
+    dictionary: &Dictionary,
     (rule_idx, hyp_idx): RulePath,
     deltas: &[IdTriple],
     keep: &(impl Fn(IdTriple) -> bool + Sync),
@@ -130,7 +130,7 @@ fn eval_shard<V: IdTarget>(
         let mut bindings = Vec::new();
         join_all(view, &remaining, seed, &mut bindings);
         for binding in bindings {
-            if !guards_pass(is_iri, &rule.iri_guards, &binding) {
+            if !guards_pass(dictionary, &rule.iri_guards, &binding) {
                 continue;
             }
             for conclusion in &rule.conclusions {
@@ -155,7 +155,7 @@ fn eval_shard<V: IdTarget>(
 pub(crate) fn round_conclusions<V: IdTarget>(
     rules: &RuleSystem,
     view: &V,
-    is_iri: &[bool],
+    dictionary: &Dictionary,
     frontier: &[IdTriple],
     threads: usize,
     keep: &(impl Fn(IdTriple) -> bool + Sync),
@@ -180,7 +180,7 @@ pub(crate) fn round_conclusions<V: IdTarget>(
         let mut fired = [0u64; RULE_SLOTS];
         for &(path, deltas) in bucket {
             eval_shard(
-                rules, view, is_iri, path, deltas, keep, &mut out, &mut fired,
+                rules, view, dictionary, path, deltas, keep, &mut out, &mut fired,
             );
         }
         (out, fired)

@@ -1,6 +1,6 @@
-//! Request routing and the endpoint handlers. Reads — `/health` and
-//! `/metrics` included — answer from pinned snapshots (no facade lock);
-//! writes and overlay-mechanism queries take the facade mutex. A query's
+//! Request routing and the endpoint handlers. Writes take the facade mutex;
+//! reads never do: `/health`, `/metrics`, `/query` and `/answer` answer
+//! from pinned snapshots, premise queries included. A query's
 //! answer is rendered from its [`AnswerSet`] straight into the response body
 //! (a union read never holds an answer graph) and says so when it was cut
 //! off at the solution limit (`x-swdb-truncated: true`). Every
@@ -14,7 +14,6 @@ use std::sync::Arc;
 
 use swdb_core::{PublishedSnapshot, Semantics};
 use swdb_model::Graph;
-use swdb_query::{AnswerSet, Query};
 
 use crate::http::{Request, Response};
 use crate::Shared;
@@ -131,20 +130,11 @@ fn ingest(shared: &Shared, request: &Request, removal: bool) -> Response {
     )
 }
 
-/// Answers an overlay-mechanism premise query — the one read shape a
-/// snapshot cannot serve — from the live facade, with the epoch it was
-/// answered at: every write handler publishes before it unlocks, so under
-/// the facade lock the live state is exactly the published one. The facade
-/// hands the answer back in its owned form, which needs no dictionary.
-fn answer_on_facade(shared: &Shared, query: &Query, semantics: Semantics) -> (AnswerSet, u64) {
-    let mut db = shared.lock_db();
-    (db.answer_set(query, semantics), db.published().epoch())
-}
-
 /// `POST /query` (N-Triples answer) and `POST /answer` (JSON envelope):
-/// parse the query, answer on the pinned snapshot — lock-free with respect
-/// to writers — falling back to the facade lock only for overlay-mechanism
-/// premise queries the snapshot cannot serve.
+/// parse the query and answer it on the pinned snapshot, lock-free with
+/// respect to writers, stamped with the pin's epoch. A premise is committed
+/// into forks of the pin, so its answer comes in the owned form, which
+/// renders without the pin's dictionary.
 fn query(shared: &Shared, request: &Request, envelope: bool) -> Response {
     let Ok(text) = std::str::from_utf8(&request.body) else {
         return Response::text(400, "body is not UTF-8\n");
@@ -161,13 +151,10 @@ fn query(shared: &Shared, request: &Request, envelope: bool) -> Response {
         }
     };
     let pinned: Arc<PublishedSnapshot> = shared.reader.pin();
-    let (answer, epoch) = match pinned.answer_set(&parsed, semantics) {
-        Ok(answer) => (answer, pinned.epoch()),
-        // `SnapshotQueryError` is non-exhaustive; every variant means
-        // "needs the live facade".
-        Err(_) => answer_on_facade(shared, &parsed, semantics),
-    };
-    let (dictionary, mut body) = (pinned.dictionary(), String::new());
+    let answer = pinned
+        .answer_set(&parsed, semantics)
+        .unwrap_or_else(|never| match never {});
+    let (epoch, dictionary, mut body) = (pinned.epoch(), pinned.dictionary(), String::new());
     let mut response = if envelope {
         let (flag, count) = (answer.non_minimal, answer.len());
         let _ = write!(
@@ -249,32 +236,48 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// RDFS regime + premise: the overlay mechanism.
+    const OVERLAY: &str = "(?X, ex:p, ?Y) <- (?X, ex:p, ?Y) WITH PREMISE { (ex:e, ex:p, ex:f) . }";
+
     #[test]
-    fn the_overlay_fallback_stamps_the_epoch_it_answered_at() {
+    fn a_premise_on_an_old_pin_answers_from_that_pin() {
         let shared = shared();
         let pinned = shared.reader.pin();
-        // A write commits and publishes between the request's pin and its
-        // fallback to the facade.
+        // A write commits and publishes after the pin was taken.
         {
             let mut db = shared.lock_db();
             db.insert(triple("ex:c", "ex:p", "ex:d"));
             db.publish();
         }
-        // RDFS regime + premise: the overlay mechanism.
-        let query = swdb_query::parse_query(
-            "(?X, ex:p, ?Y) <- (?X, ex:p, ?Y) WITH PREMISE { (ex:e, ex:p, ex:f) . }",
-        )
-        .expect("well formed");
-        assert!(pinned.answer_with_status(&query, Semantics::Union).is_err());
-        let (answer, epoch) = answer_on_facade(&shared, &query, Semantics::Union);
-        // Owned: the dictionary argument is not consulted.
-        let answer = answer.into_graph(pinned.dictionary());
-        assert!(
-            answer.contains(&triple("ex:c", "ex:p", "ex:d")),
-            "answered from the live state, which has the write: {answer}"
+        let query = swdb_query::parse_query(OVERLAY).expect("well formed");
+        let answer = pinned
+            .answer_set(&query, Semantics::Union)
+            .expect("answered");
+        assert_eq!(
+            pinned
+                .explain(&query, Semantics::Union)
+                .expect("answered")
+                .mechanism,
+            "overlay"
         );
-        assert_eq!(epoch, pinned.epoch() + 1, "stamped with that state's epoch");
-        assert_eq!(epoch, shared.reader.pin().epoch());
+        let answer = answer.into_graph(pinned.dictionary());
+        assert_eq!(
+            answer,
+            graph([("ex:a", "ex:p", "ex:b"), ("ex:e", "ex:p", "ex:f")]),
+            "the pin's D plus the premise, without the later write"
+        );
+        // Over the wire, the answer carries the epoch of the pin it came from.
+        assert_eq!(shared.reader.pin().epoch(), pinned.epoch() + 1);
+        let response = handle(&shared, &post("/answer", OVERLAY));
+        assert_eq!(response.status, 200);
+        let body = String::from_utf8(response.body).expect("JSON");
+        let epoch = pinned.epoch() + 1;
+        assert_eq!(response.stamp, Some((epoch, false, false)));
+        assert!(
+            body.starts_with(&format!("{{\"epoch\": {epoch}, ")),
+            "{body}"
+        );
+        assert!(body.contains("\"answers\": 3"), "{body}");
     }
 
     #[test]
@@ -282,16 +285,17 @@ mod tests {
         let shared = shared();
         let stalled_writer = shared.lock_db();
         std::thread::scope(|scope| {
-            for path in ["/metrics", "/health"] {
+            for request in [get("/metrics"), get("/health"), post("/query", OVERLAY)] {
                 let (done, status) = mpsc::channel();
                 let shared = &shared;
+                let path = request.path.clone();
                 scope.spawn(move || {
-                    let _ = done.send(handle(shared, &get(path)).status);
+                    let _ = done.send(handle(shared, &request).status);
                 });
                 assert_eq!(
                     status.recv_timeout(Duration::from_secs(10)),
                     Ok(200),
-                    "GET {path} must not wait for the facade lock"
+                    "{path} must not wait for the facade lock"
                 );
             }
         });

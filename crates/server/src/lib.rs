@@ -4,10 +4,9 @@
 //! worker pool, hand-rolled HTTP/1.1 — **no crates.io dependencies**. The
 //! concurrency contract comes from `swdb-core`'s publication layer: one
 //! writer side owns the facade behind a mutex, and every read request is
-//! answered from a pinned, immutable [`PublishedSnapshot`] — so a reader
-//! never blocks (or is blocked by) `insert`/`remove`. Only
-//! overlay-mechanism premise queries and the write endpoints touch the
-//! facade lock.
+//! answered from a pinned, immutable [`PublishedSnapshot`] — premise
+//! queries included — so a reader never blocks (or is blocked by)
+//! `insert`/`remove`. Only the write endpoints touch the facade lock.
 //!
 //! ## Endpoints
 //!

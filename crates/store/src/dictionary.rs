@@ -5,8 +5,12 @@
 //! The dictionary is append-only: identifiers are never recycled, so an id
 //! remains valid for the lifetime of the dictionary even if every triple
 //! mentioning it is deleted.
+//!
+//! An extension ([`Dictionary::extending`]) holds a query's own terms over
+//! a shared dictionary, which it neither copies nor grows.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use swdb_model::Term;
 
@@ -22,6 +26,18 @@ pub struct Dictionary {
     /// side bitset so blank/ground classification — the branch every
     /// id-space delta takes — is a word load, not a `Term` access.
     blank_bits: Vec<u64>,
+    /// Set on an extension, whose three fields above stay empty: every
+    /// lookup misses them and goes here, so a plain dictionary's lookups
+    /// cost what they would without extensions.
+    extension: Option<Box<Extension>>,
+}
+
+/// The terms an extension holds over its shared base: local id `i` is id
+/// `base.len() + i`.
+#[derive(Clone, Debug)]
+struct Extension {
+    base: Arc<Dictionary>,
+    terms: Dictionary,
 }
 
 impl Dictionary {
@@ -30,8 +46,37 @@ impl Dictionary {
         Dictionary::default()
     }
 
+    /// An empty extension of `base`: every id of `base` resolves as it
+    /// does there, and a term `base` lacks is interned here, after the
+    /// base's last id. Nothing is copied, and `base` never sees the new
+    /// terms. One level only: it is meant for query-local terms over a
+    /// dictionary that is itself no extension.
+    pub fn extending(base: Arc<Dictionary>) -> Self {
+        debug_assert!(base.extension.is_none(), "one level only");
+        Dictionary {
+            extension: Some(Box::new(Extension {
+                base,
+                terms: Dictionary::new(),
+            })),
+            ..Dictionary::default()
+        }
+    }
+
+    /// Runs `f` on the extension, or gives the default on a plain
+    /// dictionary: the path a lookup takes when the dictionary's own fields
+    /// miss. Out of line, so a plain dictionary's lookups stay small.
+    #[cold]
+    #[inline(never)]
+    fn extended<'a, T: Default>(&'a self, f: impl FnOnce(&'a Extension) -> T) -> T {
+        self.extension.as_deref().map_or_else(T::default, f)
+    }
+
     /// Interns a term, returning its identifier (allocating one if needed).
     pub fn intern(&mut self, term: &Term) -> TermId {
+        if let Some(ext) = &mut self.extension {
+            let id = ext.base.id_of(term);
+            return id.unwrap_or_else(|| ext.base.len() as TermId + ext.terms.intern(term));
+        }
         if let Some(&id) = self.forward.get(term) {
             return id;
         }
@@ -51,38 +96,62 @@ impl Dictionary {
     /// Returns `true` if the id was interned for a blank node. O(1) — a
     /// bitset probe, classified at intern time; never resolves the term.
     /// Unknown ids are reported as not blank.
+    #[inline]
     pub fn is_blank(&self, id: TermId) -> bool {
-        self.blank_bits
-            .get(id as usize / 64)
-            .is_some_and(|word| word >> (id % 64) & 1 == 1)
+        match self.blank_bits.get(id as usize / 64) {
+            Some(word) => word >> (id % 64) & 1 == 1,
+            None => self.extended(|ext| match id.checked_sub(ext.base.len() as TermId) {
+                Some(local) => ext.terms.is_blank(local),
+                None => ext.base.is_blank(id),
+            }),
+        }
     }
 
     /// Looks up an already-interned term.
     pub fn id_of(&self, term: &Term) -> Option<TermId> {
-        self.forward.get(term).copied()
+        match self.forward.get(term) {
+            Some(&id) => Some(id),
+            None => self.extended(|ext| {
+                let offset = ext.base.len() as TermId;
+                ext.base
+                    .id_of(term)
+                    .or_else(|| Some(ext.terms.id_of(term)? + offset))
+            }),
+        }
     }
 
     /// Resolves an identifier back to its term.
+    #[inline]
     pub fn term_of(&self, id: TermId) -> Option<&Term> {
-        self.backward.get(id as usize)
+        match self.backward.get(id as usize) {
+            // A base lacks exactly the ids at or past its length.
+            None => self.extended(|ext| {
+                let offset = ext.base.len() as TermId;
+                ext.base
+                    .term_of(id)
+                    .or_else(|| ext.terms.term_of(id - offset))
+            }),
+            found => found,
+        }
     }
 
-    /// Number of interned terms.
+    /// Number of interned terms (an extension counts its base's).
     pub fn len(&self) -> usize {
-        self.backward.len()
+        match &self.extension {
+            Some(ext) => ext.base.len() + ext.terms.len(),
+            None => self.backward.len(),
+        }
     }
 
     /// Returns `true` if no term has been interned.
     pub fn is_empty(&self) -> bool {
-        self.backward.is_empty()
+        self.len() == 0
     }
 
-    /// Iterates over all interned terms with their identifiers.
+    /// Iterates over all interned terms with their identifiers, in id
+    /// order.
     pub fn iter(&self) -> impl Iterator<Item = (TermId, &Term)> {
-        self.backward
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (i as TermId, t))
+        (0..self.len() as TermId).map(|id| (id, self.term_of(id).expect("ids below len resolve")))
     }
 }
 
@@ -148,5 +217,38 @@ mod tests {
         }
         assert_eq!(d.iter().count(), 5);
         assert!(!d.is_empty());
+    }
+
+    #[test]
+    fn an_extension_resolves_the_base_and_appends_after_it() {
+        let mut base = Dictionary::new();
+        let a = base.intern(&Term::iri("ex:a"));
+        let x = base.intern(&Term::blank("X"));
+        // Past a bitset word, so local blank bits start from their own 0.
+        for i in 0..70 {
+            base.intern(&Term::iri(format!("ex:n{i}")));
+        }
+        let base = Arc::new(base);
+        let mut ext = Dictionary::extending(Arc::clone(&base));
+        assert_eq!(
+            ext.intern(&Term::iri("ex:a")),
+            a,
+            "a base term keeps its id"
+        );
+        assert!(ext.is_blank(x) && !ext.is_blank(a));
+        let y = ext.intern(&Term::blank("Y"));
+        let b = ext.intern(&Term::iri("ex:b"));
+        assert_eq!((y as usize, b as usize), (base.len(), base.len() + 1));
+        assert!(ext.is_blank(y) && !ext.is_blank(b));
+        assert_eq!(ext.term_of(y), Some(&Term::blank("Y")));
+        assert_eq!(ext.term_of(x), Some(&Term::blank("X")));
+        assert_eq!(ext.id_of(&Term::iri("ex:b")), Some(b));
+        assert_eq!(ext.len(), base.len() + 2);
+        let ids: Vec<TermId> = ext.iter().map(|(id, _)| id).collect();
+        assert_eq!(ids, (0..ext.len() as TermId).collect::<Vec<_>>());
+        // The base saw nothing.
+        assert_eq!(base.id_of(&Term::iri("ex:b")), None);
+        assert_eq!(base.term_of(b), None);
+        assert_eq!(base.len(), 72);
     }
 }

@@ -23,8 +23,12 @@
 //! incoherent (and poisoned the `Send`/`Sync` expectations of callers);
 //! reads never need to intern — a term that was never interned matches
 //! nothing — so the lock bought nothing.
+//!
+//! A clone shares the dictionary `Arc` and the persistent index's chunks;
+//! interning copies the dictionary only for a new term while one is shared.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use swdb_model::{Graph, Iri, Term, Triple};
 
@@ -41,7 +45,7 @@ pub type IdPattern = (Option<TermId>, Option<TermId>, Option<TermId>);
 /// allocated by a [`Dictionary`].
 #[derive(Clone, Debug, Default)]
 pub struct TripleStore {
-    dictionary: Dictionary,
+    dictionary: Arc<Dictionary>,
     index: IdIndex,
 }
 
@@ -80,19 +84,29 @@ impl TripleStore {
         &self.dictionary
     }
 
+    /// The term dictionary as the `Arc` this store and its clones share —
+    /// the base a [`Dictionary::extending`] extension is made over.
+    pub fn shared_dictionary(&self) -> &Arc<Dictionary> {
+        &self.dictionary
+    }
+
     /// Interns a term, allocating an id if needed. Ids are append-only: the
     /// id stays valid even after every triple mentioning the term is removed.
     pub fn intern(&mut self, term: &Term) -> TermId {
-        self.dictionary.intern(term)
+        if let Some(dictionary) = Arc::get_mut(&mut self.dictionary) {
+            return dictionary.intern(term);
+        }
+        match self.dictionary.id_of(term) {
+            Some(id) => id,
+            None => Arc::make_mut(&mut self.dictionary).intern(term),
+        }
     }
 
     /// Interns the three positions of a triple.
-    fn intern_triple(&mut self, triple: &Triple) -> IdTriple {
-        let s = self.dictionary.intern(triple.subject());
-        let p = self
-            .dictionary
-            .intern(&Term::Iri(triple.predicate().clone()));
-        let o = self.dictionary.intern(triple.object());
+    pub fn intern_triple(&mut self, triple: &Triple) -> IdTriple {
+        let s = self.intern(triple.subject());
+        let p = self.intern(&Term::Iri(triple.predicate().clone()));
+        let o = self.intern(triple.object());
         (s, p, o)
     }
 

@@ -43,7 +43,7 @@
 //! predicate so a delta triple wakes only the rules that can fire on it.
 //! [`reason::DeltaClosure`] maintains the closure under **insert**
 //! (semi-naive propagation: only the new frontier is joined — batched for
-//! bulk loads via `insert_batch`) and **delete** (DRed
+//! bulk loads via `insert_batch_logged`) and **delete** (DRed
 //! overdelete/rederive, immune to the rule system's derivation cycles),
 //! and previews a transient premise's consequences without committing them.
 //! All three are loops around one rule-firing kernel, the rounds of
@@ -72,10 +72,11 @@
 //! paper has a single read operation — match the body against `nf(D + P)`,
 //! instantiate the head — and [`query::QueryEngine`] implements it once
 //! (`answer`, `pre_answers`, `answer_is_empty`, `explain`) over "a list of
-//! premise-free member queries against one id-space target". The facade
-//! builds the engine over its live evaluation index or a premise overlay, a
-//! pinned [`core::PublishedSnapshot`] over its own index; which one is a
-//! single dispatch decision ([`query::Mechanism`]). **Premise-free**
+//! premise-free member queries against one id-space target". Every read
+//! runs on a [`core::PublishedSnapshot`] — a pinned one, or the facade's
+//! own unpublished one — which builds the engine over its evaluation index
+//! or a premise overlay; which one is a single dispatch decision
+//! ([`query::Mechanism`]). **Premise-free**
 //! queries — the hot read path — never touch the string-space machinery:
 //! the body is compiled to `TermId` patterns against the store dictionary
 //! (a body constant that was never interned short-circuits to zero
@@ -114,9 +115,11 @@
 //! ([`normal::IdCoreEngine::overlay_core`] → [`normal::EvalOverlay`]), and
 //! the query joins the fork — the index a commit would publish. A fork is
 //! a clone of the persistent [`store::IdIndex`], sharing every chunk the
-//! premise leaves alone, so the published evaluation index stays
-//! bit-identical across a premise query, and forks are cached per premise
-//! until the next mutation. The
+//! premise leaves alone, and the premise's terms go into an extension of
+//! the snapshot's dictionary ([`store::Dictionary::extending`]), so the
+//! snapshot stays bit-identical across a premise query and the live
+//! dictionary never grows for one; a snapshot keeps the forks of its last
+//! few premises. The
 //! string-space evaluator remains the executable specification
 //! (`core::SemanticWebDatabase::answer_recomputed`) that the equivalence
 //! property tests pin both mechanisms against — the core is unique up to
@@ -165,10 +168,10 @@
 //! constants re-resolve against the live dictionary on every call, so a
 //! hit can never carry a stale [`store::TermId`]. The worst-case
 //! exponential Prop. 5.9 expansion `Ω_q` is cached in the same LRU per
-//! premise query. A generation counter — bumped on every mutation, regime
-//! switch, and dictionary growth — invalidates lazily; clones start with a
-//! fresh cache, and each published [`core::PublishedSnapshot`] carries its
-//! own cache that (being immutable) never invalidates. `explain()` reports
+//! premise query. Each [`core::PublishedSnapshot`] carries its own cache,
+//! which never needs invalidating because the snapshot never changes; the
+//! facade reads through a snapshot it drops on every mutation, so a
+//! mutation, a regime switch or a clone starts from a fresh cache. `explain()` reports
 //! the `plan_cache` outcome (`hit`/`miss`/`off`) plus the planner's
 //! estimated vs the store's actual per-pattern cardinalities, and the
 //! counter sheet carries `plan_cache_hits`/`misses`/`evictions` and a
@@ -190,11 +193,10 @@
 //! its dictionary, and the degraded/durability flags of the substrate that
 //! produced it — into an `Arc` slot that any number of
 //! [`core::SnapshotReader`]s pin and answer from without taking the facade
-//! lock. A pinned snapshot is bit-identical for as long as it is held;
-//! premise-free queries and Prop. 5.9 expansions are answered on it
-//! directly, while overlay-mechanism premise queries return
-//! [`core::SnapshotQueryError::NeedsWriter`] and fall back to the live
-//! facade. On top of that sits [`server`] (`swdb-server`), a std-only
+//! lock. A pinned snapshot is bit-identical for as long as it is held, and
+//! it answers every query: premise-free queries, Prop. 5.9 expansions and
+//! premise overlays, whose forks it builds from its own state. On top of
+//! that sits [`server`] (`swdb-server`), a std-only
 //! HTTP/1.1 front end — `TcpListener` plus a bounded worker pool — with
 //! ingest/remove/query/answer/health/metrics endpoints, per-connection
 //! read/write deadlines (slow-loris safe), request-size caps, load

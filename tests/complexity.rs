@@ -166,3 +166,50 @@ fn publishing_a_write_of_known_terms_allocates_independently_of_the_database() {
         publish(4 * N),
     );
 }
+
+/// A premise asked on a pinned snapshot is committed into forks of the pin:
+/// its terms are interned into an extension of the pinned dictionary. So a
+/// stream of distinct premises naming fresh IRIs leaves the live dictionary
+/// as it was, and a cold one allocates independently of the database.
+#[test]
+fn a_cold_premise_on_a_pin_grows_no_dictionary_and_allocates_independently_of_the_database() {
+    let fresh = |i: usize| {
+        let named = format!("ex:v{i}");
+        Query::with_premise(
+            pattern_graph([("?X", "ex:knows", "?Y")]),
+            pattern_graph([("?X", "ex:knows", "?Y")]),
+            graph([
+                ("ex:likes", rdfs::SP, "ex:knows"),
+                (named.as_str(), "ex:likes", "ex:z"),
+            ]),
+        )
+        .unwrap()
+    };
+    let expected = |i: usize| {
+        let named = format!("ex:v{i}");
+        graph([
+            ("ex:a", "ex:knows", "ex:z"),
+            (named.as_str(), "ex:knows", "ex:z"),
+        ])
+    };
+    let mut db = fixture(N);
+    let pinned = db.publish();
+    let terms = db.graph().dictionary().len();
+    for i in 0..1_000 {
+        let answer = pinned.answer(&fresh(i), Semantics::Union).unwrap();
+        assert_eq!(answer, expected(i));
+    }
+    assert_eq!(db.graph().dictionary().len(), terms, "the live dictionary");
+    assert_eq!(pinned.dictionary().len(), terms, "the pinned dictionary");
+
+    let cold = |n: usize| {
+        let pinned = fixture(n).published();
+        // The first ask plans the shape every later one shares.
+        pinned.answer(&fresh(0), Semantics::Union).unwrap();
+        let q = fresh(1);
+        let (answer, count) = allocations(|| pinned.answer(&q, Semantics::Union));
+        assert_eq!(answer.unwrap(), expected(1));
+        count
+    };
+    assert_flat("cold premise on a pin", cold(N), cold(4 * N));
+}

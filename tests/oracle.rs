@@ -10,9 +10,11 @@
 //! the asserted set is a plain-`Graph` model (`len`, `graph`,
 //! `to_ntriples`, reported counts, `published().asserted_triples()`) and
 //! `closure() == closure_recomputed()`. An `Ask` reads the query pool from
-//! the facade and from a pinned snapshot, a `Serve` over the wire of a live
-//! server: every answer must be isomorphic to the specification's, or —
-//! flagged `non_minimal` on every surface that gave it — equivalent to it.
+//! the facade and from a pinned snapshot, premise queries included, and
+//! must leave the live dictionary as it found it; a `Serve` reads it over
+//! the wire of a live server: every answer must be isomorphic to the
+//! specification's, or — flagged `non_minimal` on every surface that gave
+//! it — equivalent to it.
 //! A checkpoint, crash or injected write failure must reopen to the model
 //! (before or after the faulted operation). A failing case is shrunk and
 //! prints its configuration and script.
@@ -29,7 +31,7 @@ use proptest::prelude::*;
 use semweb_foundations::core::durable::{FaultIo, FaultKind};
 use semweb_foundations::core::{
     CoreBudget, CoreBudgetMode, EntailmentRegime, Metrics, MetricsLevel, SemanticWebDatabase,
-    Semantics, SnapshotQueryError,
+    Semantics,
 };
 use semweb_foundations::entailment::simple_equivalent;
 use semweb_foundations::model::{isomorphic, rdfs, triple, Graph, Triple};
@@ -361,10 +363,12 @@ impl<'a> Harness<'a> {
     }
 
     /// Reads every pool query from the facade and from a snapshot pinned
-    /// now, holding both to the specification and to one flag.
+    /// now, holding both to the specification and to one flag. Neither
+    /// grows the live dictionary, whatever terms a premise names.
     fn ask(&mut self, seed: u64) -> Result<(), String> {
         let pinned = self.db.publish();
         self.published = self.model.len();
+        let terms = self.db.graph().dictionary().len();
         for q in pool(seed) {
             let spec = BOTH.map(|s| self.db.answer_recomputed(&q, s));
             let db = &mut self.db;
@@ -374,16 +378,9 @@ impl<'a> Harness<'a> {
             let read = (answers, db.graph().dictionary(), pre, empty);
             let flag = holds("facade", &q, &spec, read)?;
             prop_assert_eq!(explain.non_minimal, flag, "explain's flag for {}", q);
-            let servable = explain.mechanism != "overlay";
-            prop_assert_eq!(pinned.supports(&q), servable, "snapshot dispatch for {}", q);
-            if !servable {
-                let refused = pinned.answer(&q, Semantics::Union);
-                prop_assert!(matches!(refused, Err(SnapshotQueryError::NeedsWriter)));
-                continue;
-            }
-            let answers = BOTH.map(|s| pinned.answer_set(&q, s).expect("servable"));
-            let pre = pinned.pre_answers(&q).expect("servable");
-            let empty = pinned.answer_is_empty(&q).expect("servable");
+            let answers = BOTH.map(|s| pinned.answer_set(&q, s).expect("a snapshot answers"));
+            let pre = pinned.pre_answers(&q).expect("a snapshot answers");
+            let empty = pinned.answer_is_empty(&q).expect("a snapshot answers");
             let read = (answers, pinned.dictionary(), pre, empty);
             prop_assert_eq!(
                 holds("snapshot", &q, &spec, read)?,
@@ -392,6 +389,8 @@ impl<'a> Harness<'a> {
                 q
             );
         }
+        let grown = self.db.graph().dictionary().len();
+        prop_assert_eq!(grown, terms, "an Ask grew the live dictionary");
         Ok(())
     }
 
@@ -466,10 +465,11 @@ impl<'a> Harness<'a> {
                     answer,
                     spec
                 );
-                if let Ok(pinned_answer) = pinned.answer(q, semantics) {
-                    prop_assert_eq!(flag, pinned.non_minimal(), "wire flag for {}", q);
-                    prop_assert_eq!(body, &serialize(&pinned_answer), "wire bytes for {}", q);
-                }
+                let (pinned_answer, pinned_flag) = pinned
+                    .answer_with_status(q, semantics)
+                    .expect("a snapshot answers");
+                prop_assert_eq!(flag, pinned_flag, "wire flag for {}", q);
+                prop_assert_eq!(body, &serialize(&pinned_answer), "wire bytes for {}", q);
             }
         }
         Ok(())
