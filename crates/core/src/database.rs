@@ -50,16 +50,8 @@
 //! affected component(s). Nothing is dropped and rebuilt; the cold build
 //! (first query) itself runs component-by-component in id space.
 //!
-//! Queries **with premises** run through the same engine, by one of two
-//! mechanisms selected per query:
-//!
-//! * **Premise-free expansion** (simple regime, ground premise, and an
-//!   evaluation graph without blank triples): the query is rewritten into
-//!   the union `Ω_q` of premise-free queries (Proposition 5.9,
-//!   [`swdb_query::premise_free_expansion`]) — cached per premise query —
-//!   and every member joins the *same* cached evaluation index; single
-//!   answers dedupe across members in id space.
-//! * **Premise overlay** (everything else): the premise is a *hypothetical
+//! Queries **with premises** run through the same engine, over a **premise
+//! overlay**: the premise is a *hypothetical
 //!   write*, committed into forks of the snapshot's state. Its terms are
 //!   interned into an extension of the snapshot's dictionary
 //!   ([`swdb_store::Dictionary::extending`]), never into the live one. Its
@@ -149,7 +141,7 @@ use swdb_durable::{
 use swdb_model::{BlankNode, Graph, Term, Triple};
 use swdb_normal::{CoreBudget, CoreBudgetMode, IdCoreEngine};
 use swdb_obs::{Counter, Gauge, Hist, Metrics, MetricsLevel};
-use swdb_query::{AnswerSet, Explain, Mechanism, NormalizedDatabase, Query, Semantics};
+use swdb_query::{AnswerSet, Explain, NormalizedDatabase, Query, Semantics};
 use swdb_reason::{ClosureDelta, MaterializedStore};
 use swdb_store::{GraphStats, IdTriple, TripleStore};
 
@@ -166,15 +158,6 @@ pub enum EntailmentRegime {
     #[default]
     Rdfs,
 }
-
-/// Worst-case budget for the Proposition 5.9 expansion: the subset
-/// enumeration visits at most `Σ_{R ⊆ B} |P|^|R| = (|P| + 1)^|B|` maps, so
-/// gating on that bound keeps the rewriting cheap *and* guarantees no
-/// subset's map enumeration can hit the solver's
-/// [`swdb_hom::DEFAULT_SOLUTION_LIMIT`] cap (which would silently truncate
-/// the expansion). Queries over budget take the premise overlay, which is
-/// linear in the delta.
-const EXPANSION_MAP_BUDGET: u64 = 1 << 19;
 
 /// The default worker ceiling for closure maintenance:
 /// [`std::thread::available_parallelism`]. Every count maintains the same
@@ -1146,8 +1129,8 @@ impl SemanticWebDatabase {
 
     /// Answers a query under the given semantics — entirely in id space.
     /// Premise-free queries join the cached evaluation index directly;
-    /// premise queries go through the Proposition 5.9 expansion or the
-    /// premise overlay (see the module docs).
+    /// premise queries go through the premise overlay (see the module
+    /// docs).
     pub fn answer(&mut self, query: &Query, semantics: Semantics) -> Graph {
         self.answer_with_status(query, semantics).0
     }
@@ -1180,16 +1163,14 @@ impl SemanticWebDatabase {
     }
 
     /// Explains how [`SemanticWebDatabase::answer`] executes this query, by
-    /// executing it: the mechanism the dispatch chose (`premise_free`,
-    /// `expansion`, or `overlay`), the compiled pattern count, the planned
+    /// executing it: the mechanism the dispatch chose (`premise_free`
+    /// or `overlay`), the compiled pattern count, the planned
     /// join order the search descended through (original body-pattern
     /// indices), the plan-cache outcome with the planner's estimated and
     /// the store's actual per-pattern cardinalities, and the measured
     /// planning probes, enumerated bindings, and answer count. It is one run
     /// of the real pipeline with a recorder attached, so explaining costs
-    /// what answering costs. For the expansion mechanism, `members` counts
-    /// the premise-free members of `Ω_q`; `join_order` and `patterns`
-    /// describe the first member, probes and bindings sum over all of them.
+    /// what answering costs.
     pub fn explain(&mut self, query: &Query, semantics: Semantics) -> Explain {
         self.view()
             .read(query, |engine| engine.explain(query, semantics))
@@ -1242,7 +1223,7 @@ impl SemanticWebDatabase {
 
     /// Returns `true` if the query has no answer over this database. Every
     /// mechanism early-exits on the first witnessing matching instead of
-    /// materializing the pre-answer (for the expansion, per member).
+    /// materializing the pre-answer.
     pub fn answer_is_empty(&mut self, query: &Query) -> bool {
         self.view()
             .read(query, |engine| engine.answer_is_empty(query))
@@ -1271,47 +1252,6 @@ impl From<Graph> for SemanticWebDatabase {
     fn from(graph: Graph) -> Self {
         SemanticWebDatabase::from_graph(graph)
     }
-}
-
-/// The dispatch: how a query is evaluated under a regime, over an
-/// evaluation engine that holds no blank triple (`ground`) or does. Every
-/// read runs on a [`PublishedSnapshot`], which builds its
-/// [`swdb_query::QueryEngine`] from this one decision.
-pub(crate) fn mechanism(regime: EntailmentRegime, query: &Query, ground: bool) -> Mechanism {
-    if query.is_premise_free() {
-        Mechanism::PremiseFree
-    } else if ground && expansion_eligible(regime, query) {
-        Mechanism::Expansion
-    } else {
-        Mechanism::Overlay
-    }
-}
-
-/// The gate for the Proposition 5.9 expansion, past the dispatch's own
-/// condition that the evaluation engine holds no blank triple: then
-/// `nf(D + P) = core(D) ∪ P` for a ground premise `P`, which is what the
-/// members enumerate. Over a blank triple of `D` the union of `Ω_q` is only
-/// equivalent to the answer, not isomorphic: a premise triple can make that
-/// blank redundant in `nf(D + P)` while the members still match it.
-///
-/// Only under simple entailment (once RDFS vocabulary is interpreted, a
-/// premise data triple can fire rules against stored schema, which no
-/// premise-free rewriting over `nf(D)` can see — the paper notes Prop. 5.9
-/// fails there), only for ground premises (a premise blank reached by the
-/// head would be Skolemized per expansion member instead of shared across
-/// single answers), only for blank-free heads (head blanks Skolemize over
-/// *all* body variables, and μ substitutes some of those away per member,
-/// changing the Skolem values), and only within [`EXPANSION_MAP_BUDGET`].
-/// Everything else takes the overlay.
-fn expansion_eligible(regime: EntailmentRegime, query: &Query) -> bool {
-    let within_budget = (query.premise().len() as u64)
-        .saturating_add(1)
-        .checked_pow(query.body().len() as u32)
-        .is_some_and(|worst_case| worst_case <= EXPANSION_MAP_BUDGET);
-    regime == EntailmentRegime::Simple
-        && query.premise().is_ground()
-        && !swdb_query::head_has_blank_consts(query)
-        && within_budget
 }
 
 /// Renames apart every premise blank whose label also names a blank of an
@@ -1633,7 +1573,7 @@ mod tests {
     }
 
     #[test]
-    fn ground_simple_premises_take_the_expansion_path() {
+    fn ground_simple_premises_take_the_overlay() {
         let mut db = SemanticWebDatabase::with_regime(EntailmentRegime::Simple);
         db.set_metrics_level(MetricsLevel::Counters);
         db.insert(triple("ex:u", "ex:q", "ex:a"));
@@ -1643,14 +1583,14 @@ mod tests {
             graph([("ex:a", "ex:t", "ex:s")]),
         )
         .unwrap();
-        assert_eq!(mechanism(db.regime(), &q, true), Mechanism::Expansion);
+        assert_eq!(db.explain(&q, Semantics::Union).mechanism, "overlay");
         let answers = db.answer_union(&q);
         assert!(answers.contains(&triple("ex:u", "ex:p", "ex:a")));
         assert_eq!(answers.len(), 1);
         assert_eq!(
             db.metrics().snapshot().counter("overlay_cache_misses"),
-            0,
-            "the expansion path needs no overlay"
+            1,
+            "one fork, built by the first read and reused by the rest"
         );
         assert!(!db.answer_is_empty(&q));
     }
@@ -1658,9 +1598,8 @@ mod tests {
     #[test]
     fn a_premise_that_makes_a_stored_blank_redundant_is_answered_exactly() {
         // The premise triple makes the stored blank redundant in
-        // nf(D + P) = {(n0, p0, n1)}, but the union of Ω_q over core(D)
-        // would still match (n0, p0, _:B0): only a ground evaluation graph
-        // may take the expansion.
+        // nf(D + P) = {(n0, p0, n1)}, though the union of Ω_q over core(D)
+        // (Proposition 5.9) would still match (n0, p0, _:B0).
         let mut db = SemanticWebDatabase::with_regime(EntailmentRegime::Simple);
         db.insert(triple("ex:n0", "ex:p0", "_:B0"));
         let q = swdb_query::Query::with_premise(
@@ -1678,11 +1617,9 @@ mod tests {
     }
 
     #[test]
-    fn skolemized_heads_with_premises_take_the_overlay_even_when_simple() {
-        // The head blank Skolemizes over all body variables; expansion
-        // members substitute some of them away, so their Skolem values
-        // cannot coincide with the direct evaluation's — such queries must
-        // route to the overlay.
+    fn skolemized_heads_with_premises_match_the_spec_when_simple() {
+        // The head blank Skolemizes over all body variables, so its Skolem
+        // values come from the direct evaluation over nf(D + P).
         let mut db = SemanticWebDatabase::with_regime(EntailmentRegime::Simple);
         db.insert(triple("ex:u", "ex:q", "ex:a"));
         db.insert(triple("ex:u", "ex:q", "ex:b"));
@@ -1692,7 +1629,7 @@ mod tests {
             graph([("ex:a", "ex:t", "ex:s"), ("ex:b", "ex:t", "ex:s")]),
         )
         .unwrap();
-        assert_eq!(mechanism(db.regime(), &q, true), Mechanism::Overlay);
+        assert_eq!(db.explain(&q, Semantics::Union).mechanism, "overlay");
         assert!(
             swdb_model::isomorphic(
                 &db.answer(&q, Semantics::Union),
@@ -1703,7 +1640,7 @@ mod tests {
     }
 
     #[test]
-    fn constrained_premise_queries_expand_without_losing_answers() {
+    fn constrained_premise_queries_keep_their_premise_matched_answers() {
         let mut db = SemanticWebDatabase::with_regime(EntailmentRegime::Simple);
         db.insert(triple("ex:unrelated", "ex:r", "ex:z"));
         let q = swdb_query::Query::with_all(
@@ -1713,11 +1650,10 @@ mod tests {
             [Variable::new("Y")].into_iter().collect(),
         )
         .unwrap();
-        assert_eq!(mechanism(db.regime(), &q, true), Mechanism::Expansion);
         let answers = db.answer_union(&q);
         assert!(
             answers.contains(&triple("ex:a", "ex:p", "ex:b")),
-            "the fully-premise-matched member must keep its (discharged) constraint: {answers}"
+            "a body matched in the premise alone must keep its answer: {answers}"
         );
         assert!(swdb_model::isomorphic(
             &answers,

@@ -52,7 +52,7 @@ use swdb_query::{AnswerSet, Explain, Mechanism, PlanCache, Query, QueryEngine, S
 use swdb_reason::MaterializedStore;
 use swdb_store::{Dictionary, IdIndex, IdTriple};
 
-use crate::database::{mechanism, rename_premise_apart, EntailmentRegime};
+use crate::database::{rename_premise_apart, EntailmentRegime};
 
 /// How many distinct premises keep their forks on one snapshot.
 const PREMISE_CACHE_CAPACITY: usize = 8;
@@ -91,7 +91,7 @@ pub struct PublishedSnapshot {
     /// The evaluation engine; its index is what queries join.
     evaluation: IdCoreEngine,
     metrics: Metrics,
-    /// The snapshot's own compiled plan + expansion cache
+    /// The snapshot's own compiled plan cache
     /// (`swdb_query::plan`). The snapshot is immutable, so nothing ever
     /// invalidates it.
     plan_cache: PlanCache,
@@ -177,23 +177,19 @@ impl PublishedSnapshot {
         self.evaluation.index()
     }
 
-    /// Runs `run` on the [`QueryEngine`] the dispatch picks for `query`:
-    /// over the evaluation index for the premise-free and expansion
-    /// mechanisms, over the fork the premise was committed into otherwise.
-    /// The engine carries the flag of the index it reads — a fork's
-    /// already folds the evaluation engine's in.
+    /// Runs `run` on the [`QueryEngine`] of the dispatch: over the
+    /// evaluation index for a premise-free query, over the fork the premise
+    /// was committed into otherwise. The engine carries the flag of the
+    /// index it reads — a fork's already folds the evaluation engine's in.
     pub(crate) fn read<R>(&self, query: &Query, run: impl FnOnce(QueryEngine<'_>) -> R) -> R {
-        let mechanism = mechanism(self.regime, query, self.evaluation.component_count() == 0);
         let fork;
-        let (dictionary, target, non_minimal) = if mechanism == Mechanism::Overlay {
-            fork = self.premise_fork(query.premise());
-            (
-                &fork.dictionary,
-                &fork.overlay.index,
-                fork.overlay.non_minimal,
-            )
+        let (mechanism, dictionary, target, non_minimal) = if query.is_premise_free() {
+            let flag = self.non_minimal();
+            (Mechanism::PremiseFree, self.dictionary(), self.index(), flag)
         } else {
-            (self.dictionary(), self.index(), self.non_minimal())
+            fork = self.premise_fork(query.premise());
+            let overlay = &fork.overlay;
+            (Mechanism::Overlay, &fork.dictionary, &overlay.index, overlay.non_minimal)
         };
         run(QueryEngine {
             dictionary,

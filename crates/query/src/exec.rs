@@ -199,11 +199,9 @@ impl<'a> IdSolver<'a> {
     }
 }
 
-/// Single answers in first-seen order, deduplicated — across the members of
-/// a union when they share one accumulator (expansion members overlap
-/// heavily: constant heads produced by different `μ` often coincide).
+/// Single answers in first-seen order, deduplicated.
 #[derive(Default)]
-pub(crate) struct Singles {
+struct Singles {
     /// Each distinct single answer, once, with its first-seen position.
     first_seen: BTreeMap<Graph, usize>,
 }
@@ -215,7 +213,7 @@ impl Singles {
     }
 
     /// The distinct single answers, in the order they were first pushed.
-    pub(crate) fn into_list(self) -> Vec<Graph> {
+    fn into_list(self) -> Vec<Graph> {
         let mut list = vec![Graph::new(); self.first_seen.len()];
         for (single, at) in self.first_seen {
             list[at] = single;
@@ -229,11 +227,10 @@ impl Singles {
 /// Under union semantics with a blank-free head the answer is a set of head
 /// instantiations over terms that exist already, so it stays what the join
 /// produced — `ids` — and is decoded only by [`AnswerSet::write_ntriples`]
-/// (into the caller's buffer) or [`AnswerSet::into_graph`]. Three paths mint
+/// (into the caller's buffer) or [`AnswerSet::into_graph`]. Two paths mint
 /// terms no dictionary holds and hand over the `graph` they build instead:
-/// Skolemized heads (Skolem values), merge semantics (blanks renamed apart
-/// per single answer) and multi-member expansions (single answers are
-/// deduplicated across members as graphs).
+/// Skolemized heads (Skolem values) and merge semantics (blanks renamed
+/// apart per single answer).
 #[derive(Clone, Debug, Default)]
 pub struct AnswerSet {
     /// Distinct id triples of the dictionary the query ran against, in
@@ -319,10 +316,7 @@ const MIN_COMPACTION: usize = 1024;
 
 /// Returns `true` if the head mentions a blank-node constant — the case
 /// that forces Skolemization over every body variable. It disables the
-/// head-projection fast paths here, and routes premise queries away from
-/// the Proposition 5.9 expansion in the facade (substituting body
-/// variables away changes the Skolem arguments, so per-member Skolem
-/// values would not coincide with the direct evaluation's).
+/// head-projection fast paths here.
 pub fn head_has_blank_consts(query: &Query) -> bool {
     query
         .head()
@@ -332,9 +326,9 @@ pub fn head_has_blank_consts(query: &Query) -> bool {
         .any(|pos| matches!(pos, PatternTerm::Const(t) if t.is_blank()))
 }
 
-/// The executor half of [`QueryEngine`]: what runs one premise-free member
-/// under its plan. `hooks` carries the member's compiled body and join
-/// order; `stats` accumulates over the members of one operation.
+/// The executor half of [`QueryEngine`]: what runs one body under its
+/// plan. `hooks` carries the compiled body and join order; `stats`
+/// accumulates what the run spent.
 impl QueryEngine<'_> {
     /// Runs the planned join over `target`, handing every complete solution to
     /// `visit` until it breaks or [`DEFAULT_SOLUTION_LIMIT`] solutions were
@@ -392,8 +386,8 @@ impl QueryEngine<'_> {
         });
     }
 
-    /// Adds the pre-answer of a premise-free query over `target` to `out`:
-    /// Skolemization and head instantiation run on decoded bindings, everything
+    /// The pre-answer of a premise-free query over `target`, distinct
+    /// single answers in first-seen order: Skolemization and head instantiation run on decoded bindings, everything
     /// before that stays in id space.
     ///
     /// When the head contains no blank constants, a single answer is a function
@@ -406,8 +400,8 @@ impl QueryEngine<'_> {
         query: &Query,
         hooks: ExecHooks<'_>,
         stats: &mut ExecStats,
-        out: &mut Singles,
-    ) {
+    ) -> Vec<Graph> {
+        let mut out = Singles::default();
         if head_has_blank_consts(query) {
             // Skolem values depend on every body variable: full decode per
             // matching.
@@ -416,7 +410,7 @@ impl QueryEngine<'_> {
                     out.push(answer);
                 }
             });
-            return;
+            return out.into_list();
         }
         let head_vars = query.head().variables().into_iter();
         let head_slots: Vec<(usize, Variable)> = head_vars
@@ -451,6 +445,7 @@ impl QueryEngine<'_> {
             }
             ControlFlow::Continue(())
         });
+        out.into_list()
     }
 
     /// Computes the answer of a premise-free query over `target` under the
@@ -471,9 +466,7 @@ impl QueryEngine<'_> {
         if semantics == Semantics::Union && !head_has_blank_consts(query) {
             return self.exec_union_ids(query, hooks, stats);
         }
-        let mut singles = Singles::default();
-        self.exec_pre_answers(query, hooks, stats, &mut singles);
-        combine(singles.into_list(), semantics).into()
+        combine(self.exec_pre_answers(query, hooks, stats), semantics).into()
     }
 
     /// The direct union path: equals the union of the pre-answer for blank-free
@@ -597,28 +590,23 @@ impl QueryEngine<'_> {
 /// query by the facade's `explain`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Explain {
-    /// How the query was answered: `"premise_free"`, `"expansion"`
-    /// (Proposition 5.9 union of premise-free members) or `"overlay"`
-    /// (the premise committed into a fork of the index) — see
+    /// How the query was answered: `"premise_free"` or `"overlay"` (the
+    /// premise committed into a fork of the index) — see
     /// [`crate::Mechanism`].
     pub mechanism: &'static str,
     /// The requested answer semantics (`"union"` or `"merge"`).
     pub semantics: &'static str,
-    /// Premise-free member queries executed (1 unless `mechanism` is
-    /// `"expansion"`).
-    pub members: usize,
     /// Body patterns after compilation (0 when an unknown constant
-    /// short-circuited execution); for `"expansion"`, the first member's.
+    /// short-circuited execution).
     pub patterns: usize,
     /// Original body-pattern indices in the order the search descended
-    /// through them (see [`JoinOrderLog`]); for `"expansion"`, the first
-    /// member's order.
+    /// through them (see [`JoinOrderLog`]).
     pub join_order: Vec<usize>,
     /// Selectivity probes ([`IdIndex::candidate_count`] calls) spent —
     /// all of them at planning time, so zero on a plan-cache hit.
     pub probes: u64,
     /// Bindings (complete solutions) enumerated, capped by
-    /// [`DEFAULT_SOLUTION_LIMIT`] per member.
+    /// [`DEFAULT_SOLUTION_LIMIT`].
     pub bindings: u64,
     /// Triples in the materialized answer.
     pub answers: u64,
@@ -635,8 +623,8 @@ pub struct Explain {
     /// query-side analogue of `non_minimal` — also surfaced as the
     /// `query_truncations` counter and a snapshot warning.
     pub truncated: bool,
-    /// Whether this execution reused a cached plan (for `"expansion"`, the
-    /// cached `Ω_q`): `"hit"`, `"miss"` (built, then cached), or `"off"`
+    /// Whether this execution reused a cached plan: `"hit"`, `"miss"`
+    /// (built, then cached), or `"off"`
     /// (plan cache disabled — planned per call — or no plan consulted
     /// because an unknown constant short-circuited execution).
     pub plan_cache: &'static str,
@@ -657,7 +645,6 @@ impl Explain {
         Explain {
             mechanism,
             semantics: Explain::semantics_name(semantics),
-            members: 1,
             patterns: 0,
             join_order: Vec::new(),
             probes: 0,
@@ -691,7 +678,7 @@ impl Explain {
         let order: Vec<String> = self.join_order.iter().map(|i| i.to_string()).collect();
         format!(
             concat!(
-                "{{\"mechanism\": \"{}\", \"semantics\": \"{}\", \"members\": {}, ",
+                "{{\"mechanism\": \"{}\", \"semantics\": \"{}\", ",
                 "\"patterns\": {}, \"join_order\": [{}], \"probes\": {}, ",
                 "\"bindings\": {}, \"answers\": {}, \"non_minimal\": {}, ",
                 "\"truncated\": {}, \"plan_cache\": \"{}\", ",
@@ -699,7 +686,6 @@ impl Explain {
             ),
             self.mechanism,
             self.semantics,
-            self.members,
             self.patterns,
             order.join(", "),
             self.probes,

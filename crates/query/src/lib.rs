@@ -12,8 +12,8 @@
 //! * [`redundancy`] — redundancy elimination in answers and the polynomial
 //!   leanness check for merge semantics (Theorems 6.2/6.3);
 //! * [`engine`] — the production read path: [`QueryEngine`] implements
-//!   answer / pre-answer / emptiness / explain once, over a list of
-//!   premise-free member queries against one id-space target;
+//!   answer / pre-answer / emptiness / explain once, against one id-space
+//!   target;
 //! * [`plan`] — the cost-based planner and the shape-keyed plan cache every
 //!   execution goes through;
 //! * [`exec`] — the one executor: premise-free bodies compiled to
@@ -46,7 +46,7 @@ pub use exec::{
     compile_body, head_has_blank_consts, AnswerSet, CompiledBody, Explain, IdPatternTerm, IdSolver,
     IdTriplePattern,
 };
-pub use plan::{expansion_members, PlanCache, QueryShape, PLAN_CACHE_CAPACITY};
+pub use plan::{PlanCache, QueryShape, PLAN_CACHE_CAPACITY};
 pub use premise::{answer_union_of_queries, premise_free_expansion};
 pub use redundancy::{
     answer_is_lean, eliminate_redundancy, merge_answer_is_lean, merge_answer_redundancy,

@@ -3,9 +3,8 @@
 //! Every execution of a query body is planned: the executor
 //! ([`crate::exec`]) only ever runs a compiled body in a static join order,
 //! and this module is where both come from. What would otherwise be re-paid
-//! per call — walking the pattern terms, costing the join, and for premise
-//! queries the Proposition 5.9 expansion `Ω_q`, worst-case exponential
-//! (Theorem 5.12) — is paid once per query *shape*:
+//! per call — walking the pattern terms and costing the join — is paid once
+//! per query *shape*:
 //!
 //! * **Planning** (`plan_order`): a static join order is derived up front
 //!   by simulating the join left to right — per round, each remaining
@@ -27,9 +26,6 @@
 //!   stale [`TermId`] in a reused plan). Nothing invalidates an entry: a
 //!   cache belongs to one immutable snapshot, so the substrate its plans
 //!   were costed against never changes under them.
-//! * **Expansion caching**: `Ω_q` ([`crate::premise_free_expansion`]) is
-//!   cached per premise query in the same LRU ([`expansion_members`]), so
-//!   the exponential rewrite is paid once per repeated premise query.
 //!
 //! Answers are plan-invariant: a join order is a permutation of the body
 //! patterns, so every order enumerates the same solution set. A disabled
@@ -41,15 +37,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use swdb_hom::{IdTarget, PatternTerm, Variable};
-use swdb_model::{Graph, Term};
+use swdb_model::Term;
 use swdb_obs::{Counter, Metrics};
 use swdb_store::{Dictionary, IdIndex, IdPattern, IdTriple, TermId};
 
 use crate::exec::{CompiledBody, ExecHooks, IdPatternTerm, IdTriplePattern, JoinOrderLog};
-use crate::premise::premise_free_expansion;
 use crate::query::Query;
 
-/// Maximum number of cached entries (plans + expansions) before the
+/// Maximum number of cached plans before the
 /// least-recently-used one is evicted.
 pub const PLAN_CACHE_CAPACITY: usize = 256;
 
@@ -175,35 +170,21 @@ pub struct PlanData {
     pub(crate) estimates: Vec<u64>,
 }
 
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum CacheKey {
-    /// Keyed by shape alone: constants only steer the (correctness-neutral)
-    /// join order, so structurally-equal queries share a plan.
-    Plan(QueryShape),
-    /// `Ω_q` depends on the exact constants and premise, so the expansion
-    /// key carries both (the shape's constant table, instantiated).
-    Expansion(QueryShape, Vec<Term>, Graph),
-}
-
-#[derive(Clone, Debug)]
-enum CacheValue {
-    Plan(Arc<PlanData>),
-    Expansion(Arc<Vec<Query>>),
-}
-
 #[derive(Debug)]
 struct CacheEntry {
     last_used: u64,
-    value: CacheValue,
+    plan: Arc<PlanData>,
 }
 
+/// Keyed by shape alone: constants only steer the (correctness-neutral)
+/// join order, so structurally-equal queries share a plan.
 #[derive(Debug, Default)]
 struct CacheState {
-    entries: std::collections::BTreeMap<CacheKey, CacheEntry>,
+    entries: std::collections::BTreeMap<QueryShape, CacheEntry>,
     tick: u64,
 }
 
-/// The compiled plan + expansion cache: a small LRU. Each published
+/// The compiled plan cache: a small LRU. Each published
 /// snapshot owns one — the facade reads through a snapshot of its own — and
 /// a snapshot is immutable, so no entry ever goes stale and nothing
 /// invalidates one. Interior mutability is a plain mutex: the lock is held
@@ -226,7 +207,7 @@ impl PlanCache {
         }
     }
 
-    /// Whether plans and expansions are kept between calls.
+    /// Whether plans are kept between calls.
     pub fn enabled(&self) -> bool {
         self.enabled
     }
@@ -245,7 +226,7 @@ impl PlanCache {
         self.len() == 0
     }
 
-    fn lookup(&self, key: &CacheKey, metrics: &Metrics) -> Option<CacheValue> {
+    fn lookup(&self, key: &QueryShape, metrics: &Metrics) -> Option<Arc<PlanData>> {
         if !self.enabled {
             return None;
         }
@@ -256,7 +237,7 @@ impl PlanCache {
             Some(entry) => {
                 entry.last_used = tick;
                 metrics.count(Counter::PlanCacheHits, 1);
-                Some(entry.value.clone())
+                Some(Arc::clone(&entry.plan))
             }
             None => {
                 metrics.count(Counter::PlanCacheMisses, 1);
@@ -265,7 +246,7 @@ impl PlanCache {
         }
     }
 
-    fn store(&self, key: CacheKey, value: CacheValue, metrics: &Metrics) {
+    fn store(&self, key: QueryShape, plan: Arc<PlanData>, metrics: &Metrics) {
         if !self.enabled {
             return;
         }
@@ -276,7 +257,7 @@ impl PlanCache {
             key,
             CacheEntry {
                 last_used: tick,
-                value,
+                plan,
             },
         );
         if state.entries.len() > PLAN_CACHE_CAPACITY {
@@ -462,10 +443,10 @@ pub(crate) fn prepare(
     metrics.count(Counter::QueryPatternsCompiled, patterns.len() as u64);
     let vars: Vec<Variable> = info.vars.iter().map(|v| (*v).clone()).collect();
     let slots = vars.len();
-    let key = CacheKey::Plan(info.shape);
+    let key = info.shape;
     let (plan, hit, plan_probes) = match cache.lookup(&key, metrics) {
-        Some(CacheValue::Plan(plan)) => (plan, true, 0),
-        _ => {
+        Some(plan) => (plan, true, 0),
+        None => {
             let metered = MeteredTarget {
                 inner: target,
                 probes: AtomicU64::new(0),
@@ -474,7 +455,7 @@ pub(crate) fn prepare(
             let plan_probes = metered.probes.into_inner();
             metrics.count(Counter::QueryJoinProbes, plan_probes);
             let plan = Arc::new(PlanData { order, estimates });
-            cache.store(key, CacheValue::Plan(plan.clone()), metrics);
+            cache.store(key, Arc::clone(&plan), metrics);
             (plan, false, plan_probes)
         }
     };
@@ -484,30 +465,6 @@ pub(crate) fn prepare(
         hit,
         plan_probes,
     })
-}
-
-/// The premise-free expansion `Ω_q` of a premise query, cached per exact
-/// query (shape + constants + premise) — the worst-case-exponential rewrite
-/// of Proposition 5.9 is paid once per repeated premise query. The `bool`
-/// reports whether the lookup was a hit (never, when the cache is
-/// disabled).
-pub fn expansion_members(
-    cache: &PlanCache,
-    query: &Query,
-    metrics: &Metrics,
-) -> (Arc<Vec<Query>>, bool) {
-    let info = shape_of(query);
-    let key = CacheKey::Expansion(
-        info.shape.clone(),
-        info.consts.iter().map(|t| (*t).clone()).collect(),
-        query.premise().clone(),
-    );
-    if let Some(CacheValue::Expansion(members)) = cache.lookup(&key, metrics) {
-        return (members, true);
-    }
-    let members = Arc::new(premise_free_expansion(query));
-    cache.store(key, CacheValue::Expansion(members.clone()), metrics);
-    (members, false)
 }
 
 #[cfg(test)]
@@ -697,31 +654,5 @@ mod tests {
         let rendered = second.to_json();
         assert!(rendered.contains("\"plan_cache\": \"hit\""));
         assert!(rendered.contains("\"estimated_cardinalities\": "));
-    }
-
-    #[test]
-    fn expansion_members_are_cached_per_premise_query() {
-        let q = Query::with_premise(
-            swdb_hom::pattern_graph([("?X", "ex:p", "?Y")]),
-            swdb_hom::pattern_graph([("?X", "ex:q", "?Y"), ("?Y", "ex:t", "ex:s")]),
-            graph([("ex:a", "ex:t", "ex:s")]),
-        )
-        .unwrap();
-        let cache = PlanCache::new(true);
-        let metrics = Metrics::disabled();
-        let (first, first_hit) = expansion_members(&cache, &q, metrics);
-        let (second, second_hit) = expansion_members(&cache, &q, metrics);
-        assert!(!first_hit);
-        assert!(second_hit);
-        assert!(
-            Arc::ptr_eq(&first, &second),
-            "the second call is a cache hit"
-        );
-        assert_eq!(*first, premise_free_expansion(&q));
-        // A different premise is a different key.
-        let other = q.replacing_premise(graph([("ex:b", "ex:t", "ex:s")]));
-        let (third, third_hit) = expansion_members(&cache, &other, metrics);
-        assert!(!third_hit);
-        assert!(!Arc::ptr_eq(&first, &third));
     }
 }

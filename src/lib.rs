@@ -71,12 +71,12 @@
 //! Query answering splits the same way, and it is **one engine**: the
 //! paper has a single read operation — match the body against `nf(D + P)`,
 //! instantiate the head — and [`query::QueryEngine`] implements it once
-//! (`answer`, `pre_answers`, `answer_is_empty`, `explain`) over "a list of
-//! premise-free member queries against one id-space target". Every read
-//! runs on a [`core::PublishedSnapshot`] — a pinned one, or the facade's
-//! own unpublished one — which builds the engine over its evaluation index
-//! or a premise overlay; which one is a single dispatch decision
-//! ([`query::Mechanism`]). **Premise-free**
+//! (`answer`, `pre_answers`, `answer_is_empty`, `explain`) against one
+//! id-space target. Every read runs on one immutable state — a pinned
+//! [`core::PublishedSnapshot`], or the facade's own committed state — which
+//! builds the engine over its evaluation index or a premise overlay; which
+//! one is a single dispatch decision ([`query::Mechanism`]): premise-free,
+//! or overlay. **Premise-free**
 //! queries — the hot read path — never touch the string-space machinery:
 //! the body is compiled to `TermId` patterns against the store dictionary
 //! (a body constant that was never interned short-circuits to zero
@@ -102,13 +102,9 @@
 //! into the response buffer, or by `into_graph` for library callers.
 //!
 //! Queries **with premises** run through the same id engine — no query
-//! path evaluates in string space anymore. Two mechanisms, selected per
-//! query: ground premises under simple entailment, over an evaluation
-//! graph without blank triples, take the **premise-free expansion** of
-//! Proposition 5.9 ([`query::premise_free_expansion`]), every member
-//! joining the cached evaluation index with answers deduplicated across
-//! members in id space; everything else takes the **premise overlay** —
-//! the premise is a *hypothetical write*, committed into forks: its closure
+//! path evaluates in string space anymore. Every premise takes the
+//! **premise overlay** — the premise is a *hypothetical write*, committed
+//! into forks: its closure
 //! growth into a fork of the closure index
 //! ([`reason::MaterializedStore::preview_insert`]), that growth into a fork
 //! of the evaluation index by the incremental engine's own insert half
@@ -155,8 +151,8 @@
 //! ### Planning & plan cache
 //!
 //! Every query execution is planned, and planned once per query *shape*,
-//! not per call ([`query::plan`]) — premise-free queries, each member of a
-//! Prop. 5.9 expansion, and overlay queries alike. A cost-based planner derives a static join order up
+//! not per call ([`query::plan`]) — premise-free and overlay queries alike.
+//! A cost-based planner derives a static join order up
 //! front — per-pattern cardinality estimates from O(1) `IdIndex` prefix
 //! counts ([`hom::IdTarget::candidate_count`]), damped by an
 //! adornment-style bound/free analysis as earlier patterns bind join
@@ -166,12 +162,11 @@
 //! head/body/constraint structure *modulo constant identity*, so
 //! structurally equal queries over different constants share one plan;
 //! constants re-resolve against the live dictionary on every call, so a
-//! hit can never carry a stale [`store::TermId`]. The worst-case
-//! exponential Prop. 5.9 expansion `Ω_q` is cached in the same LRU per
-//! premise query. Each [`core::PublishedSnapshot`] carries its own cache,
-//! which never needs invalidating because the snapshot never changes; the
-//! facade reads through a snapshot it drops on every mutation, so a
-//! mutation, a regime switch or a clone starts from a fresh cache. `explain()` reports
+//! hit can never carry a stale [`store::TermId`]. Each
+//! [`core::PublishedSnapshot`] carries its own cache, which never needs
+//! invalidating because the snapshot never changes; the facade's cache
+//! belongs to its committed state and is replaced with it, so a mutation,
+//! a regime switch or a clone starts from a fresh cache. `explain()` reports
 //! the `plan_cache` outcome (`hit`/`miss`/`off`) plus the planner's
 //! estimated vs the store's actual per-pattern cardinalities, and the
 //! counter sheet carries `plan_cache_hits`/`misses`/`evictions` and a
@@ -194,8 +189,8 @@
 //! produced it — into an `Arc` slot that any number of
 //! [`core::SnapshotReader`]s pin and answer from without taking the facade
 //! lock. A pinned snapshot is bit-identical for as long as it is held, and
-//! it answers every query: premise-free queries, Prop. 5.9 expansions and
-//! premise overlays, whose forks it builds from its own state. On top of
+//! it answers every query: premise-free queries and premise overlays,
+//! whose forks it builds from its own state. On top of
 //! that sits [`server`] (`swdb-server`), a std-only
 //! HTTP/1.1 front end — `TcpListener` plus a bounded worker pool — with
 //! ingest/remove/query/answer/health/metrics endpoints, per-connection
