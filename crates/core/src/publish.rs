@@ -4,25 +4,24 @@
 //!
 //! The facade ([`SemanticWebDatabase`]) is a single-owner value, so shared
 //! serving would force readers and writers through one lock. This module
-//! splits the read side off: [`SemanticWebDatabase::publish`] hands a clone
-//! of the whole read state — the reasoner (asserted store, dictionary,
-//! maintained closure and rule system) and the evaluation engine — to an
-//! immutable [`PublishedSnapshot`] behind an `Arc`, and swaps it into a
-//! shared slot. A [`SnapshotReader`] pins the current snapshot with one
-//! brief read-lock acquisition (held only for the `Arc` clone — the
+//! splits the read side off: [`SemanticWebDatabase::publish`] wraps the
+//! facade's committed state — one immutable `Arc` — in a
+//! [`PublishedSnapshot`] and swaps it into a shared slot. A
+//! [`SnapshotReader`] pins the current snapshot with one brief read-lock
+//! acquisition (held only for the `Arc` clone — the
 //! std-only equivalent of an arc-swap), after which the reader answers
 //! queries with **no further coordination whatsoever**: a pinned snapshot
 //! is immutable, so `answer`/`explain` on it can never block — or be
 //! blocked by — `insert`/`remove` on the live database.
 //!
-//! Publication copies nothing that grows with the database. Every large
-//! structure is persistent or `Arc`-shared: the indexes share their chunks
-//! with the writer, whose next edit copies only the chunks it touches (see
-//! [`swdb_store::id_index`]); the dictionary is one `Arc` the writer copies
-//! only when it interns a new term while a snapshot still holds it; the
-//! core engine's components are `Arc`s too. Terms are decoded once per
-//! answer triple, when a reader renders an [`AnswerSet`] from its pin (or
-//! asks for the answer as a [`Graph`]).
+//! Publication copies nothing: the snapshot shares the one `Arc<State>`
+//! the facade committed, whose next commit forks a clone instead of
+//! editing it. That fork copies only what the write touches: the indexes
+//! share their chunks (see [`swdb_store::id_index`]); the dictionary is one
+//! `Arc`, copied only when a new term is interned while a snapshot holds
+//! it; the core engine's components are `Arc`s too. Terms are decoded once
+//! per answer triple, when a reader renders an [`AnswerSet`] from its pin
+//! (or asks for the answer as a [`Graph`]).
 //!
 //! A snapshot answers **every** query. A premise is hypothetical and scoped
 //! to one query (Def. 4.3): it is answered against `nf(D + P)` for the `D`
@@ -35,7 +34,7 @@
 //! immutable, so they never need invalidating.
 //!
 //! The degraded flags ride the snapshot: `non_minimal` (core budget
-//! exhausted at publication time — answers sound and complete, possibly
+//! exhausted in the published state — answers sound and complete, possibly
 //! redundant) and the durability layer's fail-stop record, so a reader
 //! reports the status of the state it is *actually answering from*, not the
 //! writer's current state — without ever taking the writer's lock.
@@ -49,10 +48,9 @@ use swdb_model::{Graph, Term};
 use swdb_normal::{EvalOverlay, IdCoreEngine};
 use swdb_obs::{Counter, Hist, Metrics};
 use swdb_query::{AnswerSet, Explain, Mechanism, PlanCache, Query, QueryEngine, Semantics};
-use swdb_reason::MaterializedStore;
 use swdb_store::{Dictionary, IdIndex, IdTriple};
 
-use crate::database::{rename_premise_apart, EntailmentRegime};
+use crate::database::{rename_premise_apart, EntailmentRegime, State};
 
 /// How many distinct premises keep their forks on one snapshot.
 const PREMISE_CACHE_CAPACITY: usize = 8;
@@ -71,55 +69,134 @@ struct PremiseFork {
     overlay: EvalOverlay,
 }
 
-/// An immutable, epoch-stamped snapshot of the read state: everything a
-/// reader needs to answer any query, plus the degraded flags in force when
-/// it was published. Values are created by
-/// [`SemanticWebDatabase::publish`](crate::SemanticWebDatabase::publish)
+/// What the reads of one immutable `State` keep between calls: compiled
+/// plans and the last premises' forks. The state never changes, so nothing
+/// invalidates an entry; the facade drops its own when it commits.
+#[derive(Debug, Default)]
+pub(crate) struct Reads {
+    plans: PlanCache,
+    /// The forks of the premises asked last, oldest first.
+    premises: Mutex<Vec<(Graph, Arc<PremiseFork>)>>,
+}
+
+impl Reads {
+    /// Runs `run` on the [`QueryEngine`] of the dispatch over `state`: over
+    /// the evaluation index for a premise-free query, over the fork the
+    /// premise was committed into otherwise, with the flag of the index read.
+    pub(crate) fn run<R>(
+        &self,
+        state: &State,
+        metrics: &Metrics,
+        query: &Query,
+        run: impl FnOnce(QueryEngine<'_>) -> R,
+    ) -> R {
+        let fork;
+        let (mechanism, dictionary, target, non_minimal) = if query.is_premise_free() {
+            let evaluation = state.evaluation();
+            let dictionary = state.reasoner.store().dictionary();
+            let flag = evaluation.is_degraded();
+            (Mechanism::PremiseFree, dictionary, evaluation.index(), flag)
+        } else {
+            fork = self.premise_fork(state, metrics, query.premise());
+            let overlay = &fork.overlay;
+            (Mechanism::Overlay, &fork.dictionary, &overlay.index, overlay.non_minimal)
+        };
+        run(QueryEngine {
+            dictionary,
+            target,
+            cache: &self.plans,
+            metrics,
+            mechanism,
+            non_minimal,
+        })
+    }
+
+    /// The fork `premise` is committed into, from the cache or built now.
+    ///
+    /// The premise's blanks are renamed apart from the asserted triples'
+    /// first — the id-space counterpart of the capture-avoiding
+    /// `Graph::merge` the specification uses — and its terms interned into
+    /// an extension of the state's dictionary. Under RDFS the delta is the
+    /// premise's closure growth `cl(D + P) − cl(D)`, committed into a fork
+    /// of the state's closure index; under simple entailment it is the
+    /// premise itself. The evaluation engine then commits that delta into a
+    /// fork of its index.
+    fn premise_fork(&self, state: &State, metrics: &Metrics, premise: &Graph) -> Arc<PremiseFork> {
+        let cached = |premises: &[(Graph, Arc<PremiseFork>)]| {
+            let (_, fork) = premises.iter().find(|(g, _)| g == premise)?;
+            Some(Arc::clone(fork))
+        };
+        if let Some(fork) = cached(&self.premises.lock().unwrap_or_else(|e| e.into_inner())) {
+            metrics.count(Counter::OverlayCacheHits, 1);
+            return fork;
+        }
+        metrics.count(Counter::OverlayCacheMisses, 1);
+        let _span = metrics.span(Hist::SpanOverlayBuildNs);
+        let store = state.reasoner.store();
+        let renamed = rename_premise_apart(premise, store);
+        let mut dictionary = Dictionary::extending(Arc::clone(store.shared_dictionary()));
+        let mut intern = |term: &Term| dictionary.intern(term);
+        let ids: Vec<IdTriple> = renamed
+            .iter()
+            .map(|t| {
+                let predicate = Term::Iri(t.predicate().clone());
+                (intern(t.subject()), intern(&predicate), intern(t.object()))
+            })
+            .collect();
+        let delta = match state.regime {
+            EntailmentRegime::Rdfs => state.reasoner.preview_insert_over(&ids, &dictionary),
+            EntailmentRegime::Simple => ids,
+        };
+        let overlay = state.evaluation().overlay_core(&delta, &dictionary);
+        let fork = Arc::new(PremiseFork {
+            dictionary,
+            overlay,
+        });
+        let mut premises = self.premises.lock().unwrap_or_else(|e| e.into_inner());
+        if premises.len() >= PREMISE_CACHE_CAPACITY {
+            premises.remove(0);
+            metrics.count(Counter::OverlayCacheEvictions, 1);
+        }
+        premises.push((premise.clone(), Arc::clone(&fork)));
+        fork
+    }
+}
+
+/// An immutable, epoch-stamped snapshot: one committed state of the
+/// database — everything a reader needs to answer any query — plus the
+/// durability record in force when it was published. Values are created
+/// by [`SemanticWebDatabase::publish`](crate::SemanticWebDatabase::publish)
 /// and shared as `Arc<PublishedSnapshot>`; every method takes `&self`, so
 /// any number of threads query one snapshot concurrently.
 #[derive(Debug)]
 pub struct PublishedSnapshot {
     /// Publication sequence number: 0 is the empty placeholder a fresh
-    /// slot holds (and the facade's own, unpublished snapshot), real
-    /// publications count from 1.
+    /// slot holds, real publications count from 1.
     epoch: u64,
-    regime: EntailmentRegime,
     /// Why the durability layer had detached by publication time, if it had.
     durability_error: Option<String>,
-    /// The asserted store with its dictionary and maintained closure.
-    reasoner: MaterializedStore,
-    /// The evaluation engine; its index is what queries join.
-    evaluation: IdCoreEngine,
+    /// The state published: shared with the facade until its next commit.
+    state: Arc<State>,
     metrics: Metrics,
-    /// The snapshot's own compiled plan cache
-    /// (`swdb_query::plan`). The snapshot is immutable, so nothing ever
-    /// invalidates it.
-    plan_cache: PlanCache,
-    /// The forks of the premises asked last, oldest first.
-    premises: Mutex<Vec<(Graph, Arc<PremiseFork>)>>,
+    /// The snapshot's own plans and premise forks.
+    reads: Reads,
 }
 
 impl PublishedSnapshot {
-    /// Assembles a snapshot over clones of the facade's read state
-    /// (crate-internal: the facade builds every snapshot, published or its
-    /// own).
+    /// Wraps a committed state (crate-internal: the facade publishes every
+    /// snapshot). Its evaluation engine must be built.
     pub(crate) fn new(
         epoch: u64,
-        regime: EntailmentRegime,
+        state: Arc<State>,
         durability_error: Option<String>,
-        reasoner: MaterializedStore,
-        evaluation: IdCoreEngine,
         metrics: Metrics,
     ) -> Self {
         PublishedSnapshot {
             epoch,
-            regime,
             durability_error,
-            reasoner,
-            evaluation,
+            state,
             metrics,
-            plan_cache: PlanCache::new(true),
-            premises: Mutex::default(),
+            reads: Reads::default(),
         }
     }
 
@@ -131,18 +208,18 @@ impl PublishedSnapshot {
 
     /// The entailment regime the snapshot was published under.
     pub fn regime(&self) -> EntailmentRegime {
-        self.regime
+        self.state.regime
     }
 
     /// Asserted triples in the database at publication time.
     pub fn asserted_triples(&self) -> usize {
-        self.reasoner.len()
+        self.state.reasoner.len()
     }
 
     /// Triples in the snapshot's evaluation index (`nf(D)` under RDFS,
     /// `core(D)` under simple entailment, as of publication).
     pub fn evaluation_triples(&self) -> usize {
-        self.evaluation.len()
+        self.state.evaluation().len()
     }
 
     /// `true` when a core-budget exhaustion had left the published
@@ -151,7 +228,7 @@ impl PublishedSnapshot {
     /// sound and complete; they may mention redundant blanks. A premise
     /// answer carries its own flag (the fork's), on its [`AnswerSet`].
     pub fn non_minimal(&self) -> bool {
-        self.evaluation.is_degraded()
+        self.state.evaluation().is_degraded()
     }
 
     /// `true` when the database's durability layer had fail-stopped by
@@ -169,86 +246,17 @@ impl PublishedSnapshot {
 
     /// The dictionary the snapshot's index is encoded against.
     pub fn dictionary(&self) -> &Dictionary {
-        self.reasoner.store().dictionary()
+        self.state.reasoner.store().dictionary()
     }
 
     /// The snapshot's evaluation index.
     pub fn index(&self) -> &IdIndex {
-        self.evaluation.index()
+        self.state.evaluation().index()
     }
 
-    /// Runs `run` on the [`QueryEngine`] of the dispatch: over the
-    /// evaluation index for a premise-free query, over the fork the premise
-    /// was committed into otherwise. The engine carries the flag of the
-    /// index it reads — a fork's already folds the evaluation engine's in.
-    pub(crate) fn read<R>(&self, query: &Query, run: impl FnOnce(QueryEngine<'_>) -> R) -> R {
-        let fork;
-        let (mechanism, dictionary, target, non_minimal) = if query.is_premise_free() {
-            let flag = self.non_minimal();
-            (Mechanism::PremiseFree, self.dictionary(), self.index(), flag)
-        } else {
-            fork = self.premise_fork(query.premise());
-            let overlay = &fork.overlay;
-            (Mechanism::Overlay, &fork.dictionary, &overlay.index, overlay.non_minimal)
-        };
-        run(QueryEngine {
-            dictionary,
-            target,
-            cache: &self.plan_cache,
-            metrics: &self.metrics,
-            mechanism,
-            non_minimal,
-        })
-    }
-
-    /// The fork `premise` is committed into, from the cache or built now.
-    ///
-    /// The premise's blanks are renamed apart from the asserted triples'
-    /// first — the id-space counterpart of the capture-avoiding
-    /// `Graph::merge` the specification uses — and its terms interned into
-    /// an extension of the pinned dictionary. Under RDFS the delta is the
-    /// premise's closure growth `cl(D + P) − cl(D)`, committed into a fork
-    /// of the pinned closure index; under simple entailment it is the
-    /// premise itself. The evaluation engine then commits that delta into a
-    /// fork of its index.
-    fn premise_fork(&self, premise: &Graph) -> Arc<PremiseFork> {
-        let cached = |premises: &[(Graph, Arc<PremiseFork>)]| {
-            let (_, fork) = premises.iter().find(|(g, _)| g == premise)?;
-            Some(Arc::clone(fork))
-        };
-        if let Some(fork) = cached(&self.premises.lock().unwrap_or_else(|e| e.into_inner())) {
-            self.metrics.count(Counter::OverlayCacheHits, 1);
-            return fork;
-        }
-        self.metrics.count(Counter::OverlayCacheMisses, 1);
-        let _span = self.metrics.span(Hist::SpanOverlayBuildNs);
-        let store = self.reasoner.store();
-        let renamed = rename_premise_apart(premise, store);
-        let mut dictionary = Dictionary::extending(Arc::clone(store.shared_dictionary()));
-        let mut intern = |term: &Term| dictionary.intern(term);
-        let ids: Vec<IdTriple> = renamed
-            .iter()
-            .map(|t| {
-                let predicate = Term::Iri(t.predicate().clone());
-                (intern(t.subject()), intern(&predicate), intern(t.object()))
-            })
-            .collect();
-        let delta = match self.regime {
-            EntailmentRegime::Rdfs => self.reasoner.preview_insert_over(&ids, &dictionary),
-            EntailmentRegime::Simple => ids,
-        };
-        let overlay = self.evaluation.overlay_core(&delta, &dictionary);
-        let fork = Arc::new(PremiseFork {
-            dictionary,
-            overlay,
-        });
-        let mut premises = self.premises.lock().unwrap_or_else(|e| e.into_inner());
-        if premises.len() >= PREMISE_CACHE_CAPACITY {
-            premises.remove(0);
-            self.metrics.count(Counter::OverlayCacheEvictions, 1);
-        }
-        premises.push((premise.clone(), Arc::clone(&fork)));
-        fork
+    /// Runs `run` on the [`QueryEngine`] the dispatch picks for `query`.
+    fn read<R>(&self, query: &Query, run: impl FnOnce(QueryEngine<'_>) -> R) -> R {
+        self.reads.run(&self.state, &self.metrics, query, run)
     }
 
     /// Answers a query against this snapshot — entirely in id space, with
@@ -333,15 +341,13 @@ pub(crate) struct PublishSlot {
 impl PublishSlot {
     /// A fresh slot holding the empty epoch-0 placeholder.
     pub(crate) fn empty(metrics: Metrics) -> Self {
+        let state = State {
+            evaluation: Some(IdCoreEngine::new()),
+            ..State::default()
+        };
+        let empty = PublishedSnapshot::new(0, Arc::new(state), None, metrics);
         PublishSlot {
-            current: RwLock::new(Arc::new(PublishedSnapshot::new(
-                0,
-                EntailmentRegime::default(),
-                None,
-                MaterializedStore::new(),
-                IdCoreEngine::new(),
-                metrics,
-            ))),
+            current: RwLock::new(Arc::new(empty)),
         }
     }
 
@@ -408,7 +414,7 @@ mod tests {
     }
 
     fn shared(snapshot: &PublishedSnapshot) -> &Arc<Dictionary> {
-        snapshot.reasoner.store().shared_dictionary()
+        snapshot.state.reasoner.store().shared_dictionary()
     }
 
     #[test]

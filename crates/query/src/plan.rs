@@ -196,6 +196,13 @@ pub struct PlanCache {
     state: Mutex<CacheState>,
 }
 
+impl Default for PlanCache {
+    /// An empty, enabled cache.
+    fn default() -> Self {
+        PlanCache::new(true)
+    }
+}
+
 impl PlanCache {
     /// An empty cache, enabled or disabled. A disabled cache never holds
     /// an entry: every lookup misses without being counted and nothing is
