@@ -348,9 +348,10 @@ impl State {
         reasoner.set_threads(threads);
         reasoner.set_metrics(metrics.clone());
         let dictionary = reasoner.store().dictionary();
-        let evaluation = snapshot.evaluation.first().map(|state| {
-            IdCoreEngine::from_state(state, dictionary, metrics.clone(), core_budget)
-        });
+        let evaluation = snapshot
+            .evaluation
+            .first()
+            .map(|state| IdCoreEngine::from_state(state, dictionary, metrics.clone(), core_budget));
         State {
             regime: decode_regime(snapshot.regime),
             core_budget,
@@ -447,22 +448,24 @@ impl SemanticWebDatabase {
     }
 
     /// The one write path (module docs, "The write path"): interns `terms`
-    /// into the committed state, applies `op` to a clone of it, commits the
-    /// WAL record `record` derives from the op's result (asked only while a
-    /// durability layer is attached; `None` logs nothing), and swaps the
-    /// clone in.
+    /// into the committed state, applies `op` to a clone of it and their
+    /// ids, commits the WAL record `record` derives from the op's result
+    /// (asked only while a durability layer is attached; `None` logs
+    /// nothing), and swaps the clone in.
     fn commit<R>(
         &mut self,
         terms: &Graph,
-        op: impl FnOnce(&mut State) -> R,
+        op: impl FnOnce(&mut State, &[IdTriple]) -> R,
         record: impl FnOnce(&R) -> Option<WalRecord>,
     ) -> R {
         self.reads = Reads::default();
-        if !terms.is_empty() {
-            Arc::make_mut(&mut self.state).reasoner.intern_graph(terms);
-        }
+        let ids = if terms.is_empty() {
+            Vec::new()
+        } else {
+            Arc::make_mut(&mut self.state).reasoner.intern_graph(terms)
+        };
         let mut next = State::clone(&self.state);
-        let out = op(&mut next);
+        let out = op(&mut next, &ids);
         if let Some(record) = self.durability.as_ref().and_then(|_| record(&out)) {
             self.log_wal(record, &next);
         }
@@ -500,7 +503,7 @@ impl SemanticWebDatabase {
             let (threads, metrics) = (db.threads(), db.metrics.clone());
             db.commit(
                 &Graph::new(),
-                |state| *state = State::restore(snapshot, threads, &metrics),
+                |state, _| *state = State::restore(snapshot, threads, &metrics),
                 |_| None,
             );
         }
@@ -673,7 +676,7 @@ impl SemanticWebDatabase {
     pub fn set_core_budget(&mut self, mode: CoreBudgetMode) {
         self.commit(
             &Graph::new(),
-            |state| {
+            |state, _| {
                 state.core_budget = mode;
                 if let Some(engine) = state.evaluation.as_mut() {
                     engine.set_core_budget(mode);
@@ -727,12 +730,12 @@ impl SemanticWebDatabase {
     pub fn refresh_degraded(&mut self) -> bool {
         self.commit(
             &Graph::new(),
-            |state| {
+            |state, _| {
                 let dictionary = state.reasoner.store().dictionary();
                 state
                     .evaluation
                     .as_mut()
-                    .map_or(true, |engine| engine.recore_uncored(dictionary))
+                    .is_none_or(|engine| engine.recore_uncored(dictionary))
             },
             // Logged so a replay repeats the retry at the same point in the
             // mutation sequence: under a step-count budget that makes the
@@ -877,7 +880,7 @@ impl SemanticWebDatabase {
         if self.state.regime != regime {
             self.commit(
                 &Graph::new(),
-                |state| {
+                |state, _| {
                     state.regime = regime;
                     state.evaluation = None;
                 },
@@ -908,11 +911,10 @@ impl SemanticWebDatabase {
     /// cached evaluation index absorbs the closure delta.
     pub fn insert(&mut self, triple: impl Into<Triple>) -> bool {
         let added: Graph = std::iter::once(triple.into()).collect();
-        let triple = added.iter().next().expect("one triple");
         self.commit(
             &added,
-            |state| {
-                let delta = state.reasoner.insert_with_delta(triple);
+            |state, ids| {
+                let delta = state.reasoner.insert_ids_with_delta(ids);
                 state.feed_delta(&delta, false);
                 !delta.base.is_empty()
             },
@@ -935,7 +937,7 @@ impl SemanticWebDatabase {
     pub fn remove_graph(&mut self, graph: &Graph) -> usize {
         let removed = self.commit(
             &Graph::new(),
-            |state| {
+            |state, _| {
                 let mut removed = Graph::new();
                 for triple in graph.iter() {
                     let delta = state.reasoner.remove_with_delta(triple);
@@ -962,8 +964,8 @@ impl SemanticWebDatabase {
     pub fn insert_graph(&mut self, graph: &Graph) {
         self.commit(
             graph,
-            |state| {
-                let delta = state.reasoner.insert_graph_with_delta(graph);
+            |state, ids| {
+                let delta = state.reasoner.insert_ids_with_delta(ids);
                 state.feed_delta(&delta, false);
             },
             |_| (!graph.is_empty()).then(|| WalRecord::InsertGraph(swdb_store::serialize(graph))),
@@ -1071,9 +1073,9 @@ impl SemanticWebDatabase {
     pub fn minimize_with_status(&mut self) -> (usize, bool) {
         let asserted = (self.state.regime == EntailmentRegime::Rdfs).then(|| {
             let (store, budget) = (self.state.reasoner.store(), self.state.core_budget);
+            let ids = store.iter_ids();
             // Disabled metrics: the gauges keep mirroring the evaluation engine.
-            let metrics = Metrics::default();
-            IdCoreEngine::from_triples_budgeted(store.iter_ids(), store.dictionary(), metrics, budget)
+            IdCoreEngine::from_triples_budgeted(ids, store.dictionary(), Metrics::default(), budget)
         });
         if asserted.is_none() {
             self.ensure_evaluation();
@@ -1098,7 +1100,7 @@ impl SemanticWebDatabase {
             let metrics = self.metrics.clone();
             self.commit(
                 &Graph::new(),
-                |state| state.build_evaluation(&metrics),
+                |state, _| state.build_evaluation(&metrics),
                 |_| None,
             );
         }

@@ -59,7 +59,7 @@
 //! fsync per facade call. [`SemanticWebDatabase::snapshot_now`] — or
 //! automatic compaction past `SWDB_WAL_COMPACT` records — rotates a
 //! versioned, checksummed **snapshot** of the entire state (dictionary,
-//! base store, maintained closure, both core-engine states including
+//! base store, maintained closure, the core engine's state including
 //! degraded-mode flags) and truncates the log.
 //!
 //! [`SemanticWebDatabase::open`] recovers: the newest valid snapshot
@@ -97,16 +97,18 @@
 //! serving it to many threads through one lock would let any writer stall
 //! every reader. The **publication layer** ([`publish`]) splits the read
 //! side off: [`SemanticWebDatabase::publish`] atomically swaps an
-//! immutable, epoch-stamped [`PublishedSnapshot`] — shared clones of the
-//! reasoner and the evaluation engine, plus the degraded flags in force —
-//! into a shared slot, and every [`SnapshotReader`] handle pins the current
+//! immutable, epoch-stamped [`PublishedSnapshot`] — the facade's committed
+//! state, one shared `Arc`, plus the durability record in force — into a
+//! shared slot, and every [`SnapshotReader`] handle pins the current
 //! snapshot in O(1) and answers on the pin with **no further
 //! coordination**: a pinned snapshot stays bit-identical however the
 //! writer mutates, so `answer`/`explain` on it never blocks — or is blocked
 //! by — `insert`/`remove`. A snapshot answers every query, premise queries
 //! included: a premise is committed into forks of the pin, its terms into
 //! an extension of the pinned dictionary, and the live database is never
-//! touched. The facade's own reads run on a snapshot too.
+//! touched. The facade's own reads run on its committed state the same
+//! way, and a write commits a fork of that state by swap, so a panicking
+//! write leaves it as it was.
 //!
 //! ```
 //! use swdb_core::{SemanticWebDatabase, Semantics};

@@ -98,8 +98,8 @@ impl Reads {
             (Mechanism::PremiseFree, dictionary, evaluation.index(), flag)
         } else {
             fork = self.premise_fork(state, metrics, query.premise());
-            let overlay = &fork.overlay;
-            (Mechanism::Overlay, &fork.dictionary, &overlay.index, overlay.non_minimal)
+            let (overlay, flag) = (&fork.overlay, fork.overlay.non_minimal);
+            (Mechanism::Overlay, &fork.dictionary, &overlay.index, flag)
         };
         run(QueryEngine {
             dictionary,

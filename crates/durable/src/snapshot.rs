@@ -52,7 +52,9 @@ pub struct SnapshotPayload {
     pub closure: Vec<IdTriple>,
     /// Exported state of the evaluation-graph core engine, if built.
     pub evaluation: Vec<CoreEngineState>,
-    /// Exported state of the asserted-core engine, if built.
+    /// Exported state of a core engine over the asserted set. Written
+    /// empty: the facade no longer maintains one, and ignores a
+    /// non-empty field of an older file. Kept so the format is unchanged.
     pub asserted_core: Vec<CoreEngineState>,
 }
 

@@ -83,8 +83,13 @@ impl QueryEngine<'_> {
         trace: &mut Trace<'_>,
         run: impl FnOnce(ExecHooks<'_>, &mut ExecStats) -> R,
     ) -> Option<R> {
-        let prepared =
-            plan::prepare(self.cache, query, self.dictionary, self.target, self.metrics)?;
+        let prepared = plan::prepare(
+            self.cache,
+            query,
+            self.dictionary,
+            self.target,
+            self.metrics,
+        )?;
         self.metrics.count(Counter::QueryCompiled, 1);
         trace.stats.probes += prepared.plan_probes;
         let result = run(prepared.hooks(trace.recorder.take()), &mut trace.stats);

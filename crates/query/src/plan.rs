@@ -184,9 +184,9 @@ struct CacheState {
     tick: u64,
 }
 
-/// The compiled plan cache: a small LRU. Each published
-/// snapshot owns one — the facade reads through a snapshot of its own — and
-/// a snapshot is immutable, so no entry ever goes stale and nothing
+/// The compiled plan cache: a small LRU. Each immutable state the database
+/// is read in owns one — a published snapshot, or the facade's committed
+/// state until its next commit — so no entry ever goes stale and nothing
 /// invalidates one. Interior mutability is a plain mutex: the lock is held
 /// for a `BTreeMap` probe, orders of magnitude shorter than the planning or
 /// execution it saves.

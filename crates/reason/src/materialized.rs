@@ -186,8 +186,14 @@ impl MaterializedStore {
     /// not grow by it.
     pub fn insert_graph_with_delta(&mut self, graph: &Graph) -> ClosureDelta {
         let ids = self.intern_graph(graph);
+        self.insert_ids_with_delta(&ids)
+    }
+
+    /// [`MaterializedStore::insert_graph_with_delta`] of a batch whose terms
+    /// are interned already ([`MaterializedStore::intern_graph`]).
+    pub fn insert_ids_with_delta(&mut self, ids: &[IdTriple]) -> ClosureDelta {
         let mut delta = ClosureDelta {
-            base: self.store.insert_id_triples(&ids),
+            base: self.store.insert_id_triples(ids),
             ..ClosureDelta::default()
         };
         self.engine.insert_batch_logged(
