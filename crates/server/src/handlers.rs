@@ -90,7 +90,10 @@ fn metrics(shared: &Shared) -> Response {
 /// `POST /ingest` and `POST /remove`: N-Triples body, mutate under the
 /// facade lock, publish the next epoch. When durability has fail-stopped,
 /// writes are refused with `503` + `Retry-After` — accepting them would
-/// silently drop the durability contract — while reads keep serving.
+/// silently drop the durability contract — while reads keep serving. The
+/// write whose own WAL commit fail-stops the layer is applied in memory and
+/// published, but it is not durable either, so it answers `503` too, with
+/// the epoch it is visible at.
 fn ingest(shared: &Shared, request: &Request, removal: bool) -> Response {
     let Ok(text) = std::str::from_utf8(&request.body) else {
         return Response::text(400, "body is not UTF-8\n");
@@ -118,16 +121,20 @@ fn ingest(shared: &Shared, request: &Request, removal: bool) -> Response {
     };
     let snapshot = db.publish();
     drop(db);
+    let (epoch, degraded) = (snapshot.epoch(), snapshot.non_minimal());
+    // The layer was attached before this write, so a record now means the
+    // write itself detached it.
+    if let Some(why) = snapshot.durability_error() {
+        let body = format!(
+            "write applied in memory at epoch {epoch} but not durably acknowledged — {why}\n"
+        );
+        return stamped(Response::text(503, body), epoch, degraded);
+    }
     let body = format!(
-        "{{\"{}\": {changed}, \"epoch\": {}}}",
+        "{{\"{}\": {changed}, \"epoch\": {epoch}}}",
         if removal { "removed" } else { "inserted" },
-        snapshot.epoch(),
     );
-    stamped(
-        Response::json(200, body),
-        snapshot.epoch(),
-        snapshot.non_minimal(),
-    )
+    stamped(Response::json(200, body), epoch, degraded)
 }
 
 /// `POST /query` (N-Triples answer) and `POST /answer` (JSON envelope):

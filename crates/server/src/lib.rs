@@ -174,10 +174,14 @@ impl Shared {
     }
 
     /// Locks the facade, recovering from poisoning: handlers run under
-    /// `catch_unwind`, and every facade method leaves the database in a
-    /// consistent state or panics *before* mutating shared structure, so
-    /// continuing with the inner value is sound — and a poisoned lock
-    /// must never take the whole server down.
+    /// `catch_unwind`, and a panic inside a facade method cannot leave the
+    /// database half-written. Every mutation applies itself to a fork of
+    /// the committed state and swaps the fork in as its last step, so a
+    /// panic never reaches the swap and the committed state is the one
+    /// before the write; a panic inside the WAL commit leaves the
+    /// durability layer detached, with its fail-stop record, so later
+    /// writes answer `503`. Continuing with the inner value is sound — and
+    /// a poisoned lock must never take the whole server down.
     pub(crate) fn lock_db(&self) -> MutexGuard<'_, SemanticWebDatabase> {
         self.db.lock().unwrap_or_else(|p| p.into_inner())
     }

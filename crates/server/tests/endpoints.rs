@@ -342,14 +342,22 @@ fn durability_fail_stop_degrades_to_503_writes_200_reads() {
     let (status, _) = request(addr, "POST", "/ingest", "<ex:a> <ex:p> <ex:b> .\n");
     assert_eq!(status, 200, "durable write while healthy");
 
-    // The next WAL append fails: the write that hits it still succeeds in
-    // memory (fail-stop detaches the layer), then every later write is
-    // refused and every read keeps serving.
+    // The next WAL append fails: the write that hits it is applied in
+    // memory (fail-stop detaches the layer) but not durable, so it is not
+    // acknowledged; then every later write is refused and every read keeps
+    // serving.
     fault.arm(0, FaultKind::Fail);
-    let (status, _) = request(addr, "POST", "/ingest", "<ex:a> <ex:p> <ex:c> .\n");
+    let (status, response) = request(addr, "POST", "/ingest", "<ex:a> <ex:p> <ex:c> .\n");
     assert_eq!(
-        status, 200,
-        "the detaching write itself is applied in memory"
+        status, 503,
+        "the detaching write is not acknowledged: {response}"
+    );
+    assert!(response.contains("x-swdb-epoch: 3"), "{response}");
+    assert!(
+        body_of(&response).starts_with(
+            "write applied in memory at epoch 3 but not durably acknowledged — WAL commit failed"
+        ),
+        "{response}"
     );
     fault.disarm();
 

@@ -261,6 +261,13 @@ fn fault_injected_soak_ends_with_a_consistent_recoverable_store() {
         "recovered closure must be consistent"
     );
     assert!(recovered.len() <= in_memory as usize);
+    // Every 200 was durable: recovery keeps all of them, plus at most the
+    // one write whose WAL commit detached the layer and was answered 503.
+    let recovered_len = recovered.len() as u64;
+    assert!(
+        acked <= recovered_len && recovered_len <= acked + 1,
+        "recovered triples ({recovered_len}) must cover every 200-acknowledged ingest ({acked})"
+    );
     recovered.insert(swdb_model::triple("ex:post", "ex:p", "ex:recovery"));
     assert_eq!(
         recovered.closure(),
