@@ -25,12 +25,14 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use swdb_core::durable::{FaultIo, FaultKind};
+use swdb_core::durable::{FaultIo, FaultKind, SnapshotPayload};
+use swdb_core::normal::IdCoreEngine;
+use swdb_core::query::query;
 use swdb_core::{
     CoreBudget, CoreBudgetMode, EntailmentRegime, Metrics, MetricsLevel, SemanticWebDatabase,
     Semantics,
 };
-use swdb_model::{graph, rdfs, triple, Graph};
+use swdb_model::{graph, isomorphic, rdfs, triple, Graph};
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -408,5 +410,67 @@ fn io_errors_fail_stop_without_poisoning_the_in_memory_database() {
     fault.disarm();
     let recovered = SemanticWebDatabase::open(&dir).expect("reopen");
     assert_eq!(recovered.len(), 1);
+    cleanup(&dir);
+}
+
+/// The newest snapshot segment in a data directory.
+fn live_segment(dir: &PathBuf) -> PathBuf {
+    let generation = |name: &str| {
+        let digits = name.strip_prefix("snapshot-")?.strip_suffix(".seg")?;
+        digits.parse::<u64>().ok()
+    };
+    let names = std::fs::read_dir(dir)
+        .expect("list")
+        .map(|e| e.expect("entry"));
+    let names = names.map(|e| e.file_name().to_string_lossy().into_owned());
+    let newest = names.filter_map(|n| Some((generation(&n)?, n))).max();
+    dir.join(newest.expect("a snapshot segment").1)
+}
+
+/// A snapshot written while the format's `asserted_core` field still held a
+/// second core engine — over the asserted set, for `minimize` — opens: the
+/// field is ignored, the database answers like the specification, and the
+/// next rotation writes the field empty.
+#[test]
+fn a_snapshot_carrying_an_asserted_core_opens_and_rotates_to_an_empty_field() {
+    let dir = scratch_dir("asserted-core");
+    let mut db = SemanticWebDatabase::from_graph(graph([
+        ("ex:a", "ex:p", "ex:b"),
+        ("ex:a", "ex:p", "_:X"),
+        ("ex:b", rdfs::TYPE, "ex:C"),
+    ]));
+    db.publish();
+    db.persist_to(&dir).expect("persist");
+    let store = db.graph();
+    let asserted = IdCoreEngine::from_triples(store.iter_ids(), store.dictionary());
+    let older = vec![asserted.export_state(store.dictionary())];
+    drop(db);
+
+    let segment = live_segment(&dir);
+    let bytes = std::fs::read(&segment).expect("read segment");
+    let (mut payload, generation) = SnapshotPayload::decode(&bytes).expect("decode");
+    assert!(payload.asserted_core.is_empty(), "written empty");
+    assert_eq!(payload.evaluation.len(), 1);
+    payload.asserted_core = older;
+    std::fs::write(&segment, payload.encode(generation)).expect("rewrite segment");
+
+    let mut reopened = SemanticWebDatabase::open(&dir).expect("the older file opens");
+    assert_eq!(reopened.len(), 3);
+    let q = query([("?X", "ex:p", "?Y")], [("?X", "ex:p", "?Y")]);
+    for semantics in [Semantics::Union, Semantics::Merge] {
+        let answer = reopened.answer(&q, semantics);
+        let spec = reopened.answer_recomputed(&q, semantics);
+        assert!(isomorphic(&answer, &spec), "{answer} vs {spec}");
+    }
+    assert_eq!(reopened.minimize_with_status(), (1, true));
+    assert!(reopened.snapshot_now().expect("rotate"));
+    drop(reopened);
+    let bytes = std::fs::read(live_segment(&dir)).expect("read segment");
+    let (rotated, _) = SnapshotPayload::decode(&bytes).expect("decode");
+    assert!(
+        rotated.asserted_core.is_empty(),
+        "rotated to an empty field"
+    );
+    assert_eq!(rotated.base.len(), 2);
     cleanup(&dir);
 }

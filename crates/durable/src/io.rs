@@ -6,10 +6,10 @@
 //! delete, a truncate. Production uses [`StdIo`] (plain `std::fs` with real
 //! `fsync`s). Tests wrap it in [`FaultIo`], which counts write-point
 //! operations and injects a configured [`FaultKind`] at the k-th one —
-//! failing it, tearing it mid-write, or acknowledging it while corrupting a
-//! bit on disk. Iterating k over a run's whole operation count and
-//! reopening after each injected fault is exactly the crash-point matrix
-//! the recovery tests sweep.
+//! failing it, tearing it mid-write, acknowledging it while corrupting a
+//! bit on disk, or panicking in place of it. Iterating k over a run's whole
+//! operation count and reopening after each injected fault is exactly the
+//! crash-point matrix the recovery tests sweep.
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -118,6 +118,10 @@ pub enum FaultKind {
     /// flipped on disk — the lying-disk case only checksums can catch.
     /// Non-data operations perform normally.
     Corrupt,
+    /// The operation panics before touching the disk — a bug in the write
+    /// path rather than in the device. The caller must come out of it as
+    /// if the operation had never started.
+    Panic,
 }
 
 const FAULT_NONE: u64 = u64::MAX;
@@ -128,7 +132,7 @@ struct FaultState {
     ops: AtomicU64,
     /// Inject at this op index ([`FAULT_NONE`] = never).
     fault_at: AtomicU64,
-    /// 0 = Fail, 1 = Truncate, 2 = Corrupt.
+    /// 0 = Fail, 1 = Truncate, 2 = Corrupt, 3 = Panic.
     kind: AtomicU8,
     /// Operations that were actually faulted.
     injected: AtomicU64,
@@ -173,6 +177,7 @@ impl FaultIo {
                 FaultKind::Fail => 0,
                 FaultKind::Truncate => 1,
                 FaultKind::Corrupt => 2,
+                FaultKind::Panic => 3,
             },
             Ordering::SeqCst,
         );
@@ -198,18 +203,18 @@ impl FaultIo {
     }
 
     /// Counts one write-point op; returns the fault to apply, if this is
-    /// the armed one.
+    /// the armed one, and panics here if that fault is a panic.
     fn tick(&self) -> Option<FaultKind> {
         let op = self.inner.ops.fetch_add(1, Ordering::SeqCst);
-        if op == self.inner.fault_at.load(Ordering::SeqCst) {
-            self.inner.injected.fetch_add(1, Ordering::SeqCst);
-            Some(match self.inner.kind.load(Ordering::SeqCst) {
-                0 => FaultKind::Fail,
-                1 => FaultKind::Truncate,
-                _ => FaultKind::Corrupt,
-            })
-        } else {
-            None
+        if op != self.inner.fault_at.load(Ordering::SeqCst) {
+            return None;
+        }
+        self.inner.injected.fetch_add(1, Ordering::SeqCst);
+        match self.inner.kind.load(Ordering::SeqCst) {
+            0 => Some(FaultKind::Fail),
+            1 => Some(FaultKind::Truncate),
+            2 => Some(FaultKind::Corrupt),
+            _ => panic!("injected fault: panic at write point {op}"),
         }
     }
 
@@ -221,7 +226,7 @@ impl FaultIo {
     /// should actually reach the disk and whether the op still "succeeds".
     fn mangle(kind: FaultKind, bytes: &[u8]) -> (Vec<u8>, bool) {
         match kind {
-            FaultKind::Fail => (Vec::new(), false),
+            FaultKind::Fail | FaultKind::Panic => (Vec::new(), false),
             FaultKind::Truncate => (bytes[..bytes.len() / 2].to_vec(), false),
             FaultKind::Corrupt => {
                 let mut out = bytes.to_vec();
@@ -389,6 +394,13 @@ mod tests {
         assert_eq!(on_disk.len(), 4);
         assert_ne!(on_disk, b"QQQQ");
         assert_eq!(on_disk.iter().filter(|&&b| b != b'Q').count(), 1);
+
+        // Panic: the op unwinds before anything reaches the disk.
+        io.arm(0, FaultKind::Panic);
+        let panicked = std::panic::catch_unwind(|| io.append(&f, b"RRRR"));
+        assert!(panicked.is_err());
+        assert_eq!(StdIo.read(&f).unwrap().len(), 4);
+        assert_eq!(io.injected(), 1);
 
         // Later ops after the armed one run clean.
         io.arm(0, FaultKind::Fail);

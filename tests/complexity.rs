@@ -75,9 +75,16 @@ const SLACK: u64 = 8;
 
 /// `n` asserted triples under RDFS: half ground, half two-triple blank
 /// components (`n / 4` of them), none of which shares a predicate with the
-/// premise below, plus the premise's fixed neighbourhood. Built and warmed
-/// on one worker with metrics off.
+/// premise below, plus the premise's fixed neighbourhood. Built and
+/// published on one worker with metrics off.
 fn fixture(n: usize) -> SemanticWebDatabase {
+    let mut db = unpublished(n);
+    db.publish();
+    db
+}
+
+/// [`fixture`] before its first publication.
+fn unpublished(n: usize) -> SemanticWebDatabase {
     let mut db = SemanticWebDatabase::new();
     db.set_threads(1);
     db.set_metrics_level(MetricsLevel::Off);
@@ -97,7 +104,6 @@ fn fixture(n: usize) -> SemanticWebDatabase {
     g.insert(triple("ex:a", "ex:likes", "ex:z"));
     g.insert(triple("ex:knows", "ex:label", "ex:k"));
     db.insert_graph(&g);
-    db.publish();
     db
 }
 
@@ -212,4 +218,24 @@ fn a_cold_premise_on_a_pin_grows_no_dictionary_and_allocates_independently_of_th
         count
     };
     assert_flat("cold premise on a pin", cold(N), cold(4 * N));
+}
+
+/// A write commits by forking the facade's state, after interning its new
+/// terms into the committed one: with no snapshot published, nothing holds
+/// the dictionary but that state — the last read's premise fork is dropped
+/// first — so neither step copies it, and a write of two new IRIs
+/// allocates independently of the database. Forking before interning, or
+/// keeping the read's fork until the swap, copies the dictionary.
+#[test]
+fn a_write_of_new_terms_on_an_unpublished_facade_allocates_independently_of_the_database() {
+    let q = premise_query();
+    let write = |n: usize| {
+        let mut db = unpublished(n);
+        db.answer(&q, Semantics::Union);
+        let fresh = triple("ex:fresh", "ex:ground", "ex:new");
+        let (added, count) = allocations(|| db.insert(fresh));
+        assert!(added);
+        count
+    };
+    assert_flat("a write of new terms, unpublished", write(N), write(4 * N));
 }

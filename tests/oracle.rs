@@ -16,8 +16,10 @@
 //! specification's, or — flagged `non_minimal` on every surface that gave
 //! it — equivalent to it.
 //! A checkpoint, crash or injected write failure must reopen to the model
-//! (before or after the faulted operation). A failing case is shrunk and
-//! prints its configuration and script.
+//! (before or after the faulted operation). A write that panics inside its
+//! WAL commit must leave the facade exactly as it was before the op, with
+//! the durability layer detached. A failing case is shrunk and prints its
+//! configuration and script.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -49,6 +51,7 @@ use pools::pool;
 const BOTH: [Semantics; 2] = [Semantics::Union, Semantics::Merge];
 const REGIMES: [EntailmentRegime; 2] = [EntailmentRegime::Rdfs, EntailmentRegime::Simple];
 const THREADS: [usize; 2] = [1, 4];
+const FAULTS: [FaultKind; 2] = [FaultKind::Fail, FaultKind::Panic];
 const LEVELS: [MetricsLevel; 3] = [
     MetricsLevel::Off,
     MetricsLevel::Counters,
@@ -106,9 +109,9 @@ enum Op {
     Checkpoint,
     /// Drop without a checkpoint, then reopen: the WAL suffix replays.
     Crash,
-    /// The mutation with a write failure armed at its `k`-th write-point,
-    /// then drop and reopen.
-    Faulted(Box<Op>, u64),
+    /// The mutation with a write failure or a panic armed at its `k`-th
+    /// write-point, then drop and reopen.
+    Faulted(Box<Op>, u64, FaultKind),
     /// Serve the database, ingest the batch over the wire, ask the pool.
     Serve(Vec<Spo>),
     /// Read the pool from the facade and a pinned snapshot.
@@ -161,7 +164,8 @@ fn op() -> impl Strategy<Value = Op> {
         1 => Just(Op::Publish),
         1 => Just(Op::Checkpoint),
         2 => Just(Op::Crash),
-        2 => (mutation(), 0..3u64).prop_map(|(m, k)| Op::Faulted(Box::new(m), k)),
+        2 => (mutation(), 0..3u64, 0..2usize)
+            .prop_map(|(m, k, f)| Op::Faulted(Box::new(m), k, FAULTS[f])),
         1 => batch().prop_map(Op::Serve),
         4 => Just(Op::Ask),
     ]
@@ -243,12 +247,25 @@ impl<'a> Harness<'a> {
                 }
             }
             Op::Crash if durable => self.reopen()?,
-            Op::Faulted(mutation, k) if durable => {
+            Op::Faulted(mutation, k, kind) if durable => {
                 let before = (self.model.clone(), self.regime, self.budget);
-                self.io.arm(*k, FaultKind::Fail);
-                let applied = self.mutate(mutation);
+                self.io.arm(*k, *kind);
+                let applied = catch_unwind(AssertUnwindSafe(|| self.mutate(mutation)));
                 self.io.disarm();
-                applied?;
+                if let Ok(applied) = applied {
+                    applied?;
+                } else {
+                    // The panic came before the swap: the facade is where it
+                    // was, and the layer detached rather than stay attached
+                    // over a possibly torn tail.
+                    let db = &self.db;
+                    let now = (db.graph().to_graph(), db.regime(), db.core_budget());
+                    prop_assert!(now == before, "a panicking write left {:?}", now);
+                    prop_assert!(db.durability_error().is_some(), "attached after a panic");
+                    (self.model, self.regime, self.budget) = before.clone();
+                    // Detached, the op applies in memory only: "after".
+                    self.mutate(mutation)?;
+                }
                 let after = (self.model.clone(), self.regime, self.budget);
                 self.reopen()?;
                 let db = &self.db;
@@ -261,7 +278,7 @@ impl<'a> Harness<'a> {
                 (self.model, self.regime, self.budget) = recovered;
             }
             Op::Crash => {}
-            Op::Faulted(mutation, _) => self.mutate(mutation)?,
+            Op::Faulted(mutation, ..) => self.mutate(mutation)?,
             Op::Serve(batch) => self.serve(batch, seed)?,
             Op::Ask => self.ask(seed)?,
             mutation => self.mutate(mutation)?,
@@ -304,12 +321,12 @@ impl<'a> Harness<'a> {
             Op::Minimize => {
                 // Which equivalent subgraph survives is the engine's choice
                 // (the core is unique only up to isomorphism): check it is
-                // one — lean unless a budget cut the search short — and
-                // follow it.
-                let reported = db.minimize();
+                // one — lean unless the call reports a budget cut its
+                // search short — and follow it.
+                let (reported, complete) = db.minimize_with_status();
                 let core = db.graph().to_graph();
                 prop_assert!(core.is_subgraph_of(model) && simple_equivalent(&core, model));
-                prop_assert!(db.is_degraded() || is_lean(&core), "{} is not lean", core);
+                prop_assert!(!complete || is_lean(&core), "{} is not lean", core);
                 let dropped = model.len() - core.len();
                 *model = core;
                 (reported, dropped)
