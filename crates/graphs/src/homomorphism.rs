@@ -7,9 +7,11 @@
 //! (Theorem 5.6) all reduce from it via the `enc(·)` encoding.
 //!
 //! The solver is a backtracking search with forward pruning by neighbourhood
-//! constraints, adequate for the instance sizes used in the experiment
-//! harness (it is, after all, solving an NP-complete problem — that is the
-//! point of experiment E03).
+//! constraints, adequate for the instance sizes the reductions are tested
+//! on (it is, after all, solving an NP-complete problem: the retraction
+//! search built on it grows exponentially on `K_k`, as
+//! `tests/paper_results.rs::theorem_3_12_core_identification_through_graph_encodings`
+//! counts).
 
 use std::collections::{BTreeMap, BTreeSet};
 

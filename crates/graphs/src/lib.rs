@@ -5,7 +5,7 @@
 //! homomorphism and isomorphism, graph cores (Hell–Nešetřil), colourability
 //! and clique detection (the NP-hard problems the paper reduces from), and
 //! transitive closure/reduction (Aho–Garey–Ullman, behind Example 3.14 and
-//! Theorem 3.16). Seeded random generators feed the experiment harness.
+//! Theorem 3.16). Seeded random generators feed the workloads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,4 +1,4 @@
-//! Seeded random graph generators used by the experiment harness.
+//! Seeded random graph generators behind the workloads.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

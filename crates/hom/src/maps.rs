@@ -40,7 +40,8 @@ pub fn find_map_indexed(from: &Graph, index: &GraphIndex) -> Option<TermMap> {
 /// Returns `true` if a map `from → into` exists.
 ///
 /// Routes acyclic sources through the polynomial semijoin evaluation
-/// (experiment E04); falls back to backtracking otherwise.
+/// (`acyclic_fast_path_agrees_with_backtracking` below); falls back to
+/// backtracking otherwise.
 pub fn exists_map(from: &Graph, into: &Graph) -> bool {
     let index = GraphIndex::new(into);
     exists_map_indexed(from, &index)

@@ -6,7 +6,9 @@
 //! evaluation problem for conjunctive queries over the triple relation, which
 //! is NP-complete in the size of the pattern (Theorem 6.1, query complexity)
 //! and polynomial in the size of the data for a fixed pattern (data
-//! complexity); both behaviours are exercised by experiment E15.
+//! complexity). `tests/paper_results.rs` counts both on the id-space twin
+//! of this search, [`crate::IdSolver`]
+//! (`theorem_6_1_fixed_query_evaluation_is_feasible_on_growing_data`).
 //!
 //! The search selects, at each step, the pattern with the fewest candidate
 //! triples under the current binding (most-constrained-first), which is the

@@ -37,8 +37,9 @@ pub fn is_closed(g: &Graph) -> bool {
     swdb_entailment::rdfs_closure(g) == *g
 }
 
-/// Quantifies how much larger the closure is than the input, used by
-/// experiment E06 to exhibit the `Θ(|G|²)` growth of Theorem 3.6(3).
+/// Quantifies how much larger the closure is than the input: the `Θ(|G|²)`
+/// growth of Theorem 3.6(3), which
+/// `tests/paper_results.rs::theorem_3_6_closure_properties` pins.
 pub fn closure_growth(g: &Graph) -> (usize, usize) {
     (g.len(), closure(g).len())
 }

@@ -164,8 +164,8 @@ keyed_enum! {
         /// Planned executions that compiled, probed, and planned from
         /// scratch (then cached the plan).
         PlanCacheMisses => "plan_cache_misses",
-        /// Plan-cache entries evicted — least-recently-used on capacity,
-        /// or found stale under a newer generation.
+        /// Plan-cache entries evicted: the least-recently-used one, when an
+        /// insert takes the cache over capacity.
         PlanCacheEvictions => "plan_cache_evictions",
         /// Blank components re-cored by the incremental core engine.
         CoreComponentsRecored => "core_components_recored",

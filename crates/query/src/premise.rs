@@ -9,7 +9,8 @@
 //!
 //! The rewriting is worst-case exponential in `|B|` (it enumerates subsets),
 //! which is exactly why containment with premises jumps from NP to Π₂ᵖ in
-//! Theorem 5.12; experiment E12 measures the blow-up.
+//! Theorem 5.12. `tests/paper_results.rs` checks the rewriting end to end
+//! (`proposition_5_9_premise_elimination_preserves_answers_end_to_end`).
 
 use std::collections::BTreeSet;
 

@@ -10,7 +10,7 @@
 //! * [`id_index`] — the raw SPO/POS/OSP ordered index over id-triples,
 //! * [`triple_store`] — dictionary + index with term-level pattern scans,
 //! * [`ntriples`] — an N-Triples-style parser and serializer,
-//! * [`stats`] — graph statistics used by the experiment reports,
+//! * [`stats`] — graph statistics reported by the examples and the facade,
 //! * [`union_find`] — the disjoint-set forest behind every blank-component
 //!   partition (statistics here, the core engine in `swdb-normal`).
 

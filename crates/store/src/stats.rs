@@ -1,8 +1,8 @@
 //! Descriptive statistics of RDF graphs.
 //!
-//! The experiment harness reports these statistics alongside timings so that
-//! the shape of each workload (blank density, schema fraction, fan-out) is
-//! visible next to the measured behaviour.
+//! The examples and the facade's `stats()` report these so that the shape of
+//! a workload (blank density, schema fraction, fan-out) is visible next to
+//! its behaviour.
 
 use std::collections::BTreeMap;
 

@@ -4,8 +4,8 @@
 //! Theorem 2.9 reduces graph homomorphism to simple entailment via
 //! `enc(H)`; Theorem 3.12 reduces the Core and Core Identification problems
 //! to leanness and core identification. These generators produce the
-//! instances the reductions use, so that the exponential-versus-polynomial
-//! *shape* of those results is visible in the benchmarks (E03, E08).
+//! instances the reductions use; `tests/paper_results.rs` checks the
+//! theorems on them.
 
 use swdb_graphs::DiGraph;
 use swdb_model::{encode_edges_with, Graph, Iri, Term, Triple};
@@ -20,43 +20,12 @@ pub fn encode(h: &DiGraph, prefix: &str) -> Graph {
     encode_edges_with(&h.edge_list(), &edge_predicate(), prefix)
 }
 
-/// The pair of RDF graphs whose entailment decides `k`-colourability of `h`
-/// (Theorem 2.9(1)): `enc(K_k) ⊨ enc(h)` iff `h → K_k` iff `h` is
-/// `k`-colourable. Returns `(premise, conclusion)` such that
-/// `premise ⊨ conclusion` holds iff the graph is `k`-colourable.
-pub fn coloring_instance(h: &DiGraph, k: usize) -> (Graph, Graph) {
-    let symmetric = DiGraph::from_undirected_edges(h.edges());
-    (encode(&DiGraph::complete(k), "kk"), encode(&symmetric, "h"))
-}
-
-/// The pair of RDF graphs whose entailment decides whether `h` contains a
-/// `k`-clique: `enc(h) ⊨ enc(K_k)` iff `K_k → h`.
-pub fn clique_instance(h: &DiGraph, k: usize) -> (Graph, Graph) {
-    (encode(h, "h"), encode(&DiGraph::complete(k), "kk"))
-}
-
 /// An RDF graph that is not lean because an even blank cycle of length
 /// `2 * n` retracts onto a single edge attached to it. Used to scale the
 /// leanness workload.
 pub fn redundant_cycle(n: usize) -> Graph {
     let cycle = DiGraph::from_undirected_edges((0..2 * n).map(|i| (i, (i + 1) % (2 * n))));
     encode(&cycle, "c")
-}
-
-/// An RDF graph that *is* lean: an odd blank cycle (its core is itself).
-pub fn lean_cycle(n: usize) -> Graph {
-    let cycle =
-        DiGraph::from_undirected_edges((0..(2 * n + 1)).map(|i| (i, (i + 1) % (2 * n + 1))));
-    encode(&cycle, "c")
-}
-
-/// A crown-like instance known to make backtracking homomorphism searches
-/// slow: a random 3-colourable graph (hidden partition) asked to map into
-/// `K_3`. Returns `(premise, conclusion)` with `premise ⊨ conclusion`
-/// always true but hard to certify.
-pub fn hidden_coloring_instance(nodes: usize, density: f64, seed: u64) -> (Graph, Graph) {
-    let h = swdb_graphs::planted_3_colorable(nodes, density, seed);
-    coloring_instance(&h, 3)
 }
 
 // ----- adversarial core workloads (degraded-mode family) -----
@@ -131,40 +100,6 @@ pub fn wide_blank_fan(width: usize) -> Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn coloring_instances_track_colourability() {
-        // C5 is 3-colourable but not 2-colourable.
-        let c5 = DiGraph::from_undirected_edges([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]);
-        let (premise3, conclusion3) = coloring_instance(&c5, 3);
-        assert!(swdb_entailment::simple_entails(&premise3, &conclusion3));
-        let (premise2, conclusion2) = coloring_instance(&c5, 2);
-        assert!(!swdb_entailment::simple_entails(&premise2, &conclusion2));
-    }
-
-    #[test]
-    fn clique_instances_track_cliques() {
-        let k4 = DiGraph::complete(4);
-        let (p, c) = clique_instance(&k4, 3);
-        assert!(swdb_entailment::simple_entails(&p, &c));
-        let c5 = DiGraph::from_undirected_edges([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]);
-        let (p, c) = clique_instance(&c5, 3);
-        assert!(!swdb_entailment::simple_entails(&p, &c));
-    }
-
-    #[test]
-    fn redundant_cycles_are_not_lean_and_lean_cycles_are() {
-        assert!(!swdb_normal::is_lean(&redundant_cycle(3)));
-        assert!(swdb_normal::is_lean(&lean_cycle(2)));
-    }
-
-    #[test]
-    fn hidden_coloring_instances_are_always_yes_instances() {
-        for seed in 0..3 {
-            let (p, c) = hidden_coloring_instance(9, 0.5, seed);
-            assert!(swdb_entailment::simple_entails(&p, &c));
-        }
-    }
 
     #[test]
     fn blank_cliques_are_lean_single_components() {

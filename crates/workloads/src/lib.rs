@@ -1,17 +1,18 @@
 //! # swdb-workloads — synthetic workload generators
 //!
-//! Seeded, reproducible generators for every experiment in `swdb-bench`:
+//! Seeded, reproducible generators behind the tests and examples; the
+//! paper's results are checked on them in `tests/paper_results.rs`:
 //!
-//! * [`art`] — the Fig. 1 art-gallery graph and its queries (E01, E11);
+//! * [`art`] — the Fig. 1 art-gallery graph and its queries;
 //! * [`random_rdf`] — random simple graphs, random RDFS schema graphs,
-//!   redundancy injection, `sp`/`sc` chains and blank chains (E02, E05, E06,
-//!   E08, E10);
-//! * [`hard`] — graph-homomorphism encodings: colourability, cliques,
-//!   (non-)lean cycles (E03, E08), and the adversarial core family —
-//!   blank cliques, hidden folds, deep chains, wide fans — behind the
-//!   degraded-mode tests (`crates/core/tests/adversarial_budget.rs`);
-//! * [`university`](mod@university) — a LUBM-style university instance with schema-aware
-//!   queries (E11, E15, E16).
+//!   redundancy injection and the `sp`-chain of Thm 3.6(3);
+//! * [`hard`] — graph-homomorphism encodings: the non-lean even cycle of
+//!   Thm 3.12, and the adversarial core family — blank cliques, hidden
+//!   folds, deep chains, wide fans — behind the degraded-mode tests
+//!   (`crates/core/tests/adversarial_budget.rs`);
+//! * [`university`](mod@university) — a LUBM-style university instance with
+//!   schema-aware queries, among them the fixed join and the growing star
+//!   of Thm 6.1.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,7 +24,7 @@ pub mod university;
 
 pub use hard::{blank_clique, deep_blank_chain, hidden_fold_instance, wide_blank_fan};
 pub use random_rdf::{
-    blank_chain, inject_blank_redundancy, sc_chain_with_instance, schema_graph, simple_graph,
-    sp_chain, SchemaGraphConfig, SimpleGraphConfig,
+    inject_blank_redundancy, schema_graph, simple_graph, sp_chain, SchemaGraphConfig,
+    SimpleGraphConfig,
 };
 pub use university::{university, UniversityConfig};

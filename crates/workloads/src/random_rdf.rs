@@ -156,8 +156,7 @@ pub fn schema_graph(config: &SchemaGraphConfig, seed: u64) -> Graph {
 /// Injects redundancy into a graph: for `copies` randomly chosen triples, a
 /// blank-node "shadow" of the triple is added (replacing the object, the
 /// subject, or both by fresh blanks). The result is equivalent to the input
-/// and its core is (essentially) the input — the workload for the core and
-/// normal-form experiments (E08, E10).
+/// and its core is (essentially) the input.
 pub fn inject_blank_redundancy(g: &Graph, copies: usize, seed: u64) -> Graph {
     let mut rng = StdRng::seed_from_u64(seed);
     let triples: Vec<Triple> = g.iter().cloned().collect();
@@ -184,8 +183,8 @@ pub fn inject_blank_redundancy(g: &Graph, copies: usize, seed: u64) -> Graph {
 }
 
 /// A chain of `n` subproperty triples `p0 ⊑ p1 ⊑ … ⊑ pn`, whose closure has
-/// `Θ(n²)` triples — the worst-case family of Theorem 3.6(3) used by
-/// experiment E06.
+/// `Θ(n²)` triples — the worst-case family of Theorem 3.6(3), counted in
+/// `tests/paper_results.rs::theorem_3_6_closure_properties`.
 pub fn sp_chain(n: usize) -> Graph {
     (0..n)
         .map(|i| {
@@ -193,41 +192,6 @@ pub fn sp_chain(n: usize) -> Graph {
                 Term::iri(format!("ex:p{i}")),
                 rdfs::sp(),
                 Term::iri(format!("ex:p{}", i + 1)),
-            )
-        })
-        .collect()
-}
-
-/// A chain of `n` subclass triples together with one typed instance at the
-/// bottom; the closure types the instance with every class.
-pub fn sc_chain_with_instance(n: usize) -> Graph {
-    let mut g: Graph = (0..n)
-        .map(|i| {
-            Triple::new(
-                Term::iri(format!("ex:C{i}")),
-                rdfs::sc(),
-                Term::iri(format!("ex:C{}", i + 1)),
-            )
-        })
-        .collect();
-    g.insert(Triple::new(
-        Term::iri("ex:bottom"),
-        rdfs::type_(),
-        Term::iri("ex:C0"),
-    ));
-    g
-}
-
-/// A simple blank-node chain of length `n`: `_:b0 -p-> _:b1 -p-> … -p-> _:bn`.
-/// Acyclic in the sense of §2.4, so entailment from any graph into it — and
-/// from it into any graph — stays polynomial.
-pub fn blank_chain(n: usize) -> Graph {
-    (0..n)
-        .map(|i| {
-            Triple::new(
-                Term::blank(format!("b{i}")),
-                swdb_model::Iri::new("ex:next"),
-                Term::blank(format!("b{}", i + 1)),
             )
         })
         .collect()
@@ -269,27 +233,5 @@ mod tests {
         let redundant = inject_blank_redundancy(&base, 10, 12);
         assert!(redundant.len() > base.len());
         assert!(swdb_entailment::equivalent(&base, &redundant));
-    }
-
-    #[test]
-    fn sp_chain_closure_is_quadratic() {
-        let n = 12;
-        let g = sp_chain(n);
-        let cl = swdb_entailment::rdfs_closure(&g);
-        assert!(cl.len() >= n * (n + 1) / 2);
-    }
-
-    #[test]
-    fn sc_chain_types_propagate_to_the_top() {
-        let g = sc_chain_with_instance(6);
-        let cl = swdb_entailment::rdfs_closure(&g);
-        assert!(cl.contains(&swdb_model::triple("ex:bottom", rdfs::TYPE, "ex:C6")));
-    }
-
-    #[test]
-    fn blank_chains_are_acyclic() {
-        let g = blank_chain(10);
-        assert!(!swdb_hom::has_blank_induced_cycle(&g));
-        assert_eq!(g.len(), 10);
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! The paper does not evaluate on real data; this generator provides a
 //! realistic-looking instance graph (departments, courses, professors,
-//! students) over a fixed RDFS schema so that the query-answering
-//! experiments (E11, E15) run over something that resembles a deployment
-//! rather than purely random triples.
+//! students) over a fixed RDFS schema so that query answering is tested
+//! over something that resembles a deployment rather than purely random
+//! triples.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -160,7 +160,8 @@ pub fn student_professor_query() -> Query {
 }
 
 /// A star-shaped query of configurable width over one department, used to
-/// scale *query* complexity while the data stays fixed (E15).
+/// scale *query* complexity while the data stays fixed
+/// (`tests/paper_results.rs::theorem_6_1_fixed_query_evaluation_is_feasible_on_growing_data`).
 pub fn star_query(width: usize) -> Query {
     let mut body: Vec<(String, String, String)> = Vec::with_capacity(width);
     for i in 0..width {

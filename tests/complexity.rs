@@ -1,5 +1,5 @@
-//! Complexity pins: the O(delta) claims of the write and premise paths,
-//! checked as allocation counts instead of clocks.
+//! Complexity pins: the O(delta) claims of the write, premise and read
+//! paths, checked as allocation counts instead of clocks.
 //!
 //! Each pin runs one operation on a database of `N` asserted triples and on
 //! one of `4N`, with the same delta, and counts the heap allocations the
@@ -7,7 +7,10 @@
 //! database's size allocates the same at both sizes, up to [`SLACK`]: a
 //! persistent-index write may split a chunk at one size and not at the
 //! other. Work that walks the database does not — a set of every asserted
-//! blank, or a copy of the dictionary, allocates in proportion to it.
+//! blank, or a copy of the dictionary, allocates in proportion to it. Two
+//! pins vary something else: the number of blank components behind a
+//! facade point read, and the evaluator (id space against string space)
+//! behind one warm query.
 //!
 //! The counter is a `#[global_allocator]` wrapping [`System`] with a
 //! thread-local tally, so the test harness's other threads do not count.
@@ -20,7 +23,9 @@ use std::cell::Cell;
 use semweb_foundations::core::{MetricsLevel, SemanticWebDatabase, Semantics};
 use semweb_foundations::hom::pattern_graph;
 use semweb_foundations::model::{graph, rdfs, triple, Graph};
-use semweb_foundations::query::Query;
+use semweb_foundations::query::{answer_against, query, NormalizedDatabase, Query};
+use semweb_foundations::workloads::university::workers_query;
+use semweb_foundations::workloads::{university, UniversityConfig};
 
 struct Counting;
 
@@ -238,4 +243,119 @@ fn a_write_of_new_terms_on_an_unpublished_facade_allocates_independently_of_the_
         count
     };
     assert_flat("a write of new terms, unpublished", write(N), write(4 * N));
+}
+
+/// One warm read on a pin of [`fixture`]`(n)` — the answer set and its
+/// N-Triples rendering, as the server writes a `/query` body — with the
+/// allocations it made.
+fn warm_read(n: usize, q: &Query) -> (String, u64) {
+    let pinned = fixture(n).published();
+    // The first read plans the shape.
+    pinned.answer(q, Semantics::Union).unwrap();
+    allocations(|| {
+        let answer = pinned.answer_set(q, Semantics::Union).unwrap();
+        let mut body = String::new();
+        answer.write_ntriples(pinned.dictionary(), |piece| body.push_str(piece));
+        body
+    })
+}
+
+/// A point read on a pinned snapshot — plan-cache hit, join, answer
+/// assembly and rendering — allocates independently of the database. A
+/// per-read copy of anything the snapshot holds (its dictionary, an
+/// index, the blank set) would allocate in proportion to it.
+#[test]
+fn a_point_read_on_a_pinned_snapshot_allocates_independently_of_the_database() {
+    let q = query([("?X", "ex:likes", "?Y")], [("?X", "ex:likes", "?Y")]);
+    let read = |n: usize| {
+        let (body, count) = warm_read(n, &q);
+        assert_eq!(body, "<ex:a> <ex:likes> <ex:z> .\n");
+        count
+    };
+    assert_flat("a point read on a pin", read(N), read(4 * N));
+}
+
+/// A scan's answer is assembled as one run of id triples and rendered
+/// straight into the output buffer, so it allocates a bounded number of
+/// times however many triples it returns: only the run and the buffer
+/// double as they grow. The fixture's `ex:ground` scan returns `N / 2` and
+/// `2N` triples; a per-row allocation in assembly or rendering (a `Vec`
+/// per answer triple) adds 3 000 between them.
+#[test]
+fn a_scan_allocates_a_bounded_number_of_times_however_many_triples_it_returns() {
+    let q = query([("?X", "ex:ground", "?Y")], [("?X", "ex:ground", "?Y")]);
+    let scan = |n: usize| {
+        let (body, count) = warm_read(n, &q);
+        assert_eq!(body.lines().count(), n / 2);
+        count
+    };
+    assert_flat("a scan", scan(N), scan(4 * N));
+}
+
+/// Premise-free answering in id space against the string-space evaluator,
+/// both warm: the string path rebuilds a term-keyed index on every call
+/// and joins on cloned terms, which is what the facade did per query
+/// before the id engine; the id path compiles against the dictionary and
+/// joins over the cached index. Counted in allocations, the id path is
+/// the cheaper by far more than the fivefold the name asks.
+#[test]
+fn warm_id_space_answering_beats_string_space_by_5x() {
+    let data = university(
+        &UniversityConfig {
+            departments: 12,
+            courses_per_department: 8,
+            professors_per_department: 4,
+            students_per_department: 20,
+            enrollments_per_student: 3,
+        },
+        0xE18,
+    );
+    let q = workers_query();
+    let normalized = NormalizedDatabase::without_premise(&data);
+    let mut db = SemanticWebDatabase::from_graph(data);
+    db.set_threads(1);
+    db.set_metrics_level(MetricsLevel::Off);
+    let expected = answer_against(&q, &normalized, Semantics::Union);
+    assert_eq!(db.answer(&q, Semantics::Union), expected);
+
+    let (answer, string_space) = allocations(|| answer_against(&q, &normalized, Semantics::Union));
+    assert_eq!(answer, expected);
+    let (answer, id_space) = allocations(|| db.answer(&q, Semantics::Union));
+    assert_eq!(answer, expected);
+    assert!(
+        string_space >= 5 * id_space,
+        "string space {string_space} allocations, id space {id_space}"
+    );
+}
+
+/// A point read through the live facade allocates independently of the
+/// number of blank components the store holds (single-blank components
+/// with distinct objects, so nothing folds): anything the facade did per
+/// read over its components, such as re-deriving the evaluation view,
+/// would allocate in proportion to them, and a snapshot read does not.
+#[test]
+fn a_facade_point_read_costs_no_multiple_of_a_snapshot_read_on_a_blank_heavy_store() {
+    let q = query([("?X", "ex:q", "?Y")], [("?X", "ex:q", "?Y")]);
+    let read = |components: usize| {
+        let mut data = Graph::new();
+        for i in 0..components {
+            data.insert(triple(&format!("_:b{i}"), "ex:p", &format!("ex:o{i}")));
+        }
+        data.insert(triple("ex:a", "ex:q", "ex:b"));
+        let mut db = SemanticWebDatabase::from_graph(data);
+        db.set_metrics_level(MetricsLevel::Off);
+        assert_eq!(db.answer(&q, Semantics::Union).len(), 1);
+        let (answer, facade) = allocations(|| db.answer(&q, Semantics::Union));
+        assert_eq!(answer.len(), 1);
+        let snapshot = db.publish();
+        snapshot.answer(&q, Semantics::Union).unwrap();
+        let (answer, pinned) = allocations(|| snapshot.answer(&q, Semantics::Union));
+        assert_eq!(answer.unwrap().len(), 1);
+        assert!(
+            facade <= pinned + SLACK,
+            "{facade} allocations through the facade, {pinned} on a snapshot"
+        );
+        facade
+    };
+    assert_eq!(read(10_000), read(40_000), "a facade point read");
 }

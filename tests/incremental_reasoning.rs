@@ -1,14 +1,13 @@
 //! End-to-end tests of the `swdb-reason` subsystem through the facade: the
 //! maintained closure against the recomputing specification on real
 //! workloads, closure-answered scans, the headline property that a
-//! single-triple edit is orders of magnitude cheaper than recomputation,
-//! and its normal-form counterpart in core-engine counters.
-
-use std::time::Instant;
+//! single-triple edit fires an order of magnitude fewer rules than
+//! recomputation, and its normal-form counterpart in core-engine counters.
 
 use semweb_foundations::core::{MetricsLevel, SemanticWebDatabase, Semantics};
 use semweb_foundations::entailment::rdfs_closure;
 use semweb_foundations::model::{rdfs, triple, Iri, Term, Triple};
+use semweb_foundations::obs::Metrics;
 use semweb_foundations::reason::MaterializedStore;
 use semweb_foundations::workloads::{
     schema_graph, university, SchemaGraphConfig, UniversityConfig,
@@ -73,8 +72,9 @@ fn closure_scans_see_inferred_triples_through_the_reasoner() {
 
 #[test]
 fn single_triple_edits_beat_full_recomputation_by_an_order_of_magnitude() {
-    // The acceptance property of incremental maintenance, demonstrated at
-    // a scale that stays fast in debug builds.
+    // The acceptance property of incremental maintenance, counted in rule
+    // firings: a single insert fires rules for its own consequences only,
+    // while recomputation fires them for the whole graph.
     let g = schema_graph(
         &SchemaGraphConfig {
             classes: 16,
@@ -85,48 +85,34 @@ fn single_triple_edits_beat_full_recomputation_by_an_order_of_magnitude() {
         },
         0xE17,
     );
+    let firings =
+        |store: &MaterializedStore| store.metrics().snapshot().counter("reason_rule_firings");
+    let mut cold = MaterializedStore::new();
+    cold.set_metrics(Metrics::new(MetricsLevel::Counters));
+    cold.insert_graph_with_delta(&g);
+    let full = firings(&cold);
+
     let mut materialized = MaterializedStore::from_graph(&g);
+    materialized.set_metrics(Metrics::new(MetricsLevel::Counters));
     // Fresh subjects typed with existing classes: guaranteed not asserted,
-    // and propagation still walks the real subclass hierarchy. Two disjoint
-    // batches so the insert side gets a best-of-two too.
-    let batch = |tag: &str| -> Vec<_> {
-        (0..20)
-            .map(|i| triple(&format!("ex:fresh{tag}{i}"), rdfs::TYPE, "ex:Class0"))
-            .collect()
-    };
-    let batches = [batch("A"), batch("B")];
-
-    // Best of two on both sides keeps a one-off scheduler stall from
-    // producing a false ratio; the real margin is ~1000×, the bar 10×.
-    let t0 = Instant::now();
-    let full = rdfs_closure(&g);
-    let first = t0.elapsed();
-    let t0 = Instant::now();
-    let _ = rdfs_closure(&g);
-    let full_time = first.min(t0.elapsed());
-    assert!(full.len() >= g.len());
-
-    let per_insert = batches
-        .iter()
-        .map(|batch| {
-            let t1 = Instant::now();
-            for delta in batch {
-                materialized.insert(delta);
-            }
-            t1.elapsed() / batch.len() as u32
-        })
-        .min()
-        .expect("two batches");
-
-    assert!(
-        full_time >= per_insert * 10,
-        "expected ≥10× speedup: full recomputation {full_time:?} vs single insert {per_insert:?}"
-    );
-    // Retract the deltas (untimed) — the engine must be exact afterwards.
-    for delta in batches.iter().flatten() {
+    // and propagation still walks the real subclass hierarchy.
+    let deltas: Vec<_> = (0..20)
+        .map(|i| triple(&format!("ex:fresh{i}"), rdfs::TYPE, "ex:Class0"))
+        .collect();
+    for delta in &deltas {
+        let before = firings(&materialized);
+        materialized.insert(delta);
+        let single = firings(&materialized) - before;
+        assert!(
+            single * 10 <= full,
+            "a single insert fired {single} rules, recomputation {full}"
+        );
+    }
+    // Retract the deltas: the engine must be exact afterwards.
+    for delta in &deltas {
         materialized.remove(delta);
     }
-    assert_eq!(materialized.closure_graph(), full);
+    assert_eq!(materialized.closure_graph(), rdfs_closure(&g));
 }
 
 /// The normal form is refreshed by the delta, not rebuilt, and counters say

@@ -1,15 +1,48 @@
 //! Cross-crate integration tests that replay the paper's numbered results on
 //! the public API. Each test is named after the theorem, proposition or
 //! example it mechanises.
+//!
+//! The growth results — Thm 3.6(3)'s quadratic closure, Thm 3.12's hard
+//! core search and Thm 6.1's data and query complexity — are checked as
+//! exact counts at three or more sizes: closure triples, or the search
+//! steps a [`Budget`] records. Counts are deterministic, so a test reads no
+//! clock.
+
+use std::ops::ControlFlow;
 
 use semweb_foundations::containment::{self, Notion};
-use semweb_foundations::entailment;
-use semweb_foundations::graphs::DiGraph;
+use semweb_foundations::entailment::{self, ClosureStats};
+use semweb_foundations::graphs::{find_retraction_budgeted, DiGraph};
 use semweb_foundations::hom;
 use semweb_foundations::model::{encode_edges, graph, isomorphic, rdfs, triple, Graph};
 use semweb_foundations::normal;
+use semweb_foundations::obs::Budget;
 use semweb_foundations::query::{self, Query, Semantics};
-use semweb_foundations::workloads::art;
+use semweb_foundations::store::TripleStore;
+use semweb_foundations::workloads::university::{star_query, student_professor_query};
+use semweb_foundations::workloads::{art, sp_chain, university, UniversityConfig};
+
+/// The steps a budget-metered search spent: run `search` under an
+/// effectively unbounded step budget and read back what it used.
+fn steps_of(search: impl FnOnce(&Budget)) -> u64 {
+    let budget = Budget::steps(u64::MAX);
+    search(&budget);
+    assert!(!budget.is_exhausted());
+    u64::MAX - budget.steps_remaining()
+}
+
+/// The search steps (candidates visited plus selectivity probes) the
+/// id-space solver spends enumerating *every* matching of `q`'s body in
+/// `data`.
+fn enumeration_steps(q: &Query, data: &Graph) -> u64 {
+    let store = TripleStore::from_graph(data);
+    let body = query::compile_body(q.body(), store.dictionary()).expect("constants occur");
+    steps_of(|budget| {
+        hom::IdSolver::new(body.patterns(), body.variables().len(), store.id_index())
+            .with_budget(budget)
+            .for_each_solution(&mut |_| ControlFlow::<()>::Continue(()));
+    })
+}
 
 // ---------- Section 2: entailment ----------
 
@@ -112,6 +145,21 @@ fn theorem_3_6_closure_properties() {
         &g,
         &triple("art:Guernica", "art:paints", "art:Picasso")
     ));
+
+    // Theorem 3.6(3): |cl(G)| ∈ Θ(|G|²). The sp-chain p0 ⊑ … ⊑ pn is the
+    // worst case: sp-transitivity closes it to every pair i < j, so the
+    // closure holds n(n+1)/2 sp triples plus the reflexive and axiomatic
+    // ones, and |cl(G)| / |G|² stays between constants.
+    for (n, closure_triples) in [(16, 158), (32, 566), (64, 2_150)] {
+        let stats = ClosureStats::for_graph(&sp_chain(n));
+        assert_eq!(stats.input_triples, n);
+        assert_eq!(stats.closure_triples, closure_triples, "|cl| at n = {n}");
+        let ratio = stats.quadratic_ratio();
+        assert!(
+            (0.5..0.7).contains(&ratio),
+            "|cl| / n² = {ratio} at n = {n}"
+        );
+    }
 }
 
 #[test]
@@ -142,6 +190,19 @@ fn theorem_3_12_core_identification_through_graph_encodings() {
     assert!(!normal::is_lean(&c6));
     assert!(normal::is_core_of(&k2, &c6));
     assert!(!normal::is_core_of(&c6, &c6));
+
+    // The search behind it grows exponentially on the worst case: every
+    // K_k is a core, so looking for a retraction fails only after trying
+    // every map into K_k minus a vertex, for every vertex.
+    let mut previous = 0;
+    for (k, expected) in [(3, 30), (4, 192), (5, 1_300)] {
+        let steps = steps_of(|budget| {
+            assert!(find_retraction_budgeted(&DiGraph::complete(k), Some(budget)).is_none());
+        });
+        assert_eq!(steps, expected, "retraction-search steps on K_{k}");
+        assert!(steps >= 6 * previous, "growth from K_{} to K_{k}", k - 1);
+        previous = steps;
+    }
 }
 
 #[test]
@@ -326,18 +387,43 @@ fn theorem_5_8_containment_with_right_premise() {
 
 // ---------- Section 6: complexity-facing behaviour ----------
 
+/// Theorem 6.1, both halves, as solver step counts. Data complexity: the
+/// fixed join query enumerates every matching within one step per data
+/// triple as the university grows. Query complexity: over fixed data,
+/// each atom added to the star query multiplies the steps by at least 4,
+/// growth exponential in the body, where a degree-`d` polynomial's
+/// per-atom factor `(1 + 1/w)^d` falls towards 1. The count is enumeration
+/// cost: a star with `w` atoms has `courses^w` matchings and the search
+/// visits each one, so it shows the output growing, not the hardness of
+/// the emptiness problem itself.
 #[test]
 fn theorem_6_1_fixed_query_evaluation_is_feasible_on_growing_data() {
-    let q = semweb_foundations::workloads::university::student_professor_query();
-    for scale in [1usize, 2, 4] {
-        let d = semweb_foundations::workloads::university(
-            &semweb_foundations::workloads::UniversityConfig {
-                departments: scale,
+    let q = student_professor_query();
+    for (departments, triples, expected) in [(1, 73, 23), (2, 132, 46), (4, 247, 96)] {
+        let d = university(
+            &UniversityConfig {
+                departments,
                 ..Default::default()
             },
             7,
         );
         assert!(!query::answer_is_empty(&q, &d));
+        assert_eq!(d.len(), triples);
+        let steps = enumeration_steps(&q, &d);
+        assert_eq!(steps, expected, "steps at {departments} departments");
+        assert!(
+            steps <= d.len() as u64,
+            "{steps} steps over {triples} triples"
+        );
+    }
+
+    let fixed = university(&UniversityConfig::default(), 7);
+    let mut previous = 0;
+    for (width, expected) in [(2, 83), (3, 444), (4, 2_255), (5, 11_316)] {
+        let steps = enumeration_steps(&star_query(width), &fixed);
+        assert_eq!(steps, expected, "steps for a {width}-atom star");
+        assert!(steps >= 4 * previous, "growth to {width} atoms");
+        previous = steps;
     }
 }
 

@@ -17,8 +17,7 @@ use semweb_foundations::model::{rdfs, triple, Graph, Triple};
 use semweb_foundations::workloads::{university, UniversityConfig};
 
 fn workload() -> Graph {
-    // ~160 triples per department (see the E19/E21 benches); 61 departments
-    // lands at roughly the 10k scale the acceptance criterion names.
+    // ~160 triples per department: 61 departments is roughly 10k triples.
     let departments = if cfg!(debug_assertions) { 6 } else { 61 };
     university(
         &UniversityConfig {
