@@ -51,18 +51,17 @@
 //! affected component(s). Nothing is dropped and rebuilt; the cold build
 //! (first read or publish) itself runs component-by-component in id space.
 //!
-//! Queries **with premises** run over a **premise overlay**: the premise is
-//! a *hypothetical write*, committed into forks of the state read. Its terms
-//! go into an extension of that state's dictionary
-//! ([`swdb_store::Dictionary::extending`]), never into the live one; its
-//! closure growth `cl(D + P) − cl(D)` into a fork of the closure index
-//! ([`MaterializedStore::preview_insert_over`]); and that delta into a fork
-//! of the evaluation index, by the insert half of the core engine's own
-//! refresh ([`swdb_normal::EvalOverlay`]). The query — planned like any
-//! other — joins that fork, the index a commit would publish. Forks share
-//! every chunk the premise leaves alone, so the state is bit-identical
-//! before and after, and the forks of the last few premises are kept with
-//! the plans, so repeated queries sharing a premise pay for it once.
+//! Queries **with premises** run over a **premise overlay**: the write
+//! path's insert on a fork of the state read. The state is cloned with
+//! metrics off, its store moves onto an extension of the dictionary
+//! ([`swdb_store::Dictionary::extending`], so the live one never grows),
+//! and the premise is inserted by the insert every commit runs — asserted,
+//! its closure growth propagated, that growth fed to the core engine. The
+//! query, planned like any other, joins the fork's evaluation index: the
+//! index a commit would publish. The fork shares every chunk the premise
+//! leaves alone, so the state read is bit-identical before and after, and
+//! the forks of the last few premises are kept with the plans, so repeated
+//! queries sharing a premise pay for it once.
 //!
 //! The string-space evaluator remains the executable specification via
 //! [`SemanticWebDatabase::answer_recomputed`] — `nf(D + P)` normalized
@@ -78,7 +77,8 @@
 //! change and the fork never copies the dictionary) → clone the state →
 //! apply the op to the clone (the closure delta of [`MaterializedStore`]'s
 //! semi-naive insert or DRed delete, fed into the evaluation engine) →
-//! commit the WAL record → swap the clone in. A panic before the swap
+//! commit the WAL record → swap the clone in. A premise runs the same
+//! insert on a fork that is never swapped in. A panic before the swap
 //! leaves the committed state as it was; the WAL commit runs with the
 //! durability layer taken out of the facade, so a panic inside it leaves
 //! the layer detached with its fail-stop record, never attached over a
@@ -90,8 +90,8 @@
 //! paths its predicates wake, joins the shards against an immutable
 //! snapshot of the closure index, and commits the merged, deduplicated
 //! conclusions single-threadedly as the next frontier. The DRed delete's
-//! overdeletion cascade and the premise preview are the same rounds with a
-//! different filter and commit target. [`SemanticWebDatabase::set_threads`]
+//! overdeletion cascade is the same rounds with a different filter and
+//! commit target. [`SemanticWebDatabase::set_threads`]
 //! (default: the machine's available parallelism) is the **worker
 //! ceiling** of a round — a large round spawns at most that many scoped
 //! workers, `1` never spawns, and small rounds (single-triple edits) run
@@ -286,6 +286,15 @@ impl State {
             }
         };
         self.evaluation = Some(engine);
+    }
+
+    /// The write path's insert, which commits and premise forks both run:
+    /// asserts `ids` (interned already), extends the maintained closure by
+    /// semi-naive propagation, and feeds the delta to the evaluation engine.
+    pub(crate) fn insert_ids(&mut self, ids: &[IdTriple]) -> ClosureDelta {
+        let delta = self.reasoner.insert_ids_with_delta(ids);
+        self.feed_delta(&delta, false);
+        delta
     }
 
     /// Routes one mutation's closure delta into the evaluation engine, if
@@ -913,11 +922,7 @@ impl SemanticWebDatabase {
         let added: Graph = std::iter::once(triple.into()).collect();
         self.commit(
             &added,
-            |state, ids| {
-                let delta = state.reasoner.insert_ids_with_delta(ids);
-                state.feed_delta(&delta, false);
-                !delta.base.is_empty()
-            },
+            |state, ids| !state.insert_ids(ids).base.is_empty(),
             |&new| new.then(|| WalRecord::InsertGraph(swdb_store::serialize(&added))),
         )
     }
@@ -965,8 +970,7 @@ impl SemanticWebDatabase {
         self.commit(
             graph,
             |state, ids| {
-                let delta = state.reasoner.insert_ids_with_delta(ids);
-                state.feed_delta(&delta, false);
+                state.insert_ids(ids);
             },
             |_| (!graph.is_empty()).then(|| WalRecord::InsertGraph(swdb_store::serialize(graph))),
         );
@@ -1461,7 +1465,7 @@ mod tests {
     fn premise_queries_run_through_the_overlay_under_rdfs() {
         // The §4 running example: all relatives of Peter, knowing son ⊑
         // relative. The premise schema triple must fire against the stored
-        // data triple through the closure *preview* — nothing is committed.
+        // data triple in the premise's fork — nothing is committed.
         let mut db = SemanticWebDatabase::from_graph(graph([("ex:John", "ex:son", "ex:Peter")]));
         let q = swdb_query::Query::with_premise(
             swdb_hom::pattern_graph([("?X", "ex:relative", "ex:Peter")]),
@@ -1492,6 +1496,9 @@ mod tests {
         for regime in [EntailmentRegime::Rdfs, EntailmentRegime::Simple] {
             db.set_regime(regime);
             let before = db.evaluation_graph();
+            let asserted: Vec<IdTriple> = db.graph().iter_ids().collect();
+            let closure = db.reasoner().closure_index().clone();
+            let terms = db.graph().dictionary().len();
             let q = swdb_query::Query::with_premise(
                 swdb_hom::pattern_graph([("?X", rdfs::TYPE, "ex:Artist")]),
                 swdb_hom::pattern_graph([("?X", rdfs::TYPE, "ex:Artist")]),
@@ -1510,6 +1517,12 @@ mod tests {
                 before,
                 "{regime:?}: the published evaluation graph changed under an overlaid query"
             );
+            // The fork writes the premise into the asserted and closure
+            // indexes and its terms into a dictionary extension: all forks.
+            let after: Vec<IdTriple> = db.graph().iter_ids().collect();
+            assert_eq!(after, asserted, "{regime:?}: the asserted set");
+            assert_eq!(db.reasoner().closure_index(), &closure, "{regime:?}");
+            assert_eq!(db.graph().dictionary().len(), terms, "{regime:?}");
         }
     }
 

@@ -104,11 +104,11 @@
 //! coordination**: a pinned snapshot stays bit-identical however the
 //! writer mutates, so `answer`/`explain` on it never blocks — or is blocked
 //! by — `insert`/`remove`. A snapshot answers every query, premise queries
-//! included: a premise is committed into forks of the pin, its terms into
-//! an extension of the pinned dictionary, and the live database is never
-//! touched. The facade's own reads run on its committed state the same
-//! way, and a write commits a fork of that state by swap, so a panicking
-//! write leaves it as it was.
+//! included: a premise is the write path's insert on a fork of the pinned
+//! state, its terms in an extension of the pinned dictionary, and the live
+//! database is never touched. The facade's own reads run on its committed
+//! state the same way, and a write commits a fork of that state by swap,
+//! so a panicking write leaves it as it was.
 //!
 //! ```
 //! use swdb_core::{SemanticWebDatabase, Semantics};

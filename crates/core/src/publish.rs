@@ -25,13 +25,13 @@
 //!
 //! A snapshot answers **every** query. A premise is hypothetical and scoped
 //! to one query (Def. 4.3): it is answered against `nf(D + P)` for the `D`
-//! of the pin, by committing `P` into forks — its terms into an extension
-//! of the pinned dictionary ([`Dictionary::extending`]), its closure growth
-//! into a fork of the pinned closure index, that growth into a fork of the
-//! pinned evaluation index — and joining the last. Nothing the writer owns
-//! is touched, the live dictionary included. The forks of the last
-//! `PREMISE_CACHE_CAPACITY` (8) premises are kept on the snapshot, which is
-//! immutable, so they never need invalidating.
+//! of the pin by the write path's insert on a fork of the pinned state —
+//! a clone with metrics off whose new terms go into an extension of the
+//! pinned dictionary ([`Dictionary::extending`]) — and the query joins the
+//! fork's evaluation index. Nothing the writer owns is touched, the live
+//! dictionary included. The forks of the last `PREMISE_CACHE_CAPACITY` (8)
+//! premises are kept on the snapshot, which is immutable, so they never
+//! need invalidating.
 //!
 //! The degraded flags ride the snapshot: `non_minimal` (core budget
 //! exhausted in the published state — answers sound and complete, possibly
@@ -44,11 +44,11 @@
 
 use std::sync::{Arc, Mutex, RwLock};
 
-use swdb_model::{Graph, Term};
-use swdb_normal::{EvalOverlay, IdCoreEngine};
+use swdb_model::Graph;
+use swdb_normal::IdCoreEngine;
 use swdb_obs::{Counter, Hist, Metrics};
 use swdb_query::{AnswerSet, Explain, Mechanism, PlanCache, Query, QueryEngine, Semantics};
-use swdb_store::{Dictionary, IdIndex, IdTriple};
+use swdb_store::{Dictionary, IdIndex};
 
 use crate::database::{rename_premise_apart, EntailmentRegime, State};
 
@@ -60,15 +60,6 @@ const PREMISE_CACHE_CAPACITY: usize = 8;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SnapshotQueryError {}
 
-/// A premise committed into forks of a snapshot: the extension of the
-/// snapshot's dictionary holding the premise's new terms, and the
-/// evaluation index with the premise's closure growth committed into it.
-#[derive(Debug)]
-struct PremiseFork {
-    dictionary: Dictionary,
-    overlay: EvalOverlay,
-}
-
 /// What the reads of one immutable `State` keep between calls: compiled
 /// plans and the last premises' forks. The state never changes, so nothing
 /// invalidates an entry; the facade drops its own when it commits.
@@ -76,13 +67,13 @@ struct PremiseFork {
 pub(crate) struct Reads {
     plans: PlanCache,
     /// The forks of the premises asked last, oldest first.
-    premises: Mutex<Vec<(Graph, Arc<PremiseFork>)>>,
+    premises: Mutex<Vec<(Graph, Arc<State>)>>,
 }
 
 impl Reads {
-    /// Runs `run` on the [`QueryEngine`] of the dispatch over `state`: over
-    /// the evaluation index for a premise-free query, over the fork the
-    /// premise was committed into otherwise, with the flag of the index read.
+    /// Runs `run` on the [`QueryEngine`] over the state the query reads —
+    /// `state` for a premise-free query, the fork the premise was written
+    /// into otherwise — with that state's index, dictionary and flag.
     pub(crate) fn run<R>(
         &self,
         state: &State,
@@ -91,38 +82,31 @@ impl Reads {
         run: impl FnOnce(QueryEngine<'_>) -> R,
     ) -> R {
         let fork;
-        let (mechanism, dictionary, target, non_minimal) = if query.is_premise_free() {
-            let evaluation = state.evaluation();
-            let dictionary = state.reasoner.store().dictionary();
-            let flag = evaluation.is_degraded();
-            (Mechanism::PremiseFree, dictionary, evaluation.index(), flag)
+        let (mechanism, read) = if query.is_premise_free() {
+            (Mechanism::PremiseFree, state)
         } else {
             fork = self.premise_fork(state, metrics, query.premise());
-            let (overlay, flag) = (&fork.overlay, fork.overlay.non_minimal);
-            (Mechanism::Overlay, &fork.dictionary, &overlay.index, flag)
+            (Mechanism::Overlay, &*fork)
         };
+        let evaluation = read.evaluation();
         run(QueryEngine {
-            dictionary,
-            target,
+            dictionary: read.reasoner.store().dictionary(),
+            target: evaluation.index(),
             cache: &self.plans,
             metrics,
             mechanism,
-            non_minimal,
+            non_minimal: evaluation.is_degraded(),
         })
     }
 
-    /// The fork `premise` is committed into, from the cache or built now.
-    ///
-    /// The premise's blanks are renamed apart from the asserted triples'
-    /// first — the id-space counterpart of the capture-avoiding
-    /// `Graph::merge` the specification uses — and its terms interned into
-    /// an extension of the state's dictionary. Under RDFS the delta is the
-    /// premise's closure growth `cl(D + P) − cl(D)`, committed into a fork
-    /// of the state's closure index; under simple entailment it is the
-    /// premise itself. The evaluation engine then commits that delta into a
-    /// fork of its index.
-    fn premise_fork(&self, state: &State, metrics: &Metrics, premise: &Graph) -> Arc<PremiseFork> {
-        let cached = |premises: &[(Graph, Arc<PremiseFork>)]| {
+    /// The fork `premise` is written into, from the cache or built now: a
+    /// clone of `state` with metrics off, whose store interns into an
+    /// extension of `state`'s dictionary, and into which the premise — its
+    /// blanks renamed apart from the asserted triples' first, the id-space
+    /// counterpart of the capture-avoiding `Graph::merge` — is inserted by
+    /// the write path's own insert ([`State::insert_ids`]).
+    fn premise_fork(&self, state: &State, metrics: &Metrics, premise: &Graph) -> Arc<State> {
+        let cached = |premises: &[(Graph, Arc<State>)]| {
             let (_, fork) = premises.iter().find(|(g, _)| g == premise)?;
             Some(Arc::clone(fork))
         };
@@ -131,27 +115,19 @@ impl Reads {
             return fork;
         }
         metrics.count(Counter::OverlayCacheMisses, 1);
+        metrics.count(Counter::ReasonPreviews, 1);
         let _span = metrics.span(Hist::SpanOverlayBuildNs);
-        let store = state.reasoner.store();
-        let renamed = rename_premise_apart(premise, store);
-        let mut dictionary = Dictionary::extending(Arc::clone(store.shared_dictionary()));
-        let mut intern = |term: &Term| dictionary.intern(term);
-        let ids: Vec<IdTriple> = renamed
-            .iter()
-            .map(|t| {
-                let predicate = Term::Iri(t.predicate().clone());
-                (intern(t.subject()), intern(&predicate), intern(t.object()))
-            })
-            .collect();
-        let delta = match state.regime {
-            EntailmentRegime::Rdfs => state.reasoner.preview_insert_over(&ids, &dictionary),
-            EntailmentRegime::Simple => ids,
-        };
-        let overlay = state.evaluation().overlay_core(&delta, &dictionary);
-        let fork = Arc::new(PremiseFork {
-            dictionary,
-            overlay,
-        });
+        let renamed = rename_premise_apart(premise, state.reasoner.store());
+        let mut fork = state.clone();
+        let off = metrics.silenced();
+        fork.reasoner.set_metrics(off.clone());
+        if let Some(engine) = fork.evaluation.as_mut() {
+            engine.set_metrics(off);
+        }
+        fork.reasoner.extend_dictionary();
+        let ids = fork.reasoner.intern_graph(&renamed);
+        fork.insert_ids(&ids);
+        let fork = Arc::new(fork);
         let mut premises = self.premises.lock().unwrap_or_else(|e| e.into_inner());
         if premises.len() >= PREMISE_CACHE_CAPACITY {
             premises.remove(0);

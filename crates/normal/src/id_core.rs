@@ -52,22 +52,18 @@
 //! runs out, and returns the survivors, the composed map and whether it
 //! ran out. `Cells::commit` is the only place that result is written into
 //! a component (and replayed onto the others' support sets), which makes
-//! it the only place a component's uncored share changes; the cold build,
-//! [`IdCoreEngine::apply_delta`] and [`IdCoreEngine::recore_uncored`] are
-//! sweeps of kernel-then-commit over the engine's components under three
-//! filters (stale / a survivor shares a newly visible predicate / uncored).
+//! it the only place a component's uncored share changes;
+//! [`IdCoreEngine::apply_delta`] (the cold build is one) and
+//! [`IdCoreEngine::recore_uncored`] are sweeps of kernel-then-commit over
+//! the engine's components under three filters (stale / a survivor shares
+//! a newly visible predicate / uncored).
 //!
-//! Besides durable deltas, the engine also cores **scoped** deltas:
-//! [`IdCoreEngine::overlay_core`] runs `apply_delta`'s insert half, the
-//! same function, against a fork of the published index (a clone of the
-//! persistent index, which shares every chunk the delta leaves alone) and
-//! a scratch copy of the few components that half can reach, and returns
-//! the fork as an [`EvalOverlay`] — the substrate of transient
-//! query-premise evaluation (`D + P` for one query, then dropped). The
-//! durable paths keep what the commits wrote; the fork drops its scratch
-//! components. The kernel searches a fork exactly as it searches the
-//! committed index, so a fork's index and flag are the ones committing the
-//! same delta would publish, under every budget.
+//! A premise (`D + P` for one query) is the same insert on a clone of the
+//! engine: the clone's index, component list and components are `Arc`s
+//! shared with the engine until the insert writes them.
+//! [`IdCoreEngine::overlay_core`] is that clone and insert, returning the
+//! clone's index and flag as an [`EvalOverlay`] — exactly what committing
+//! the delta would publish, under every budget.
 //!
 //! ### Degraded mode — bounding the NP-hard tail
 //!
@@ -81,9 +77,9 @@
 //! slice runs out is **published uncored**: its current survivor set goes
 //! into the evaluation index as-is, the component is flagged, and
 //! [`IdCoreEngine::recore_uncored`] retries it with a fresh slice on the
-//! next quiet refresh. The same slices govern [`IdCoreEngine::overlay_core`]
-//! so a poisoned what-if premise cannot stall the shared engine either; the
-//! fork then reports [`EvalOverlay::non_minimal`].
+//! next quiet refresh. A premise's fork is cored under the same slices, so
+//! a poisoned what-if premise cannot stall a reader either; the fork then
+//! reports [`EvalOverlay::non_minimal`].
 //!
 //! **Why publishing uncored is sound.** The engine shrinks the published
 //! set only by *applying a found witness*: every fold applied before the
@@ -233,21 +229,16 @@ impl CoreBudgetMode {
     }
 }
 
-/// A premise committed into a fork: the evaluation index `maintained ∪
-/// delta` would publish, forked from the engine's own index (a clone of the
-/// persistent index shares every chunk the delta leaves alone). The engine
-/// that produced it is untouched, so the fork can be dropped — or cached
-/// and queried again — without any cleanup.
+/// A delta committed into a clone of an engine
+/// ([`IdCoreEngine::overlay_core`]): the evaluation index `maintained ∪
+/// delta` publishes, and its flag. The engine itself is untouched.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EvalOverlay {
     /// The forked evaluation index with the delta committed into it.
     pub index: IdIndex,
-    /// Set when committing the delta would leave the engine degraded — a
-    /// budget slice ran out while coring the fork, or an uncored component
-    /// it did not get to re-core is still published: the fork is still a
-    /// sound evaluation state (equivalent to, and a superset of, the true
-    /// core) but may not be minimal. See the module's "Degraded mode"
-    /// section.
+    /// The clone's [`IdCoreEngine::is_degraded`]: the index is a sound
+    /// evaluation state (equivalent to, and a superset of, the true core)
+    /// but may not be minimal. See the module's "Degraded mode" section.
     pub non_minimal: bool,
 }
 
@@ -380,10 +371,10 @@ impl Uncored {
 
 /// The blank components plus the aggregates every commit reports, kept
 /// current where they change: the largest size where components leave and
-/// enter the partition, a component's uncored share in [`Cells::commit`]. The engine
-/// owns one; [`IdCoreEngine::overlay_core`] runs a scratch one.
-/// The list and its components are `Arc`s shared with the engine's clones:
-/// a write copies what it changes ([`Cells::get_mut`]).
+/// enter the partition, a component's uncored share in [`Cells::commit`].
+/// The list and its components are `Arc`s shared with the engine's clones
+/// (a premise's fork among them): a write copies what it changes
+/// ([`Cells::get_mut`]).
 #[derive(Clone, Debug, Default)]
 struct Cells {
     list: Arc<Vec<Arc<Component>>>,
@@ -468,32 +459,6 @@ impl Cells {
                     uncored: false,
                 },
             });
-        }
-    }
-
-    /// The insert half of a delta, against the engine's index or a fork of
-    /// it (`view`). A triple mentioning a delta blank either was in a
-    /// component the delta dissolves or is `fresh`, so the union-find runs
-    /// over that local set alone instead of the whole blank side. Then the
-    /// stale components are re-cored from their full sets, and every
-    /// component whose survivors could fold onto a newly visible triple gets
-    /// the chance to retract further; folds only remove triples, so that one
-    /// sweep reaches the fixpoint.
-    fn insert_half(
-        &mut self,
-        view: &mut IdIndex,
-        coring: &mut Coring,
-        delta_blanks: &BTreeSet<TermId>,
-        fresh: impl IntoIterator<Item = IdTriple>,
-        maintained: &IdIndex,
-        dictionary: &Dictionary,
-    ) {
-        let dissolved = self.dissolve(delta_blanks);
-        self.partition_and_inherit(dissolved, maintained, fresh, dictionary);
-        self.sweep(view, coring, |c| c.stale);
-        let added_preds = std::mem::take(&mut coring.added_preds);
-        if !added_preds.is_empty() {
-            self.sweep(view, coring, |c| c.shares_pred(&added_preds));
         }
     }
 
@@ -596,9 +561,10 @@ impl IdCoreEngine {
         IdCoreEngine::default()
     }
 
-    /// Builds the engine — and with it `core(G)` — from a triple set. This
-    /// is the cold path: ground triples stream into the index, blank triples
-    /// are partitioned into components and each component is cored locally.
+    /// Builds the engine — and with it `core(G)` — from a triple set: the
+    /// whole set is one [`IdCoreEngine::apply_delta`] into the empty engine,
+    /// so ground triples stream into the index, blank triples are
+    /// partitioned into components and each component is cored locally.
     pub fn from_triples(
         triples: impl IntoIterator<Item = IdTriple>,
         dictionary: &Dictionary,
@@ -625,24 +591,8 @@ impl IdCoreEngine {
         let mut engine = IdCoreEngine::new();
         engine.metrics = metrics;
         engine.budget_mode = budget;
-        let (blank, ground): (Vec<IdTriple>, Vec<IdTriple>) = triples
-            .into_iter()
-            .partition(|&t| is_blank_triple(dictionary, t));
-        engine.note_blank_triples(&blank);
-        engine.eval.extend(ground);
-        {
-            let _span = engine.metrics.span(Hist::SpanCoreRefreshNs);
-            let mut coring = engine.coring(BTreeSet::new());
-            engine.cells.insert_half(
-                &mut engine.eval,
-                &mut coring,
-                &BTreeSet::new(),
-                engine.blank_full.iter(),
-                &engine.blank_full,
-                dictionary,
-            );
-            engine.report(&coring, dictionary);
-        }
+        let triples: Vec<IdTriple> = triples.into_iter().collect();
+        engine.apply_delta(&triples, &[], dictionary);
         engine
     }
 
@@ -920,14 +870,20 @@ impl IdCoreEngine {
         }
         let _span = self.metrics.span(Hist::SpanCoreRefreshNs);
         let mut coring = self.coring(added_preds);
-        self.cells.insert_half(
-            &mut self.eval,
-            &mut coring,
-            &blank_delta_ids,
-            blank_added,
-            &self.blank_full,
-            dictionary,
-        );
+        // A triple mentioning a delta blank either was in a component the
+        // delta dissolves or is fresh, so the union-find runs over that
+        // local set alone. Then the stale components are re-cored from
+        // their full sets, and every component whose survivors could fold
+        // onto a newly visible triple gets the chance to retract further;
+        // folds only remove triples, so that one sweep reaches the fixpoint.
+        let dissolved = self.cells.dissolve(&blank_delta_ids);
+        let cells = &mut self.cells;
+        cells.partition_and_inherit(dissolved, &self.blank_full, blank_added, dictionary);
+        cells.sweep(&mut self.eval, &mut coring, |c| c.stale);
+        let added_preds = std::mem::take(&mut coring.added_preds);
+        if !added_preds.is_empty() {
+            cells.sweep(&mut self.eval, &mut coring, |c| c.shares_pred(&added_preds));
+        }
         self.report(&coring, dictionary);
     }
 
@@ -938,85 +894,18 @@ impl IdCoreEngine {
         self.eval.contains(t) || self.blank_full.contains(t)
     }
 
-    /// Commits `maintained ∪ delta` into a *fork* of the published index,
-    /// without mutating the engine — the substrate of transient premise
-    /// evaluation: queries over `D + P` run against the returned
-    /// [`EvalOverlay::index`], and dropping it afterwards leaves the durable
-    /// state bit-identical.
-    ///
-    /// `delta` is additions (the closure preview under RDFS, the premise
-    /// under simple entailment); those the engine already maintains are
-    /// skipped. It is put through
-    /// [`IdCoreEngine::apply_delta`]'s own insert half, against a clone of
-    /// the published index (which shares every chunk the delta leaves
-    /// alone) and a scratch copy of the only components that half can
-    /// reach — those sharing a blank with the delta (dissolved and
-    /// repartitioned) or a predicate with anything it can make visible
-    /// (candidates for retracting further) — and the scratch components are
-    /// dropped instead of committed. The kernel searches the fork exactly
-    /// as it would search the committed index, so the fork *is* the index
-    /// committing `delta` would publish, triple for triple.
-    ///
-    /// The engine's [`CoreBudgetMode`] governs the fork's searches too (a
-    /// hostile premise must not stall the shared engine): when a slice runs
-    /// out the fork is returned as-is — sound, per the module's "Degraded
-    /// mode" argument — with [`EvalOverlay::non_minimal`] set.
+    /// Commits the additions `delta` into a clone of the engine, with
+    /// metrics off, by [`IdCoreEngine::apply_delta`] — the substrate of a
+    /// transient premise: the clone's index is what committing `delta`
+    /// would publish, and the engine stays bit-identical. The engine's
+    /// [`CoreBudgetMode`] governs the clone's searches, so a hostile
+    /// premise is flagged [`EvalOverlay::non_minimal`] instead of stalling.
     pub fn overlay_core(&self, delta: &[IdTriple], dictionary: &Dictionary) -> EvalOverlay {
-        let mut index = self.eval.clone();
-        let mut delta_blanks: BTreeSet<TermId> = BTreeSet::new();
-        let mut blank_added: Vec<IdTriple> = Vec::new();
-        let mut ground_added: Vec<IdTriple> = Vec::new();
-        for &t in delta {
-            if !is_blank_triple(dictionary, t) {
-                ground_added.push(t);
-            } else if !self.blank_full.contains(t) {
-                note_blanks(dictionary, &mut delta_blanks, t);
-                blank_added.push(t);
-            }
-        }
-        let added = index.insert_all(&ground_added);
-        let mut coring = self.coring(added.into_iter().map(|t| t.1).collect());
-        let components = &self.cells.list;
-        let mut picked: Vec<Arc<Component>> = components
-            .iter()
-            .filter(|c| c.touches(&delta_blanks))
-            .cloned()
-            .collect();
-        // Everything the half can make visible is a delta triple or a
-        // restored triple of a component it dissolves, and only a predicate
-        // some blank triple uses can be a survivor's.
-        let reachable_preds: BTreeSet<TermId> = delta
-            .iter()
-            .chain(picked.iter().flat_map(|c| &c.full))
-            .map(|t| t.1)
-            .filter(|p| self.blank_pred_refs.contains_key(p))
-            .collect();
-        if !reachable_preds.is_empty() {
-            let reachable = components
-                .iter()
-                .filter(|c| !c.touches(&delta_blanks) && c.shares_pred(&reachable_preds));
-            picked.extend(reachable.cloned());
-        }
-        let mut scratch = Cells {
-            list: Arc::new(picked),
-            uncored: self.cells.uncored,
-            largest: 0,
-        };
-        scratch.insert_half(
-            &mut index,
-            &mut coring,
-            &delta_blanks,
-            blank_added,
-            &self.blank_full,
-            dictionary,
-        );
-        coring.flush(&self.metrics);
-        // What `is_degraded` would say after committing: the untouched
-        // components keep their flags, the scratch ones have fresh ones.
-        EvalOverlay {
-            index,
-            non_minimal: scratch.uncored.components > 0,
-        }
+        let mut fork = self.clone();
+        fork.metrics = self.metrics.silenced();
+        fork.apply_delta(delta, &[], dictionary);
+        let (non_minimal, index) = (fork.is_degraded(), fork.eval);
+        EvalOverlay { index, non_minimal }
     }
 
     /// Debug-build invariants: the published index is exactly the ground

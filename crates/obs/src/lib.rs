@@ -139,7 +139,8 @@ keyed_enum! {
         ReasonOverdeleted => "reason_overdeleted",
         /// Overdeleted triples rederived (put back) by the DRed check.
         ReasonRederived => "reason_rederived",
-        /// Non-committing closure previews run for premise overlays.
+        /// Premises written into a fork of the state, one per cold premise:
+        /// closure inserts that commit nothing.
         ReasonPreviews => "reason_previews",
         /// Queries compiled to id patterns.
         QueryCompiled => "query_compiled",
@@ -409,6 +410,15 @@ impl Metrics {
     pub fn disabled() -> &'static Metrics {
         static OFF: OnceLock<Metrics> = OnceLock::new();
         OFF.get_or_init(|| Metrics::new(MetricsLevel::Off))
+    }
+
+    /// A fresh `Off` handle with this one's blank-warning threshold: what a
+    /// fork of an engine records into, so it reports nothing and budgets
+    /// its core searches as the engine does.
+    pub fn silenced(&self) -> Metrics {
+        let off = Metrics::new(MetricsLevel::Off);
+        off.set_blank_warn_threshold(self.blank_warn_threshold());
+        off
     }
 
     /// The current recording level.

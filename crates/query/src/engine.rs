@@ -7,9 +7,8 @@
 //! The two [`Mechanism`]s differ only in the index:
 //!
 //! * premise-free — the evaluation index;
-//! * overlay — a fork of the evaluation index that the premise was
-//!   committed into (`nf(D + P)`; see
-//!   `swdb_normal::IdCoreEngine::overlay_core`).
+//! * overlay — the evaluation index of a fork of the state that the
+//!   premise was inserted into by the write path's insert (`nf(D + P)`).
 //!
 //! Every body is planned ([`crate::plan`]) and run by the one executor
 //! ([`crate::exec`]). Every read — on a pinned snapshot or through the

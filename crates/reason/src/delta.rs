@@ -23,16 +23,17 @@
 //! `parallel::round_conclusions`: a round joins the whole frontier
 //! against an immutable view, sorts and dedupes the conclusions, and the
 //! single-threaded caller commits them as the next frontier. Insert
-//! propagation commits into the closure; the DRed overdeletion cascade runs
-//! the same rounds with a "still in the closure, not an axiom" filter; the
-//! premise preview runs them against a fork of the closure index and
-//! commits into the fork. [`DeltaClosure::set_threads`] is a **worker
-//! ceiling** — "spawn at most this many workers per round", so `1` means
-//! "never spawn" — not a code-path selector: the per-round sort makes the
-//! rounds, both delta logs (as sequences) and every `reason_*` counter
-//! except `reason_parallel_rounds` identical at every count. The
-//! differential tests in `crates/reason/tests/` sweep thread counts and pin
-//! all of that against the string-space `swdb_entailment::rdfs_closure`.
+//! propagation commits into the closure, and the DRed overdeletion cascade
+//! runs the same rounds with a "still in the closure, not an axiom" filter.
+//! A premise is an insert on a clone of the engine, whose closure index
+//! shares every chunk the insert leaves alone. [`DeltaClosure::set_threads`]
+//! is a **worker ceiling** — "spawn at most this many workers per round",
+//! so `1` means "never spawn" — not a code-path selector: the per-round
+//! sort makes the rounds, both delta logs (as sequences) and every
+//! `reason_*` counter except `reason_parallel_rounds` identical at every
+//! count. The differential tests in `crates/reason/tests/` sweep thread
+//! counts and pin all of that against the string-space
+//! `swdb_entailment::rdfs_closure`.
 //!
 //! The five axiomatic triples of rule (9) are seeded at construction and are
 //! never deleted — they hold in every closure, including the closure of the
@@ -43,11 +44,10 @@ use std::sync::Arc;
 
 use swdb_hom::IdTarget;
 use swdb_obs::{Counter, Hist, Metrics, MetricsLevel, RULE_SLOTS};
-use swdb_store::{Dictionary, IdPattern, IdTriple, TripleStore};
+use swdb_store::{Dictionary, IdIndex, IdPattern, IdTriple, TripleStore};
 
 use crate::pattern::{Binding, TriplePattern, EMPTY_BINDING};
 use crate::rules::{RuleSystem, Vocabulary};
-use swdb_store::IdIndex;
 
 /// Splits off the most selective remaining hypothesis under the current
 /// binding — the one whose scan has the most bound positions. Joining
@@ -174,43 +174,6 @@ fn one_step_derivable<V: IdTarget>(
         }
     }
     false
-}
-
-/// Semi-naive frontier propagation in rounds (see [`crate::parallel`]):
-/// every frontier triple is new to `closure` and is joined only against the
-/// rules its predicate wakes; each round joins the whole frontier against
-/// an immutable snapshot of `closure`, then commits the merged conclusions
-/// single-threadedly as the next frontier. Every fresh conclusion is
-/// appended to `added` (the initial frontier is not logged — callers know
-/// their own). The per-round sort makes the schedule — and the `added` log
-/// — the same at every thread count.
-fn propagate_rounds(
-    rules: &RuleSystem,
-    closure: &mut IdIndex,
-    dictionary: &Dictionary,
-    threads: usize,
-    mut frontier: Vec<IdTriple>,
-    added: &mut Vec<IdTriple>,
-    metrics: &Metrics,
-) {
-    let mut rounds = 0u64;
-    while !frontier.is_empty() {
-        rounds += 1;
-        metrics.record(Hist::FrontierSize, frontier.len() as u64);
-        let view = &*closure;
-        let fresh = crate::parallel::round_conclusions(
-            rules,
-            view,
-            dictionary,
-            &frontier,
-            threads,
-            &|t| !view.contains(t),
-            metrics,
-        );
-        frontier = closure.insert_all(&fresh);
-        added.extend_from_slice(&frontier);
-    }
-    metrics.count(Counter::ReasonRounds, rounds);
 }
 
 /// An incrementally maintained RDFS closure over id-triples.
@@ -385,64 +348,39 @@ impl DeltaClosure {
         fresh
     }
 
-    /// Propagates `frontier` into the maintained closure (see
-    /// [`propagate_rounds`]).
+    /// Semi-naive frontier propagation in rounds (see [`crate::parallel`]):
+    /// every frontier triple is new to the closure and is joined only
+    /// against the rules its predicate wakes; each round joins the whole
+    /// frontier against an immutable snapshot of the closure, then commits
+    /// the merged conclusions single-threadedly as the next frontier. Every
+    /// fresh conclusion is appended to `added` (the initial frontier is not
+    /// logged — callers know their own). The per-round sort makes the
+    /// schedule — and the `added` log — the same at every thread count.
     fn propagate_rounds(
         &mut self,
-        frontier: Vec<IdTriple>,
+        mut frontier: Vec<IdTriple>,
         dictionary: &Dictionary,
         added: &mut Vec<IdTriple>,
     ) {
-        propagate_rounds(
-            &self.rules,
-            &mut self.closure,
-            dictionary,
-            self.threads,
-            frontier,
-            added,
-            &self.metrics,
-        );
-    }
-
-    /// Computes `RDFS-cl(G ∪ Δ) − RDFS-cl(G)` — the closure growth a
-    /// transient batch insert would cause — **without mutating** the
-    /// maintained closure: the batch is committed into a *fork* of the
-    /// closure index (a clone of the persistent index shares every chunk
-    /// the batch's consequences leave alone), by the same rounds
-    /// [`DeltaClosure::insert_batch_logged`] runs. So the result is the
-    /// `added` log committing the batch would report, in the same order,
-    /// and the cost scales with the delta's consequences, never with
-    /// `|cl(G)|`. The fork's rounds report to no counter, so the only one a
-    /// preview ticks is `reason_previews`.
-    ///
-    /// This is the reasoning half of transient premise evaluation: the
-    /// returned triples (the premise's fresh members plus everything they
-    /// newly derive) are committed into a fork of the evaluation index for
-    /// the duration of one query and are then dropped — the durable engine
-    /// is untouched.
-    ///
-    /// The ids must be interned in `dictionary` — the closure's own, or an
-    /// extension of it ([`Dictionary::extending`]) holding the batch's new
-    /// terms.
-    pub fn preview_insert_batch(
-        &self,
-        deltas: impl IntoIterator<Item = IdTriple>,
-        dictionary: &Dictionary,
-    ) -> Vec<IdTriple> {
-        self.metrics.count(Counter::ReasonPreviews, 1);
-        let mut fork = self.closure.clone();
-        let deltas: Vec<IdTriple> = deltas.into_iter().collect();
-        let mut added = fork.insert_all(&deltas);
-        propagate_rounds(
-            &self.rules,
-            &mut fork,
-            dictionary,
-            self.threads,
-            added.clone(),
-            &mut added,
-            Metrics::disabled(),
-        );
-        added
+        let mut rounds = 0u64;
+        while !frontier.is_empty() {
+            rounds += 1;
+            self.metrics
+                .record(Hist::FrontierSize, frontier.len() as u64);
+            let view = &self.closure;
+            let fresh = crate::parallel::round_conclusions(
+                &self.rules,
+                view,
+                dictionary,
+                &frontier,
+                self.threads,
+                &|t| !view.contains(t),
+                &self.metrics,
+            );
+            frontier = self.closure.insert_all(&fresh);
+            added.extend_from_slice(&frontier);
+        }
+        self.metrics.count(Counter::ReasonRounds, rounds);
     }
 
     /// Applies a deleted base triple (already removed from `base`): returns

@@ -13,15 +13,15 @@
 //!   triple wakes only the `(rule, hypothesis)` paths its predicate can
 //!   match (the inferdf-style indexing);
 //! * [`swdb_store::IdIndex`] — the SPO/POS/OSP index the closure lives in;
-//! * [`delta`] — [`DeltaClosure`]: semi-naive insert propagation (into the
-//!   closure, or into a fork of it for the non-mutating premise preview)
-//!   and DRed (overdelete/rederive) deletion — two loops around one kernel;
+//! * [`delta`] — [`DeltaClosure`]: semi-naive insert propagation and DRed
+//!   (overdelete/rederive) deletion — two loops around one kernel. A
+//!   premise is the same insert on a clone of the engine;
 //! * [`parallel`] — that kernel, the only place a rule fires: one *round*
 //!   partitions a frontier by the `(rule, hypothesis)` paths its predicates
-//!   wake, joins the shards against an immutable view (the closure index,
-//!   or a preview's fork of it) and returns the sorted, deduplicated
-//!   conclusions for the single-threaded caller to commit as
-//!   the next frontier. [`DeltaClosure::set_threads`] /
+//!   wake, joins the shards against an immutable view of the closure index
+//!   and returns the sorted, deduplicated conclusions for the
+//!   single-threaded caller to commit as the next frontier.
+//!   [`DeltaClosure::set_threads`] /
 //!   [`MaterializedStore::set_threads`] set a *worker ceiling* — a large
 //!   round spawns at most that many `std::thread::scope` workers, `1`
 //!   never spawns — and nothing else: the rules are monotone, the closure

@@ -208,30 +208,26 @@ impl MaterializedStore {
     /// is asserted and no closure propagation runs — and returns the
     /// graph's id triples. The ids are durable (the dictionary is
     /// append-only, so interning perturbs no index), while the store and
-    /// the maintained closure stay untouched. A premise answered on a
-    /// snapshot interns into an extension of the dictionary instead and
-    /// previews with [`MaterializedStore::preview_insert_over`].
+    /// the maintained closure stay untouched. A premise fork interns into
+    /// an extension of the dictionary
+    /// ([`MaterializedStore::extend_dictionary`]).
     pub fn intern_graph(&mut self, graph: &Graph) -> Vec<IdTriple> {
         graph.iter().map(|t| self.store.intern_triple(t)).collect()
     }
 
-    /// Previews the closure growth of transiently inserting the given id
-    /// triples — `RDFS-cl(G ∪ Δ) − RDFS-cl(G)` — without perturbing the
-    /// maintained closure (see [`DeltaClosure::preview_insert_batch`]).
-    pub fn preview_insert(&self, ids: &[IdTriple]) -> Vec<IdTriple> {
-        self.preview_insert_over(ids, self.store.dictionary())
+    /// Moves the store onto an empty extension of its dictionary
+    /// ([`TripleStore::extend_dictionary`]), so a fork's new terms never
+    /// reach the dictionary it shared.
+    pub fn extend_dictionary(&mut self) {
+        self.store.extend_dictionary();
     }
 
-    /// [`MaterializedStore::preview_insert`] of ids interned in `dictionary`,
-    /// an extension of the store's own ([`swdb_store::Dictionary::extending`])
-    /// that holds the batch's new terms: the store is never written.
-    pub fn preview_insert_over(
-        &self,
-        ids: &[IdTriple],
-        dictionary: &swdb_store::Dictionary,
-    ) -> Vec<IdTriple> {
-        self.engine
-            .preview_insert_batch(ids.iter().copied(), dictionary)
+    /// The closure growth of inserting the given id triples —
+    /// `RDFS-cl(G ∪ Δ) − RDFS-cl(G)`, in the order the insert logs it — by
+    /// the insert itself on a clone of the store, which shares this
+    /// store's metrics handle and is then dropped.
+    pub fn preview_insert(&self, ids: &[IdTriple]) -> Vec<IdTriple> {
+        self.clone().insert_ids_with_delta(ids).added
     }
 
     /// Removes a triple; returns `true` if it was asserted. The closure is

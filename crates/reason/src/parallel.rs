@@ -2,11 +2,10 @@
 //! rule joins.
 //!
 //! `round_conclusions` is the only place a rule fires. A semi-naive
-//! fixpoint is a sequence of **rounds**, and every consumer — insert
-//! propagation, the DRed overdeletion cascade and the premise preview of
-//! [`crate::DeltaClosure`] — is a loop around it that differs only in the
-//! view the round joins against, the filter its conclusions pass, and where
-//! the caller commits them:
+//! fixpoint is a sequence of **rounds**, and both consumers — insert
+//! propagation and the DRed overdeletion cascade of
+//! [`crate::DeltaClosure`] — are loops around it that differ only in the
+//! filter their conclusions pass and where the caller commits them:
 //!
 //! 1. **Shard** — the current frontier is partitioned by the
 //!    `(rule, hypothesis)` paths its predicates wake

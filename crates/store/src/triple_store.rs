@@ -90,6 +90,13 @@ impl TripleStore {
         &self.dictionary
     }
 
+    /// Moves the store onto an empty extension of its dictionary: terms
+    /// interned from now on go into the extension, and the dictionary it
+    /// shared never sees them. A premise fork interns this way.
+    pub fn extend_dictionary(&mut self) {
+        self.dictionary = Arc::new(Dictionary::extending(Arc::clone(&self.dictionary)));
+    }
+
     /// Interns a term, allocating an id if needed. Ids are append-only: the
     /// id stays valid even after every triple mentioning the term is removed.
     pub fn intern(&mut self, term: &Term) -> TermId {

@@ -44,9 +44,9 @@
 //! [`reason::DeltaClosure`] maintains the closure under **insert**
 //! (semi-naive propagation: only the new frontier is joined — batched for
 //! bulk loads via `insert_batch_logged`) and **delete** (DRed
-//! overdelete/rederive, immune to the rule system's derivation cycles),
-//! and previews a transient premise's consequences without committing them.
-//! All three are loops around one rule-firing kernel, the rounds of
+//! overdelete/rederive, immune to the rule system's derivation cycles);
+//! a transient premise is the same insert on a clone of the engine. Both
+//! are loops around one rule-firing kernel, the rounds of
 //! [`reason::parallel`]: a round partitions the frontier by woken
 //! `(rule, hypothesis)` paths, joins the shards against an immutable view
 //! of the closure index and returns the sorted, deduplicated conclusions.
@@ -103,19 +103,17 @@
 //!
 //! Queries **with premises** run through the same id engine — no query
 //! path evaluates in string space anymore. Every premise takes the
-//! **premise overlay** — the premise is a *hypothetical write*, committed
-//! into forks: its closure
-//! growth into a fork of the closure index
-//! ([`reason::MaterializedStore::preview_insert`]), that growth into a fork
-//! of the evaluation index by the incremental engine's own insert half
-//! ([`normal::IdCoreEngine::overlay_core`] → [`normal::EvalOverlay`]), and
-//! the query joins the fork — the index a commit would publish. A fork is
-//! a clone of the persistent [`store::IdIndex`], sharing every chunk the
-//! premise leaves alone, and the premise's terms go into an extension of
-//! the snapshot's dictionary ([`store::Dictionary::extending`]), so the
-//! snapshot stays bit-identical across a premise query and the live
-//! dictionary never grows for one; a snapshot keeps the forks of its last
-//! few premises. The
+//! **premise overlay**: the write path's insert on a fork of the state
+//! read — asserted, its closure growth propagated
+//! ([`reason::MaterializedStore::insert_ids_with_delta`]), that growth fed
+//! to the core engine ([`normal::IdCoreEngine::apply_delta`]) — and the
+//! query joins the fork's evaluation index, the index a commit would
+//! publish. The fork's indexes are clones of the persistent
+//! [`store::IdIndex`], sharing every chunk the premise leaves alone, and
+//! the premise's terms go into an extension of the snapshot's dictionary
+//! ([`store::Dictionary::extending`]), so the snapshot stays bit-identical
+//! across a premise query and the live dictionary never grows for one; a
+//! snapshot keeps the forks of its last few premises. The
 //! string-space evaluator remains the executable specification
 //! (`core::SemanticWebDatabase::answer_recomputed`) that the equivalence
 //! property tests pin both mechanisms against — the core is unique up to

@@ -6,7 +6,9 @@
 
 use std::time::Instant;
 
-use semweb_foundations::core::{MetricsLevel, SemanticWebDatabase, Semantics};
+use semweb_foundations::core::{
+    CoreBudget, CoreBudgetMode, MetricsLevel, SemanticWebDatabase, Semantics,
+};
 use semweb_foundations::hom::pattern_graph;
 use semweb_foundations::model::{graph, rdfs, triple, Graph};
 use semweb_foundations::obs::MetricsSnapshot;
@@ -170,6 +172,55 @@ fn a_premise_preview_counts_one_preview_and_no_fixpoint() {
         assert_eq!(after.counter(key), before.counter(key), "{key}");
     }
     assert_eq!(after.rule_firings, before.rule_firings);
+}
+
+#[test]
+fn a_premise_fork_reports_into_no_gauge_and_flags_only_its_own_answer() {
+    // A premise is written into a clone of the pinned state with metrics
+    // off: the fork's core engine must not overwrite the gauges that
+    // mirror the committed state, nor count a blank warning of its own.
+    let mut db = SemanticWebDatabase::new();
+    db.set_metrics_level(MetricsLevel::Counters);
+    db.metrics().set_blank_warn_threshold(2);
+    db.insert_graph(&graph([("ex:a", "ex:knows", "ex:b")]));
+    let pinned = db.publish();
+    let keys = [
+        "largest_blank_component",
+        "uncored_components",
+        "uncored_triples",
+    ];
+    let sheet = |db: &SemanticWebDatabase| {
+        let snap = db.metrics().snapshot();
+        let gauges = keys.map(|key| snap.gauges[key]);
+        (gauges, snap.counter("core_blank_warnings"))
+    };
+    let before = sheet(&db);
+    let knows = pattern_graph([("?X", "ex:knows", "?Y")]);
+    let chain = Query::with_premise(
+        knows.clone(),
+        knows.clone(),
+        graph([
+            ("_:a", "ex:knows", "_:b"),
+            ("_:b", "ex:knows", "_:c"),
+            ("_:c", "ex:knows", "_:d"),
+            ("_:d", "ex:knows", "_:e"),
+        ]),
+    )
+    .expect("well formed");
+    let answer = pinned.answer(&chain, Semantics::Union).unwrap();
+    assert_eq!(answer.len(), 5, "the chain is lean, and ex:a knows ex:b");
+    assert_eq!(sheet(&db), before, "a 4-triple premise component");
+
+    // A fork that runs out of budget flags its own answer and nothing else.
+    db.set_core_budget(CoreBudgetMode::Budgeted(CoreBudget::steps(1)));
+    let pinned = db.publish();
+    let blank = Query::with_premise(knows.clone(), knows, graph([("ex:a", "ex:knows", "_:P")]))
+        .expect("well formed");
+    let (_, non_minimal) = pinned.answer_with_status(&blank, Semantics::Union).unwrap();
+    assert!(non_minimal, "the fork's exhaustion reaches its answer");
+    assert!(!db.is_degraded());
+    assert!(!pinned.non_minimal());
+    assert_eq!(sheet(&db).0, [0, 0, 0], "gauges of a degraded fork");
 }
 
 #[test]

@@ -40,12 +40,11 @@ pub fn query_pool() -> Vec<Query> {
     ]
 }
 
-/// Premise queries covering both id mechanisms: ground simple premises
-/// (expansion path under the simple regime), RDFS-vocabulary premises
-/// (overlay with closure preview), blank-bearing premises (overlay in both
-/// regimes; capture-prone label `_:B0` deliberately collides with the
-/// generators' blank labels), and a premise that is entirely already
-/// asserted (empty overlay).
+/// Premise queries, each answered on a fork the premise is inserted into:
+/// ground premises, RDFS-vocabulary premises (the fork's closure grows by
+/// rule joins), blank-bearing premises (capture-prone label `_:B0`
+/// deliberately collides with the generators' blank labels), and a premise
+/// that is entirely already asserted (an empty insert).
 pub fn premise_query_pool(seed: u64) -> Vec<Query> {
     let fresh = format!("ex:prem{seed}");
     let data_premise = graph([
@@ -106,8 +105,8 @@ pub fn probe_queries() -> Vec<Query> {
         ),
         query([("?X", "?P", "?X")], [("?X", "?P", "?X")]),
         query([("ex:n3", "ex:p1", "?Y")], [("ex:n3", "ex:p1", "?Y")]),
-        // A ground premise query: expansion mechanism under simple
-        // entailment, overlay under RDFS — both must be plan-invariant.
+        // A ground premise query: an overlay under either regime, which
+        // must be plan-invariant.
         Query::with_premise(
             semweb_foundations::hom::pattern_graph([("?X", "ex:p0", "?Y")]),
             semweb_foundations::hom::pattern_graph([
