@@ -26,7 +26,6 @@
 //! against [`crate::answer::matchings_against`] /
 //! [`crate::answer::answer_against`] over the same evaluation graph.
 
-use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::ControlFlow;
 
@@ -34,7 +33,7 @@ use swdb_hom::{Binding, PatternGraph, PatternTerm, Variable, DEFAULT_SOLUTION_LI
 use swdb_model::{Graph, Term, Triple};
 use swdb_obs::Counter;
 use swdb_store::ntriples::{write_graph, write_term};
-use swdb_store::{Dictionary, IdIndex, TermId};
+use swdb_store::{Dictionary, IdIndex, TermId, TermOrder};
 
 use crate::answer::{combine, satisfies_constraints, single_answer, Semantics};
 use crate::engine::QueryEngine;
@@ -227,7 +226,8 @@ impl Singles {
 /// Under union semantics with a blank-free head the answer is a set of head
 /// instantiations over terms that exist already, so it stays what the join
 /// produced — `ids` — and is decoded only by [`AnswerSet::write_ntriples`]
-/// (into the caller's buffer) or [`AnswerSet::into_graph`]. Two paths mint
+/// (into the caller's buffer) or [`AnswerSet::into_graph`], and is put in
+/// [`Triple`] order by an integer sort over [`TermOrder`] ranks. Two paths mint
 /// terms no dictionary holds and hand over the `graph` they build instead:
 /// Skolemized heads (Skolem values) and merge semantics (blanks renamed
 /// apart per single answer).
@@ -307,6 +307,43 @@ impl AnswerSet {
     /// The answer as a [`Graph`].
     pub fn into_graph(self, dictionary: &Dictionary) -> Graph {
         self.into_owned(dictionary).graph
+    }
+}
+
+/// Term-order keys: integers that sort as their ids' terms — a [`TermOrder`]
+/// rank, shifted past the few loose ids (past the table) that sort before it.
+struct TermKeys<'a> {
+    table: &'a TermOrder,
+    /// `(slot, key, id)` per loose id — a premise fork's own terms, `extra` —
+    /// in term order: `slot` covered terms sort before it, `key` adds its index.
+    loose: Vec<(TermId, TermId, TermId)>,
+}
+
+impl<'a> TermKeys<'a> {
+    fn new(answer: &AnswerSet, dictionary: &'a Dictionary) -> Self {
+        let (table, term) = (dictionary.term_order(), |id| answer.term(dictionary, id));
+        let ids = table.order.len() as TermId..answer.extra_from + answer.extra.len() as TermId;
+        let by_term: BTreeMap<&Term, TermId> = ids.map(|id| (term(id), id)).collect();
+        let slot = |t| table.order.partition_point(|&c| term(c) < t) as TermId;
+        let slots = by_term.into_iter().map(|(t, id)| (slot(t), id));
+        let keyed = |(at, (s, id))| (s, s + at as TermId, id);
+        let loose = slots.enumerate().map(keyed).collect();
+        TermKeys { table, loose }
+    }
+
+    fn key(&self, id: TermId) -> TermId {
+        match self.table.rank.get(id as usize) {
+            Some(&rank) => rank + self.loose.partition_point(|l| l.0 <= rank) as TermId,
+            None => self.loose.iter().find(|l| l.2 == id).expect("a loose id").1,
+        }
+    }
+
+    fn id(&self, key: TermId) -> TermId {
+        let below = self.loose.partition_point(|l| l.1 < key);
+        match self.loose.get(below) {
+            Some(&(_, at, id)) if at == key => id,
+            _ => self.table.order[key as usize - below],
+        }
     }
 }
 
@@ -474,9 +511,9 @@ impl QueryEngine<'_> {
     /// answers is the set of all well-formed head instantiations; a single
     /// answer is dropped as a whole when any head pattern fails to instantiate,
     /// exactly as [`single_answer`] does). Every solution instantiates the head
-    /// as id triples onto one run, which is sorted and deduplicated in id space
-    /// whenever it has doubled — memory is O(distinct answers), not
-    /// O(solutions) — and put into [`swdb_model::Triple`] order once, at the end.
+    /// as term-order keys ([`TermKeys`]) onto one run, sorted and deduplicated
+    /// whenever it has doubled (memory O(distinct answers), not O(solutions)),
+    /// which is [`swdb_model::Triple`] order; keys map back to ids at the end.
     fn exec_union_ids(
         &self,
         query: &Query,
@@ -517,6 +554,7 @@ impl QueryEngine<'_> {
             })
             .collect();
 
+        let keys = TermKeys::new(&answer, dictionary);
         let mut ids: Vec<[TermId; 3]> = Vec::new();
         let mut compact_at = MIN_COMPACTION;
         self.enumerate(hooks, stats, |slots| {
@@ -535,7 +573,7 @@ impl QueryEngine<'_> {
                     ids.truncate(single);
                     break;
                 }
-                ids.push(triple);
+                ids.push(triple.map(|id| keys.key(id)));
             }
             if ids.len() >= compact_at {
                 // Stable sort: it takes the already compacted prefix as one run.
@@ -547,14 +585,7 @@ impl QueryEngine<'_> {
         });
         ids.sort();
         ids.dedup();
-        // `Triple` order, once. Distinct ids are distinct terms: the first
-        // position where two triples' ids differ decides, the rest is skipped.
-        ids.sort_unstable_by(|a, b| {
-            let differing = a.iter().zip(b).find(|(x, y)| x != y);
-            differing.map_or(Ordering::Equal, |(&x, &y)| {
-                answer.term(dictionary, x).cmp(answer.term(dictionary, y))
-            })
-        });
+        ids.iter_mut().for_each(|t| *t = t.map(|key| keys.id(key)));
         answer.ids = ids;
         answer
     }

@@ -19,9 +19,9 @@
 //! * [`exec`] — the one executor: premise-free bodies compiled to
 //!   [`swdb_store::TermId`] patterns and joined in planned order against a
 //!   [`swdb_store::IdIndex`], answers kept as id triples ([`AnswerSet`])
-//!   and decoded only into the response buffer (or by `into_graph` for
-//!   library callers), with the string-space evaluator kept as the
-//!   executable specification.
+//!   sorted as [`swdb_store::TermOrder`] ranks and decoded only into the
+//!   response buffer (or by `into_graph` for library callers), with the
+//!   string-space evaluator kept as the executable specification.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -276,6 +276,31 @@ mod proptests {
             }
             let evaluation = fork.iter().map(|t| published.materialize(t)).collect();
             check_union_answer(&q, published.dictionary(), &fork, evaluation)?;
+
+            // Regime 3: terms that sort before, between and after the stored
+            // ones, interned after regime 1 built the term-order table —
+            // into a clone of its dictionary, which then grows, and into an
+            // extension of it, whose own terms interleave with the base's.
+            let fresh = swdb_model::graph([
+                ("ex:a0", "ex:p0", "ex:n0a"),
+                ("ex:n0a", "ex:p1", "ex:zz"),
+                ("ex:zz", "ex:p0", "ex:n0"),
+                ("ex:n1", "ex:p1", "ex:a0"),
+            ]);
+            for extend in [false, true] {
+                let mut grown = store.clone();
+                if extend {
+                    grown.extend_dictionary();
+                }
+                for t in fresh.iter() {
+                    grown.insert(t);
+                }
+                // The table covers every id but an extension's own: a
+                // growing intern dropped the one regime 1 built.
+                let covered = if extend { &store } else { &grown }.term_count();
+                prop_assert_eq!(grown.dictionary().term_order().order.len(), covered);
+                check_union_answer(&q, grown.dictionary(), grown.id_index(), d.union(&fresh))?;
+            }
         }
     }
 }

@@ -7,10 +7,11 @@
 //! mentioning it is deleted.
 //!
 //! An extension ([`Dictionary::extending`]) holds a query's own terms over
-//! a shared dictionary, which it neither copies nor grows.
+//! a shared dictionary, which it neither copies nor grows. A [`TermOrder`]
+//! ranks ids by term, from first use until [`Dictionary::intern`] adds one.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use swdb_model::Term;
 
@@ -30,6 +31,17 @@ pub struct Dictionary {
     /// lookup misses them and goes here, so a plain dictionary's lookups
     /// cost what they would without extensions.
     extension: Option<Box<Extension>>,
+    /// Built by [`Dictionary::term_order`], reset by a growing `intern`.
+    term_order: OnceLock<Arc<TermOrder>>,
+}
+
+/// A dictionary's ids in [`Term`] order ([`Dictionary::term_order`]).
+#[derive(Debug)]
+pub struct TermOrder {
+    /// `rank[id]`: the index of `id` in `order`.
+    pub rank: Vec<TermId>,
+    /// The covered ids, sorted by term.
+    pub order: Vec<TermId>,
 }
 
 /// The terms an extension holds over its shared base: local id `i` is id
@@ -81,6 +93,7 @@ impl Dictionary {
             return id;
         }
         let id = TermId::try_from(self.backward.len()).expect("dictionary overflow");
+        self.term_order.take();
         self.forward.insert(term.clone(), id);
         self.backward.push(term.clone());
         if matches!(term, Term::Blank(_)) {
@@ -133,6 +146,22 @@ impl Dictionary {
             }),
             found => found,
         }
+    }
+
+    /// The term-order table: built on first use by an O(terms) walk of the
+    /// forward map, shared by clones; an extension gets its base's.
+    pub fn term_order(&self) -> &Arc<TermOrder> {
+        if let Some(ext) = &self.extension {
+            return ext.base.term_order();
+        }
+        self.term_order.get_or_init(|| {
+            let order: Vec<TermId> = self.forward.values().copied().collect();
+            let mut rank = vec![0; order.len()];
+            for (r, &id) in order.iter().enumerate() {
+                rank[id as usize] = r as TermId;
+            }
+            Arc::new(TermOrder { rank, order })
+        })
     }
 
     /// Number of interned terms (an extension counts its base's).
@@ -250,5 +279,43 @@ mod tests {
         assert_eq!(base.id_of(&Term::iri("ex:b")), None);
         assert_eq!(base.term_of(b), None);
         assert_eq!(base.len(), 72);
+    }
+
+    /// `order` against a comparison sort of the ids by term.
+    fn assert_in_term_order(d: &Dictionary) {
+        let mut sorted: Vec<TermId> = (0..d.len() as TermId).collect();
+        sorted.sort_by_key(|&id| d.term_of(id));
+        let table = d.term_order();
+        assert_eq!(table.order, sorted);
+        for (r, &id) in sorted.iter().enumerate() {
+            assert_eq!(table.rank[id as usize], r as TermId);
+        }
+    }
+
+    #[test]
+    fn the_term_order_table_sorts_ids_by_term_and_follows_growth() {
+        let mut d = Dictionary::new();
+        for term in [Term::blank("A"), Term::iri("ex:n5"), Term::iri("ex:n1")] {
+            d.intern(&term);
+        }
+        assert_in_term_order(&d);
+        // IRIs before blanks, whatever the interning order.
+        assert_eq!(d.term_order().order, [2, 1, 0]);
+        let built = Arc::clone(d.term_order());
+        assert!(
+            Arc::ptr_eq(d.clone().term_order(), &built),
+            "a clone shares it"
+        );
+        d.intern(&Term::iri("ex:n5"));
+        assert!(Arc::ptr_eq(d.term_order(), &built), "a known term keeps it");
+        for term in [Term::iri("ex:a0"), Term::blank("0"), Term::iri("ex:n3")] {
+            d.intern(&term);
+        }
+        assert_in_term_order(&d);
+        // An extension answers with its base's table.
+        let base = Arc::new(d);
+        let mut ext = Dictionary::extending(Arc::clone(&base));
+        ext.intern(&Term::iri("ex:b"));
+        assert!(Arc::ptr_eq(ext.term_order(), base.term_order()));
     }
 }

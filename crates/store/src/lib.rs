@@ -6,7 +6,7 @@
 //! [`swdb_model::Graph`]; this crate is what a downstream application uses to
 //! hold data at rest and to move it in and out of files.
 //!
-//! * [`dictionary`] — term interning,
+//! * [`dictionary`] — term interning and the term-order table,
 //! * [`id_index`] — the raw SPO/POS/OSP ordered index over id-triples,
 //! * [`triple_store`] — dictionary + index with term-level pattern scans,
 //! * [`ntriples`] — an N-Triples-style parser and serializer,
@@ -24,7 +24,7 @@ pub mod stats;
 pub mod triple_store;
 pub mod union_find;
 
-pub use dictionary::{Dictionary, TermId};
+pub use dictionary::{Dictionary, TermId, TermOrder};
 pub use id_index::IdIndex;
 pub use ntriples::{parse, serialize, ParseError};
 pub use stats::GraphStats;

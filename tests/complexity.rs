@@ -292,6 +292,31 @@ fn a_scan_allocates_a_bounded_number_of_times_however_many_triples_it_returns() 
     assert_flat("a scan", scan(N), scan(4 * N));
 }
 
+/// A scan puts its answer in term order through the dictionary's rank
+/// table, built on first use and cached in the dictionary value. A write of
+/// known terms leaves that value as it was — on an unpublished facade too,
+/// where the write interns into the dictionary in place — so the pin
+/// published after it hands a scan the same table, and no scan after a
+/// known-term write rebuilds it. Dropping the table on every `intern`,
+/// known terms included, fails this.
+#[test]
+fn a_scan_after_a_known_term_write_reuses_the_term_order_table() {
+    use std::sync::Arc;
+    let q = query([("?X", "ex:ground", "?Y")], [("?X", "ex:ground", "?Y")]);
+    let mut db = unpublished(N);
+    db.answer_set(&q, Semantics::Union);
+    let built = Arc::clone(db.graph().dictionary().term_order());
+    toggle(&mut db);
+    let pinned = db.publish();
+    let answer = pinned.answer_set(&q, Semantics::Union).unwrap();
+    assert_eq!(answer.len(), N / 2 + 1, "the toggled triple is in");
+    toggle(&mut db);
+    let pinned = db.publish();
+    pinned.answer_set(&q, Semantics::Union).unwrap();
+    let table = pinned.dictionary().term_order();
+    assert!(std::ptr::eq(&*built, &**table), "the table was rebuilt");
+}
+
 /// Premise-free answering in id space against the string-space evaluator,
 /// both warm: the string path rebuilds a term-keyed index on every call
 /// and joins on cloned terms, which is what the facade did per query
