@@ -354,7 +354,7 @@ struct Inner {
     blank_warn_threshold: AtomicU64,
     /// Cold-path registry mapping rule slots to human-readable labels
     /// (e.g. `r04_sc-transitivity`); written once by the rule system.
-    rule_labels: Mutex<Vec<String>>,
+    rule_labels: Mutex<Arc<[String]>>,
 }
 
 /// The shared instrumentation handle. Clones share the same atomic state
@@ -394,7 +394,7 @@ impl Metrics {
                 rule_firings: std::array::from_fn(|_| AtomicU64::new(0)),
                 histograms: std::array::from_fn(|_| Histogram::new()),
                 blank_warn_threshold: AtomicU64::new(threshold),
-                rule_labels: Mutex::new(Vec::new()),
+                rule_labels: Mutex::default(),
             }),
         }
     }
@@ -516,9 +516,10 @@ impl Metrics {
     }
 
     /// Registers human-readable labels for the rule-firing slots (slot `i`
-    /// gets `labels[i]`). Cold path; called once by the rule system.
-    pub fn set_rule_labels(&self, labels: Vec<String>) {
-        *self.inner.rule_labels.lock().expect("rule label registry") = labels;
+    /// gets `labels[i]`). Cold path; the rule system formats its labels once
+    /// and hands every handle it is wired into the same `Arc`.
+    pub fn set_rule_labels(&self, labels: impl Into<Arc<[String]>>) {
+        *self.inner.rule_labels.lock().expect("rule label registry") = labels.into();
     }
 
     /// Resets all counters, gauges, rule slots and histograms to zero

@@ -217,13 +217,7 @@ impl DeltaClosure {
     /// shared (its clones report into the same counters); passing a
     /// default-constructed [`Metrics`] disables recording again.
     pub fn set_metrics(&mut self, metrics: Metrics) {
-        metrics.set_rule_labels(
-            self.rules
-                .rules()
-                .iter()
-                .map(|r| format!("r{:02}_{}", r.paper_number, r.name.replace(' ', "_")))
-                .collect(),
-        );
+        metrics.set_rule_labels(Arc::clone(self.rules.labels()));
         self.metrics = metrics;
     }
 

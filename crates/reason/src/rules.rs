@@ -14,6 +14,7 @@
 //! once rather than participating in delta propagation.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use swdb_store::{IdTriple, TermId};
 
@@ -76,6 +77,8 @@ pub struct RuleSystem {
     /// Hypothesis paths whose predicate position is a variable: woken by
     /// every delta triple.
     wildcard: Vec<RulePath>,
+    /// Per rule, its metrics label (`r02_subproperty_transitivity`).
+    labels: Arc<[String]>,
 }
 
 impl RuleSystem {
@@ -229,8 +232,12 @@ impl RuleSystem {
                 }
             }
         }
+        let labels = rules
+            .iter()
+            .map(|r| format!("r{:02}_{}", r.paper_number, r.name.replace(' ', "_")));
         RuleSystem {
             vocab,
+            labels: labels.collect(),
             rules,
             by_predicate,
             wildcard,
@@ -245,6 +252,11 @@ impl RuleSystem {
     /// The rules, in paper order.
     pub fn rules(&self) -> &[Rule] {
         &self.rules
+    }
+
+    /// The rules' metrics labels, in paper order, formatted once.
+    pub fn labels(&self) -> &Arc<[String]> {
+        &self.labels
     }
 
     /// The axiomatic triples of rule (9).
