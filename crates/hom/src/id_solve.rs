@@ -9,7 +9,7 @@
 //! no string hashing, no materialized candidate `Vec`.
 //!
 //! The target of the search is abstracted behind [`IdTarget`] so the same
-//! solver drives two consumers:
+//! solver drives three consumers:
 //!
 //! * `swdb-query::exec` joins compiled query bodies against an [`IdIndex`]:
 //!   the evaluation index, or — for a query premise — a fork of it that the
@@ -18,10 +18,15 @@
 //! * `swdb-normal::id_core` runs the *retraction search* of the core
 //!   computation — an endomorphism avoiding one triple — against an
 //!   [`Avoiding`] view that masks the avoided triple out of an index
-//!   (Definition 3.7: `G` is not lean iff some `μ : G → G − {t}` exists).
+//!   (Definition 3.7: `G` is not lean iff some `μ : G → G − {t}` exists);
+//! * `swdb-reason` fires the RDFS rules (2)–(13): a delta triple unified
+//!   into one hypothesis seeds the join of the others against the closure,
+//!   and the DRed probes seed the join of all of them with a conclusion.
 //!
-//! Join ordering is the shared [`crate::most_constrained`] rule; selectivity
-//! comes from [`IdTarget::candidate_count`] (a range count, no allocation).
+//! [`IdSolver::for_each_solution_from`] is the one search entry: it extends
+//! a caller's binding (a stack array in the reasoner) and leaves it as it
+//! found it. Join ordering is [`crate::most_constrained`] over
+//! [`IdTarget::candidate_count`] (a range count), or [`IdSolver::with_order`].
 
 use std::ops::ControlFlow;
 
@@ -63,6 +68,18 @@ impl IdTriplePattern {
             resolve(self.predicate),
             resolve(self.object),
         )
+    }
+
+    /// Unifies the pattern with a concrete triple: constants must equal
+    /// their position, and variables bind to it or must already be bound
+    /// to it. On a mismatch `binding` may be left partially extended.
+    pub fn unify(self, (s, p, o): IdTriple, binding: &mut [Option<TermId>]) -> bool {
+        [(self.subject, s), (self.predicate, p), (self.object, o)]
+            .into_iter()
+            .all(|(term, id)| match term {
+                IdPatternTerm::Const(c) => c == id,
+                IdPatternTerm::Var(slot) => *binding[slot].get_or_insert(id) == id,
+            })
     }
 }
 
@@ -226,40 +243,23 @@ impl<'a, T: IdTarget> IdSolver<'a, T> {
         }
     }
 
-    /// Like [`IdSolver::new`], additionally recording the join order the
-    /// search chooses into `recorder` (see [`JoinOrderLog`]).
-    pub fn with_recorder(
-        patterns: &'a [IdTriplePattern],
-        slots: usize,
-        target: &'a T,
-        recorder: &'a JoinOrderLog,
-    ) -> Self {
-        IdSolver {
-            patterns,
-            slots,
-            target,
-            recorder: Some(recorder),
-            budget: None,
-            order: None,
-        }
-    }
-
     /// Executes a **static join plan** instead of the dynamic
     /// most-constrained-first selection: `order` lists the original pattern
-    /// indices in execution order (a permutation of `0..patterns.len()`).
+    /// indices in execution order (a permutation of `0..patterns.len()`, or
+    /// of the patterns a seeded search's seed does not already satisfy).
     /// The search then issues **zero** selectivity probes — a planner has
     /// already paid them once — while the candidate scans, repeated-slot
     /// consistency checks, and budget accounting stay identical. Any
     /// permutation yields the same solution *set* (join order is
     /// correctness-neutral), only the traversal cost differs.
     pub fn with_order(mut self, order: &'a [usize]) -> Self {
-        debug_assert_eq!(order.len(), self.patterns.len());
+        debug_assert!(order.len() <= self.patterns.len());
         self.order = Some(order);
         self
     }
 
-    /// Like [`IdSolver::with_recorder`] as a builder: records the join
-    /// order the search takes (planned or dynamic) into `recorder`.
+    /// Records the join order the search takes (planned or dynamic) into
+    /// `recorder` (see [`JoinOrderLog`]).
     pub fn recording_into(mut self, recorder: &'a JoinOrderLog) -> Self {
         self.recorder = Some(recorder);
         self
@@ -282,12 +282,23 @@ impl<'a, T: IdTarget> IdSolver<'a, T> {
         &self,
         visit: &mut impl FnMut(&[Option<TermId>]) -> ControlFlow<B>,
     ) -> Option<B> {
-        let mut binding: Vec<Option<TermId>> = vec![None; self.slots];
+        self.for_each_solution_from(&mut vec![None; self.slots], visit)
+    }
+
+    /// The seeded search: enumerates the solutions that extend `binding`
+    /// (a slot array of at least `slots` entries, its `Some` slots fixed),
+    /// invoking `visit` with the extended array. Returns with `binding` as
+    /// it found it, whether the enumeration ran out or `visit` stopped it.
+    pub fn for_each_solution_from<B>(
+        &self,
+        binding: &mut [Option<TermId>],
+        visit: &mut impl FnMut(&[Option<TermId>]) -> ControlFlow<B>,
+    ) -> Option<B> {
         let outcome = if let Some(order) = self.order {
-            self.search_planned(0, order, &mut binding, visit)
+            self.search_planned(0, order, binding, visit)
         } else {
             let mut remaining: Vec<&IdTriplePattern> = self.patterns.iter().collect();
-            self.search(&mut remaining, &mut binding, visit)
+            self.search(&mut remaining, binding, visit)
         };
         match outcome {
             ControlFlow::Break(b) => Some(b),
@@ -304,7 +315,7 @@ impl<'a, T: IdTarget> IdSolver<'a, T> {
         &self,
         depth: usize,
         order: &[usize],
-        binding: &mut Vec<Option<TermId>>,
+        binding: &mut [Option<TermId>],
         visit: &mut impl FnMut(&[Option<TermId>]) -> ControlFlow<B>,
     ) -> ControlFlow<B> {
         let Some(&pattern_index) = order.get(depth) else {
@@ -348,7 +359,7 @@ impl<'a, T: IdTarget> IdSolver<'a, T> {
     fn search<B>(
         &self,
         remaining: &mut Vec<&'a IdTriplePattern>,
-        binding: &mut Vec<Option<TermId>>,
+        binding: &mut [Option<TermId>],
         visit: &mut impl FnMut(&[Option<TermId>]) -> ControlFlow<B>,
     ) -> ControlFlow<B> {
         if remaining.is_empty() {
@@ -468,6 +479,7 @@ fn try_bind(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn index() -> IdIndex {
         let mut index = IdIndex::new();
@@ -490,6 +502,95 @@ mod tests {
             subject: s,
             predicate: p,
             object: o,
+        }
+    }
+
+    #[test]
+    fn unify_binds_and_checks_consistency() {
+        let loop_ = pattern(var(0), constant(9), var(0));
+        let mut binding = [None; 2];
+        assert!(loop_.unify((4, 9, 4), &mut binding));
+        assert_eq!(binding, [Some(4), None]);
+        assert!(!loop_.unify((4, 9, 5), &mut [None; 2]), "v0 is 4 or 5");
+        assert!(!loop_.unify((4, 8, 4), &mut [None; 2]), "the constant");
+        assert!(!loop_.unify((5, 9, 5), &mut binding), "v0 is bound to 4");
+    }
+
+    #[test]
+    fn scan_patterns_reflect_bound_positions() {
+        let p = pattern(var(1), constant(2), var(0));
+        assert_eq!(p.to_scan(&[None, Some(7)]), (Some(7), Some(2), None));
+    }
+
+    /// A pattern position: one of three constants or one of three slots,
+    /// so repeated variables are common.
+    fn arb_term() -> impl Strategy<Value = IdPatternTerm> {
+        (0u32..6).prop_map(|i| {
+            if i < 3 {
+                constant(i)
+            } else {
+                var(i as usize - 3)
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The seeded entry enumerates exactly the unseeded solutions that
+        /// agree with the seed, stops at a `Break`, and returns the
+        /// caller's slice unchanged — dynamic and planned alike.
+        #[test]
+        fn a_seeded_search_is_the_unseeded_one_restricted_to_its_seed(
+            shapes in proptest::collection::vec((arb_term(), arb_term(), arb_term()), 1..4),
+            triples in proptest::collection::vec((0u32..3, 0u32..3, 0u32..3), 0..16),
+            seed in proptest::collection::vec(0u32..5, 3),
+            rotation in 0usize..3,
+        ) {
+            let patterns: Vec<IdTriplePattern> =
+                shapes.iter().map(|&(s, p, o)| pattern(s, p, o)).collect();
+            let mut idx = IdIndex::new();
+            for t in triples {
+                idx.insert(t);
+            }
+            let seed: Vec<Option<TermId>> = seed.iter().map(|&v| (v < 3).then_some(v)).collect();
+            let mut all = Vec::new();
+            IdSolver::new(&patterns, 3, &idx).for_each_solution(&mut |slots| {
+                all.push(slots.to_vec());
+                ControlFlow::<()>::Continue(())
+            });
+            let mut expected: Vec<Vec<Option<TermId>>> = all
+                .iter()
+                .filter(|s| s.iter().zip(&seed).all(|(a, b)| a.is_none() || b.is_none() || a == b))
+                .map(|s| s.iter().zip(&seed).map(|(a, b)| a.or(*b)).collect())
+                .collect();
+            expected.sort();
+            let mut order: Vec<usize> = (0..patterns.len()).collect();
+            order.rotate_left(rotation % patterns.len());
+            for planned in [false, true] {
+                let mut solver = IdSolver::new(&patterns, 3, &idx);
+                if planned {
+                    solver = solver.with_order(&order);
+                }
+                let mut binding = seed.clone();
+                let mut seen = Vec::new();
+                let none = solver.for_each_solution_from(&mut binding, &mut |slots| {
+                    seen.push(slots.to_vec());
+                    ControlFlow::<()>::Continue(())
+                });
+                seen.sort();
+                prop_assert!(none.is_none());
+                prop_assert_eq!(&seen, &expected, "planned: {}", planned);
+                prop_assert_eq!(&binding, &seed, "the seed after a full run");
+                let mut visits = 0;
+                let first = solver.for_each_solution_from(&mut binding, &mut |slots| {
+                    visits += 1;
+                    ControlFlow::Break(slots.to_vec())
+                });
+                prop_assert_eq!(visits, usize::from(!expected.is_empty()));
+                prop_assert!(first.is_none_or(|first| expected.contains(&first)));
+                prop_assert_eq!(&binding, &seed, "the seed after a break");
+            }
         }
     }
 
@@ -574,7 +675,7 @@ mod tests {
             pattern(var(1), constant(11), var(2)),
         ];
         let log = JoinOrderLog::new();
-        let solver = IdSolver::with_recorder(&patterns, 3, &idx, &log);
+        let solver = IdSolver::new(&patterns, 3, &idx).recording_into(&log);
         assert!(solver.exists());
         assert_eq!(log.order(), vec![1, 0]);
         assert_eq!(log.take(), vec![1, 0]);

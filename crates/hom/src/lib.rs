@@ -15,7 +15,10 @@
 //! * [`id_solve`] — the dictionary-encoded generalization of the matcher:
 //!   `TermId` patterns joined directly over an `swdb_store::IdIndex`, with
 //!   pluggable targets (including the `G − {t}` view of the retraction
-//!   search).
+//!   search). It drives three consumers — the query executor, the core's
+//!   retraction search and the RDFS rule joins of `swdb-reason` — and its
+//!   one search entry extends a caller's binding (a delta triple unified
+//!   into a rule hypothesis), leaving it as it found it.
 //! * [`acyclic`] — blank-induced-cycle detection, GYO α-acyclicity, and the
 //!   polynomial semijoin evaluation for acyclic patterns (the paper's
 //!   polynomial special cases of entailment).

@@ -116,35 +116,20 @@ impl CompiledBody {
     }
 }
 
-/// Compiles a body pattern graph against a dictionary. Returns `None` when a
-/// body constant was never interned — such a constant occurs in no stored
-/// triple, so the body has zero matchings and the caller can skip execution
-/// entirely (the "unknown constant" fast path).
+/// Compiles a body pattern graph against a dictionary: the body half of the
+/// plan cache's compiler, a body template instantiated at once. Returns
+/// `None` when a body constant was never interned — such a constant occurs
+/// in no stored triple, so the body has zero matchings and the caller can
+/// skip execution entirely (the "unknown constant" fast path).
 pub fn compile_body(body: &PatternGraph, dictionary: &Dictionary) -> Option<CompiledBody> {
-    let mut vars: Vec<Variable> = Vec::new();
-    let mut patterns = Vec::with_capacity(body.len());
-    for pattern in body.patterns() {
-        let mut compile_term = |term: &PatternTerm| -> Option<IdPatternTerm> {
-            match term {
-                PatternTerm::Const(t) => dictionary.id_of(t).map(IdPatternTerm::Const),
-                PatternTerm::Var(v) => {
-                    let slot = match vars.iter().position(|known| known == v) {
-                        Some(slot) => slot,
-                        None => {
-                            vars.push(v.clone());
-                            vars.len() - 1
-                        }
-                    };
-                    Some(IdPatternTerm::Var(slot))
-                }
-            }
-        };
-        patterns.push(IdTriplePattern {
-            subject: compile_term(&pattern.subject)?,
-            predicate: compile_term(&pattern.predicate)?,
-            object: compile_term(&pattern.object)?,
-        });
-    }
+    let (mut vars, mut consts) = (Vec::new(), Vec::new());
+    let template: Vec<_> = body
+        .patterns()
+        .iter()
+        .map(|p| crate::plan::encode_pattern(p, &mut vars, &mut consts))
+        .collect();
+    let patterns = crate::plan::instantiate_body(&template, &consts, dictionary)?;
+    let vars = vars.into_iter().cloned().collect();
     Some(CompiledBody { patterns, vars })
 }
 

@@ -53,7 +53,7 @@ pub const PLAN_CACHE_CAPACITY: usize = 256;
 /// occurrence in the body (matching [`crate::exec::compile_body`]'s slot
 /// numbering), constants by first occurrence across body then head.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum ShapeTerm {
+pub(crate) enum ShapeTerm {
     Var(u32),
     Const(u32),
 }
@@ -109,10 +109,11 @@ fn encode_term<'q>(
     }
 }
 
-/// Extracts the shape of a query. The body is walked first, so the variable
-/// numbering coincides with [`crate::exec::compile_body`]'s slot numbering;
+/// Encodes one pattern as a shape template, numbering variables and
+/// constants by first occurrence. [`crate::exec::compile_body`] encodes a
+/// body alone and `shape_of` the body first, so both number slots alike;
 /// head variables occur in the body (Note 4.2) and add no slots.
-fn encode_pattern<'q>(
+pub(crate) fn encode_pattern<'q>(
     p: &'q swdb_hom::TriplePattern,
     vars: &mut Vec<&'q Variable>,
     consts: &mut Vec<&'q Term>,
@@ -401,11 +402,16 @@ impl Prepared {
     }
 }
 
-/// Re-instantiates a shape's body template against the live dictionary.
-/// Returns `None` when a body constant was never interned (the
-/// unknown-constant fast path: zero matchings without touching the index).
-fn instantiate_body(info: &ShapeInfo<'_>, dictionary: &Dictionary) -> Option<Vec<IdTriplePattern>> {
-    let mut const_ids: Vec<Option<TermId>> = vec![None; info.consts.len()];
+/// Instantiates a body template, whose constants index `consts`, against
+/// the live dictionary. Returns `None` when a body constant was never
+/// interned (the unknown-constant fast path: zero matchings without
+/// touching the index).
+pub(crate) fn instantiate_body(
+    body: &[[ShapeTerm; 3]],
+    consts: &[&Term],
+    dictionary: &Dictionary,
+) -> Option<Vec<IdTriplePattern>> {
+    let mut const_ids: Vec<Option<TermId>> = vec![None; consts.len()];
     let mut resolve = |term: ShapeTerm| -> Option<IdPatternTerm> {
         match term {
             ShapeTerm::Var(slot) => Some(IdPatternTerm::Var(slot as usize)),
@@ -413,7 +419,7 @@ fn instantiate_body(info: &ShapeInfo<'_>, dictionary: &Dictionary) -> Option<Vec
                 let id = match const_ids[index as usize] {
                     Some(id) => id,
                     None => {
-                        let id = dictionary.id_of(info.consts[index as usize])?;
+                        let id = dictionary.id_of(consts[index as usize])?;
                         const_ids[index as usize] = Some(id);
                         id
                     }
@@ -422,9 +428,7 @@ fn instantiate_body(info: &ShapeInfo<'_>, dictionary: &Dictionary) -> Option<Vec
             }
         }
     };
-    info.shape
-        .body
-        .iter()
+    body.iter()
         .map(|[s, p, o]| {
             Some(IdTriplePattern {
                 subject: resolve(*s)?,
@@ -446,7 +450,7 @@ pub(crate) fn prepare(
     metrics: &Metrics,
 ) -> Option<Prepared> {
     let info = shape_of(query);
-    let patterns = instantiate_body(&info, dictionary)?;
+    let patterns = instantiate_body(&info.shape.body, &info.consts, dictionary)?;
     metrics.count(Counter::QueryPatternsCompiled, patterns.len() as u64);
     let vars: Vec<Variable> = info.vars.iter().map(|v| (*v).clone()).collect();
     let slots = vars.len();

@@ -5,8 +5,8 @@
 //!
 //! * **Insert** is semi-naive: a new triple is unified against exactly the
 //!   `(rule, hypothesis)` paths its predicate wakes (see
-//!   [`RuleSystem::paths_for_predicate`]), the remaining hypotheses are
-//!   joined against the current closure with indexed scans, and only *fresh*
+//!   [`RuleSystem::paths_for_predicate`]), that binding seeds the join of
+//!   the remaining hypotheses against the current closure, and only *fresh*
 //!   conclusions are queued. Existing triples are never re-derived.
 //! * **Delete** is DRed (delete-and-rederive): first *overdelete* everything
 //!   transitively derivable from the deleted triple, then *rederive* the
@@ -35,98 +35,24 @@
 //! counts and pin all of that against the string-space
 //! `swdb_entailment::rdfs_closure`.
 //!
+//! Every join — insert rounds, the cascade, the prune and rederive probes —
+//! is an [`swdb_hom::IdSolver`] search seeded on the stack by unifying a
+//! triple with a rule hypothesis or conclusion, in the static join order
+//! [`RuleSystem::new`] computed for that path.
+//!
 //! The five axiomatic triples of rule (9) are seeded at construction and are
 //! never deleted — they hold in every closure, including the closure of the
 //! empty graph.
 
 use std::collections::BTreeSet;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
-use swdb_hom::IdTarget;
+use swdb_hom::{IdSolver, IdTarget};
 use swdb_obs::{Counter, Hist, Metrics, MetricsLevel, RULE_SLOTS};
 use swdb_store::{Dictionary, IdIndex, IdPattern, IdTriple, TripleStore};
 
-use crate::pattern::{Binding, TriplePattern, EMPTY_BINDING};
-use crate::rules::{RuleSystem, Vocabulary};
-
-/// Splits off the most selective remaining hypothesis under the current
-/// binding — the one whose scan has the most bound positions. Joining
-/// bound-first matters: after a data-triple delta binds rule (6)'s third
-/// hypothesis, the `(C, sp, A)` probe (predicate + subject bound) must run
-/// before the fully-unbound `(A, dom, B)` enumeration, turning the join
-/// from "all domain declarations" into "this predicate's superproperties".
-fn split_most_bound<'a>(
-    hypotheses: &[&'a TriplePattern],
-    binding: &Binding,
-) -> (&'a TriplePattern, Vec<&'a TriplePattern>) {
-    let bound_count = |hyp: &TriplePattern| {
-        let (s, p, o) = hyp.to_scan(binding);
-        [s, p, o].iter().filter(|pos| pos.is_some()).count()
-    };
-    let best = hypotheses
-        .iter()
-        .enumerate()
-        .max_by_key(|(_, hyp)| bound_count(hyp))
-        .map(|(i, _)| i)
-        .expect("non-empty hypothesis list");
-    let mut rest = hypotheses.to_vec();
-    (rest.swap_remove(best), rest)
-}
-
-/// Joins `hypotheses` (most selective first) against `closure`, starting
-/// from `binding`, appending every complete binding to `out`. Generic over
-/// the scan target (see [`IdTarget`]'s `Sync` bound: the round workers
-/// share one view).
-pub(crate) fn join_all<V: IdTarget>(
-    closure: &V,
-    hypotheses: &[&TriplePattern],
-    binding: Binding,
-    out: &mut Vec<Binding>,
-) {
-    if hypotheses.is_empty() {
-        out.push(binding);
-        return;
-    }
-    let (hyp, rest) = split_most_bound(hypotheses, &binding);
-    closure.scan_while(hyp.to_scan(&binding), |t| {
-        let mut extended = binding;
-        if hyp.unify(t, &mut extended) {
-            join_all(closure, &rest, extended, out);
-        }
-        true
-    });
-}
-
-/// Like [`join_all`] but only tests for the existence of a complete binding,
-/// stopping at the first one.
-fn join_exists<V: IdTarget>(closure: &V, hypotheses: &[&TriplePattern], binding: Binding) -> bool {
-    if hypotheses.is_empty() {
-        return true;
-    }
-    let (hyp, rest) = split_most_bound(hypotheses, &binding);
-    let mut found = false;
-    closure.scan_while(hyp.to_scan(&binding), |t| {
-        let mut extended = binding;
-        if hyp.unify(t, &mut extended) && join_exists(closure, &rest, extended) {
-            found = true;
-            return false;
-        }
-        true
-    });
-    found
-}
-
-/// The instantiation condition: every guarded variable must be bound to a
-/// URI id — one the dictionary does not classify as a blank node.
-pub(crate) fn guards_pass(
-    dictionary: &Dictionary,
-    guards: &[crate::pattern::VarId],
-    binding: &Binding,
-) -> bool {
-    guards
-        .iter()
-        .all(|&v| binding[v as usize].is_some_and(|id| !dictionary.is_blank(id)))
-}
+use crate::rules::{Binding, RuleSystem, Vocabulary, SLOTS};
 
 /// Flushes a locally accumulated per-rule firing batch into the shared
 /// counters: one level check, then one atomic add per non-zero slot. Hot
@@ -147,33 +73,34 @@ pub(crate) fn flush_firings(metrics: &Metrics, fired: &[u64; RULE_SLOTS]) {
 /// Is `t` the conclusion of some rule instance whose hypotheses all hold in
 /// `view`? Called with the surviving closure (DRed rederivation) and with
 /// the asserted store's index (DRed overdeletion prune: support from
-/// still-asserted premises alone is independent of any cascade). Free-
-/// standing so the probes can run from worker threads over shared snapshots.
+/// still-asserted premises alone is independent of any cascade): `t`
+/// unified with a conclusion seeds a search stopped by the first witness.
+/// Free-standing so the probes can run from worker threads over snapshots.
 fn one_step_derivable<V: IdTarget>(
     rules: &RuleSystem,
     dictionary: &Dictionary,
     view: &V,
     t: IdTriple,
 ) -> bool {
-    for rule in rules.rules() {
-        for conclusion in &rule.conclusions {
-            let mut binding = EMPTY_BINDING;
-            if !conclusion.unify(t, &mut binding) {
-                continue;
-            }
-            // The only guarded variable (rule (3)'s conclusion predicate)
-            // is bound by the conclusion unification, so guards can be
-            // checked before the join.
-            if !guards_pass(dictionary, &rule.iri_guards, &binding) {
-                continue;
-            }
-            let hypotheses: Vec<&TriplePattern> = rule.hypotheses.iter().collect();
-            if join_exists(view, &hypotheses, binding) {
-                return true;
-            }
-        }
-    }
-    false
+    rules.rules().iter().any(|rule| {
+        rule.conclusions
+            .iter()
+            .zip(&rule.probe_orders)
+            .any(|(conclusion, order)| {
+                let mut seed: Binding = [None; SLOTS];
+                conclusion.unify(t, &mut seed)
+                    && IdSolver::new(&rule.hypotheses, SLOTS, view)
+                        .with_order(order)
+                        .for_each_solution_from(&mut seed, &mut |binding| {
+                            if rule.guards_pass(dictionary, binding) {
+                                ControlFlow::Break(())
+                            } else {
+                                ControlFlow::Continue(())
+                            }
+                        })
+                        .is_some()
+            })
+    })
 }
 
 /// An incrementally maintained RDFS closure over id-triples.

@@ -8,10 +8,11 @@
 //! over interned [`swdb_store::TermId`] triples and evaluated
 //! *incrementally*.
 //!
-//! * [`pattern`] — triple patterns over ids, variable bindings;
-//! * [`rules`] — the rule table and the pattern→rule-path index: a delta
-//!   triple wakes only the `(rule, hypothesis)` paths its predicate can
-//!   match (the inferdf-style indexing);
+//! * [`rules`] — the rule table as [`swdb_hom::IdTriplePattern`]s, each
+//!   rule path's static join order, and the pattern→rule-path index: a
+//!   delta triple wakes only the `(rule, hypothesis)` paths its predicate
+//!   can match (the inferdf-style indexing). Every join is a seeded
+//!   [`swdb_hom::IdSolver`] search; the crate has no matcher of its own;
 //! * [`swdb_store::IdIndex`] — the SPO/POS/OSP index the closure lives in;
 //! * [`delta`] — [`DeltaClosure`]: semi-naive insert propagation and DRed
 //!   (overdelete/rederive) deletion — two loops around one kernel. A
@@ -55,7 +56,6 @@
 pub mod delta;
 pub mod materialized;
 pub mod parallel;
-pub mod pattern;
 pub mod rules;
 
 pub use delta::DeltaClosure;

@@ -14,7 +14,10 @@
 //!    a join, so they are embarrassingly parallel.
 //! 2. **Join** — every shard is joined against one shared, immutable view
 //!    (the [`swdb_store::IdIndex`] read-snapshot guarantee; the [`IdTarget`]
-//!    `Sync` bound makes the sharing a compile-time fact). A round of at
+//!    `Sync` bound makes the sharing a compile-time fact): each delta
+//!    unified with the shard's hypothesis seeds an [`IdSolver`] search over
+//!    the others in the path's static join order, and the visitor checks
+//!    the guards and instantiates the conclusions. A round of at
 //!    least `INLINE_TASK_THRESHOLD` join tasks over more than one shard
 //!    balances its shards (longest-processing-time-first) across at most
 //!    `threads` `std::thread::scope` workers — std only, no thread pool;
@@ -45,15 +48,15 @@
 //! membership checks spread over the same worker ceiling by
 //! `parallel_mask`.
 
+use std::ops::ControlFlow;
 use std::thread;
 
-use swdb_hom::IdTarget;
+use swdb_hom::{IdSolver, IdTarget};
 use swdb_obs::{Counter, Hist, Metrics, MetricsLevel, RULE_SLOTS};
 use swdb_store::{Dictionary, IdTriple};
 
-use crate::delta::{flush_firings, guards_pass, join_all};
-use crate::pattern::{TriplePattern, EMPTY_BINDING};
-use crate::rules::{RulePath, RuleSystem};
+use crate::delta::flush_firings;
+use crate::rules::{Binding, RulePath, RuleSystem, SLOTS};
 
 /// Below this many `(delta, path)` join tasks a round runs inline on the
 /// calling thread: for single-triple edits the spawn cost would dominate
@@ -99,9 +102,10 @@ fn balance(mut shards: Vec<Shard<'_>>, threads: usize) -> Vec<Vec<Shard<'_>>> {
     out.into_iter().map(|(_, bucket)| bucket).collect()
 }
 
-/// Evaluates one shard: every delta is unified against its hypothesis, the
-/// remaining hypotheses are joined against the snapshot view, and every
-/// guard-passing conclusion accepted by `keep` is appended to `out`.
+/// Evaluates one shard: every delta unified with the path's hypothesis
+/// seeds a search over the other hypotheses (in the path's static join
+/// order) against the snapshot view, and every guard-passing conclusion
+/// accepted by `keep` is appended to `out`.
 #[allow(clippy::too_many_arguments)]
 fn eval_shard<V: IdTarget>(
     rules: &RuleSystem,
@@ -114,32 +118,27 @@ fn eval_shard<V: IdTarget>(
     fired: &mut [u64; RULE_SLOTS],
 ) {
     let rule = &rules.rules()[rule_idx];
-    let remaining: Vec<&TriplePattern> = rule
-        .hypotheses
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| i != hyp_idx)
-        .map(|(_, h)| h)
-        .collect();
+    let solver =
+        IdSolver::new(&rule.hypotheses, SLOTS, view).with_order(&rule.delta_orders[hyp_idx]);
     for &delta in deltas {
-        let mut seed = EMPTY_BINDING;
+        let mut seed: Binding = [None; SLOTS];
         if !rule.hypotheses[hyp_idx].unify(delta, &mut seed) {
             continue;
         }
-        let mut bindings = Vec::new();
-        join_all(view, &remaining, seed, &mut bindings);
-        for binding in bindings {
-            if !guards_pass(dictionary, &rule.iri_guards, &binding) {
-                continue;
-            }
-            for conclusion in &rule.conclusions {
-                let derived = conclusion.instantiate(&binding);
-                if keep(derived) {
-                    fired[rule_idx % RULE_SLOTS] += 1;
-                    out.push(derived);
+        solver.for_each_solution_from(&mut seed, &mut |binding| {
+            if rule.guards_pass(dictionary, binding) {
+                for conclusion in &rule.conclusions {
+                    let (Some(s), Some(p), Some(o)) = conclusion.to_scan(binding) else {
+                        unreachable!("conclusion variables occur in a hypothesis");
+                    };
+                    if keep((s, p, o)) {
+                        fired[rule_idx % RULE_SLOTS] += 1;
+                        out.push((s, p, o));
+                    }
                 }
             }
-        }
+            ControlFlow::<()>::Continue(())
+        });
     }
 }
 

@@ -39,8 +39,12 @@
 //!
 //! `swdb-reason` is the bridge at the semantics level: the same rules
 //! (2)–(13) that `entailment` applies to `Graph`s as a fixpoint are encoded
-//! in [`reason::RuleSystem`] as patterns over id-triples, indexed by
-//! predicate so a delta triple wakes only the rules that can fire on it.
+//! in [`reason::RuleSystem`] as [`hom::IdTriplePattern`]s, indexed by
+//! predicate so a delta triple wakes only the rules that can fire on it,
+//! each rule path with a join order computed once. Every rule join is a
+//! [`hom::IdSolver`] search seeded with the delta triple (or, in the DRed
+//! probes, the triple to rederive) — the matcher the query executor and
+//! the core's retraction search run, so the crate has no matcher of its own.
 //! [`reason::DeltaClosure`] maintains the closure under **insert**
 //! (semi-naive propagation: only the new frontier is joined — batched for
 //! bulk loads via `insert_batch_logged`) and **delete** (DRed

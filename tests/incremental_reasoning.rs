@@ -6,7 +6,7 @@
 
 use semweb_foundations::core::{MetricsLevel, SemanticWebDatabase, Semantics};
 use semweb_foundations::entailment::rdfs_closure;
-use semweb_foundations::model::{rdfs, triple, Iri, Term, Triple};
+use semweb_foundations::model::{rdfs, triple, Graph, Iri, Term, Triple};
 use semweb_foundations::obs::Metrics;
 use semweb_foundations::reason::MaterializedStore;
 use semweb_foundations::workloads::{
@@ -70,12 +70,10 @@ fn closure_scans_see_inferred_triples_through_the_reasoner() {
     assert!(types.contains(&triple("ex:Picasso", rdfs::TYPE, "ex:Artist")));
 }
 
-#[test]
-fn single_triple_edits_beat_full_recomputation_by_an_order_of_magnitude() {
-    // The acceptance property of incremental maintenance, counted in rule
-    // firings: a single insert fires rules for its own consequences only,
-    // while recomputation fires them for the whole graph.
-    let g = schema_graph(
+/// The schema graph the rule-work tests edit: 16 classes, 6 properties,
+/// 1 500 data triples.
+fn edit_fixture() -> Graph {
+    schema_graph(
         &SchemaGraphConfig {
             classes: 16,
             properties: 6,
@@ -84,7 +82,15 @@ fn single_triple_edits_beat_full_recomputation_by_an_order_of_magnitude() {
             data_triples: 1_500,
         },
         0xE17,
-    );
+    )
+}
+
+#[test]
+fn single_triple_edits_beat_full_recomputation_by_an_order_of_magnitude() {
+    // The acceptance property of incremental maintenance, counted in rule
+    // firings: a single insert fires rules for its own consequences only,
+    // while recomputation fires them for the whole graph.
+    let g = edit_fixture();
     let firings =
         |store: &MaterializedStore| store.metrics().snapshot().counter("reason_rule_firings");
     let mut cold = MaterializedStore::new();
@@ -113,6 +119,55 @@ fn single_triple_edits_beat_full_recomputation_by_an_order_of_magnitude() {
         materialized.remove(delta);
     }
     assert_eq!(materialized.closure_graph(), rdfs_closure(&g));
+}
+
+/// The rule work of a cold load and of one schema-edge removal, as exact
+/// counts. How the joins run (their order, the matcher) may change; what
+/// they derive, round by round and rule by rule, may not.
+#[test]
+fn the_rule_work_of_a_cold_load_and_a_schema_edge_removal_is_pinned() {
+    let g = edit_fixture();
+    let mut store = MaterializedStore::new();
+    store.set_metrics(Metrics::new(MetricsLevel::Counters));
+    store.insert_graph_with_delta(&g);
+    let cold = store.metrics().snapshot();
+    let counts = ["reason_rule_firings", "reason_rounds", "reason_shards"];
+    assert_eq!(counts.map(|key| cold.counter(key)), [7_761, 4, 54]);
+    let per_rule: Vec<(&str, u64)> = cold
+        .rule_firings
+        .iter()
+        .map(|(rule, &n)| (rule.as_str(), n))
+        .collect();
+    assert_eq!(
+        per_rule,
+        [
+            ("r03_subproperty_inheritance", 486),
+            ("r04_subclass_transitivity", 34),
+            ("r05_type_lifting", 3_507),
+            ("r06_domain_typing", 1_226),
+            ("r07_range_typing", 661),
+            ("r08_predicate_reflexivity", 1_495),
+            ("r10_domain-subject_reflexivity", 3),
+            ("r10_range-subject_reflexivity", 3),
+            ("r11_subproperty_reflexivity", 2),
+            ("r12_domain-class_reflexivity", 3),
+            ("r12_range-class_reflexivity", 3),
+            ("r12_type-class_reflexivity", 300),
+            ("r13_subclass_reflexivity", 38),
+        ]
+    );
+
+    let edge = triple("ex:Class0", rdfs::SC, "ex:Class1");
+    assert!(g.contains(&edge));
+    store.metrics().reset();
+    assert!(store.remove(&edge));
+    let removal = store.metrics().snapshot();
+    let counts = [
+        "reason_overdeleted",
+        "reason_rederived",
+        "reason_rule_firings",
+    ];
+    assert_eq!(counts.map(|key| removal.counter(key)), [1_515, 857, 271]);
 }
 
 /// The normal form is refreshed by the delta, not rebuilt, and counters say
