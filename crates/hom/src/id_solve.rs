@@ -25,8 +25,10 @@
 //!
 //! [`IdSolver::for_each_solution_from`] is the one search entry: it extends
 //! a caller's binding (a stack array in the reasoner) and leaves it as it
-//! found it. Join ordering is [`crate::most_constrained`] over
-//! [`IdTarget::candidate_count`] (a range count), or [`IdSolver::with_order`].
+//! found it. One recursive loop runs both ordering policies — the dynamic
+//! [`crate::most_constrained`] over [`IdTarget::candidate_count`] (a range
+//! count) and the static plan of [`IdSolver::with_order`] — and they differ
+//! only in how a node picks its pattern and what it charges the budget.
 
 use std::ops::ControlFlow;
 
@@ -209,12 +211,16 @@ impl JoinOrderLog {
 /// A prepared id-space matcher: a pattern list with `slots` variables
 /// against one [`IdTarget`].
 ///
-/// The search mirrors [`crate::Solver`] — dynamic most-constrained-first
-/// pattern selection, backtracking over candidates — entirely in id space.
+/// The search mirrors [`crate::Solver`] — backtracking over candidates —
+/// entirely in id space. One loop serves two ordering policies: dynamic
+/// most-constrained-first selection (the default) and a static plan
+/// ([`IdSolver::with_order`]); each node picks its pattern by the policy,
+/// and the scan, bind, recurse and undo steps are shared.
 ///
 /// An optional cooperative [`Budget`] (see [`IdSolver::with_budget`])
 /// bounds the backtracking: the search spends one unit per candidate
-/// visited and one per selectivity probe, and unwinds as soon as the
+/// visited, one per node entered and one per selectivity probe (only the
+/// dynamic policy probes), and unwinds as soon as the
 /// budget trips. An exhausted search that found no solution means
 /// *unknown*, not *absent* — callers must check [`Budget::is_exhausted`]
 /// before concluding non-existence. Solutions found before exhaustion are
@@ -294,99 +300,55 @@ impl<'a, T: IdTarget> IdSolver<'a, T> {
         binding: &mut [Option<TermId>],
         visit: &mut impl FnMut(&[Option<TermId>]) -> ControlFlow<B>,
     ) -> Option<B> {
-        let outcome = if let Some(order) = self.order {
-            self.search_planned(0, order, binding, visit)
-        } else {
-            let mut remaining: Vec<&IdTriplePattern> = self.patterns.iter().collect();
-            self.search(&mut remaining, binding, visit)
+        // A plan needs no pattern list: `Vec::new` does not allocate.
+        let mut remaining = match self.order {
+            Some(_) => Vec::new(),
+            None => (0..self.patterns.len()).collect(),
         };
-        match outcome {
+        match self.search(0, &mut remaining, binding, visit) {
             ControlFlow::Break(b) => Some(b),
             ControlFlow::Continue(()) => None,
         }
     }
 
-    /// The static-plan counterpart of [`IdSolver::search`]: the pattern at
-    /// each depth is `order[depth]`, so no per-node selection round and no
-    /// selectivity probes happen. Budget accounting keeps the per-candidate
-    /// unit plus one unit per node entered (the probe units the dynamic
-    /// path would have spent are exactly what the plan saves).
-    fn search_planned<B>(
+    /// The search node at `depth`. Only the choice of its pattern depends on
+    /// the ordering policy: under a plan it is `order[depth]` for one budget
+    /// unit (the probe units a plan saves); otherwise it is the
+    /// most-constrained of the `remaining` pattern indices, for one unit per
+    /// selectivity probe plus one for the selection round.
+    fn search<B>(
         &self,
         depth: usize,
-        order: &[usize],
+        remaining: &mut Vec<usize>,
         binding: &mut [Option<TermId>],
         visit: &mut impl FnMut(&[Option<TermId>]) -> ControlFlow<B>,
     ) -> ControlFlow<B> {
-        let Some(&pattern_index) = order.get(depth) else {
-            return visit(binding);
+        let units = match self.order {
+            Some(order) if depth == order.len() => return visit(binding),
+            Some(_) => 1,
+            None if remaining.is_empty() => return visit(binding),
+            None => remaining.len() as u64 + 1,
         };
-        if let Some(budget) = self.budget {
-            if !budget.spend(1) {
-                return ControlFlow::Continue(());
-            }
+        // An exhausted budget abandons this branch (and, since exhaustion is
+        // sticky, every enclosing one).
+        if self.budget.is_some_and(|b| !b.spend(units)) {
+            return ControlFlow::Continue(());
         }
-        let chosen = self.patterns[pattern_index];
+        let (pattern_index, taken_from) = match self.order {
+            Some(order) => (order[depth], None),
+            None => {
+                let best = crate::most_constrained(remaining, |&i| {
+                    self.target
+                        .candidate_count(self.patterns[i].to_scan(binding))
+                })
+                .expect("remaining not empty");
+                (remaining.swap_remove(best), Some(best))
+            }
+        };
         if let Some(log) = self.recorder {
             log.record(depth, pattern_index);
         }
-        let mut broke: Option<B> = None;
-        self.target.scan_while(chosen.to_scan(binding), |triple| {
-            if self.budget.is_some_and(|b| !b.spend(1)) {
-                return false;
-            }
-            let Some((newly_bound, bound_count)) = try_bind(&chosen, triple, binding) else {
-                return true;
-            };
-            let keep_scanning = match self.search_planned(depth + 1, order, binding, visit) {
-                ControlFlow::Break(b) => {
-                    broke = Some(b);
-                    false
-                }
-                ControlFlow::Continue(()) => true,
-            };
-            for &slot in &newly_bound[..bound_count] {
-                binding[slot] = None;
-            }
-            keep_scanning
-        });
-        match broke {
-            Some(b) => ControlFlow::Break(b),
-            None => ControlFlow::Continue(()),
-        }
-    }
-
-    fn search<B>(
-        &self,
-        remaining: &mut Vec<&'a IdTriplePattern>,
-        binding: &mut [Option<TermId>],
-        visit: &mut impl FnMut(&[Option<TermId>]) -> ControlFlow<B>,
-    ) -> ControlFlow<B> {
-        if remaining.is_empty() {
-            return visit(binding);
-        }
-        // One unit per selectivity probe issued below plus one for the
-        // selection round itself; an exhausted budget abandons this branch
-        // (and, since exhaustion is sticky, every enclosing one).
-        if let Some(budget) = self.budget {
-            if !budget.spend(remaining.len() as u64 + 1) {
-                return ControlFlow::Continue(());
-            }
-        }
-        let depth = self.patterns.len() - remaining.len();
-        let best_pos = crate::most_constrained(remaining, |p| {
-            self.target.candidate_count(p.to_scan(binding))
-        })
-        .expect("remaining not empty");
-        let chosen = remaining.swap_remove(best_pos);
-        if let Some(log) = self.recorder {
-            // Recover the original pattern index from the reference's offset
-            // into the pattern slice (safe pointer arithmetic on addresses).
-            let offset =
-                chosen as *const IdTriplePattern as usize - self.patterns.as_ptr() as usize;
-            log.record(depth, offset / std::mem::size_of::<IdTriplePattern>());
-        }
-
+        let chosen = self.patterns[pattern_index];
         let mut broke: Option<B> = None;
         self.target.scan_while(chosen.to_scan(binding), |triple| {
             // One budget unit per candidate visited; stop the scan as
@@ -394,10 +356,10 @@ impl<'a, T: IdTarget> IdSolver<'a, T> {
             if self.budget.is_some_and(|b| !b.spend(1)) {
                 return false;
             }
-            let Some((newly_bound, bound_count)) = try_bind(chosen, triple, binding) else {
+            let Some((newly_bound, bound_count)) = try_bind(&chosen, triple, binding) else {
                 return true;
             };
-            let keep_scanning = match self.search(remaining, binding, visit) {
+            let keep_scanning = match self.search(depth + 1, remaining, binding, visit) {
                 ControlFlow::Break(b) => {
                     broke = Some(b);
                     false
@@ -409,21 +371,17 @@ impl<'a, T: IdTarget> IdSolver<'a, T> {
             }
             keep_scanning
         });
-        // Restore the pattern list order-insensitively (selection is
-        // dynamic, so only the set matters).
-        remaining.push(chosen);
-        let last = remaining.len() - 1;
-        remaining.swap(best_pos.min(last), last);
+        if let Some(best) = taken_from {
+            // Undo the `swap_remove`: the next selection round sees the
+            // same list, so ties break the same way.
+            remaining.push(pattern_index);
+            let last = remaining.len() - 1;
+            remaining.swap(best, last);
+        }
         match broke {
             Some(b) => ControlFlow::Break(b),
             None => ControlFlow::Continue(()),
         }
-    }
-
-    /// Returns `true` if at least one solution exists.
-    pub fn exists(&self) -> bool {
-        self.for_each_solution(&mut |_slots| ControlFlow::Break(()))
-            .is_some()
     }
 
     /// Returns the first complete slot assignment, if any.
@@ -604,7 +562,6 @@ mod tests {
             pattern(var(1), constant(11), var(2)),
         ];
         let solver = IdSolver::new(&patterns, 3, &idx);
-        assert!(solver.exists());
         assert_eq!(solver.first_solution(), Some(vec![1, 2, 3]));
     }
 
@@ -649,14 +606,16 @@ mod tests {
             pattern(var(0), constant(11), constant(5)),
         ];
         let avoiding = Avoiding::new(&idx, (1, 10, 2));
-        assert!(!IdSolver::new(&patterns, 1, &avoiding).exists());
+        assert!(IdSolver::new(&patterns, 1, &avoiding)
+            .first_solution()
+            .is_none());
     }
 
     #[test]
     fn repeated_slots_force_equality() {
         let idx = index();
         let loops = [pattern(var(0), var(1), var(0))];
-        assert!(!IdSolver::new(&loops, 2, &idx).exists());
+        assert!(IdSolver::new(&loops, 2, &idx).first_solution().is_none());
         let mut with_loop = index();
         with_loop.insert((7, 10, 7));
         assert_eq!(
@@ -676,7 +635,7 @@ mod tests {
         ];
         let log = JoinOrderLog::new();
         let solver = IdSolver::new(&patterns, 3, &idx).recording_into(&log);
-        assert!(solver.exists());
+        assert!(solver.first_solution().is_some());
         assert_eq!(log.order(), vec![1, 0]);
         assert_eq!(log.take(), vec![1, 0]);
         assert!(log.order().is_empty(), "take resets the log");
@@ -722,7 +681,7 @@ mod tests {
         let solver = IdSolver::new(&patterns, 3, &idx)
             .with_order(&order)
             .recording_into(&log);
-        assert!(solver.exists());
+        assert!(solver.first_solution().is_some());
         assert_eq!(log.order(), vec![0, 1]);
     }
 
@@ -748,10 +707,47 @@ mod tests {
     }
 
     #[test]
+    fn budget_units_are_pinned_for_both_ordering_policies() {
+        // (?X, 10, ?Y), (?Y, 11, ?Z), (?Z, 12, ?Z): the last pattern repeats
+        // a slot, and Y = 3 is a dead end (3 -11-> 7, but no 7 -12-> 7).
+        let mut idx = index();
+        for t in [(3, 11, 7), (3, 12, 3), (2, 12, 5)] {
+            idx.insert(t);
+        }
+        let patterns = [
+            pattern(var(0), constant(10), var(1)),
+            pattern(var(1), constant(11), var(2)),
+            pattern(var(2), constant(12), var(2)),
+        ];
+        // (solutions seen, units spent) to enumerate all or to the first.
+        let spent = |order: Option<&[usize]>, first: bool| {
+            let budget = Budget::steps(1_000);
+            let mut solver = IdSolver::new(&patterns, 3, &idx).with_budget(&budget);
+            if let Some(order) = order {
+                solver = solver.with_order(order);
+            }
+            let mut seen = 0;
+            solver.for_each_solution(&mut |_slots| {
+                seen += 1;
+                match first {
+                    true => ControlFlow::Break(()),
+                    false => ControlFlow::Continue(()),
+                }
+            });
+            (seen, 1_000 - budget.steps_remaining())
+        };
+        // Dynamic: a node costs one unit per remaining pattern plus one.
+        assert_eq!(spent(None, false), (2, 17));
+        assert_eq!(spent(None, true), (1, 12));
+        // Planned: a node costs one unit, candidates cost the same.
+        assert_eq!(spent(Some(&[0, 1, 2]), false), (2, 15));
+        assert_eq!(spent(Some(&[0, 1, 2]), true), (1, 6));
+    }
+
+    #[test]
     fn empty_pattern_list_has_the_empty_solution() {
         let idx = index();
         let solver = IdSolver::new(&[], 0, &idx);
-        assert!(solver.exists());
         assert_eq!(solver.first_solution(), Some(vec![]));
     }
 
@@ -763,12 +759,15 @@ mod tests {
             pattern(var(1), constant(11), var(2)),
         ];
         // Unbudgeted, the join succeeds (see joins_over_a_plain_index).
-        assert!(IdSolver::new(&patterns, 3, &idx).exists());
+        assert!(IdSolver::new(&patterns, 3, &idx).first_solution().is_some());
         // With a one-step budget the search cannot even finish the first
         // selection round: it stops, and the budget says so.
         let budget = Budget::steps(1);
         let solver = IdSolver::new(&patterns, 3, &idx).with_budget(&budget);
-        assert!(!solver.exists(), "search abandoned, no witness produced");
+        assert!(
+            solver.first_solution().is_none(),
+            "search abandoned, no witness produced"
+        );
         assert!(
             budget.is_exhausted(),
             "the caller can tell 'unknown' from 'absent'"

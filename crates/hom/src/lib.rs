@@ -18,7 +18,9 @@
 //!   search). It drives three consumers — the query executor, the core's
 //!   retraction search and the RDFS rule joins of `swdb-reason` — and its
 //!   one search entry extends a caller's binding (a delta triple unified
-//!   into a rule hypothesis), leaving it as it found it.
+//!   into a rule hypothesis), leaving it as it found it. One recursive loop
+//!   runs both ordering policies: dynamic most-constrained-first, or a
+//!   static plan.
 //! * [`acyclic`] — blank-induced-cycle detection, GYO α-acyclicity, and the
 //!   polynomial semijoin evaluation for acyclic patterns (the paper's
 //!   polynomial special cases of entailment).

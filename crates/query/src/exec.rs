@@ -12,10 +12,15 @@
 //! enumeration cores here through [`crate::QueryEngine`] with a compiled
 //! body and a plan in hand, so the search itself never probes selectivity.
 //! Inside the join loop there is no term cloning and no string hashing: a
-//! binding is a `[Option<TermId>]` slot array, and terms are decoded only
-//! into the response buffer (or by [`AnswerSet::into_graph`] for library
-//! callers) — except on the three paths that mint terms, which build a
-//! [`Graph`] first (see [`AnswerSet`]).
+//! binding is a `[Option<TermId>]` slot array. One id-space acceptance step
+//! (`Head::accept`: the constraints, the head instantiated, the single
+//! answer dropped on a blank predicate) serves union answers, emptiness and
+//! the pre-answers of blank-free heads. Terms are decoded in three places
+//! only: for heads with blank constants, whose Skolem values are computed
+//! from the decoded bindings; by [`crate::id_matchings`], whose result is
+//! bindings; and by the caller's render — the response buffer, or
+//! [`AnswerSet::into_graph`], or a pre-answer's accepted single answers
+//! (see [`AnswerSet`]).
 //!
 //! Compilation also yields a fast negative path: a body constant that was
 //! never interned cannot occur in any stored triple, so the query has zero
@@ -35,7 +40,7 @@ use swdb_obs::Counter;
 use swdb_store::ntriples::{write_graph, write_term};
 use swdb_store::{Dictionary, IdIndex, TermId, TermOrder};
 
-use crate::answer::{combine, satisfies_constraints, single_answer, Semantics};
+use crate::answer::{combine, single_answer, Semantics};
 use crate::engine::QueryEngine;
 use crate::query::Query;
 
@@ -134,13 +139,8 @@ pub fn compile_body(body: &PatternGraph, dictionary: &Dictionary) -> Option<Comp
 }
 
 /// A prepared id-space matcher: one compiled body against one evaluation
-/// index.
-///
-/// A thin query-shaped wrapper over the shared [`swdb_hom::IdSolver`] —
-/// dynamic most-constrained-first pattern selection via
-/// [`IdIndex::candidate_count`] (a range count, no allocation), candidates
-/// visited in place via [`IdIndex::scan_while`] (no materialized candidate
-/// `Vec`, no term clones).
+/// index, searched by [`swdb_hom::IdSolver`] in its dynamic
+/// most-constrained-first order.
 pub struct IdSolver<'a> {
     inner: swdb_hom::IdSolver<'a, IdIndex>,
 }
@@ -153,25 +153,10 @@ impl<'a> IdSolver<'a> {
         }
     }
 
-    /// Enumerates complete solutions, invoking `visit` with the slot array
-    /// (every slot `Some`). The visitor stops the enumeration by returning
-    /// [`ControlFlow::Break`].
-    pub fn for_each_solution<B>(
-        &self,
-        visit: &mut impl FnMut(&[Option<TermId>]) -> ControlFlow<B>,
-    ) -> Option<B> {
-        self.inner.for_each_solution(visit)
-    }
-
-    /// Returns `true` if at least one solution exists.
-    pub fn exists(&self) -> bool {
-        self.inner.exists()
-    }
-
     /// Counts solutions (up to [`DEFAULT_SOLUTION_LIMIT`]).
     pub fn count_solutions(&self) -> usize {
         let mut n = 0usize;
-        self.for_each_solution(&mut |_slots| {
+        self.inner.for_each_solution(&mut |_slots| {
             n += 1;
             if n >= DEFAULT_SOLUTION_LIMIT {
                 ControlFlow::Break(())
@@ -221,10 +206,8 @@ pub struct AnswerSet {
     /// Distinct id triples of the dictionary the query ran against, in
     /// [`Triple`] order; empty when `graph` carries the answer.
     ids: Vec<[TermId; 3]>,
-    /// An id `>= extra_from` is the query-local `extra[id - extra_from]`: a
-    /// head constant that was never interned (never a blank).
-    extra_from: TermId,
-    extra: Vec<Term>,
+    /// The ids past the dictionary: head constants that were never interned.
+    extra: Extra,
     graph: Graph,
     /// An enumeration behind this answer stopped at
     /// [`DEFAULT_SOLUTION_LIMIT`]: the answer may be incomplete.
@@ -243,13 +226,6 @@ impl From<Graph> for AnswerSet {
 }
 
 impl AnswerSet {
-    fn term<'a>(&'a self, dictionary: &'a Dictionary, id: TermId) -> &'a Term {
-        match id.checked_sub(self.extra_from) {
-            Some(at) => &self.extra[at as usize],
-            None => dictionary.term_of(id).expect("dangling term id"),
-        }
-    }
-
     /// Triples in the answer.
     pub fn len(&self) -> usize {
         self.ids.len() + self.graph.len()
@@ -266,7 +242,7 @@ impl AnswerSet {
     pub fn write_ntriples(&self, dictionary: &Dictionary, mut sink: impl FnMut(&str)) {
         for triple in &self.ids {
             for (&id, end) in triple.iter().zip([" ", " ", " .\n"]) {
-                write_term(self.term(dictionary, id), &mut sink);
+                write_term(self.extra.term(dictionary, id), &mut sink);
                 sink(end);
             }
         }
@@ -278,11 +254,7 @@ impl AnswerSet {
     /// facade, before it unlocks).
     pub fn into_owned(mut self, dictionary: &Dictionary) -> AnswerSet {
         if !self.ids.is_empty() {
-            let term = |id| self.term(dictionary, id).clone();
-            let decode = |&[s, p, o]: &[TermId; 3]| match term(p) {
-                Term::Iri(predicate) => Triple::new(term(s), predicate, term(o)),
-                Term::Blank(_) => unreachable!("blank predicates were dropped"),
-            };
+            let decode = |&ids: &[TermId; 3]| self.extra.triple(dictionary, ids);
             self.graph = self.ids.iter().map(decode).collect();
             self.ids.clear();
         }
@@ -305,9 +277,9 @@ struct TermKeys<'a> {
 }
 
 impl<'a> TermKeys<'a> {
-    fn new(answer: &AnswerSet, dictionary: &'a Dictionary) -> Self {
-        let (table, term) = (dictionary.term_order(), |id| answer.term(dictionary, id));
-        let ids = table.order.len() as TermId..answer.extra_from + answer.extra.len() as TermId;
+    fn new(extra: &Extra, dictionary: &'a Dictionary) -> Self {
+        let (table, term) = (dictionary.term_order(), |id| extra.term(dictionary, id));
+        let ids = table.order.len() as TermId..extra.from + extra.terms.len() as TermId;
         let by_term: BTreeMap<&Term, TermId> = ids.map(|id| (term(id), id)).collect();
         let slot = |t| table.order.partition_point(|&c| term(c) < t) as TermId;
         let slots = by_term.into_iter().map(|(t, id)| (slot(t), id));
@@ -329,6 +301,122 @@ impl<'a> TermKeys<'a> {
             Some(&(_, at, id)) if at == key => id,
             _ => self.table.order[key as usize - below],
         }
+    }
+}
+
+/// Query-local ids past a dictionary: an id `>= from` is `terms[id - from]`,
+/// a head constant that was never interned.
+#[derive(Clone, Debug, Default)]
+struct Extra {
+    from: TermId,
+    terms: Vec<Term>,
+}
+
+impl Extra {
+    fn term<'a>(&'a self, dictionary: &'a Dictionary, id: TermId) -> &'a Term {
+        match id.checked_sub(self.from) {
+            Some(at) => &self.terms[at as usize],
+            None => dictionary.term_of(id).expect("dangling term id"),
+        }
+    }
+
+    fn is_blank(&self, dictionary: &Dictionary, id: TermId) -> bool {
+        match id.checked_sub(self.from) {
+            Some(at) => self.terms[at as usize].is_blank(),
+            None => dictionary.is_blank(id),
+        }
+    }
+
+    /// Decodes an id triple whose predicate is not blank.
+    fn triple(&self, dictionary: &Dictionary, [s, p, o]: [TermId; 3]) -> Triple {
+        let term = |id| self.term(dictionary, id).clone();
+        match term(p) {
+            Term::Iri(predicate) => Triple::new(term(s), predicate, term(o)),
+            Term::Blank(_) => unreachable!("blank predicates were dropped"),
+        }
+    }
+}
+
+/// The head `H` and constraints `C` of a query in id space: the single
+/// answer `v(H)` of one solution, built without decoding a term.
+struct Head {
+    patterns: Vec<IdTriplePattern>,
+    /// The constraint variables' slots (constraints only mention head
+    /// variables, so they become non-blank checks on slots).
+    constrained: Vec<usize>,
+    extra: Extra,
+}
+
+impl Head {
+    /// Compiles the head like a body pattern, except that a constant no
+    /// stored triple mentions gets a query-local id instead of no match.
+    fn compile(query: &Query, compiled: &CompiledBody, dictionary: &Dictionary) -> Head {
+        let constrained = query.constraints().iter();
+        let constrained = constrained.map(|var| compiled.slot_of(var)).collect();
+        let from = TermId::try_from(dictionary.len()).expect("dictionary overflow");
+        let mut extra = Extra::default();
+        let mut position = |pos: &PatternTerm| match pos {
+            PatternTerm::Var(var) => IdPatternTerm::Var(compiled.slot_of(var)),
+            PatternTerm::Const(term) => {
+                IdPatternTerm::Const(dictionary.id_of(term).unwrap_or_else(|| {
+                    let at = extra.terms.iter().position(|known| known == term);
+                    let at = at.unwrap_or_else(|| {
+                        extra.terms.push(term.clone());
+                        extra.terms.len() - 1
+                    });
+                    from + at as TermId
+                }))
+            }
+        };
+        let patterns = query.head().patterns().iter();
+        let patterns = patterns
+            .map(|p| IdTriplePattern {
+                subject: position(&p.subject),
+                predicate: position(&p.predicate),
+                object: position(&p.object),
+            })
+            .collect();
+        extra.from = from;
+        Head {
+            patterns,
+            constrained,
+            extra,
+        }
+    }
+
+    /// Does the solution bind every constrained slot to a non-blank?
+    fn satisfies(&self, dictionary: &Dictionary, slots: &[Option<TermId>]) -> bool {
+        let blank = |&slot: &usize| dictionary.is_blank(slots[slot].expect("complete solution"));
+        !self.constrained.iter().any(blank)
+    }
+
+    /// Accepts one complete solution or rejects it: appends its single
+    /// answer to `out`, each id through `key`, and returns `true`; or
+    /// returns `false` with `out` as it was, when a constrained slot binds a
+    /// blank or a head predicate instantiates to one (all-or-nothing, as in
+    /// [`single_answer`]). A blank head constant stands for its Skolem
+    /// value, which is a blank too, so emptiness needs no Skolemization.
+    fn accept(
+        &self,
+        dictionary: &Dictionary,
+        slots: &[Option<TermId>],
+        out: &mut Vec<[TermId; 3]>,
+        key: impl Fn(TermId) -> TermId,
+    ) -> bool {
+        if !self.satisfies(dictionary, slots) {
+            return false;
+        }
+        let single = out.len();
+        for pattern in &self.patterns {
+            let (s, p, o) = pattern.to_scan(slots);
+            let triple = [s, p, o].map(|id| id.expect("complete solution"));
+            if self.extra.is_blank(dictionary, triple[1]) {
+                out.truncate(single);
+                return false;
+            }
+            out.push(triple.map(&key));
+        }
+        true
     }
 }
 
@@ -390,8 +478,10 @@ impl QueryEngine<'_> {
         stats.bindings += enumerated as u64;
     }
 
-    /// Enumerates the constraint-satisfying matchings of the body, decoded
-    /// through the dictionary.
+    /// Enumerates the constraint-satisfying matchings of the body (checked
+    /// on slots), decoded through the dictionary: the path of heads with
+    /// blank constants, whose Skolem values need every binding as a term,
+    /// and of [`crate::id_matchings`].
     pub(crate) fn exec_matchings(
         &self,
         query: &Query,
@@ -399,24 +489,25 @@ impl QueryEngine<'_> {
         stats: &mut ExecStats,
         mut accept: impl FnMut(Binding),
     ) {
+        let head = Head::compile(query, hooks.compiled, self.dictionary);
         self.enumerate(hooks, stats, |slots| {
-            let binding = hooks.compiled.decode(slots, self.dictionary);
-            if satisfies_constraints(query, &binding) {
-                accept(binding);
+            if head.satisfies(self.dictionary, slots) {
+                accept(hooks.compiled.decode(slots, self.dictionary));
             }
             ControlFlow::Continue(())
         });
     }
 
     /// The pre-answer of a premise-free query over `target`, distinct
-    /// single answers in first-seen order: Skolemization and head instantiation run on decoded bindings, everything
-    /// before that stays in id space.
+    /// single answers in first-seen order.
     ///
     /// When the head contains no blank constants, a single answer is a function
     /// of the head-variable bindings alone (there is nothing to Skolemize, and
     /// constraints only mention head variables), so solutions are first
     /// projected onto the head-variable slots and deduplicated as `TermId`
-    /// rows — only distinct projections are ever decoded.
+    /// rows; each distinct projection runs the id-space acceptance step, and
+    /// only an accepted single answer is decoded. A head with blank
+    /// constants is Skolemized from every body variable, on decoded bindings.
     pub(crate) fn exec_pre_answers(
         &self,
         query: &Query,
@@ -425,8 +516,6 @@ impl QueryEngine<'_> {
     ) -> Vec<Graph> {
         let mut out = Singles::default();
         if head_has_blank_consts(query) {
-            // Skolem values depend on every body variable: full decode per
-            // matching.
             self.exec_matchings(query, hooks, stats, |binding| {
                 if let Some(answer) = single_answer(query, &binding) {
                     out.push(answer);
@@ -434,36 +523,23 @@ impl QueryEngine<'_> {
             });
             return out.into_list();
         }
+        let (dictionary, compiled) = (self.dictionary, hooks.compiled);
+        let head = Head::compile(query, compiled, dictionary);
         let head_vars = query.head().variables().into_iter();
-        let head_slots: Vec<(usize, Variable)> = head_vars
-            .map(|var| (hooks.compiled.slot_of(&var), var))
-            .collect();
-        let mut seen_rows: BTreeSet<Vec<TermId>> = BTreeSet::new();
-        // One scratch row for every solution; only a new projection is kept.
-        let mut row = Vec::with_capacity(head_slots.len());
+        let head_slots: Vec<usize> = head_vars.map(|var| compiled.slot_of(&var)).collect();
+        let mut seen_rows: BTreeSet<Vec<Option<TermId>>> = BTreeSet::new();
+        // Scratch for every solution; only a new projection is kept.
+        let (mut row, mut single) = (Vec::with_capacity(head_slots.len()), Vec::new());
         self.enumerate(hooks, stats, |slots| {
             row.clear();
-            row.extend(
-                head_slots
-                    .iter()
-                    .map(|(slot, _)| slots[*slot].expect("complete solution")),
-            );
+            row.extend(head_slots.iter().map(|&slot| slots[slot]));
             if !seen_rows.contains(row.as_slice()) {
                 seen_rows.insert(row.clone());
-                let mut binding = Binding::new();
-                for ((_, var), &id) in head_slots.iter().zip(&row) {
-                    let term = self
-                        .dictionary
-                        .term_of(id)
-                        .expect("dangling term id")
-                        .clone();
-                    binding.bind(var.clone(), term);
+                if head.accept(dictionary, slots, &mut single, |id| id) {
+                    let decode = |&ids: &[TermId; 3]| head.extra.triple(dictionary, ids);
+                    out.push(single.iter().map(decode).collect());
                 }
-                if satisfies_constraints(query, &binding) {
-                    if let Some(answer) = single_answer(query, &binding) {
-                        out.push(answer);
-                    }
-                }
+                single.clear();
             }
             ControlFlow::Continue(())
         });
@@ -493,73 +569,24 @@ impl QueryEngine<'_> {
 
     /// The direct union path: equals the union of the pre-answer for blank-free
     /// heads (union identifies shared labels, so the union of the single
-    /// answers is the set of all well-formed head instantiations; a single
-    /// answer is dropped as a whole when any head pattern fails to instantiate,
-    /// exactly as [`single_answer`] does). Every solution instantiates the head
-    /// as term-order keys ([`TermKeys`]) onto one run, sorted and deduplicated
-    /// whenever it has doubled (memory O(distinct answers), not O(solutions)),
-    /// which is [`swdb_model::Triple`] order; keys map back to ids at the end.
+    /// answers is the set of all well-formed head instantiations). Every
+    /// solution runs the acceptance step ([`Head::accept`]) onto one run of
+    /// term-order keys ([`TermKeys`]), sorted and deduplicated whenever it has
+    /// doubled (memory O(distinct answers), not O(solutions)), which is
+    /// [`swdb_model::Triple`] order; keys map back to ids at the end.
     fn exec_union_ids(
         &self,
         query: &Query,
         hooks: ExecHooks<'_>,
         stats: &mut ExecStats,
     ) -> AnswerSet {
-        let (dictionary, compiled) = (self.dictionary, hooks.compiled);
-        // Constraints only mention head variables, so they become non-blank
-        // checks on slots.
-        let constrained = query.constraints().iter();
-        let constrained: Vec<usize> = constrained.map(|var| compiled.slot_of(var)).collect();
-        let extra_from = TermId::try_from(dictionary.len()).expect("dictionary overflow");
-        let mut answer = AnswerSet {
-            extra_from,
-            ..AnswerSet::default()
-        };
-        // The head compiles like a body pattern, except that a constant no
-        // stored triple mentions gets a query-local id instead of no match.
-        let mut position = |pos: &PatternTerm| match pos {
-            PatternTerm::Var(var) => IdPatternTerm::Var(compiled.slot_of(var)),
-            PatternTerm::Const(term) => {
-                IdPatternTerm::Const(dictionary.id_of(term).unwrap_or_else(|| {
-                    let at = answer.extra.iter().position(|known| known == term);
-                    let at = at.unwrap_or_else(|| {
-                        answer.extra.push(term.clone());
-                        answer.extra.len() - 1
-                    });
-                    extra_from + at as TermId
-                }))
-            }
-        };
-        let head = query.head().patterns().iter();
-        let head: Vec<IdTriplePattern> = head
-            .map(|p| IdTriplePattern {
-                subject: position(&p.subject),
-                predicate: position(&p.predicate),
-                object: position(&p.object),
-            })
-            .collect();
-
-        let keys = TermKeys::new(&answer, dictionary);
+        let dictionary = self.dictionary;
+        let head = Head::compile(query, hooks.compiled, dictionary);
+        let keys = TermKeys::new(&head.extra, dictionary);
         let mut ids: Vec<[TermId; 3]> = Vec::new();
         let mut compact_at = MIN_COMPACTION;
         self.enumerate(hooks, stats, |slots| {
-            let blank =
-                |&slot: &usize| dictionary.is_blank(slots[slot].expect("complete solution"));
-            if constrained.iter().any(blank) {
-                return ControlFlow::Continue(());
-            }
-            let single = ids.len();
-            for pattern in &head {
-                let (s, p, o) = pattern.to_scan(slots);
-                let triple = [s, p, o].map(|id| id.expect("complete solution"));
-                if dictionary.is_blank(triple[1]) {
-                    // All-or-nothing: a blank in a predicate position drops
-                    // the whole single answer, not just that triple.
-                    ids.truncate(single);
-                    break;
-                }
-                ids.push(triple.map(|id| keys.key(id)));
-            }
+            head.accept(dictionary, slots, &mut ids, |id| keys.key(id));
             if ids.len() >= compact_at {
                 // Stable sort: it takes the already compacted prefix as one run.
                 ids.sort();
@@ -571,30 +598,35 @@ impl QueryEngine<'_> {
         ids.sort();
         ids.dedup();
         ids.iter_mut().for_each(|t| *t = t.map(|key| keys.id(key)));
-        answer.ids = ids;
-        answer
+        AnswerSet {
+            ids,
+            extra: head.extra,
+            ..AnswerSet::default()
+        }
     }
 
     /// Returns `true` if a premise-free query has an empty pre-answer over
-    /// `target` — i.e. no matching satisfies the constraints *and* instantiates
-    /// the head to a well-formed graph. Early-exits on the first witness
-    /// instead of materializing every matching, and — like every other
-    /// enumeration — gives up after [`DEFAULT_SOLUTION_LIMIT`] rejected
-    /// matchings rather than exhausting a combinatorial cross product.
+    /// `target` — i.e. no matching passes the acceptance step
+    /// ([`Head::accept`]). Early-exits on the first witness instead of
+    /// materializing every matching, and — like every other enumeration —
+    /// gives up after [`DEFAULT_SOLUTION_LIMIT`] rejected matchings rather
+    /// than exhausting a combinatorial cross product.
     pub(crate) fn exec_is_empty(
         &self,
         query: &Query,
         hooks: ExecHooks<'_>,
         stats: &mut ExecStats,
     ) -> bool {
-        let mut found = false;
+        let head = Head::compile(query, hooks.compiled, self.dictionary);
+        let (mut single, mut found) = (Vec::new(), false);
         self.enumerate(hooks, stats, |slots| {
-            let binding = hooks.compiled.decode(slots, self.dictionary);
-            if satisfies_constraints(query, &binding) && single_answer(query, &binding).is_some() {
-                found = true;
-                return ControlFlow::Break(());
+            found = head.accept(self.dictionary, slots, &mut single, |id| id);
+            single.clear();
+            if found {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
             }
-            ControlFlow::Continue(())
         });
         !found
     }
@@ -904,19 +936,17 @@ mod tests {
     }
 
     #[test]
-    fn solver_exists_and_count_take_the_early_exit() {
+    fn solver_counts_the_matched_and_the_unmatched_body() {
         let s = store();
         let q = query([("?X", "ex:takes", "?C")], [("?X", "ex:takes", "?C")]);
         let compiled = compile_body(q.body(), s.dictionary()).unwrap();
-        let solver = IdSolver::new(&compiled, s.id_index());
-        assert!(solver.exists());
-        assert_eq!(solver.count_solutions(), 4);
+        assert_eq!(IdSolver::new(&compiled, s.id_index()).count_solutions(), 4);
         let none = compile_body(
             &pattern_graph([("ex:alice", "ex:takes", "ex:AI")]),
             s.dictionary(),
         )
         .unwrap();
-        assert!(!IdSolver::new(&none, s.id_index()).exists());
+        assert_eq!(IdSolver::new(&none, s.id_index()).count_solutions(), 0);
     }
 
     #[test]

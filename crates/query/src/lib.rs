@@ -18,10 +18,12 @@
 //!   execution goes through;
 //! * [`exec`] — the one executor: premise-free bodies compiled to
 //!   [`swdb_store::TermId`] patterns and joined in planned order against a
-//!   [`swdb_store::IdIndex`], answers kept as id triples ([`AnswerSet`])
-//!   sorted as [`swdb_store::TermOrder`] ranks and decoded only into the
-//!   response buffer (or by `into_graph` for library callers), with the
-//!   string-space evaluator kept as the executable specification.
+//!   [`swdb_store::IdIndex`], every single answer built by one id-space
+//!   acceptance step, answers kept as id triples ([`AnswerSet`]) sorted as
+//!   [`swdb_store::TermOrder`] ranks and decoded only by the caller's
+//!   render (terms are decoded earlier only for Skolemized heads and
+//!   [`id_matchings`]), with the string-space evaluator kept as the
+//!   executable specification.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

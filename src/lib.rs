@@ -102,8 +102,14 @@
 //! [`reason::MaterializedStore`]: ground deltas are `O(log n)` index
 //! maintenance, blank-touching deltas re-core only the affected
 //! component(s); nothing is dropped and rebuilt. Bindings stay `TermId`s
-//! and so does the answer ([`query::AnswerSet`]): terms are decoded only
-//! into the response buffer, or by `into_graph` for library callers.
+//! and so does the answer ([`query::AnswerSet`]). One id-space acceptance
+//! step builds every single answer `v(H)` — the constraints checked on
+//! slots, the head instantiated, the single answer dropped on a blank
+//! predicate — for union answers, emptiness and pre-answers alike. Terms
+//! are decoded only for heads with blank constants (Skolem values are
+//! computed from decoded bindings), by [`query::id_matchings`], and by the
+//! caller's render: the response buffer, or `into_graph` for library
+//! callers.
 //!
 //! Queries **with premises** run through the same id engine — no query
 //! path evaluates in string space anymore. Every premise takes the
@@ -159,7 +165,9 @@
 //! counts ([`hom::IdTarget::candidate_count`]), damped by an
 //! adornment-style bound/free analysis as earlier patterns bind join
 //! variables — and the solver executes that order with **zero** selectivity
-//! probes per backtrack node ([`hom::IdSolver::with_order`]). Compiled
+//! probes per backtrack node ([`hom::IdSolver::with_order`]; the same
+//! search loop that picks most-constrained-first when no order is given).
+//! Compiled
 //! plans live in a small LRU ([`query::PlanCache`]) keyed by the query's
 //! head/body/constraint structure *modulo constant identity*, so
 //! structurally equal queries over different constants share one plan;

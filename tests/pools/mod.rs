@@ -10,7 +10,11 @@ use semweb_foundations::query::{query, Query};
 /// A pool covering the pattern shapes the engine dispatches on: single
 /// patterns, joins, variable predicates, repeated variables, ground
 /// constants (interned and never-interned), must-bind constraints, head
-/// blanks (Skolemization), and RDFS vocabulary in the body.
+/// blanks (Skolemization), and RDFS vocabulary in the body. It holds the
+/// edge cases of accepting a matching: a constraint on a variable some
+/// matchings bind to a blank, a head constant no stored triple mentions
+/// (`ex:related`), and a head predicate — a variable or a head blank — that
+/// instantiates to a blank, which drops the whole single answer.
 pub fn query_pool() -> Vec<Query> {
     vec![
         query([("?X", "ex:p0", "?Y")], [("?X", "ex:p0", "?Y")]),
@@ -34,6 +38,15 @@ pub fn query_pool() -> Vec<Query> {
         .expect("well formed"),
         Query::new(
             pattern_graph([("?X", "ex:witnessed", "_:W")]),
+            pattern_graph([("?X", "ex:p0", "?Y")]),
+        )
+        .expect("well formed"),
+        query(
+            [("?X", "ex:p0", "?Y"), ("?X", "?Y", "ex:n0")],
+            [("?X", "ex:p0", "?Y")],
+        ),
+        Query::new(
+            pattern_graph([("?X", "_:P", "?Y")]),
             pattern_graph([("?X", "ex:p0", "?Y")]),
         )
         .expect("well formed"),
