@@ -75,15 +75,16 @@
 //! lazy evaluation build included) is one private commit: intern the op's
 //! terms into the *committed* state (append-only, so its meaning does not
 //! change and the fork never copies the dictionary) → clone the state →
-//! apply the op to the clone (the closure delta of [`MaterializedStore`]'s
-//! semi-naive insert or DRed delete, fed into the evaluation engine) →
-//! commit the WAL record → swap the clone in. A premise runs the same
-//! insert on a fork that is never swapped in. A panic before the swap
-//! leaves the committed state as it was; the WAL commit runs with the
-//! durability layer taken out of the facade, so a panic inside it leaves
-//! the layer detached with its fail-stop record, never attached over a
-//! possibly torn tail. An IO error fail-stops the layer, and the new state
-//! is swapped in anyway.
+//! apply the op to the clone → commit the WAL record → swap the clone in.
+//! The op runs each kernel once over its whole batch: an insert is one
+//! semi-naive propagation of [`MaterializedStore`], a removal one DRed run,
+//! and the closure delta either produces is one refresh of the evaluation
+//! engine. A premise runs the same insert on a fork that is never swapped
+//! in. A panic before the swap leaves the committed state as it was; the
+//! WAL commit runs with the durability layer taken out of the facade, so a
+//! panic inside it leaves the layer detached with its fail-stop record,
+//! never attached over a possibly torn tail. An IO error fail-stops the
+//! layer, and the new state is swapped in anyway.
 //!
 //! The propagation itself has **one schedule**, `swdb_reason::parallel`'s
 //! rounds: each round partitions the frontier by the `(rule, hypothesis)`
@@ -294,6 +295,15 @@ impl State {
     pub(crate) fn insert_ids(&mut self, ids: &[IdTriple]) -> ClosureDelta {
         let delta = self.reasoner.insert_ids_with_delta(ids);
         self.feed_delta(&delta, false);
+        delta
+    }
+
+    /// The write path's removal, the mirror of [`State::insert_ids`]:
+    /// retracts `ids`, shrinks the maintained closure by one DRed run over
+    /// the batch, and feeds the delta to the evaluation engine.
+    fn remove_ids(&mut self, ids: &[IdTriple]) -> ClosureDelta {
+        let delta = self.reasoner.remove_ids_with_delta(ids);
+        self.feed_delta(&delta, true);
         delta
     }
 
@@ -934,24 +944,23 @@ impl SemanticWebDatabase {
 
     /// Removes every triple of a graph, returning how many were present —
     /// the one removal path (`remove`, `minimize`, WAL replay, `/remove`).
-    /// Per triple, the maintained closure retracts exactly the consequences
-    /// that lost support (DRed) and the evaluation engine absorbs the
-    /// delta; the call commits **one** WAL record holding the triples that
-    /// were present (none → no record): a crash recovers all removed or
-    /// none.
+    /// The whole graph is one batch: the maintained closure retracts exactly
+    /// the consequences that lost support in one DRed run, and the
+    /// evaluation engine absorbs that delta in one refresh; the call
+    /// commits **one** WAL record holding the triples that were present
+    /// (none → no record): a crash recovers all removed or none.
     pub fn remove_graph(&mut self, graph: &Graph) -> usize {
         let removed = self.commit(
             &Graph::new(),
             |state, _| {
-                let mut removed = Graph::new();
-                for triple in graph.iter() {
-                    let delta = state.reasoner.remove_with_delta(triple);
-                    if !delta.base.is_empty() {
-                        state.feed_delta(&delta, true);
-                        removed.insert(triple.clone());
-                    }
-                }
-                removed
+                let store = state.reasoner.store();
+                let ids: Vec<IdTriple> =
+                    graph.iter().filter_map(|t| store.resolve_ids(t)).collect();
+                let base = state.remove_ids(&ids).base;
+                let store = state.reasoner.store();
+                base.into_iter()
+                    .map(|t| store.materialize(t))
+                    .collect::<Graph>()
             },
             |removed| {
                 let text = (!removed.is_empty()).then(|| swdb_store::serialize(removed));

@@ -58,9 +58,9 @@ fn blank_clique_refresh_is_bounded_by_the_budget() {
         "K11's encoding is lean: nothing may be dropped"
     );
     let snap = db.metrics().snapshot();
-    // The cold build cores the one component at most twice (re-core from
-    // its full set, then retracting further), each under its own slice, and
-    // a search spends at least one step, so a slice starts at most one
+    // The cold build cores the one component once, in the one sweep of
+    // its refresh, under one slice; the bounds below allow a second slice.
+    // A search spends at least one step, so a slice starts at most one
     // search more than it has steps.
     let exhausted = snap.degraded.core_budget_exhausted;
     assert!((1..=2).contains(&exhausted), "{exhausted} slices ran out");

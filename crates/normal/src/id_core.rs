@@ -54,9 +54,13 @@
 //! a component (and replayed onto the others' support sets), which makes
 //! it the only place a component's uncored share changes;
 //! [`IdCoreEngine::apply_delta`] (the cold build is one) and
-//! [`IdCoreEngine::recore_uncored`] are sweeps of kernel-then-commit over
-//! the engine's components under three filters (stale / a survivor shares
-//! a newly visible predicate / uncored).
+//! [`IdCoreEngine::recore_uncored`] are one sweep each of kernel-then-commit
+//! over the engine's components: `apply_delta` first makes every newly
+//! visible triple visible and then cores the components that are stale or
+//! whose survivors share a newly visible predicate; `recore_uncored` cores
+//! the uncored ones. One pass suffices: every component is cored against
+//! the complete view, and a later fold only removes triples, which cannot
+//! un-lean a component already processed.
 //!
 //! A premise (`D + P` for one query) is the same insert on a clone of the
 //! engine: the clone's index, component list and components are `Arc`s
@@ -321,13 +325,11 @@ struct Cored {
 }
 
 /// One run of the coring kernel ([`fold_to_fixpoint`]) over some components:
-/// the budget policy, the predicates that became visible (the only possible
-/// new fold images), and the work tally, flushed to [`Metrics`] once.
+/// the budget policy and the work tally, flushed to [`Metrics`] once.
 #[derive(Default)]
 struct Coring {
     mode: CoreBudgetMode,
     warn_threshold: u64,
-    added_preds: BTreeSet<TermId>,
     searches: u64,
     fold_steps: u64,
     recored: u64,
@@ -414,11 +416,10 @@ impl Cells {
     }
 
     /// Retires `old` and appends the blank components of its still
-    /// `maintained` triples plus the `fresh` ones: a cell whose full triple
-    /// set reappears unchanged among `old` (bucketed by first triple)
-    /// carries its cached core state over wholesale; every other cell
-    /// starts stale.
-    fn partition_and_inherit(
+    /// `maintained` triples plus the `fresh` ones, each stale: every retired
+    /// component shares a blank with the delta, so its full set changed and
+    /// none comes back with a cached core state to keep.
+    fn partition(
         &mut self,
         old: Vec<Arc<Component>>,
         maintained: &IdIndex,
@@ -431,33 +432,17 @@ impl Cells {
             .filter(|&t| maintained.contains(t))
             .chain(fresh);
         let parts = blank_components(triples, |id| dictionary.is_blank(id));
-        let mut by_first: BTreeMap<IdTriple, Vec<Arc<Component>>> = BTreeMap::new();
-        for c in old {
-            self.uncored.leave(&c);
-            if let Some(&first) = c.full.first() {
-                by_first.entry(first).or_default().push(c);
-            }
+        for c in &old {
+            self.uncored.leave(c);
         }
         for part in parts {
-            let inherited = part.triples.first().and_then(|first| {
-                let bucket = by_first.get_mut(first)?;
-                let at = bucket.iter().position(|c| c.full == part.triples)?;
-                Some(bucket.swap_remove(at))
-            });
-            self.push(match inherited {
-                Some(c) => Component {
-                    blanks: part.blanks,
-                    full: part.triples,
-                    ..Arc::unwrap_or_clone(c)
-                },
-                None => Component {
-                    blanks: part.blanks,
-                    full: part.triples,
-                    survivors: BTreeSet::new(),
-                    support: BTreeSet::new(),
-                    stale: true,
-                    uncored: false,
-                },
+            self.push(Component {
+                blanks: part.blanks,
+                full: part.triples,
+                survivors: BTreeSet::new(),
+                support: BTreeSet::new(),
+                stale: true,
+                uncored: false,
             });
         }
     }
@@ -543,10 +528,6 @@ pub struct IdCoreEngine {
     /// persistent index so a clone of the engine shares it.
     blank_full: IdIndex,
     cells: Cells,
-    /// Predicate id → number of `blank_full` triples using it. A ground
-    /// insertion whose predicate no blank triple uses cannot be the image of
-    /// any fold and skips the core step entirely.
-    blank_pred_refs: BTreeMap<TermId, usize>,
     /// How much search each component-coring call may spend before the
     /// component is published uncored (module's "Degraded mode" section).
     budget_mode: CoreBudgetMode,
@@ -637,13 +618,9 @@ impl IdCoreEngine {
         engine.metrics = metrics;
         engine.budget_mode = budget;
         let mut published = state.ground.clone();
-        let blank: Vec<IdTriple> = state
-            .components
-            .iter()
-            .flat_map(|c| &c.full)
-            .copied()
-            .collect();
-        engine.note_blank_triples(&blank);
+        engine
+            .blank_full
+            .extend(state.components.iter().flat_map(|c| &c.full).copied());
         for comp in &state.components {
             let full: BTreeSet<IdTriple> = comp.full.iter().copied().collect();
             let mut blanks = BTreeSet::new();
@@ -665,16 +642,6 @@ impl IdCoreEngine {
         engine.publish_gauges();
         engine.debug_check(dictionary);
         engine
-    }
-
-    /// Adds maintained blank triples to the blank side and counts their
-    /// predicates; returns the ones that were new.
-    fn note_blank_triples(&mut self, triples: &[IdTriple]) -> Vec<IdTriple> {
-        let fresh = self.blank_full.insert_all(triples);
-        for t in &fresh {
-            *self.blank_pred_refs.entry(t.1).or_insert(0) += 1;
-        }
-        fresh
     }
 
     /// Attaches a metrics handle: components re-cored, retraction-search
@@ -765,18 +732,17 @@ impl IdCoreEngine {
     /// engine left degraded mode entirely — guaranteed when called under
     /// [`CoreBudgetMode::Unlimited`].
     pub fn recore_uncored(&mut self, dictionary: &Dictionary) -> bool {
-        let mut coring = self.coring(BTreeSet::new());
+        let mut coring = self.coring();
         self.cells.sweep(&mut self.eval, &mut coring, |c| c.uncored);
         self.report(&coring, dictionary);
         !self.is_degraded()
     }
 
     /// Starts a run of the kernel under the engine's budget mode.
-    fn coring(&self, added_preds: BTreeSet<TermId>) -> Coring {
+    fn coring(&self) -> Coring {
         Coring {
             mode: self.budget_mode,
             warn_threshold: self.metrics.blank_warn_threshold(),
-            added_preds,
             ..Coring::default()
         }
     }
@@ -811,10 +777,12 @@ impl IdCoreEngine {
     /// nor adds a possible fold image (a predicate some blank triple uses)
     /// is pure index maintenance. Otherwise the blank side is repaired at
     /// component granularity: structurally changed components and components
-    /// whose support lost a triple are re-cored from their full sets (which
-    /// can *restore* previously folded triples); components that merely
-    /// gained potential fold targets continue retracting from their cached
-    /// survivors.
+    /// whose support lost a triple turn stale, and every newly visible
+    /// triple enters the view — the ground additions, then the full set of
+    /// every stale component (which can *restore* previously folded
+    /// triples). One sweep then re-cores the stale components from their
+    /// full sets and lets every component whose survivors share a newly
+    /// visible predicate retract further from its cached survivors.
     pub fn apply_delta(
         &mut self,
         added: &[IdTriple],
@@ -827,12 +795,6 @@ impl IdCoreEngine {
             if is_blank_triple(dictionary, t) {
                 if self.blank_full.remove(t) {
                     note_blanks(dictionary, &mut blank_delta_ids, t);
-                    if let Some(refs) = self.blank_pred_refs.get_mut(&t.1) {
-                        *refs -= 1;
-                        if *refs == 0 {
-                            self.blank_pred_refs.remove(&t.1);
-                        }
-                    }
                     if self.eval.remove(t) {
                         removed_from_eval.insert(t);
                     }
@@ -843,11 +805,11 @@ impl IdCoreEngine {
         }
         let (blank, ground_added): (Vec<IdTriple>, Vec<IdTriple>) =
             added.iter().partition(|&&t| is_blank_triple(dictionary, t));
-        let blank_added = self.note_blank_triples(&blank);
+        let blank_added = self.blank_full.insert_all(&blank);
         for &t in &blank_added {
             note_blanks(dictionary, &mut blank_delta_ids, t);
         }
-        let added_preds: BTreeSet<TermId> = self
+        let mut added_preds: BTreeSet<TermId> = self
             .eval
             .insert_all(&ground_added)
             .into_iter()
@@ -855,7 +817,7 @@ impl IdCoreEngine {
             .collect();
         let relevant_add = added_preds
             .iter()
-            .any(|p| self.blank_pred_refs.contains_key(p));
+            .any(|&p| self.blank_full.candidate_count((None, Some(p), None)) > 0);
         if blank_delta_ids.is_empty() && removed_from_eval.is_empty() && !relevant_add {
             // The pure ground fast path: the index is already the core, and
             // no component changed.
@@ -869,21 +831,25 @@ impl IdCoreEngine {
             }
         }
         let _span = self.metrics.span(Hist::SpanCoreRefreshNs);
-        let mut coring = self.coring(added_preds);
+        let mut coring = self.coring();
         // A triple mentioning a delta blank either was in a component the
         // delta dissolves or is fresh, so the union-find runs over that
-        // local set alone. Then the stale components are re-cored from
-        // their full sets, and every component whose survivors could fold
-        // onto a newly visible triple gets the chance to retract further;
-        // folds only remove triples, so that one sweep reaches the fixpoint.
+        // local set alone.
         let dissolved = self.cells.dissolve(&blank_delta_ids);
         let cells = &mut self.cells;
-        cells.partition_and_inherit(dissolved, &self.blank_full, blank_added, dictionary);
-        cells.sweep(&mut self.eval, &mut coring, |c| c.stale);
-        let added_preds = std::mem::take(&mut coring.added_preds);
-        if !added_preds.is_empty() {
-            cells.sweep(&mut self.eval, &mut coring, |c| c.shares_pred(&added_preds));
+        cells.partition(dissolved, &self.blank_full, blank_added, dictionary);
+        // Everything newly visible enters the view before any search, so
+        // the one sweep cores every component against the complete graph.
+        for c in cells.list.iter().filter(|c| c.stale) {
+            for &t in &c.full {
+                if self.eval.insert(t) {
+                    added_preds.insert(t.1);
+                }
+            }
         }
+        cells.sweep(&mut self.eval, &mut coring, |c| {
+            c.stale || c.shares_pred(&added_preds)
+        });
         self.report(&coring, dictionary);
     }
 
@@ -908,15 +874,23 @@ impl IdCoreEngine {
         EvalOverlay { index, non_minimal }
     }
 
-    /// Debug-build invariants: the published index is exactly the ground
-    /// triples plus every component's survivors, all support triples are
-    /// live, and the cached aggregates are current.
+    /// Debug-build invariants: the components partition the blank side and
+    /// none is stale, the published index is exactly the ground triples
+    /// plus every component's survivors, all support triples are live, and
+    /// the cached aggregates are current.
     fn debug_check(&self, dictionary: &Dictionary) {
         if cfg!(debug_assertions) {
             let mut uncored = Uncored::default();
             let mut expected_blank: BTreeSet<IdTriple> = BTreeSet::new();
+            let mut full_sizes = 0;
             for c in self.cells.list.iter() {
                 uncored.enter(c);
+                debug_assert!(!c.stale, "a component was left stale");
+                debug_assert!(
+                    c.full.iter().all(|t| self.blank_full.contains(*t)),
+                    "a component's full set left the blank side"
+                );
+                full_sizes += c.full.len();
                 debug_assert!(c.survivors.is_subset(&c.full));
                 debug_assert!(
                     c.support.iter().all(|t| self.eval.contains(*t)),
@@ -924,6 +898,11 @@ impl IdCoreEngine {
                 );
                 expected_blank.extend(c.survivors.iter().copied());
             }
+            debug_assert_eq!(
+                full_sizes,
+                self.blank_full.len(),
+                "the components do not partition the blank side"
+            );
             debug_assert_eq!(
                 self.cells.uncored, uncored,
                 "a path changed an uncored flag outside the commit point"
@@ -956,21 +935,17 @@ fn note_blanks(dictionary: &Dictionary, ids: &mut BTreeSet<TermId>, (s, _, o): I
 
 /// The coring kernel: retracts the triples of `comp` visible in `view` to
 /// a local fixpoint under one budget slice. A stale component starts over
-/// from its full set (previously folded triples come back into the view
-/// until the fresh local search decides their fate), any other retracts
-/// further from its survivors. Each successful fold map is applied to the
-/// view (dropping the folded triples) and composed into the result. On
-/// return without budget exhaustion no surviving triple can be avoided: the
-/// component is locally lean. With an exhausted budget the loop stops early;
-/// everything applied so far is still a genuine retraction, so the survivors
-/// are a sound superset of the local core.
+/// from its full set (the caller has put all of it back into the view, so
+/// previously folded triples stay there until the fresh local search
+/// decides their fate), any other retracts further from its survivors.
+/// Each successful fold map is applied to the view (dropping the folded
+/// triples) and composed into the result. On return without budget
+/// exhaustion no surviving triple can be avoided: the component is locally
+/// lean. With an exhausted budget the loop stops early; everything applied
+/// so far is still a genuine retraction, so the survivors are a sound
+/// superset of the local core.
 fn fold_to_fixpoint(view: &mut IdIndex, comp: &Component, coring: &mut Coring) -> Cored {
     let start = if comp.stale {
-        for &t in &comp.full {
-            if view.insert(t) {
-                coring.added_preds.insert(t.1);
-            }
-        }
         &comp.full
     } else {
         &comp.survivors

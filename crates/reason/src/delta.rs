@@ -8,16 +8,17 @@
 //!   [`RuleSystem::paths_for_predicate`]), that binding seeds the join of
 //!   the remaining hypotheses against the current closure, and only *fresh*
 //!   conclusions are queued. Existing triples are never re-derived.
-//! * **Delete** is DRed (delete-and-rederive): first *overdelete* everything
-//!   transitively derivable from the deleted triple, then *rederive* the
-//!   overdeleted triples that are still asserted or still one-step derivable
-//!   from the surviving closure, and finally propagate the rederived set as
-//!   ordinary inserts. DRed is chosen over per-triple derivation counting
-//!   because the RDFS rules feed into themselves (rule (3) with `B = A`
-//!   derives a triple from itself through `(A, sp, A)`), and cyclic
-//!   self-support makes counting schemes unsound — counts stay positive
-//!   after the last external support disappears. DRed's
-//!   overdelete/rederive pair is insensitive to derivation cycles.
+//! * **Delete** is DRed (delete-and-rederive), one run per batch of deleted
+//!   triples: first *overdelete* everything transitively derivable from any
+//!   of them, then *rederive* the overdeleted triples that are still
+//!   asserted or still one-step derivable from the surviving closure, and
+//!   finally propagate the rederived set as ordinary inserts. DRed is
+//!   chosen over per-triple derivation counting because the RDFS rules
+//!   feed into themselves (rule (3) with `B = A` derives a triple from
+//!   itself through `(A, sp, A)`), and cyclic self-support makes counting
+//!   schemes unsound — counts stay positive after the last external
+//!   support disappears. DRed's overdelete/rederive pair is insensitive to
+//!   derivation cycles.
 //!
 //! Both mutations run on **one schedule and one rule-firing kernel**,
 //! `parallel::round_conclusions`: a round joins the whole frontier
@@ -304,12 +305,12 @@ impl DeltaClosure {
         self.metrics.count(Counter::ReasonRounds, rounds);
     }
 
-    /// Applies a deleted base triple (already removed from `base`): returns
-    /// `true` if the triple left the closure, `false` when it is still
-    /// derivable (or axiomatic) and therefore survives, and appends every
+    /// Applies a batch of deleted base triples (already removed from
+    /// `base`) in one DRed run seeded with all of them, and appends every
     /// triple that *left the closure* for good (overdeleted and neither
     /// rederived nor recovered by the propagation of the rederived set) to
-    /// `removed`, in `(s, p, o)` order.
+    /// `removed`, in `(s, p, o)` order. A deleted triple that is still
+    /// derivable (or axiomatic) survives and is not logged.
     ///
     /// DRed on the round kernel: the overdeletion cascade is the join shape
     /// of insert propagation run with a "still in the closure, not an
@@ -318,22 +319,27 @@ impl DeltaClosure {
     /// phase 3 is ordinary insert propagation.
     pub fn delete_logged(
         &mut self,
-        t: IdTriple,
+        deleted: &[IdTriple],
         base: &TripleStore,
         removed: &mut Vec<IdTriple>,
-    ) -> bool {
-        if !self.closure.contains(t) || self.axioms.contains(&t) {
-            return false;
+    ) {
+        let mut over: BTreeSet<IdTriple> = deleted
+            .iter()
+            .copied()
+            .filter(|t| self.closure.contains(*t) && !self.axioms.contains(t))
+            .collect();
+        if over.is_empty() {
+            return;
         }
         let t0 = self
             .metrics
             .on(MetricsLevel::Debug)
             .then(std::time::Instant::now);
 
-        // Phase 1 — overdelete: everything with a derivation path from `t`,
-        // computed round by round against the still-intact closure (the
-        // standard DRed overapproximation), with two sound prunes that keep
-        // cascades local. A candidate is *not* overdeleted when
+        // Phase 1 — overdelete: everything with a derivation path from the
+        // batch, computed round by round against the still-intact closure
+        // (the standard DRed overapproximation), with two sound prunes that
+        // keep cascades local. A candidate is *not* overdeleted when
         //
         // * it is still asserted in the base store — assertion is support
         //   that no cascade can take away, or
@@ -352,10 +358,8 @@ impl DeltaClosure {
         // saved, so a triple reachable through many derivation edges pays
         // for its (expensive) probes once. The cascade's firings are not
         // rule firings of a committed fixpoint and are not counted.
-        let mut over: BTreeSet<IdTriple> = BTreeSet::new();
         let mut spared: BTreeSet<IdTriple> = BTreeSet::new();
-        over.insert(t);
-        let mut frontier = vec![t];
+        let mut frontier: Vec<IdTriple> = over.iter().copied().collect();
         while !frontier.is_empty() {
             let candidates = crate::parallel::round_conclusions(
                 &self.rules,
@@ -422,8 +426,7 @@ impl DeltaClosure {
         for r in &recovered {
             gone.remove(r);
         }
-        let deleted = gone.contains(&t);
-        debug_assert_eq!(deleted, !self.closure.contains(t));
+        debug_assert!(gone.iter().all(|&g| !self.closure.contains(g)));
         self.metrics
             .count(Counter::ReasonClosureRemoved, gone.len() as u64);
         removed.extend(gone);
@@ -431,7 +434,6 @@ impl DeltaClosure {
             self.metrics
                 .record(Hist::SpanReasonDeleteNs, t0.elapsed().as_nanos() as u64);
         }
-        deleted
     }
 }
 
@@ -462,7 +464,7 @@ mod tests {
 
     fn del(store: &mut TripleStore, engine: &mut DeltaClosure, t: &swdb_model::Triple) {
         if let Some(ids) = store.remove_with_ids(t) {
-            engine.delete_logged(ids, store, &mut Vec::new());
+            engine.delete_logged(&[ids], store, &mut Vec::new());
         }
     }
 

@@ -158,14 +158,8 @@ impl MaterializedStore {
     /// Inserts a triple, reporting the closure delta: the id triples that
     /// entered `RDFS-cl(G)` as a consequence.
     pub fn insert_with_delta(&mut self, triple: &Triple) -> ClosureDelta {
-        let mut delta = ClosureDelta::default();
-        let (ids, added) = self.store.insert_with_ids(triple);
-        if added {
-            delta.base.push(ids);
-            self.engine
-                .insert_batch_logged([ids], self.store.dictionary(), &mut delta.added);
-        }
-        delta
+        let ids = self.store.intern_triple(triple);
+        self.insert_ids_with_delta(&[ids])
     }
 
     /// Inserts every triple of a graph, extending the closure in **one**
@@ -240,12 +234,24 @@ impl MaterializedStore {
     /// left `RDFS-cl(G)` for good (a retracted triple that is still
     /// derivable from the surviving assertions does not appear).
     pub fn remove_with_delta(&mut self, triple: &Triple) -> ClosureDelta {
-        let mut delta = ClosureDelta::default();
-        if let Some(ids) = self.store.remove_with_ids(triple) {
-            delta.base.push(ids);
-            self.engine
-                .delete_logged(ids, &self.store, &mut delta.removed);
+        match self.store.resolve_ids(triple) {
+            Some(ids) => self.remove_ids_with_delta(&[ids]),
+            None => ClosureDelta::default(),
         }
+    }
+
+    /// Removes a batch of interned triples, reporting the closure delta:
+    /// `base` holds the ones that were asserted, and the closure shrinks by
+    /// **one** DRed run seeded with all of them
+    /// ([`DeltaClosure::delete_logged`]) — the mirror of
+    /// [`MaterializedStore::insert_ids_with_delta`].
+    pub fn remove_ids_with_delta(&mut self, ids: &[IdTriple]) -> ClosureDelta {
+        let mut delta = ClosureDelta {
+            base: self.store.remove_id_triples(ids),
+            ..ClosureDelta::default()
+        };
+        self.engine
+            .delete_logged(&delta.base, &self.store, &mut delta.removed);
         delta
     }
 
@@ -257,16 +263,9 @@ impl MaterializedStore {
     /// Is the triple in `RDFS-cl(G)`? Constant-time-ish: id resolution plus
     /// one indexed membership probe, never a closure computation.
     pub fn closure_contains(&self, triple: &Triple) -> bool {
-        self.resolve(triple)
+        self.store
+            .resolve_ids(triple)
             .is_some_and(|ids| self.engine.contains(ids))
-    }
-
-    fn resolve(&self, triple: &Triple) -> Option<IdTriple> {
-        Some((
-            self.store.id_of(triple.subject())?,
-            self.store.id_of(&Term::Iri(triple.predicate().clone()))?,
-            self.store.id_of(triple.object())?,
-        ))
     }
 
     /// Scans the closure with an id-pattern.

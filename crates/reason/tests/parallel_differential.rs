@@ -179,14 +179,15 @@ proptest! {
         prop_assert_eq!(sequential.closure_graph(), rdfs_closure(&g.union(&extra)));
     }
 
-    /// Interleaved single inserts, batch inserts and DRed deletes: after
-    /// every operation the whole sweep is in lockstep, and both per-op
-    /// delta logs are the same sequences at every count; a batch is
-    /// previewed before it is committed, and commits what it previewed.
+    /// Interleaved single inserts, batch inserts, DRed deletes and batch
+    /// deletes (one DRed run per batch): after every operation the whole
+    /// sweep is in lockstep, and both per-op delta logs are the same
+    /// sequences at every count; a batch is previewed before it is
+    /// committed, and commits what it previewed.
     #[test]
     fn interleaved_edits_stay_in_lockstep_across_thread_counts(
         seed in 0u64..512,
-        ops in proptest::collection::vec((0u8..4, 0u8..32u8), 1..14),
+        ops in proptest::collection::vec((0u8..5, 0u8..32u8), 1..14),
     ) {
         let pool = pool(seed);
         let mut engines: Vec<MaterializedStore> =
@@ -218,9 +219,24 @@ proptest! {
                     engines.iter_mut().map(|e| e.insert_with_delta(&pool[at])).collect()
                 }
                 // DRed delete.
-                _ => {
+                3 => {
                     shadow.remove(&pool[at]);
                     engines.iter_mut().map(|e| e.remove_with_delta(&pool[at])).collect()
+                }
+                // Batch delete: a contiguous slice of the pool, one DRed run.
+                _ => {
+                    let batch = &pool[at..(at + 5).min(pool.len())];
+                    for t in batch {
+                        shadow.remove(t);
+                    }
+                    engines
+                        .iter_mut()
+                        .map(|e| {
+                            let ids: Vec<IdTriple> =
+                                batch.iter().filter_map(|t| e.store().resolve_ids(t)).collect();
+                            e.remove_ids_with_delta(&ids)
+                        })
+                        .collect()
                 }
             };
             for (delta, &threads) in deltas.iter().zip(&THREAD_SWEEP).skip(1) {

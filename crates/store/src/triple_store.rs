@@ -161,9 +161,19 @@ impl TripleStore {
         self.index.remove(ids)
     }
 
+    /// Removes already-interned triples as one batch; returns the ones that
+    /// were present, in the order given (first occurrences) — the mirror of
+    /// [`TripleStore::insert_id_triples`].
+    pub fn remove_id_triples(&mut self, ids: &[IdTriple]) -> Vec<IdTriple> {
+        ids.iter()
+            .copied()
+            .filter(|&t| self.index.remove(t))
+            .collect()
+    }
+
     /// Resolves a triple to ids without interning; `None` if any position
     /// was never interned (in which case the triple cannot be present).
-    fn resolve_ids(&self, triple: &Triple) -> Option<IdTriple> {
+    pub fn resolve_ids(&self, triple: &Triple) -> Option<IdTriple> {
         let s = self.dictionary.id_of(triple.subject())?;
         let p = self
             .dictionary
@@ -349,6 +359,18 @@ mod tests {
         // Ids survive removal: reinserting by id alone resolves back.
         assert!(store.insert_id_triple(ids));
         assert_eq!(store.materialize(ids), t);
+    }
+
+    #[test]
+    fn batch_removal_returns_the_present_triples_once_in_order() {
+        let mut store = sample();
+        let present: Vec<IdTriple> = store.iter_ids().take(2).collect();
+        let (absent, _) = store.insert_with_ids(&triple("ex:new", "ex:p", "ex:b"));
+        store.remove_id_triple(absent);
+        let batch = [present[1], absent, present[0], present[1]];
+        assert_eq!(store.remove_id_triples(&batch), [present[1], present[0]]);
+        assert!(present.iter().all(|&t| !store.contains_id_triple(t)));
+        assert_eq!(store.len(), 2);
     }
 
     #[test]

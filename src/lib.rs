@@ -48,7 +48,8 @@
 //! [`reason::DeltaClosure`] maintains the closure under **insert**
 //! (semi-naive propagation: only the new frontier is joined — batched for
 //! bulk loads via `insert_batch_logged`) and **delete** (DRed
-//! overdelete/rederive, immune to the rule system's derivation cycles);
+//! overdelete/rederive, one run per removal batch, immune to the rule
+//! system's derivation cycles);
 //! a transient premise is the same insert on a clone of the engine. Both
 //! are loops around one rule-firing kernel, the rounds of
 //! [`reason::parallel`]: a round partitions the frontier by woken

@@ -224,3 +224,92 @@ fn edits_re_core_only_the_components_they_touch() {
         "only the new component is re-cored, of {components}"
     );
 }
+
+/// The fixture of the refresh-pass pins: the university workload with six
+/// single-triple blank components (`advisedBy` an anonymous advisor) per
+/// department, warm — the first read has run the cold core build — with
+/// the core engine's counters on from before that build.
+fn warm_advisor_facade(departments: usize) -> SemanticWebDatabase {
+    let mut db = SemanticWebDatabase::from_graph(university(
+        &UniversityConfig {
+            departments,
+            courses_per_department: 10,
+            professors_per_department: 6,
+            students_per_department: 30,
+            enrollments_per_student: 3,
+        },
+        7,
+    ));
+    db.set_metrics_level(MetricsLevel::Counters);
+    let q = semweb_foundations::workloads::university::workers_query();
+    assert!(!db.answer(&q, Semantics::Union).is_empty(), "cold build");
+    assert_eq!(db.stats().blank_components, 6 * departments);
+    db
+}
+
+/// A new student as the mixed workload writes one: a type, two courses
+/// taken and an anonymous advisor.
+fn new_student() -> Graph {
+    Graph::from_triples([
+        triple("uni:newStudent", rdfs::TYPE, "uni:Student"),
+        triple("uni:newStudent", "uni:takes", "uni:course0_0"),
+        triple("uni:newStudent", "uni:takes", "uni:course0_1"),
+        Triple::new(
+            Term::iri("uni:newStudent"),
+            Iri::new("uni:advisedBy"),
+            Term::blank("newAdvisor"),
+        ),
+    ])
+}
+
+/// The core refresh is one sweep per delta, counted in retraction searches
+/// over k lean single-triple components (one search each). The cold build
+/// searches each component once: k. The student insert searches its new
+/// component and every component whose survivors share the newly visible
+/// `advisedBy` predicate: k + 1, although none of the k can fold onto the
+/// new triple — the wake rule ROADMAP item 1 still has to narrow.
+#[test]
+fn a_core_refresh_is_one_sweep_counted_in_retraction_searches() {
+    for departments in [10, 20] {
+        let k = 6 * departments as u64;
+        let mut db = warm_advisor_facade(departments);
+        let searches =
+            |db: &SemanticWebDatabase| db.metrics().snapshot().counter("core_retraction_searches");
+        let cold = searches(&db);
+        assert_eq!(cold, k, "cold build over k = {k} components");
+        db.insert_graph(&new_student());
+        assert_eq!(
+            searches(&db) - cold,
+            k + 1,
+            "a blank insert over k = {k} components"
+        );
+    }
+}
+
+/// A removal batch runs each kernel once: removing the student's four
+/// triples is one DRed run and one core refresh, each one span sample at
+/// `Debug` level, and the DRed run's work is pinned as exact counts.
+#[test]
+fn a_removal_batch_runs_one_dred_and_one_core_refresh() {
+    for departments in [10, 20] {
+        let mut db = warm_advisor_facade(departments);
+        let student = new_student();
+        db.insert_graph(&student);
+        db.set_metrics_level(MetricsLevel::Debug);
+        db.metrics().reset();
+        assert_eq!(db.remove_graph(&student), student.len());
+        let after = db.metrics().snapshot();
+        let samples = |key| after.histograms.get(key).map_or(0, |h| h.count);
+        assert_eq!(
+            [
+                samples("span_reason_delete_ns"),
+                samples("span_core_refresh_ns")
+            ],
+            [1, 1],
+            "one DRed run and one refresh at {departments} departments"
+        );
+        let counts = ["reason_overdeleted", "reason_rederived"];
+        assert_eq!(counts.map(|key| after.counter(key)), [5, 0]);
+        assert_eq!(db.closure(), db.closure_recomputed());
+    }
+}
