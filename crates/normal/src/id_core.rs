@@ -21,9 +21,11 @@
 //! 3. **Support tracking makes deltas local.** Each component records the
 //!    *images* of its triples under its composed retraction. A deletion
 //!    re-cores exactly the components whose structure or support it touches;
-//!    an insertion re-checks only components whose triples could newly fold
-//!    onto it (matching predicate). Everything else keeps its cached
-//!    survivors.
+//!    an insertion re-checks only components with a survivor that can map
+//!    onto a newly visible triple, blanks as wildcards and constants equal
+//!    (a fold that uses no new triple existed before). Lookups by blank, by
+//!    support triple and by survivor shape find those components without
+//!    reading the others, which keep their cached survivors.
 //!
 //! ### Why per-component processing yields the global core
 //!
@@ -38,8 +40,9 @@
 //! processed stay lean: the fixpoint is `core(G)`, reached without a global
 //! search. Fold images may land on *other* components' triples or on ground
 //! triples; that cross-component support is exactly what the per-component
-//! `support` sets record, and every fold map is replayed onto all support
-//! sets so they always name live triples of the published index.
+//! `support` sets record, and every fold map is replayed onto the support
+//! sets that mention a blank it moves, so they always name live triples of
+//! the published index.
 //!
 //! ### One kernel
 //!
@@ -51,19 +54,21 @@
 //! budget slice, applies folds to the view until none is left or the slice
 //! runs out, and returns the survivors, the composed map and whether it
 //! ran out. `Cells::commit` is the only place that result is written into
-//! a component (and replayed onto the others' support sets), which makes
-//! it the only place a component's uncored share changes;
-//! [`IdCoreEngine::apply_delta`] (the cold build is one) and
-//! [`IdCoreEngine::recore_uncored`] are one sweep each of kernel-then-commit
-//! over the engine's components: `apply_delta` first makes every newly
-//! visible triple visible and then cores the components that are stale or
-//! whose survivors share a newly visible predicate; `recore_uncored` cores
-//! the uncored ones. One pass suffices: every component is cored against
-//! the complete view, and a later fold only removes triples, which cannot
-//! un-lean a component already processed.
+//! a component, which makes it the only place a component's uncored share
+//! changes. It replays each fold onto the other components' support sets:
+//! a support triple mentioning a moved blank is a published triple of the
+//! folding component, so the commit looks its full set up by support triple
+//! instead of scanning the others. [`IdCoreEngine::apply_delta`] (the cold
+//! build is one) and [`IdCoreEngine::recore_uncored`] are one sweep each of
+//! kernel-then-commit: `apply_delta` first makes every newly visible triple
+//! visible and then cores the components that are stale or that a newly
+//! visible triple wakes (point 3); `recore_uncored` cores the uncored ones.
+//! One pass suffices: every component is cored against the complete view,
+//! and a later fold only removes triples, which cannot un-lean a component
+//! already processed.
 //!
 //! A premise (`D + P` for one query) is the same insert on a clone of the
-//! engine: the clone's index, component list and components are `Arc`s
+//! engine: the clone's indexes, component slab and lookups are `Arc`s
 //! shared with the engine until the insert writes them.
 //! [`IdCoreEngine::overlay_core`] is that clone and insert, returning the
 //! clone's index and flag as an [`EvalOverlay`] — exactly what committing
@@ -269,15 +274,20 @@ struct Component {
     uncored: bool,
 }
 
+/// The wildcard a blank becomes in a survivor's shape.
+const ANY: TermId = TermId::MAX;
+
 impl Component {
-    fn touches(&self, blanks: &BTreeSet<TermId>) -> bool {
-        !blanks.is_empty() && self.blanks.iter().any(|b| blanks.contains(b))
+    /// A survivor's shape: its blanks as wildcards. A map sends the
+    /// survivor onto a triple only if the triple matches the shape,
+    /// constants equal.
+    fn shape(&self, (s, p, o): IdTriple) -> IdTriple {
+        let any = |id| if self.blanks.contains(&id) { ANY } else { id };
+        (any(s), p, any(o))
     }
 
-    /// Could a survivor fold onto a triple using one of `preds`? A map
-    /// fixes predicates, so only then.
-    fn shares_pred(&self, preds: &BTreeSet<TermId>) -> bool {
-        self.survivors.iter().any(|t| preds.contains(&t.1))
+    fn shapes(&self) -> BTreeSet<IdTriple> {
+        self.survivors.iter().map(|&t| self.shape(t)).collect()
     }
 }
 
@@ -335,10 +345,12 @@ struct Coring {
     recored: u64,
     exhausted_slices: u64,
     replays: u64,
+    visited: u64,
 }
 
 impl Coring {
     fn flush(&self, metrics: &Metrics) {
+        metrics.count(Counter::CoreComponentsVisited, self.visited);
         metrics.count(Counter::CoreComponentsRecored, self.recored);
         metrics.count(Counter::CoreFoldSteps, self.fold_steps);
         metrics.count(Counter::CoreRetractionSearches, self.searches);
@@ -371,144 +383,330 @@ impl Uncored {
     }
 }
 
-/// The blank components plus the aggregates every commit reports, kept
-/// current where they change: the largest size where components leave and
-/// enter the partition, a component's uncored share in [`Cells::commit`].
-/// The list and its components are `Arc`s shared with the engine's clones
-/// (a premise's fork among them): a write copies what it changes
-/// ([`Cells::get_mut`]).
+/// A component's stable slot in the [`Slab`].
+type Cid = u32;
+
+/// Slots per slab chunk, and the keys a [`Keys`] run is cut at.
+const CHUNK: usize = 64;
+
+/// A persistent multimap from keys to components: sorted runs of up to
+/// `2 * CHUNK` entries behind `Arc`s under one shared root. A clone bumps
+/// one count; a write copies the root's run pointers and the one run it
+/// changes, as an [`IdIndex`] write copies one leaf path.
+#[derive(Clone, Debug)]
+struct Keys<K>(Arc<Vec<Run<K>>>);
+
+/// One sorted run of a [`Keys`].
+type Run<K> = Arc<Vec<(K, Cid)>>;
+
+impl<K> Default for Keys<K> {
+    fn default() -> Self {
+        Keys(Arc::default())
+    }
+}
+
+impl<K: Ord + Copy> Keys<K> {
+    /// The run an entry belongs in: the last one starting at or before it.
+    fn run(&self, entry: &(K, Cid)) -> usize {
+        self.0
+            .partition_point(|run| run[0] <= *entry)
+            .saturating_sub(1)
+    }
+
+    fn insert(&mut self, entry: (K, Cid)) {
+        let i = self.run(&entry);
+        let runs = Arc::make_mut(&mut self.0);
+        let Some(run) = runs.get_mut(i) else {
+            runs.push(Arc::new(vec![entry]));
+            return;
+        };
+        let run = Arc::make_mut(run);
+        if let Err(at) = run.binary_search(&entry) {
+            run.insert(at, entry);
+        }
+        if run.len() > 2 * CHUNK {
+            let tail = run.split_off(CHUNK);
+            runs.insert(i + 1, Arc::new(tail));
+        }
+    }
+
+    fn remove(&mut self, entry: &(K, Cid)) {
+        let i = self.run(entry);
+        let runs = Arc::make_mut(&mut self.0);
+        let run = Arc::make_mut(&mut runs[i]);
+        if let Ok(at) = run.binary_search(entry) {
+            run.remove(at);
+        }
+        if run.is_empty() {
+            runs.remove(i);
+        }
+    }
+
+    /// Files `c` under the keys of `new` instead of those of `old`.
+    fn rekey(&mut self, c: Cid, old: &BTreeSet<K>, new: &BTreeSet<K>) {
+        for &key in old.difference(new) {
+            self.remove(&(key, c));
+        }
+        for &key in new.difference(old) {
+            self.insert((key, c));
+        }
+    }
+
+    /// The components filed under `key`, in order.
+    fn get(&self, key: K) -> impl Iterator<Item = Cid> + '_ {
+        let first = (key, 0);
+        self.0[self.run(&first)..]
+            .iter()
+            .flat_map(|run| run.iter().copied())
+            .skip_while(move |entry| *entry < first)
+            .take_while(move |entry| entry.0 == key)
+            .map(|(_, c)| c)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (K, Cid)> + '_ {
+        self.0.iter().flat_map(|run| run.iter().copied())
+    }
+}
+
+/// The components in stable slots: `Arc`'d chunks of [`CHUNK`] slots plus
+/// the free ones. A write copies the chunk pointers and the one chunk it
+/// changes; retiring a component empties its slot.
+#[derive(Clone, Debug, Default)]
+struct Slab {
+    chunks: Vec<Arc<Vec<Option<Arc<Component>>>>>,
+    /// The empty slots.
+    free: Vec<Cid>,
+}
+
+impl Slab {
+    fn get(&self, c: Cid) -> Option<&Component> {
+        self.chunks.get(c as usize / CHUNK)?[c as usize % CHUNK].as_deref()
+    }
+
+    fn slot(&mut self, c: Cid) -> &mut Option<Arc<Component>> {
+        &mut Arc::make_mut(&mut self.chunks[c as usize / CHUNK])[c as usize % CHUNK]
+    }
+
+    /// Component `c`, unshared first if a clone still holds it.
+    fn get_mut(&mut self, c: Cid) -> &mut Component {
+        Arc::make_mut(self.slot(c).as_mut().expect("a live component"))
+    }
+
+    fn insert(&mut self, comp: Component) -> Cid {
+        if self.free.is_empty() {
+            let first = (self.chunks.len() * CHUNK) as Cid;
+            self.chunks.push(Arc::new(vec![None; CHUNK]));
+            self.free.extend((first..first + CHUNK as Cid).rev());
+        }
+        let c = self.free.pop().expect("a free slot");
+        *self.slot(c) = Some(Arc::new(comp));
+        c
+    }
+
+    fn take(&mut self, c: Cid) -> Arc<Component> {
+        let comp = self.slot(c).take().expect("a live component");
+        self.free.push(c);
+        comp
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (Cid, &Component)> {
+        let slots = (self.chunks.len() * CHUNK) as Cid;
+        (0..slots).filter_map(|c| Some((c, self.get(c)?)))
+    }
+}
+
+/// The blank components, the lookups that let a delta reach exactly the
+/// components it names, and the aggregates every commit reports. Every
+/// lookup changes only in [`Cells::push`], [`Cells::retire`],
+/// [`Cells::commit`] and [`Cells::replay`]. All of it is `Arc`-shared with
+/// the engine's clones (a premise's fork among them): a write copies what
+/// it changes.
 #[derive(Clone, Debug, Default)]
 struct Cells {
-    list: Arc<Vec<Arc<Component>>>,
+    slab: Arc<Slab>,
+    /// Blank → the component owning it.
+    owner: Keys<TermId>,
+    /// Support triple → the components whose support names it.
+    supported: Keys<IdTriple>,
+    /// Survivor shape ([`Component::shape`]) → the components with a
+    /// survivor of that shape.
+    shaped: Keys<IdTriple>,
+    /// Every component's size in triples, so the largest is the last.
+    sizes: Keys<usize>,
     uncored: Uncored,
-    /// Size in triples of the largest component.
-    largest: usize,
 }
 
 impl Cells {
-    fn push(&mut self, c: Component) {
-        self.uncored.enter(&c);
-        self.largest = self.largest.max(c.full.len());
-        Arc::make_mut(&mut self.list).push(Arc::new(c));
+    fn get(&self, c: Cid) -> &Component {
+        self.slab.get(c).expect("a live component")
     }
 
-    /// Component `i`, unshared first if a clone still holds it.
-    fn get_mut(&mut self, i: usize) -> &mut Component {
-        Arc::make_mut(&mut Arc::make_mut(&mut self.list)[i])
+    /// Size in triples of the largest component.
+    fn largest(&self) -> usize {
+        let last = self.sizes.0.last().and_then(|run| run.last());
+        last.map_or(0, |&(size, _)| size)
     }
 
-    /// Takes out the components a blank-structural delta touches. A delta
-    /// triple can merge, split, extend or shrink exactly the components it
-    /// shares a blank with: any other component's triples mention none of
-    /// the delta's blanks, so its partition cell is untouched and its
-    /// cached core state carries over wholesale.
-    fn dissolve(&mut self, delta_blanks: &BTreeSet<TermId>) -> Vec<Arc<Component>> {
-        if delta_blanks.is_empty() {
-            return Vec::new();
-        }
-        let list = Arc::make_mut(&mut self.list);
-        let (dissolved, kept) = std::mem::take(list)
-            .into_iter()
-            .partition(|c| c.touches(delta_blanks));
-        *list = kept;
-        self.largest = self.list.iter().map(|c| c.full.len()).max().unwrap_or(0);
-        dissolved
+    fn push(&mut self, comp: Component) -> Cid {
+        self.uncored.enter(&comp);
+        let (size, shapes) = (comp.full.len(), comp.shapes());
+        let c = Arc::make_mut(&mut self.slab).insert(comp);
+        let comp = self.slab.get(c).expect("just filled");
+        self.sizes.insert((size, c));
+        self.owner.rekey(c, &BTreeSet::new(), &comp.blanks);
+        self.supported.rekey(c, &BTreeSet::new(), &comp.support);
+        self.shaped.rekey(c, &BTreeSet::new(), &shapes);
+        c
     }
 
-    /// Retires `old` and appends the blank components of its still
-    /// `maintained` triples plus the `fresh` ones, each stale: every retired
-    /// component shares a blank with the delta, so its full set changed and
-    /// none comes back with a cached core state to keep.
-    fn partition(
+    fn retire(&mut self, c: Cid) -> Arc<Component> {
+        let comp = Arc::make_mut(&mut self.slab).take(c);
+        self.uncored.leave(&comp);
+        self.sizes.remove(&(comp.full.len(), c));
+        self.owner.rekey(c, &comp.blanks, &BTreeSet::new());
+        self.supported.rekey(c, &comp.support, &BTreeSet::new());
+        self.shaped.rekey(c, &comp.shapes(), &BTreeSet::new());
+        comp
+    }
+
+    /// Re-partitions the components a blank-structural delta touches: the
+    /// owners of its blanks. A delta triple can merge, split, extend or
+    /// shrink exactly the components it shares a blank with; any other
+    /// component's triples mention none of the delta's blanks, so its cell
+    /// and cached core state carry over. The owners' still `maintained`
+    /// triples and the `fresh` ones form new components, each stale (its
+    /// full set changed), which it returns.
+    fn repartition(
         &mut self,
-        old: Vec<Arc<Component>>,
+        delta_blanks: &BTreeSet<TermId>,
         maintained: &IdIndex,
         fresh: impl IntoIterator<Item = IdTriple>,
         dictionary: &Dictionary,
-    ) {
+        coring: &mut Coring,
+    ) -> Vec<Cid> {
+        let owners: BTreeSet<Cid> = delta_blanks
+            .iter()
+            .filter_map(|&b| self.owner.get(b).next())
+            .collect();
+        coring.visited += owners.len() as u64;
+        let old: Vec<Arc<Component>> = owners.into_iter().map(|c| self.retire(c)).collect();
         let triples = old
             .iter()
             .flat_map(|c| c.full.iter().copied())
             .filter(|&t| maintained.contains(t))
             .chain(fresh);
-        let parts = blank_components(triples, |id| dictionary.is_blank(id));
-        for c in &old {
-            self.uncored.leave(c);
-        }
-        for part in parts {
-            self.push(Component {
-                blanks: part.blanks,
-                full: part.triples,
-                survivors: BTreeSet::new(),
-                support: BTreeSet::new(),
-                stale: true,
-                uncored: false,
-            });
-        }
+        blank_components(triples, |id| dictionary.is_blank(id))
+            .into_iter()
+            .map(|part| {
+                self.push(Component {
+                    blanks: part.blanks,
+                    full: part.triples,
+                    survivors: BTreeSet::new(),
+                    support: BTreeSet::new(),
+                    stale: true,
+                    uncored: false,
+                })
+            })
+            .collect()
     }
 
-    /// Runs the kernel over every eligible component, in order, committing
-    /// each result before the next search.
+    /// The components a delta wakes: those with a survivor that can map
+    /// onto a newly `visible` triple, blanks as wildcards and constants
+    /// equal (module docs, point 3) — the components filed under one of
+    /// the triple's three shapes with a wildcard.
+    fn wake(&self, visible: &[IdTriple], blank_full: &IdIndex) -> BTreeSet<Cid> {
+        let mut preds: BTreeSet<TermId> = visible.iter().map(|t| t.1).collect();
+        preds.retain(|&p| blank_full.candidate_count((None, Some(p), None)) > 0);
+        let shapes: BTreeSet<IdTriple> = visible
+            .iter()
+            .filter(|t| preds.contains(&t.1))
+            .flat_map(|&(s, p, o)| [(s, p, ANY), (ANY, p, o), (ANY, p, ANY)])
+            .collect();
+        shapes
+            .into_iter()
+            .flat_map(|shape| self.shaped.get(shape))
+            .collect()
+    }
+
+    /// Runs the kernel over the components `ids`, in the order of their
+    /// smallest triples (an order an exported and restored engine keeps),
+    /// committing each result before the next search.
     fn sweep(
         &mut self,
         view: &mut IdIndex,
         coring: &mut Coring,
-        eligible: impl Fn(&Component) -> bool,
+        ids: impl IntoIterator<Item = Cid>,
     ) {
-        for i in 0..self.list.len() {
-            if eligible(&self.list[i]) {
-                let cored = fold_to_fixpoint(view, &self.list[i], coring);
-                self.commit(i, cored, coring);
-            }
+        let order: BTreeMap<IdTriple, Cid> = ids
+            .into_iter()
+            .map(|c| (*self.get(c).full.first().expect("never empty"), c))
+            .collect();
+        coring.visited += order.len() as u64;
+        for c in order.into_values() {
+            let cored = fold_to_fixpoint(view, self.get(c), coring);
+            self.commit(c, cored, coring);
         }
     }
 
-    /// The one commit point: writes a kernel result into component `i` and
-    /// replays its folds onto every other component's support set, keeping
+    /// The one commit point: writes a kernel result into component `c` and
+    /// replays its folds onto the other components' support sets, keeping
     /// them pointed at live triples. Out of budget, the survivors so far
     /// are published as-is — a sound superset of the local core (see
     /// "Degraded mode") — and the component waits for a retry; reaching the
     /// fold fixpoint from the *current* graph proves local leanness
     /// regardless of history, so it clears a stale uncored flag too. A
     /// result that changes nothing writes nothing.
-    fn commit(&mut self, i: usize, cored: Cored, coring: &mut Coring) {
-        let current = &self.list[i];
+    fn commit(&mut self, c: Cid, cored: Cored, coring: &mut Coring) {
+        let current = self.get(c);
         if !current.stale && cored.folds.is_empty() && current.uncored == cored.exhausted {
             return;
         }
-        self.uncored.leave(&self.list[i]);
-        let comp = self.get_mut(i);
+        let comp = Arc::make_mut(&mut self.slab).get_mut(c);
+        self.uncored.leave(comp);
         if comp.stale || !cored.folds.is_empty() {
             let source = if comp.stale {
                 &comp.full
             } else {
                 &comp.support
             };
-            comp.support = remap_set(source, &cored.composed);
+            let support = remap_set(source, &cored.composed);
+            self.supported.rekey(c, &comp.support, &support);
+            let shapes = comp.shapes();
+            comp.support = support;
             comp.survivors = cored.survivors;
+            self.shaped.rekey(c, &shapes, &comp.shapes());
             comp.stale = false;
             coring.recored += 1;
         }
         comp.uncored = cored.exhausted;
-        self.uncored.enter(&self.list[i]);
-        if cored.folds.is_empty() {
-            return;
+        self.uncored.enter(comp);
+        for map in &cored.folds {
+            self.replay(c, map, coring);
         }
-        for j in (0..self.list.len()).filter(|&j| j != i) {
-            for map in &cored.folds {
-                // A fold only moves the origin component's blanks; most
-                // support sets never mention them, so probe before paying
-                // for a rebuild of the set.
-                let touched = self.list[j]
-                    .support
-                    .iter()
-                    .any(|(s, _, o)| map.contains_key(s) || map.contains_key(o));
-                if touched {
-                    let other = self.get_mut(j);
-                    other.support = remap_set(&other.support, map);
-                    coring.replays += 1;
-                }
-            }
+    }
+
+    /// Replays one fold of component `c` onto the support sets of the
+    /// others. A support triple that mentions a moved blank is a published
+    /// triple of `c`, so the triples of `c`'s full set that mention one are
+    /// looked up in [`Cells::supported`] instead of every support set being
+    /// scanned.
+    fn replay(&mut self, c: Cid, map: &IdMap, coring: &mut Coring) {
+        let moved = |(s, _, o): &IdTriple| map.contains_key(s) || map.contains_key(o);
+        let others: BTreeSet<Cid> = self
+            .get(c)
+            .full
+            .iter()
+            .filter(|t| moved(t))
+            .flat_map(|&t| self.supported.get(t))
+            .filter(|&j| j != c)
+            .collect();
+        for j in others {
+            let other = Arc::make_mut(&mut self.slab).get_mut(j);
+            let support = remap_set(&other.support, map);
+            self.supported.rekey(j, &other.support, &support);
+            other.support = support;
+            coring.replays += 1;
+            coring.visited += 1;
         }
     }
 }
@@ -591,9 +789,9 @@ impl IdCoreEngine {
                 .collect(),
             components: self
                 .cells
-                .list
+                .slab
                 .iter()
-                .map(|c| ComponentState {
+                .map(|(_, c)| ComponentState {
                     full: c.full.iter().copied().collect(),
                     survivors: c.survivors.iter().copied().collect(),
                     support: c.support.iter().copied().collect(),
@@ -678,20 +876,18 @@ impl IdCoreEngine {
 
     /// Number of blank components.
     pub fn component_count(&self) -> usize {
-        self.cells.list.len()
+        self.cells.slab.iter().count()
     }
 
     /// The components' sizes in triples, ascending.
     pub fn component_sizes(&self) -> Vec<usize> {
-        let mut sizes: Vec<usize> = self.cells.list.iter().map(|c| c.full.len()).collect();
-        sizes.sort_unstable();
-        sizes
+        self.cells.sizes.iter().map(|(size, _)| size).collect()
     }
 
     /// Size in triples of the largest blank component (0 when none) — the
     /// driver of the worst-case core search, observed on every commit.
     pub fn largest_component_size(&self) -> usize {
-        self.cells.largest
+        self.cells.largest()
     }
 
     /// The configured component-coring budget mode.
@@ -733,7 +929,11 @@ impl IdCoreEngine {
     /// [`CoreBudgetMode::Unlimited`].
     pub fn recore_uncored(&mut self, dictionary: &Dictionary) -> bool {
         let mut coring = self.coring();
-        self.cells.sweep(&mut self.eval, &mut coring, |c| c.uncored);
+        let slab = self.cells.slab.iter();
+        let uncored: Vec<Cid> = slab
+            .filter_map(|(c, comp)| comp.uncored.then_some(c))
+            .collect();
+        self.cells.sweep(&mut self.eval, &mut coring, uncored);
         self.report(&coring, dictionary);
         !self.is_degraded()
     }
@@ -761,7 +961,7 @@ impl IdCoreEngine {
     fn publish_gauges(&self) {
         if self.metrics.on(MetricsLevel::Counters) {
             self.metrics
-                .observe_largest_blank_component(self.cells.largest as u64);
+                .observe_largest_blank_component(self.cells.largest() as u64);
             let uncored = self.cells.uncored;
             self.metrics
                 .gauge_set(Gauge::UncoredComponents, uncored.components as u64);
@@ -771,18 +971,21 @@ impl IdCoreEngine {
     }
 
     /// Applies one batch of deltas to the maintained set and brings the
-    /// published index back to its core.
+    /// published index back to its core, reading only the components the
+    /// delta names.
     ///
     /// A delta that neither mentions a blank nor removes a published triple
     /// nor adds a possible fold image (a predicate some blank triple uses)
     /// is pure index maintenance. Otherwise the blank side is repaired at
-    /// component granularity: structurally changed components and components
-    /// whose support lost a triple turn stale, and every newly visible
-    /// triple enters the view — the ground additions, then the full set of
-    /// every stale component (which can *restore* previously folded
+    /// component granularity: the components whose support named a removed
+    /// triple (looked up by triple) turn stale, the owners of the delta's
+    /// blanks are re-partitioned into stale components, and every newly
+    /// visible triple enters the view — the ground additions, then the full
+    /// set of every stale component (which can *restore* previously folded
     /// triples). One sweep then re-cores the stale components from their
-    /// full sets and lets every component whose survivors share a newly
-    /// visible predicate retract further from its cached survivors.
+    /// full sets and lets every component a newly visible triple wakes — one
+    /// with a survivor that maps onto it, blanks as wildcards and constants
+    /// equal — retract further from its cached survivors.
     pub fn apply_delta(
         &mut self,
         added: &[IdTriple],
@@ -809,47 +1012,50 @@ impl IdCoreEngine {
         for &t in &blank_added {
             note_blanks(dictionary, &mut blank_delta_ids, t);
         }
-        let mut added_preds: BTreeSet<TermId> = self
-            .eval
-            .insert_all(&ground_added)
-            .into_iter()
-            .map(|t| t.1)
-            .collect();
-        let relevant_add = added_preds
+        let mut visible = self.eval.insert_all(&ground_added);
+        let relevant_add = visible
             .iter()
-            .any(|&p| self.blank_full.candidate_count((None, Some(p), None)) > 0);
+            .map(|t| t.1)
+            .collect::<BTreeSet<TermId>>()
+            .into_iter()
+            .any(|p| self.blank_full.candidate_count((None, Some(p), None)) > 0);
         if blank_delta_ids.is_empty() && removed_from_eval.is_empty() && !relevant_add {
             // The pure ground fast path: the index is already the core, and
             // no component changed.
             self.publish_gauges();
             return;
         }
-        for i in 0..self.cells.list.len() {
-            let c = &self.cells.list[i];
-            if !c.stale && removed_from_eval.iter().any(|t| c.support.contains(t)) {
-                self.cells.get_mut(i).stale = true;
-            }
-        }
         let _span = self.metrics.span(Hist::SpanCoreRefreshNs);
         let mut coring = self.coring();
+        let mut stale: BTreeSet<Cid> = removed_from_eval
+            .iter()
+            .flat_map(|&t| self.cells.supported.get(t))
+            .collect();
+        coring.visited += stale.len() as u64;
+        for &c in &stale {
+            Arc::make_mut(&mut self.cells.slab).get_mut(c).stale = true;
+        }
         // A triple mentioning a delta blank either was in a component the
-        // delta dissolves or is fresh, so the union-find runs over that
+        // delta re-partitions or is fresh, so the union-find runs over that
         // local set alone.
-        let dissolved = self.cells.dissolve(&blank_delta_ids);
         let cells = &mut self.cells;
-        cells.partition(dissolved, &self.blank_full, blank_added, dictionary);
+        let (blank_full, delta) = (&self.blank_full, &blank_delta_ids);
+        let fresh = cells.repartition(delta, blank_full, blank_added, dictionary, &mut coring);
+        // A re-partitioned component's slot is empty now, or holds a fresh one.
+        stale.retain(|&c| cells.slab.get(c).is_some_and(|comp| comp.stale));
+        stale.extend(fresh);
         // Everything newly visible enters the view before any search, so
         // the one sweep cores every component against the complete graph.
-        for c in cells.list.iter().filter(|c| c.stale) {
-            for &t in &c.full {
+        for &c in &stale {
+            for &t in &cells.get(c).full {
                 if self.eval.insert(t) {
-                    added_preds.insert(t.1);
+                    visible.push(t);
                 }
             }
         }
-        cells.sweep(&mut self.eval, &mut coring, |c| {
-            c.stale || c.shares_pred(&added_preds)
-        });
+        let mut woken = cells.wake(&visible, &self.blank_full);
+        woken.extend(stale);
+        cells.sweep(&mut self.eval, &mut coring, woken);
         self.report(&coring, dictionary);
     }
 
@@ -877,13 +1083,16 @@ impl IdCoreEngine {
     /// Debug-build invariants: the components partition the blank side and
     /// none is stale, the published index is exactly the ground triples
     /// plus every component's survivors, all support triples are live, and
-    /// the cached aggregates are current.
+    /// the lookups, the free slots and the cached aggregates are current.
+    /// Each lookup is checked entry by entry in both directions, so the
+    /// check allocates the same at every size.
     fn debug_check(&self, dictionary: &Dictionary) {
         if cfg!(debug_assertions) {
+            let cells = &self.cells;
+            let shaped = |c: &Component, shape| c.survivors.iter().any(|&t| c.shape(t) == shape);
             let mut uncored = Uncored::default();
-            let mut expected_blank: BTreeSet<IdTriple> = BTreeSet::new();
-            let mut full_sizes = 0;
-            for c in self.cells.list.iter() {
+            let (mut full_sizes, mut survivors, mut entries) = (0, 0, [0; 3]);
+            for (i, c) in cells.slab.iter() {
                 uncored.enter(c);
                 debug_assert!(!c.stale, "a component was left stale");
                 debug_assert!(
@@ -891,34 +1100,57 @@ impl IdCoreEngine {
                     "a component's full set left the blank side"
                 );
                 full_sizes += c.full.len();
+                survivors += c.survivors.len();
                 debug_assert!(c.survivors.is_subset(&c.full));
+                debug_assert!(c.survivors.iter().all(|t| self.eval.contains(*t)));
                 debug_assert!(
                     c.support.iter().all(|t| self.eval.contains(*t)),
                     "support names a dead triple"
                 );
-                expected_blank.extend(c.survivors.iter().copied());
+                let files = |keys: &Keys<IdTriple>, t| keys.get(t).any(|j| j == i);
+                let filed = c.blanks.iter().all(|&b| cells.owner.get(b).eq([i]))
+                    && c.support.iter().all(|&t| files(&cells.supported, t))
+                    && c.survivors
+                        .iter()
+                        .all(|&t| files(&cells.shaped, c.shape(t)))
+                    && cells.sizes.get(c.full.len()).any(|j| j == i);
+                debug_assert!(filed, "a lookup misses an entry of component {i}");
+                entries = [
+                    entries[0] + c.blanks.len(),
+                    entries[1] + c.support.len(),
+                    entries[2] + 1,
+                ];
             }
+            let live = |c| cells.slab.get(c);
+            let filed = [
+                cells.owner.iter().count(),
+                cells.supported.iter().count(),
+                cells.sizes.iter().count(),
+            ];
+            let only = filed == entries
+                && (cells.shaped.iter()).all(|(t, c)| live(c).is_some_and(|c| shaped(c, t)));
+            debug_assert!(only, "a lookup holds an entry no component has");
+            let mut free = cells.slab.free.clone();
+            free.sort_unstable();
+            let slots = (cells.slab.chunks.len() * CHUNK) as Cid;
+            let empty = (0..slots).filter(|&c| live(c).is_none());
+            debug_assert!(empty.eq(free), "the free list is not the empty slots");
             debug_assert_eq!(
                 full_sizes,
                 self.blank_full.len(),
                 "the components do not partition the blank side"
             );
             debug_assert_eq!(
-                self.cells.uncored, uncored,
+                cells.uncored, uncored,
                 "a path changed an uncored flag outside the commit point"
             );
-            debug_assert_eq!(
-                self.cells.largest,
-                self.component_sizes().last().copied().unwrap_or(0),
-                "a path changed the partition without updating the largest size"
-            );
-            let published_blank: BTreeSet<IdTriple> = self
+            let published_blank = self
                 .eval
                 .iter()
                 .filter(|&t| is_blank_triple(dictionary, t))
-                .collect();
+                .count();
             debug_assert_eq!(
-                published_blank, expected_blank,
+                published_blank, survivors,
                 "published blank triples must be exactly the survivors"
             );
         }

@@ -168,6 +168,10 @@ keyed_enum! {
         /// Plan-cache entries evicted: the least-recently-used one, when an
         /// insert takes the cache over capacity.
         PlanCacheEvictions => "plan_cache_evictions",
+        /// Blank components a core refresh read: swept, replayed onto,
+        /// marked stale or dissolved. A refresh that reads only what its
+        /// delta names keeps this independent of the component count.
+        CoreComponentsVisited => "core_components_visited",
         /// Blank components re-cored by the incremental core engine.
         CoreComponentsRecored => "core_components_recored",
         /// Successful folds applied by the retraction searches.

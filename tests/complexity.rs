@@ -245,6 +245,27 @@ fn a_write_of_new_terms_on_an_unpublished_facade_allocates_independently_of_the_
     assert_flat("a write of new terms, unpublished", write(N), write(4 * N));
 }
 
+/// A write that joins one blank component on a published facade — of known
+/// terms, so no dictionary copy — allocates independently of the number of
+/// components (`n / 4`): the core engine's component slab and lookups are
+/// shared with the snapshot, a write copies the chunks and runs it changes,
+/// and the refresh reads only the component the write names. Every
+/// component's survivors use the write's predicate `ex:blankTo`, so waking
+/// by shared predicate searches each of them, and allocates in proportion.
+#[test]
+fn a_blank_write_on_a_published_facade_allocates_independently_of_the_component_count() {
+    let write = |n: usize| {
+        let mut db = fixture(n);
+        let t = triple("ex:z", "ex:blankTo", "_:B0");
+        assert!(db.insert(t.clone()) && db.remove(&t));
+        db.publish();
+        let (added, count) = allocations(|| db.insert(t));
+        assert!(added);
+        count
+    };
+    assert_flat("a blank write, published", write(N), write(4 * N));
+}
+
 /// One warm read on a pin of [`fixture`]`(n)` — the answer set and its
 /// N-Triples rendering, as the server writes a `/query` body — with the
 /// allocations it made.

@@ -265,9 +265,10 @@ fn new_student() -> Graph {
 /// The core refresh is one sweep per delta, counted in retraction searches
 /// over k lean single-triple components (one search each). The cold build
 /// searches each component once: k. The student insert searches its new
-/// component and every component whose survivors share the newly visible
-/// `advisedBy` predicate: k + 1, although none of the k can fold onto the
-/// new triple — the wake rule ROADMAP item 1 still has to narrow.
+/// component alone: 1. Its new `advisedBy` triple shares a predicate with
+/// every other component's survivor, but no survivor maps onto it — a
+/// survivor's constant subject would have to be the new student — so none
+/// of the k wakes.
 #[test]
 fn a_core_refresh_is_one_sweep_counted_in_retraction_searches() {
     for departments in [10, 20] {
@@ -280,10 +281,51 @@ fn a_core_refresh_is_one_sweep_counted_in_retraction_searches() {
         db.insert_graph(&new_student());
         assert_eq!(
             searches(&db) - cold,
-            k + 1,
+            1,
             "a blank insert over k = {k} components"
         );
     }
+}
+
+/// A core refresh reads only the components its delta names, counted in
+/// `core_components_visited` at two component counts: a ground write of
+/// the advisors' predicate wakes none (0); a student with an anonymous
+/// advisor reads its new component (1); one with two anonymous advisors
+/// reads both, and one folds onto the other (2); removing that student
+/// marks the two stale through the survivor both supports name, then
+/// dissolves them (4). A refresh that scans every component — for stale
+/// marking, waking, dissolving or replaying a fold — reads more at 40
+/// departments than at 10.
+#[test]
+fn a_core_refresh_visits_only_the_components_its_delta_names() {
+    let two_advisors = Graph::from_triples(["first", "second"].map(|advisor| {
+        Triple::new(
+            Term::iri("uni:twoAdvisors"),
+            Iri::new("uni:advisedBy"),
+            Term::blank(advisor),
+        )
+    }));
+    let visits = |departments: usize| {
+        let mut db = warm_advisor_facade(departments);
+        let mut visited = |write: &dyn Fn(&mut SemanticWebDatabase)| {
+            let count = |db: &SemanticWebDatabase| {
+                db.metrics().snapshot().counter("core_components_visited")
+            };
+            let before = count(&db);
+            write(&mut db);
+            count(&db) - before
+        };
+        [
+            visited(&|db| {
+                assert!(db.insert(triple("uni:newStudent", "uni:advisedBy", "uni:prof0_0")));
+            }),
+            visited(&|db| db.insert_graph(&new_student())),
+            visited(&|db| db.insert_graph(&two_advisors)),
+            visited(&|db| assert_eq!(db.remove_graph(&two_advisors), 2)),
+        ]
+    };
+    assert_eq!(visits(10), [0, 1, 2, 4], "at 10 departments");
+    assert_eq!(visits(40), [0, 1, 2, 4], "at 40 departments");
 }
 
 /// A removal batch runs each kernel once: removing the student's four

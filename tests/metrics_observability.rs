@@ -110,6 +110,7 @@ fn the_counter_sheet_does_not_depend_on_the_thread_count() {
                 | "query_join_probes"
                 | "query_bindings"
                 | "query_answers"
+                | "core_components_visited"
                 | "core_components_recored"
                 | "core_fold_steps"
                 | "core_retraction_searches"

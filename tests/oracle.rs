@@ -116,6 +116,8 @@ enum Op {
     Serve(Vec<Spo>),
     /// Read the pool from the facade and a pinned snapshot.
     Ask,
+    /// The first `k` writes of [`refold`].
+    Refold(usize),
 }
 
 /// Nodes 5 and 6 are blanks named like the pools' premise blanks, so
@@ -133,6 +135,23 @@ fn triple_of((s, p, o): Spo) -> Triple {
         k => format!("ex:p{k}"),
     };
     triple(&node(s), &predicate, &node(o))
+}
+
+/// Four writes that hold the core's support replay to account. The first
+/// folds `_:b0`'s component onto `_:B0`'s triple, so `_:b0`'s support names
+/// a triple of another component. The second lets `_:B0` fold onto
+/// `ex:n1`, moving the blank that support names: replayed, it names
+/// `(ex:n0 ex:p0 ex:n1)`. The third removes `_:B0`'s folded triple for
+/// good, and the fourth the triple the replayed support names, so `_:b0`
+/// must come back. A pool premise makes the second write on a fork of the
+/// first.
+fn refold() -> [Op; 4] {
+    [
+        Op::InsertGraph(vec![(0, 0, 5), (0, 0, 6), (6, 1, 2)]),
+        Op::InsertGraph(vec![(0, 0, 1), (1, 1, 2)]),
+        Op::Remove((0, 0, 6)),
+        Op::Remove((0, 0, 1)),
+    ]
 }
 
 fn graph_of(batch: &[Spo]) -> Graph {
@@ -168,6 +187,7 @@ fn op() -> impl Strategy<Value = Op> {
             .prop_map(|(m, k, f)| Op::Faulted(Box::new(m), k, FAULTS[f])),
         1 => batch().prop_map(Op::Serve),
         4 => Just(Op::Ask),
+        2 => (1..5usize).prop_map(Op::Refold),
     ]
 }
 
@@ -281,6 +301,21 @@ impl<'a> Harness<'a> {
             Op::Faulted(mutation, ..) => self.mutate(mutation)?,
             Op::Serve(batch) => self.serve(batch, seed)?,
             Op::Ask => self.ask(seed)?,
+            Op::Refold(writes) => {
+                // A built core engine first, so the writes refresh it.
+                self.db.evaluation_graph();
+                for write in &refold()[..*writes] {
+                    self.mutate(write)?;
+                }
+                let exact = !self.db.is_degraded();
+                let (eval, nf) = (self.db.evaluation_graph(), self.db.normal_form());
+                prop_assert!(
+                    agrees(exact, &eval, &nf),
+                    "evaluated {} for nf(D) {}",
+                    eval,
+                    nf
+                );
+            }
             mutation => self.mutate(mutation)?,
         }
         Ok(())

@@ -98,6 +98,14 @@ pub fn premise_query_pool(seed: u64) -> Vec<Query> {
             graph([("ex:n0", "ex:p0", "ex:n1")]),
         )
         .expect("well formed"),
+        // The second write of the oracle's `refold`: on a fork of its first,
+        // `_:B0` folds onto `ex:n1` and `_:b0`'s support is replayed.
+        Query::with_premise(
+            pattern_graph([("?X", "ex:p0", "?Y")]),
+            pattern_graph([("?X", "ex:p0", "?Y")]),
+            graph([("ex:n0", "ex:p0", "ex:n1"), ("ex:n1", "ex:p1", "ex:n2")]),
+        )
+        .expect("well formed"),
     ]
 }
 
