@@ -96,7 +96,10 @@
 //! (default: the machine's available parallelism) is the **worker
 //! ceiling** of a round — a large round spawns at most that many scoped
 //! workers, `1` never spawns, and small rounds (single-triple edits) run
-//! inline regardless, so point-write latency never pays a spawn.
+//! inline regardless, so point-write latency never pays a spawn. The same
+//! ceiling caps the workers of a snapshot restore in
+//! [`SemanticWebDatabase::open`], which builds the dictionary, the closure
+//! index, the base index and the evaluation engine as independent jobs.
 //!
 //! Because the RDFS rules are monotone, the closure is a set and every
 //! round is sorted, the ceiling changes where joins run and nothing else —
@@ -139,7 +142,7 @@
 
 use std::io;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use swdb_durable::{
     Durability, Io, SnapshotPayload, StdIo, WalRecord, DEFAULT_WAL_COMPACT_THRESHOLD,
@@ -149,7 +152,7 @@ use swdb_normal::{CoreBudget, CoreBudgetMode, IdCoreEngine};
 use swdb_obs::{Counter, Gauge, Hist, Metrics, MetricsLevel};
 use swdb_query::{AnswerSet, Explain, NormalizedDatabase, Query, QueryEngine, Semantics};
 use swdb_reason::{ClosureDelta, MaterializedStore};
-use swdb_store::{GraphStats, IdTriple, TripleStore};
+use swdb_store::{Dictionary, GraphStats, IdIndex, IdTriple, TermId, TripleStore};
 
 use crate::publish::{PublishedSnapshot, Reads};
 
@@ -172,6 +175,30 @@ fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
+}
+
+/// Runs `jobs` on at most `threads` workers, the caller among them, each
+/// taking the next job as it frees up (at `1`: inline, in order). A job's
+/// panic reaches the caller as that same panic once every worker stopped.
+fn run_jobs(threads: usize, jobs: Vec<Box<dyn FnOnce() + Send + '_>>) {
+    let helpers = threads.clamp(1, jobs.len().max(1)) - 1;
+    let queue = Mutex::new(jobs.into_iter());
+    let unpoisoned = "a job runs outside the queue lock";
+    let next = || queue.lock().expect(unpoisoned).next();
+    let work = || {
+        while let Some(job) = next() {
+            job();
+        }
+    };
+    std::thread::scope(|scope| {
+        let spawned: Vec<_> = (0..helpers).map(|_| scope.spawn(work)).collect();
+        work();
+        for worker in spawned {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
 }
 
 /// The WAL compaction threshold: `SWDB_WAL_COMPACT` (records; `0` disables
@@ -356,26 +383,47 @@ impl State {
     /// the evaluation engine restores from its exported component states
     /// without any retraction search. An `asserted_core` an older file may
     /// carry is ignored.
+    ///
+    /// The dictionary, the closure index, the base index and the engine
+    /// depend on nothing but the payload (the engine reads blanks off the
+    /// term tags), so they are built as jobs on at most `threads` workers
+    /// ([`run_jobs`]); at `1`, inline and in order.
     fn restore(snapshot: &SnapshotPayload, threads: usize, metrics: &Metrics) -> State {
         let core_budget = decode_budget(
             snapshot.budget_mode,
             snapshot.budget_steps,
             snapshot.budget_millis,
         );
-        let mut reasoner =
-            MaterializedStore::restore(&snapshot.terms, &snapshot.base, &snapshot.closure);
+        let terms = &snapshot.terms;
+        let is_blank = |id: TermId| matches!(terms.get(id as usize), Some(Term::Blank(_)));
+        let (mut evaluation, mut closure, mut dictionary, mut base) = (None, None, None, None);
+        run_jobs(
+            threads,
+            vec![
+                Box::new(|| {
+                    evaluation = Some(snapshot.evaluation.first().map(|state| {
+                        IdCoreEngine::from_state(state, is_blank, metrics.clone(), core_budget)
+                    }))
+                }),
+                Box::new(|| closure = Some(snapshot.closure.iter().copied().collect::<IdIndex>())),
+                Box::new(|| {
+                    let mut in_order = Dictionary::new();
+                    terms.iter().for_each(|term| _ = in_order.intern(term));
+                    dictionary = Some(in_order)
+                }),
+                Box::new(|| base = Some(snapshot.base.iter().copied().collect::<IdIndex>())),
+            ],
+        );
+        let built = "every restore job ran";
+        let store = TripleStore::from_parts(dictionary.expect(built), base.expect(built));
+        let mut reasoner = MaterializedStore::restore(store, closure.expect(built));
         reasoner.set_threads(threads);
         reasoner.set_metrics(metrics.clone());
-        let dictionary = reasoner.store().dictionary();
-        let evaluation = snapshot
-            .evaluation
-            .first()
-            .map(|state| IdCoreEngine::from_state(state, dictionary, metrics.clone(), core_budget));
         State {
             regime: decode_regime(snapshot.regime),
             core_budget,
             reasoner,
-            evaluation,
+            evaluation: evaluation.expect(built),
         }
     }
 }
@@ -505,6 +553,9 @@ impl SemanticWebDatabase {
     /// expected signature of a crash mid-commit — is detected by checksum,
     /// truncated, and counted (`recovery_torn_tails`); everything durably
     /// acknowledged before the crash survives.
+    /// The snapshot's parts are rebuilt as jobs on at most
+    /// [`SemanticWebDatabase::threads`] workers; the recovered state is the
+    /// same at every ceiling.
     pub fn open(dir: impl AsRef<Path>) -> io::Result<Self> {
         SemanticWebDatabase::open_with_io(dir.as_ref(), Arc::new(StdIo), Metrics::from_env())
     }
@@ -518,11 +569,12 @@ impl SemanticWebDatabase {
         let (durability, recovered) =
             Durability::open(dir, io, metrics.clone(), wal_compact_threshold())?;
         let mut db = SemanticWebDatabase::detached(EntailmentRegime::default(), metrics.clone());
-        if let Some(snapshot) = recovered.snapshot.as_ref() {
+        if let Some(snapshot) = recovered.snapshot {
+            let _restore = metrics.span(Hist::SpanSnapshotRestoreNs);
             let (threads, metrics) = (db.threads(), db.metrics.clone());
             db.commit(
                 &Graph::new(),
-                |state, _| *state = State::restore(snapshot, threads, &metrics),
+                |state, _| *state = State::restore(&snapshot, threads, &metrics),
                 |_| None,
             );
         }
@@ -551,7 +603,7 @@ impl SemanticWebDatabase {
     pub fn persist_to_with_io(&mut self, dir: &Path, io: Arc<dyn Io>) -> io::Result<()> {
         let (mut durability, _prior) =
             Durability::open(dir, io, self.metrics.clone(), wal_compact_threshold())?;
-        durability.rotate(&self.state.snapshot_payload())?;
+        durability.rotate(self.state.snapshot_payload())?;
         self.durability = Some(durability);
         self.durability_error = None;
         Ok(())
@@ -566,7 +618,7 @@ impl SemanticWebDatabase {
         let Some(durability) = self.durability.as_mut() else {
             return Ok(false);
         };
-        match durability.rotate(&self.state.snapshot_payload()) {
+        match durability.rotate(self.state.snapshot_payload()) {
             Ok(()) => Ok(true),
             Err(e) => {
                 self.detach_durability(&format!("snapshot rotation failed ({e})"));
@@ -638,7 +690,7 @@ impl SemanticWebDatabase {
         let failed = match durability.commit(&[record]) {
             Err(e) => Some(format!("WAL commit failed ({e})")),
             Ok(()) if durability.needs_compaction() => durability
-                .rotate(&next.snapshot_payload())
+                .rotate(next.snapshot_payload())
                 .err()
                 .map(|e| format!("WAL compaction rotation failed ({e})")),
             Ok(()) => None,
@@ -1900,6 +1952,58 @@ mod tests {
         assert!(!non_minimal);
         assert!(!db.explain(&q, Semantics::Union).non_minimal);
         assert!(swdb_model::isomorphic(&recovered, &spec));
+    }
+
+    #[test]
+    fn a_restore_builds_the_same_state_at_every_worker_ceiling() {
+        use swdb_normal::CoreBudget;
+        let mut db = SemanticWebDatabase::from_graph(graph([
+            ("ex:a", "ex:p", "ex:b"),
+            ("ex:a", "ex:p", "_:X"),
+            ("ex:b", rdfs::TYPE, "ex:C"),
+        ]));
+        db.publish();
+        // One fold-step per component: the component inserted now cannot
+        // prove its fold and is published uncored; `_:X`'s stays folded.
+        db.set_core_budget(CoreBudgetMode::Budgeted(CoreBudget::steps(1)));
+        db.insert_graph(&graph([
+            ("ex:c", "ex:q", "_:Y"),
+            ("_:Y", "ex:r", "_:Z"),
+            ("ex:c", "ex:q", "_:W"),
+            ("_:W", "ex:r", "_:Z"),
+        ]));
+        let payload = db.state.snapshot_payload();
+        let components = &payload.evaluation[0].components;
+        assert!(components.iter().any(|c| c.uncored), "one is uncored");
+        assert!(
+            components
+                .iter()
+                .any(|c| !c.uncored && c.survivors.len() < c.full.len()),
+            "one is folded"
+        );
+        let [one, four] =
+            [1, 4].map(|threads| State::restore(&payload, threads, &Metrics::default()));
+        assert_eq!(one.snapshot_payload(), payload);
+        assert_eq!(four.snapshot_payload(), payload);
+        let (a, b) = (one.evaluation().index(), four.evaluation().index());
+        assert!(a.iter().eq(b.iter()));
+        assert!(four.evaluation().is_degraded());
+    }
+
+    #[test]
+    fn a_panicking_restore_job_reaches_the_caller_as_that_panic() {
+        for threads in [1, 4] {
+            let mut ran = false;
+            let jobs: Vec<Box<dyn FnOnce() + Send>> = vec![
+                Box::new(|| ran = true),
+                Box::new(|| std::panic::panic_any("job 1 failed")),
+                Box::new(|| ()),
+            ];
+            let run = std::panic::AssertUnwindSafe(|| run_jobs(threads, jobs));
+            let panic = std::panic::catch_unwind(run).expect_err("the job panicked");
+            assert_eq!(panic.downcast_ref::<&str>(), Some(&"job 1 failed"));
+            assert!(ran, "the job before it ran at ceiling {threads}");
+        }
     }
 
     #[test]

@@ -452,7 +452,7 @@ fn a_snapshot_carrying_an_asserted_core_opens_and_rotates_to_an_empty_field() {
     assert!(payload.asserted_core.is_empty(), "written empty");
     assert_eq!(payload.evaluation.len(), 1);
     payload.asserted_core = older;
-    std::fs::write(&segment, payload.encode(generation)).expect("rewrite segment");
+    std::fs::write(&segment, payload.encode(generation).expect("encode")).expect("rewrite segment");
 
     let mut reopened = SemanticWebDatabase::open(&dir).expect("the older file opens");
     assert_eq!(reopened.len(), 3);

@@ -8,7 +8,7 @@
 //! fault injector) may have torn or flipped, and the contract is that they
 //! return errors, never panic.
 
-use std::fmt;
+use std::{fmt, io};
 
 use swdb_model::Term;
 use swdb_store::IdTriple;
@@ -33,6 +33,13 @@ impl fmt::Display for DecodeError {
 }
 
 impl std::error::Error for DecodeError {}
+
+/// A byte length as the `u32` a WAL frame or a segment header stores: past
+/// `u32::MAX`, an `InvalidData` error instead of a wrapped length.
+pub fn length_field(len: usize) -> io::Result<u32> {
+    let long = || io::Error::new(io::ErrorKind::InvalidData, "a length past u32::MAX");
+    u32::try_from(len).map_err(|_| long())
+}
 
 /// A bounds-checked cursor over an encoded byte slice.
 pub struct Reader<'a> {
@@ -99,31 +106,28 @@ impl<'a> Reader<'a> {
         ]))
     }
 
-    /// Reads a length-prefixed UTF-8 string. The length is validated
-    /// against the remaining input *before* allocation, so a corrupted
+    /// Reads a length-prefixed UTF-8 string, borrowed from the input. The
+    /// length is validated against the remaining input, so a corrupted
     /// length cannot balloon memory.
-    pub fn string(&mut self) -> Result<String, DecodeError> {
+    pub fn str(&mut self) -> Result<&'a str, DecodeError> {
         let len = self.u32()? as usize;
-        if len > self.remaining() {
-            return Err(DecodeError {
-                offset: self.pos,
-                expected: "string bytes",
-            });
-        }
         let raw = self.take(len, "string bytes")?;
-        match std::str::from_utf8(raw) {
-            Ok(s) => Ok(s.to_owned()),
-            Err(_) => Err(DecodeError {
-                offset: self.pos - len,
-                expected: "utf-8 string",
-            }),
-        }
+        std::str::from_utf8(raw).map_err(|_| DecodeError {
+            offset: self.pos - len,
+            expected: "utf-8 string",
+        })
+    }
+
+    /// Reads a length-prefixed UTF-8 string into an owned one
+    /// ([`Reader::str`]).
+    pub fn string(&mut self) -> Result<String, DecodeError> {
+        self.str().map(str::to_owned)
     }
 
     /// Reads a tagged [`Term`] (0 = IRI, 1 = blank).
     pub fn term(&mut self) -> Result<Term, DecodeError> {
         let tag = self.u8()?;
-        let text = self.string()?;
+        let text = self.str()?;
         match tag {
             0 => Ok(Term::iri(text)),
             1 => Ok(Term::blank(text)),
@@ -134,9 +138,12 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Reads an [`IdTriple`] (three u32s).
+    /// Reads an [`IdTriple`] (three little-endian u32s), bounds-checked
+    /// once.
     pub fn id_triple(&mut self) -> Result<IdTriple, DecodeError> {
-        Ok((self.u32()?, self.u32()?, self.u32()?))
+        let b = self.take(12, "id triple")?;
+        let id = |i: usize| u32::from_le_bytes([b[i], b[i + 1], b[i + 2], b[i + 3]]);
+        Ok((id(0), id(4), id(8)))
     }
 
     /// Reads a length-prefixed vector via `item`. The count is sanity
@@ -233,6 +240,15 @@ impl Writer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_length_past_u32_max_is_an_error_not_a_wrapped_field() {
+        assert_eq!(length_field(0).unwrap(), 0);
+        assert_eq!(length_field(u32::MAX as usize).unwrap(), u32::MAX);
+        let err = length_field(u32::MAX as usize + 1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(length_field(usize::MAX).is_err());
+    }
 
     #[test]
     fn scalars_strings_terms_and_triples_round_trip() {

@@ -108,6 +108,7 @@ impl Durability {
             .collect();
         snapshot_gens.sort_unstable();
         let mut chosen: Option<(u64, SnapshotPayload)> = None;
+        let decode_span = metrics.span(Hist::SpanSnapshotDecodeNs);
         for &gen in snapshot_gens.iter().rev() {
             if let Ok(bytes) = io.read(&Self::snapshot_path(dir, gen)) {
                 if let Ok((payload, stamped)) = SnapshotPayload::decode(&bytes) {
@@ -118,6 +119,7 @@ impl Durability {
                 }
             }
         }
+        drop(decode_span);
 
         // The live WAL generation: the chosen snapshot's, or — with no
         // snapshot at all — the highest WAL on disk (generation 0 fresh).
@@ -234,7 +236,7 @@ impl Durability {
         if records.is_empty() {
             return Ok(());
         }
-        let bytes = wal::frame_records(records);
+        let bytes = wal::frame_records(records)?;
         let wal_path = Self::wal_path(&self.dir, self.generation);
         self.io.append(&wal_path, &bytes)?;
         self.io.sync(&wal_path)?;
@@ -253,14 +255,20 @@ impl Durability {
     /// the on-disk state is recoverable by the next `open` — either the
     /// old generation (verification failed before anything was deleted) or
     /// the new one (the crash window after the rename).
-    pub fn rotate(&mut self, payload: &SnapshotPayload) -> io::Result<()> {
+    ///
+    /// One image of the state is held at a time: `payload` is dropped once
+    /// encoded and the encoded bytes once written, before the read-back
+    /// decode allocates its own.
+    pub fn rotate(&mut self, payload: SnapshotPayload) -> io::Result<()> {
         let _span = self.metrics.span(Hist::SpanSnapshotWriteNs);
         let next = self.generation + 1;
-        let bytes = payload.encode(next);
+        let bytes = payload.encode(next)?;
+        drop(payload);
         let tmp = Self::snapshot_tmp_path(&self.dir, next);
         let seg = Self::snapshot_path(&self.dir, next);
 
         self.io.write_new(&tmp, &bytes)?;
+        drop(bytes);
         self.io.rename(&tmp, &seg)?;
         self.io.sync_dir(&self.dir)?;
 
@@ -363,7 +371,7 @@ mod tests {
         let metrics = Metrics::new(swdb_obs::MetricsLevel::Counters);
         let (mut d, _) = Durability::open(&dir, io.clone(), metrics.clone(), 100).unwrap();
         d.commit(&records(5)).unwrap();
-        d.rotate(&sample_payload()).unwrap();
+        d.rotate(sample_payload()).unwrap();
         assert_eq!(d.generation(), 1);
         assert_eq!(d.wal_records(), 0);
         d.commit(&records(1)).unwrap();
@@ -423,7 +431,7 @@ mod tests {
         // The very next write (the snapshot temp file) is acknowledged but
         // corrupted on disk.
         fault.arm(0, FaultKind::Corrupt);
-        let err = d.rotate(&sample_payload()).unwrap_err();
+        let err = d.rotate(sample_payload()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         fault.disarm();
         drop(d);
@@ -446,7 +454,7 @@ mod tests {
             let (mut d, _) = Durability::open(&dir, io, Metrics::default(), 100).unwrap();
             d.commit(&records(3)).unwrap();
             fault.disarm();
-            d.rotate(&sample_payload()).unwrap();
+            d.rotate(sample_payload()).unwrap();
             let rotation_ops = fault.ops();
             let _ = std::fs::remove_dir_all(&dir);
             assert!(rotation_ops >= 5, "rotation is several fault sites");
@@ -460,7 +468,7 @@ mod tests {
                 d.commit(&records(3)).unwrap();
 
                 fault.arm(at, kind);
-                let result = d.rotate(&sample_payload());
+                let result = d.rotate(sample_payload());
                 fault.disarm();
                 drop(d);
 
@@ -493,7 +501,7 @@ mod tests {
         let io: Arc<dyn Io> = Arc::new(StdIo);
         let (mut d, _) = Durability::open(&dir, io.clone(), Metrics::default(), 100).unwrap();
         d.commit(&records(2)).unwrap();
-        d.rotate(&sample_payload()).unwrap();
+        d.rotate(sample_payload()).unwrap();
         drop(d);
         // Simulate the crash window: the new WAL never got created.
         StdIo.remove(&dir.join("wal-1.log")).unwrap();
@@ -516,7 +524,7 @@ mod tests {
         // Crash between rotation steps 1 and 2: the tmp segment is fully
         // written and fsynced, the rename never happens.
         fault.arm(1, FaultKind::Fail);
-        assert!(d.rotate(&sample_payload()).is_err());
+        assert!(d.rotate(sample_payload()).is_err());
         fault.disarm();
         drop(d);
         assert!(
@@ -545,7 +553,10 @@ mod tests {
         // A planted tmp with a *newer* stamped generation is equally inert:
         // snapshot selection only ever reads `.seg` names.
         StdIo
-            .write_new(&dir.join("snapshot-99.tmp"), &sample_payload().encode(99))
+            .write_new(
+                &dir.join("snapshot-99.tmp"),
+                &sample_payload().encode(99).unwrap(),
+            )
             .unwrap();
         let (d, recovered) = Durability::open(&dir, io, Metrics::default(), 100).unwrap();
         assert_eq!(d.generation(), 0, "a stale tmp never becomes the state");
@@ -568,7 +579,7 @@ mod tests {
         assert!(!d.needs_compaction(), "at the threshold is not over it");
         d.commit(&records(1)).unwrap();
         assert!(d.needs_compaction());
-        d.rotate(&sample_payload()).unwrap();
+        d.rotate(sample_payload()).unwrap();
         assert!(!d.needs_compaction());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -3,11 +3,13 @@
 //!
 //! A snapshot carries everything needed to reopen **without recomputation**:
 //! the term dictionary in id order, the base triples, the RDFS closure, and
-//! the exported state of both incremental core engines (the evaluation
-//! engine and the asserted-core engine), including per-component `uncored`
-//! flags so degraded mode survives a restart exactly. Loading a snapshot is
-//! pure deserialization — no fixpoint, no core search; only the WAL suffix
-//! after the snapshot replays through the incremental delta paths.
+//! the exported state of the evaluation core engine, including
+//! per-component `uncored` flags so degraded mode survives a restart
+//! exactly. A second engine field, `asserted_core`, is written empty and
+//! ignored on read; it keeps the layout of files that still carry one.
+//! Loading a snapshot is pure deserialization — no fixpoint, no core
+//! search; only the WAL suffix after the snapshot replays through the
+//! incremental delta paths.
 //!
 //! File layout: `[magic 8][version u32][generation u64][len u32]
 //! [crc u32][payload]`, where the checksum covers
@@ -18,12 +20,14 @@
 //! and a corrupted one fails its checksum and is ignored in favour of the
 //! previous generation.
 
+use std::io;
+
 use swdb_model::Term;
 use swdb_normal::{ComponentState, CoreEngineState};
 use swdb_store::IdTriple;
 
-use crate::codec::{DecodeError, Reader, Writer};
-use crate::crc::crc32;
+use crate::codec::{length_field, DecodeError, Reader, Writer};
+use crate::crc::Crc32;
 
 /// Magic prefix of every snapshot segment.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"SWDBSNAP";
@@ -88,13 +92,14 @@ impl std::fmt::Display for SnapshotError {
 impl std::error::Error for SnapshotError {}
 
 /// The segment checksum: covers version, generation, and payload so a
-/// flipped bit in any of them is detected.
+/// flipped bit in any of them is detected. The three are fed through one
+/// incremental state, so the payload is never copied.
 fn stamped_crc(version: u32, generation: u64, payload: &[u8]) -> u32 {
-    let mut stamped = Vec::with_capacity(12 + payload.len());
-    stamped.extend_from_slice(&version.to_le_bytes());
-    stamped.extend_from_slice(&generation.to_le_bytes());
-    stamped.extend_from_slice(payload);
-    crc32(&stamped)
+    let mut crc = Crc32::default();
+    crc.update(&version.to_le_bytes());
+    crc.update(&generation.to_le_bytes());
+    crc.update(payload);
+    crc.finish()
 }
 
 fn encode_engine_state(w: &mut Writer, state: &CoreEngineState) {
@@ -122,8 +127,9 @@ fn decode_engine_state(r: &mut Reader<'_>) -> Result<CoreEngineState, DecodeErro
 
 impl SnapshotPayload {
     /// Encodes the full segment (header + checksummed payload) for
-    /// `generation`.
-    pub fn encode(&self, generation: u64) -> Vec<u8> {
+    /// `generation`. A payload too long for the header's length field is
+    /// an error ([`length_field`]).
+    pub fn encode(&self, generation: u64) -> io::Result<Vec<u8>> {
         let mut w = Writer::new();
         w.u8(self.regime);
         w.u8(self.budget_mode);
@@ -139,10 +145,10 @@ impl SnapshotPayload {
         let mut out = SNAPSHOT_MAGIC.to_vec();
         out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
         out.extend_from_slice(&generation.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&length_field(payload.len())?.to_le_bytes());
         out.extend_from_slice(&stamped_crc(SNAPSHOT_VERSION, generation, &payload).to_le_bytes());
         out.extend_from_slice(&payload);
-        out
+        Ok(out)
     }
 
     /// Decodes a segment, returning the payload and its stamped generation.
@@ -151,23 +157,16 @@ impl SnapshotPayload {
         if bytes.len() < header_len || &bytes[..SNAPSHOT_MAGIC.len()] != SNAPSHOT_MAGIC {
             return Err(SnapshotError::BadHeader);
         }
-        let mut pos = SNAPSHOT_MAGIC.len();
-        let version = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes"));
-        pos += 4;
+        let mut header = Reader::new(&bytes[SNAPSHOT_MAGIC.len()..header_len]);
+        let bounded = "the header is in bounds";
+        let version = header.u32().expect(bounded);
         if version != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
-        let generation = u64::from_le_bytes(bytes[pos..pos + 8].try_into().expect("8 bytes"));
-        pos += 8;
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-        pos += 4;
-        let crc = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes"));
-        pos += 4;
-        if bytes.len() - pos != len {
-            return Err(SnapshotError::ChecksumMismatch);
-        }
-        let payload = &bytes[pos..];
-        if stamped_crc(version, generation, payload) != crc {
+        let generation = header.u64().expect(bounded);
+        let (len, crc) = (header.u32().expect(bounded), header.u32().expect(bounded));
+        let payload = &bytes[header_len..];
+        if payload.len() != len as usize || stamped_crc(version, generation, payload) != crc {
             return Err(SnapshotError::ChecksumMismatch);
         }
 
@@ -197,24 +196,18 @@ impl SnapshotPayload {
     /// must reference an interned term.
     fn validate_ids(&self) -> Result<(), SnapshotError> {
         let bound = self.terms.len() as u64;
-        let check = |triples: &[IdTriple]| -> bool {
-            triples
-                .iter()
-                .all(|&(s, p, o)| (s as u64) < bound && (p as u64) < bound && (o as u64) < bound)
-        };
-        let engine_ok = |states: &[CoreEngineState]| -> bool {
-            states.iter().all(|st| {
-                check(&st.ground)
-                    && st
-                        .components
-                        .iter()
-                        .all(|c| check(&c.full) && check(&c.survivors) && check(&c.support))
-            })
-        };
-        if check(&self.base)
-            && check(&self.closure)
-            && engine_ok(&self.evaluation)
-            && engine_ok(&self.asserted_core)
+        let in_bounds =
+            |t: &[IdTriple]| t.iter().all(|&(s, p, o)| (s.max(p).max(o) as u64) < bound);
+        let engines = self.evaluation.iter().chain(&self.asserted_core);
+        let runs = engines.flat_map(|st| {
+            let components = st.components.iter();
+            std::iter::once(&st.ground)
+                .chain(components.flat_map(|c| [&c.full, &c.survivors, &c.support]))
+        });
+        if [&self.base, &self.closure]
+            .into_iter()
+            .chain(runs)
+            .all(|run| in_bounds(run))
         {
             Ok(())
         } else {
@@ -260,7 +253,7 @@ mod tests {
     #[test]
     fn segment_round_trips_bit_identical() {
         let payload = sample();
-        let bytes = payload.encode(12);
+        let bytes = payload.encode(12).unwrap();
         let (decoded, generation) = SnapshotPayload::decode(&bytes).unwrap();
         assert_eq!(generation, 12);
         assert_eq!(decoded, payload);
@@ -268,7 +261,7 @@ mod tests {
 
     #[test]
     fn every_single_bit_flip_is_detected() {
-        let bytes = sample().encode(3);
+        let bytes = sample().encode(3).unwrap();
         for byte in 0..bytes.len() {
             let mut damaged = bytes.clone();
             damaged[byte] ^= 0x01;
@@ -284,7 +277,7 @@ mod tests {
 
     #[test]
     fn every_truncation_is_detected() {
-        let bytes = sample().encode(3);
+        let bytes = sample().encode(3).unwrap();
         for cut in 0..bytes.len() {
             assert!(
                 SnapshotPayload::decode(&bytes[..cut]).is_err(),
@@ -295,7 +288,7 @@ mod tests {
 
     #[test]
     fn future_versions_are_rejected_not_misparsed() {
-        let mut bytes = sample().encode(1);
+        let mut bytes = sample().encode(1).unwrap();
         let pos = SNAPSHOT_MAGIC.len();
         bytes[pos..pos + 4].copy_from_slice(&99u32.to_le_bytes());
         assert_eq!(
@@ -308,7 +301,7 @@ mod tests {
     fn out_of_bounds_ids_fail_validation() {
         let mut payload = sample();
         payload.base.push((99, 0, 0));
-        let bytes = payload.encode(1);
+        let bytes = payload.encode(1).unwrap();
         assert!(matches!(
             SnapshotPayload::decode(&bytes),
             Err(SnapshotError::Malformed(_))
@@ -322,7 +315,7 @@ mod tests {
             budget_millis: u64::MAX,
             ..SnapshotPayload::default()
         };
-        let bytes = payload.encode(0);
+        let bytes = payload.encode(0).unwrap();
         let (decoded, generation) = SnapshotPayload::decode(&bytes).unwrap();
         assert_eq!(generation, 0);
         assert_eq!(decoded, payload);

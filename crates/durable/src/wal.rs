@@ -17,7 +17,9 @@
 //! to find later ones — a checksum failure mid-log means the tail cannot be
 //! trusted at all.
 
-use crate::codec::{DecodeError, Reader, Writer};
+use std::io;
+
+use crate::codec::{length_field, DecodeError, Reader, Writer};
 use crate::crc::crc32;
 
 /// Magic prefix of every WAL file: identifies the format and its version.
@@ -120,16 +122,17 @@ pub fn encode_header(generation: u64) -> Vec<u8> {
 /// Frames one or more records for a single append: each as
 /// `[len][crc][payload]`, concatenated. One facade mutation commits as one
 /// append + one fsync regardless of how many records it produces — the
-/// group-commit batching.
-pub fn frame_records(records: &[WalRecord]) -> Vec<u8> {
+/// group-commit batching. A record too long for its length field fails
+/// the whole batch ([`length_field`]).
+pub fn frame_records(records: &[WalRecord]) -> io::Result<Vec<u8>> {
     let mut out = Vec::new();
     for record in records {
         let payload = record.encode();
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&length_field(payload.len())?.to_le_bytes());
         out.extend_from_slice(&crc32(&payload).to_le_bytes());
         out.extend_from_slice(&payload);
     }
-    out
+    Ok(out)
 }
 
 /// The result of scanning a WAL file.
@@ -230,7 +233,7 @@ mod tests {
 
     fn file_image(generation: u64, records: &[WalRecord]) -> Vec<u8> {
         let mut bytes = encode_header(generation);
-        bytes.extend_from_slice(&frame_records(records));
+        bytes.extend_from_slice(&frame_records(records).unwrap());
         bytes
     }
 

@@ -406,6 +406,25 @@ impl<K> Default for Keys<K> {
 }
 
 impl<K: Ord + Copy> Keys<K> {
+    /// The multimap filing each of `comps` (slot `c` for `comps[c]`) under
+    /// its `keys`, in one pass: sorted, then cut into runs of [`CHUNK`].
+    fn filed<I: IntoIterator<Item = K>>(
+        comps: &[Component],
+        keys: impl Fn(&Component) -> I,
+    ) -> Self {
+        let mut entries: Vec<(K, Cid)> = (comps.iter().enumerate())
+            .flat_map(|(c, comp)| keys(comp).into_iter().map(move |k| (k, c as Cid)))
+            .collect();
+        entries.sort_unstable();
+        entries.dedup();
+        Keys(Arc::new(
+            entries
+                .chunks(CHUNK)
+                .map(|run| Arc::new(run.to_vec()))
+                .collect(),
+        ))
+    }
+
     /// The run an entry belongs in: the last one starting at or before it.
     fn run(&self, entry: &(K, Cid)) -> usize {
         self.0
@@ -545,6 +564,24 @@ impl Cells {
     fn largest(&self) -> usize {
         let last = self.sizes.0.last().and_then(|run| run.last());
         last.map_or(0, |&(size, _)| size)
+    }
+
+    /// The cells holding `comps` in slots `0..comps.len()`, with every
+    /// lookup filed in one pass instead of an entry at a time.
+    fn filed(comps: Vec<Component>) -> Self {
+        let mut uncored = Uncored::default();
+        comps.iter().for_each(|comp| uncored.enter(comp));
+        Cells {
+            owner: Keys::filed(&comps, |c| c.blanks.clone()),
+            supported: Keys::filed(&comps, |c| c.support.clone()),
+            shaped: Keys::filed(&comps, Component::shapes),
+            sizes: Keys::filed(&comps, |c| [c.full.len()]),
+            uncored,
+            slab: Arc::new(comps.into_iter().fold(Slab::default(), |mut slab, comp| {
+                slab.insert(comp);
+                slab
+            })),
+        }
     }
 
     fn push(&mut self, comp: Component) -> Cid {
@@ -806,39 +843,46 @@ impl IdCoreEngine {
     /// survivors, cached core state (including degraded/uncored flags)
     /// carries over verbatim, and **no core search runs**. The recovery
     /// path's replacement for [`IdCoreEngine::from_triples_budgeted`].
+    ///
+    /// `is_blank` classifies ids as the exporting dictionary did, so a
+    /// caller need not rebuild that dictionary first.
     pub fn from_state(
         state: &CoreEngineState,
-        dictionary: &Dictionary,
+        is_blank: impl Fn(TermId) -> bool,
         metrics: Metrics,
         budget: CoreBudgetMode,
     ) -> Self {
-        let mut engine = IdCoreEngine::new();
-        engine.metrics = metrics;
-        engine.budget_mode = budget;
-        let mut published = state.ground.clone();
-        engine
-            .blank_full
-            .extend(state.components.iter().flat_map(|c| &c.full).copied());
-        for comp in &state.components {
-            let full: BTreeSet<IdTriple> = comp.full.iter().copied().collect();
-            let mut blanks = BTreeSet::new();
-            for &t in &full {
-                note_blanks(dictionary, &mut blanks, t);
-            }
-            let survivors: BTreeSet<IdTriple> = comp.survivors.iter().copied().collect();
-            published.extend(&survivors);
-            engine.cells.push(Component {
-                blanks,
-                full,
-                survivors,
-                support: comp.support.iter().copied().collect(),
-                stale: false,
-                uncored: comp.uncored,
-            });
-        }
-        engine.eval.extend(published);
+        let components: Vec<Component> = state
+            .components
+            .iter()
+            .map(|comp| {
+                let full: BTreeSet<IdTriple> = comp.full.iter().copied().collect();
+                let ends = full.iter().flat_map(|&(s, _, o)| [s, o]);
+                Component {
+                    blanks: ends.filter(|&id| is_blank(id)).collect(),
+                    full,
+                    survivors: comp.survivors.iter().copied().collect(),
+                    support: comp.support.iter().copied().collect(),
+                    stale: false,
+                    uncored: comp.uncored,
+                }
+            })
+            .collect();
+        let survivors = components.iter().flat_map(|c| &c.survivors);
+        let mut published: Vec<IdTriple> = state.ground.iter().chain(survivors).copied().collect();
+        // The ground run is sorted; once the survivors are too, the stable
+        // sort merges the two runs in linear time.
+        published[state.ground.len()..].sort_unstable();
+        published.sort();
+        let engine = IdCoreEngine {
+            eval: published.into_iter().collect(),
+            blank_full: components.iter().flat_map(|c| &c.full).copied().collect(),
+            cells: Cells::filed(components),
+            budget_mode: budget,
+            metrics,
+        };
         engine.publish_gauges();
-        engine.debug_check(dictionary);
+        engine.debug_check(is_blank);
         engine
     }
 
@@ -952,7 +996,7 @@ impl IdCoreEngine {
     fn report(&self, coring: &Coring, dictionary: &Dictionary) {
         coring.flush(&self.metrics);
         self.publish_gauges();
-        self.debug_check(dictionary);
+        self.debug_check(|id| dictionary.is_blank(id));
     }
 
     /// Every commit is an observation point: reports the largest blank
@@ -1086,7 +1130,7 @@ impl IdCoreEngine {
     /// the lookups, the free slots and the cached aggregates are current.
     /// Each lookup is checked entry by entry in both directions, so the
     /// check allocates the same at every size.
-    fn debug_check(&self, dictionary: &Dictionary) {
+    fn debug_check(&self, is_blank: impl Fn(TermId) -> bool) {
         if cfg!(debug_assertions) {
             let cells = &self.cells;
             let shaped = |c: &Component, shape| c.survivors.iter().any(|&t| c.shape(t) == shape);
@@ -1147,7 +1191,7 @@ impl IdCoreEngine {
             let published_blank = self
                 .eval
                 .iter()
-                .filter(|&t| is_blank_triple(dictionary, t))
+                .filter(|&(s, _, o)| is_blank(s) || is_blank(o))
                 .count();
             debug_assert_eq!(
                 published_blank, survivors,
@@ -1344,7 +1388,7 @@ mod tests {
         let state = engine.export_state(store.dictionary());
         let restored = IdCoreEngine::from_state(
             &state,
-            store.dictionary(),
+            |id| store.dictionary().is_blank(id),
             Metrics::default(),
             engine.core_budget(),
         );
@@ -1389,7 +1433,7 @@ mod tests {
         assert!(state.components.iter().any(|c| c.uncored));
         let restored = IdCoreEngine::from_state(
             &state,
-            store.dictionary(),
+            |id| store.dictionary().is_blank(id),
             Metrics::default(),
             engine.core_budget(),
         );

@@ -287,18 +287,29 @@ keyed_enum! {
         SpanQueryAnswerNs => "span_query_answer_ns",
         /// Wall time of one premise overlay build, nanoseconds.
         SpanOverlayBuildNs => "span_overlay_build_ns",
-        /// Wall time of one snapshot rotation (write + fsync + rename + WAL
+        /// Wall time of one snapshot rotation (encode, write + fsync +
+        /// rename, the read-back decode that verifies the segment, and WAL
         /// truncation), nanoseconds.
         SpanSnapshotWriteNs => "span_snapshot_write_ns",
         /// Wall time of one recovery (`open`: snapshot load + WAL replay),
         /// nanoseconds.
         SpanRecoveryNs => "span_recovery_ns",
-        /// Wall time of one snapshot publication (cloning the evaluation
-        /// index + dictionary into an immutable published view), nanoseconds.
+        /// Wall time of one snapshot publication (wrapping the committed
+        /// state's `Arc` into the next published epoch, after a cold
+        /// evaluation-engine build if the state has none; freeing the
+        /// replaced epoch if this was its last pin), nanoseconds.
         SpanSnapshotPublishNs => "span_snapshot_publish_ns",
         /// Wall time of one served HTTP request (parse to last byte
         /// written), nanoseconds.
         SpanServerRequestNs => "span_server_request_ns",
+        /// Wall time of a recovery's snapshot decode (reading the segment,
+        /// its checksum, the structural decode and the id validation; every
+        /// generation tried), nanoseconds. Part of `span_recovery_ns`.
+        SpanSnapshotDecodeNs => "span_snapshot_decode_ns",
+        /// Wall time of a recovery's snapshot restore (rebuilding the
+        /// state from the decoded payload), nanoseconds. Part of
+        /// `span_recovery_ns`.
+        SpanSnapshotRestoreNs => "span_snapshot_restore_ns",
     }
 }
 

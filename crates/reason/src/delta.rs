@@ -210,16 +210,19 @@ impl DeltaClosure {
         self.rules.vocabulary()
     }
 
-    /// Adopts a previously maintained closure verbatim: the triples go into
-    /// the closure index **without any rule propagation**. This is the
-    /// durability-recovery path — a snapshot carries the exact closure the
-    /// engine maintained when it was written, so reloading it is pure
+    /// Adopts a previously maintained closure verbatim: `closure`, built
+    /// by the caller, becomes the closure index **without any rule
+    /// propagation**, and the axioms are added if it lacks them. This is
+    /// the durability-recovery path — a snapshot carries the exact closure
+    /// the engine maintained when it was written, so reloading it is pure
     /// deserialization; re-deriving it would pay the cold fixpoint the
     /// incremental machinery exists to avoid. The caller is responsible for
     /// the set actually being `RDFS-cl` of the base it restores alongside
     /// (the durability layer checksums the pair together).
-    pub fn adopt_closure(&mut self, triples: impl IntoIterator<Item = IdTriple>) {
-        self.closure.extend(triples);
+    pub fn adopt_closure(&mut self, closure: IdIndex) {
+        self.closure = closure;
+        let axioms: Vec<IdTriple> = self.axioms.iter().copied().collect();
+        self.closure.insert_all(&axioms);
     }
 
     /// Applies a batch of inserted base triples in one frontier-batched

@@ -7,7 +7,7 @@
 //! closure share one dictionary, so a term has the same id in both.
 
 use swdb_model::{Graph, Iri, Term, Triple};
-use swdb_store::{IdPattern, IdTriple, TripleStore};
+use swdb_store::{IdIndex, IdPattern, IdTriple, TripleStore};
 
 use crate::delta::DeltaClosure;
 use crate::rules::Vocabulary;
@@ -100,18 +100,15 @@ impl MaterializedStore {
         materialized
     }
 
-    /// Rebuilds a store from durability-snapshot parts: the dictionary's
-    /// terms **in id order** (re-interning sequentially reproduces the
-    /// identical ids — the dictionary is append-only and never recycles),
-    /// the asserted base id-triples, and the maintained closure id-triples,
-    /// adopted verbatim via [`DeltaClosure::adopt_closure`] — **no closure
-    /// propagation runs**. The caller (the durability layer) is responsible
-    /// for the three parts being a consistent checksummed unit.
-    pub fn restore(terms: &[Term], base: &[IdTriple], closure: &[IdTriple]) -> Self {
-        let mut store = TripleStore::new();
-        for term in terms {
-            store.intern(term);
-        }
+    /// Rebuilds a store from durability-snapshot parts the caller built: the
+    /// asserted store (its dictionary re-interned **in id order**, which
+    /// reproduces the identical ids — the dictionary is append-only and
+    /// never recycles) and the maintained closure's index, adopted verbatim
+    /// via [`DeltaClosure::adopt_closure`] — **no closure propagation
+    /// runs**. The parts are independent, so a caller may build them
+    /// concurrently. The caller (the durability layer) is responsible for
+    /// them being a consistent checksummed unit.
+    pub fn restore(mut store: TripleStore, closure: IdIndex) -> Self {
         // The five vocabulary terms are interned by `new()` before anything
         // else, so any snapshot's term list already contains them; interning
         // again just resolves their ids.
@@ -123,8 +120,7 @@ impl MaterializedStore {
             range: store.intern(&Term::iri(swdb_model::rdfs::RANGE)),
         };
         let mut engine = DeltaClosure::new(vocab);
-        engine.adopt_closure(closure.iter().copied());
-        store.insert_id_triples(base);
+        engine.adopt_closure(closure);
         MaterializedStore { store, engine }
     }
 
@@ -283,7 +279,7 @@ impl MaterializedStore {
     /// Read access to the maintained closure's SPO/POS/OSP index. Together
     /// with `store().dictionary()` this is the substrate the id-space query
     /// engine (`swdb_query::exec`) executes premise-free queries against.
-    pub fn closure_index(&self) -> &swdb_store::IdIndex {
+    pub fn closure_index(&self) -> &IdIndex {
         self.engine.index()
     }
 
@@ -547,7 +543,12 @@ mod tests {
             .collect();
         let base: Vec<IdTriple> = m.store().iter_ids().collect();
         let closure: Vec<IdTriple> = m.closure_index().iter().collect();
-        let restored = MaterializedStore::restore(&terms, &base, &closure);
+        let mut store = TripleStore::new();
+        for term in &terms {
+            store.intern(term);
+        }
+        store.insert_id_triples(&base);
+        let restored = MaterializedStore::restore(store, closure.into_iter().collect());
         // Identical ids: the dictionary re-interns in id order.
         for (id, term) in m.store().dictionary().iter() {
             assert_eq!(restored.store().id_of(term), Some(id));

@@ -64,6 +64,16 @@ impl TripleStore {
         store
     }
 
+    /// A store over a dictionary and an index built apart, as a snapshot
+    /// restore builds them. The caller is responsible for every id in
+    /// `index` being live in `dictionary`.
+    pub fn from_parts(dictionary: Dictionary, index: IdIndex) -> Self {
+        TripleStore {
+            dictionary: Arc::new(dictionary),
+            index,
+        }
+    }
+
     /// Number of triples stored.
     pub fn len(&self) -> usize {
         self.index.len()

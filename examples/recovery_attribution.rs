@@ -1,0 +1,95 @@
+//! Where a recovery's time goes: the university workload in the shape of
+//! `swdb-sysbench`'s `bulk_load_200k` (as in the `ingest_attribution`
+//! example) loaded into a durable database in batches, checkpointed, then
+//! reopened several times with metrics at `Debug`. Each reopen prints the
+//! wall time of `open` beside its spans: `span_snapshot_decode_ns` (read
+//! the segment, check its CRC, decode, validate ids),
+//! `span_snapshot_restore_ns` (rebuild the state from the payload) and
+//! `span_recovery_ns` (all of `open`). The checkpoint's
+//! `span_snapshot_write_ns` (encode, write, read-back decode) comes first.
+//!
+//! Run with `cargo run --release --example recovery_attribution --
+//! [departments] [reopens]`; the default, 3500 departments reopened 8
+//! times, is ≈ 200k asserted triples. The data directory is a fresh
+//! folder under the system temp directory, removed at the end.
+
+use std::sync::Arc;
+use std::time::Instant;
+
+use semweb_foundations::core::durable::StdIo;
+use semweb_foundations::core::{Metrics, MetricsLevel, SemanticWebDatabase};
+use semweb_foundations::model::{Graph, Iri, Term, Triple};
+use semweb_foundations::obs::MetricsSnapshot;
+use semweb_foundations::workloads::{university, UniversityConfig};
+
+/// The recorded sum of a histogram, in milliseconds.
+fn span_ms(snapshot: &MetricsSnapshot, key: &str) -> f64 {
+    snapshot.histograms.get(key).map_or(0, |h| h.sum) as f64 / 1e6
+}
+
+fn main() {
+    let mut args = std::env::args()
+        .skip(1)
+        .map(|a| a.parse().expect("a count"));
+    let departments: usize = args.next().unwrap_or(3500);
+    let reopens: usize = args.next().unwrap_or(8);
+    let config = UniversityConfig {
+        departments,
+        courses_per_department: 6,
+        professors_per_department: 3,
+        students_per_department: 10,
+        enrollments_per_student: 3,
+    };
+    let mut data = university(&config, 7);
+    for d in 0..departments {
+        data.insert(Triple::new(
+            Term::iri(format!("uni:student{d}_0")),
+            Iri::new("uni:advisedBy"),
+            Term::blank(format!("second{d}")),
+        ));
+    }
+    let triples: Vec<Triple> = data.iter().cloned().collect();
+    drop(data);
+
+    let dir = std::env::temp_dir().join(format!("swdb-recovery-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let metrics = Metrics::new(MetricsLevel::Debug);
+    let mut db = SemanticWebDatabase::open_with_io(&dir, Arc::new(StdIo), metrics.clone())
+        .expect("open a fresh directory");
+    for batch in triples.chunks(triples.len().div_ceil(20).max(1)) {
+        db.insert_graph(&batch.iter().cloned().collect::<Graph>());
+    }
+    db.publish();
+    let (asserted, evaluation) = (db.len(), db.published().evaluation_triples());
+    assert!(
+        db.snapshot_now().expect("checkpoint"),
+        "durability attached"
+    );
+    let write = span_ms(&metrics.snapshot(), "span_snapshot_write_ns");
+    drop(db);
+    println!(
+        "U({departments}): {asserted} asserted, {evaluation} evaluation triples; \
+         checkpoint span_snapshot_write_ns {write:.1} ms"
+    );
+
+    println!("reopen  open ms  decode ms  restore ms  recovery ms  other ms");
+    for i in 0..reopens {
+        let metrics = Metrics::new(MetricsLevel::Debug);
+        let started = Instant::now();
+        let db = SemanticWebDatabase::open_with_io(&dir, Arc::new(StdIo), metrics.clone())
+            .expect("reopen");
+        let open = started.elapsed().as_secs_f64() * 1e3;
+        assert_eq!(db.len(), asserted, "the reopened database holds the load");
+        let s = metrics.snapshot();
+        let (decode, restore, recovery) = (
+            span_ms(&s, "span_snapshot_decode_ns"),
+            span_ms(&s, "span_snapshot_restore_ns"),
+            span_ms(&s, "span_recovery_ns"),
+        );
+        println!(
+            "{i:>6}  {open:>7.1}  {decode:>9.1}  {restore:>10.1}  {recovery:>11.1}  {:>8.1}",
+            recovery - decode - restore
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
