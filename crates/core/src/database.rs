@@ -13,8 +13,10 @@
 //! regime and core budget, the asserted set `D` (the reasoner's
 //! dictionary-encoded [`swdb_store::TripleStore`], the only copy) with its
 //! maintained closure ([`MaterializedStore`]), and the evaluation engine
-//! ([`swdb_normal::IdCoreEngine`]). Everything large in it is persistent or
-//! `Arc`-shared, so a clone is O(1). Beside it: metrics, the durability
+//! ([`swdb_normal::IdCoreEngine`]), whose index is a view of the closure
+//! (of `D` under simple entailment) that shares its nodes and hides the
+//! blank triples the core folded away, so it holds no triple of its own.
+//! Everything large in it is persistent or `Arc`-shared, so a clone is O(1). Beside it: metrics, the durability
 //! layer and its fail-stop record, the read caches of the state, and the
 //! publication slot. Terms are decoded where a caller asks for them: an
 //! answer, `to_ntriples`, `stats`, and the string-space specification
@@ -34,7 +36,7 @@
 //! **entirely in id space**: the body is compiled to `TermId` patterns
 //! against the store dictionary (a body constant that was never interned
 //! short-circuits to zero answers), planned once per query shape, and
-//! joined directly over a cached SPO/POS/OSP [`swdb_store::IdIndex`] of the
+//! joined directly over the SPO/POS/OSP [`swdb_store::IdIndex`] view of the
 //! evaluation graph. The evaluation graph keeps the paper's semantics:
 //! `nf(D) = core(cl(D))` under RDFS, `core(D)` under simple entailment —
 //! answers stay invariant under database equivalence (Theorem 4.6).
@@ -42,12 +44,12 @@
 //! The whole pipeline behind that index is **incremental**. `cl(D)` is the
 //! maintained materialization of `swdb-reason` (semi-naive insert, DRed
 //! delete — never a recomputed fixpoint), and the `core(·)` step is the
-//! [`swdb_normal::IdCoreEngine`]: ground closure triples pass straight
-//! through (a map fixes URIs, so they always survive the core), blank
-//! triples are partitioned into connected components and cored by local
-//! id-space retraction searches. A mutation feeds the engine the exact
-//! closure delta reported by [`MaterializedStore`]: a ground delta is pure
-//! `O(log n)` index maintenance, a blank-touching delta re-cores only the
+//! [`swdb_normal::IdCoreEngine`]: ground closure triples are never hidden
+//! (a map fixes URIs, so they always survive the core), blank triples are
+//! partitioned into connected components and cored by local id-space
+//! retraction searches. A mutation hands the engine the exact closure
+//! delta reported by [`MaterializedStore`] and the closure that holds it: a
+//! ground delta is no core step, a blank-touching delta re-cores only the
 //! affected component(s). Nothing is dropped and rebuilt; the cold build
 //! (first read or publish) itself runs component-by-component in id space.
 //!
@@ -292,27 +294,21 @@ impl State {
             .expect("the evaluation engine is built before a state is read")
     }
 
-    /// The cold build of the evaluation engine. It never leaves id space:
-    /// under RDFS the maintained closure index feeds the core engine
-    /// directly (no closure fixpoint, no string-graph materialization);
-    /// under simple entailment the asserted store does — matching against
-    /// the core of `D` gives equivalence-invariant answers without applying
-    /// the vocabulary rules. Afterwards [`State::feed_delta`] keeps it in
-    /// step, so this runs once per regime, not per mutation.
+    /// The cold build of the evaluation engine: the whole base
+    /// ([`evaluation_base`]) as one delta into an empty engine. It never
+    /// leaves id space: under RDFS the maintained closure index is the base
+    /// (no closure fixpoint, no string-graph materialization); under simple
+    /// entailment the asserted store is — matching against the core of `D`
+    /// gives equivalence-invariant answers without applying the vocabulary
+    /// rules. Afterwards [`State::feed_delta`] keeps it in step, so this
+    /// runs once per regime, not per mutation.
     fn build_evaluation(&mut self, metrics: &Metrics) {
-        let store = self.reasoner.store();
-        let (dictionary, metrics, budget) = (store.dictionary(), metrics.clone(), self.core_budget);
-        let engine = match self.regime {
-            EntailmentRegime::Rdfs => IdCoreEngine::from_triples_budgeted(
-                self.reasoner.closure_index().iter(),
-                dictionary,
-                metrics,
-                budget,
-            ),
-            EntailmentRegime::Simple => {
-                IdCoreEngine::from_triples_budgeted(store.iter_ids(), dictionary, metrics, budget)
-            }
-        };
+        let mut engine = IdCoreEngine::new();
+        engine.set_metrics(metrics.clone());
+        engine.set_core_budget(self.core_budget);
+        let base = evaluation_base(self.regime, &self.reasoner);
+        let all: Vec<IdTriple> = base.iter().collect();
+        engine.apply_delta_over(base, &all, &[], self.reasoner.store().dictionary());
         self.evaluation = Some(engine);
     }
 
@@ -348,7 +344,8 @@ impl State {
             (EntailmentRegime::Simple, false) => (&delta.base, none),
             (EntailmentRegime::Simple, true) => (none, &delta.base),
         };
-        engine.apply_delta(added, removed, self.reasoner.store().dictionary());
+        let base = evaluation_base(self.regime, &self.reasoner);
+        engine.apply_delta_over(base, added, removed, self.reasoner.store().dictionary());
     }
 
     /// The complete durable image: regime, budget, the dictionary in id
@@ -381,8 +378,9 @@ impl State {
     /// dictionary replays in id order (reproducing the exact id
     /// assignment), the closure is adopted without rule propagation, and
     /// the evaluation engine restores from its exported component states
-    /// without any retraction search. An `asserted_core` an older file may
-    /// carry is ignored.
+    /// without any retraction search, then views the restored closure (or
+    /// base) instead of building an index of its own. An `asserted_core` an
+    /// older file may carry is ignored, and so is the engine's ground run.
     ///
     /// The dictionary, the closure index, the base index and the engine
     /// depend on nothing but the payload (the engine reads blanks off the
@@ -405,13 +403,13 @@ impl State {
                         IdCoreEngine::from_state(state, is_blank, metrics.clone(), core_budget)
                     }))
                 }),
-                Box::new(|| closure = Some(snapshot.closure.iter().copied().collect::<IdIndex>())),
+                Box::new(|| closure = Some(IdIndex::from_sorted(&snapshot.closure))),
                 Box::new(|| {
                     let mut in_order = Dictionary::new();
                     terms.iter().for_each(|term| _ = in_order.intern(term));
                     dictionary = Some(in_order)
                 }),
-                Box::new(|| base = Some(snapshot.base.iter().copied().collect::<IdIndex>())),
+                Box::new(|| base = Some(IdIndex::from_sorted(&snapshot.base))),
             ],
         );
         let built = "every restore job ran";
@@ -419,12 +417,27 @@ impl State {
         let mut reasoner = MaterializedStore::restore(store, closure.expect(built));
         reasoner.set_threads(threads);
         reasoner.set_metrics(metrics.clone());
+        let regime = decode_regime(snapshot.regime);
+        let mut evaluation = evaluation.expect(built);
+        if let Some(engine) = evaluation.as_mut() {
+            let dictionary = reasoner.store().dictionary();
+            engine.attach(evaluation_base(regime, &reasoner), dictionary);
+        }
         State {
-            regime: decode_regime(snapshot.regime),
+            regime,
             core_budget,
             reasoner,
-            evaluation: evaluation.expect(built),
+            evaluation,
         }
+    }
+}
+
+/// The maintained set the evaluation engine views under `regime`: the
+/// closure under RDFS, the asserted set under simple entailment.
+fn evaluation_base(regime: EntailmentRegime, reasoner: &MaterializedStore) -> &IdIndex {
+    match regime {
+        EntailmentRegime::Rdfs => reasoner.closure_index(),
+        EntailmentRegime::Simple => reasoner.store().id_index(),
     }
 }
 

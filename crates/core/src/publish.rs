@@ -225,7 +225,8 @@ impl PublishedSnapshot {
         self.state.reasoner.store().dictionary()
     }
 
-    /// The snapshot's evaluation index.
+    /// The snapshot's evaluation index: a view of its closure (of `D` under
+    /// simple entailment) that hides the blank triples the core folded away.
     pub fn index(&self) -> &IdIndex {
         self.state.evaluation().index()
     }

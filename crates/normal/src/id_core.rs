@@ -8,9 +8,10 @@
 //! rebuilt per mutation. Three ideas, layered:
 //!
 //! 1. **Ground triples never participate.** A map fixes URIs (§2.1), so
-//!    ground triples survive every retraction: they go straight into the
-//!    published index, and a *ground* delta is pure `O(log n)` index
-//!    maintenance — no core step at all, the common case.
+//!    ground triples survive every retraction: the published index is a
+//!    view of the maintained set (the reasoner's index, whose nodes it
+//!    shares) that hides the blank triples the folds removed, `R`. A
+//!    *ground* delta is no core step at all, the common case.
 //! 2. **Blank triples decompose into components** (see
 //!    [`crate::components`]): a non-leanness witness only moves the blanks
 //!    of the component owning the avoided triple, so the global NP-hard
@@ -83,8 +84,8 @@
 //! component-coring call gets a cooperative [`swdb_obs::Budget`] slice
 //! (fold steps and/or wall clock, checked at probe granularity inside the
 //! backtracking search — no threads, no interrupts), and a component whose
-//! slice runs out is **published uncored**: its current survivor set goes
-//! into the evaluation index as-is, the component is flagged, and
+//! slice runs out is **published uncored**: its current survivor set stays
+//! visible in the evaluation index as-is, the component is flagged, and
 //! [`IdCoreEngine::recore_uncored`] retries it with a fresh slice on the
 //! next quiet refresh. A premise's fork is cored under the same slices, so
 //! a poisoned what-if premise cannot stall a reader either; the fork then
@@ -756,8 +757,8 @@ impl Cells {
 /// premise-free queries join against.
 #[derive(Clone, Debug, Default)]
 pub struct IdCoreEngine {
-    /// The published evaluation index: all ground triples plus every
-    /// component's survivors.
+    /// The published evaluation index: a view of the maintained set that
+    /// hides `R`, every component's full set minus its survivors.
     eval: IdIndex,
     /// All maintained blank triples (the un-cored blank side), in a
     /// persistent index so a clone of the engine shares it.
@@ -779,8 +780,8 @@ impl IdCoreEngine {
 
     /// Builds the engine — and with it `core(G)` — from a triple set: the
     /// whole set is one [`IdCoreEngine::apply_delta`] into the empty engine,
-    /// so ground triples stream into the index, blank triples are
-    /// partitioned into components and each component is cored locally.
+    /// so the triples form the base, blank triples are partitioned into
+    /// components and each component is cored locally.
     pub fn from_triples(
         triples: impl IntoIterator<Item = IdTriple>,
         dictionary: &Dictionary,
@@ -812,11 +813,12 @@ impl IdCoreEngine {
         engine
     }
 
-    /// Dumps the engine's state for a durability snapshot. Components are
-    /// exported verbatim — full sets, survivor sets, support sets and the
-    /// uncored flags — so [`IdCoreEngine::from_state`] can rebuild the
-    /// engine without re-running a single retraction search. Safe to call
-    /// between public mutations (no component is ever left `stale` then).
+    /// Dumps the engine's state for a durability snapshot: the base's
+    /// ground triples, and the components verbatim — full sets, survivor
+    /// sets, support sets and the uncored flags — so
+    /// [`IdCoreEngine::from_state`] can rebuild the engine without
+    /// re-running a single retraction search. Safe to call between public
+    /// mutations (no component is ever left `stale` then).
     pub fn export_state(&self, dictionary: &Dictionary) -> CoreEngineState {
         CoreEngineState {
             ground: self
@@ -839,10 +841,11 @@ impl IdCoreEngine {
     }
 
     /// Reconstructs an engine from an exported state: pure deserialization —
-    /// the published index is ground triples plus every component's
-    /// survivors, cached core state (including degraded/uncored flags)
-    /// carries over verbatim, and **no core search runs**. The recovery
-    /// path's replacement for [`IdCoreEngine::from_triples_budgeted`].
+    /// cached core state (including degraded/uncored flags) carries over
+    /// verbatim and **no core search runs**. It builds `R` and no index:
+    /// the engine reads nothing until [`IdCoreEngine::attach`] hands it the
+    /// maintained set the state was exported over. The recovery path's
+    /// replacement for [`IdCoreEngine::from_triples_budgeted`].
     ///
     /// `is_blank` classifies ids as the exporting dictionary did, so a
     /// caller need not rebuild that dictionary first.
@@ -868,22 +871,25 @@ impl IdCoreEngine {
                 }
             })
             .collect();
-        let survivors = components.iter().flat_map(|c| &c.survivors);
-        let mut published: Vec<IdTriple> = state.ground.iter().chain(survivors).copied().collect();
-        // The ground run is sorted; once the survivors are too, the stable
-        // sort merges the two runs in linear time.
-        published[state.ground.len()..].sort_unstable();
-        published.sort();
+        let mut eval = IdIndex::new();
+        let folded = |c: &Component| c.full.difference(&c.survivors).copied().collect::<Vec<_>>();
+        eval.hide(components.iter().flat_map(folded).collect());
         let engine = IdCoreEngine {
-            eval: published.into_iter().collect(),
+            eval,
             blank_full: components.iter().flat_map(|c| &c.full).copied().collect(),
             cells: Cells::filed(components),
             budget_mode: budget,
             metrics,
         };
         engine.publish_gauges();
-        engine.debug_check(is_blank);
         engine
+    }
+
+    /// Views `base`, the maintained set, through `R`: the last step of a
+    /// restore ([`IdCoreEngine::from_state`]).
+    pub fn attach(&mut self, base: &IdIndex, dictionary: &Dictionary) {
+        self.apply_delta_over(base, &[], &[], dictionary);
+        self.debug_check(|id| dictionary.is_blank(id), Some(base));
     }
 
     /// Attaches a metrics handle: components re-cored, retraction-search
@@ -978,7 +984,7 @@ impl IdCoreEngine {
             .filter_map(|(c, comp)| comp.uncored.then_some(c))
             .collect();
         self.cells.sweep(&mut self.eval, &mut coring, uncored);
-        self.report(&coring, dictionary);
+        self.report(&coring, dictionary, None);
         !self.is_degraded()
     }
 
@@ -993,10 +999,10 @@ impl IdCoreEngine {
 
     /// Ends a run that committed into the published index: its tally, the
     /// gauges, the invariants.
-    fn report(&self, coring: &Coring, dictionary: &Dictionary) {
+    fn report(&self, coring: &Coring, dictionary: &Dictionary, base: Option<&IdIndex>) {
         coring.flush(&self.metrics);
         self.publish_gauges();
-        self.debug_check(|id| dictionary.is_blank(id));
+        self.debug_check(|id| dictionary.is_blank(id), base);
     }
 
     /// Every commit is an observation point: reports the largest blank
@@ -1016,47 +1022,80 @@ impl IdCoreEngine {
 
     /// Applies one batch of deltas to the maintained set and brings the
     /// published index back to its core, reading only the components the
-    /// delta names.
-    ///
-    /// A delta that neither mentions a blank nor removes a published triple
-    /// nor adds a possible fold image (a predicate some blank triple uses)
-    /// is pure index maintenance. Otherwise the blank side is repaired at
-    /// component granularity: the components whose support named a removed
-    /// triple (looked up by triple) turn stale, the owners of the delta's
-    /// blanks are re-partitioned into stale components, and every newly
-    /// visible triple enters the view — the ground additions, then the full
-    /// set of every stale component (which can *restore* previously folded
-    /// triples). One sweep then re-cores the stale components from their
-    /// full sets and lets every component a newly visible triple wakes — one
-    /// with a survivor that maps onto it, blanks as wildcards and constants
-    /// equal — retract further from its cached survivors.
+    /// delta names: writes it into the view's base, which the engine owns,
+    /// and runs the kernel of [`IdCoreEngine::apply_delta_over`].
     pub fn apply_delta(
         &mut self,
         added: &[IdTriple],
         removed: &[IdTriple],
         dictionary: &Dictionary,
     ) {
+        let hidden = self.eval.take_hidden();
+        let added = self.eval.insert_all(added);
+        let removed: Vec<IdTriple> = (removed.iter().copied())
+            .filter(|&t| self.eval.remove(t))
+            .collect();
+        self.eval.hide(hidden);
+        self.refresh(None, &added, &removed, dictionary);
+    }
+
+    /// [`IdCoreEngine::apply_delta`] of an exact delta that `base`, the
+    /// maintained set, holds already: the view then shares every node of
+    /// `base` and writes none.
+    ///
+    /// A delta that neither mentions a blank nor removes a published triple
+    /// nor adds a possible fold image (a predicate some blank triple uses)
+    /// is no core step. Otherwise the blank side is repaired at component
+    /// granularity: the components whose support named a removed triple
+    /// (looked up by triple) turn stale, the owners of the delta's blanks
+    /// are re-partitioned into stale components, and every stale
+    /// component's full set is unhidden (which can *restore* previously
+    /// folded triples). One sweep then re-cores the stale components from
+    /// their full sets and lets every component a newly visible triple
+    /// wakes — one with a survivor that maps onto it, blanks as wildcards
+    /// and constants equal — retract further from its cached survivors.
+    pub fn apply_delta_over(
+        &mut self,
+        base: &IdIndex,
+        added: &[IdTriple],
+        removed: &[IdTriple],
+        dictionary: &Dictionary,
+    ) {
+        self.refresh(Some(base), added, removed, dictionary);
+    }
+
+    /// The kernel of both, on a view whose base (`base`, if given) holds
+    /// the delta.
+    fn refresh(
+        &mut self,
+        base: Option<&IdIndex>,
+        added: &[IdTriple],
+        removed: &[IdTriple],
+        dictionary: &Dictionary,
+    ) {
+        let mut hidden = self.eval.take_hidden();
+        if let Some(base) = base {
+            self.eval = base.clone();
+        }
         let mut removed_from_eval: BTreeSet<IdTriple> = BTreeSet::new();
         let mut blank_delta_ids: BTreeSet<TermId> = BTreeSet::new();
         for &t in removed {
-            if is_blank_triple(dictionary, t) {
-                if self.blank_full.remove(t) {
-                    note_blanks(dictionary, &mut blank_delta_ids, t);
-                    if self.eval.remove(t) {
-                        removed_from_eval.insert(t);
-                    }
-                }
-            } else if self.eval.remove(t) {
+            if is_blank_triple(dictionary, t) && self.blank_full.remove(t) {
+                note_blanks(dictionary, &mut blank_delta_ids, t);
+            }
+            if !hidden.remove(t) {
                 removed_from_eval.insert(t);
             }
         }
-        let (blank, ground_added): (Vec<IdTriple>, Vec<IdTriple>) =
-            added.iter().partition(|&&t| is_blank_triple(dictionary, t));
+        self.eval.hide(hidden);
+        let blank: Vec<IdTriple> = (added.iter().copied())
+            .filter(|&t| is_blank_triple(dictionary, t))
+            .collect();
         let blank_added = self.blank_full.insert_all(&blank);
         for &t in &blank_added {
             note_blanks(dictionary, &mut blank_delta_ids, t);
         }
-        let mut visible = self.eval.insert_all(&ground_added);
+        let mut visible = added.to_vec();
         let relevant_add = visible
             .iter()
             .map(|t| t.1)
@@ -1064,7 +1103,7 @@ impl IdCoreEngine {
             .into_iter()
             .any(|p| self.blank_full.candidate_count((None, Some(p), None)) > 0);
         if blank_delta_ids.is_empty() && removed_from_eval.is_empty() && !relevant_add {
-            // The pure ground fast path: the index is already the core, and
+            // The pure ground fast path: the view is already the core, and
             // no component changed.
             self.publish_gauges();
             return;
@@ -1088,8 +1127,8 @@ impl IdCoreEngine {
         // A re-partitioned component's slot is empty now, or holds a fresh one.
         stale.retain(|&c| cells.slab.get(c).is_some_and(|comp| comp.stale));
         stale.extend(fresh);
-        // Everything newly visible enters the view before any search, so
-        // the one sweep cores every component against the complete graph.
+        // Everything newly visible is in the view before any search, so the
+        // one sweep cores every component against the complete graph.
         for &c in &stale {
             for &t in &cells.get(c).full {
                 if self.eval.insert(t) {
@@ -1100,7 +1139,7 @@ impl IdCoreEngine {
         let mut woken = cells.wake(&visible, &self.blank_full);
         woken.extend(stale);
         cells.sweep(&mut self.eval, &mut coring, woken);
-        self.report(&coring, dictionary);
+        self.report(&coring, dictionary, base);
     }
 
     /// Is the triple part of the maintained set (cored away or not)? Ground
@@ -1128,9 +1167,11 @@ impl IdCoreEngine {
     /// none is stale, the published index is exactly the ground triples
     /// plus every component's survivors, all support triples are live, and
     /// the lookups, the free slots and the cached aggregates are current.
-    /// Each lookup is checked entry by entry in both directions, so the
-    /// check allocates the same at every size.
-    fn debug_check(&self, is_blank: impl Fn(TermId) -> bool) {
+    /// `R` is blank triples of the view's base (`base`, if given), as many
+    /// as the folds removed. Each lookup is checked entry by entry in both
+    /// directions and `R` is counted, so the check allocates the same at
+    /// every size.
+    fn debug_check(&self, is_blank: impl Fn(TermId) -> bool, base: Option<&IdIndex>) {
         if cfg!(debug_assertions) {
             let cells = &self.cells;
             let shaped = |c: &Component, shape| c.survivors.iter().any(|&t| c.shape(t) == shape);
@@ -1188,14 +1229,30 @@ impl IdCoreEngine {
                 cells.uncored, uncored,
                 "a path changed an uncored flag outside the commit point"
             );
-            let published_blank = self
-                .eval
-                .iter()
-                .filter(|&(s, _, o)| is_blank(s) || is_blank(o))
-                .count();
+            let blank = |(s, _, o): IdTriple| is_blank(s) || is_blank(o);
+            let (mut visible, mut published_blank) = (0, 0);
+            for t in self.eval.iter() {
+                visible += 1;
+                published_blank += usize::from(blank(t));
+            }
+            debug_assert_eq!(visible, self.eval.len(), "R leaves the view's base");
             debug_assert_eq!(
                 published_blank, survivors,
                 "published blank triples must be exactly the survivors"
+            );
+            let hidden = self.eval.hidden();
+            debug_assert!(
+                hidden.is_none_or(|h| h.iter().all(|t| blank(t) && self.blank_full.contains(t))),
+                "R holds a triple outside the blank side"
+            );
+            debug_assert_eq!(
+                hidden.map_or(0, IdIndex::len),
+                full_sizes - survivors,
+                "R is not what the folds removed"
+            );
+            debug_assert!(
+                base.is_none_or(|base| self.eval.is_view_of(base)),
+                "the view's base is not the maintained set"
             );
         }
     }
@@ -1386,12 +1443,13 @@ mod tests {
         ]);
         let (store, engine) = engine_of(&g);
         let state = engine.export_state(store.dictionary());
-        let restored = IdCoreEngine::from_state(
+        let mut restored = IdCoreEngine::from_state(
             &state,
             |id| store.dictionary().is_blank(id),
             Metrics::default(),
             engine.core_budget(),
         );
+        restored.attach(store.id_index(), store.dictionary());
         let published: Vec<IdTriple> = engine.index().iter().collect();
         let restored_published: Vec<IdTriple> = restored.index().iter().collect();
         assert_eq!(published, restored_published);
@@ -1405,7 +1463,6 @@ mod tests {
             .remove_with_ids(&swdb_model::triple("ex:b", "ex:q", "ex:c"))
             .expect("present");
         let mut original = engine.clone();
-        let mut restored = restored;
         original.apply_delta(&[], &[removed], store2.dictionary());
         restored.apply_delta(&[], &[removed], store2.dictionary());
         let a: Vec<IdTriple> = original.index().iter().collect();
@@ -1431,17 +1488,17 @@ mod tests {
         assert!(engine.is_degraded(), "a 0-step slice cannot finish coring");
         let state = engine.export_state(store.dictionary());
         assert!(state.components.iter().any(|c| c.uncored));
-        let restored = IdCoreEngine::from_state(
+        let mut restored = IdCoreEngine::from_state(
             &state,
             |id| store.dictionary().is_blank(id),
             Metrics::default(),
             engine.core_budget(),
         );
+        restored.attach(store.id_index(), store.dictionary());
         assert!(restored.is_degraded());
         assert_eq!(engine.uncored_components(), restored.uncored_components());
         assert_eq!(engine.uncored_triples(), restored.uncored_triples());
         // recore_uncored resumes post-restore: unlimited budget clears it.
-        let mut restored = restored;
         restored.set_core_budget(CoreBudgetMode::Unlimited);
         assert!(restored.recore_uncored(store.dictionary()));
         assert!(!restored.is_degraded());

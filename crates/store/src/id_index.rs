@@ -29,6 +29,14 @@
 //! the writer's index instead of copying it. Batches go through
 //! [`IdIndex::insert_all`] and [`IdIndex::from_sorted`], which merge sorted
 //! runs into the leaves they land in instead of shifting a leaf per triple.
+//!
+//! ## Views
+//!
+//! An index with a *hidden set* ([`IdIndex::hide`]), itself a small index,
+//! reads as its own triples (the *base*: say a clone of the closure, whose
+//! nodes it shares) minus the hidden ones; [`IdIndex::remove`] hides and
+//! [`IdIndex::insert`] unhides. A scan compares the next hidden key once
+//! per leaf run, and a range count subtracts the hidden set's count.
 
 use std::fmt;
 use std::sync::Arc;
@@ -75,6 +83,8 @@ trait Chunk: Clone {
     fn width(&self) -> usize;
     /// The smallest key under the chunk (chunks are never empty).
     fn first(&self) -> Key;
+    /// The largest key under the chunk.
+    fn last(&self) -> Key;
     fn contains(&self, key: &Key) -> bool;
     /// Counts the keys in `lo..=hi`.
     fn count(&self, lo: &Key, hi: &Key) -> usize;
@@ -118,6 +128,10 @@ impl Chunk for Vec<Key> {
 
     fn first(&self) -> Key {
         self[0]
+    }
+
+    fn last(&self) -> Key {
+        self[Vec::len(self) - 1]
     }
 
     fn contains(&self, key: &Key) -> bool {
@@ -242,10 +256,33 @@ impl<C: Chunk> Fenced<C> {
         }
     }
 
-    /// Visits the keys in `lo..=hi` in order until `visit` returns `false`.
-    fn range_while(&self, lo: Key, hi: Key, mut visit: impl FnMut(Key) -> bool) {
-        self.runs_from(&below(lo), &mut |run| {
-            run.iter().all(|&k| k <= hi && visit(k))
+    /// Visits the keys in `lo..=hi` that `hidden` lacks, in order, until
+    /// `visit` returns `false`. `next` is the first hidden key in range not
+    /// yet passed: a run that ends before it is visited without a lookup.
+    fn range_while(
+        &self,
+        lo: Key,
+        hi: Key,
+        hidden: Option<&Self>,
+        mut visit: impl FnMut(Key) -> bool,
+    ) {
+        let after = |bound| {
+            let next = hidden.and_then(|h| h.first_from(&|k: &Key| packed(k) < bound));
+            next.filter(|&k| k <= hi)
+        };
+        let mut next = after(packed(&lo));
+        self.runs_from(&below(lo), &mut |run| match next {
+            Some(h) if h <= run[run.len() - 1] => run.iter().all(|&k| {
+                if next.is_some_and(|h| h < k) {
+                    next = after(packed(&k));
+                }
+                if next == Some(k) {
+                    next = after(packed(&k) + 1);
+                    return true;
+                }
+                k <= hi && visit(k)
+            }),
+            _ => run.iter().all(|&k| k <= hi && visit(k)),
         });
     }
 
@@ -282,6 +319,10 @@ impl<C: Chunk> Chunk for Fenced<C> {
 
     fn first(&self) -> Key {
         self.fences[0]
+    }
+
+    fn last(&self) -> Key {
+        self.kids[self.kids.len() - 1].last()
     }
 
     fn contains(&self, key: &Key) -> bool {
@@ -413,6 +454,9 @@ pub struct IdIndex {
     spo: Tree,
     pos: Tree,
     osp: Tree,
+    /// The hidden set of a view (module docs, "Views"), plain and inside
+    /// the base; `None` on a plain index.
+    hidden: Option<Arc<IdIndex>>,
 }
 
 impl IdIndex {
@@ -421,31 +465,78 @@ impl IdIndex {
         IdIndex::default()
     }
 
-    /// Builds an index from triples in strictly ascending `(s, p, o)` order
-    /// (sorted, no duplicates) — a bulk build with full leaves, no per-triple
-    /// insertion.
+    /// Builds an index from triples. Strictly ascending `(s, p, o)` input
+    /// (sorted, no duplicates) is a bulk build with full leaves, no
+    /// per-triple insertion; any other input is sorted and deduplicated
+    /// first, as [`FromIterator`] does.
     pub fn from_sorted(triples: &[IdTriple]) -> Self {
-        assert!(
-            triples.windows(2).all(|w| w[0] < w[1]),
-            "IdIndex::from_sorted needs strictly ascending triples"
-        );
+        if !triples.windows(2).all(|w| w[0] < w[1]) {
+            return triples.iter().copied().collect();
+        }
         let mut index = IdIndex::new();
         index.merge_fresh(triples);
         index
     }
 
+    /// Makes the index a view that hides `hidden`, a plain index of
+    /// triples it holds; replaces any hidden set it had.
+    pub fn hide(&mut self, hidden: IdIndex) {
+        debug_assert!(hidden.hidden.is_none(), "a hidden set is plain");
+        self.hidden = Some(Arc::new(hidden));
+    }
+
+    /// Takes the hidden set out (empty on a plain index), leaving the base
+    /// as a plain index.
+    pub fn take_hidden(&mut self) -> IdIndex {
+        let hidden = self.hidden.take();
+        hidden.map_or_else(IdIndex::new, Arc::unwrap_or_clone)
+    }
+
+    /// The hidden set of a view; `None` on a plain index.
+    pub fn hidden(&self) -> Option<&IdIndex> {
+        self.hidden.as_deref()
+    }
+
+    /// Whether the base shares every node of `base`: a view of a clone of
+    /// `base` that no write has reached since.
+    pub fn is_view_of(&self, base: &IdIndex) -> bool {
+        let same = |a: &Tree, b: &Tree| {
+            a.len == b.len && a.kids.iter().zip(&b.kids).all(|(x, y)| Arc::ptr_eq(x, y))
+        };
+        same(&self.spo, &base.spo) && same(&self.pos, &base.pos) && same(&self.osp, &base.osp)
+    }
+
+    fn tree(&self, order: Order) -> &Tree {
+        match order {
+            Order::Spo => &self.spo,
+            Order::Pos => &self.pos,
+            Order::Osp => &self.osp,
+        }
+    }
+
+    /// The hidden set's tree of `order`, if its keys span part of `lo..=hi`:
+    /// a range outside that span needs no lookup in it.
+    fn hidden_in(&self, order: Order, lo: Key, hi: Key) -> Option<&Tree> {
+        let tree = self.hidden.as_ref().map(|h| h.tree(order));
+        tree.filter(|t| !t.kids.is_empty() && t.first() <= hi && lo <= t.last())
+    }
+
     /// Number of triples indexed.
     pub fn len(&self) -> usize {
-        self.spo.len
+        self.spo.len - self.hidden.as_ref().map_or(0, |h| h.len())
     }
 
     /// Returns `true` if the index holds no triples.
     pub fn is_empty(&self) -> bool {
-        self.spo.len == 0
+        self.len() == 0
     }
 
-    /// Inserts a triple; returns `true` if it was new.
+    /// Inserts a triple; returns `true` if it was new. On a view a hidden
+    /// triple is unhidden.
     pub fn insert(&mut self, (s, p, o): IdTriple) -> bool {
+        if let Some(hidden) = self.hidden.as_mut().filter(|h| h.contains((s, p, o))) {
+            return Arc::make_mut(hidden).remove((s, p, o));
+        }
         let added = self.spo.insert((s, p, o));
         if added {
             self.pos.merge(&[(p, o, s)]);
@@ -479,6 +570,10 @@ impl IdIndex {
     fn insert_sorted(&mut self, mut triples: Vec<IdTriple>) -> Vec<IdTriple> {
         triples.sort_unstable();
         triples.dedup();
+        if self.hidden.is_some() {
+            triples.retain(|&t| self.insert(t));
+            return triples;
+        }
         triples.retain(|t| !self.spo.contains(t));
         self.merge_fresh(&triples);
         triples
@@ -500,10 +595,14 @@ impl IdIndex {
         self.osp.merge(&keys);
     }
 
-    /// Removes a triple; returns `true` if it was present.
+    /// Removes a triple; returns `true` if it was present. On a view a
+    /// visible triple is hidden instead.
     pub fn remove(&mut self, (s, p, o): IdTriple) -> bool {
         if !self.contains((s, p, o)) {
             return false;
+        }
+        if let Some(hidden) = self.hidden.as_mut() {
+            return Arc::make_mut(hidden).insert((s, p, o));
         }
         self.spo.remove(&(s, p, o));
         self.pos.remove(&(p, o, s));
@@ -513,16 +612,42 @@ impl IdIndex {
 
     /// Membership test.
     pub fn contains(&self, ids: IdTriple) -> bool {
-        self.spo.contains(&ids)
+        self.spo.contains(&ids) && !self.hidden.as_ref().is_some_and(|h| h.contains(ids))
     }
 
-    /// Iterates in `(s, p, o)` order.
-    pub fn iter(&self) -> impl Iterator<Item = IdTriple> + '_ {
+    /// The base's triples in `(s, p, o)` order, hidden or not.
+    fn keys(&self) -> impl Iterator<Item = IdTriple> + '_ {
         self.spo
             .kids
             .iter()
             .flat_map(|node| node.kids.iter())
             .flat_map(|leaf| leaf.iter().copied())
+    }
+
+    /// Iterates in `(s, p, o)` order. The leaves are cut at the hidden keys
+    /// first, into one run of pieces, so the walk over them copies whole
+    /// slices.
+    pub fn iter(&self) -> impl Iterator<Item = IdTriple> + '_ {
+        let mut hidden = self.hidden.iter().flat_map(|h| h.keys());
+        let mut next = hidden.next();
+        let leaves = self
+            .spo
+            .kids
+            .iter()
+            .map(|node| node.kids.len())
+            .sum::<usize>();
+        let mut pieces: Vec<&[Key]> = Vec::with_capacity(leaves + self.spo.len - self.len());
+        for leaf in self.spo.kids.iter().flat_map(|node| node.kids.iter()) {
+            let mut rest = &leaf[..];
+            while let Some(h) = next.filter(|h| rest.last().is_some_and(|last| h <= last)) {
+                let cut = rest.partition_point(|&k| k < h);
+                pieces.push(&rest[..cut]);
+                rest = &rest[cut + usize::from(rest.get(cut) == Some(&h))..];
+                next = hidden.next();
+            }
+            pieces.push(rest);
+        }
+        pieces.into_iter().flat_map(|piece| piece.iter().copied())
     }
 
     /// The distinct predicate ids in use, ascending: one seek per predicate
@@ -531,7 +656,9 @@ impl IdIndex {
         let mut out = Vec::new();
         let mut from = 0;
         while let Some((p, _, _)) = self.pos.first_from(&below((from, 0, 0))) {
-            out.push(p);
+            if self.hidden.is_none() || self.candidate_count((None, Some(p), None)) > 0 {
+                out.push(p);
+            }
             match p.checked_add(1) {
                 Some(next) => from = next,
                 None => break,
@@ -549,10 +676,11 @@ impl IdIndex {
     /// by existence checks).
     pub fn scan_while(&self, pattern: IdPattern, mut visit: impl FnMut(IdTriple) -> bool) {
         let (order, lo, hi) = route(pattern);
+        let (tree, hidden) = (self.tree(order), self.hidden_in(order, lo, hi));
         match order {
-            Order::Spo => self.spo.range_while(lo, hi, visit),
-            Order::Pos => self.pos.range_while(lo, hi, |(p, o, s)| visit((s, p, o))),
-            Order::Osp => self.osp.range_while(lo, hi, |(o, s, p)| visit((s, p, o))),
+            Order::Spo => tree.range_while(lo, hi, hidden, visit),
+            Order::Pos => tree.range_while(lo, hi, hidden, |(p, o, s)| visit((s, p, o))),
+            Order::Osp => tree.range_while(lo, hi, hidden, |(o, s, p)| visit((s, p, o))),
         }
     }
 
@@ -571,26 +699,24 @@ impl IdIndex {
     /// the selectivity probe behind most-constrained-first join ordering.
     /// Fully-unbound patterns are O(1), fully-bound ones a membership probe;
     /// every other shape binary-searches both ends of its range and sums the
-    /// node and leaf lengths between them, and never allocates.
+    /// node and leaf lengths between them, and never allocates. A view
+    /// subtracts its hidden set's count over the same range.
     pub fn candidate_count(&self, pattern: IdPattern) -> usize {
         match pattern {
             (Some(s), Some(p), Some(o)) => usize::from(self.contains((s, p, o))),
             (None, None, None) => self.len(),
             _ => {
                 let (order, lo, hi) = route(pattern);
-                let tree = match order {
-                    Order::Spo => &self.spo,
-                    Order::Pos => &self.pos,
-                    Order::Osp => &self.osp,
-                };
-                tree.count(&lo, &hi)
+                let hidden = self.hidden_in(order, lo, hi);
+                let hidden = hidden.map_or(0, |h| h.count(&lo, &hi));
+                self.tree(order).count(&lo, &hi) - hidden
             }
         }
     }
 }
 
 /// Equality is by content: two indexes holding the same triples are equal
-/// however their leaves were split.
+/// however their leaves were split, and whether or not either is a view.
 impl PartialEq for IdIndex {
     fn eq(&self, other: &Self) -> bool {
         self.len() == other.len() && self.iter().eq(other.iter())
@@ -734,6 +860,47 @@ mod tests {
     }
 
     #[test]
+    fn from_sorted_sorts_unsorted_or_duplicated_input() {
+        let mut triples = spread(5_000);
+        triples.reverse();
+        triples.extend_from_slice(&triples[..100].to_vec());
+        let expected: IdIndex = triples.iter().copied().collect();
+        let built = IdIndex::from_sorted(&triples);
+        built.debug_check();
+        assert_eq!(built, expected);
+        assert_eq!(built.len(), 5_000);
+        let mut sorted = triples;
+        sorted.sort_unstable();
+        let duplicated = IdIndex::from_sorted(&sorted);
+        duplicated.debug_check();
+        assert_eq!(duplicated, expected);
+    }
+
+    #[test]
+    fn a_view_reads_its_base_minus_the_hidden_set_and_writes_only_that_set() {
+        let base = sample();
+        let mut view = base.clone();
+        view.hide([(1, 10, 3)].into_iter().collect());
+        assert!(view.is_view_of(&base));
+        assert_eq!(view.len(), 3);
+        assert!(!view.contains((1, 10, 3)));
+        assert_eq!(view.scan((Some(1), None, None)), vec![(1, 10, 2)]);
+        assert_eq!(view.candidate_count((Some(1), Some(10), None)), 1);
+        assert!(view.remove((1, 10, 2)), "hides a visible triple");
+        assert!(!view.remove((1, 10, 2)));
+        assert!(view.insert((1, 10, 3)), "unhides a hidden one");
+        assert!(!view.insert((1, 10, 3)));
+        assert!(view.is_view_of(&base), "neither write reached the base");
+        let expected: IdIndex = [(1, 10, 3), (2, 11, 3), (4, 10, 2)].into_iter().collect();
+        assert_eq!(view, expected);
+        assert_eq!(
+            view.take_hidden().iter().collect::<Vec<_>>(),
+            vec![(1, 10, 2)]
+        );
+        assert_eq!(view, base, "the base is what is left");
+    }
+
+    #[test]
     fn insert_all_reports_new_triples_in_the_given_order() {
         let mut index = sample();
         let fresh = index.insert_all(&[(9, 1, 1), (1, 10, 2), (0, 5, 5), (9, 1, 1)]);
@@ -841,6 +1008,14 @@ mod tests {
                 sets[0] == sets[1] && sets[1] == sets[2],
                 "one set, three orders"
             );
+            if let Some(hidden) = &self.hidden {
+                assert!(hidden.hidden.is_none(), "a hidden set is plain");
+                hidden.debug_check();
+                assert!(
+                    hidden.keys().all(|t| self.spo.contains(&t)),
+                    "hidden ⊆ base"
+                );
+            }
         }
     }
 
@@ -971,5 +1146,88 @@ mod tests {
                 agrees(snapshot, model, &probes);
             }
         }
+
+        /// A view against a `BTreeSet` model of base − hidden: a base with a
+        /// hidden subset, hide and unhide writes through the view, and base
+        /// replacements that keep the hidden triples still in the base.
+        /// Besides the random probes, every pattern shape is probed at a
+        /// hidden triple, so scans cross runs that a hidden key falls in.
+        #[test]
+        fn a_view_behaves_like_its_base_minus_the_hidden_set(
+            start in (0u32..1_000_000, 1u32..12_000, 1u32..6),
+            ops in proptest::collection::vec(arb_view_op(), 1..14),
+            probes in proptest::collection::vec(arb_pattern(), 12),
+        ) {
+            let (seed, len, every) = start;
+            let mut base: BTreeSet<IdTriple> = batch(seed, len).into_iter().collect();
+            let mut hidden: BTreeSet<IdTriple> =
+                base.iter().copied().filter(|t| (t.0 + t.2) % (every + 1) == 0).collect();
+            let mut view: IdIndex = base.iter().copied().collect();
+            view.hide(hidden.iter().copied().collect());
+            let mut snapshots = Vec::new();
+            for op in &ops {
+                match *op {
+                    ViewOp::Hide(t) => {
+                        let visible = base.contains(&t) && !hidden.contains(&t);
+                        prop_assert_eq!(view.remove(t), visible && hidden.insert(t));
+                    }
+                    ViewOp::Unhide(t) => {
+                        let new = hidden.remove(&t) || base.insert(t);
+                        prop_assert_eq!(view.insert(t), new);
+                    }
+                    ViewOp::Rebase(seed, len) => {
+                        base = batch(seed, len).into_iter().chain(hidden.iter().copied()).collect();
+                        hidden.retain(|t| t.1 != 0);
+                        let mut kept = view.take_hidden();
+                        kept.scan((None, Some(0), None)).into_iter().for_each(|t| _ = kept.remove(t));
+                        let replacement: IdIndex = base.iter().copied().collect();
+                        view = replacement.clone();
+                        view.hide(kept);
+                        prop_assert!(view.is_view_of(&replacement));
+                    }
+                    ViewOp::Snapshot => {
+                        let model: BTreeSet<IdTriple> = base.difference(&hidden).copied().collect();
+                        snapshots.push((view.clone(), model));
+                    }
+                }
+                let model: BTreeSet<IdTriple> = base.difference(&hidden).copied().collect();
+                let mut shapes = probes.clone();
+                for &(s, p, o) in hidden.iter().step_by(hidden.len() / 4 + 1) {
+                    shapes.extend(every_shape((s, p, o)));
+                }
+                agrees(&view, &model, &shapes);
+                prop_assert_eq!(&view, &model.iter().copied().collect::<IdIndex>());
+            }
+            for (snapshot, model) in &snapshots {
+                agrees(snapshot, model, &probes);
+            }
+        }
+    }
+
+    #[derive(Clone, Debug)]
+    enum ViewOp {
+        Hide(IdTriple),
+        Unhide(IdTriple),
+        /// Replaces the base by `len` triples from a stride, plus the hidden
+        /// ones outside predicate 0; the hidden ones in predicate 0 leave.
+        Rebase(u32, u32),
+        Snapshot,
+    }
+
+    fn arb_view_op() -> impl Strategy<Value = ViewOp> {
+        prop_oneof![
+            4 => arb_triple().prop_map(ViewOp::Hide),
+            3 => arb_triple().prop_map(ViewOp::Unhide),
+            1 => (0u32..1_000_000, 1u32..12_000).prop_map(|(s, n)| ViewOp::Rebase(s, n)),
+            1 => Just(ViewOp::Snapshot),
+        ]
+    }
+
+    /// The eight pattern shapes through one triple.
+    fn every_shape((s, p, o): IdTriple) -> impl Iterator<Item = IdPattern> {
+        (0..8).map(move |bits: u8| {
+            let bound = |bit: u8, id| (bits & bit != 0).then_some(id);
+            (bound(1, s), bound(2, p), bound(4, o))
+        })
     }
 }

@@ -218,18 +218,6 @@ impl TripleStore {
         self.index.iter()
     }
 
-    /// Answers an id-pattern with the most selective index, returning the
-    /// matching id-triples in `(s, p, o)` order.
-    pub fn scan_ids(&self, pattern: IdPattern) -> Vec<IdTriple> {
-        self.index.scan(pattern)
-    }
-
-    /// Visits every id-triple matching the pattern without materializing a
-    /// `Vec`; the visitor returns `false` to stop early.
-    pub fn scan_ids_while(&self, pattern: IdPattern, visit: impl FnMut(IdTriple) -> bool) {
-        self.index.scan_while(pattern, visit)
-    }
-
     /// Counts the id-triples matching a pattern without materializing them
     /// (see [`IdIndex::candidate_count`]).
     pub fn candidate_count(&self, pattern: IdPattern) -> usize {
@@ -274,7 +262,8 @@ impl TripleStore {
             // A bound term that was never interned matches nothing.
             return Vec::new();
         };
-        self.scan_ids(pattern)
+        self.index
+            .scan(pattern)
             .into_iter()
             .map(|ids| self.materialize(ids))
             .collect()

@@ -3,7 +3,8 @@
 //!
 //! Each pin runs one operation on a database of `N` asserted triples and on
 //! one of `4N`, with the same delta, and counts the heap allocations the
-//! operation makes on the calling thread. Work that is independent of the
+//! operation makes on the calling thread (one pin counts the bytes a loaded
+//! database holds instead). Work that is independent of the
 //! database's size allocates the same at both sizes, up to [`SLACK`]: a
 //! persistent-index write may split a chunk at one size and not at the
 //! other. Work that walks the database does not — a set of every asserted
@@ -12,8 +13,9 @@
 //! facade point read, and the evaluator (id space against string space)
 //! behind one warm query.
 //!
-//! The counter is a `#[global_allocator]` wrapping [`System`] with a
-//! thread-local tally, so the test harness's other threads do not count.
+//! The counter is a `#[global_allocator]` wrapping [`System`] with
+//! thread-local tallies of allocations and of net live bytes, so the test
+//! harness's other threads do not count.
 //! Everything is deterministic: the fixtures are fixed, the closure engine
 //! runs on one worker, metrics are off, and nothing reads a clock.
 
@@ -31,32 +33,37 @@ struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
-fn tally() {
+/// Counts an allocation (`allocated`) that changed the live bytes by
+/// `bytes`.
+fn tally(allocated: bool, bytes: i64) {
     // `try_with`: the allocator also runs while thread-locals are torn down.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + u64::from(allocated)));
+    let _ = LIVE_BYTES.try_with(|n| n.set(n.get() + bytes));
 }
 
-// SAFETY: every call forwards to `System` unchanged; the tally touches only
-// a const-initialised thread-local `Cell`, which never allocates.
+// SAFETY: every call forwards to `System` unchanged; the tallies touch only
+// const-initialised thread-local `Cell`s, which never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        tally();
+        tally(true, layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        tally();
+        tally(true, layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        tally();
+        tally(true, new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        tally(false, -(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -72,11 +79,23 @@ fn allocations<R>(op: impl FnOnce() -> R) -> (R, u64) {
     (out, ALLOCATIONS.with(Cell::get) - before)
 }
 
+/// Runs `op` and returns its result with the bytes it left allocated on
+/// this thread: what the result holds, once `op`'s temporaries are freed.
+fn live_bytes<R>(op: impl FnOnce() -> R) -> (R, i64) {
+    let before = LIVE_BYTES.with(Cell::get);
+    let out = op();
+    (out, LIVE_BYTES.with(Cell::get) - before)
+}
+
 /// The smaller database size; the larger is four times it.
 const N: usize = 2_000;
 
 /// How far apart the two sizes' allocation counts may be.
 const SLACK: u64 = 8;
+
+/// The ceiling on live bytes per asserted triple of a published
+/// [`fixture`] (see the pin that uses it).
+const LIVE_BYTES_CEILING: f64 = 480.0;
 
 /// `n` asserted triples under RDFS: half ground, half two-triple blank
 /// components (`n / 4` of them), none of which shares a predicate with the
@@ -404,4 +423,23 @@ fn a_facade_point_read_costs_no_multiple_of_a_snapshot_read_on_a_blank_heavy_sto
         facade
     };
     assert_eq!(read(10_000), read(40_000), "a facade point read");
+}
+
+/// The live bytes of a loaded, published [`fixture`] per asserted triple,
+/// at `N` and at `4N`: the dictionary, the asserted index, the closure, and
+/// the evaluation engine, whose index is a view of the closure that shares
+/// its nodes. An evaluation index of its own, a second copy of every
+/// closure triple in three orderings, adds ≈ 50 bytes per asserted triple
+/// and fails the ceiling at both sizes.
+#[test]
+fn a_published_database_holds_each_closure_triple_in_one_index() {
+    for n in [N, 4 * N] {
+        let (db, bytes) = live_bytes(|| fixture(n));
+        let per_triple = bytes as f64 / db.len() as f64;
+        eprintln!("{n}: {per_triple:.1} live bytes per asserted triple");
+        assert!(
+            per_triple < LIVE_BYTES_CEILING,
+            "{per_triple:.1} live bytes per asserted triple at {n} triples"
+        );
+    }
 }
