@@ -146,8 +146,10 @@ use std::io;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
+use swdb_durable::snapshot::{engine_runs, run, Sections};
 use swdb_durable::{
-    Durability, Io, SnapshotPayload, StdIo, WalRecord, DEFAULT_WAL_COMPACT_THRESHOLD,
+    Durability, Io, SnapshotPayload, SnapshotSource, StdIo, WalRecord,
+    DEFAULT_WAL_COMPACT_THRESHOLD,
 };
 use swdb_model::{BlankNode, Graph, Term, Triple};
 use swdb_normal::{CoreBudget, CoreBudgetMode, IdCoreEngine};
@@ -348,32 +350,6 @@ impl State {
         engine.apply_delta_over(base, added, removed, self.reasoner.store().dictionary());
     }
 
-    /// The complete durable image: regime, budget, the dictionary in id
-    /// order, base + closure triples, and the exported evaluation engine
-    /// (including per-component `uncored` flags, so degraded mode survives
-    /// a reopen exactly). The `asserted_core` field of the format is always
-    /// empty.
-    fn snapshot_payload(&self) -> SnapshotPayload {
-        let store = self.reasoner.store();
-        let dictionary = store.dictionary();
-        let (budget_mode, budget_steps, budget_millis) = encode_budget(self.core_budget);
-        SnapshotPayload {
-            regime: encode_regime(self.regime),
-            budget_mode,
-            budget_steps,
-            budget_millis,
-            terms: dictionary.iter().map(|(_, t)| t.clone()).collect(),
-            base: store.iter_ids().collect(),
-            closure: self.reasoner.closure_index().iter().collect(),
-            evaluation: self
-                .evaluation
-                .iter()
-                .map(|e| e.export_state(dictionary))
-                .collect(),
-            asserted_core: Vec::new(),
-        }
-    }
-
     /// Rebuilds a state from a decoded snapshot — pure deserialization: the
     /// dictionary replays in id order (reproducing the exact id
     /// assignment), the closure is adopted without rule propagation, and
@@ -432,6 +408,29 @@ impl State {
     }
 }
 
+/// The complete durable image, borrowed from the live parts: regime,
+/// budget, the dictionary in id order, base + closure triples, and the
+/// evaluation engine (including per-component `uncored` flags, so degraded
+/// mode survives a reopen exactly). The `asserted_core` field of the
+/// format is always empty.
+impl SnapshotSource for State {
+    fn sections(&self) -> Sections<'_> {
+        let (store, closure) = (self.reasoner.store(), self.reasoner.closure_index());
+        let dictionary = store.dictionary();
+        let (mode, steps, millis) = encode_budget(self.core_budget);
+        let engines = self.evaluation.iter().map(|e| engine_runs(e, dictionary));
+        Sections {
+            settings: (encode_regime(self.regime), mode, steps, millis),
+            terms: run(dictionary.len(), dictionary.iter().map(|(_, term)| term)),
+            runs: [
+                run(store.len(), store.iter_ids()),
+                run(closure.len(), closure.iter()),
+            ],
+            engines: [run(engines.len(), engines), run(0, std::iter::empty())],
+        }
+    }
+}
+
 /// The maintained set the evaluation engine views under `regime`: the
 /// closure under RDFS, the asserted set under simple entailment.
 fn evaluation_base(regime: EntailmentRegime, reasoner: &MaterializedStore) -> &IdIndex {
@@ -456,7 +455,11 @@ pub struct SemanticWebDatabase {
     /// (off/counters/debug) and is `Off` — near-zero cost — unless set.
     metrics: Metrics,
     /// The attached crash-safe durability layer (`swdb-durable`): snapshots
-    /// plus a write-ahead log under a data directory. `None` — the default
+    /// plus a write-ahead log under a data directory. A rotation streams
+    /// its snapshot from the committed state (`impl SnapshotSource for
+    /// State`) and reads it back in chunks, so it copies nothing of the
+    /// state: on `snapshot_now` (a server's shutdown checkpoint among
+    /// them), `persist_to` and WAL compaction alike. `None` — the default
     /// unless [`SemanticWebDatabase::open`] /
     /// [`SemanticWebDatabase::persist_to`] was used — keeps the database
     /// purely in memory. The discipline on any IO error is **fail-stop**:
@@ -616,7 +619,7 @@ impl SemanticWebDatabase {
     pub fn persist_to_with_io(&mut self, dir: &Path, io: Arc<dyn Io>) -> io::Result<()> {
         let (mut durability, _prior) =
             Durability::open(dir, io, self.metrics.clone(), wal_compact_threshold())?;
-        durability.rotate(self.state.snapshot_payload())?;
+        durability.rotate(&*self.state)?;
         self.durability = Some(durability);
         self.durability_error = None;
         Ok(())
@@ -631,7 +634,7 @@ impl SemanticWebDatabase {
         let Some(durability) = self.durability.as_mut() else {
             return Ok(false);
         };
-        match durability.rotate(self.state.snapshot_payload()) {
+        match durability.rotate(&*self.state) {
             Ok(()) => Ok(true),
             Err(e) => {
                 self.detach_durability(&format!("snapshot rotation failed ({e})"));
@@ -703,7 +706,7 @@ impl SemanticWebDatabase {
         let failed = match durability.commit(&[record]) {
             Err(e) => Some(format!("WAL commit failed ({e})")),
             Ok(()) if durability.needs_compaction() => durability
-                .rotate(next.snapshot_payload())
+                .rotate(next)
                 .err()
                 .map(|e| format!("WAL compaction rotation failed ({e})")),
             Ok(()) => None,
@@ -1144,16 +1147,20 @@ impl SemanticWebDatabase {
     ///
     /// The core of the *asserted* set is read off an [`IdCoreEngine`] in id
     /// space — the evaluation engine under simple entailment, and under
-    /// RDFS one built over the asserted store for this call — and diffed
+    /// RDFS one built for this call as a view of the asserted index, so it
+    /// copies no index of its own — and diffed
     /// against the store's ids, so only the dropped triples are decoded. The
     /// core is a subset (the engine retracts, never renames), so the drop is
     /// one `remove_graph`.
     pub fn minimize_with_status(&mut self) -> (usize, bool) {
         let asserted = (self.state.regime == EntailmentRegime::Rdfs).then(|| {
-            let (store, budget) = (self.state.reasoner.store(), self.state.core_budget);
-            let ids = store.iter_ids();
+            let store = self.state.reasoner.store();
             // Disabled metrics: the gauges keep mirroring the evaluation engine.
-            IdCoreEngine::from_triples_budgeted(ids, store.dictionary(), Metrics::default(), budget)
+            let mut engine = IdCoreEngine::new();
+            engine.set_core_budget(self.state.core_budget);
+            let all: Vec<IdTriple> = store.iter_ids().collect();
+            engine.apply_delta_over(store.id_index(), &all, &[], store.dictionary());
+            engine
         });
         if asserted.is_none() {
             self.ensure_evaluation();
@@ -1985,7 +1992,12 @@ mod tests {
             ("ex:c", "ex:q", "_:W"),
             ("_:W", "ex:r", "_:Z"),
         ]));
-        let payload = db.state.snapshot_payload();
+        // A state's segment, decoded.
+        let image = |state: &State| {
+            let bytes = swdb_durable::snapshot::encode(&state, 0).expect("encode");
+            SnapshotPayload::decode(&bytes).expect("decode").0
+        };
+        let payload = image(&db.state);
         let components = &payload.evaluation[0].components;
         assert!(components.iter().any(|c| c.uncored), "one is uncored");
         assert!(
@@ -1996,8 +2008,8 @@ mod tests {
         );
         let [one, four] =
             [1, 4].map(|threads| State::restore(&payload, threads, &Metrics::default()));
-        assert_eq!(one.snapshot_payload(), payload);
-        assert_eq!(four.snapshot_payload(), payload);
+        assert_eq!(image(&one), payload);
+        assert_eq!(image(&four), payload);
         let (a, b) = (one.evaluation().index(), four.evaluation().index());
         assert!(a.iter().eq(b.iter()));
         assert!(four.evaluation().is_degraded());

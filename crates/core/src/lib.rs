@@ -60,7 +60,9 @@
 //! automatic compaction past `SWDB_WAL_COMPACT` records — rotates a
 //! versioned, checksummed **snapshot** of the entire state (dictionary,
 //! base store, maintained closure, the core engine's state including
-//! degraded-mode flags) and truncates the log.
+//! degraded-mode flags) and truncates the log. The snapshot streams from
+//! the live state to disk in chunks and is read back the same way, so a
+//! rotation holds a few chunk buffers, never an image of the state.
 //!
 //! [`SemanticWebDatabase::open`] recovers: the newest valid snapshot
 //! loads by pure deserialization — **no closure fixpoint, no core

@@ -8,6 +8,7 @@
 //! fault injector) may have torn or flipped, and the contract is that they
 //! return errors, never panic.
 
+use std::borrow::Cow;
 use std::{fmt, io};
 
 use swdb_model::Term;
@@ -41,16 +42,51 @@ pub fn length_field(len: usize) -> io::Result<u32> {
     u32::try_from(len).map_err(|_| long())
 }
 
-/// A bounds-checked cursor over an encoded byte slice.
+/// The chunk a segment is written and read back in, in bytes.
+pub const CHUNK: usize = 64 << 10;
+
+/// A bounds-checked cursor over encoded bytes: a slice, or input read in
+/// chunks ([`Reader::chunked`]), of which it holds one at a time.
 pub struct Reader<'a> {
-    bytes: &'a [u8],
+    bytes: Cow<'a, [u8]>,
+    /// `bytes[at..end]` is read in and not taken yet; `pos` of the input's
+    /// `len` bytes are taken.
+    at: usize,
+    end: usize,
     pos: usize,
+    len: usize,
+    more: Option<&'a mut Refill<'a>>,
 }
+
+/// Reads more input into a slice: the bytes read, 0 at its end.
+pub type Refill<'a> = dyn FnMut(&mut [u8]) -> io::Result<usize> + 'a;
 
 impl<'a> Reader<'a> {
     /// A reader over the whole slice.
     pub fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, pos: 0 }
+        Reader::over(Cow::Borrowed(bytes), bytes.len(), bytes.len(), None)
+    }
+
+    /// A reader over `len` bytes that `more` reads in, [`CHUNK`] at a time.
+    pub fn chunked(len: usize, more: &'a mut Refill<'a>) -> Self {
+        Reader::over(Cow::Owned(vec![0; CHUNK]), 0, len, Some(more))
+    }
+
+    fn over(
+        bytes: Cow<'a, [u8]>,
+        end: usize,
+        len: usize,
+        more: Option<&'a mut Refill<'a>>,
+    ) -> Self {
+        let (at, pos) = (0, 0);
+        Reader {
+            bytes,
+            at,
+            end,
+            pos,
+            len,
+            more,
+        }
     }
 
     /// Current byte offset.
@@ -60,12 +96,12 @@ impl<'a> Reader<'a> {
 
     /// Bytes left to read.
     pub fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
+        self.len - self.pos
     }
 
     /// Returns `Ok` only if every byte has been consumed.
     pub fn finish(self) -> Result<(), DecodeError> {
-        if self.pos == self.bytes.len() {
+        if self.remaining() == 0 {
             Ok(())
         } else {
             Err(DecodeError {
@@ -75,24 +111,50 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn take(&mut self, n: usize, expected: &'static str) -> Result<&'a [u8], DecodeError> {
-        if self.remaining() < n {
-            return Err(DecodeError {
-                offset: self.pos,
-                expected,
-            });
+    /// The next `n` bytes, read in first if the chunk holds fewer.
+    #[inline]
+    fn take(&mut self, n: usize, expected: &'static str) -> Result<&[u8], DecodeError> {
+        if self.end - self.at < n {
+            self.read_in(n, expected)?;
         }
-        let out = &self.bytes[self.pos..self.pos + n];
+        self.at += n;
         self.pos += n;
-        Ok(out)
+        Ok(&self.bytes[self.at - n..self.at])
+    }
+
+    /// Reads in at least `n` bytes past `at`, or fails as `expected`: a
+    /// slice has nothing more to read.
+    fn read_in(&mut self, n: usize, expected: &'static str) -> Result<(), DecodeError> {
+        let short = DecodeError {
+            offset: self.pos,
+            expected,
+        };
+        let enough = self.len - self.pos >= n;
+        let more = self.more.as_mut().filter(|_| enough).ok_or(short.clone())?;
+        let buf = self.bytes.to_mut();
+        buf.copy_within(self.at..self.end, 0);
+        (self.end, self.at) = (self.end - self.at, 0);
+        let want = n.max(buf.len()).min(self.len - self.pos);
+        if buf.len() < want {
+            buf.resize(want, 0);
+        }
+        while self.end < want {
+            match more(&mut buf[self.end..want]) {
+                Ok(got) if got > 0 => self.end += got,
+                _ => return Err(short),
+            }
+        }
+        Ok(())
     }
 
     /// Reads one byte.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, DecodeError> {
         Ok(self.take(1, "u8")?[0])
     }
 
     /// Reads a little-endian u32.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, DecodeError> {
         let b = self.take(4, "u32")?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
@@ -109,11 +171,12 @@ impl<'a> Reader<'a> {
     /// Reads a length-prefixed UTF-8 string, borrowed from the input. The
     /// length is validated against the remaining input, so a corrupted
     /// length cannot balloon memory.
-    pub fn str(&mut self) -> Result<&'a str, DecodeError> {
+    pub fn str(&mut self) -> Result<&str, DecodeError> {
         let len = self.u32()? as usize;
+        let offset = self.pos;
         let raw = self.take(len, "string bytes")?;
         std::str::from_utf8(raw).map_err(|_| DecodeError {
-            offset: self.pos - len,
+            offset,
             expected: "utf-8 string",
         })
     }
@@ -126,13 +189,12 @@ impl<'a> Reader<'a> {
 
     /// Reads a tagged [`Term`] (0 = IRI, 1 = blank).
     pub fn term(&mut self) -> Result<Term, DecodeError> {
-        let tag = self.u8()?;
-        let text = self.str()?;
-        match tag {
-            0 => Ok(Term::iri(text)),
-            1 => Ok(Term::blank(text)),
+        let (tag, offset) = (self.u8()?, self.pos);
+        match (tag, self.str()?) {
+            (0, text) => Ok(Term::iri(text)),
+            (1, text) => Ok(Term::blank(text)),
             _ => Err(DecodeError {
-                offset: self.pos,
+                offset,
                 expected: "term tag 0|1",
             }),
         }
@@ -140,20 +202,17 @@ impl<'a> Reader<'a> {
 
     /// Reads an [`IdTriple`] (three little-endian u32s), bounds-checked
     /// once.
+    #[inline]
     pub fn id_triple(&mut self) -> Result<IdTriple, DecodeError> {
         let b = self.take(12, "id triple")?;
         let id = |i: usize| u32::from_le_bytes([b[i], b[i + 1], b[i + 2], b[i + 3]]);
         Ok((id(0), id(4), id(8)))
     }
 
-    /// Reads a length-prefixed vector via `item`. The count is sanity
-    /// checked against the minimum encoded size of one item so corrupted
-    /// counts fail fast instead of allocating.
-    pub fn vec<T>(
-        &mut self,
-        min_item_bytes: usize,
-        mut item: impl FnMut(&mut Self) -> Result<T, DecodeError>,
-    ) -> Result<Vec<T>, DecodeError> {
+    /// Reads a vector's count. It is sanity checked against the minimum
+    /// encoded size of one item so corrupted counts fail fast instead of
+    /// allocating.
+    pub fn count(&mut self, min_item_bytes: usize) -> Result<usize, DecodeError> {
         let count = self.u32()? as usize;
         if count.saturating_mul(min_item_bytes.max(1)) > self.remaining() {
             return Err(DecodeError {
@@ -161,50 +220,78 @@ impl<'a> Reader<'a> {
                 expected: "vector items",
             });
         }
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            out.push(item(self)?);
-        }
-        Ok(out)
+        Ok(count)
     }
 }
 
-/// An append-only encoder; the write-side mirror of [`Reader`].
+/// An append-only encoder; the write-side mirror of [`Reader`], into any
+/// [`io::Write`]: a `Vec`, or a snapshot segment's buffered file. The
+/// first write error sticks, and [`Writer::finish`] returns it.
 #[derive(Default)]
-pub struct Writer {
-    bytes: Vec<u8>,
+pub struct Writer<W = Vec<u8>> {
+    out: W,
+    failed: Option<io::Error>,
 }
 
 impl Writer {
-    /// An empty encoder.
+    /// An empty in-memory encoder.
     pub fn new() -> Self {
         Writer::default()
     }
 
-    /// The encoded bytes.
+    /// The encoded bytes; an in-memory write fails only on a field too
+    /// long to encode, which panics.
     pub fn into_bytes(self) -> Vec<u8> {
-        self.bytes
+        let (bytes, written) = self.finish();
+        written.expect("a field too long to encode");
+        bytes
+    }
+}
+
+impl<W: io::Write> Writer<W> {
+    /// An encoder writing into `out`.
+    pub fn to(out: W) -> Self {
+        Writer { out, failed: None }
+    }
+
+    /// The sink, and the first error a write met.
+    pub fn finish(self) -> (W, io::Result<()>) {
+        (self.out, self.failed.map_or(Ok(()), Err))
+    }
+
+    fn put(&mut self, bytes: &[u8]) {
+        if self.failed.is_none() {
+            self.failed = self.out.write_all(bytes).err();
+        }
     }
 
     /// Appends one byte.
     pub fn u8(&mut self, v: u8) {
-        self.bytes.push(v);
+        self.put(&[v]);
     }
 
     /// Appends a little-endian u32.
     pub fn u32(&mut self, v: u32) {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     /// Appends a little-endian u64.
     pub fn u64(&mut self, v: u64) {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
+    }
+
+    /// Appends a count or a length as a u32 ([`length_field`]).
+    pub fn count(&mut self, n: usize) {
+        match length_field(n) {
+            Ok(n) => self.u32(n),
+            Err(e) => _ = self.failed.get_or_insert(e),
+        }
     }
 
     /// Appends a length-prefixed UTF-8 string.
     pub fn string(&mut self, s: &str) {
-        self.u32(u32::try_from(s.len()).expect("string too long to encode"));
-        self.bytes.extend_from_slice(s.as_bytes());
+        self.count(s.len());
+        self.put(s.as_bytes());
     }
 
     /// Appends a tagged [`Term`].
@@ -228,11 +315,18 @@ impl Writer {
         self.u32(o);
     }
 
-    /// Appends a length-prefixed vector via `item`.
-    pub fn vec<T>(&mut self, items: &[T], mut item: impl FnMut(&mut Self, &T)) {
-        self.u32(u32::try_from(items.len()).expect("vector too long to encode"));
-        for it in items {
-            item(self, it);
+    /// Appends a counted sequence: `len`, then each of `items` via `item`.
+    /// Items that disagree with `len` are an `InvalidData` error, not a
+    /// misframed encoding.
+    pub fn seq<T>(
+        &mut self,
+        (len, items): (usize, impl Iterator<Item = T>),
+        mut item: impl FnMut(&mut Self, T),
+    ) {
+        self.count(len);
+        if items.map(|it| item(self, it)).count() != len {
+            let e = "a sequence's items disagree with its count";
+            _ = (self.failed).get_or_insert(io::Error::new(io::ErrorKind::InvalidData, e));
         }
     }
 }
@@ -260,7 +354,7 @@ mod tests {
         w.term(&Term::iri("ex:a"));
         w.term(&Term::blank("b0"));
         w.id_triple((1, 2, 3));
-        w.vec(&[10u32, 20, 30], |w, &v| w.u32(v));
+        w.seq((3, [10u32, 20, 30].into_iter()), Writer::u32);
         let bytes = w.into_bytes();
 
         let mut r = Reader::new(&bytes);
@@ -271,7 +365,11 @@ mod tests {
         assert_eq!(r.term().unwrap(), Term::iri("ex:a"));
         assert_eq!(r.term().unwrap(), Term::blank("b0"));
         assert_eq!(r.id_triple().unwrap(), (1, 2, 3));
-        assert_eq!(r.vec(4, |r| r.u32()).unwrap(), vec![10, 20, 30]);
+        assert_eq!(r.count(4).unwrap(), 3);
+        assert_eq!(
+            [r.u32(), r.u32(), r.u32()].map(Result::unwrap),
+            [10, 20, 30]
+        );
         r.finish().unwrap();
     }
 
@@ -299,7 +397,7 @@ mod tests {
         let mut w = Writer::new();
         w.u32(u32::MAX);
         let bytes = w.into_bytes();
-        assert!(Reader::new(&bytes).vec(12, |r| r.id_triple()).is_err());
+        assert!(Reader::new(&bytes).count(12).is_err());
     }
 
     #[test]

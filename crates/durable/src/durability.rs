@@ -6,11 +6,13 @@
 //! directory) plus `wal-<g>.log` with every mutation committed since. A
 //! rotation to `g+1` is crash-safe by ordering alone:
 //!
-//! 1. write `snapshot-<g+1>.tmp` whole and fsync it;
+//! 1. stream `snapshot-<g+1>.tmp` from the live state, chunk by chunk,
+//!    and fsync it;
 //! 2. rename it to `snapshot-<g+1>.seg` and fsync the directory;
-//! 3. **read the segment back and verify it** — a disk that acknowledged
-//!    the write but corrupted the bytes is caught *before* anything is
-//!    deleted, and the damaged segment is removed again;
+//! 3. **read the segment back and verify it**, chunk by chunk — a disk
+//!    that acknowledged the write but corrupted the bytes is caught
+//!    *before* anything is deleted, and the damaged segment is removed
+//!    again;
 //! 4. create the empty `wal-<g+1>.log` and fsync the directory;
 //! 5. best-effort delete the old generation's files.
 //!
@@ -22,14 +24,14 @@
 //! drop the durability handle and continue in memory — the directory is
 //! left in a state the next `open` recovers.
 
-use std::io;
+use std::io::{self, Read as _};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use swdb_obs::{Counter, Gauge, Hist, Metrics};
 
 use crate::io::Io;
-use crate::snapshot::SnapshotPayload;
+use crate::snapshot::{self, SnapshotPayload, SnapshotSource};
 use crate::wal::{self, WalRecord};
 
 /// Default WAL compaction threshold (records) when `SWDB_WAL_COMPACT` is
@@ -110,12 +112,11 @@ impl Durability {
         let mut chosen: Option<(u64, SnapshotPayload)> = None;
         let decode_span = metrics.span(Hist::SpanSnapshotDecodeNs);
         for &gen in snapshot_gens.iter().rev() {
-            if let Ok(bytes) = io.read(&Self::snapshot_path(dir, gen)) {
-                if let Ok((payload, stamped)) = SnapshotPayload::decode(&bytes) {
-                    if stamped == gen {
-                        chosen = Some((gen, payload));
-                        break;
-                    }
+            let path = Self::snapshot_path(dir, gen);
+            if let Ok((payload, stamped)) = snapshot::read_segment(&path, true, |f, b| f.read(b)) {
+                if stamped == gen {
+                    chosen = Some((gen, payload));
+                    break;
                 }
             }
         }
@@ -249,26 +250,23 @@ impl Durability {
         Ok(())
     }
 
-    /// Rotates to a new generation: writes `payload` as the next snapshot
+    /// Rotates to a new generation: streams `source` as the next snapshot
     /// segment (temp + fsync + rename + read-back verify), starts a fresh
     /// empty WAL, then deletes the previous generation's files. On error
     /// the on-disk state is recoverable by the next `open` — either the
     /// old generation (verification failed before anything was deleted) or
     /// the new one (the crash window after the rename).
     ///
-    /// One image of the state is held at a time: `payload` is dropped once
-    /// encoded and the encoded bytes once written, before the read-back
-    /// decode allocates its own.
-    pub fn rotate(&mut self, payload: SnapshotPayload) -> io::Result<()> {
+    /// No image of the state is held: the segment is written from `source`
+    /// one chunk at a time ([`snapshot::write_segment`]), and read back the
+    /// same way ([`snapshot::read_segment`]).
+    pub fn rotate(&mut self, source: impl SnapshotSource) -> io::Result<()> {
         let _span = self.metrics.span(Hist::SpanSnapshotWriteNs);
         let next = self.generation + 1;
-        let bytes = payload.encode(next)?;
-        drop(payload);
         let tmp = Self::snapshot_tmp_path(&self.dir, next);
         let seg = Self::snapshot_path(&self.dir, next);
 
-        self.io.write_new(&tmp, &bytes)?;
-        drop(bytes);
+        snapshot::write_segment(&*self.io, &tmp, next, &source)?;
         self.io.rename(&tmp, &seg)?;
         self.io.sync_dir(&self.dir)?;
 
@@ -276,14 +274,11 @@ impl Durability {
         // stored damaged bytes must be caught while the old generation is
         // still intact. On failure the bad segment is removed so a later
         // `open` does not have to skip past it.
-        let verify_failed = match self.io.read(&seg) {
-            Ok(on_disk) => !matches!(
-                SnapshotPayload::decode(&on_disk),
-                Ok((_, stamped)) if stamped == next
-            ),
-            Err(_) => true,
-        };
-        if verify_failed {
+        let verify = self.metrics.span(Hist::SpanSnapshotVerifyNs);
+        let read_back = snapshot::read_segment(&seg, false, |f, b| self.io.read_chunk(f, b));
+        let verified = read_back.is_ok_and(|(_, stamped)| stamped == next);
+        drop(verify);
+        if !verified {
             let _ = self.io.remove(&seg);
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -581,6 +576,81 @@ mod tests {
         assert!(d.needs_compaction());
         d.rotate(sample_payload()).unwrap();
         assert!(!d.needs_compaction());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A payload whose segment spans several chunks.
+    fn large_payload() -> SnapshotPayload {
+        let mut payload = sample_payload();
+        payload.terms = (0..5_000).map(|i| Term::iri(format!("ex:t{i}"))).collect();
+        payload.base = (0..15_000)
+            .map(|i| (i % 5_000, 1, (i * 3) % 5_000))
+            .collect();
+        payload
+    }
+
+    #[test]
+    fn a_fault_at_every_chunk_of_a_long_rotation_leaves_a_recoverable_directory() {
+        let chunks = large_payload().encode(1).unwrap().len() / crate::snapshot::CHUNK;
+        assert!(chunks >= 3, "the segment spans several chunks");
+        let kinds = [FaultKind::Fail, FaultKind::Truncate, FaultKind::Corrupt];
+        let mut rotation_ops = None;
+        for kind in kinds {
+            for at in 0.. {
+                let dir = tmp_dir(&format!("chunks-{at}"));
+                let fault = FaultIo::new();
+                let io: Arc<dyn Io> = Arc::new(fault.clone());
+                let (mut d, _) =
+                    Durability::open(&dir, io.clone(), Metrics::default(), 100).unwrap();
+                d.commit(&records(2)).unwrap();
+                fault.arm(at, kind);
+                let result = d.rotate(large_payload());
+                let (landed, ops) = (fault.injected() > 0, fault.ops());
+                fault.disarm();
+                drop(d);
+
+                let (d, recovered) = Durability::open(&dir, io, Metrics::default(), 100).unwrap();
+                if d.generation() == 0 {
+                    assert!(result.is_err(), "at={at} {kind:?}");
+                    assert_eq!(recovered.wal, records(2), "at={at} {kind:?}");
+                } else {
+                    assert_eq!(
+                        recovered.snapshot,
+                        Some(large_payload()),
+                        "at={at} {kind:?}"
+                    );
+                }
+                let _ = std::fs::remove_dir_all(&dir);
+                if !landed {
+                    assert!(result.is_ok());
+                    rotation_ops.get_or_insert(ops);
+                    break;
+                }
+            }
+        }
+        let ops = rotation_ops.expect("a clean rotation");
+        assert!(
+            ops as usize > 2 * chunks,
+            "each chunk is a fault site both ways"
+        );
+    }
+
+    #[test]
+    fn a_segment_with_an_id_past_the_dictionary_fails_the_read_back_and_keeps_the_old_generation() {
+        let dir = tmp_dir("out-of-bounds");
+        let io: Arc<dyn Io> = Arc::new(StdIo);
+        let (mut d, _) = Durability::open(&dir, io.clone(), Metrics::default(), 100).unwrap();
+        d.commit(&records(2)).unwrap();
+        let mut payload = large_payload();
+        payload.closure.push((payload.terms.len() as u32, 0, 0));
+        let err = d.rotate(payload).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        drop(d);
+
+        let (d, recovered) = Durability::open(&dir, io, Metrics::default(), 100).unwrap();
+        assert_eq!(d.generation(), 0);
+        assert!(recovered.snapshot.is_none());
+        assert_eq!(recovered.wal, records(2));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

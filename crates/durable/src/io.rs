@@ -3,13 +3,17 @@
 //!
 //! Every filesystem touch of the snapshot/WAL machinery goes through the
 //! [`Io`] trait, one call per *fault site*: a write, a sync, a rename, a
-//! delete, a truncate. Production uses [`StdIo`] (plain `std::fs` with real
-//! `fsync`s). Tests wrap it in [`FaultIo`], which counts write-point
-//! operations and injects a configured [`FaultKind`] at the k-th one —
-//! failing it, tearing it mid-write, acknowledging it while corrupting a
-//! bit on disk, or panicking in place of it. Iterating k over a run's whole
-//! operation count and reopening after each injected fault is exactly the
-//! crash-point matrix the recovery tests sweep.
+//! delete, a truncate, one chunk of a snapshot segment written or read
+//! back by a rotation (a segment's file is opened directly, and recovery
+//! reads it directly, unfaulted, as it reads the WAL through
+//! [`Io::read`]). Production uses [`StdIo`] (plain `std::fs` with real
+//! `fsync`s). Tests wrap it in [`FaultIo`],
+//! which counts write-point operations and injects a configured
+//! [`FaultKind`] at the k-th one — failing it, tearing it mid-write,
+//! acknowledging it while corrupting a bit on disk, or panicking in place
+//! of it. Iterating k over a run's whole operation count and reopening
+//! after each injected fault is exactly the crash-point matrix the
+//! recovery tests sweep.
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -42,6 +46,28 @@ pub trait Io: fmt::Debug + Send + Sync {
     fn remove(&self, path: &Path) -> io::Result<()>;
     /// Truncates a file to `len` bytes and fsyncs it.
     fn truncate(&self, path: &Path, len: u64) -> io::Result<()>;
+
+    /// Appends one chunk to a file being written in chunks (no fsync):
+    /// any number of these, then one [`Io::finish_chunks`].
+    fn write_chunk(&self, file: &mut File, bytes: &[u8]) -> io::Result<()> {
+        file.write_all(bytes)
+    }
+
+    /// Appends the last chunk, overwrites the file's first bytes with
+    /// `head` — a header whose fields were known only at the end — and
+    /// fsyncs the file.
+    fn finish_chunks(&self, file: &mut File, last: &[u8], head: &[u8]) -> io::Result<()> {
+        file.write_all(last)?;
+        file.seek(SeekFrom::Start(0))?;
+        file.write_all(head)?;
+        file.sync_all()
+    }
+
+    /// Reads the next chunk of a file into `buf`: the bytes read, 0 at
+    /// its end.
+    fn read_chunk(&self, file: &mut File, buf: &mut [u8]) -> io::Result<usize> {
+        file.read(buf)
+    }
 }
 
 /// The production [`Io`]: plain `std::fs` with real fsyncs.
@@ -140,9 +166,11 @@ struct FaultState {
 
 /// A fault-injecting [`Io`] wrapping [`StdIo`]. Clones share the same
 /// counters, so a test can keep a handle while the durability layer owns
-/// another. Read-side operations (`read`, `list`, `create_dir_all`) are
-/// never faulted — the crash model interrupts *writes*; recovery itself is
-/// exercised against already-damaged files.
+/// another. Recovery's read-side operations (`read`, `list`,
+/// `create_dir_all`) are never faulted — the crash model interrupts
+/// *writes*; recovery itself is exercised against already-damaged files.
+/// A rotation's read-back is: a [`Io::read_chunk`] can fail or flip a bit,
+/// and the rotation must then keep the old generation.
 #[derive(Clone, Debug)]
 pub struct FaultIo {
     inner: Arc<FaultState>,
@@ -218,6 +246,25 @@ impl FaultIo {
         }
     }
 
+    /// One data-carrying write point: `write` gets the bytes that reach the
+    /// disk — all of them, a torn prefix or a flipped copy — and is not
+    /// called when a fault leaves nothing to write.
+    fn data_write(
+        &self,
+        what: &str,
+        bytes: &[u8],
+        write: impl FnOnce(&[u8]) -> io::Result<()>,
+    ) -> io::Result<()> {
+        let Some(kind) = self.tick() else {
+            return write(bytes);
+        };
+        let (on_disk, ack) = Self::mangle(kind, bytes);
+        if !on_disk.is_empty() || ack {
+            write(&on_disk)?;
+        }
+        ack.then_some(()).ok_or_else(|| Self::injected_err(what))
+    }
+
     fn injected_err(what: &str) -> io::Error {
         io::Error::other(format!("injected fault: {what}"))
     }
@@ -254,37 +301,11 @@ impl Io for FaultIo {
     }
 
     fn write_new(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        match self.tick() {
-            None => StdIo.write_new(path, bytes),
-            Some(kind) => {
-                let (on_disk, ack) = Self::mangle(kind, bytes);
-                if !on_disk.is_empty() || ack {
-                    StdIo.write_new(path, &on_disk)?;
-                }
-                if ack {
-                    Ok(())
-                } else {
-                    Err(Self::injected_err("write_new"))
-                }
-            }
-        }
+        self.data_write("write_new", bytes, |b| StdIo.write_new(path, b))
     }
 
     fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        match self.tick() {
-            None => StdIo.append(path, bytes),
-            Some(kind) => {
-                let (on_disk, ack) = Self::mangle(kind, bytes);
-                if !on_disk.is_empty() {
-                    StdIo.append(path, &on_disk)?;
-                }
-                if ack {
-                    Ok(())
-                } else {
-                    Err(Self::injected_err("append"))
-                }
-            }
-        }
+        self.data_write("append", bytes, |b| StdIo.append(path, b))
     }
 
     fn sync(&self, path: &Path) -> io::Result<()> {
@@ -326,15 +347,37 @@ impl Io for FaultIo {
             Some(_) => Err(Self::injected_err("truncate")),
         }
     }
-}
 
-/// A seek-free helper used by recovery tests: reads a file region.
-pub fn read_region(path: &Path, offset: u64, len: usize) -> io::Result<Vec<u8>> {
-    let mut file = File::open(path)?;
-    file.seek(SeekFrom::Start(offset))?;
-    let mut buf = vec![0u8; len];
-    file.read_exact(&mut buf)?;
-    Ok(buf)
+    fn write_chunk(&self, file: &mut File, bytes: &[u8]) -> io::Result<()> {
+        self.data_write("write_chunk", bytes, |b| StdIo.write_chunk(file, b))
+    }
+
+    fn finish_chunks(&self, file: &mut File, last: &[u8], head: &[u8]) -> io::Result<()> {
+        let Some(kind) = self.tick() else {
+            return StdIo.finish_chunks(file, last, head);
+        };
+        match Self::mangle(kind, last) {
+            (on_disk, true) => StdIo.finish_chunks(file, &on_disk, head),
+            (on_disk, false) => {
+                StdIo.write_chunk(file, &on_disk)?;
+                Err(Self::injected_err("finish_chunks"))
+            }
+        }
+    }
+
+    fn read_chunk(&self, file: &mut File, buf: &mut [u8]) -> io::Result<usize> {
+        match self.tick() {
+            None => StdIo.read_chunk(file, buf),
+            Some(FaultKind::Corrupt) => {
+                let got = StdIo.read_chunk(file, buf)?;
+                if got > 0 {
+                    buf[got / 2] ^= 0x40;
+                }
+                Ok(got)
+            }
+            Some(_) => Err(Self::injected_err("read_chunk")),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -14,9 +14,10 @@
 //! (length-prefixed, per-record-checksummed mutation records committed
 //! after that snapshot). Commits are group-committed: one append plus one
 //! fsync per facade mutation, however many records it produced. Rotations
-//! write the new snapshot to a temp file, fsync, rename, fsync the
-//! directory, **verify the segment by reading it back**, create the next
-//! WAL, and only then delete the previous generation.
+//! stream the new snapshot from the live state to a temp file in chunks,
+//! fsync, rename, fsync the directory, **verify the segment by reading it
+//! back** in chunks, create the next WAL, and only then delete the
+//! previous generation.
 //!
 //! ## Torn tails and lying disks
 //!
@@ -32,7 +33,7 @@
 //! ## Fault injection
 //!
 //! Everything reaches the filesystem through the [`Io`] trait — one method
-//! per fault site. [`FaultIo`] wraps the production [`StdIo`] and injects
+//! per fault site, a snapshot segment's chunks among them. [`FaultIo`] wraps the production [`StdIo`] and injects
 //! a [`FaultKind`] (clean failure, torn write, or acknowledged corruption)
 //! at the k-th write-point operation, which is how the crash-point matrix
 //! tests prove every interruption recovers to a consistent state.
@@ -50,5 +51,5 @@ pub mod wal;
 pub use crc::crc32;
 pub use durability::{Durability, Recovered, DEFAULT_WAL_COMPACT_THRESHOLD};
 pub use io::{FaultIo, FaultKind, Io, StdIo};
-pub use snapshot::{SnapshotError, SnapshotPayload, SNAPSHOT_VERSION};
+pub use snapshot::{SnapshotError, SnapshotPayload, SnapshotSource, SNAPSHOT_VERSION};
 pub use wal::{WalRecord, WalScan};

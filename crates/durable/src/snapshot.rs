@@ -14,20 +14,29 @@
 //! File layout: `[magic 8][version u32][generation u64][len u32]
 //! [crc u32][payload]`, where the checksum covers
 //! `version ∥ generation ∥ payload` — a flipped bit anywhere except the
-//! (structurally validated) magic and length is caught. Snapshots are
-//! written whole to a temp file, fsynced, then renamed into place — a
-//! reader never observes a partially written segment under its final name,
-//! and a corrupted one fails its checksum and is ignored in favour of the
-//! previous generation.
+//! (structurally validated) magic and length is caught. One encoder
+//! streams a segment from a [`SnapshotSource`], the live state or a
+//! [`SnapshotPayload`], through a [`CHUNK`]-sized buffer; the header's
+//! length and CRC are patched in last. It goes to a temp file, fsynced,
+//! then renamed into place — a reader never observes a partially written
+//! segment under its final name. One structural decoder reads segments
+//! back: recovery keeps what it reads, a rotation's read-back keeps
+//! nothing ([`read_segment`]). A corrupted segment fails its checksum
+//! and is ignored in favour of the previous generation.
 
-use std::io;
+use std::collections::BTreeSet;
+use std::fs::File;
+use std::io::{self, Write as _};
+use std::path::Path;
 
 use swdb_model::Term;
-use swdb_normal::{ComponentState, CoreEngineState};
-use swdb_store::IdTriple;
+use swdb_normal::{ComponentState, CoreEngineState, IdCoreEngine};
+use swdb_store::{Dictionary, IdTriple};
 
+pub use crate::codec::CHUNK;
 use crate::codec::{length_field, DecodeError, Reader, Writer};
 use crate::crc::Crc32;
+use crate::io::Io;
 
 /// Magic prefix of every snapshot segment.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"SWDBSNAP";
@@ -35,6 +44,9 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"SWDBSNAP";
 /// Current segment format version. Bump on any layout change; readers
 /// reject versions they do not understand rather than misparse them.
 pub const SNAPSHOT_VERSION: u32 = 1;
+
+/// Bytes of the header: magic, version, generation, length and CRC.
+const HEADER_LEN: usize = 28;
 
 /// The complete durable image of a database.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -91,137 +103,347 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// The segment checksum: covers version, generation, and payload so a
-/// flipped bit in any of them is detected. The three are fed through one
-/// incremental state, so the payload is never copied.
-fn stamped_crc(version: u32, generation: u64, payload: &[u8]) -> u32 {
-    let mut crc = Crc32::default();
-    crc.update(&version.to_le_bytes());
-    crc.update(&generation.to_le_bytes());
-    crc.update(payload);
-    crc.finish()
+/// A counted run: a segment writes the count before the items.
+pub type Run<'a, T> = (usize, Box<dyn Iterator<Item = T> + 'a>);
+
+/// A [`Run`] of `len` `items`.
+pub fn run<'a, T>(len: usize, items: impl Iterator<Item = T> + 'a) -> Run<'a, T> {
+    (len, Box::new(items))
 }
 
-fn encode_engine_state(w: &mut Writer, state: &CoreEngineState) {
-    w.vec(&state.ground, |w, &t| w.id_triple(t));
-    w.vec(&state.components, |w, c| {
-        w.vec(&c.full, |w, &t| w.id_triple(t));
-        w.vec(&c.survivors, |w, &t| w.id_triple(t));
-        w.vec(&c.support, |w, &t| w.id_triple(t));
-        w.u8(c.uncored as u8);
+/// What the one encoder writes: a [`SnapshotPayload`]'s fields in the
+/// segment's order, borrowed as counted runs.
+pub struct Sections<'a> {
+    /// Regime, budget mode, budget steps and budget milliseconds.
+    pub settings: (u8, u8, u64, u64),
+    /// Every interned term, in id order.
+    pub terms: Run<'a, &'a Term>,
+    /// The asserted triples, then the closure.
+    pub runs: [Run<'a, IdTriple>; 2],
+    /// The evaluation engines, then the asserted-core engines.
+    pub engines: [Run<'a, EngineRuns<'a>>; 2],
+}
+
+/// A [`CoreEngineState`] as counted runs: the ground triples, then each
+/// component's full, survivor and support triples and its uncored flag.
+pub type EngineRuns<'a> = (Run<'a, IdTriple>, Run<'a, ([Run<'a, IdTriple>; 3], bool)>);
+
+/// A live engine's state as runs, borrowed.
+pub fn engine_runs<'a>(engine: &'a IdCoreEngine, dictionary: &'a Dictionary) -> EngineRuns<'a> {
+    let ((len, ground), (count, components)) =
+        (engine.ground_run(dictionary), engine.component_sets());
+    let set = |s: &'a BTreeSet<IdTriple>| run(s.len(), s.iter().copied());
+    let components = components.map(move |(sets, uncored)| (sets.map(set), uncored));
+    (run(len, ground), run(count, components))
+}
+
+/// What a segment is written from: the live state, or a [`SnapshotPayload`].
+pub trait SnapshotSource {
+    /// The sections to write.
+    fn sections(&self) -> Sections<'_>;
+}
+
+impl<S: SnapshotSource> SnapshotSource for &S {
+    fn sections(&self) -> Sections<'_> {
+        (**self).sections()
+    }
+}
+
+fn triples(items: &[IdTriple]) -> Run<'_, IdTriple> {
+    run(items.len(), items.iter().copied())
+}
+
+fn engines(states: &[CoreEngineState]) -> Run<'_, EngineRuns<'_>> {
+    let engines = states.iter().map(|s| {
+        let components = s.components.iter();
+        let components = components.map(|c: &ComponentState| {
+            let runs = [&c.full, &c.survivors, &c.support];
+            (runs.map(|r| triples(r)), c.uncored)
+        });
+        (triples(&s.ground), run(s.components.len(), components))
     });
+    run(states.len(), engines)
 }
 
-fn decode_engine_state(r: &mut Reader<'_>) -> Result<CoreEngineState, DecodeError> {
-    let ground = r.vec(12, |r| r.id_triple())?;
-    let components = r.vec(13, |r| {
-        Ok(ComponentState {
-            full: r.vec(12, |r| r.id_triple())?,
-            survivors: r.vec(12, |r| r.id_triple())?,
-            support: r.vec(12, |r| r.id_triple())?,
-            uncored: r.u8()? != 0,
-        })
+impl SnapshotSource for SnapshotPayload {
+    fn sections(&self) -> Sections<'_> {
+        let budget = (self.budget_mode, self.budget_steps, self.budget_millis);
+        Sections {
+            settings: (self.regime, budget.0, budget.1, budget.2),
+            terms: run(self.terms.len(), self.terms.iter()),
+            runs: [triples(&self.base), triples(&self.closure)],
+            engines: [engines(&self.evaluation), engines(&self.asserted_core)],
+        }
+    }
+}
+
+/// The one encoder of a segment's payload.
+fn write_body<W: io::Write>(w: &mut Writer<W>, sections: Sections<'_>) {
+    let (regime, budget_mode, budget_steps, budget_millis) = sections.settings;
+    w.u8(regime);
+    w.u8(budget_mode);
+    w.u64(budget_steps);
+    w.u64(budget_millis);
+    w.seq(sections.terms, |w, t| w.term(t));
+    for run in sections.runs {
+        w.seq(run, Writer::id_triple);
+    }
+    for engines in sections.engines {
+        w.seq(engines, |w, (ground, components)| {
+            w.seq(ground, Writer::id_triple);
+            w.seq(components, |w, (runs, uncored)| {
+                runs.into_iter().for_each(|r| w.seq(r, Writer::id_triple));
+                w.u8(uncored as u8);
+            });
+        });
+    }
+}
+
+/// Feeds the checksum the bytes of `chunk`, which starts at offset `at`
+/// of a segment, that it covers: the version and generation (bytes
+/// 8..20), and the payload.
+fn checksum(crc: &mut Crc32, at: usize, chunk: &[u8]) {
+    for (lo, hi) in [(8, 20), (HEADER_LEN, usize::MAX)] {
+        let (lo, hi) = (lo.max(at), hi.min(at + chunk.len()));
+        if lo < hi {
+            crc.update(&chunk[lo - at..hi - at]);
+        }
+    }
+}
+
+/// The far side of the encoder's buffer: each full chunk goes to `out`,
+/// then to the checksum.
+struct Chunks<F> {
+    out: F,
+    crc: Crc32,
+    written: usize,
+}
+
+impl<F> Chunks<F> {
+    fn sum(&mut self, chunk: &[u8]) {
+        checksum(&mut self.crc, self.written, chunk);
+        self.written += chunk.len();
+    }
+}
+
+impl<F: FnMut(&[u8]) -> io::Result<()>> io::Write for Chunks<F> {
+    fn write(&mut self, chunk: &[u8]) -> io::Result<usize> {
+        (self.out)(chunk)?;
+        self.sum(chunk);
+        Ok(chunk.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Streams `source`'s segment for `generation`, header first with a zero
+/// length and CRC, through a [`CHUNK`]-sized buffer into `out`. Returns the
+/// chunk still buffered, never empty, and the finished header. A payload
+/// too long for the header's length field is an error ([`length_field`]).
+fn encode_segment(
+    generation: u64,
+    source: &impl SnapshotSource,
+    out: impl FnMut(&[u8]) -> io::Result<()>,
+) -> io::Result<(Vec<u8>, [u8; HEADER_LEN])> {
+    let mut head = [0; HEADER_LEN];
+    head[..8].copy_from_slice(SNAPSHOT_MAGIC);
+    head[8..12].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+    head[12..20].copy_from_slice(&generation.to_le_bytes());
+    let (crc, written) = (Crc32::default(), 0);
+    let mut buffered = io::BufWriter::with_capacity(CHUNK, Chunks { out, crc, written });
+    buffered.write_all(&head)?;
+    let mut w = Writer::to(buffered);
+    write_body(&mut w, source.sections());
+    let (buffered, status) = w.finish();
+    // Never dropped with a full buffer: that would write it once more.
+    let (mut chunks, last) = buffered.into_parts();
+    status?;
+    let last = last.expect("no chunk write panicked");
+    chunks.sum(&last);
+    let len = length_field(chunks.written - HEADER_LEN)?;
+    head[20..24].copy_from_slice(&len.to_le_bytes());
+    head[24..].copy_from_slice(&chunks.crc.finish().to_le_bytes());
+    Ok((last, head))
+}
+
+/// Writes `source`'s segment for `generation` to a new file at `path`: each
+/// full chunk is one [`Io::write_chunk`], and the last one, the header
+/// patch and the fsync are one [`Io::finish_chunks`].
+pub fn write_segment(
+    io: &dyn Io,
+    path: &Path,
+    generation: u64,
+    source: &impl SnapshotSource,
+) -> io::Result<()> {
+    let mut file = File::create(path)?;
+    let (last, head) = encode_segment(generation, source, |c| io.write_chunk(&mut file, c))?;
+    io.finish_chunks(&mut file, &last, &head)
+}
+
+/// `source`'s segment for `generation`, in memory: [`write_segment`]'s
+/// bytes.
+pub fn encode(source: &impl SnapshotSource, generation: u64) -> io::Result<Vec<u8>> {
+    let mut bytes = Vec::new();
+    let (last, head) = encode_segment(generation, source, |c| {
+        bytes.extend_from_slice(c);
+        Ok(())
     })?;
-    Ok(CoreEngineState { ground, components })
+    bytes.extend_from_slice(&last);
+    bytes[..HEADER_LEN].copy_from_slice(&head);
+    Ok(bytes)
 }
 
 impl SnapshotPayload {
     /// Encodes the full segment (header + checksummed payload) for
-    /// `generation`. A payload too long for the header's length field is
-    /// an error ([`length_field`]).
+    /// `generation` ([`encode`]).
     pub fn encode(&self, generation: u64) -> io::Result<Vec<u8>> {
-        let mut w = Writer::new();
-        w.u8(self.regime);
-        w.u8(self.budget_mode);
-        w.u64(self.budget_steps);
-        w.u64(self.budget_millis);
-        w.vec(&self.terms, |w, t| w.term(t));
-        w.vec(&self.base, |w, &t| w.id_triple(t));
-        w.vec(&self.closure, |w, &t| w.id_triple(t));
-        w.vec(&self.evaluation, encode_engine_state);
-        w.vec(&self.asserted_core, encode_engine_state);
-        let payload = w.into_bytes();
-
-        let mut out = SNAPSHOT_MAGIC.to_vec();
-        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        out.extend_from_slice(&generation.to_le_bytes());
-        out.extend_from_slice(&length_field(payload.len())?.to_le_bytes());
-        out.extend_from_slice(&stamped_crc(SNAPSHOT_VERSION, generation, &payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        Ok(out)
+        encode(self, generation)
     }
 
     /// Decodes a segment, returning the payload and its stamped generation.
     pub fn decode(bytes: &[u8]) -> Result<(SnapshotPayload, u64), SnapshotError> {
-        let header_len = SNAPSHOT_MAGIC.len() + 4 + 8 + 4 + 4;
-        if bytes.len() < header_len || &bytes[..SNAPSHOT_MAGIC.len()] != SNAPSHOT_MAGIC {
-            return Err(SnapshotError::BadHeader);
-        }
-        let mut header = Reader::new(&bytes[SNAPSHOT_MAGIC.len()..header_len]);
-        let bounded = "the header is in bounds";
-        let version = header.u32().expect(bounded);
-        if version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion(version));
-        }
-        let generation = header.u64().expect(bounded);
-        let (len, crc) = (header.u32().expect(bounded), header.u32().expect(bounded));
-        let payload = &bytes[header_len..];
-        if payload.len() != len as usize || stamped_crc(version, generation, payload) != crc {
+        let mut r = Reader::new(bytes);
+        let (generation, len, crc) = read_header(&mut r)?;
+        let mut sum = Crc32::default();
+        checksum(&mut sum, 0, bytes);
+        if r.remaining() != len || sum.finish() != crc {
             return Err(SnapshotError::ChecksumMismatch);
         }
-
-        let mut r = Reader::new(payload);
-        let decoded = (|| -> Result<SnapshotPayload, DecodeError> {
-            let snapshot = SnapshotPayload {
-                regime: r.u8()?,
-                budget_mode: r.u8()?,
-                budget_steps: r.u64()?,
-                budget_millis: r.u64()?,
-                terms: r.vec(5, |r| r.term())?,
-                base: r.vec(12, |r| r.id_triple())?,
-                closure: r.vec(12, |r| r.id_triple())?,
-                evaluation: r.vec(8, decode_engine_state)?,
-                asserted_core: r.vec(8, decode_engine_state)?,
-            };
-            r.finish()?;
-            Ok(snapshot)
-        })()
-        .map_err(SnapshotError::Malformed)?;
-
-        decoded.validate_ids()?;
-        Ok((decoded, generation))
+        let payload = decode_body(r, true).map_err(SnapshotError::Malformed)?;
+        Ok((payload, generation))
     }
+}
 
-    /// Semantic validation past the structural decode: every triple id
-    /// must reference an interned term.
-    fn validate_ids(&self) -> Result<(), SnapshotError> {
-        let bound = self.terms.len() as u64;
-        let in_bounds =
-            |t: &[IdTriple]| t.iter().all(|&(s, p, o)| (s.max(p).max(o) as u64) < bound);
-        let engines = self.evaluation.iter().chain(&self.asserted_core);
-        let runs = engines.flat_map(|st| {
-            let components = st.components.iter();
-            std::iter::once(&st.ground)
-                .chain(components.flat_map(|c| [&c.full, &c.survivors, &c.support]))
-        });
-        if [&self.base, &self.closure]
-            .into_iter()
-            .chain(runs)
-            .all(|run| in_bounds(run))
-        {
-            Ok(())
-        } else {
-            Err(SnapshotError::Malformed(DecodeError {
-                offset: 0,
-                expected: "triple ids within dictionary bounds",
-            }))
+/// A segment's header: its generation, payload length and CRC, once the
+/// magic and the version check out.
+fn read_header(r: &mut Reader<'_>) -> Result<(u64, usize, u32), SnapshotError> {
+    let bad = |_| SnapshotError::BadHeader;
+    if r.u64().map_err(bad)? != u64::from_le_bytes(*SNAPSHOT_MAGIC) {
+        return Err(SnapshotError::BadHeader);
+    }
+    match r.u32().map_err(bad)? {
+        SNAPSHOT_VERSION => {}
+        version => return Err(SnapshotError::UnsupportedVersion(version)),
+    }
+    let (generation, len) = (r.u64().map_err(bad)?, r.u32().map_err(bad)?);
+    Ok((generation, len as usize, r.u32().map_err(bad)?))
+}
+
+/// The one structural decoder of a segment's payload. Recovery keeps what
+/// it reads; a read-back does not (`keep`), and gets every run empty. Each
+/// triple id is checked against the term count as it is read.
+fn decode_body(mut r: Reader<'_>, keep: bool) -> Result<SnapshotPayload, DecodeError> {
+    let (regime, budget_mode) = (r.u8()?, r.u8()?);
+    let (budget_steps, budget_millis) = (r.u64()?, r.u64()?);
+    let bound = r.count(5)?;
+    let mut terms = Vec::with_capacity(if keep { bound } else { 0 });
+    for _ in 0..bound {
+        let term = r.term()?;
+        if keep {
+            terms.push(term);
         }
     }
+    let payload = SnapshotPayload {
+        regime,
+        budget_mode,
+        budget_steps,
+        budget_millis,
+        terms,
+        base: decode_run(&mut r, bound, keep)?,
+        closure: decode_run(&mut r, bound, keep)?,
+        evaluation: decode_engines(&mut r, bound, keep)?,
+        asserted_core: decode_engines(&mut r, bound, keep)?,
+    };
+    r.finish()?;
+    Ok(payload)
+}
+
+fn decode_run(r: &mut Reader<'_>, bound: usize, keep: bool) -> Result<Vec<IdTriple>, DecodeError> {
+    let len = r.count(12)?;
+    let mut run = Vec::with_capacity(if keep { len } else { 0 });
+    for _ in 0..len {
+        let (s, p, o) = r.id_triple()?;
+        if s.max(p).max(o) as usize >= bound {
+            return Err(DecodeError {
+                offset: r.offset() - 12,
+                expected: "triple ids within dictionary bounds",
+            });
+        }
+        if keep {
+            run.push((s, p, o));
+        }
+    }
+    Ok(run)
+}
+
+fn decode_engines(
+    r: &mut Reader<'_>,
+    bound: usize,
+    keep: bool,
+) -> Result<Vec<CoreEngineState>, DecodeError> {
+    let mut engines = Vec::new();
+    for _ in 0..r.count(8)? {
+        let ground = decode_run(r, bound, keep)?;
+        let mut components = Vec::new();
+        for _ in 0..r.count(13)? {
+            let component = ComponentState {
+                full: decode_run(r, bound, keep)?,
+                survivors: decode_run(r, bound, keep)?,
+                support: decode_run(r, bound, keep)?,
+                uncored: r.u8()? != 0,
+            };
+            if keep {
+                components.push(component);
+            }
+        }
+        if keep {
+            engines.push(CoreEngineState { ground, components });
+        }
+    }
+    Ok(engines)
+}
+
+/// Streams the segment at `path` through the checksum and the one
+/// structural decoder, `read` filling one [`CHUNK`] at a time, so no copy
+/// of the file is held: recovery keeps the payload (`keep`), a rotation's
+/// read-back keeps nothing and gets every run empty. It checks what
+/// [`SnapshotPayload::decode`] checks — magic, version, length, CRC, term
+/// tags, UTF-8, string lengths, trailing bytes and id bounds — and returns
+/// the payload with its stamped generation.
+pub fn read_segment(
+    path: &Path,
+    keep: bool,
+    mut read: impl FnMut(&mut File, &mut [u8]) -> io::Result<usize>,
+) -> Result<(SnapshotPayload, u64), SnapshotError> {
+    let unreadable = |_| SnapshotError::BadHeader;
+    let mut file = File::open(path).map_err(unreadable)?;
+    let size = file.metadata().map_err(unreadable)?.len() as usize;
+    let (mut crc, mut at) = (Crc32::default(), 0);
+    let mut more = |buf: &mut [u8]| {
+        let got = read(&mut file, buf)?;
+        checksum(&mut crc, at, &buf[..got]);
+        at += got;
+        Ok(got)
+    };
+    let mut r = Reader::chunked(size, &mut more);
+    let (generation, len, sum) = read_header(&mut r)?;
+    if r.remaining() != len {
+        return Err(SnapshotError::ChecksumMismatch);
+    }
+    let payload = decode_body(r, keep).map_err(SnapshotError::Malformed)?;
+    if crc.finish() != sum {
+        return Err(SnapshotError::ChecksumMismatch);
+    }
+    Ok((payload, generation))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use std::io::Read as _;
 
     fn sample() -> SnapshotPayload {
         SnapshotPayload {
@@ -319,5 +541,106 @@ mod tests {
         let (decoded, generation) = SnapshotPayload::decode(&bytes).unwrap();
         assert_eq!(generation, 0);
         assert_eq!(decoded, payload);
+    }
+
+    /// The segment `sample()` encodes to for generation 3, as every writer
+    /// of this format version lays it out: its length and its CRC fields.
+    #[test]
+    fn the_sample_segment_keeps_its_length_and_crc() {
+        let bytes = sample().encode(3).unwrap();
+        assert_eq!(bytes.len(), 229);
+        assert_eq!(bytes[24..28], 0x21d1_a2c1u32.to_le_bytes());
+        assert_eq!(crate::crc32(&bytes), 0x7740_67ee);
+    }
+
+    fn tmp_file(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("swdb-durable-seg-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(tag)
+    }
+
+    /// A payload of several chunks: strings that straddle chunk edges, one
+    /// longer than a chunk, and runs that span many.
+    fn large() -> SnapshotPayload {
+        let mut payload = sample();
+        payload
+            .terms
+            .extend((0..3_000).map(|i| Term::iri(format!("ex:term/{i:07}"))));
+        payload.terms.push(Term::blank("b".repeat(CHUNK + 10)));
+        let n = payload.terms.len() as u32;
+        payload.closure = (0..20_000).map(|i| (i % n, 1, (i * 7) % n)).collect();
+        payload
+    }
+
+    #[test]
+    fn a_streamed_segment_is_the_in_memory_one_and_verifies_in_chunks() {
+        for (tag, payload) in [("small", sample()), ("large", large())] {
+            let path = tmp_file(tag);
+            write_segment(&crate::StdIo, &path, 5, &payload).unwrap();
+            let on_disk = std::fs::read(&path).unwrap();
+            assert_eq!(on_disk, payload.encode(5).unwrap(), "{tag}");
+            assert!(on_disk.len() > 3 * CHUNK || tag == "small");
+            let read = |keep| read_segment(&path, keep, |f, b| f.read(b));
+            assert_eq!(read(false).map(|(_, g)| g), Ok(5), "{tag}");
+            assert_eq!(read(true), Ok((payload.clone(), 5)), "{tag}");
+            assert_eq!(SnapshotPayload::decode(&on_disk).unwrap().0, payload);
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    #[test]
+    fn the_read_back_catches_every_flip_and_truncation_the_decoder_does() {
+        let bytes = sample().encode(3).unwrap();
+        let path = tmp_file("damaged");
+        let verify = |damaged: &[u8]| {
+            std::fs::write(&path, damaged).unwrap();
+            read_segment(&path, false, |f, b| f.read(b)).map(|(_, g)| g)
+        };
+        assert_eq!(verify(&bytes), Ok(3));
+        for byte in 0..bytes.len() {
+            let mut damaged = bytes.clone();
+            damaged[byte] ^= 0x01;
+            assert!(verify(&damaged).is_err(), "flip at byte {byte}");
+        }
+        for cut in 0..bytes.len() {
+            assert!(verify(&bytes[..cut]).is_err(), "truncation to {cut}");
+        }
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        assert!(verify(&trailing).is_err(), "a trailing byte");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn out_of_bounds_ids_under_a_valid_crc_fail_the_read_back() {
+        let mut payload = large();
+        payload.closure.push((payload.terms.len() as u32, 0, 0));
+        let path = tmp_file("out-of-bounds");
+        write_segment(&crate::StdIo, &path, 1, &payload).unwrap();
+        assert!(matches!(
+            read_segment(&path, false, |f, b| f.read(b)),
+            Err(SnapshotError::Malformed(_))
+        ));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A source whose count disagrees with its items.
+    struct Miscounted;
+
+    impl SnapshotSource for Miscounted {
+        fn sections(&self) -> Sections<'_> {
+            Sections {
+                settings: (0, 0, 0, 0),
+                terms: run(0, std::iter::empty()),
+                runs: [run(2, std::iter::empty()), run(0, std::iter::empty())],
+                engines: [run(0, std::iter::empty()), run(0, std::iter::empty())],
+            }
+        }
+    }
+
+    #[test]
+    fn a_section_that_disagrees_with_its_count_is_an_error_not_a_segment() {
+        let err = encode(&Miscounted, 1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 }

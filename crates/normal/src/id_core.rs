@@ -813,30 +813,51 @@ impl IdCoreEngine {
         engine
     }
 
-    /// Dumps the engine's state for a durability snapshot: the base's
-    /// ground triples, and the components verbatim — full sets, survivor
-    /// sets, support sets and the uncored flags — so
+    /// The ground (blank-free) triples of the published index, counted:
+    /// with [`IdCoreEngine::component_sets`], the engine's state for a
+    /// durability snapshot, borrowed — the components verbatim, so
     /// [`IdCoreEngine::from_state`] can rebuild the engine without
     /// re-running a single retraction search. Safe to call between public
     /// mutations (no component is ever left `stale` then).
-    pub fn export_state(&self, dictionary: &Dictionary) -> CoreEngineState {
-        CoreEngineState {
-            ground: self
-                .eval
+    pub fn ground_run<'a>(
+        &'a self,
+        dictionary: &'a Dictionary,
+    ) -> (usize, impl Iterator<Item = IdTriple> + 'a) {
+        let ground = || {
+            self.eval
                 .iter()
                 .filter(|&t| !is_blank_triple(dictionary, t))
-                .collect(),
-            components: self
-                .cells
-                .slab
-                .iter()
-                .map(|(_, c)| ComponentState {
-                    full: c.full.iter().copied().collect(),
-                    survivors: c.survivors.iter().copied().collect(),
-                    support: c.support.iter().copied().collect(),
-                    uncored: c.uncored,
-                })
-                .collect(),
+        };
+        (ground().count(), ground())
+    }
+
+    /// Every component's full, survivor and support sets and its uncored
+    /// flag, counted.
+    pub fn component_sets(
+        &self,
+    ) -> (
+        usize,
+        impl Iterator<Item = ([&BTreeSet<IdTriple>; 3], bool)>,
+    ) {
+        let slab = self.cells.slab.iter();
+        let sets = slab.map(|(_, c)| ([&c.full, &c.survivors, &c.support], c.uncored));
+        (self.component_count(), sets)
+    }
+
+    /// The engine's state for a durability snapshot, collected
+    /// ([`IdCoreEngine::ground_run`], [`IdCoreEngine::component_sets`]).
+    pub fn export_state(&self, dictionary: &Dictionary) -> CoreEngineState {
+        let run = |set: &BTreeSet<IdTriple>| set.iter().copied().collect();
+        let component =
+            |([full, survivors, support], uncored): ([&BTreeSet<_>; 3], _)| ComponentState {
+                full: run(full),
+                survivors: run(survivors),
+                support: run(support),
+                uncored,
+            };
+        CoreEngineState {
+            ground: self.ground_run(dictionary).1.collect(),
+            components: self.component_sets().1.map(component).collect(),
         }
     }
 

@@ -287,9 +287,9 @@ keyed_enum! {
         SpanQueryAnswerNs => "span_query_answer_ns",
         /// Wall time of one premise overlay build, nanoseconds.
         SpanOverlayBuildNs => "span_overlay_build_ns",
-        /// Wall time of one snapshot rotation (encode, write + fsync +
-        /// rename, the read-back decode that verifies the segment, and WAL
-        /// truncation), nanoseconds.
+        /// Wall time of one snapshot rotation (the streamed encode and
+        /// write + fsync + rename, the read-back that verifies the segment,
+        /// and WAL truncation), nanoseconds.
         SpanSnapshotWriteNs => "span_snapshot_write_ns",
         /// Wall time of one recovery (`open`: snapshot load + WAL replay),
         /// nanoseconds.
@@ -310,6 +310,10 @@ keyed_enum! {
         /// state from the decoded payload), nanoseconds. Part of
         /// `span_recovery_ns`.
         SpanSnapshotRestoreNs => "span_snapshot_restore_ns",
+        /// Wall time of a rotation's read-back (streaming the written
+        /// segment through the CRC and the structural decoder),
+        /// nanoseconds. Part of `span_snapshot_write_ns`.
+        SpanSnapshotVerifyNs => "span_snapshot_verify_ns",
     }
 }
 

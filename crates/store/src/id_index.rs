@@ -259,6 +259,8 @@ impl<C: Chunk> Fenced<C> {
     /// Visits the keys in `lo..=hi` that `hidden` lacks, in order, until
     /// `visit` returns `false`. `next` is the first hidden key in range not
     /// yet passed: a run that ends before it is visited without a lookup.
+    /// It is sought from the first key in range, so an empty range seeks
+    /// nothing.
     fn range_while(
         &self,
         lo: Key,
@@ -270,19 +272,24 @@ impl<C: Chunk> Fenced<C> {
             let next = hidden.and_then(|h| h.first_from(&|k: &Key| packed(k) < bound));
             next.filter(|&k| k <= hi)
         };
-        let mut next = after(packed(&lo));
-        self.runs_from(&below(lo), &mut |run| match next {
-            Some(h) if h <= run[run.len() - 1] => run.iter().all(|&k| {
-                if next.is_some_and(|h| h < k) {
-                    next = after(packed(&k));
-                }
-                if next == Some(k) {
-                    next = after(packed(&k) + 1);
-                    return true;
-                }
-                k <= hi && visit(k)
-            }),
-            _ => run.iter().all(|&k| k <= hi && visit(k)),
+        let (mut next, mut sought) = (None, false);
+        self.runs_from(&below(lo), &mut |run| {
+            if !sought && run[0] <= hi {
+                (next, sought) = (after(packed(&run[0])), true);
+            }
+            match next {
+                Some(h) if h <= run[run.len() - 1] => run.iter().all(|&k| {
+                    if next.is_some_and(|h| h < k) {
+                        next = after(packed(&k));
+                    }
+                    if next == Some(k) {
+                        next = after(packed(&k) + 1);
+                        return true;
+                    }
+                    k <= hi && visit(k)
+                }),
+                _ => run.iter().all(|&k| k <= hi && visit(k)),
+            }
         });
     }
 
@@ -863,7 +870,7 @@ mod tests {
     fn from_sorted_sorts_unsorted_or_duplicated_input() {
         let mut triples = spread(5_000);
         triples.reverse();
-        triples.extend_from_slice(&triples[..100].to_vec());
+        triples.extend_from_within(..100);
         let expected: IdIndex = triples.iter().copied().collect();
         let built = IdIndex::from_sorted(&triples);
         built.debug_check();

@@ -5,14 +5,19 @@
 //! wall time of `open` beside its spans: `span_snapshot_decode_ns` (read
 //! the segment, check its CRC, decode, validate ids),
 //! `span_snapshot_restore_ns` (rebuild the state from the payload) and
-//! `span_recovery_ns` (all of `open`). The checkpoint's
-//! `span_snapshot_write_ns` (encode, write, read-back decode) comes first.
+//! `span_recovery_ns` (all of `open`). The checkpoint comes first: its
+//! `span_snapshot_write_ns` split into the streamed write (encode, write,
+//! fsync, rename) and `span_snapshot_verify_ns` (the chunked read-back),
+//! and the most bytes it held live at once beyond the database's own, read
+//! off a counting global allocator.
 //!
 //! Run with `cargo run --release --example recovery_attribution --
 //! [departments] [reopens]`; the default, 3500 departments reopened 8
 //! times, is ≈ 200k asserted triples. The data directory is a fresh
 //! folder under the system temp directory, removed at the end.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicI64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -21,6 +26,40 @@ use semweb_foundations::core::{Metrics, MetricsLevel, SemanticWebDatabase};
 use semweb_foundations::model::{Graph, Iri, Term, Triple};
 use semweb_foundations::obs::MetricsSnapshot;
 use semweb_foundations::workloads::{university, UniversityConfig};
+
+/// Live heap bytes, and their high-water mark since the last reset.
+static LIVE: AtomicI64 = AtomicI64::new(0);
+static PEAK: AtomicI64 = AtomicI64::new(0);
+
+/// [`System`], counting live bytes.
+struct Counting;
+
+fn tally(bytes: i64) {
+    let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
+    PEAK.fetch_max(live, Relaxed);
+}
+
+// SAFETY: every call forwards to `System` unchanged; the tallies are
+// atomics, which never allocate.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        tally(layout.size() as i64);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        tally(-(layout.size() as i64));
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        tally(new_size as i64 - layout.size() as i64);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
 
 /// The recorded sum of a histogram, in milliseconds.
 fn span_ms(snapshot: &MetricsSnapshot, key: &str) -> f64 {
@@ -61,15 +100,24 @@ fn main() {
     }
     db.publish();
     let (asserted, evaluation) = (db.len(), db.published().evaluation_triples());
+    let before = LIVE.load(Relaxed);
+    PEAK.store(before, Relaxed);
     assert!(
         db.snapshot_now().expect("checkpoint"),
         "durability attached"
     );
-    let write = span_ms(&metrics.snapshot(), "span_snapshot_write_ns");
+    let peak_kib = (PEAK.load(Relaxed) - before) as f64 / 1024.0;
+    let s = metrics.snapshot();
+    let (rotation, verify) = (
+        span_ms(&s, "span_snapshot_write_ns"),
+        span_ms(&s, "span_snapshot_verify_ns"),
+    );
     drop(db);
     println!(
-        "U({departments}): {asserted} asserted, {evaluation} evaluation triples; \
-         checkpoint span_snapshot_write_ns {write:.1} ms"
+        "U({departments}): {asserted} asserted, {evaluation} evaluation triples; checkpoint \
+         span_snapshot_write_ns {rotation:.1} ms (write {:.1} ms, verify {verify:.1} ms), \
+         {peak_kib:.0} KiB extra live at its peak",
+        rotation - verify
     );
 
     println!("reopen  open ms  decode ms  restore ms  recovery ms  other ms");

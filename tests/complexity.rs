@@ -34,6 +34,8 @@ struct Counting;
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+    /// The high-water mark of `LIVE_BYTES`.
+    static PEAK_LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 /// Counts an allocation (`allocated`) that changed the live bytes by
@@ -41,7 +43,10 @@ thread_local! {
 fn tally(allocated: bool, bytes: i64) {
     // `try_with`: the allocator also runs while thread-locals are torn down.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + u64::from(allocated)));
-    let _ = LIVE_BYTES.try_with(|n| n.set(n.get() + bytes));
+    let _ = LIVE_BYTES.try_with(|n| {
+        n.set(n.get() + bytes);
+        let _ = PEAK_LIVE_BYTES.try_with(|peak| peak.set(peak.get().max(n.get())));
+    });
 }
 
 // SAFETY: every call forwards to `System` unchanged; the tallies touch only
@@ -87,11 +92,24 @@ fn live_bytes<R>(op: impl FnOnce() -> R) -> (R, i64) {
     (out, LIVE_BYTES.with(Cell::get) - before)
 }
 
+/// Runs `op` and returns its result with the most bytes it held live on
+/// this thread at once, beyond those live before it.
+fn peak_live_bytes<R>(op: impl FnOnce() -> R) -> (R, i64) {
+    let before = LIVE_BYTES.with(Cell::get);
+    PEAK_LIVE_BYTES.with(|peak| peak.set(before));
+    let out = op();
+    (out, PEAK_LIVE_BYTES.with(Cell::get) - before)
+}
+
 /// The smaller database size; the larger is four times it.
 const N: usize = 2_000;
 
 /// How far apart the two sizes' allocation counts may be.
 const SLACK: u64 = 8;
+
+/// The ceiling on the extra live bytes of a checkpoint, at every size: a
+/// chunk written and a chunk read back, 64 KiB each, with room to spare.
+const CHECKPOINT_CEILING: i64 = 256 << 10;
 
 /// The ceiling on live bytes per asserted triple of a published
 /// [`fixture`] (see the pin that uses it).
@@ -440,6 +458,34 @@ fn a_published_database_holds_each_closure_triple_in_one_index() {
         assert!(
             per_triple < LIVE_BYTES_CEILING,
             "{per_triple:.1} live bytes per asserted triple at {n} triples"
+        );
+    }
+}
+
+/// A checkpoint of a durable [`fixture`] at `N` and at `4N`: the most bytes
+/// `snapshot_now` holds live at once, beyond the database's own. A rotation
+/// that streams the segment from the live state holds a few chunk buffers
+/// at either size; one that builds a payload, encodes it into a buffer or
+/// decodes the file whole to verify it holds an image of the state, which
+/// grows with the database and fails the ceiling at `4N`.
+#[test]
+fn a_checkpoint_holds_no_image_of_the_state() {
+    for n in [N, 4 * N] {
+        let dir = std::env::temp_dir().join(format!(
+            "swdb-complexity-checkpoint-{n}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut db = fixture(n);
+        db.persist_to(&dir).expect("attach durability");
+        let (wrote, extra) = peak_live_bytes(|| db.snapshot_now().expect("checkpoint"));
+        assert!(wrote, "durability is attached");
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+        eprintln!("{n}: a checkpoint held {extra} extra live bytes at its peak");
+        assert!(
+            extra < CHECKPOINT_CEILING,
+            "a checkpoint at {n} triples held {extra} extra live bytes"
         );
     }
 }
