@@ -554,9 +554,8 @@ mod tests {
     }
 
     fn tmp_file(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("swdb-durable-seg-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(tag)
+        let name = format!("swdb-durable-seg-{}-{tag}", std::process::id());
+        std::env::temp_dir().join(name)
     }
 
     /// A payload of several chunks: strings that straddle chunk edges, one
