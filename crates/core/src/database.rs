@@ -355,8 +355,8 @@ impl State {
     /// assignment), the closure is adopted without rule propagation, and
     /// the evaluation engine restores from its exported component states
     /// without any retraction search, then views the restored closure (or
-    /// base) instead of building an index of its own. An `asserted_core` an
-    /// older file may carry is ignored, and so is the engine's ground run.
+    /// base) instead of building an index of its own: a core fixes every
+    /// URI, so the engine's ground side is that set's.
     ///
     /// The dictionary, the closure index, the base index and the engine
     /// depend on nothing but the payload (the engine reads blanks off the
@@ -375,8 +375,8 @@ impl State {
             threads,
             vec![
                 Box::new(|| {
-                    evaluation = Some(snapshot.evaluation.first().map(|state| {
-                        IdCoreEngine::from_state(state, is_blank, metrics.clone(), core_budget)
+                    evaluation = Some(snapshot.evaluation.as_deref().map(|components| {
+                        IdCoreEngine::from_state(components, is_blank, metrics.clone(), core_budget)
                     }))
                 }),
                 Box::new(|| closure = Some(IdIndex::from_sorted(&snapshot.closure))),
@@ -410,15 +410,14 @@ impl State {
 
 /// The complete durable image, borrowed from the live parts: regime,
 /// budget, the dictionary in id order, base + closure triples, and the
-/// evaluation engine (including per-component `uncored` flags, so degraded
-/// mode survives a reopen exactly). The `asserted_core` field of the
-/// format is always empty.
+/// evaluation engine's components, if it is built (including their
+/// `uncored` flags, so degraded mode survives a reopen exactly) — what
+/// [`State::restore`] reads, and nothing else.
 impl SnapshotSource for State {
     fn sections(&self) -> Sections<'_> {
         let (store, closure) = (self.reasoner.store(), self.reasoner.closure_index());
         let dictionary = store.dictionary();
         let (mode, steps, millis) = encode_budget(self.core_budget);
-        let engines = self.evaluation.iter().map(|e| engine_runs(e, dictionary));
         Sections {
             settings: (encode_regime(self.regime), mode, steps, millis),
             terms: run(dictionary.len(), dictionary.iter().map(|(_, term)| term)),
@@ -426,7 +425,7 @@ impl SnapshotSource for State {
                 run(store.len(), store.iter_ids()),
                 run(closure.len(), closure.iter()),
             ],
-            engines: [run(engines.len(), engines), run(0, std::iter::empty())],
+            evaluation: self.evaluation.as_ref().map(engine_runs),
         }
     }
 }
@@ -1998,7 +1997,7 @@ mod tests {
             SnapshotPayload::decode(&bytes).expect("decode").0
         };
         let payload = image(&db.state);
-        let components = &payload.evaluation[0].components;
+        let components = payload.evaluation.as_deref().expect("the engine is built");
         assert!(components.iter().any(|c| c.uncored), "one is uncored");
         assert!(
             components

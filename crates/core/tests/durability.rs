@@ -25,8 +25,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use swdb_core::durable::{FaultIo, FaultKind, SnapshotPayload};
-use swdb_core::normal::IdCoreEngine;
+use swdb_core::durable::{FaultIo, FaultKind, SnapshotPayload, SNAPSHOT_VERSION};
 use swdb_core::query::query;
 use swdb_core::{
     CoreBudget, CoreBudgetMode, EntailmentRegime, Metrics, MetricsLevel, SemanticWebDatabase,
@@ -427,34 +426,33 @@ fn live_segment(dir: &PathBuf) -> PathBuf {
     dir.join(newest.expect("a snapshot segment").1)
 }
 
-/// A snapshot written while the format's `asserted_core` field still held a
-/// second core engine — over the asserted set, for `minimize` — opens: the
-/// field is ignored, the database answers like the specification, and the
-/// next rotation writes the field empty.
+/// A segment a version-1 writer left for the database
+/// `{(ex:a ex:p ex:b), (ex:a ex:p _:X), (ex:b rdf:type ex:C)}` under RDFS,
+/// published and then persisted (generation 1): beside what version 2
+/// writes, it holds the evaluation engine's ground run and an
+/// `asserted_core` engine — a core engine over the asserted set, from when
+/// `minimize` kept one.
+const VERSION_1_SEGMENT: &[u8] = include_bytes!("fixtures/snapshot-v1.seg");
+
+/// A version-1 data directory opens: the ground run and the
+/// `asserted_core` it carries are dropped, the database answers like the
+/// specification, and the next rotation writes version 2, which reopens to
+/// the same evaluation graph.
 #[test]
-fn a_snapshot_carrying_an_asserted_core_opens_and_rotates_to_an_empty_field() {
-    let dir = scratch_dir("asserted-core");
-    let mut db = SemanticWebDatabase::from_graph(graph([
-        ("ex:a", "ex:p", "ex:b"),
-        ("ex:a", "ex:p", "_:X"),
-        ("ex:b", rdfs::TYPE, "ex:C"),
-    ]));
-    db.publish();
-    db.persist_to(&dir).expect("persist");
-    let store = db.graph();
-    let asserted = IdCoreEngine::from_triples(store.iter_ids(), store.dictionary());
-    let older = vec![asserted.export_state(store.dictionary())];
-    drop(db);
+fn a_version_1_data_directory_opens_and_rotates_to_version_2() {
+    let dir = scratch_dir("version-1");
+    std::fs::create_dir_all(&dir).expect("create");
+    std::fs::write(dir.join("snapshot-1.seg"), VERSION_1_SEGMENT).expect("write segment");
+    assert_eq!(VERSION_1_SEGMENT[8..12], 1u32.to_le_bytes());
+    let (payload, generation) = SnapshotPayload::decode(VERSION_1_SEGMENT).expect("decode");
+    let dropped = VERSION_1_SEGMENT.len() - payload.encode(generation).expect("encode").len();
+    assert_eq!(
+        dropped,
+        (4 + 9 * 12) + 73,
+        "a 9-triple ground run, a 73 B asserted_core"
+    );
 
-    let segment = live_segment(&dir);
-    let bytes = std::fs::read(&segment).expect("read segment");
-    let (mut payload, generation) = SnapshotPayload::decode(&bytes).expect("decode");
-    assert!(payload.asserted_core.is_empty(), "written empty");
-    assert_eq!(payload.evaluation.len(), 1);
-    payload.asserted_core = older;
-    std::fs::write(&segment, payload.encode(generation).expect("encode")).expect("rewrite segment");
-
-    let mut reopened = SemanticWebDatabase::open(&dir).expect("the older file opens");
+    let mut reopened = SemanticWebDatabase::open(&dir).expect("the version-1 file opens");
     assert_eq!(reopened.len(), 3);
     let q = query([("?X", "ex:p", "?Y")], [("?X", "ex:p", "?Y")]);
     for semantics in [Semantics::Union, Semantics::Merge] {
@@ -463,14 +461,14 @@ fn a_snapshot_carrying_an_asserted_core_opens_and_rotates_to_an_empty_field() {
         assert!(isomorphic(&answer, &spec), "{answer} vs {spec}");
     }
     assert_eq!(reopened.minimize_with_status(), (1, true));
+    let evaluation = reopened.evaluation_graph();
     assert!(reopened.snapshot_now().expect("rotate"));
     drop(reopened);
     let bytes = std::fs::read(live_segment(&dir)).expect("read segment");
+    assert_eq!(bytes[8..12], SNAPSHOT_VERSION.to_le_bytes());
     let (rotated, _) = SnapshotPayload::decode(&bytes).expect("decode");
-    assert!(
-        rotated.asserted_core.is_empty(),
-        "rotated to an empty field"
-    );
     assert_eq!(rotated.base.len(), 2);
+    let mut again = SemanticWebDatabase::open(&dir).expect("the version-2 file opens");
+    assert_eq!(again.evaluation_graph(), evaluation);
     cleanup(&dir);
 }

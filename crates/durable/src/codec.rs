@@ -111,6 +111,14 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// Reads past every byte left, a chunk at a time.
+    pub fn skip_rest(&mut self) -> Result<(), DecodeError> {
+        while self.remaining() > 0 {
+            self.take(self.remaining().min(CHUNK), "the rest of the input")?;
+        }
+        Ok(())
+    }
+
     /// The next `n` bytes, read in first if the chunk holds fewer.
     #[inline]
     fn take(&mut self, n: usize, expected: &'static str) -> Result<&[u8], DecodeError> {

@@ -31,7 +31,7 @@ use std::sync::Arc;
 use swdb_obs::{Counter, Gauge, Hist, Metrics};
 
 use crate::io::Io;
-use crate::snapshot::{self, SnapshotPayload, SnapshotSource};
+use crate::snapshot::{self, SnapshotError, SnapshotPayload, SnapshotSource};
 use crate::wal::{self, WalRecord};
 
 /// Default WAL compaction threshold (records) when `SWDB_WAL_COMPACT` is
@@ -103,7 +103,8 @@ impl Durability {
         let names = io.list(dir)?;
 
         // Newest snapshot that decodes and whose stamped generation matches
-        // its file name wins; damaged ones are skipped (and cleaned up).
+        // its file name wins; damaged ones are skipped (and cleaned up). An
+        // intact one of a version this build cannot read stops the open.
         let mut snapshot_gens: Vec<u64> = names
             .iter()
             .filter_map(|n| parse_generation(n, "snapshot-", ".seg"))
@@ -113,11 +114,16 @@ impl Durability {
         let decode_span = metrics.span(Hist::SpanSnapshotDecodeNs);
         for &gen in snapshot_gens.iter().rev() {
             let path = Self::snapshot_path(dir, gen);
-            if let Ok((payload, stamped)) = snapshot::read_segment(&path, true, |f, b| f.read(b)) {
-                if stamped == gen {
+            match snapshot::read_segment(&path, true, |f, b| f.read(b)) {
+                Ok((payload, stamped)) if stamped == gen => {
                     chosen = Some((gen, payload));
                     break;
                 }
+                Err(unknown @ SnapshotError::UnsupportedVersion(_)) => {
+                    let why = format!("{}: {unknown}; nothing was removed", path.display());
+                    return Err(io::Error::new(io::ErrorKind::InvalidData, why));
+                }
+                _ => {}
             }
         }
         drop(decode_span);
@@ -325,8 +331,7 @@ mod tests {
             terms: vec![Term::iri("ex:a"), Term::iri("ex:p"), Term::iri("ex:b")],
             base: vec![(0, 1, 2)],
             closure: vec![(0, 1, 2)],
-            evaluation: vec![],
-            asserted_core: vec![],
+            evaluation: None,
         }
     }
 
@@ -562,6 +567,41 @@ mod tests {
             .unwrap()
             .iter()
             .any(|n| n.ends_with(".tmp")));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_segment_of_an_unknown_version_stops_the_open_and_is_never_removed() {
+        let dir = tmp_dir("unknown-version");
+        let io: Arc<dyn Io> = Arc::new(StdIo);
+        let (mut d, _) = Durability::open(&dir, io.clone(), Metrics::default(), 100).unwrap();
+        d.rotate(sample_payload()).unwrap();
+        d.commit(&records(2)).unwrap();
+        drop(d);
+        let segment = dir.join("snapshot-1.seg");
+        let mut bytes = std::fs::read(&segment).unwrap();
+        bytes[8..12].copy_from_slice(&(crate::SNAPSHOT_VERSION + 1).to_le_bytes());
+        let stale = bytes.clone();
+        let mut crc = crate::crc::Crc32::default();
+        crc.update(&bytes[8..20]);
+        crc.update(&bytes[28..]);
+        bytes[24..28].copy_from_slice(&crc.finish().to_le_bytes());
+        std::fs::write(&segment, &bytes).unwrap();
+
+        let listing = StdIo.list(&dir).unwrap();
+        let err = Durability::open(&dir, io.clone(), Metrics::default(), 100).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("version 3"), "{err}");
+        assert_eq!(StdIo.list(&dir).unwrap(), listing, "nothing removed");
+        assert_eq!(std::fs::read(&segment).unwrap(), bytes);
+
+        // The same segment under a stale CRC is damage: skipped and removed.
+        std::fs::write(&segment, &stale).unwrap();
+        let (d, recovered) = Durability::open(&dir, io, Metrics::default(), 100).unwrap();
+        assert_eq!(d.generation(), 1);
+        assert!(recovered.snapshot.is_none());
+        assert_eq!(recovered.wal, records(2));
+        assert_eq!(StdIo.list(&dir).unwrap(), vec!["wal-1.log".to_string()]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -19,6 +19,10 @@
 //! back** in chunks, create the next WAL, and only then delete the
 //! previous generation.
 //!
+//! A segment holds only what a restore reads ([`snapshot`], version 2); a
+//! version-1 segment still opens, and an intact segment of an unknown
+//! version stops [`Durability::open`] before anything is removed.
+//!
 //! ## Torn tails and lying disks
 //!
 //! A crash mid-commit tears the final WAL record; recovery detects it by

@@ -1,22 +1,25 @@
 //! The snapshot segment: a versioned, checksummed binary image of the full
 //! database state at one generation.
 //!
-//! A snapshot carries everything needed to reopen **without recomputation**:
-//! the term dictionary in id order, the base triples, the RDFS closure, and
-//! the exported state of the evaluation core engine, including
-//! per-component `uncored` flags so degraded mode survives a restart
-//! exactly. A second engine field, `asserted_core`, is written empty and
-//! ignored on read; it keeps the layout of files that still carry one.
-//! Loading a snapshot is pure deserialization — no fixpoint, no core
-//! search; only the WAL suffix after the snapshot replays through the
-//! incremental delta paths.
+//! A snapshot carries what a reopen reads, so it **recomputes nothing**:
+//! the settings, the term dictionary in id order, the base triples, the
+//! RDFS closure, and the evaluation core engine's components with their
+//! `uncored` flags (degraded mode survives a restart exactly), in this
+//! order. The engine's ground side is the closure's (the base's under
+//! simple entailment), since a core fixes every URI, so it is not written.
+//! Only the WAL suffix replays, through the incremental delta paths.
 //!
 //! File layout: `[magic 8][version u32][generation u64][len u32]
-//! [crc u32][payload]`, where the checksum covers
-//! `version ∥ generation ∥ payload` — a flipped bit anywhere except the
-//! (structurally validated) magic and length is caught. One encoder
-//! streams a segment from a [`SnapshotSource`], the live state or a
-//! [`SnapshotPayload`], through a [`CHUNK`]-sized buffer; the header's
+//! [crc u32][payload]`; every version keeps this 28-byte header, so a
+//! segment of an unknown version still has its CRC checked. The checksum
+//! covers `version ∥ generation ∥ payload` — a flipped bit anywhere except
+//! the (structurally validated) magic and length is caught. Version 1 also
+//! wrote each engine's ground run and, last, a second engine list
+//! (`asserted_core`); the one decoder reads both and drops them, and the
+//! next rotation writes version 2.
+//!
+//! One encoder streams a segment from a [`SnapshotSource`], the live state
+//! or a [`SnapshotPayload`], through a [`CHUNK`]-sized buffer; the header's
 //! length and CRC are patched in last. It goes to a temp file, fsynced,
 //! then renamed into place — a reader never observes a partially written
 //! segment under its final name. One structural decoder reads segments
@@ -30,8 +33,8 @@ use std::io::{self, Write as _};
 use std::path::Path;
 
 use swdb_model::Term;
-use swdb_normal::{ComponentState, CoreEngineState, IdCoreEngine};
-use swdb_store::{Dictionary, IdTriple};
+use swdb_normal::{ComponentState, IdCoreEngine};
+use swdb_store::IdTriple;
 
 pub use crate::codec::CHUNK;
 use crate::codec::{length_field, DecodeError, Reader, Writer};
@@ -43,7 +46,7 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"SWDBSNAP";
 
 /// Current segment format version. Bump on any layout change; readers
 /// reject versions they do not understand rather than misparse them.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Bytes of the header: magic, version, generation, length and CRC.
 const HEADER_LEN: usize = 28;
@@ -66,12 +69,8 @@ pub struct SnapshotPayload {
     pub base: Vec<IdTriple>,
     /// The materialized RDFS closure (empty under Simple entailment).
     pub closure: Vec<IdTriple>,
-    /// Exported state of the evaluation-graph core engine, if built.
-    pub evaluation: Vec<CoreEngineState>,
-    /// Exported state of a core engine over the asserted set. Written
-    /// empty: the facade no longer maintains one, and ignores a
-    /// non-empty field of an older file. Kept so the format is unchanged.
-    pub asserted_core: Vec<CoreEngineState>,
+    /// The evaluation-graph core engine's components, if it was built.
+    pub evaluation: Option<Vec<ComponentState>>,
 }
 
 /// A snapshot decoding failure.
@@ -120,21 +119,20 @@ pub struct Sections<'a> {
     pub terms: Run<'a, &'a Term>,
     /// The asserted triples, then the closure.
     pub runs: [Run<'a, IdTriple>; 2],
-    /// The evaluation engines, then the asserted-core engines.
-    pub engines: [Run<'a, EngineRuns<'a>>; 2],
+    /// The evaluation engine's components, if it is built.
+    pub evaluation: Option<Run<'a, ComponentRuns<'a>>>,
 }
 
-/// A [`CoreEngineState`] as counted runs: the ground triples, then each
-/// component's full, survivor and support triples and its uncored flag.
-pub type EngineRuns<'a> = (Run<'a, IdTriple>, Run<'a, ([Run<'a, IdTriple>; 3], bool)>);
+/// A [`ComponentState`] as counted runs: its full, survivor and support
+/// triples, and its uncored flag.
+pub type ComponentRuns<'a> = ([Run<'a, IdTriple>; 3], bool);
 
-/// A live engine's state as runs, borrowed.
-pub fn engine_runs<'a>(engine: &'a IdCoreEngine, dictionary: &'a Dictionary) -> EngineRuns<'a> {
-    let ((len, ground), (count, components)) =
-        (engine.ground_run(dictionary), engine.component_sets());
+/// A live engine's components as runs, borrowed.
+pub fn engine_runs<'a>(engine: &'a IdCoreEngine) -> Run<'a, ComponentRuns<'a>> {
+    let (count, components) = engine.component_sets();
     let set = |s: &'a BTreeSet<IdTriple>| run(s.len(), s.iter().copied());
     let components = components.map(move |(sets, uncored)| (sets.map(set), uncored));
-    (run(len, ground), run(count, components))
+    run(count, components)
 }
 
 /// What a segment is written from: the live state, or a [`SnapshotPayload`].
@@ -153,16 +151,12 @@ fn triples(items: &[IdTriple]) -> Run<'_, IdTriple> {
     run(items.len(), items.iter().copied())
 }
 
-fn engines(states: &[CoreEngineState]) -> Run<'_, EngineRuns<'_>> {
-    let engines = states.iter().map(|s| {
-        let components = s.components.iter();
-        let components = components.map(|c: &ComponentState| {
-            let runs = [&c.full, &c.survivors, &c.support];
-            (runs.map(|r| triples(r)), c.uncored)
-        });
-        (triples(&s.ground), run(s.components.len(), components))
+fn components(states: &[ComponentState]) -> Run<'_, ComponentRuns<'_>> {
+    let components = states.iter().map(|c| {
+        let runs = [&c.full, &c.survivors, &c.support];
+        (runs.map(|r| triples(r)), c.uncored)
     });
-    run(states.len(), engines)
+    run(states.len(), components)
 }
 
 impl SnapshotSource for SnapshotPayload {
@@ -172,7 +166,7 @@ impl SnapshotSource for SnapshotPayload {
             settings: (self.regime, budget.0, budget.1, budget.2),
             terms: run(self.terms.len(), self.terms.iter()),
             runs: [triples(&self.base), triples(&self.closure)],
-            engines: [engines(&self.evaluation), engines(&self.asserted_core)],
+            evaluation: self.evaluation.as_deref().map(components),
         }
     }
 }
@@ -188,15 +182,13 @@ fn write_body<W: io::Write>(w: &mut Writer<W>, sections: Sections<'_>) {
     for run in sections.runs {
         w.seq(run, Writer::id_triple);
     }
-    for engines in sections.engines {
-        w.seq(engines, |w, (ground, components)| {
-            w.seq(ground, Writer::id_triple);
-            w.seq(components, |w, (runs, uncored)| {
-                runs.into_iter().for_each(|r| w.seq(r, Writer::id_triple));
-                w.u8(uncored as u8);
-            });
+    let engines = sections.evaluation.into_iter();
+    w.seq((engines.len(), engines), |w, components| {
+        w.seq(components, |w, (runs, uncored)| {
+            runs.into_iter().for_each(|r| w.seq(r, Writer::id_triple));
+            w.u8(uncored as u8);
         });
-    }
+    });
 }
 
 /// Feeds the checksum the bytes of `chunk`, which starts at offset `at`
@@ -305,36 +297,43 @@ impl SnapshotPayload {
     /// Decodes a segment, returning the payload and its stamped generation.
     pub fn decode(bytes: &[u8]) -> Result<(SnapshotPayload, u64), SnapshotError> {
         let mut r = Reader::new(bytes);
-        let (generation, len, crc) = read_header(&mut r)?;
+        let (version, generation, len, crc) = read_header(&mut r)?;
+        let v1 = supported(version)? == 1;
         let mut sum = Crc32::default();
         checksum(&mut sum, 0, bytes);
         if r.remaining() != len || sum.finish() != crc {
             return Err(SnapshotError::ChecksumMismatch);
         }
-        let payload = decode_body(r, true).map_err(SnapshotError::Malformed)?;
+        let payload = decode_body(r, v1, true).map_err(SnapshotError::Malformed)?;
         Ok((payload, generation))
     }
 }
 
-/// A segment's header: its generation, payload length and CRC, once the
-/// magic and the version check out.
-fn read_header(r: &mut Reader<'_>) -> Result<(u64, usize, u32), SnapshotError> {
+/// A segment's header, once the magic checks out: its version, generation,
+/// payload length and CRC. Every version lays it out the same.
+fn read_header(r: &mut Reader<'_>) -> Result<(u32, u64, usize, u32), SnapshotError> {
     let bad = |_| SnapshotError::BadHeader;
     if r.u64().map_err(bad)? != u64::from_le_bytes(*SNAPSHOT_MAGIC) {
         return Err(SnapshotError::BadHeader);
     }
-    match r.u32().map_err(bad)? {
-        SNAPSHOT_VERSION => {}
-        version => return Err(SnapshotError::UnsupportedVersion(version)),
+    let (version, generation) = (r.u32().map_err(bad)?, r.u64().map_err(bad)?);
+    let len = r.u32().map_err(bad)? as usize;
+    Ok((version, generation, len, r.u32().map_err(bad)?))
+}
+
+/// `version`, if this reader decodes it: the current one, or 1.
+fn supported(version: u32) -> Result<u32, SnapshotError> {
+    match version {
+        1 | SNAPSHOT_VERSION => Ok(version),
+        _ => Err(SnapshotError::UnsupportedVersion(version)),
     }
-    let (generation, len) = (r.u64().map_err(bad)?, r.u32().map_err(bad)?);
-    Ok((generation, len as usize, r.u32().map_err(bad)?))
 }
 
 /// The one structural decoder of a segment's payload. Recovery keeps what
 /// it reads; a read-back does not (`keep`), and gets every run empty. Each
-/// triple id is checked against the term count as it is read.
-fn decode_body(mut r: Reader<'_>, keep: bool) -> Result<SnapshotPayload, DecodeError> {
+/// triple id is checked against the term count as it is read. A version-1
+/// payload's trailing `asserted_core` engines are read and dropped.
+fn decode_body(mut r: Reader<'_>, v1: bool, keep: bool) -> Result<SnapshotPayload, DecodeError> {
     let (regime, budget_mode) = (r.u8()?, r.u8()?);
     let (budget_steps, budget_millis) = (r.u64()?, r.u64()?);
     let bound = r.count(5)?;
@@ -353,9 +352,11 @@ fn decode_body(mut r: Reader<'_>, keep: bool) -> Result<SnapshotPayload, DecodeE
         terms,
         base: decode_run(&mut r, bound, keep)?,
         closure: decode_run(&mut r, bound, keep)?,
-        evaluation: decode_engines(&mut r, bound, keep)?,
-        asserted_core: decode_engines(&mut r, bound, keep)?,
+        evaluation: decode_engines(&mut r, bound, v1, keep)?,
     };
+    if v1 {
+        decode_engines(&mut r, bound, v1, false)?;
+    }
     r.finish()?;
     Ok(payload)
 }
@@ -378,14 +379,19 @@ fn decode_run(r: &mut Reader<'_>, bound: usize, keep: bool) -> Result<Vec<IdTrip
     Ok(run)
 }
 
+/// An engines section: the first engine's components, if any and `keep`.
+/// A version-1 engine's ground run is read and dropped.
 fn decode_engines(
     r: &mut Reader<'_>,
     bound: usize,
+    v1: bool,
     keep: bool,
-) -> Result<Vec<CoreEngineState>, DecodeError> {
-    let mut engines = Vec::new();
-    for _ in 0..r.count(8)? {
-        let ground = decode_run(r, bound, keep)?;
+) -> Result<Option<Vec<ComponentState>>, DecodeError> {
+    let mut first = None;
+    for _ in 0..r.count(4)? {
+        if v1 {
+            decode_run(r, bound, false)?;
+        }
         let mut components = Vec::new();
         for _ in 0..r.count(13)? {
             let component = ComponentState {
@@ -399,10 +405,10 @@ fn decode_engines(
             }
         }
         if keep {
-            engines.push(CoreEngineState { ground, components });
+            first.get_or_insert(components);
         }
     }
-    Ok(engines)
+    Ok(first)
 }
 
 /// Streams the segment at `path` through the checksum and the one
@@ -411,7 +417,8 @@ fn decode_engines(
 /// read-back keeps nothing and gets every run empty. It checks what
 /// [`SnapshotPayload::decode`] checks — magic, version, length, CRC, term
 /// tags, UTF-8, string lengths, trailing bytes and id bounds — and returns
-/// the payload with its stamped generation.
+/// the payload with its stamped generation. A version it does not decode
+/// is an [`SnapshotError::UnsupportedVersion`] only if the CRC checks.
 pub fn read_segment(
     path: &Path,
     keep: bool,
@@ -428,15 +435,20 @@ pub fn read_segment(
         Ok(got)
     };
     let mut r = Reader::chunked(size, &mut more);
-    let (generation, len, sum) = read_header(&mut r)?;
+    let (version, generation, len, sum) = read_header(&mut r)?;
     if r.remaining() != len {
         return Err(SnapshotError::ChecksumMismatch);
     }
-    let payload = decode_body(r, keep).map_err(SnapshotError::Malformed)?;
+    let payload = match supported(version) {
+        Ok(version) => Ok(decode_body(r, version == 1, keep).map_err(SnapshotError::Malformed)?),
+        Err(unknown) => r
+            .skip_rest()
+            .map_or(Err(SnapshotError::ChecksumMismatch), |_| Err(unknown)),
+    };
     if crc.finish() != sum {
         return Err(SnapshotError::ChecksumMismatch);
     }
-    Ok((payload, generation))
+    Ok((payload?, generation))
 }
 
 #[cfg(test)]
@@ -459,16 +471,12 @@ mod tests {
             ],
             base: vec![(0, 1, 2), (3, 1, 2)],
             closure: vec![(0, 1, 2), (3, 1, 2), (0, 1, 3)],
-            evaluation: vec![CoreEngineState {
-                ground: vec![(0, 1, 2)],
-                components: vec![ComponentState {
-                    full: vec![(3, 1, 2)],
-                    survivors: vec![(3, 1, 2)],
-                    support: vec![(0, 1, 2)],
-                    uncored: true,
-                }],
-            }],
-            asserted_core: vec![],
+            evaluation: Some(vec![ComponentState {
+                full: vec![(3, 1, 2)],
+                survivors: vec![(3, 1, 2)],
+                support: vec![(0, 1, 2)],
+                uncored: true,
+            }]),
         }
     }
 
@@ -548,9 +556,50 @@ mod tests {
     #[test]
     fn the_sample_segment_keeps_its_length_and_crc() {
         let bytes = sample().encode(3).unwrap();
-        assert_eq!(bytes.len(), 229);
-        assert_eq!(bytes[24..28], 0x21d1_a2c1u32.to_le_bytes());
-        assert_eq!(crate::crc32(&bytes), 0x7740_67ee);
+        assert_eq!(bytes.len(), 209);
+        assert_eq!(bytes[24..28], 0xbce5_aee3u32.to_le_bytes());
+        assert_eq!(crate::crc32(&bytes), 0xbd5f_8f1a);
+    }
+
+    /// `sample()` for generation 3 as a version-1 writer laid it out: with
+    /// the evaluation engine's ground run `[(0, 1, 2)]` before its
+    /// components, and an empty `asserted_core` section at the end.
+    const SAMPLE_V1: [u8; 229] = [
+        0x53, 0x57, 0x44, 0x42, 0x53, 0x4e, 0x41, 0x50, 0x01, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0xc9, 0x00, 0x00, 0x00, 0xc1, 0xa2, 0xd1, 0x21, 0x01, 0x01,
+        0x64, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+        0xff, 0x04, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x65, 0x78, 0x3a, 0x73, 0x00,
+        0x04, 0x00, 0x00, 0x00, 0x65, 0x78, 0x3a, 0x70, 0x00, 0x04, 0x00, 0x00, 0x00, 0x65, 0x78,
+        0x3a, 0x6f, 0x01, 0x02, 0x00, 0x00, 0x00, 0x62, 0x30, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x01,
+        0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+        0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x03, 0x00,
+        0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+        0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+        0x03, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+        0x00, 0x03, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x01, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x01,
+        0x00, 0x00, 0x00, 0x00,
+    ];
+
+    #[test]
+    fn a_version_1_segment_decodes_to_the_payload_of_version_2() {
+        assert_eq!(SAMPLE_V1[24..28], 0x21d1_a2c1u32.to_le_bytes());
+        assert_eq!(SnapshotPayload::decode(&SAMPLE_V1), Ok((sample(), 3)));
+        let path = tmp_file("version-1");
+        std::fs::write(&path, SAMPLE_V1).unwrap();
+        let read = |keep| read_segment(&path, keep, |f, b| f.read(b));
+        assert_eq!(read(true), Ok((sample(), 3)));
+        assert_eq!(read(false).map(|(_, g)| g), Ok(3));
+        let _ = std::fs::remove_file(&path);
+        let v2 = sample().encode(3).unwrap();
+        let dropped = (4 + 12) + 4;
+        assert_eq!(
+            SAMPLE_V1.len() - v2.len(),
+            dropped,
+            "the ground run, the asserted_core"
+        );
     }
 
     fn tmp_file(tag: &str) -> std::path::PathBuf {
@@ -632,7 +681,7 @@ mod tests {
                 settings: (0, 0, 0, 0),
                 terms: run(0, std::iter::empty()),
                 runs: [run(2, std::iter::empty()), run(0, std::iter::empty())],
-                engines: [run(0, std::iter::empty()), run(0, std::iter::empty())],
+                evaluation: None,
             }
         }
     }

@@ -292,9 +292,12 @@ impl Component {
     }
 }
 
-/// A verbatim dump of one blank component's cached core state — the unit of
-/// [`CoreEngineState`]. `blanks` are derivable from `full` (via the
-/// dictionary) and are not serialized.
+/// A verbatim dump of one blank component's cached core state; an engine's
+/// restorable state is one per component ([`IdCoreEngine::export_state`]).
+/// `blanks` are derivable from `full` (via the dictionary), and the ground
+/// side is the maintained set's own, so neither is serialized: with that
+/// set, [`IdCoreEngine::from_state`] rebuilds the engine *without any core
+/// search* — the contract the durability layer's recovery path depends on.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ComponentState {
     /// Every maintained blank triple of the component (cored away or not).
@@ -308,19 +311,6 @@ pub struct ComponentState {
     /// exactly the state a durability snapshot must carry so
     /// `is_degraded()` stays honest across a restart.
     pub uncored: bool,
-}
-
-/// The complete restorable state of an [`IdCoreEngine`]: the ground side of
-/// the published index plus every component's cached core state.
-/// [`IdCoreEngine::export_state`] produces it, [`IdCoreEngine::from_state`]
-/// reconstructs a bit-identical engine from it *without re-running any core
-/// search* — the contract the durability layer's recovery path depends on.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct CoreEngineState {
-    /// The ground (blank-free) triples of the published evaluation index.
-    pub ground: Vec<IdTriple>,
-    /// Every blank component's cached state.
-    pub components: Vec<ComponentState>,
 }
 
 /// What the coring kernel hands back for one component.
@@ -813,26 +803,10 @@ impl IdCoreEngine {
         engine
     }
 
-    /// The ground (blank-free) triples of the published index, counted:
-    /// with [`IdCoreEngine::component_sets`], the engine's state for a
-    /// durability snapshot, borrowed — the components verbatim, so
-    /// [`IdCoreEngine::from_state`] can rebuild the engine without
-    /// re-running a single retraction search. Safe to call between public
-    /// mutations (no component is ever left `stale` then).
-    pub fn ground_run<'a>(
-        &'a self,
-        dictionary: &'a Dictionary,
-    ) -> (usize, impl Iterator<Item = IdTriple> + 'a) {
-        let ground = || {
-            self.eval
-                .iter()
-                .filter(|&t| !is_blank_triple(dictionary, t))
-        };
-        (ground().count(), ground())
-    }
-
     /// Every component's full, survivor and support sets and its uncored
-    /// flag, counted.
+    /// flag, counted: the engine's state for a durability snapshot, which
+    /// [`IdCoreEngine::from_state`] restores without a retraction search.
+    /// Safe between public mutations (no component is `stale` then).
     pub fn component_sets(
         &self,
     ) -> (
@@ -845,8 +819,8 @@ impl IdCoreEngine {
     }
 
     /// The engine's state for a durability snapshot, collected
-    /// ([`IdCoreEngine::ground_run`], [`IdCoreEngine::component_sets`]).
-    pub fn export_state(&self, dictionary: &Dictionary) -> CoreEngineState {
+    /// ([`IdCoreEngine::component_sets`]): one [`ComponentState`] each.
+    pub fn export_state(&self) -> Vec<ComponentState> {
         let run = |set: &BTreeSet<IdTriple>| set.iter().copied().collect();
         let component =
             |([full, survivors, support], uncored): ([&BTreeSet<_>; 3], _)| ComponentState {
@@ -855,29 +829,26 @@ impl IdCoreEngine {
                 support: run(support),
                 uncored,
             };
-        CoreEngineState {
-            ground: self.ground_run(dictionary).1.collect(),
-            components: self.component_sets().1.map(component).collect(),
-        }
+        self.component_sets().1.map(component).collect()
     }
 
-    /// Reconstructs an engine from an exported state: pure deserialization —
-    /// cached core state (including degraded/uncored flags) carries over
-    /// verbatim and **no core search runs**. It builds `R` and no index:
-    /// the engine reads nothing until [`IdCoreEngine::attach`] hands it the
-    /// maintained set the state was exported over. The recovery path's
-    /// replacement for [`IdCoreEngine::from_triples_budgeted`].
+    /// Reconstructs an engine from its exported components: pure
+    /// deserialization — cached core state (including degraded/uncored
+    /// flags) carries over verbatim and **no core search runs**. It builds
+    /// `R` and no index: the engine reads nothing, its ground side
+    /// included, until [`IdCoreEngine::attach`] hands it the maintained set
+    /// the state was exported over. The recovery path's replacement for
+    /// [`IdCoreEngine::from_triples_budgeted`].
     ///
     /// `is_blank` classifies ids as the exporting dictionary did, so a
     /// caller need not rebuild that dictionary first.
     pub fn from_state(
-        state: &CoreEngineState,
+        components: &[ComponentState],
         is_blank: impl Fn(TermId) -> bool,
         metrics: Metrics,
         budget: CoreBudgetMode,
     ) -> Self {
-        let components: Vec<Component> = state
-            .components
+        let components: Vec<Component> = components
             .iter()
             .map(|comp| {
                 let full: BTreeSet<IdTriple> = comp.full.iter().copied().collect();
@@ -1463,7 +1434,7 @@ mod tests {
             ("ex:a", "ex:r", "_:Z"),
         ]);
         let (store, engine) = engine_of(&g);
-        let state = engine.export_state(store.dictionary());
+        let state = engine.export_state();
         let mut restored = IdCoreEngine::from_state(
             &state,
             |id| store.dictionary().is_blank(id),
@@ -1507,8 +1478,8 @@ mod tests {
             CoreBudgetMode::Budgeted(CoreBudget::steps(0)),
         );
         assert!(engine.is_degraded(), "a 0-step slice cannot finish coring");
-        let state = engine.export_state(store.dictionary());
-        assert!(state.components.iter().any(|c| c.uncored));
+        let state = engine.export_state();
+        assert!(state.iter().any(|c| c.uncored));
         let mut restored = IdCoreEngine::from_state(
             &state,
             |id| store.dictionary().is_blank(id),

@@ -32,9 +32,7 @@ pub mod nf;
 pub use crate::core::{core, core_with_witness, is_core_of, is_own_core, CoreComputation};
 pub use closure::{closure, closure_contains, closure_growth, is_closed};
 pub use components::{blank_components, BlankComponent};
-pub use id_core::{
-    ComponentState, CoreBudget, CoreBudgetMode, CoreEngineState, EvalOverlay, IdCoreEngine,
-};
+pub use id_core::{ComponentState, CoreBudget, CoreBudgetMode, EvalOverlay, IdCoreEngine};
 pub use lean::{find_non_lean_witness, is_lean, verify_non_lean_witness, NonLeanWitness};
 pub use minimal::{
     distinct_minimal_representations, has_unique_minimal_representation, is_redundant_in,

@@ -631,30 +631,27 @@ impl IdIndex {
             .flat_map(|leaf| leaf.iter().copied())
     }
 
-    /// Iterates in `(s, p, o)` order. The leaves are cut at the hidden keys
-    /// first, into one run of pieces, so the walk over them copies whole
-    /// slices.
+    /// Iterates in `(s, p, o)` order. Each leaf is cut at the hidden keys
+    /// in it as the walk reaches it, so the walk copies whole slices and
+    /// holds nothing but its cursors.
     pub fn iter(&self) -> impl Iterator<Item = IdTriple> + '_ {
         let mut hidden = self.hidden.iter().flat_map(|h| h.keys());
         let mut next = hidden.next();
-        let leaves = self
-            .spo
-            .kids
-            .iter()
-            .map(|node| node.kids.len())
-            .sum::<usize>();
-        let mut pieces: Vec<&[Key]> = Vec::with_capacity(leaves + self.spo.len - self.len());
-        for leaf in self.spo.kids.iter().flat_map(|node| node.kids.iter()) {
-            let mut rest = &leaf[..];
-            while let Some(h) = next.filter(|h| rest.last().is_some_and(|last| h <= last)) {
-                let cut = rest.partition_point(|&k| k < h);
-                pieces.push(&rest[..cut]);
-                rest = &rest[cut + usize::from(rest.get(cut) == Some(&h))..];
-                next = hidden.next();
+        let mut leaves = self.spo.kids.iter().flat_map(|node| node.kids.iter());
+        let mut rest: &[Key] = &[];
+        let pieces = std::iter::from_fn(move || {
+            if rest.is_empty() {
+                rest = leaves.next()?;
             }
-            pieces.push(rest);
-        }
-        pieces.into_iter().flat_map(|piece| piece.iter().copied())
+            let Some(h) = next.filter(|h| rest.last().is_some_and(|last| h <= last)) else {
+                return Some(std::mem::take(&mut rest));
+            };
+            let (piece, cut) = (rest, rest.partition_point(|&k| k < h));
+            rest = &rest[cut + usize::from(rest.get(cut) == Some(&h))..];
+            next = hidden.next();
+            Some(&piece[..cut])
+        });
+        pieces.flat_map(|piece| piece.iter().copied())
     }
 
     /// The distinct predicate ids in use, ascending: one seek per predicate

@@ -8,8 +8,9 @@
 //! `span_recovery_ns` (all of `open`). The checkpoint comes first: its
 //! `span_snapshot_write_ns` split into the streamed write (encode, write,
 //! fsync, rename) and `span_snapshot_verify_ns` (the chunked read-back),
-//! and the most bytes it held live at once beyond the database's own, read
-//! off a counting global allocator.
+//! the most bytes it held live at once beyond the database's own, read
+//! off a counting global allocator, and the size of the segment it wrote,
+//! whole and per asserted triple.
 //!
 //! Run with `cargo run --release --example recovery_attribution --
 //! [departments] [reopens]`; the default, 3500 departments reopened 8
@@ -113,11 +114,19 @@ fn main() {
         span_ms(&s, "span_snapshot_verify_ns"),
     );
     drop(db);
+    let segment: u64 = std::fs::read_dir(&dir)
+        .expect("list the data directory")
+        .map(|entry| entry.expect("an entry"))
+        .filter(|entry| entry.file_name().to_string_lossy().ends_with(".seg"))
+        .map(|entry| entry.metadata().expect("metadata").len())
+        .sum();
     println!(
         "U({departments}): {asserted} asserted, {evaluation} evaluation triples; checkpoint \
          span_snapshot_write_ns {rotation:.1} ms (write {:.1} ms, verify {verify:.1} ms), \
-         {peak_kib:.0} KiB extra live at its peak",
-        rotation - verify
+         {peak_kib:.0} KiB extra live at its peak; segment {segment} B, {:.2} B per asserted \
+         triple",
+        rotation - verify,
+        segment as f64 / asserted as f64
     );
 
     println!("reopen  open ms  decode ms  restore ms  recovery ms  other ms");

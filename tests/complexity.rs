@@ -111,6 +111,10 @@ const SLACK: u64 = 8;
 /// chunk written and a chunk read back, 64 KiB each, with room to spare.
 const CHECKPOINT_CEILING: i64 = 256 << 10;
 
+/// How many more extra live bytes a checkpoint may hold at `4N` than at
+/// `N` (see the pin that uses it).
+const CHECKPOINT_GROWTH: i64 = 512;
+
 /// The ceiling on live bytes per asserted triple of a published
 /// [`fixture`] (see the pin that uses it).
 const LIVE_BYTES_CEILING: f64 = 480.0;
@@ -488,4 +492,39 @@ fn a_checkpoint_holds_no_image_of_the_state() {
             "a checkpoint at {n} triples held {extra} extra live bytes"
         );
     }
+}
+
+/// The most bytes a checkpoint of a durable [`fixture`] of `n` triples
+/// holds live at once, beyond the database's own.
+fn checkpoint_peak(n: usize) -> i64 {
+    let dir = std::env::temp_dir().join(format!(
+        "swdb-complexity-checkpoint-growth-{n}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut db = fixture(n);
+    db.persist_to(&dir).expect("attach durability");
+    let (wrote, extra) = peak_live_bytes(|| db.snapshot_now().expect("checkpoint"));
+    assert!(wrote, "durability is attached");
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+    extra
+}
+
+/// A checkpoint's extra live bytes at `4N` are those at `N`, give or take
+/// [`CHECKPOINT_GROWTH`]: every section streams through fixed buffers. A
+/// walk that collects one entry per index leaf before it yields the first
+/// triple (about 3 KiB more at `4N`) fails it.
+#[test]
+fn a_checkpoints_extra_live_bytes_do_not_grow_with_the_database() {
+    let (small, large) = (checkpoint_peak(N), checkpoint_peak(4 * N));
+    eprintln!(
+        "a checkpoint held {small} extra live bytes at {N}, {large} at {}",
+        4 * N
+    );
+    assert!(
+        (large - small).abs() <= CHECKPOINT_GROWTH,
+        "a checkpoint held {small} extra live bytes at {N} triples, {large} at {}",
+        4 * N
+    );
 }
