@@ -11,12 +11,13 @@
 //!
 //! One immutable `State` behind an `Arc`, and **no string state**: the
 //! regime and core budget, the asserted set `D` (the reasoner's
-//! dictionary-encoded [`swdb_store::TripleStore`], the only copy) with its
-//! maintained closure ([`MaterializedStore`]), and the evaluation engine
-//! ([`swdb_normal::IdCoreEngine`]), whose index is a view of the closure
-//! (of `D` under simple entailment) that shares its nodes and hides the
-//! blank triples the core folded away, so it holds no triple of its own.
-//! Everything large in it is persistent or `Arc`-shared, so a clone is O(1). Beside it: metrics, the durability
+//! dictionary-encoded [`swdb_store::TripleStore`], the only copy, in one
+//! ordering) with its maintained closure ([`MaterializedStore`]), and the
+//! evaluation engine ([`swdb_normal::IdCoreEngine`]), whose index is a view
+//! of the closure that shares its nodes and hides the blank triples the
+//! core folded away, so it holds no triple of its own (under simple
+//! entailment, an index of `D` of its own). Everything large in it is
+//! persistent or `Arc`-shared, so a clone is O(1). Beside it: metrics, the durability
 //! layer and its fail-stop record, the read caches of the state, and the
 //! publication slot. Terms are decoded where a caller asks for them: an
 //! answer, `to_ntriples`, `stats`, and the string-space specification
@@ -101,7 +102,7 @@
 //! inline regardless, so point-write latency never pays a spawn. The same
 //! ceiling caps the workers of a snapshot restore in
 //! [`SemanticWebDatabase::open`], which builds the dictionary, the closure
-//! index, the base index and the evaluation engine as independent jobs.
+//! index, the asserted set and the evaluation engine as independent jobs.
 //!
 //! Because the RDFS rules are monotone, the closure is a set and every
 //! round is sorted, the ceiling changes where joins run and nothing else —
@@ -156,7 +157,7 @@ use swdb_normal::{CoreBudget, CoreBudgetMode, IdCoreEngine};
 use swdb_obs::{Counter, Gauge, Hist, Metrics, MetricsLevel};
 use swdb_query::{AnswerSet, Explain, NormalizedDatabase, Query, QueryEngine, Semantics};
 use swdb_reason::{ClosureDelta, MaterializedStore};
-use swdb_store::{Dictionary, GraphStats, IdIndex, IdTriple, TermId, TripleStore};
+use swdb_store::{Dictionary, GraphStats, IdIndex, IdSet, IdTriple, TermId, TripleStore};
 
 use crate::publish::{PublishedSnapshot, Reads};
 
@@ -296,22 +297,24 @@ impl State {
             .expect("the evaluation engine is built before a state is read")
     }
 
-    /// The cold build of the evaluation engine: the whole base
-    /// ([`evaluation_base`]) as one delta into an empty engine. It never
-    /// leaves id space: under RDFS the maintained closure index is the base
-    /// (no closure fixpoint, no string-graph materialization); under simple
-    /// entailment the asserted store is — matching against the core of `D`
-    /// gives equivalence-invariant answers without applying the vocabulary
-    /// rules. Afterwards [`State::feed_delta`] keeps it in step, so this
-    /// runs once per regime, not per mutation.
+    /// The cold build of the evaluation engine: the whole set it cores
+    /// ([`State::feed`]) as one delta into an empty engine. It never leaves
+    /// id space: under RDFS that set is the maintained closure (no closure
+    /// fixpoint, no string-graph materialization); under simple entailment
+    /// it is `D` — matching against the core of `D` gives
+    /// equivalence-invariant answers without applying the vocabulary rules.
+    /// Afterwards [`State::feed_delta`] keeps it in step, so this runs once
+    /// per regime, not per mutation.
     fn build_evaluation(&mut self, metrics: &Metrics) {
         let mut engine = IdCoreEngine::new();
         engine.set_metrics(metrics.clone());
         engine.set_core_budget(self.core_budget);
-        let base = evaluation_base(self.regime, &self.reasoner);
-        let all: Vec<IdTriple> = base.iter().collect();
-        engine.apply_delta_over(base, &all, &[], self.reasoner.store().dictionary());
         self.evaluation = Some(engine);
+        let all: Vec<IdTriple> = match self.regime {
+            EntailmentRegime::Rdfs => self.reasoner.closure_index().iter().collect(),
+            EntailmentRegime::Simple => self.reasoner.store().iter_ids().collect(),
+        };
+        self.feed(&all, &[]);
     }
 
     /// The write path's insert, which commits and premise forks both run:
@@ -337,40 +340,56 @@ impl State {
     /// the engine consumes the *closure* delta; under simple entailment it
     /// is `core(D)`, so it consumes the base assertion/retraction itself.
     fn feed_delta(&mut self, delta: &ClosureDelta, removal: bool) {
-        let Some(engine) = self.evaluation.as_mut() else {
-            return;
-        };
         let none: &[IdTriple] = &[];
         let (added, removed): (&[IdTriple], &[IdTriple]) = match (self.regime, removal) {
             (EntailmentRegime::Rdfs, _) => (&delta.added, &delta.removed),
             (EntailmentRegime::Simple, false) => (&delta.base, none),
             (EntailmentRegime::Simple, true) => (none, &delta.base),
         };
-        let base = evaluation_base(self.regime, &self.reasoner);
-        engine.apply_delta_over(base, added, removed, self.reasoner.store().dictionary());
+        self.feed(added, removed);
+    }
+
+    /// Hands the evaluation engine, if it is built, one delta of the set it
+    /// cores. Under RDFS that is the maintained closure, which holds the
+    /// delta already: the engine's index is a view of it. Under simple
+    /// entailment it is `D`, which the engine writes into an index of its
+    /// own, since the asserted store holds `D` in one ordering only.
+    fn feed(&mut self, added: &[IdTriple], removed: &[IdTriple]) {
+        let (reasoner, dictionary) = (&self.reasoner, self.reasoner.store().dictionary());
+        match (self.evaluation.as_mut(), self.regime) {
+            (None, _) => {}
+            (Some(engine), EntailmentRegime::Rdfs) => {
+                engine.apply_delta_over(reasoner.closure_index(), added, removed, dictionary)
+            }
+            (Some(engine), _) => engine.apply_delta(added, removed, dictionary),
+        }
     }
 
     /// Rebuilds a state from a decoded snapshot — pure deserialization: the
     /// dictionary replays in id order (reproducing the exact id
-    /// assignment), the closure is adopted without rule propagation, and
-    /// the evaluation engine restores from its exported component states
-    /// without any retraction search, then views the restored closure (or
-    /// base) instead of building an index of its own: a core fixes every
-    /// URI, so the engine's ground side is that set's.
+    /// assignment), the closure and the base run (in `(s, p, o)` order, so
+    /// the asserted set, with no sort) are adopted without rule
+    /// propagation, and the evaluation engine restores from its exported
+    /// component states without any retraction search, then views the set
+    /// it cores: a core fixes every URI, so the engine's ground side is
+    /// that set's — the restored closure, or under simple entailment an
+    /// index of the base run built for the engine.
     ///
-    /// The dictionary, the closure index, the base index and the engine
-    /// depend on nothing but the payload (the engine reads blanks off the
-    /// term tags), so they are built as jobs on at most `threads` workers
-    /// ([`run_jobs`]); at `1`, inline and in order.
+    /// The parts depend on nothing but the payload (the engine reads blanks
+    /// off the term tags), so they are built as jobs on at most `threads`
+    /// workers ([`run_jobs`]); at `1`, inline and in order.
     fn restore(snapshot: &SnapshotPayload, threads: usize, metrics: &Metrics) -> State {
         let core_budget = decode_budget(
             snapshot.budget_mode,
             snapshot.budget_steps,
             snapshot.budget_millis,
         );
+        let regime = decode_regime(snapshot.regime);
+        let simple = regime == EntailmentRegime::Simple && snapshot.evaluation.is_some();
         let terms = &snapshot.terms;
         let is_blank = |id: TermId| matches!(terms.get(id as usize), Some(Term::Blank(_)));
-        let (mut evaluation, mut closure, mut dictionary, mut base) = (None, None, None, None);
+        let (mut evaluation, mut closure, mut dictionary) = (None, None, None);
+        let (mut base, mut simple_base) = (None, None);
         run_jobs(
             threads,
             vec![
@@ -385,7 +404,8 @@ impl State {
                     terms.iter().for_each(|term| _ = in_order.intern(term));
                     dictionary = Some(in_order)
                 }),
-                Box::new(|| base = Some(IdIndex::from_sorted(&snapshot.base))),
+                Box::new(|| base = Some(IdSet::from_sorted(&snapshot.base))),
+                Box::new(|| simple_base = simple.then(|| IdIndex::from_sorted(&snapshot.base))),
             ],
         );
         let built = "every restore job ran";
@@ -393,11 +413,10 @@ impl State {
         let mut reasoner = MaterializedStore::restore(store, closure.expect(built));
         reasoner.set_threads(threads);
         reasoner.set_metrics(metrics.clone());
-        let regime = decode_regime(snapshot.regime);
         let mut evaluation = evaluation.expect(built);
         if let Some(engine) = evaluation.as_mut() {
-            let dictionary = reasoner.store().dictionary();
-            engine.attach(evaluation_base(regime, &reasoner), dictionary);
+            let base = simple_base.as_ref().unwrap_or(reasoner.closure_index());
+            engine.attach(base, reasoner.store().dictionary());
         }
         State {
             regime,
@@ -427,15 +446,6 @@ impl SnapshotSource for State {
             ],
             evaluation: self.evaluation.as_ref().map(engine_runs),
         }
-    }
-}
-
-/// The maintained set the evaluation engine views under `regime`: the
-/// closure under RDFS, the asserted set under simple entailment.
-fn evaluation_base(regime: EntailmentRegime, reasoner: &MaterializedStore) -> &IdIndex {
-    match regime {
-        EntailmentRegime::Rdfs => reasoner.closure_index(),
-        EntailmentRegime::Simple => reasoner.store().id_index(),
     }
 }
 
@@ -1146,20 +1156,16 @@ impl SemanticWebDatabase {
     ///
     /// The core of the *asserted* set is read off an [`IdCoreEngine`] in id
     /// space — the evaluation engine under simple entailment, and under
-    /// RDFS one built for this call as a view of the asserted index, so it
-    /// copies no index of its own — and diffed
-    /// against the store's ids, so only the dropped triples are decoded. The
-    /// core is a subset (the engine retracts, never renames), so the drop is
-    /// one `remove_graph`.
+    /// RDFS one built for this call over an index of `D` of its own — and
+    /// diffed against the store's ids, so only the dropped triples are
+    /// decoded. The core is a subset (the engine retracts, never renames),
+    /// so the drop is one `remove_graph`.
     pub fn minimize_with_status(&mut self) -> (usize, bool) {
         let asserted = (self.state.regime == EntailmentRegime::Rdfs).then(|| {
             let store = self.state.reasoner.store();
             // Disabled metrics: the gauges keep mirroring the evaluation engine.
-            let mut engine = IdCoreEngine::new();
-            engine.set_core_budget(self.state.core_budget);
-            let all: Vec<IdTriple> = store.iter_ids().collect();
-            engine.apply_delta_over(store.id_index(), &all, &[], store.dictionary());
-            engine
+            let (ids, budget) = (store.iter_ids(), self.state.core_budget);
+            IdCoreEngine::from_triples_budgeted(ids, store.dictionary(), Metrics::default(), budget)
         });
         if asserted.is_none() {
             self.ensure_evaluation();
@@ -1337,22 +1343,26 @@ impl From<Graph> for SemanticWebDatabase {
 /// be identified with a database blank that shares its label.
 ///
 /// The clash test is a membership test per label, not a scan of `D`: look
-/// the blank up in the dictionary, then ask the asserted store for one
+/// the blank up in the dictionary, then ask the closure's index for one
 /// subject-position and one object-position count (a blank is never a
-/// predicate). A ground premise touches the store not at all; a blank
-/// premise costs O(premise blanks · log n), fresh candidates included.
+/// predicate; the asserted store has no object ordering). The closure's
+/// blanks are `D`'s: `D ⊆ cl(D)`, and a rule concludes only vocabulary IRIs
+/// and its premises' terms, of which a predicate is an IRI. A ground
+/// premise touches the index not at all; a blank premise costs
+/// O(premise blanks · log n), fresh candidates included.
 ///
-/// The test asks the asserted triples, not the append-only dictionary: the
+/// The test asks the triples, not the append-only dictionary: the
 /// dictionary remembers every label ever interned — removed triples' blanks
 /// and earlier asks' fresh labels alike — while every blank evaluation
 /// reaches is one of the asserted triples'. So a repeated premise picks the
 /// same fresh label each time, and a label freed by a removal is no longer
 /// a clash.
-pub(crate) fn rename_premise_apart(premise: &Graph, stored: &TripleStore) -> Graph {
+pub(crate) fn rename_premise_apart(premise: &Graph, reasoner: &MaterializedStore) -> Graph {
+    let (closure, store) = (reasoner.closure_index(), reasoner.store());
     rename_clashing_blanks(premise, |label| {
-        stored.id_of(&Term::blank(label)).is_some_and(|id| {
-            stored.candidate_count((Some(id), None, None)) > 0
-                || stored.candidate_count((None, None, Some(id))) > 0
+        store.id_of(&Term::blank(label)).is_some_and(|id| {
+            closure.candidate_count((Some(id), None, None)) > 0
+                || closure.candidate_count((None, None, Some(id))) > 0
         })
     })
 }
@@ -1842,8 +1852,8 @@ mod tests {
     }
 
     /// The reference the probes replaced: one walk over the asserted
-    /// triples collects their blank ids, and a label clashes when its id is
-    /// among them.
+    /// triples (not the closure the probes ask) collects their blank ids,
+    /// and a label clashes when its id is among them.
     fn rename_premise_apart_by_walk(premise: &Graph, stored: &TripleStore) -> Graph {
         let dictionary = stored.dictionary();
         let mine: std::collections::BTreeSet<swdb_store::TermId> = stored
@@ -1866,21 +1876,23 @@ mod tests {
     /// never, `_:B0~p0` a premise blank that is also `_:B0`'s first
     /// candidate.
     const PREMISE_SUBJECTS: [&str; 5] = ["ex:n0", "_:B0", "_:B1", "_:P", "_:B0~p0"];
+    /// Stored predicates: two plain ones, and three RDFS ones whose rules
+    /// move stored blanks between positions in the closure.
+    const PREDICATES: [&str; 5] = ["ex:p0", "ex:p1", rdfs::TYPE, rdfs::SC, rdfs::SP];
 
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
 
         #[test]
         fn probing_renames_premises_exactly_as_the_walk_did(
-            stored in proptest::collection::vec((0usize..8, 0usize..2, 0usize..8), 0..12),
+            stored in proptest::collection::vec((0usize..8, 0usize..5, 0usize..8), 0..12),
             removed in proptest::collection::vec(0usize..12, 0..6),
             premise in proptest::collection::vec((0usize..5, 0usize..2, 0usize..2), 0..=3),
         ) {
-            let predicate = |p: usize| ["ex:p0", "ex:p1"][p];
-            let mut store = TripleStore::new();
+            let mut store = MaterializedStore::new();
             let triples: Vec<Triple> = stored
                 .iter()
-                .map(|&(s, p, o)| triple(STORED_TERMS[s], predicate(p), STORED_TERMS[o]))
+                .map(|&(s, p, o)| triple(STORED_TERMS[s], PREDICATES[p], STORED_TERMS[o]))
                 .collect();
             for t in &triples {
                 store.insert(t);
@@ -1894,14 +1906,14 @@ mod tests {
             }
             let premise: Graph = premise
                 .iter()
-                .map(|&(s, p, o)| triple(PREMISE_SUBJECTS[s], predicate(p), STORED_TERMS[o]))
+                .map(|&(s, p, o)| triple(PREMISE_SUBJECTS[s], PREDICATES[p], STORED_TERMS[o]))
                 .collect();
             proptest::prop_assert_eq!(
                 rename_premise_apart(&premise, &store),
-                rename_premise_apart_by_walk(&premise, &store),
-                "premise {} over {:?}",
+                rename_premise_apart_by_walk(&premise, store.store()),
+                "premise {} over {}",
                 premise,
-                store.iter_ids().map(|ids| store.materialize(ids)).collect::<Vec<_>>()
+                store.to_graph()
             );
         }
     }

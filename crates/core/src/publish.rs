@@ -117,7 +117,7 @@ impl Reads {
         metrics.count(Counter::OverlayCacheMisses, 1);
         metrics.count(Counter::ReasonPreviews, 1);
         let _span = metrics.span(Hist::SpanOverlayBuildNs);
-        let renamed = rename_premise_apart(premise, state.reasoner.store());
+        let renamed = rename_premise_apart(premise, &state.reasoner);
         let mut fork = state.clone();
         let off = metrics.silenced();
         fork.reasoner.set_metrics(off.clone());

@@ -381,6 +381,44 @@ fn recovery_is_incremental_not_recomputed() {
     cleanup(&dir);
 }
 
+/// Under simple entailment the evaluation engine cores `D` over an index
+/// of its own, which a restore builds from the snapshot's base run (the
+/// asserted store holds `D` in one ordering). A database with a folded
+/// blank checkpoints, takes a WAL suffix whose insert folds a second blank
+/// and whose removal unfolds the first, and reopens to the same evaluation
+/// graph and the same published evaluation index, ids included: nothing
+/// interned a term the WAL does not carry.
+#[test]
+fn a_simple_regime_database_reopens_to_the_same_evaluation_index() {
+    let dir = scratch_dir("simple-restore");
+    let mut db = SemanticWebDatabase::with_regime(EntailmentRegime::Simple);
+    db.persist_to(&dir).expect("persist");
+    db.insert_graph(&graph([
+        ("ex:a", "ex:p", "ex:b"),
+        ("ex:b", "ex:q", "ex:c"),
+        ("ex:a", "ex:p", "_:X"),
+        ("_:X", "ex:q", "ex:c"),
+        ("ex:a", "ex:r", "_:Y"),
+    ]));
+    let folded = db.publish();
+    assert_eq!(folded.evaluation_triples(), 3, "_:X folds onto ex:b");
+    db.snapshot_now().expect("checkpoint");
+    db.insert(triple("ex:a", "ex:p", "_:Z"));
+    db.remove(&triple("ex:b", "ex:q", "ex:c"));
+    let before = db.publish();
+    assert_eq!(before.evaluation_triples(), 4, "_:Z folded, _:X back");
+    assert_eq!(db.wal_records(), 2, "the suffix is two records");
+    let evaluation = db.evaluation_graph();
+    drop(db);
+
+    let mut reopened = SemanticWebDatabase::open(&dir).expect("reopen");
+    assert_eq!(reopened.regime(), EntailmentRegime::Simple);
+    let after = reopened.publish();
+    assert_eq!(reopened.evaluation_graph(), evaluation);
+    assert_eq!(after.index(), before.index());
+    cleanup(&dir);
+}
+
 /// Fail-stop: a durability error detaches the layer, records why, and the
 /// in-memory database keeps answering; the directory reopens to the last
 /// durable state.

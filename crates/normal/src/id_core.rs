@@ -293,7 +293,7 @@ impl Component {
 }
 
 /// A verbatim dump of one blank component's cached core state; an engine's
-/// restorable state is one per component ([`IdCoreEngine::export_state`]).
+/// restorable state is one per component ([`IdCoreEngine::component_sets`]).
 /// `blanks` are derivable from `full` (via the dictionary), and the ground
 /// side is the maintained set's own, so neither is serialized: with that
 /// set, [`IdCoreEngine::from_state`] rebuilds the engine *without any core
@@ -816,20 +816,6 @@ impl IdCoreEngine {
         let slab = self.cells.slab.iter();
         let sets = slab.map(|(_, c)| ([&c.full, &c.survivors, &c.support], c.uncored));
         (self.component_count(), sets)
-    }
-
-    /// The engine's state for a durability snapshot, collected
-    /// ([`IdCoreEngine::component_sets`]): one [`ComponentState`] each.
-    pub fn export_state(&self) -> Vec<ComponentState> {
-        let run = |set: &BTreeSet<IdTriple>| set.iter().copied().collect();
-        let component =
-            |([full, survivors, support], uncored): ([&BTreeSet<_>; 3], _)| ComponentState {
-                full: run(full),
-                survivors: run(survivors),
-                support: run(support),
-                uncored,
-            };
-        self.component_sets().1.map(component).collect()
     }
 
     /// Reconstructs an engine from its exported components: pure
@@ -1388,6 +1374,20 @@ mod tests {
     use swdb_model::{graph, isomorphic, Graph};
     use swdb_store::TripleStore;
 
+    /// The engine's components as a snapshot records them
+    /// ([`IdCoreEngine::component_sets`]).
+    fn exported(engine: &IdCoreEngine) -> Vec<ComponentState> {
+        let run = |set: &BTreeSet<IdTriple>| set.iter().copied().collect();
+        let sets = engine.component_sets().1;
+        sets.map(|([full, survivors, support], uncored)| ComponentState {
+            full: run(full),
+            survivors: run(survivors),
+            support: run(support),
+            uncored,
+        })
+        .collect()
+    }
+
     /// Builds an engine over the graph's id-triples, returning the store for
     /// decoding.
     fn engine_of(g: &Graph) -> (TripleStore, IdCoreEngine) {
@@ -1434,14 +1434,14 @@ mod tests {
             ("ex:a", "ex:r", "_:Z"),
         ]);
         let (store, engine) = engine_of(&g);
-        let state = engine.export_state();
+        let state = exported(&engine);
         let mut restored = IdCoreEngine::from_state(
             &state,
             |id| store.dictionary().is_blank(id),
             Metrics::default(),
             engine.core_budget(),
         );
-        restored.attach(store.id_index(), store.dictionary());
+        restored.attach(&store.iter_ids().collect(), store.dictionary());
         let published: Vec<IdTriple> = engine.index().iter().collect();
         let restored_published: Vec<IdTriple> = restored.index().iter().collect();
         assert_eq!(published, restored_published);
@@ -1478,7 +1478,7 @@ mod tests {
             CoreBudgetMode::Budgeted(CoreBudget::steps(0)),
         );
         assert!(engine.is_degraded(), "a 0-step slice cannot finish coring");
-        let state = engine.export_state();
+        let state = exported(&engine);
         assert!(state.iter().any(|c| c.uncored));
         let mut restored = IdCoreEngine::from_state(
             &state,
@@ -1486,7 +1486,7 @@ mod tests {
             Metrics::default(),
             engine.core_budget(),
         );
-        restored.attach(store.id_index(), store.dictionary());
+        restored.attach(&store.iter_ids().collect(), store.dictionary());
         assert!(restored.is_degraded());
         assert_eq!(engine.uncored_components(), restored.uncored_components());
         assert_eq!(engine.uncored_triples(), restored.uncored_triples());

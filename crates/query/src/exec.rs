@@ -755,25 +755,26 @@ mod tests {
         answer_against, matchings_against, pre_answers_against, NormalizedDatabase,
     };
     use crate::engine::{id_matchings, Mechanism, QueryEngine};
+    use crate::fixture::Indexed;
     use crate::plan::PlanCache;
     use crate::query::{query, Query};
     use swdb_hom::pattern_graph;
     use swdb_model::{graph, Term};
     use swdb_store::TripleStore;
 
-    fn store() -> TripleStore {
-        TripleStore::from_graph(&graph([
+    fn store() -> Indexed {
+        Indexed::from(TripleStore::from_graph(&graph([
             ("ex:dept", "ex:offers", "ex:DB"),
             ("ex:dept", "ex:offers", "ex:AI"),
             ("ex:alice", "ex:takes", "ex:DB"),
             ("ex:bob", "ex:takes", "ex:AI"),
             ("ex:carol", "ex:takes", "ex:DB"),
             ("_:N", "ex:takes", "ex:DB"),
-        ]))
+        ])))
     }
 
     /// The engine over a store's own index, planning per call.
-    fn engine<'a>(store: &'a TripleStore, cache: &'a PlanCache) -> QueryEngine<'a> {
+    fn engine<'a>(store: &'a Indexed, cache: &'a PlanCache) -> QueryEngine<'a> {
         QueryEngine {
             dictionary: store.dictionary(),
             target: store.id_index(),
@@ -789,7 +790,7 @@ mod tests {
         NormalizedDatabase::assume_normalized(store.to_graph())
     }
 
-    fn assert_same_matchings(q: &Query, store: &TripleStore) {
+    fn assert_same_matchings(q: &Query, store: &Indexed) {
         let mut id = id_matchings(q, store.dictionary(), store.id_index());
         let mut reference = matchings_against(q, &spec(store));
         id.sort();
@@ -895,6 +896,7 @@ mod tests {
             s.insert(&swdb_model::triple(&format!("ex:a{i}"), "ex:p", "ex:b"));
             s.insert(&swdb_model::triple(&format!("ex:c{i}"), "ex:r", "ex:d"));
         }
+        let s = Indexed::from(s);
         let off = PlanCache::new(false);
         let q = query(
             [("?A", "ex:q", "?B")],
@@ -913,7 +915,7 @@ mod tests {
         // The only matching binds ?O to a blank, which cannot instantiate
         // the head's predicate position: the pre-answer is empty even
         // though a matching exists.
-        let s = TripleStore::from_graph(&graph([("ex:s", "ex:p", "_:B")]));
+        let s = Indexed::from(TripleStore::from_graph(&graph([("ex:s", "ex:p", "_:B")])));
         let off = PlanCache::new(false);
         let q = query([("ex:s", "?O", "ex:marker")], [("ex:s", "ex:p", "?O")]);
         assert!(!id_matchings(&q, s.dictionary(), s.id_index()).is_empty());

@@ -57,6 +57,39 @@ pub use redundancy::{
 pub use syntax::{format_query, parse_query, SyntaxError};
 
 #[cfg(test)]
+pub(crate) mod fixture {
+    use swdb_store::{IdIndex, TripleStore};
+
+    /// A store with an index of its triples: what the id-space tests join
+    /// over, since a store holds its triples in one ordering.
+    pub(crate) struct Indexed {
+        store: TripleStore,
+        index: IdIndex,
+    }
+
+    impl From<TripleStore> for Indexed {
+        fn from(store: TripleStore) -> Self {
+            let index = store.iter_ids().collect();
+            Indexed { store, index }
+        }
+    }
+
+    impl Indexed {
+        pub(crate) fn id_index(&self) -> &IdIndex {
+            &self.index
+        }
+    }
+
+    impl std::ops::Deref for Indexed {
+        type Target = TripleStore;
+
+        fn deref(&self) -> &TripleStore {
+            &self.store
+        }
+    }
+}
+
+#[cfg(test)]
 mod proptests {
     use proptest::prelude::*;
     use swdb_model::{Graph, Term, Triple};
@@ -160,7 +193,7 @@ mod proptests {
             // id-space join must enumerate exactly the matchings the
             // string-space solver does, blanks and variable predicates
             // included.
-            let store = swdb_store::TripleStore::from_graph(&d);
+            let store = crate::fixture::Indexed::from(swdb_store::TripleStore::from_graph(&d));
             let normalized = crate::answer::NormalizedDatabase::assume_normalized(d.clone());
             let queries = [
                 query([("?X", "ex:p0", "?Y")], [("?X", "ex:p0", "?Y")]),
@@ -249,7 +282,7 @@ mod proptests {
             };
 
             // Regime 1: a bare index.
-            let store = swdb_store::TripleStore::from_graph(&d);
+            let store = crate::fixture::Indexed::from(swdb_store::TripleStore::from_graph(&d));
             check_union_answer(&q, store.dictionary(), store.id_index(), d.clone())?;
 
             // Regime 2: the same dictionary under a fork of a published
@@ -257,7 +290,7 @@ mod proptests {
             // more than one leaf; the fork re-inserts a third of `d` the
             // published index lacks and removes another third, so its scans
             // cross copied and shared chunks.
-            let mut published = store.clone();
+            let mut published = swdb_store::TripleStore::clone(&store);
             let filler = |i: usize| Term::iri(format!("ex:f{i}"));
             for i in 0..96 {
                 published.insert(&Triple::new(filler(i), swdb_model::Iri::new("ex:filler"), filler(i + 1)));
@@ -265,10 +298,11 @@ mod proptests {
             let thirds: Vec<_> = store.iter_ids().enumerate().map(|(i, t)| ((i + split) % 3, t)).collect();
             for &(third, t) in &thirds {
                 if third == 0 {
-                    published.remove_id_triple(t);
+                    published.remove_id_triples(&[t]);
                 }
             }
-            let mut fork = published.id_index().clone();
+            let published_index: swdb_store::IdIndex = published.iter_ids().collect();
+            let mut fork = published_index.clone();
             for &(third, t) in &thirds {
                 match third {
                     0 => fork.insert(t),
@@ -290,7 +324,7 @@ mod proptests {
                 ("ex:n1", "ex:p1", "ex:a0"),
             ]);
             for extend in [false, true] {
-                let mut grown = store.clone();
+                let mut grown = swdb_store::TripleStore::clone(&store);
                 if extend {
                     grown.extend_dictionary();
                 }
@@ -301,6 +335,7 @@ mod proptests {
                 // growing intern dropped the one regime 1 built.
                 let covered = if extend { &store } else { &grown }.term_count();
                 prop_assert_eq!(grown.dictionary().term_order().order.len(), covered);
+                let grown = crate::fixture::Indexed::from(grown);
                 check_union_answer(&q, grown.dictionary(), grown.id_index(), d.union(&fresh))?;
             }
         }

@@ -484,18 +484,19 @@ mod tests {
     use crate::answer::{answer_against, NormalizedDatabase, Semantics};
     use crate::engine::{planned_answer, Mechanism, QueryEngine};
     use crate::exec::{self, Explain};
+    use crate::fixture::Indexed;
     use crate::query::query;
     use swdb_model::graph;
     use swdb_store::TripleStore;
 
-    fn store() -> TripleStore {
-        TripleStore::from_graph(&graph([
+    fn store() -> Indexed {
+        Indexed::from(TripleStore::from_graph(&graph([
             ("ex:dept", "ex:offers", "ex:DB"),
             ("ex:dept", "ex:offers", "ex:AI"),
             ("ex:alice", "ex:takes", "ex:DB"),
             ("ex:bob", "ex:takes", "ex:AI"),
             ("ex:carol", "ex:takes", "ex:DB"),
-        ]))
+        ])))
     }
 
     #[test]
@@ -596,7 +597,7 @@ mod tests {
         }
     }
 
-    fn explain(cache: &PlanCache, s: &TripleStore, q: &Query) -> Explain {
+    fn explain(cache: &PlanCache, s: &Indexed, q: &Query) -> Explain {
         QueryEngine {
             dictionary: s.dictionary(),
             target: s.id_index(),

@@ -71,9 +71,34 @@ pub(crate) fn flush_firings(metrics: &Metrics, fired: &[u64; RULE_SLOTS]) {
     metrics.count(Counter::ReasonRuleFirings, total);
 }
 
+/// The asserted set `D` as a join target: the closure's scans, which hold
+/// it (`D ⊆ cl(D)`), kept to the triples `base` asserts. The store holds
+/// `D` in one ordering, so this is how a join reads it in any other.
+struct Asserted<'a> {
+    closure: &'a IdIndex,
+    base: &'a TripleStore,
+}
+
+impl IdTarget for Asserted<'_> {
+    /// By a scan: the fixed-order joins that read this target never ask.
+    fn candidate_count(&self, pattern: IdPattern) -> usize {
+        let scan = self.closure.scan(pattern).into_iter();
+        scan.filter(|&t| self.contains(t)).count()
+    }
+
+    fn scan_while(&self, pattern: IdPattern, mut visit: impl FnMut(IdTriple) -> bool) {
+        self.closure
+            .scan_while(pattern, |t| !self.contains(t) || visit(t))
+    }
+
+    fn contains(&self, t: IdTriple) -> bool {
+        self.base.contains_id_triple(t)
+    }
+}
+
 /// Is `t` the conclusion of some rule instance whose hypotheses all hold in
 /// `view`? Called with the surviving closure (DRed rederivation) and with
-/// the asserted store's index (DRed overdeletion prune: support from
+/// the asserted set (DRed overdeletion prune: support from
 /// still-asserted premises alone is independent of any cascade): `t`
 /// unified with a conclusion seeds a search stopped by the first witness.
 /// Free-standing so the probes can run from worker threads over snapshots.
@@ -181,22 +206,6 @@ impl DeltaClosure {
     /// Closure membership.
     pub fn contains(&self, t: IdTriple) -> bool {
         self.closure.contains(t)
-    }
-
-    /// Iterates the closure in `(s, p, o)` order.
-    pub fn iter(&self) -> impl Iterator<Item = IdTriple> + '_ {
-        self.closure.iter()
-    }
-
-    /// Pattern scan over the closure.
-    pub fn scan(&self, pattern: IdPattern) -> Vec<IdTriple> {
-        self.closure.scan(pattern)
-    }
-
-    /// Counts the closure triples matching a pattern without materializing
-    /// them (see [`IdIndex::candidate_count`]).
-    pub fn candidate_count(&self, pattern: IdPattern) -> usize {
-        self.closure.candidate_count(pattern)
     }
 
     /// Read access to the maintained closure's SPO/POS/OSP index, for
@@ -363,6 +372,10 @@ impl DeltaClosure {
         // rule firings of a committed fixpoint and are not counted.
         let mut spared: BTreeSet<IdTriple> = BTreeSet::new();
         let mut frontier: Vec<IdTriple> = over.iter().copied().collect();
+        let asserted = Asserted {
+            closure: &self.closure,
+            base,
+        };
         while !frontier.is_empty() {
             let candidates = crate::parallel::round_conclusions(
                 &self.rules,
@@ -379,7 +392,7 @@ impl DeltaClosure {
                 .collect();
             let survives = crate::parallel::parallel_mask(&fresh, self.threads, &|&d| {
                 base.contains_id_triple(d)
-                    || one_step_derivable(&self.rules, base.dictionary(), base.id_index(), d)
+                    || one_step_derivable(&self.rules, base.dictionary(), &asserted, d)
             });
             frontier.clear();
             for (d, survives) in fresh.into_iter().zip(survives) {

@@ -69,11 +69,23 @@ mod spec_tests {
     //! `swdb_entailment::rdfs_closure` (optimised fixpoint) and
     //! `swdb_entailment::naive_closure` (textbook rule application).
 
+    use std::collections::BTreeSet;
+
     use proptest::prelude::*;
     use swdb_entailment::{naive_closure, rdfs_closure};
     use swdb_model::{rdfs, Graph, Term, Triple};
+    use swdb_store::{Dictionary, IdTriple, TermId};
 
     use crate::MaterializedStore;
+
+    /// The blank ids in subject or object position of `triples`.
+    fn blank_ids(
+        triples: impl Iterator<Item = IdTriple>,
+        dictionary: &Dictionary,
+    ) -> BTreeSet<TermId> {
+        let ends = triples.flat_map(|(s, _, o)| [s, o]);
+        ends.filter(|&id| dictionary.is_blank(id)).collect()
+    }
 
     /// Random graphs mixing plain data with RDFS vocabulary triples —
     /// including blank nodes and pathological shapes like `(p, sp, sc)`,
@@ -191,6 +203,42 @@ mod spec_tests {
                 }
             }
             prop_assert_eq!(materialized.closure_graph(), rdfs_closure(&shadow));
+        }
+
+        /// What `swdb-core`'s premise probe relies on when it asks the
+        /// closure's index for a blank instead of the asserted set: the
+        /// closure mentions exactly the asserted blanks, after a bulk load
+        /// and after every insert and removal of an edit script, at worker
+        /// ceilings 1 and 2.
+        #[test]
+        fn the_closure_mentions_exactly_the_asserted_blanks(
+            g in arb_rdfs_graph(14),
+            ops in proptest::collection::vec((0u8..2, 0u8..16), 1..12),
+        ) {
+            let pool: Vec<Triple> = g.iter().cloned().collect();
+            if pool.is_empty() {
+                return Ok(());
+            }
+            for threads in [1, 2] {
+                let mut materialized = MaterializedStore::with_threads(threads);
+                materialized.insert_graph(&pool.iter().step_by(2).cloned().collect());
+                for &(op, pick) in &ops {
+                    let t = &pool[pick as usize % pool.len()];
+                    if op == 0 {
+                        materialized.insert(t);
+                    } else {
+                        materialized.remove(t);
+                    }
+                    let dictionary = materialized.store().dictionary();
+                    prop_assert_eq!(
+                        blank_ids(materialized.closure_index().iter(), dictionary),
+                        blank_ids(materialized.store().iter_ids(), dictionary),
+                        "threads {} over {}",
+                        threads,
+                        materialized.to_graph()
+                    );
+                }
+            }
         }
 
         #[test]

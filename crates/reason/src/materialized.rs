@@ -3,11 +3,11 @@
 //! This is the type an application holds when it wants closure-aware reads
 //! under mutation: `insert`/`remove` keep both the asserted store and the
 //! materialized `RDFS-cl(G)` up to date (via [`DeltaClosure`]), and pattern
-//! scans can be answered from either side. The asserted store and the
-//! closure share one dictionary, so a term has the same id in both.
+//! scans run over the closure's index. The asserted store and the closure
+//! share one dictionary, so a term has the same id in both.
 
 use swdb_model::{Graph, Iri, Term, Triple};
-use swdb_store::{IdIndex, IdPattern, IdTriple, TripleStore};
+use swdb_store::{IdIndex, IdTriple, TripleStore};
 
 use crate::delta::DeltaClosure;
 use crate::rules::Vocabulary;
@@ -44,16 +44,7 @@ impl Default for MaterializedStore {
 impl MaterializedStore {
     /// Creates an empty store; its closure is the five rule-(9) axioms.
     pub fn new() -> Self {
-        let mut store = TripleStore::new();
-        let vocab = Vocabulary {
-            sp: store.intern(&Term::iri(swdb_model::rdfs::SP)),
-            sc: store.intern(&Term::iri(swdb_model::rdfs::SC)),
-            ty: store.intern(&Term::iri(swdb_model::rdfs::TYPE)),
-            dom: store.intern(&Term::iri(swdb_model::rdfs::DOM)),
-            range: store.intern(&Term::iri(swdb_model::rdfs::RANGE)),
-        };
-        let engine = DeltaClosure::new(vocab);
-        MaterializedStore { store, engine }
+        MaterializedStore::restore(TripleStore::new(), IdIndex::new())
     }
 
     /// Creates an empty store whose closure maintenance may spawn up to
@@ -109,8 +100,8 @@ impl MaterializedStore {
     /// concurrently. The caller (the durability layer) is responsible for
     /// them being a consistent checksummed unit.
     pub fn restore(mut store: TripleStore, closure: IdIndex) -> Self {
-        // The five vocabulary terms are interned by `new()` before anything
-        // else, so any snapshot's term list already contains them; interning
+        // The five vocabulary terms are interned here first, by `new()`
+        // too, so any snapshot's term list already contains them; interning
         // again just resolves their ids.
         let vocab = Vocabulary {
             sp: store.intern(&Term::iri(swdb_model::rdfs::SP)),
@@ -264,18 +255,6 @@ impl MaterializedStore {
             .is_some_and(|ids| self.engine.contains(ids))
     }
 
-    /// Scans the closure with an id-pattern.
-    pub fn scan_closure_ids(&self, pattern: IdPattern) -> Vec<IdTriple> {
-        self.engine.scan(pattern)
-    }
-
-    /// Counts the closure triples matching an id-pattern without
-    /// materializing them — the selectivity probe the id-space query
-    /// engine orders its joins by.
-    pub fn closure_candidate_count(&self, pattern: IdPattern) -> usize {
-        self.engine.candidate_count(pattern)
-    }
-
     /// Read access to the maintained closure's SPO/POS/OSP index. Together
     /// with `store().dictionary()` this is the substrate the id-space query
     /// engine (`swdb_query::exec`) executes premise-free queries against.
@@ -295,7 +274,7 @@ impl MaterializedStore {
             // A bound term that was never interned matches nothing.
             return Vec::new();
         };
-        self.engine
+        self.closure_index()
             .scan(pattern)
             .into_iter()
             .map(|ids| self.store.materialize(ids))
@@ -311,7 +290,7 @@ impl MaterializedStore {
     /// `swdb_entailment::rdfs_closure` of the asserted graph (the property
     /// tests pin this down).
     pub fn closure_graph(&self) -> Graph {
-        self.engine
+        self.closure_index()
             .iter()
             .map(|ids| self.store.materialize(ids))
             .collect()
@@ -435,8 +414,8 @@ mod tests {
         let ty = m.store().id_of(&Term::iri(rdfs::TYPE)).unwrap();
         let pattern = (None, Some(ty), None);
         assert_eq!(
-            m.closure_candidate_count(pattern),
-            m.scan_closure_ids(pattern).len()
+            m.closure_index().candidate_count(pattern),
+            m.closure_index().scan(pattern).len()
         );
         assert_eq!(m.closure_index().len(), m.closure_len());
     }
@@ -447,8 +426,7 @@ mod tests {
         // track the closure index through inserts, bulk loads and DRed
         // deletions — including the cascade cases.
         let mut m = MaterializedStore::new();
-        let mut shadow: std::collections::BTreeSet<IdTriple> =
-            m.scan_closure_ids((None, None, None)).into_iter().collect();
+        let mut shadow: std::collections::BTreeSet<IdTriple> = m.closure_index().iter().collect();
         let apply = |m: &mut MaterializedStore,
                      shadow: &mut std::collections::BTreeSet<IdTriple>,
                      delta: ClosureDelta| {
@@ -459,8 +437,8 @@ mod tests {
                 assert!(shadow.remove(&t), "delta removed a dead triple");
             }
             assert_eq!(
-                m.scan_closure_ids((None, None, None))
-                    .into_iter()
+                m.closure_index()
+                    .iter()
                     .collect::<std::collections::BTreeSet<_>>(),
                 *shadow,
                 "shadow diverged from the maintained closure"

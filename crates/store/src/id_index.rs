@@ -1,10 +1,13 @@
-//! A three-way ordered index over id-triples.
+//! Ordered sets of id-triples: [`IdSet`], one ordering, and [`IdIndex`],
+//! three.
 //!
-//! The core physical structure of the store layer: the same set of triples
-//! held in SPO, POS and OSP order so that any pattern with a bound prefix is
-//! a range scan. [`crate::TripleStore`] wraps one of these together with the
-//! term dictionary; the incremental reasoner (`swdb-reason`) uses a second,
-//! dictionary-less one to hold the maintained closure over the same ids.
+//! The core physical structure of the store layer is one persistent tree
+//! per ordering. An [`IdSet`] is one tree: a membership probe and a walk in
+//! key order, which is all the asserted set of a [`crate::TripleStore`]
+//! serves. An [`IdIndex`] is three — the same set of triples held in SPO,
+//! POS and OSP order, so that any pattern with a bound prefix is a range
+//! scan. The incremental reasoner (`swdb-reason`) holds the maintained
+//! closure in one, and every join runs over an index.
 //!
 //! ## Layout
 //!
@@ -21,14 +24,14 @@
 //!   nodes and leaves between them — O(log n + leaves), never a walk over
 //!   the matches.
 //!
-//! Cloning an index copies the three root fence arrays and bumps reference
+//! Cloning an index copies the root fence arrays and bumps reference
 //! counts; nothing below the roots is copied. A write unshares only the path
 //! it touches (`Arc::make_mut`): after a clone, inserting or removing one
 //! triple copies one node and one leaf per ordering, or the few siblings a
 //! split or merge involves. That is what lets a published snapshot *share*
 //! the writer's index instead of copying it. Batches go through
-//! [`IdIndex::insert_all`] and [`IdIndex::from_sorted`], which merge sorted
-//! runs into the leaves they land in instead of shifting a leaf per triple.
+//! `insert_all` and `from_sorted` (of either type), which merge sorted runs
+//! into the leaves they land in instead of shifting a leaf per triple.
 //!
 //! ## Views
 //!
@@ -302,15 +305,6 @@ impl<C: Chunk> Fenced<C> {
         });
         first
     }
-
-    /// Inserts one key; returns `true` if it was new.
-    fn insert(&mut self, key: Key) -> bool {
-        if self.contains(&key) {
-            return false;
-        }
-        self.merge(&[key]);
-        true
-    }
 }
 
 impl<C: Chunk> Chunk for Fenced<C> {
@@ -413,6 +407,118 @@ impl<C: Chunk> Chunk for Fenced<C> {
     }
 }
 
+/// The triples of `batch` that `fresh`, sorted, holds, in the order they
+/// were given (first occurrences).
+fn in_given_order(batch: &[IdTriple], fresh: Vec<IdTriple>) -> Vec<IdTriple> {
+    if fresh.len() == batch.len() && batch.is_sorted() {
+        return fresh;
+    }
+    let mut taken = vec![false; fresh.len()];
+    batch
+        .iter()
+        .filter(|t| match fresh.binary_search(t) {
+            Ok(i) => !std::mem::replace(&mut taken[i], true),
+            Err(_) => false,
+        })
+        .copied()
+        .collect()
+}
+
+/// A set of id-triples in one ordering, ascending: one persistent tree
+/// (module docs, "Layout"), so a clone shares every chunk. The asserted set
+/// of a [`crate::TripleStore`] is one, in `(s, p, o)` order; an [`IdIndex`]
+/// is three, each holding the triples permuted to its ordering's key.
+#[derive(Clone, Default)]
+pub struct IdSet {
+    tree: Tree,
+}
+
+impl IdSet {
+    /// Creates an empty set.
+    pub fn new() -> Self {
+        IdSet::default()
+    }
+
+    /// Builds a set from triples. Strictly ascending input (sorted, no
+    /// duplicates) is a bulk build with full leaves and no sort; any other
+    /// input is sorted and deduplicated first.
+    pub fn from_sorted(triples: &[IdTriple]) -> Self {
+        let mut set = IdSet::new();
+        if triples.windows(2).all(|w| w[0] < w[1]) {
+            set.tree.merge(triples);
+        } else {
+            set.insert_sorted(triples.to_vec());
+        }
+        set
+    }
+
+    /// Number of triples held.
+    pub fn len(&self) -> usize {
+        self.tree.len
+    }
+
+    /// Returns `true` if the set holds no triples.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Membership test.
+    pub fn contains(&self, key: IdTriple) -> bool {
+        self.tree.contains(&key)
+    }
+
+    /// Inserts a triple; returns `true` if it was new.
+    pub fn insert(&mut self, key: IdTriple) -> bool {
+        let fresh = !self.contains(key);
+        if fresh {
+            self.tree.merge(&[key]);
+        }
+        fresh
+    }
+
+    /// Inserts a batch of triples in any order; returns the ones that were
+    /// new, in the order they were given (first occurrences), merged into
+    /// each leaf once.
+    pub fn insert_all(&mut self, triples: &[IdTriple]) -> Vec<IdTriple> {
+        in_given_order(triples, self.insert_sorted(triples.to_vec()))
+    }
+
+    /// Inserts a batch of triples in any order; returns the new ones
+    /// ascending.
+    fn insert_sorted(&mut self, mut triples: Vec<IdTriple>) -> Vec<IdTriple> {
+        triples.sort_unstable();
+        triples.dedup();
+        triples.retain(|&t| !self.contains(t));
+        self.tree.merge(&triples);
+        triples
+    }
+
+    /// Removes a triple; returns `true` if it was present.
+    pub fn remove(&mut self, key: IdTriple) -> bool {
+        let present = self.contains(key);
+        if present {
+            self.tree.remove(&key);
+        }
+        present
+    }
+
+    /// The leaves in key order.
+    fn leaves(&self) -> impl Iterator<Item = &Arc<Vec<Key>>> {
+        self.tree.kids.iter().flat_map(|node| node.kids.iter())
+    }
+
+    /// Iterates in key order.
+    pub fn iter(&self) -> impl Iterator<Item = IdTriple> + '_ {
+        self.leaves().flat_map(|leaf| leaf.iter().copied())
+    }
+}
+
+impl fmt::Debug for IdSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
 /// The orderings of an [`IdIndex`].
 #[derive(Clone, Copy)]
 enum Order {
@@ -458,9 +564,9 @@ fn route((s, p, o): IdPattern) -> (Order, Key, Key) {
 /// neither ever observes the other's writes.
 #[derive(Clone, Default)]
 pub struct IdIndex {
-    spo: Tree,
-    pos: Tree,
-    osp: Tree,
+    spo: IdSet,
+    pos: IdSet,
+    osp: IdSet,
     /// The hidden set of a view (module docs, "Views"), plain and inside
     /// the base; `None` on a plain index.
     hidden: Option<Arc<IdIndex>>,
@@ -507,17 +613,18 @@ impl IdIndex {
     /// Whether the base shares every node of `base`: a view of a clone of
     /// `base` that no write has reached since.
     pub fn is_view_of(&self, base: &IdIndex) -> bool {
-        let same = |a: &Tree, b: &Tree| {
-            a.len == b.len && a.kids.iter().zip(&b.kids).all(|(x, y)| Arc::ptr_eq(x, y))
+        let same = |a: &IdSet, b: &IdSet| {
+            let mut kids = a.tree.kids.iter().zip(&b.tree.kids);
+            a.len() == b.len() && kids.all(|(x, y)| Arc::ptr_eq(x, y))
         };
         same(&self.spo, &base.spo) && same(&self.pos, &base.pos) && same(&self.osp, &base.osp)
     }
 
     fn tree(&self, order: Order) -> &Tree {
         match order {
-            Order::Spo => &self.spo,
-            Order::Pos => &self.pos,
-            Order::Osp => &self.osp,
+            Order::Spo => &self.spo.tree,
+            Order::Pos => &self.pos.tree,
+            Order::Osp => &self.osp.tree,
         }
     }
 
@@ -530,7 +637,7 @@ impl IdIndex {
 
     /// Number of triples indexed.
     pub fn len(&self) -> usize {
-        self.spo.len - self.hidden.as_ref().map_or(0, |h| h.len())
+        self.spo.len() - self.hidden.as_ref().map_or(0, |h| h.len())
     }
 
     /// Returns `true` if the index holds no triples.
@@ -544,12 +651,7 @@ impl IdIndex {
         if let Some(hidden) = self.hidden.as_mut().filter(|h| h.contains((s, p, o))) {
             return Arc::make_mut(hidden).remove((s, p, o));
         }
-        let added = self.spo.insert((s, p, o));
-        if added {
-            self.pos.merge(&[(p, o, s)]);
-            self.osp.merge(&[(o, s, p)]);
-        }
-        added
+        self.spo.insert((s, p, o)) && self.pos.insert((p, o, s)) && self.osp.insert((o, s, p))
     }
 
     /// Inserts a batch of triples in any order; returns the ones that were
@@ -557,19 +659,7 @@ impl IdIndex {
     /// `batch.filter(|t| index.insert(t))` returns, but merged into each
     /// leaf once instead of shifted into it per triple.
     pub fn insert_all(&mut self, triples: &[IdTriple]) -> Vec<IdTriple> {
-        let fresh = self.insert_sorted(triples.to_vec());
-        if fresh.len() == triples.len() && triples.is_sorted() {
-            return fresh;
-        }
-        let mut taken = vec![false; fresh.len()];
-        triples
-            .iter()
-            .filter(|t| match fresh.binary_search(t) {
-                Ok(i) => !std::mem::replace(&mut taken[i], true),
-                Err(_) => false,
-            })
-            .copied()
-            .collect()
+        in_given_order(triples, self.insert_sorted(triples.to_vec()))
     }
 
     /// Inserts a batch of triples in any order; returns the new ones in
@@ -581,7 +671,7 @@ impl IdIndex {
             triples.retain(|&t| self.insert(t));
             return triples;
         }
-        triples.retain(|t| !self.spo.contains(t));
+        triples.retain(|&t| !self.spo.contains(t));
         self.merge_fresh(&triples);
         triples
     }
@@ -591,15 +681,15 @@ impl IdIndex {
         if fresh.is_empty() {
             return;
         }
-        self.spo.merge(fresh);
+        self.spo.tree.merge(fresh);
         let mut keys: Vec<Key> = fresh.iter().map(|&(s, p, o)| (p, o, s)).collect();
         keys.sort_unstable();
-        self.pos.merge(&keys);
+        self.pos.tree.merge(&keys);
         for (key, &(s, p, o)) in keys.iter_mut().zip(fresh) {
             *key = (o, s, p);
         }
         keys.sort_unstable();
-        self.osp.merge(&keys);
+        self.osp.tree.merge(&keys);
     }
 
     /// Removes a triple; returns `true` if it was present. On a view a
@@ -608,36 +698,28 @@ impl IdIndex {
         if !self.contains((s, p, o)) {
             return false;
         }
-        if let Some(hidden) = self.hidden.as_mut() {
-            return Arc::make_mut(hidden).insert((s, p, o));
+        match self.hidden.as_mut() {
+            Some(hidden) => Arc::make_mut(hidden).insert((s, p, o)),
+            None => {
+                self.spo.remove((s, p, o))
+                    && self.pos.remove((p, o, s))
+                    && self.osp.remove((o, s, p))
+            }
         }
-        self.spo.remove(&(s, p, o));
-        self.pos.remove(&(p, o, s));
-        self.osp.remove(&(o, s, p));
-        true
     }
 
     /// Membership test.
     pub fn contains(&self, ids: IdTriple) -> bool {
-        self.spo.contains(&ids) && !self.hidden.as_ref().is_some_and(|h| h.contains(ids))
-    }
-
-    /// The base's triples in `(s, p, o)` order, hidden or not.
-    fn keys(&self) -> impl Iterator<Item = IdTriple> + '_ {
-        self.spo
-            .kids
-            .iter()
-            .flat_map(|node| node.kids.iter())
-            .flat_map(|leaf| leaf.iter().copied())
+        self.spo.contains(ids) && !self.hidden.as_ref().is_some_and(|h| h.contains(ids))
     }
 
     /// Iterates in `(s, p, o)` order. Each leaf is cut at the hidden keys
     /// in it as the walk reaches it, so the walk copies whole slices and
     /// holds nothing but its cursors.
     pub fn iter(&self) -> impl Iterator<Item = IdTriple> + '_ {
-        let mut hidden = self.hidden.iter().flat_map(|h| h.keys());
+        let mut hidden = self.hidden.iter().flat_map(|h| h.spo.iter());
         let mut next = hidden.next();
-        let mut leaves = self.spo.kids.iter().flat_map(|node| node.kids.iter());
+        let mut leaves = self.spo.leaves();
         let mut rest: &[Key] = &[];
         let pieces = std::iter::from_fn(move || {
             if rest.is_empty() {
@@ -652,23 +734,6 @@ impl IdIndex {
             Some(&piece[..cut])
         });
         pieces.flat_map(|piece| piece.iter().copied())
-    }
-
-    /// The distinct predicate ids in use, ascending: one seek per predicate
-    /// in POS order, never a walk over its triples.
-    pub fn predicate_ids(&self) -> Vec<TermId> {
-        let mut out = Vec::new();
-        let mut from = 0;
-        while let Some((p, _, _)) = self.pos.first_from(&below((from, 0, 0))) {
-            if self.hidden.is_none() || self.candidate_count((None, Some(p), None)) > 0 {
-                out.push(p);
-            }
-            match p.checked_add(1) {
-                Some(next) => from = next,
-                None => break,
-            }
-        }
-        out
     }
 
     /// Visits every triple matching the pattern, using the most selective
@@ -811,16 +876,6 @@ mod tests {
     }
 
     #[test]
-    fn predicate_ids_are_distinct_and_sorted() {
-        let index = sample();
-        assert_eq!(index.predicate_ids(), vec![10, 11]);
-        let mut edge = IdIndex::new();
-        edge.insert((0, TermId::MAX, 0));
-        edge.insert((0, 0, 0));
-        assert_eq!(edge.predicate_ids(), vec![0, TermId::MAX]);
-    }
-
-    #[test]
     fn candidate_count_agrees_with_scan_on_every_pattern_shape() {
         let index = sample();
         let ids = [None, Some(1), Some(2), Some(3), Some(4), Some(10), Some(11)];
@@ -945,20 +1000,20 @@ mod tests {
             let mut triples = spread(n);
             triples.sort_unstable();
             let mut index = IdIndex::from_sorted(&triples);
-            assert!(index.spo.kids.len() > 4, "several nodes at n = {n}");
+            assert!(index.spo.tree.kids.len() > 4, "several nodes at n = {n}");
             let snapshot = index.clone();
             for (tree, copy) in [
-                (&index.spo, &snapshot.spo),
-                (&index.pos, &snapshot.pos),
-                (&index.osp, &snapshot.osp),
+                (&index.spo.tree, &snapshot.spo.tree),
+                (&index.pos.tree, &snapshot.pos.tree),
+                (&index.osp.tree, &snapshot.osp.tree),
             ] {
                 assert_eq!(unshared(copy, tree), (0, 0), "a clone copies no chunk");
             }
             assert!(index.insert((n / 16, 3, 1_000_001)));
             for (tree, copy) in [
-                (&index.spo, &snapshot.spo),
-                (&index.pos, &snapshot.pos),
-                (&index.osp, &snapshot.osp),
+                (&index.spo.tree, &snapshot.spo.tree),
+                (&index.pos.tree, &snapshot.pos.tree),
+                (&index.osp.tree, &snapshot.osp.tree),
             ] {
                 assert_eq!(unshared(copy, tree), (1, 1), "n = {n}");
             }
@@ -990,9 +1045,12 @@ mod tests {
             }
             let mut sets = Vec::new();
             for (tree, unpermute) in [
-                (&self.spo, (|(s, p, o)| (s, p, o)) as fn(Key) -> IdTriple),
-                (&self.pos, |(p, o, s)| (s, p, o)),
-                (&self.osp, |(o, s, p)| (s, p, o)),
+                (
+                    &self.spo.tree,
+                    (|(s, p, o)| (s, p, o)) as fn(Key) -> IdTriple,
+                ),
+                (&self.pos.tree, |(p, o, s)| (s, p, o)),
+                (&self.osp.tree, |(o, s, p)| (s, p, o)),
             ] {
                 check(tree);
                 for node in &tree.kids {
@@ -1016,7 +1074,7 @@ mod tests {
                 assert!(hidden.hidden.is_none(), "a hidden set is plain");
                 hidden.debug_check();
                 assert!(
-                    hidden.keys().all(|t| self.spo.contains(&t)),
+                    hidden.spo.iter().all(|t| self.spo.contains(t)),
                     "hidden ⊆ base"
                 );
             }
@@ -1070,8 +1128,6 @@ mod tests {
         index.debug_check();
         assert_eq!(index.len(), model.len());
         assert!(index.iter().eq(model.iter().copied()));
-        let preds: BTreeSet<TermId> = model.iter().map(|t| t.1).collect();
-        assert_eq!(index.predicate_ids(), preds.into_iter().collect::<Vec<_>>());
         for &pattern in probes {
             let (s, p, o) = pattern;
             let matches = |t: &&IdTriple| {
@@ -1148,6 +1204,47 @@ mod tests {
             }
             for (snapshot, model) in &snapshots {
                 agrees(snapshot, model, &probes);
+            }
+        }
+
+        /// The one-ordering set against a `BTreeSet` model under the same
+        /// scripts; a rebuild goes through `from_sorted`'s sorting path
+        /// (descending input with duplicates) or its bulk path in turn.
+        #[test]
+        fn the_set_behaves_like_a_sorted_set(
+            ops in proptest::collection::vec(arb_op(), 1..14),
+        ) {
+            let mut set = IdSet::new();
+            let mut model = BTreeSet::new();
+            for (i, op) in ops.iter().enumerate() {
+                match *op {
+                    Op::Insert(t) => prop_assert_eq!(set.insert(t), model.insert(t)),
+                    Op::Remove(t) => prop_assert_eq!(set.remove(t), model.remove(&t)),
+                    Op::Batch(seed, len) => {
+                        let triples = batch(seed, len);
+                        let expected: Vec<IdTriple> =
+                            triples.iter().copied().filter(|&t| model.insert(t)).collect();
+                        prop_assert_eq!(set.insert_all(&triples), expected);
+                    }
+                    Op::RemoveMatching((s, _, _)) => {
+                        let doomed: Vec<IdTriple> =
+                            model.iter().copied().filter(|t| s.is_none_or(|s| t.0 == s)).collect();
+                        for t in doomed {
+                            prop_assert!(set.remove(t) && model.remove(&t));
+                        }
+                    }
+                    Op::Rebuild => {
+                        let mut triples: Vec<IdTriple> = model.iter().copied().collect();
+                        if i % 2 == 0 {
+                            triples.reverse();
+                            triples.extend_from_within(..triples.len() / 2);
+                        }
+                        set = IdSet::from_sorted(&triples);
+                    }
+                    Op::Snapshot => {}
+                }
+                prop_assert_eq!(set.len(), model.len());
+                prop_assert!(set.iter().eq(model.iter().copied()));
             }
         }
 

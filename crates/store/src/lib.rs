@@ -7,8 +7,9 @@
 //! hold data at rest and to move it in and out of files.
 //!
 //! * [`dictionary`] — term interning and the term-order table,
-//! * [`id_index`] — the raw SPO/POS/OSP ordered index over id-triples,
-//! * [`triple_store`] — dictionary + index with term-level pattern scans,
+//! * [`id_index`] — the persistent ordered set of id-triples in one
+//!   ordering, and the SPO/POS/OSP index of three,
+//! * [`triple_store`] — dictionary + one-ordering set: the asserted triples,
 //! * [`ntriples`] — an N-Triples-style parser and serializer,
 //! * [`stats`] — graph statistics reported by the examples and the facade,
 //! * [`union_find`] — the disjoint-set forest behind every blank-component
@@ -25,7 +26,7 @@ pub mod triple_store;
 pub mod union_find;
 
 pub use dictionary::{Dictionary, TermId, TermOrder};
-pub use id_index::IdIndex;
+pub use id_index::{IdIndex, IdSet};
 pub use ntriples::{parse, serialize, ParseError};
 pub use stats::GraphStats;
 pub use triple_store::{IdPattern, IdTriple, TripleStore};
@@ -37,6 +38,7 @@ mod proptests {
     use swdb_model::{Graph, Term, Triple};
 
     use crate::ntriples::{parse, serialize};
+    use crate::triple_store::tests::scan;
     use crate::triple_store::TripleStore;
 
     fn arb_graph(max_triples: usize) -> impl Strategy<Value = Graph> {
@@ -70,11 +72,11 @@ mod proptests {
         fn scans_agree_with_graph_filters(g in arb_graph(12)) {
             let store = TripleStore::from_graph(&g);
             for t in g.iter() {
-                let by_subject = store.scan(Some(t.subject()), None, None);
+                let by_subject = scan(&store, Some(t.subject()), None, None);
                 prop_assert!(by_subject.contains(t));
-                let by_pred = store.scan(None, Some(t.predicate()), None);
+                let by_pred = scan(&store, None, Some(t.predicate()), None);
                 prop_assert!(by_pred.contains(t));
-                let by_object = store.scan(None, None, Some(t.object()));
+                let by_object = scan(&store, None, None, Some(t.object()));
                 prop_assert!(by_object.contains(t));
             }
         }

@@ -1,39 +1,35 @@
-//! A dictionary-encoded triple store with SPO, POS and OSP indexes.
+//! A dictionary-encoded triple store: the asserted set of a database.
 //!
-//! The store keeps three orderings of the same id-triples so that any triple
-//! pattern with bound prefix positions can be answered with a range scan:
+//! The store holds its id-triples in one ordering, `(s, p, o)`: an
+//! [`IdSet`]. That is every read the asserted set serves — a membership
+//! probe, and the set in `(s, p, o)` order (a snapshot's base run,
+//! [`TripleStore::to_graph`], statistics). Joins run over an [`IdIndex`]
+//! with all three orderings: the maintained closure of `swdb-reason`, which
+//! holds the asserted set, or an index built from
+//! [`TripleStore::iter_ids`].
 //!
-//! * `SPO` — bound subject (and optionally predicate),
-//! * `POS` — bound predicate (and optionally object),
-//! * `OSP` — bound object (and optionally subject).
-//!
-//! This is the classical layout used by practical RDF stores; it is the
-//! "database" substrate on which the query layer (`swdb-query`) operates when
-//! data outgrows the plain [`swdb_model::Graph`] representation, and the
-//! id-space that the incremental reasoner (`swdb-reason`) computes closures
-//! over.
+//! [`IdIndex`]: crate::IdIndex
 //!
 //! ## Mutability design
 //!
-//! The dictionary and the three indexes move together under one `&mut self`:
-//! every mutating operation (`insert`, `remove`) takes `&mut self`, every
-//! read (`scan`, `contains`, `id_of`) takes `&self`. An earlier revision
+//! The dictionary and the set move together under one `&mut self`: every
+//! mutating operation (`insert`, `remove`) takes `&mut self`, every read
+//! (`contains`, `iter_ids`, `id_of`) takes `&self`. An earlier revision
 //! kept the dictionary behind an `RwLock` so reads could intern lazily, but
 //! mixing interior mutability with `&mut` indexes made the ownership story
 //! incoherent (and poisoned the `Send`/`Sync` expectations of callers);
 //! reads never need to intern — a term that was never interned matches
 //! nothing — so the lock bought nothing.
 //!
-//! A clone shares the dictionary `Arc` and the persistent index's chunks;
+//! A clone shares the dictionary `Arc` and the persistent set's chunks;
 //! interning copies the dictionary only for a new term while one is shared.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use swdb_model::{Graph, Iri, Term, Triple};
 
 use crate::dictionary::{Dictionary, TermId};
-use crate::id_index::IdIndex;
+use crate::id_index::IdSet;
 
 /// A triple of interned identifiers.
 pub type IdTriple = (TermId, TermId, TermId);
@@ -41,12 +37,12 @@ pub type IdTriple = (TermId, TermId, TermId);
 /// A pattern over interned identifiers: `None` is a wildcard.
 pub type IdPattern = (Option<TermId>, Option<TermId>, Option<TermId>);
 
-/// An indexed, dictionary-encoded triple store: an [`IdIndex`] over the ids
-/// allocated by a [`Dictionary`].
+/// A dictionary-encoded triple store: an [`IdSet`] in `(s, p, o)` order
+/// over the ids allocated by a [`Dictionary`].
 #[derive(Clone, Debug, Default)]
 pub struct TripleStore {
     dictionary: Arc<Dictionary>,
-    index: IdIndex,
+    set: IdSet,
 }
 
 impl TripleStore {
@@ -64,24 +60,24 @@ impl TripleStore {
         store
     }
 
-    /// A store over a dictionary and an index built apart, as a snapshot
+    /// A store over a dictionary and a set built apart, as a snapshot
     /// restore builds them. The caller is responsible for every id in
-    /// `index` being live in `dictionary`.
-    pub fn from_parts(dictionary: Dictionary, index: IdIndex) -> Self {
+    /// `set` being live in `dictionary`.
+    pub fn from_parts(dictionary: Dictionary, set: IdSet) -> Self {
         TripleStore {
             dictionary: Arc::new(dictionary),
-            index,
+            set,
         }
     }
 
     /// Number of triples stored.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.set.len()
     }
 
     /// Returns `true` if the store has no triples.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.set.is_empty()
     }
 
     /// Number of distinct terms interned.
@@ -134,22 +130,16 @@ impl TripleStore {
 
     /// Inserts a triple, returning its interned ids and whether it was new.
     pub fn insert_with_ids(&mut self, triple: &Triple) -> (IdTriple, bool) {
-        let (s, p, o) = self.intern_triple(triple);
-        ((s, p, o), self.insert_id_triple((s, p, o)))
-    }
-
-    /// Inserts an already-interned triple; returns `true` if it was new.
-    ///
-    /// The caller is responsible for the ids being live in the dictionary
-    /// (ids obtained from [`TripleStore::intern`] or a scan always are).
-    pub fn insert_id_triple(&mut self, ids: IdTriple) -> bool {
-        self.index.insert(ids)
+        let ids = self.intern_triple(triple);
+        (ids, self.set.insert(ids))
     }
 
     /// Inserts already-interned triples as one batch; returns the ones that
-    /// were new, in the order given (see [`IdIndex::insert_all`]).
+    /// were new, in the order given (see [`IdSet::insert_all`]). The caller
+    /// is responsible for the ids being live in the dictionary (ids
+    /// obtained from [`TripleStore::intern`] always are).
     pub fn insert_id_triples(&mut self, ids: &[IdTriple]) -> Vec<IdTriple> {
-        self.index.insert_all(ids)
+        self.set.insert_all(ids)
     }
 
     /// Removes a triple; returns `true` if it was present.
@@ -163,12 +153,7 @@ impl TripleStore {
     /// the returned ids remain valid for delta propagation.
     pub fn remove_with_ids(&mut self, triple: &Triple) -> Option<IdTriple> {
         let ids = self.resolve_ids(triple)?;
-        self.remove_id_triple(ids).then_some(ids)
-    }
-
-    /// Removes an already-interned triple; returns `true` if it was present.
-    pub fn remove_id_triple(&mut self, ids: IdTriple) -> bool {
-        self.index.remove(ids)
+        self.set.remove(ids).then_some(ids)
     }
 
     /// Removes already-interned triples as one batch; returns the ones that
@@ -177,7 +162,7 @@ impl TripleStore {
     pub fn remove_id_triples(&mut self, ids: &[IdTriple]) -> Vec<IdTriple> {
         ids.iter()
             .copied()
-            .filter(|&t| self.index.remove(t))
+            .filter(|&t| self.set.remove(t))
             .collect()
     }
 
@@ -200,7 +185,7 @@ impl TripleStore {
 
     /// Returns `true` if the id-triple is present.
     pub fn contains_id_triple(&self, ids: IdTriple) -> bool {
-        self.index.contains(ids)
+        self.set.contains(ids)
     }
 
     /// Resolves the id of a term if it has been interned.
@@ -215,19 +200,7 @@ impl TripleStore {
 
     /// Iterates over the stored id-triples in `(s, p, o)` order.
     pub fn iter_ids(&self) -> impl Iterator<Item = IdTriple> + '_ {
-        self.index.iter()
-    }
-
-    /// Counts the id-triples matching a pattern without materializing them
-    /// (see [`IdIndex::candidate_count`]).
-    pub fn candidate_count(&self, pattern: IdPattern) -> usize {
-        self.index.candidate_count(pattern)
-    }
-
-    /// Read access to the underlying SPO/POS/OSP index, for id-space
-    /// consumers (the query engine joins against it directly).
-    pub fn id_index(&self) -> &IdIndex {
-        &self.index
+        self.set.iter()
     }
 
     /// Resolves a term-level pattern to an id-pattern: `None` when a bound
@@ -249,24 +222,6 @@ impl TripleStore {
             to_id(predicate.map(|p| Term::Iri(p.clone())).as_ref())?,
             to_id(object)?,
         ))
-    }
-
-    /// Answers a term-level pattern (each position optionally bound).
-    pub fn scan(
-        &self,
-        subject: Option<&Term>,
-        predicate: Option<&Iri>,
-        object: Option<&Term>,
-    ) -> Vec<Triple> {
-        let Some(pattern) = self.resolve_pattern(subject, predicate, object) else {
-            // A bound term that was never interned matches nothing.
-            return Vec::new();
-        };
-        self.index
-            .scan(pattern)
-            .into_iter()
-            .map(|ids| self.materialize(ids))
-            .collect()
     }
 
     /// Resolves an id-triple back to terms.
@@ -294,19 +249,7 @@ impl TripleStore {
 
     /// Exports the stored triples as a [`Graph`].
     pub fn to_graph(&self) -> Graph {
-        self.index.iter().map(|ids| self.materialize(ids)).collect()
-    }
-
-    /// The distinct predicates in use.
-    pub fn predicates(&self) -> BTreeSet<Iri> {
-        self.index
-            .predicate_ids()
-            .into_iter()
-            .filter_map(|p| match self.dictionary.term_of(p) {
-                Some(Term::Iri(iri)) => Some(iri.clone()),
-                _ => None,
-            })
-            .collect()
+        self.set.iter().map(|ids| self.materialize(ids)).collect()
     }
 }
 
@@ -319,9 +262,26 @@ impl PartialEq for TripleStore {
 impl Eq for TripleStore {}
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::IdIndex;
     use swdb_model::{graph, triple};
+
+    /// Answers a term-level pattern over an index built from the store's
+    /// triples.
+    pub(crate) fn scan(
+        store: &TripleStore,
+        subject: Option<&Term>,
+        predicate: Option<&Iri>,
+        object: Option<&Term>,
+    ) -> Vec<Triple> {
+        let Some(pattern) = store.resolve_pattern(subject, predicate, object) else {
+            return Vec::new();
+        };
+        let index: IdIndex = store.iter_ids().collect();
+        let matches = index.scan(pattern).into_iter();
+        matches.map(|ids| store.materialize(ids)).collect()
+    }
 
     fn sample() -> TripleStore {
         TripleStore::from_graph(&graph([
@@ -356,7 +316,7 @@ mod tests {
         assert_eq!(store.remove_with_ids(&t), Some(ids));
         assert!(!store.contains_id_triple(ids));
         // Ids survive removal: reinserting by id alone resolves back.
-        assert!(store.insert_id_triple(ids));
+        assert_eq!(store.insert_id_triples(&[ids]), [ids]);
         assert_eq!(store.materialize(ids), t);
     }
 
@@ -365,7 +325,7 @@ mod tests {
         let mut store = sample();
         let present: Vec<IdTriple> = store.iter_ids().take(2).collect();
         let (absent, _) = store.insert_with_ids(&triple("ex:new", "ex:p", "ex:b"));
-        store.remove_id_triple(absent);
+        store.remove_id_triples(&[absent]);
         let batch = [present[1], absent, present[0], present[1]];
         assert_eq!(store.remove_id_triples(&batch), [present[1], present[0]]);
         assert!(present.iter().all(|&t| !store.contains_id_triple(t)));
@@ -391,40 +351,27 @@ mod tests {
     #[test]
     fn scans_by_each_position() {
         let store = sample();
-        assert_eq!(store.scan(Some(&Term::iri("ex:a")), None, None).len(), 2);
-        assert_eq!(store.scan(None, Some(&Iri::new("ex:p")), None).len(), 3);
-        assert_eq!(store.scan(None, None, Some(&Term::iri("ex:b"))).len(), 2);
+        assert_eq!(scan(&store, Some(&Term::iri("ex:a")), None, None).len(), 2);
+        assert_eq!(scan(&store, None, Some(&Iri::new("ex:p")), None).len(), 3);
+        assert_eq!(scan(&store, None, None, Some(&Term::iri("ex:b"))).len(), 2);
         assert_eq!(
-            store
-                .scan(
-                    Some(&Term::iri("ex:a")),
-                    Some(&Iri::new("ex:p")),
-                    Some(&Term::iri("ex:b"))
-                )
-                .len(),
+            scan(
+                &store,
+                Some(&Term::iri("ex:a")),
+                Some(&Iri::new("ex:p")),
+                Some(&Term::iri("ex:b"))
+            )
+            .len(),
             1
         );
-        assert_eq!(store.scan(None, None, None).len(), 4);
+        assert_eq!(scan(&store, None, None, None).len(), 4);
     }
 
     #[test]
     fn scans_for_unknown_terms_return_nothing() {
         let store = sample();
-        assert!(store
-            .scan(Some(&Term::iri("ex:unknown")), None, None)
-            .is_empty());
-        assert!(store
-            .scan(None, Some(&Iri::new("ex:unknownpred")), None)
-            .is_empty());
-    }
-
-    #[test]
-    fn predicates_are_listed_once() {
-        let store = sample();
-        let preds = store.predicates();
-        assert_eq!(preds.len(), 2);
-        assert!(preds.contains("ex:p"));
-        assert!(preds.contains("ex:q"));
+        assert!(scan(&store, Some(&Term::iri("ex:unknown")), None, None).is_empty());
+        assert!(scan(&store, None, Some(&Iri::new("ex:unknownpred")), None).is_empty());
     }
 
     #[test]
@@ -440,8 +387,8 @@ mod tests {
     #[test]
     fn blank_nodes_are_stored_distinct_from_iris() {
         let store = sample();
-        assert_eq!(store.scan(Some(&Term::blank("X")), None, None).len(), 1);
-        assert!(store.scan(Some(&Term::iri("X")), None, None).is_empty());
+        assert_eq!(scan(&store, Some(&Term::blank("X")), None, None).len(), 1);
+        assert!(scan(&store, Some(&Term::iri("X")), None, None).is_empty());
     }
 
     #[test]

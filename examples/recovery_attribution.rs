@@ -12,6 +12,14 @@
 //! off a counting global allocator, and the size of the segment it wrote,
 //! whole and per asserted triple.
 //!
+//! Before the reopens, the same allocator splits the live bytes of the
+//! loaded, published database into its parts — the dictionary, the
+//! closure index, the asserted set, the evaluation engine without its
+//! index (it views the closure), and the facade around the state — each
+//! freed in turn, beside the bytes of a fresh build of that part from the
+//! same triples. Live above fresh is the slack that growing by batch
+//! merges leaves in the parts.
+//!
 //! Run with `cargo run --release --example recovery_attribution --
 //! [departments] [reopens]`; the default, 3500 departments reopened 8
 //! times, is ≈ 200k asserted triples. The data directory is a fresh
@@ -25,7 +33,9 @@ use std::time::Instant;
 use semweb_foundations::core::durable::StdIo;
 use semweb_foundations::core::{Metrics, MetricsLevel, SemanticWebDatabase};
 use semweb_foundations::model::{Graph, Iri, Term, Triple};
+use semweb_foundations::normal::IdCoreEngine;
 use semweb_foundations::obs::MetricsSnapshot;
+use semweb_foundations::store::{Dictionary, IdIndex, IdSet, IdTriple};
 use semweb_foundations::workloads::{university, UniversityConfig};
 
 /// Live heap bytes, and their high-water mark since the last reset.
@@ -62,6 +72,59 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// Live bytes freed by dropping `part`.
+fn freed<T>(part: T) -> i64 {
+    let before = LIVE.load(Relaxed);
+    drop(part);
+    before - LIVE.load(Relaxed)
+}
+
+/// What `build` returns, and the live bytes it holds.
+fn built<T>(build: impl FnOnce() -> T) -> (T, i64) {
+    let before = LIVE.load(Relaxed);
+    let part = build();
+    (part, LIVE.load(Relaxed) - before)
+}
+
+/// The live bytes of a loaded, published database's parts, each freed in
+/// turn, beside a fresh build of the part from the same triples: one row
+/// per part, `(name, live, fresh)`. The engine's fresh build is a cold
+/// core of a fresh closure index, which it views as the live one does.
+fn parts(db: SemanticWebDatabase) -> Vec<(&'static str, i64, Option<i64>)> {
+    let reasoner = db.reasoner();
+    let dictionary = Arc::clone(reasoner.store().shared_dictionary());
+    let closure = reasoner.closure_index().clone();
+    let store = reasoner.store().clone();
+    let closure_run: Vec<IdTriple> = closure.iter().collect();
+    let asserted_run: Vec<IdTriple> = store.iter_ids().collect();
+
+    let (_, fresh_dictionary) = built(|| {
+        let mut fresh = Dictionary::new();
+        dictionary
+            .iter()
+            .for_each(|(_, term)| _ = fresh.intern(term));
+        fresh
+    });
+    let (fresh_closure, fresh_closure_bytes) = built(|| IdIndex::from_sorted(&closure_run));
+    let (_, fresh_asserted) = built(|| IdSet::from_sorted(&asserted_run));
+    let (_, fresh_engine) = built(|| {
+        let mut engine = IdCoreEngine::new();
+        engine.apply_delta_over(&fresh_closure, &closure_run, &[], &dictionary);
+        engine
+    });
+    drop((fresh_closure, closure_run, asserted_run));
+
+    // The published snapshot holds the state once the facade is gone.
+    let state = db.published();
+    vec![
+        ("facade and the rest", freed(db), None),
+        ("engine without its index", freed(state), Some(fresh_engine)),
+        ("closure index", freed(closure), Some(fresh_closure_bytes)),
+        ("asserted set", freed(store), Some(fresh_asserted)),
+        ("dictionary", freed(dictionary), Some(fresh_dictionary)),
+    ]
+}
+
 /// The recorded sum of a histogram, in milliseconds.
 fn span_ms(snapshot: &MetricsSnapshot, key: &str) -> f64 {
     snapshot.histograms.get(key).map_or(0, |h| h.sum) as f64 / 1e6
@@ -94,6 +157,7 @@ fn main() {
     let dir = std::env::temp_dir().join(format!("swdb-recovery-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let metrics = Metrics::new(MetricsLevel::Debug);
+    let unloaded = LIVE.load(Relaxed);
     let mut db = SemanticWebDatabase::open_with_io(&dir, Arc::new(StdIo), metrics.clone())
         .expect("open a fresh directory");
     for batch in triples.chunks(triples.len().div_ceil(20).max(1)) {
@@ -102,6 +166,7 @@ fn main() {
     db.publish();
     let (asserted, evaluation) = (db.len(), db.published().evaluation_triples());
     let before = LIVE.load(Relaxed);
+    let loaded = before - unloaded;
     PEAK.store(before, Relaxed);
     assert!(
         db.snapshot_now().expect("checkpoint"),
@@ -113,7 +178,7 @@ fn main() {
         span_ms(&s, "span_snapshot_write_ns"),
         span_ms(&s, "span_snapshot_verify_ns"),
     );
-    drop(db);
+    let parts = parts(db);
     let segment: u64 = std::fs::read_dir(&dir)
         .expect("list the data directory")
         .map(|entry| entry.expect("an entry"))
@@ -128,6 +193,25 @@ fn main() {
         rotation - verify,
         segment as f64 / asserted as f64
     );
+
+    let mib = |bytes: i64| bytes as f64 / (1024.0 * 1024.0);
+    let per_triple = |bytes: i64| bytes as f64 / asserted as f64;
+    println!(
+        "live bytes of the loaded, published database: {:.1} MiB, {:.1} B per asserted triple",
+        mib(loaded),
+        per_triple(loaded)
+    );
+    println!("part                      live MiB  B/triple  fresh MiB  B/triple");
+    for (name, live, fresh) in parts {
+        let fresh = fresh.map_or("         -         -".to_string(), |bytes| {
+            format!("{:>9.1}  {:>8.1}", mib(bytes), per_triple(bytes))
+        });
+        println!(
+            "{name:<24}  {:>8.1}  {:>8.1}  {fresh}",
+            mib(live),
+            per_triple(live)
+        );
+    }
 
     println!("reopen  open ms  decode ms  restore ms  recovery ms  other ms");
     for i in 0..reopens {

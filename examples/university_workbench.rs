@@ -29,7 +29,7 @@ fn main() {
         "triple store: {} triples over {} interned terms, predicates: {:?}",
         store.len(),
         store.term_count(),
-        store.predicates().len()
+        GraphStats::of(&data).predicates
     );
 
     let mut db = SemanticWebDatabase::from_graph(store.to_graph());

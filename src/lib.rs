@@ -17,7 +17,7 @@
 //! | matching | [`hom`] | maps/homomorphisms `μ : G₁ → G₂` |
 //! | semantics | [`entailment`] | deductive system, `RDFS-cl(G)` as whole-graph fixpoints |
 //! | normalization | [`normal`] | lean graphs, cores, normal forms (§3) |
-//! | storage | [`store`] | dictionary-encoded [`store::TripleStore`] with SPO/POS/OSP indexes |
+//! | storage | [`store`] | dictionary-encoded [`store::TripleStore`] (one ordering) and the SPO/POS/OSP [`store::IdIndex`] |
 //! | **reasoning** | [`reason`] | **incremental `RDFS-cl(G)` over id-triples** |
 //! | queries | [`query`], [`containment`] | tableau queries, answers, containment (§4–6) |
 //! | facade | [`core`] | [`core::SemanticWebDatabase`] ties everything together |

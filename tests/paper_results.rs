@@ -18,7 +18,7 @@ use semweb_foundations::model::{encode_edges, graph, isomorphic, rdfs, triple, G
 use semweb_foundations::normal;
 use semweb_foundations::obs::Budget;
 use semweb_foundations::query::{self, Query, Semantics};
-use semweb_foundations::store::TripleStore;
+use semweb_foundations::store::{IdIndex, TripleStore};
 use semweb_foundations::workloads::university::{star_query, student_professor_query};
 use semweb_foundations::workloads::{art, sp_chain, university, UniversityConfig};
 
@@ -36,9 +36,10 @@ fn steps_of(search: impl FnOnce(&Budget)) -> u64 {
 /// `data`.
 fn enumeration_steps(q: &Query, data: &Graph) -> u64 {
     let store = TripleStore::from_graph(data);
+    let index: IdIndex = store.iter_ids().collect();
     let body = query::compile_body(q.body(), store.dictionary()).expect("constants occur");
     steps_of(|budget| {
-        hom::IdSolver::new(body.patterns(), body.variables().len(), store.id_index())
+        hom::IdSolver::new(body.patterns(), body.variables().len(), &index)
             .with_budget(budget)
             .for_each_solution(&mut |_| ControlFlow::<()>::Continue(()));
     })

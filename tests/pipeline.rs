@@ -3,11 +3,13 @@
 //! both entailment regimes, normalize it, and check containment-driven query
 //! rewriting — the flow a downstream application would run.
 
+use std::collections::BTreeSet;
+
 use semweb_foundations::containment::{self, Notion};
 use semweb_foundations::core::{EntailmentRegime, SemanticWebDatabase, Semantics};
-use semweb_foundations::model::{rdfs, Term};
+use semweb_foundations::model::{rdfs, Iri, Term};
 use semweb_foundations::query::query;
-use semweb_foundations::store::{GraphStats, TripleStore};
+use semweb_foundations::store::{GraphStats, IdIndex, TripleStore};
 use semweb_foundations::workloads::{university, UniversityConfig};
 
 #[test]
@@ -102,10 +104,17 @@ fn statistics_and_dictionary_agree_on_term_counts() {
     assert!(stats.predicates <= store.term_count());
     assert!(stats.blank_nodes > 0, "the workload has anonymous advisors");
     // Scanning by every predicate covers the whole store.
-    let total: usize = store
-        .predicates()
-        .iter()
-        .map(|p| store.scan(None, Some(p), None).len())
+    let index: IdIndex = store.iter_ids().collect();
+    let predicates: BTreeSet<&Iri> = data.iter().map(|t| t.predicate()).collect();
+    assert_eq!(predicates.len(), stats.predicates);
+    let total: usize = predicates
+        .into_iter()
+        .map(|p| {
+            store
+                .resolve_pattern(None, Some(p), None)
+                .expect("interned")
+        })
+        .map(|pattern| index.scan(pattern).len())
         .sum();
     assert_eq!(total, store.len());
 }
