@@ -15,10 +15,11 @@
 //! ordering) with its maintained closure ([`MaterializedStore`]), and the
 //! evaluation engine ([`swdb_normal::IdCoreEngine`]), whose index is a view
 //! of the closure that shares its nodes and hides the blank triples the
-//! core folded away, so it holds no triple of its own (under simple
-//! entailment, an index of `D` of its own). Everything large in it is
-//! persistent or `Arc`-shared, so a clone is O(1). Beside it: metrics, the durability
-//! layer and its fail-stop record, the read caches of the state, and the
+//! core folded away; it keeps no index of its own (under simple entailment,
+//! one of `D`), only blank components over the closure's blank triples.
+//! Everything large in it is persistent or `Arc`-shared, so a clone is
+//! O(1). Beside it: metrics, the durability layer and its fail-stop
+//! record, the read caches of the state, and the
 //! publication slot. Terms are decoded where a caller asks for them: an
 //! answer, `to_ntriples`, `stats`, and the string-space specification
 //! methods (`entails`, `closure_recomputed`, `core`, `normal_form`,

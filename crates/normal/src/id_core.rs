@@ -11,7 +11,9 @@
 //!    ground triples survive every retraction: the published index is a
 //!    view of the maintained set (the reasoner's index, whose nodes it
 //!    shares) that hides the blank triples the folds removed, `R`. A
-//!    *ground* delta is no core step at all, the common case.
+//!    *ground* delta is no core step at all, the common case. The view
+//!    and `R` together are the maintained set: the engine keeps no index
+//!    of its blank triples.
 //! 2. **Blank triples decompose into components** (see
 //!    [`crate::components`]): a non-leanness witness only moves the blanks
 //!    of the component owning the avoided triple, so the global NP-hard
@@ -26,7 +28,8 @@
 //!    onto a newly visible triple, blanks as wildcards and constants equal
 //!    (a fold that uses no new triple existed before). Lookups by blank, by
 //!    support triple and by survivor shape find those components without
-//!    reading the others, which keep their cached survivors.
+//!    reading the others, which keep their cached survivors. Shapes are
+//!    keyed predicate-first: "does a survivor use `p`?" is one probe.
 //!
 //! ### Why per-component processing yields the global core
 //!
@@ -279,12 +282,12 @@ struct Component {
 const ANY: TermId = TermId::MAX;
 
 impl Component {
-    /// A survivor's shape: its blanks as wildcards. A map sends the
-    /// survivor onto a triple only if the triple matches the shape,
-    /// constants equal.
+    /// A survivor's shape, predicate first: `(p, s, o)` with its blanks as
+    /// wildcards. A map sends the survivor onto a triple only if the
+    /// triple matches the shape, constants equal.
     fn shape(&self, (s, p, o): IdTriple) -> IdTriple {
         let any = |id| if self.blanks.contains(&id) { ANY } else { id };
-        (any(s), p, any(o))
+        (p, any(s), any(o))
     }
 
     fn shapes(&self) -> BTreeSet<IdTriple> {
@@ -462,15 +465,19 @@ impl<K: Ord + Copy> Keys<K> {
         }
     }
 
+    /// The entries from the first one filed under `key` or a later key, in
+    /// order: two binary searches, for the run and inside it.
+    fn from(&self, key: K) -> impl Iterator<Item = (K, Cid)> + '_ {
+        let runs = &self.0[self.run(&(key, 0))..];
+        let at = runs
+            .first()
+            .map_or(0, |run| run.partition_point(|e| e.0 < key));
+        runs.iter().flat_map(|run| run.iter().copied()).skip(at)
+    }
+
     /// The components filed under `key`, in order.
     fn get(&self, key: K) -> impl Iterator<Item = Cid> + '_ {
-        let first = (key, 0);
-        self.0[self.run(&first)..]
-            .iter()
-            .flat_map(|run| run.iter().copied())
-            .skip_while(move |entry| *entry < first)
-            .take_while(move |entry| entry.0 == key)
-            .map(|(_, c)| c)
+        (self.from(key).take_while(move |entry| entry.0 == key)).map(|(_, c)| c)
     }
 
     fn iter(&self) -> impl Iterator<Item = (K, Cid)> + '_ {
@@ -538,8 +545,8 @@ struct Cells {
     owner: Keys<TermId>,
     /// Support triple → the components whose support names it.
     supported: Keys<IdTriple>,
-    /// Survivor shape ([`Component::shape`]) → the components with a
-    /// survivor of that shape.
+    /// Survivor shape ([`Component::shape`], predicate first) → the
+    /// components with a survivor of that shape.
     shaped: Keys<IdTriple>,
     /// Every component's size in triples, so the largest is the last.
     sizes: Keys<usize>,
@@ -601,13 +608,13 @@ impl Cells {
     /// owners of its blanks. A delta triple can merge, split, extend or
     /// shrink exactly the components it shares a blank with; any other
     /// component's triples mention none of the delta's blanks, so its cell
-    /// and cached core state carry over. The owners' still `maintained`
-    /// triples and the `fresh` ones form new components, each stale (its
-    /// full set changed), which it returns.
+    /// and cached core state carry over. The owners' triples but the
+    /// `removed` ones and the `fresh` ones form new components, each stale
+    /// (its full set changed), which it returns.
     fn repartition(
         &mut self,
         delta_blanks: &BTreeSet<TermId>,
-        maintained: &IdIndex,
+        removed: &BTreeSet<IdTriple>,
         fresh: impl IntoIterator<Item = IdTriple>,
         dictionary: &Dictionary,
         coring: &mut Coring,
@@ -621,7 +628,7 @@ impl Cells {
         let triples = old
             .iter()
             .flat_map(|c| c.full.iter().copied())
-            .filter(|&t| maintained.contains(t))
+            .filter(|t| !removed.contains(t))
             .chain(fresh);
         blank_components(triples, |id| dictionary.is_blank(id))
             .into_iter()
@@ -638,22 +645,26 @@ impl Cells {
             .collect()
     }
 
+    /// The predicates of `triples` a survivor uses: one probe of the
+    /// predicate-first shapes per distinct predicate.
+    fn used(&self, triples: &[IdTriple]) -> BTreeSet<TermId> {
+        let mut preds: BTreeSet<TermId> = triples.iter().map(|t| t.1).collect();
+        preds.retain(|&p| (self.shaped.from((p, 0, 0)).next()).is_some_and(|(k, _)| k.0 == p));
+        preds
+    }
+
     /// The components a delta wakes: those with a survivor that can map
     /// onto a newly `visible` triple, blanks as wildcards and constants
     /// equal (module docs, point 3) — the components filed under one of
-    /// the triple's three shapes with a wildcard.
-    fn wake(&self, visible: &[IdTriple], blank_full: &IdIndex) -> BTreeSet<Cid> {
-        let mut preds: BTreeSet<TermId> = visible.iter().map(|t| t.1).collect();
-        preds.retain(|&p| blank_full.candidate_count((None, Some(p), None)) > 0);
+    /// the triple's three shapes with a wildcard, if a survivor uses `p`.
+    fn wake(&self, visible: &[IdTriple]) -> BTreeSet<Cid> {
+        let preds = self.used(visible);
         let shapes: BTreeSet<IdTriple> = visible
             .iter()
             .filter(|t| preds.contains(&t.1))
-            .flat_map(|&(s, p, o)| [(s, p, ANY), (ANY, p, o), (ANY, p, ANY)])
+            .flat_map(|&(s, p, o)| [(p, s, ANY), (p, ANY, o), (p, ANY, ANY)])
             .collect();
-        shapes
-            .into_iter()
-            .flat_map(|shape| self.shaped.get(shape))
-            .collect()
+        shapes.iter().flat_map(|&s| self.shaped.get(s)).collect()
     }
 
     /// Runs the kernel over the components `ids`, in the order of their
@@ -750,9 +761,7 @@ pub struct IdCoreEngine {
     /// The published evaluation index: a view of the maintained set that
     /// hides `R`, every component's full set minus its survivors.
     eval: IdIndex,
-    /// All maintained blank triples (the un-cored blank side), in a
-    /// persistent index so a clone of the engine shares it.
-    blank_full: IdIndex,
+    /// The components, whose full sets are the maintained blank triples.
     cells: Cells,
     /// How much search each component-coring call may spend before the
     /// component is published uncored (module's "Degraded mode" section).
@@ -854,7 +863,6 @@ impl IdCoreEngine {
         eval.hide(components.iter().flat_map(folded).collect());
         let engine = IdCoreEngine {
             eval,
-            blank_full: components.iter().flat_map(|c| &c.full).copied().collect(),
             cells: Cells::filed(components),
             budget_mode: budget,
             metrics,
@@ -897,9 +905,9 @@ impl IdCoreEngine {
         self.eval.is_empty()
     }
 
-    /// Number of maintained blank triples (before coring).
+    /// Number of maintained blank triples (before coring), summed by size.
     pub fn blank_triple_count(&self) -> usize {
-        self.blank_full.len()
+        self.cells.sizes.iter().map(|(size, _)| size).sum()
     }
 
     /// Number of blank components.
@@ -1019,10 +1027,11 @@ impl IdCoreEngine {
 
     /// [`IdCoreEngine::apply_delta`] of an exact delta that `base`, the
     /// maintained set, holds already: the view then shares every node of
-    /// `base` and writes none.
+    /// `base` and writes none. A debug build checks that `base` holds
+    /// every added triple and no removed one.
     ///
     /// A delta that neither mentions a blank nor removes a published triple
-    /// nor adds a possible fold image (a predicate some blank triple uses)
+    /// nor adds a possible fold image (a predicate some survivor uses)
     /// is no core step. Otherwise the blank side is repaired at component
     /// granularity: the components whose support named a removed triple
     /// (looked up by triple) turn stale, the owners of the delta's blanks
@@ -1055,31 +1064,26 @@ impl IdCoreEngine {
         if let Some(base) = base {
             self.eval = base.clone();
         }
-        let mut removed_from_eval: BTreeSet<IdTriple> = BTreeSet::new();
-        let mut blank_delta_ids: BTreeSet<TermId> = BTreeSet::new();
-        for &t in removed {
-            if is_blank_triple(dictionary, t) && self.blank_full.remove(t) {
-                note_blanks(dictionary, &mut blank_delta_ids, t);
-            }
-            if !hidden.remove(t) {
-                removed_from_eval.insert(t);
-            }
-        }
-        self.eval.hide(hidden);
-        let blank: Vec<IdTriple> = (added.iter().copied())
-            .filter(|&t| is_blank_triple(dictionary, t))
+        let holds = |t: &IdTriple| self.eval.contains(*t);
+        debug_assert!(
+            added.iter().all(holds) && !removed.iter().any(holds),
+            "the delta is not exact: the maintained set lacks an added triple or holds a removed one"
+        );
+        // A removed triple `R` held was hidden; any other leaves the view.
+        let removed_from_eval: BTreeSet<IdTriple> = (removed.iter().copied())
+            .filter(|&t| !hidden.remove(t))
             .collect();
-        let blank_added = self.blank_full.insert_all(&blank);
-        for &t in &blank_added {
-            note_blanks(dictionary, &mut blank_delta_ids, t);
-        }
+        self.eval.hide(hidden);
+        let blank = |t: &IdTriple| is_blank_triple(dictionary, *t);
+        let removed_blank: BTreeSet<IdTriple> = removed.iter().copied().filter(blank).collect();
+        let blank_added: Vec<IdTriple> = added.iter().copied().filter(blank).collect();
+        let blank_delta_ids: BTreeSet<TermId> = (removed_blank.iter().chain(&blank_added))
+            .flat_map(|&(s, _, o)| [s, o])
+            .filter(|&id| dictionary.is_blank(id))
+            .collect();
         let mut visible = added.to_vec();
-        let relevant_add = visible
-            .iter()
-            .map(|t| t.1)
-            .collect::<BTreeSet<TermId>>()
-            .into_iter()
-            .any(|p| self.blank_full.candidate_count((None, Some(p), None)) > 0);
+        // A new triple is a fold image only for a survivor using its predicate.
+        let relevant_add = !self.cells.used(&visible).is_empty();
         if blank_delta_ids.is_empty() && removed_from_eval.is_empty() && !relevant_add {
             // The pure ground fast path: the view is already the core, and
             // no component changed.
@@ -1100,8 +1104,8 @@ impl IdCoreEngine {
         // delta re-partitions or is fresh, so the union-find runs over that
         // local set alone.
         let cells = &mut self.cells;
-        let (blank_full, delta) = (&self.blank_full, &blank_delta_ids);
-        let fresh = cells.repartition(delta, blank_full, blank_added, dictionary, &mut coring);
+        let (delta, gone) = (&blank_delta_ids, &removed_blank);
+        let fresh = cells.repartition(delta, gone, blank_added, dictionary, &mut coring);
         // A re-partitioned component's slot is empty now, or holds a fresh one.
         stale.retain(|&c| cells.slab.get(c).is_some_and(|comp| comp.stale));
         stale.extend(fresh);
@@ -1114,17 +1118,17 @@ impl IdCoreEngine {
                 }
             }
         }
-        let mut woken = cells.wake(&visible, &self.blank_full);
+        let mut woken = cells.wake(&visible);
         woken.extend(stale);
         cells.sweep(&mut self.eval, &mut coring, woken);
         self.report(&coring, dictionary, base);
     }
 
-    /// Is the triple part of the maintained set (cored away or not)? Ground
-    /// triples live in the published index, blank triples in the full blank
-    /// side.
+    /// Is the triple part of the maintained set (cored away or not)? The
+    /// published index shows it, or its hidden set `R` holds it (a blank
+    /// triple a fold removed): the view's base is the maintained set.
     pub fn maintains(&self, t: IdTriple) -> bool {
-        self.eval.contains(t) || self.blank_full.contains(t)
+        self.eval.contains(t) || self.eval.hidden().is_some_and(|r| r.contains(t))
     }
 
     /// Commits the additions `delta` into a clone of the engine, with
@@ -1141,26 +1145,29 @@ impl IdCoreEngine {
         EvalOverlay { index, non_minimal }
     }
 
-    /// Debug-build invariants: the components partition the blank side and
-    /// none is stale, the published index is exactly the ground triples
-    /// plus every component's survivors, all support triples are live, and
-    /// the lookups, the free slots and the cached aggregates are current.
-    /// `R` is blank triples of the view's base (`base`, if given), as many
-    /// as the folds removed. Each lookup is checked entry by entry in both
+    /// Debug-build invariants: each component holds maintained blank
+    /// triples of its own blanks (so the components are disjoint) and none
+    /// is stale, the published index is exactly the ground triples plus
+    /// every component's survivors, all support triples are live, and the
+    /// lookups, the free slots and the cached aggregates are current. `R`
+    /// is blank triples of the view's base (`base`, if given), as many as
+    /// the folds removed. Each lookup is checked entry by entry in both
     /// directions and `R` is counted, so the check allocates the same at
     /// every size.
     fn debug_check(&self, is_blank: impl Fn(TermId) -> bool, base: Option<&IdIndex>) {
         if cfg!(debug_assertions) {
             let cells = &self.cells;
             let shaped = |c: &Component, shape| c.survivors.iter().any(|&t| c.shape(t) == shape);
+            let blank = |(s, _, o): IdTriple| is_blank(s) || is_blank(o);
             let mut uncored = Uncored::default();
             let (mut full_sizes, mut survivors, mut entries) = (0, 0, [0; 3]);
             for (i, c) in cells.slab.iter() {
                 uncored.enter(c);
                 debug_assert!(!c.stale, "a component was left stale");
+                let own = |id| c.blanks.contains(&id) == is_blank(id);
                 debug_assert!(
-                    c.full.iter().all(|t| self.blank_full.contains(*t)),
-                    "a component's full set left the blank side"
+                    (c.full.iter()).all(|&t| blank(t) && own(t.0) && own(t.2) && self.maintains(t)),
+                    "a component holds a triple that is no maintained blank triple of its own"
                 );
                 full_sizes += c.full.len();
                 survivors += c.survivors.len();
@@ -1199,15 +1206,9 @@ impl IdCoreEngine {
             let empty = (0..slots).filter(|&c| live(c).is_none());
             debug_assert!(empty.eq(free), "the free list is not the empty slots");
             debug_assert_eq!(
-                full_sizes,
-                self.blank_full.len(),
-                "the components do not partition the blank side"
-            );
-            debug_assert_eq!(
                 cells.uncored, uncored,
                 "a path changed an uncored flag outside the commit point"
             );
-            let blank = |(s, _, o): IdTriple| is_blank(s) || is_blank(o);
             let (mut visible, mut published_blank) = (0, 0);
             for t in self.eval.iter() {
                 visible += 1;
@@ -1220,8 +1221,8 @@ impl IdCoreEngine {
             );
             let hidden = self.eval.hidden();
             debug_assert!(
-                hidden.is_none_or(|h| h.iter().all(|t| blank(t) && self.blank_full.contains(t))),
-                "R holds a triple outside the blank side"
+                hidden.is_none_or(|h| h.iter().all(blank)),
+                "R holds a ground triple"
             );
             debug_assert_eq!(
                 hidden.map_or(0, IdIndex::len),
@@ -1238,10 +1239,6 @@ impl IdCoreEngine {
 
 fn is_blank_triple(dictionary: &Dictionary, (s, _, o): IdTriple) -> bool {
     dictionary.is_blank(s) || dictionary.is_blank(o)
-}
-
-fn note_blanks(dictionary: &Dictionary, ids: &mut BTreeSet<TermId>, (s, _, o): IdTriple) {
-    ids.extend([s, o].into_iter().filter(|&id| dictionary.is_blank(id)));
 }
 
 /// The coring kernel: retracts the triples of `comp` visible in `view` to
@@ -1811,6 +1808,75 @@ mod tests {
                 .collect();
             assert!(isomorphic(&decoded, &crate::core(&store.to_graph())));
         }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "the delta is not exact")]
+    fn a_removal_the_maintained_set_still_holds_is_refused() {
+        let g = graph([("ex:a", "ex:p", "_:X"), ("_:X", "ex:q", "ex:c")]);
+        let store = TripleStore::from_graph(&g);
+        let base: IdIndex = store.iter_ids().collect();
+        let run: Vec<IdTriple> = base.iter().collect();
+        let mut engine = IdCoreEngine::new();
+        engine.apply_delta_over(&base, &run, &[], store.dictionary());
+        // A blank triple the maintained set still holds is no removal.
+        engine.apply_delta_over(&base, &[], &run[..1], store.dictionary());
+    }
+
+    #[test]
+    fn keys_lookups_match_a_sorted_set_as_runs_split_and_empty() {
+        const KEYS: u64 = 48;
+        let (mut keys, mut model) = (Keys::<u64>::default(), BTreeSet::<(u64, Cid)>::new());
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let check = |keys: &Keys<u64>, model: &BTreeSet<(u64, Cid)>| {
+            assert!(keys.iter().eq(model.iter().copied()));
+            assert!(keys
+                .0
+                .iter()
+                .all(|run| !run.is_empty() && run.len() <= 2 * CHUNK));
+            for key in 0..=KEYS {
+                let filed = model.range((key, 0)..=(key, Cid::MAX)).map(|&(_, c)| c);
+                assert!(keys.get(key).eq(filed), "get({key})");
+                assert!(
+                    keys.from(key).eq(model.range((key, 0)..).copied()),
+                    "from({key})"
+                );
+            }
+        };
+        // Mostly inserts (runs split past 2 * CHUNK), then mostly removals,
+        // then a drain that empties every run.
+        let mut most_runs = 0;
+        for (step, insert_share) in (0..4_000).map(|i| (i, if i < 2_000 { 3 } else { 1 })) {
+            if next(4) < insert_share || model.is_empty() {
+                let entry = (next(KEYS), next(16) as Cid);
+                keys.insert(entry);
+                model.insert(entry);
+            } else {
+                let entry = *model.iter().nth(next(model.len() as u64) as usize).unwrap();
+                keys.remove(&entry);
+                model.remove(&entry);
+            }
+            most_runs = most_runs.max(keys.0.len());
+            if step % 97 == 0 {
+                check(&keys, &model);
+            }
+        }
+        assert!(most_runs > 3, "the inserts split runs");
+        while let Some(&entry) = model.iter().nth(next(model.len().max(1) as u64) as usize) {
+            keys.remove(&entry);
+            model.remove(&entry);
+            if model.len() % 29 == 0 {
+                check(&keys, &model);
+            }
+        }
+        assert!(keys.0.is_empty(), "a drained multimap has no runs");
     }
 
     #[test]
