@@ -75,20 +75,21 @@
 //!
 //! ## The write path
 //!
-//! A write is a fork too. Every mutation (replay, snapshot restore and the
-//! lazy evaluation build included) is one private commit: intern the op's
-//! terms into the *committed* state (append-only, so its meaning does not
-//! change and the fork never copies the dictionary) → clone the state →
-//! apply the op to the clone → commit the WAL record → swap the clone in.
-//! The op runs each kernel once over its whole batch: an insert is one
-//! semi-naive propagation of [`MaterializedStore`], a removal one DRed run,
-//! and the closure delta either produces is one refresh of the evaluation
-//! engine. A premise runs the same insert on a fork that is never swapped
-//! in. A panic before the swap leaves the committed state as it was; the
-//! WAL commit runs with the durability layer taken out of the facade, so a
-//! panic inside it leaves the layer detached with its fail-stop record,
-//! never attached over a possibly torn tail. An IO error fail-stops the
-//! layer, and the new state is swapped in anyway.
+//! A write is a fork too. Every mutation (snapshot restore and the lazy
+//! evaluation build included) is one private commit: intern the op's terms
+//! into the *committed* state (append-only, so its meaning does not change
+//! and the fork never copies the dictionary) → clone the state → apply the
+//! op to the clone → commit the WAL record → swap the clone in. A change of
+//! `D` is one **signed batch** `D' = (D − R) ∪ I` (`State::apply`): one
+//! DRed run over what `R` retracts, one semi-naive propagation of `I`, and
+//! one refresh of the evaluation engine by their net closure delta. An
+//! insert has `R` empty, a removal `I`; a premise is an insert on a fork
+//! never swapped in, and WAL replay one batch per run of records. A panic
+//! before the swap leaves the committed state as it was; the WAL commit
+//! runs with the durability layer taken out of the facade, so a panic
+//! inside it leaves the layer detached with its fail-stop record, never
+//! attached over a possibly torn tail. An IO error fail-stops the layer,
+//! and the new state is swapped in anyway.
 //!
 //! The propagation itself has **one schedule**, `swdb_reason::parallel`'s
 //! rounds: each round partitions the frontier by the `(rule, hypothesis)`
@@ -304,7 +305,7 @@ impl State {
     /// fixpoint, no string-graph materialization); under simple entailment
     /// it is `D` — matching against the core of `D` gives
     /// equivalence-invariant answers without applying the vocabulary rules.
-    /// Afterwards [`State::feed_delta`] keeps it in step, so this runs once
+    /// Afterwards [`State::apply`] keeps it in step, so this runs once
     /// per regime, not per mutation.
     fn build_evaluation(&mut self, metrics: &Metrics) {
         let mut engine = IdCoreEngine::new();
@@ -318,36 +319,17 @@ impl State {
         self.feed(&all, &[]);
     }
 
-    /// The write path's insert, which commits and premise forks both run:
-    /// asserts `ids` (interned already), extends the maintained closure by
-    /// semi-naive propagation, and feeds the delta to the evaluation engine.
-    pub(crate) fn insert_ids(&mut self, ids: &[IdTriple]) -> ClosureDelta {
-        let delta = self.reasoner.insert_ids_with_delta(ids);
-        self.feed_delta(&delta, false);
+    /// The one write path (module docs): applies the signed batch `D' = (D −
+    /// remove) ∪ insert` of interned, disjoint ids to `D` and its closure,
+    /// and feeds the net delta of the set the evaluation engine cores to it:
+    /// the closure's under RDFS, `D`'s under simple entailment.
+    pub(crate) fn apply(&mut self, insert: &[IdTriple], remove: &[IdTriple]) -> ClosureDelta {
+        let delta = self.reasoner.apply_ids(insert, remove);
+        match self.regime {
+            EntailmentRegime::Rdfs => self.feed(&delta.added, &delta.removed),
+            EntailmentRegime::Simple => self.feed(&delta.asserted, &delta.retracted),
+        }
         delta
-    }
-
-    /// The write path's removal, the mirror of [`State::insert_ids`]:
-    /// retracts `ids`, shrinks the maintained closure by one DRed run over
-    /// the batch, and feeds the delta to the evaluation engine.
-    fn remove_ids(&mut self, ids: &[IdTriple]) -> ClosureDelta {
-        let delta = self.reasoner.remove_ids_with_delta(ids);
-        self.feed_delta(&delta, true);
-        delta
-    }
-
-    /// Routes one mutation's closure delta into the evaluation engine, if
-    /// it is built. Under RDFS the evaluation graph is `core(cl(D))`, so
-    /// the engine consumes the *closure* delta; under simple entailment it
-    /// is `core(D)`, so it consumes the base assertion/retraction itself.
-    fn feed_delta(&mut self, delta: &ClosureDelta, removal: bool) {
-        let none: &[IdTriple] = &[];
-        let (added, removed): (&[IdTriple], &[IdTriple]) = match (self.regime, removal) {
-            (EntailmentRegime::Rdfs, _) => (&delta.added, &delta.removed),
-            (EntailmentRegime::Simple, false) => (&delta.base, none),
-            (EntailmentRegime::Simple, true) => (none, &delta.base),
-        };
-        self.feed(added, removed);
     }
 
     /// Hands the evaluation engine, if it is built, one delta of the set it
@@ -573,12 +555,13 @@ impl SemanticWebDatabase {
     /// snapshot loads by pure deserialization — dictionary, base store,
     /// maintained closure and the core engine's state come back exactly as
     /// exported, with **no closure fixpoint and no core search** — and the
-    /// WAL suffix committed after it replays through the same incremental
-    /// delta paths a live mutation takes (counted by the
-    /// `recovery_replayed_deltas` metric). A torn final WAL record — the
-    /// expected signature of a crash mid-commit — is detected by checksum,
-    /// truncated, and counted (`recovery_torn_tails`); everything durably
-    /// acknowledged before the crash survives.
+    /// WAL suffix committed after it replays as one commit per run of
+    /// insert/remove records, netted to one signed batch (a settings record
+    /// ends a run; the crate docs say what recovers identically). Every
+    /// record counts in `recovery_replayed_deltas`. A torn final WAL record
+    /// — the expected signature of a crash mid-commit — is detected by
+    /// checksum, truncated, and counted (`recovery_torn_tails`); everything
+    /// durably acknowledged before the crash survives.
     /// The snapshot's parts are rebuilt as jobs on at most
     /// [`SemanticWebDatabase::threads`] workers; the recovered state is the
     /// same at every ceiling.
@@ -604,16 +587,54 @@ impl SemanticWebDatabase {
                 |_| None,
             );
         }
-        // Replay the WAL suffix through the live mutation paths. The
+        // Replay the WAL suffix, a run of records at a time (see above). The
         // durability field is still `None` here, so nothing gets re-logged.
-        let replayed = recovered.wal.len() as u64;
+        let mut run = std::collections::BTreeMap::new();
+        let parse = |text: &str| swdb_store::parse(text).map_err(replay_parse_error);
         for record in &recovered.wal {
-            db.replay(record)?;
+            let reasoner = &mut Arc::make_mut(&mut db.state).reasoner;
+            // Each record interns its terms in log order: the original ids.
+            let (ids, asserted) = match record {
+                WalRecord::InsertGraph(text) => (reasoner.intern_graph(&parse(text)?), true),
+                WalRecord::RemoveGraph(text) => {
+                    let (graph, store) = (parse(text)?, reasoner.store());
+                    let ids = graph.iter().filter_map(|t| store.resolve_ids(t));
+                    (ids.collect(), false)
+                }
+                setting => {
+                    db.apply_run(std::mem::take(&mut run));
+                    match *setting {
+                        WalRecord::SetRegime(wire) => db.set_regime(decode_regime(wire)),
+                        WalRecord::SetBudget {
+                            mode,
+                            steps,
+                            millis,
+                        } => db.set_core_budget(decode_budget(mode, steps, millis)),
+                        _ => _ = db.refresh_degraded(),
+                    }
+                    continue;
+                }
+            };
+            run.extend(ids.into_iter().map(|t| (t, asserted)));
         }
-        db.metrics.count(Counter::RecoveryReplayedDeltas, replayed);
+        db.apply_run(run);
+        db.metrics
+            .count(Counter::RecoveryReplayedDeltas, recovered.wal.len() as _);
         db.durability = Some(durability);
         drop(span);
         Ok(db)
+    }
+
+    /// Commits a netted run of WAL records (`true`: asserted), logging nothing.
+    fn apply_run(&mut self, run: std::collections::BTreeMap<IdTriple, bool>) {
+        let (insert, remove): (Vec<_>, Vec<_>) = run.keys().copied().partition(|t| run[t]);
+        if !run.is_empty() {
+            self.commit(
+                &Graph::new(),
+                |state, _| _ = state.apply(&insert, &remove),
+                |_| None,
+            );
+        }
     }
 
     /// Attaches durability to an in-memory database: opens `dir`, writes
@@ -673,34 +694,6 @@ impl SemanticWebDatabase {
     /// Live records in the current WAL generation (0 when detached).
     pub fn wal_records(&self) -> u64 {
         self.durability.as_ref().map_or(0, |d| d.wal_records())
-    }
-
-    /// Re-applies one WAL record through the live mutation paths (the
-    /// incremental engines absorb each delta exactly as the original run's
-    /// did). Only called while durability is detached, so nothing re-logs.
-    fn replay(&mut self, record: &WalRecord) -> io::Result<()> {
-        match record {
-            WalRecord::InsertGraph(text) => {
-                let graph = swdb_store::parse(text).map_err(replay_parse_error)?;
-                self.insert_graph(&graph);
-            }
-            WalRecord::RemoveGraph(text) => {
-                let graph = swdb_store::parse(text).map_err(replay_parse_error)?;
-                self.remove_graph(&graph);
-            }
-            WalRecord::SetRegime(wire) => self.set_regime(decode_regime(*wire)),
-            WalRecord::SetBudget {
-                mode,
-                steps,
-                millis,
-            } => {
-                self.set_core_budget(decode_budget(*mode, *steps, *millis));
-            }
-            WalRecord::RefreshDegraded => {
-                self.refresh_degraded();
-            }
-        }
-        Ok(())
     }
 
     /// Durably commits one mutation's record (one append + fsync), then
@@ -1010,7 +1003,7 @@ impl SemanticWebDatabase {
         let added: Graph = std::iter::once(triple.into()).collect();
         self.commit(
             &added,
-            |state, ids| !state.insert_ids(ids).base.is_empty(),
+            |state, ids| !state.apply(ids, &[]).asserted.is_empty(),
             |&new| new.then(|| WalRecord::InsertGraph(swdb_store::serialize(&added))),
         )
     }
@@ -1021,8 +1014,8 @@ impl SemanticWebDatabase {
     }
 
     /// Removes every triple of a graph, returning how many were present —
-    /// the one removal path (`remove`, `minimize`, WAL replay, `/remove`).
-    /// The whole graph is one batch: the maintained closure retracts exactly
+    /// the removal path of `remove`, `minimize` and `/remove`. The whole
+    /// graph is one signed batch: the maintained closure retracts exactly
     /// the consequences that lost support in one DRed run, and the
     /// evaluation engine absorbs that delta in one refresh; the call
     /// commits **one** WAL record holding the triples that were present
@@ -1034,11 +1027,9 @@ impl SemanticWebDatabase {
                 let store = state.reasoner.store();
                 let ids: Vec<IdTriple> =
                     graph.iter().filter_map(|t| store.resolve_ids(t)).collect();
-                let base = state.remove_ids(&ids).base;
+                let retracted = state.apply(&[], &ids).retracted;
                 let store = state.reasoner.store();
-                base.into_iter()
-                    .map(|t| store.materialize(t))
-                    .collect::<Graph>()
+                Graph::from_iter(retracted.iter().map(|&t| store.materialize(t)))
             },
             |removed| {
                 let text = (!removed.is_empty()).then(|| swdb_store::serialize(removed));
@@ -1057,7 +1048,7 @@ impl SemanticWebDatabase {
         self.commit(
             graph,
             |state, ids| {
-                state.insert_ids(ids);
+                state.apply(ids, &[]);
             },
             |_| (!graph.is_empty()).then(|| WalRecord::InsertGraph(swdb_store::serialize(graph))),
         );

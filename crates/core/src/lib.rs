@@ -66,8 +66,13 @@
 //!
 //! [`SemanticWebDatabase::open`] recovers: the newest valid snapshot
 //! loads by pure deserialization — **no closure fixpoint, no core
-//! search** — and the WAL suffix replays through the same incremental
-//! delta paths a live mutation takes. A crash mid-commit tears the final
+//! search** — and the WAL suffix replays through the live write path, one
+//! commit per run of insert/remove records netted to one signed batch (the
+//! last op on a triple wins). The asserted set, the closure and every term
+//! id recover identical to a record-by-record replay's, since each record
+//! interns its terms in log order; the evaluation graph recovers isomorphic
+//! to it (under a core budget it may degrade another component, but stays
+//! equivalent). A crash mid-commit tears the final
 //! WAL record; recovery detects it by checksum, truncates it, and keeps
 //! everything durably acknowledged before it. Snapshot formats are
 //! versioned (`SNAPSHOT_VERSION` in [`swdb_durable`]); an unreadable or

@@ -104,7 +104,7 @@ impl Reads {
     /// extension of `state`'s dictionary, and into which the premise — its
     /// blanks renamed apart from the asserted triples' first, the id-space
     /// counterpart of the capture-avoiding `Graph::merge` — is inserted by
-    /// the write path's own insert ([`State::insert_ids`]).
+    /// the write path's own insert ([`State::apply`]).
     fn premise_fork(&self, state: &State, metrics: &Metrics, premise: &Graph) -> Arc<State> {
         let cached = |premises: &[(Graph, Arc<State>)]| {
             let (_, fork) = premises.iter().find(|(g, _)| g == premise)?;
@@ -126,7 +126,7 @@ impl Reads {
         }
         fork.reasoner.extend_dictionary();
         let ids = fork.reasoner.intern_graph(&renamed);
-        fork.insert_ids(&ids);
+        fork.apply(&ids, &[]);
         let fork = Arc::new(fork);
         let mut premises = self.premises.lock().unwrap_or_else(|e| e.into_inner());
         if premises.len() >= PREMISE_CACHE_CAPACITY {

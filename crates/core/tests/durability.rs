@@ -510,3 +510,169 @@ fn a_version_1_data_directory_opens_and_rotates_to_version_2() {
     assert_eq!(again.evaluation_graph(), evaluation);
     cleanup(&dir);
 }
+
+/// A checkpointed database whose evaluation engine is built (so its
+/// components ride in the snapshot): `students` students, each typed and
+/// advised by an anonymous advisor, under a one-edge class hierarchy.
+fn checkpointed_students(dir: &PathBuf, students: usize) -> SemanticWebDatabase {
+    let mut db = SemanticWebDatabase::new();
+    db.persist_to(dir).expect("persist");
+    let mut stored = graph([("ex:Student", rdfs::SC, "ex:Person")]);
+    for i in 0..students {
+        let student = format!("ex:s{i}");
+        stored.insert(triple(&student, rdfs::TYPE, "ex:Student"));
+        stored.insert(triple(&student, "ex:advisedBy", &format!("_:a{i}")));
+    }
+    db.insert_graph(&stored);
+    db.publish();
+    db.snapshot_now().expect("checkpoint");
+    db
+}
+
+/// A WAL suffix replays as one signed commit per run of records: k
+/// alternating records — an insert of a fresh student with a blank
+/// advisor, the removal of a stored student's type (a closure triple with
+/// a derived consequence) — reopen at `Debug` with exactly one DRed run,
+/// one propagation and one core refresh, at k = 10 and k = 100, while
+/// `recovery_replayed_deltas` still counts every record.
+#[test]
+fn a_replayed_run_of_records_is_one_dred_one_propagation_and_one_core_refresh() {
+    for k in [10, 100] {
+        let dir = scratch_dir("replay-run");
+        let mut db = checkpointed_students(&dir, k);
+        for i in 0..k {
+            if i % 2 == 0 {
+                let fresh = format!("ex:new{i}");
+                db.insert_graph(&graph([
+                    (fresh.as_str(), rdfs::TYPE, "ex:Student"),
+                    (fresh.as_str(), "ex:advisedBy", format!("_:n{i}").as_str()),
+                ]));
+            } else {
+                let stored = triple(&format!("ex:s{i}"), rdfs::TYPE, "ex:Student");
+                assert!(db.closure_contains(&stored));
+                assert!(db.remove(&stored));
+            }
+        }
+        assert_eq!(db.wal_records(), k as u64);
+        let expected = state_of(&db);
+        drop(db);
+
+        let metrics = Metrics::new(MetricsLevel::Debug);
+        let io = Arc::new(swdb_core::durable::StdIo);
+        let reopened = SemanticWebDatabase::open_with_io(&dir, io, metrics.clone()).expect("open");
+        let snapshot = metrics.snapshot();
+        let samples = |key| snapshot.histograms.get(key).map_or(0, |h| h.count);
+        assert_eq!(
+            [
+                "span_reason_insert_ns",
+                "span_reason_delete_ns",
+                "span_core_refresh_ns"
+            ]
+            .map(samples),
+            [1, 1, 1],
+            "one commit for a run of {k} records"
+        );
+        assert_eq!(snapshot.counter("recovery_replayed_deltas"), k as u64);
+        assert_eq!(state_of(&reopened), expected);
+        cleanup(&dir);
+    }
+}
+
+/// The triples replay scripts draw from: `rdf:type` and `rdfs:subClassOf`
+/// edges, blanks, and terms the checkpointed database never interned.
+fn replay_pool() -> Vec<swdb_model::Triple> {
+    [
+        ("ex:a", rdfs::TYPE, "ex:C"),
+        ("ex:C", rdfs::SC, "ex:D"),
+        ("ex:a", "ex:p", "_:x"),
+        ("_:x", rdfs::TYPE, "ex:C"),
+        ("ex:a", "ex:p", "ex:b"),
+        ("ex:b", rdfs::TYPE, "ex:C"),
+        ("ex:D", rdfs::SC, "ex:E"),
+        ("ex:a", "ex:p", "_:y"),
+        ("_:y", rdfs::TYPE, "ex:E"),
+        ("_:z", rdfs::TYPE, "ex:F"),
+        ("ex:n", "ex:p", "_:z"),
+        ("ex:F", rdfs::SC, "ex:C"),
+    ]
+    .into_iter()
+    .map(|(s, p, o)| triple(s, p, o))
+    .collect()
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(32))]
+
+    /// Batched replay equals record-by-record replay: a database with its
+    /// engine built checkpoints, runs a script of single and batch inserts
+    /// and removals (toggles of one triple included) into its WAL, crashes
+    /// and reopens. The asserted set, the closure and the dictionary come
+    /// back identical as ids, so every record's terms were interned in log
+    /// order and the netting kept each triple's last op; the evaluation
+    /// graph is isomorphic to the live one and to the normal form
+    /// (equivalent under a budget that left a component uncored).
+    #[test]
+    fn a_netted_replay_recovers_what_the_records_did_one_by_one(
+        config in 0u8..8,
+        ops in proptest::collection::vec((0u8..5, 0usize..12), 1..=30),
+    ) {
+        let pool = replay_pool();
+        let dir = scratch_dir("netted-replay");
+        // Bit 0: the regime, bit 1: the worker ceiling, bit 2: a budget.
+        let regimes = [EntailmentRegime::Rdfs, EntailmentRegime::Simple];
+        let mut db = SemanticWebDatabase::with_regime(regimes[config as usize & 1]);
+        db.set_threads(1 + (config as usize >> 1 & 1));
+        if config & 4 != 0 {
+            db.set_core_budget(CoreBudgetMode::Budgeted(CoreBudget::steps(1)));
+        }
+        db.persist_to(&dir).expect("persist");
+        db.insert_graph(&pool[..4].iter().cloned().collect());
+        db.publish();
+        db.snapshot_now().expect("checkpoint");
+        for &(kind, at) in &ops {
+            let slice: Graph = pool.iter().cycle().skip(at).take(3).cloned().collect();
+            match kind {
+                0 => _ = db.insert(pool[at].clone()),
+                1 => _ = db.remove(&pool[at]),
+                2 => db.insert_graph(&slice),
+                3 => _ = db.remove_graph(&slice),
+                _ => {
+                    // A toggle: the same triple in, out and in again.
+                    db.insert(pool[at].clone());
+                    db.remove(&pool[at]);
+                    db.insert(pool[at].clone());
+                }
+            }
+        }
+        let records = db.wal_records();
+        let ids = |db: &SemanticWebDatabase| {
+            let asserted: Vec<_> = db.graph().iter_ids().collect();
+            let closure: Vec<_> = db.reasoner().closure_index().iter().collect();
+            (asserted, closure, db.graph().dictionary().len())
+        };
+        let live = ids(&db);
+        let live_evaluation = db.evaluation_graph();
+        let live_degraded = db.is_degraded();
+        drop(db);
+
+        let metrics = Metrics::new(MetricsLevel::Counters);
+        let io = Arc::new(swdb_core::durable::StdIo);
+        let mut reopened =
+            SemanticWebDatabase::open_with_io(&dir, io, metrics.clone()).expect("open");
+        cleanup(&dir);
+        let replayed = metrics.snapshot().counter("recovery_replayed_deltas");
+        proptest::prop_assert_eq!(replayed, records);
+        let what = "asserted set, closure and dictionary as ids";
+        proptest::prop_assert_eq!(ids(&reopened), live, "{}", what);
+        let (evaluation, normal_form) = (reopened.evaluation_graph(), reopened.normal_form());
+        // Equivalent, not isomorphic, when a budget left a component uncored.
+        let same = if live_degraded || reopened.is_degraded() {
+            swdb_entailment::simple_equivalent
+        } else {
+            isomorphic
+        };
+        for other in [&live_evaluation, &normal_form] {
+            proptest::prop_assert!(same(&evaluation, other), "{} vs {}", evaluation, other);
+        }
+    }
+}

@@ -67,7 +67,8 @@ pub struct SnapshotPayload {
     pub terms: Vec<Term>,
     /// The asserted (base) triples.
     pub base: Vec<IdTriple>,
-    /// The materialized RDFS closure (empty under Simple entailment).
+    /// The maintained RDFS closure, under both regimes: simple entailment
+    /// keeps it maintained too, so a regime switch needs no fixpoint.
     pub closure: Vec<IdTriple>,
     /// The evaluation-graph core engine's components, if it was built.
     pub evaluation: Option<Vec<ComponentState>>,

@@ -235,12 +235,11 @@ impl DeltaClosure {
     }
 
     /// Applies a batch of inserted base triples in one frontier-batched
-    /// semi-naive round; returns how many of them were new to the closure,
-    /// and appends every triple that *entered the closure* (the batch's
-    /// fresh members plus all fresh conclusions) to `added` — the delta a
-    /// downstream incremental consumer (the evaluation-index core engine)
-    /// needs to stay in step. The ids must be interned in `dictionary`,
-    /// which the rule guards read.
+    /// semi-naive round, and appends every triple that *entered the
+    /// closure* (the batch's fresh members plus all fresh conclusions) to
+    /// `added` — the delta a downstream incremental consumer (the
+    /// evaluation-index core engine) needs to stay in step. The ids must be
+    /// interned in `dictionary`, which the rule guards read.
     ///
     /// All deltas enter the closure before any rule fires, then a single
     /// propagation fixpoint runs with the whole batch as the
@@ -253,10 +252,10 @@ impl DeltaClosure {
     /// `rdfs_closure`.
     pub fn insert_batch_logged(
         &mut self,
-        deltas: impl IntoIterator<Item = IdTriple>,
+        deltas: &[IdTriple],
         dictionary: &Dictionary,
         added: &mut Vec<IdTriple>,
-    ) -> usize {
+    ) {
         // Manual span: the RAII guard would borrow `self.metrics` across
         // the `&mut self` propagation below.
         let t0 = self
@@ -264,13 +263,9 @@ impl DeltaClosure {
             .on(MetricsLevel::Debug)
             .then(std::time::Instant::now);
         let logged_before = added.len();
-        let deltas: Vec<IdTriple> = deltas.into_iter().collect();
-        let frontier = self.closure.insert_all(&deltas);
-        let fresh = frontier.len();
-        if fresh > 0 {
-            added.extend(frontier.iter().copied());
-            self.propagate_rounds(frontier, dictionary, added);
-        }
+        let frontier = self.closure.insert_all(deltas);
+        added.extend_from_slice(&frontier);
+        self.propagate_rounds(frontier, dictionary, added);
         self.metrics.count(
             Counter::ReasonClosureAdded,
             (added.len() - logged_before) as u64,
@@ -279,7 +274,6 @@ impl DeltaClosure {
             self.metrics
                 .record(Hist::SpanReasonInsertNs, t0.elapsed().as_nanos() as u64);
         }
-        fresh
     }
 
     /// Semi-naive frontier propagation in rounds (see [`crate::parallel`]):
@@ -474,7 +468,7 @@ mod tests {
     fn put(store: &mut TripleStore, engine: &mut DeltaClosure, t: &swdb_model::Triple) {
         let (ids, added) = store.insert_with_ids(t);
         if added {
-            engine.insert_batch_logged([ids], store.dictionary(), &mut Vec::new());
+            engine.insert_batch_logged(&[ids], store.dictionary(), &mut Vec::new());
         }
     }
 

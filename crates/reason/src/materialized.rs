@@ -12,16 +12,17 @@ use swdb_store::{IdIndex, IdTriple, TripleStore};
 use crate::delta::DeltaClosure;
 use crate::rules::Vocabulary;
 
-/// The id-level net effect of one mutation on a [`MaterializedStore`]:
-/// which base triples were asserted/retracted and which triples entered or
-/// left the maintained closure. This is what downstream incremental
-/// structures (the facade's evaluation-index core engine) consume to stay
-/// in step without recomputing anything.
+/// The id-level net effect of one signed batch on a [`MaterializedStore`]
+/// ([`MaterializedStore::apply_ids`]): the base triples it asserted and
+/// retracted, and the exact change of the maintained closure. This is what
+/// downstream incremental structures (the facade's evaluation-index core
+/// engine) consume to stay in step without recomputing anything.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ClosureDelta {
-    /// Ids of the base triples this mutation asserted or retracted (empty
-    /// when the mutation was a no-op on the asserted store).
-    pub base: Vec<IdTriple>,
+    /// Ids of the base triples the batch newly asserted.
+    pub asserted: Vec<IdTriple>,
+    /// Ids of the base triples the batch retracted (they were asserted).
+    pub retracted: Vec<IdTriple>,
     /// Triples that entered `RDFS-cl(G)`.
     pub added: Vec<IdTriple>,
     /// Triples that left `RDFS-cl(G)`.
@@ -139,14 +140,14 @@ impl MaterializedStore {
     /// Inserts a triple; returns `true` if it was newly asserted. The
     /// closure is extended by semi-naive delta propagation.
     pub fn insert(&mut self, triple: &Triple) -> bool {
-        !self.insert_with_delta(triple).base.is_empty()
+        !self.insert_with_delta(triple).asserted.is_empty()
     }
 
     /// Inserts a triple, reporting the closure delta: the id triples that
     /// entered `RDFS-cl(G)` as a consequence.
     pub fn insert_with_delta(&mut self, triple: &Triple) -> ClosureDelta {
         let ids = self.store.intern_triple(triple);
-        self.insert_ids_with_delta(&[ids])
+        self.apply_ids(&[ids], &[])
     }
 
     /// Inserts every triple of a graph, extending the closure in **one**
@@ -158,30 +159,45 @@ impl MaterializedStore {
     /// propagation round per triple. Returns the number of newly asserted
     /// triples.
     pub fn insert_graph(&mut self, graph: &Graph) -> usize {
-        self.insert_graph_with_delta(graph).base.len()
+        self.insert_graph_with_delta(graph).asserted.len()
     }
 
     /// Bulk insert ([`MaterializedStore::insert_graph`]) reporting the
-    /// closure delta. `base` holds the newly *asserted* ids — a triple that
-    /// was already derivable still counts there even though the closure did
-    /// not grow by it.
+    /// closure delta. `asserted` holds the newly asserted ids — a triple
+    /// that was already derivable still counts there even though the
+    /// closure did not grow by it.
     pub fn insert_graph_with_delta(&mut self, graph: &Graph) -> ClosureDelta {
         let ids = self.intern_graph(graph);
-        self.insert_ids_with_delta(&ids)
+        self.apply_ids(&ids, &[])
     }
 
-    /// [`MaterializedStore::insert_graph_with_delta`] of a batch whose terms
-    /// are interned already ([`MaterializedStore::intern_graph`]).
-    pub fn insert_ids_with_delta(&mut self, ids: &[IdTriple]) -> ClosureDelta {
+    /// The one write path: applies the signed batch `D' = (D − remove) ∪
+    /// insert` of interned ids ([`MaterializedStore::intern_graph`]), whose
+    /// sides are disjoint (a caller nets a run of operations, the last one
+    /// on a triple winning), and reports its net [`ClosureDelta`]. One DRed
+    /// run over what `remove` actually retracted
+    /// ([`DeltaClosure::delete_logged`]), then one semi-naive propagation of
+    /// `insert` ([`DeltaClosure::insert_batch_logged`]); a triple the DRed
+    /// run took out and the propagation brought back is in `cl(D)` and
+    /// `cl(D')` alike, so neither `added` nor `removed` reports it.
+    pub fn apply_ids(&mut self, insert: &[IdTriple], remove: &[IdTriple]) -> ClosureDelta {
+        debug_assert!(remove.iter().all(|t| !insert.contains(t)));
         let mut delta = ClosureDelta {
-            base: self.store.insert_id_triples(ids),
+            retracted: self.store.remove_id_triples(remove),
             ..ClosureDelta::default()
         };
-        self.engine.insert_batch_logged(
-            delta.base.iter().copied(),
-            self.store.dictionary(),
-            &mut delta.added,
-        );
+        (self.engine).delete_logged(&delta.retracted, &self.store, &mut delta.removed);
+        delta.asserted = self.store.insert_id_triples(insert);
+        if !insert.is_empty() {
+            let dictionary = self.store.dictionary();
+            (self.engine).insert_batch_logged(&delta.asserted, dictionary, &mut delta.added);
+        }
+        // `removed` is in `(s, p, o)` order; a triple on both sides is on neither.
+        let both = |t: &IdTriple| delta.removed.binary_search(t).is_ok();
+        let mut back: Vec<IdTriple> = delta.added.iter().copied().filter(both).collect();
+        back.sort_unstable();
+        delta.added.retain(|t| back.binary_search(t).is_err());
+        delta.removed.retain(|t| back.binary_search(t).is_err());
         delta
     }
 
@@ -208,13 +224,13 @@ impl MaterializedStore {
     /// the insert itself on a clone of the store, which shares this
     /// store's metrics handle and is then dropped.
     pub fn preview_insert(&self, ids: &[IdTriple]) -> Vec<IdTriple> {
-        self.clone().insert_ids_with_delta(ids).added
+        self.clone().apply_ids(ids, &[]).added
     }
 
     /// Removes a triple; returns `true` if it was asserted. The closure is
     /// maintained by DRed overdelete/rederive.
     pub fn remove(&mut self, triple: &Triple) -> bool {
-        !self.remove_with_delta(triple).base.is_empty()
+        !self.remove_with_delta(triple).retracted.is_empty()
     }
 
     /// Removes a triple, reporting the closure delta: the id triples that
@@ -222,24 +238,9 @@ impl MaterializedStore {
     /// derivable from the surviving assertions does not appear).
     pub fn remove_with_delta(&mut self, triple: &Triple) -> ClosureDelta {
         match self.store.resolve_ids(triple) {
-            Some(ids) => self.remove_ids_with_delta(&[ids]),
+            Some(ids) => self.apply_ids(&[], &[ids]),
             None => ClosureDelta::default(),
         }
-    }
-
-    /// Removes a batch of interned triples, reporting the closure delta:
-    /// `base` holds the ones that were asserted, and the closure shrinks by
-    /// **one** DRed run seeded with all of them
-    /// ([`DeltaClosure::delete_logged`]) — the mirror of
-    /// [`MaterializedStore::insert_ids_with_delta`].
-    pub fn remove_ids_with_delta(&mut self, ids: &[IdTriple]) -> ClosureDelta {
-        let mut delta = ClosureDelta {
-            base: self.store.remove_id_triples(ids),
-            ..ClosureDelta::default()
-        };
-        self.engine
-            .delete_logged(&delta.base, &self.store, &mut delta.removed);
-        delta
     }
 
     /// Is the triple asserted?
@@ -464,7 +465,7 @@ mod tests {
         let d = m.insert_with_delta(&triple("ex:A", rdfs::SC, "ex:A"));
         apply(&mut m, &mut shadow, d);
         let d = m.remove_with_delta(&triple("ex:A", rdfs::SC, "ex:A"));
-        assert_eq!(d.base.len(), 1);
+        assert_eq!(d.retracted.len(), 1);
         assert!(
             d.removed.is_empty(),
             "reflexive sc survives via the closure rules"
@@ -538,7 +539,7 @@ mod tests {
         // And the restored engine keeps maintaining increments correctly.
         let mut m2 = restored;
         let d = m2.insert_with_delta(&triple("ex:sculpts", rdfs::SP, "ex:creates"));
-        assert!(!d.base.is_empty());
+        assert!(!d.asserted.is_empty());
         let mut reference = sample();
         reference.insert(&triple("ex:a", "ex:p", "_:X"));
         reference.insert(&triple("ex:sculpts", rdfs::SP, "ex:creates"));

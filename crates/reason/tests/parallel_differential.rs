@@ -3,9 +3,10 @@
 //! The claim the engine rests on — monotone rules over a set, evaluated in
 //! sorted rounds, cannot be rescheduled into a different result — is made
 //! executable here: for randomized batch inserts, premise previews,
-//! interleaved edit scripts and DRed delete cascades, the engine is run at
-//! every thread count in [`THREAD_SWEEP`] (1 — never spawn — included) and
-//! pinned, after **every** mutation, against
+//! interleaved edit scripts (mixed signed batches among them) and DRed
+//! delete cascades, the engine is run at every thread count in
+//! [`THREAD_SWEEP`] (1 — never spawn — included) and pinned, after
+//! **every** mutation, against
 //!
 //! * every other count — the maintained closure *index* must be
 //!   bit-identical, and the `added`/`removed` delta logs that feed the
@@ -17,12 +18,14 @@
 //! All engines replay the same operations in the same order, so the shared
 //! dictionaries assign identical ids and id-level comparison is exact.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use swdb_entailment::rdfs_closure;
-use swdb_model::{rdfs, Graph, Iri, Term, Triple};
-use swdb_reason::MaterializedStore;
+use swdb_model::{graph, rdfs, triple, Graph, Iri, Term, Triple};
+use swdb_reason::{ClosureDelta, MaterializedStore};
 use swdb_store::IdTriple;
 
 /// Worker ceilings the differential sweep covers: never spawn, the
@@ -116,6 +119,76 @@ fn assert_lockstep(engines: &[MaterializedStore], context: &str) -> Result<(), S
     Ok(())
 }
 
+/// Asserts that `delta` is the exact closure change `engine` made from
+/// `before`: it adds only absent triples, removes only present ones, and
+/// replays `before` onto the closure `engine` now maintains.
+fn assert_exact(
+    before: &BTreeSet<IdTriple>,
+    engine: &MaterializedStore,
+    delta: &ClosureDelta,
+    context: &str,
+) -> Result<(), String> {
+    let added_live = delta.added.iter().find(|t| before.contains(t));
+    prop_assert_eq!(added_live, None, "re-added a live triple ({})", context);
+    let removed_dead = delta.removed.iter().find(|t| !before.contains(t));
+    prop_assert_eq!(removed_dead, None, "removed a dead triple ({})", context);
+    let mut replayed = before.clone();
+    delta.removed.iter().for_each(|t| _ = replayed.remove(t));
+    replayed.extend(&delta.added);
+    let now: BTreeSet<IdTriple> = engine.closure_index().iter().collect();
+    prop_assert_eq!(
+        replayed,
+        now,
+        "the delta does not replay the closure ({})",
+        context
+    );
+    Ok(())
+}
+
+/// The cancellation a mixed batch reports, pinned at every worker ceiling:
+/// retracting `(A sc B)` while asserting `(A sc C)` and `(C sc B)`. Alone,
+/// the retraction's DRed run takes `(A sc B)` and `(x type B)` out of the
+/// closure; the batch's insertion derives both again, so they were in
+/// `cl(D)` and are in `cl(D')` and the batch reports them on neither side.
+#[test]
+fn a_mixed_batch_reports_neither_side_of_what_dred_removed_and_the_insert_rederived() {
+    let kept = graph([("ex:x", rdfs::TYPE, "ex:A")]);
+    let inserted = graph([("ex:A", rdfs::SC, "ex:C"), ("ex:C", rdfs::SC, "ex:B")]);
+    let returned = [
+        triple("ex:A", rdfs::SC, "ex:B"),
+        triple("ex:x", rdfs::TYPE, "ex:B"),
+    ];
+    let mut logs = Vec::new();
+    for &threads in &THREAD_SWEEP {
+        let mut engine = MaterializedStore::with_threads(threads);
+        engine.insert_graph(&kept.union(&graph([("ex:A", rdfs::SC, "ex:B")])));
+        let retracted = engine.store().resolve_ids(&returned[0]).expect("asserted");
+        let returned: Vec<IdTriple> = returned
+            .iter()
+            .map(|t| engine.store().resolve_ids(t).unwrap())
+            .collect();
+        let alone = engine.clone().apply_ids(&[], &[retracted]);
+        assert!(
+            returned.iter().all(|t| alone.removed.contains(t)),
+            "DRed removes both"
+        );
+        let before: BTreeSet<IdTriple> = engine.closure_index().iter().collect();
+        let insert = engine.intern_graph(&inserted);
+        let delta = engine.apply_ids(&insert, &[retracted]);
+        assert_exact(&before, &engine, &delta, &format!("threads={threads}")).unwrap();
+        assert_eq!(delta.retracted, [retracted]);
+        assert!(returned
+            .iter()
+            .all(|t| !delta.added.contains(t) && !delta.removed.contains(t)));
+        assert_eq!(engine.closure_graph(), rdfs_closure(&kept.union(&inserted)));
+        logs.push((delta.added, delta.removed));
+    }
+    assert!(
+        logs.iter().all(|log| *log == logs[0]),
+        "one log at every ceiling"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -154,7 +227,7 @@ proptest! {
                 "added log diverged at threads={}",
                 threads
             );
-            prop_assert_eq!(&delta.base, &seq.base, "asserted base diverged");
+            prop_assert_eq!(&delta.asserted, &seq.asserted, "asserted base diverged");
             prop_assert_eq!(parallel.intern_graph(&extra), ids.clone(), "interned ids diverged");
             prop_assert_eq!(
                 parallel.preview_insert(&ids),
@@ -187,7 +260,7 @@ proptest! {
     #[test]
     fn interleaved_edits_stay_in_lockstep_across_thread_counts(
         seed in 0u64..512,
-        ops in proptest::collection::vec((0u8..5, 0u8..32u8), 1..14),
+        ops in proptest::collection::vec((0u8..6, 0u8..32u8), 1..14),
     ) {
         let pool = pool(seed);
         let mut engines: Vec<MaterializedStore> =
@@ -195,7 +268,7 @@ proptest! {
         let mut shadow = Graph::new();
         for (step, &(kind, at)) in ops.iter().enumerate() {
             let at = at as usize % pool.len();
-            let deltas: Vec<swdb_reason::ClosureDelta> = match kind {
+            let deltas: Vec<ClosureDelta> = match kind {
                 // Batch insert: a contiguous slice of the pool.
                 0 => {
                     let batch: Graph = pool[at..(at + 5).min(pool.len())].iter().cloned().collect();
@@ -224,7 +297,7 @@ proptest! {
                     engines.iter_mut().map(|e| e.remove_with_delta(&pool[at])).collect()
                 }
                 // Batch delete: a contiguous slice of the pool, one DRed run.
-                _ => {
+                4 => {
                     let batch = &pool[at..(at + 5).min(pool.len())];
                     for t in batch {
                         shadow.remove(t);
@@ -234,13 +307,45 @@ proptest! {
                         .map(|e| {
                             let ids: Vec<IdTriple> =
                                 batch.iter().filter_map(|t| e.store().resolve_ids(t)).collect();
-                            e.remove_ids_with_delta(&ids)
+                            e.apply_ids(&[], &ids)
                         })
                         .collect()
                 }
+                // Mixed batch: insert one slice, then remove an overlapping
+                // one (wrapping round the pool), netted last-op-wins into
+                // one `apply_ids`.
+                _ => {
+                    let ins = pool[at..(at + 5).min(pool.len())].iter().map(|t| (t, true));
+                    let del = pool.iter().cycle().skip(at + 3).take(3).map(|t| (t, false));
+                    let net: BTreeMap<&Triple, bool> = ins.chain(del).collect();
+                    let side = |want: bool| net.iter().filter(move |&(_, &a)| a == want);
+                    let insert: Graph = side(true).map(|(&t, _)| t.clone()).collect();
+                    let remove: Vec<&Triple> = side(false).map(|(&t, _)| t).collect();
+                    for &t in &remove {
+                        shadow.remove(t);
+                    }
+                    shadow = shadow.union(&insert);
+                    let before: BTreeSet<IdTriple> = engines[0].closure_index().iter().collect();
+                    let deltas: Vec<ClosureDelta> = engines
+                        .iter_mut()
+                        .map(|e| {
+                            let insert = e.intern_graph(&insert);
+                            let remove: Vec<IdTriple> =
+                                remove.iter().filter_map(|t| e.store().resolve_ids(t)).collect();
+                            e.apply_ids(&insert, &remove)
+                        })
+                        .collect();
+                    let context = format!("mixed batch at step {step}");
+                    assert_exact(&before, &engines[0], &deltas[0], &context)?;
+                    let spec = rdfs_closure(&shadow);
+                    prop_assert_eq!(engines[0].closure_graph(), spec, "{}", context);
+                    deltas
+                }
             };
             for (delta, &threads) in deltas.iter().zip(&THREAD_SWEEP).skip(1) {
-                prop_assert_eq!(&delta.base, &deltas[0].base, "base diverged (step {})", step);
+                prop_assert_eq!(&delta.asserted, &deltas[0].asserted, "asserted (step {})", step);
+                let retracted = &deltas[0].retracted;
+                prop_assert_eq!(&delta.retracted, retracted, "retracted (step {})", step);
                 prop_assert_eq!(
                     &delta.added,
                     &deltas[0].added,

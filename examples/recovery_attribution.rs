@@ -20,19 +20,34 @@
 //! same triples. Live above fresh is the slack that growing by batch
 //! merges leaves in the parts.
 //!
+//! With a WAL tail (the third argument, default 0), the directory is then
+//! opened once more and takes `tail` four-triple writes after the
+//! checkpoint, one WAL record each, alternating: a fresh student inserted
+//! (a type, two courses and an anonymous advisor), then four triples of a
+//! loaded student removed. (Removing the student just inserted would net
+//! each pair to nothing.) It is reopened `reopens` times again, and each
+//! reopen prints the same columns, its replay beside them: "other" is the
+//! replay and the rest, then the spans of the closure's propagation
+//! (`span_reason_insert_ns`), its DRed run (`span_reason_delete_ns`) and the
+//! core refresh (`span_core_refresh_ns`), with their sample counts (one
+//! each: the tail replays as one signed batch). A tail longer than the WAL
+//! compaction threshold (`SWDB_WAL_COMPACT`, 10 000 records by default)
+//! rotates into a snapshot instead.
+//!
 //! Run with `cargo run --release --example recovery_attribution --
-//! [departments] [reopens]`; the default, 3500 departments reopened 8
-//! times, is ≈ 200k asserted triples. The data directory is a fresh
-//! folder under the system temp directory, removed at the end.
+//! [departments] [reopens] [tail]`; the default, 3500 departments reopened 8
+//! times with no tail, is ≈ 200k asserted triples. The data directory is a
+//! fresh folder under the system temp directory, removed at the end.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Instant;
 
 use semweb_foundations::core::durable::StdIo;
 use semweb_foundations::core::{Metrics, MetricsLevel, SemanticWebDatabase};
-use semweb_foundations::model::{Graph, Iri, Term, Triple};
+use semweb_foundations::model::{rdfs, Graph, Iri, Term, Triple};
 use semweb_foundations::normal::IdCoreEngine;
 use semweb_foundations::obs::MetricsSnapshot;
 use semweb_foundations::store::{Dictionary, IdIndex, IdSet, IdTriple};
@@ -136,6 +151,7 @@ fn main() {
         .map(|a| a.parse().expect("a count"));
     let departments: usize = args.next().unwrap_or(3500);
     let reopens: usize = args.next().unwrap_or(8);
+    let tail: usize = args.next().unwrap_or(0);
     let config = UniversityConfig {
         departments,
         courses_per_department: 6,
@@ -213,24 +229,74 @@ fn main() {
         );
     }
 
-    println!("reopen  open ms  decode ms  restore ms  recovery ms  other ms");
-    for i in 0..reopens {
-        let metrics = Metrics::new(MetricsLevel::Debug);
-        let started = Instant::now();
-        let db = SemanticWebDatabase::open_with_io(&dir, Arc::new(StdIo), metrics.clone())
-            .expect("reopen");
-        let open = started.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(db.len(), asserted, "the reopened database holds the load");
-        let s = metrics.snapshot();
-        let (decode, restore, recovery) = (
-            span_ms(&s, "span_snapshot_decode_ns"),
-            span_ms(&s, "span_snapshot_restore_ns"),
-            span_ms(&s, "span_recovery_ns"),
-        );
-        println!(
-            "{i:>6}  {open:>7.1}  {decode:>9.1}  {restore:>10.1}  {recovery:>11.1}  {:>8.1}",
-            recovery - decode - restore
-        );
+    let reopen = |tail: usize, expected: usize| {
+        for i in 0..reopens {
+            let metrics = Metrics::new(MetricsLevel::Debug);
+            let started = Instant::now();
+            let db = SemanticWebDatabase::open_with_io(&dir, Arc::new(StdIo), metrics.clone())
+                .expect("reopen");
+            let open = started.elapsed().as_secs_f64() * 1e3;
+            assert_eq!(db.len(), expected, "the reopened database holds the writes");
+            let s = metrics.snapshot();
+            let (decode, restore, recovery) = (
+                span_ms(&s, "span_snapshot_decode_ns"),
+                span_ms(&s, "span_snapshot_restore_ns"),
+                span_ms(&s, "span_recovery_ns"),
+            );
+            let spans = [
+                "span_reason_insert_ns",
+                "span_reason_delete_ns",
+                "span_core_refresh_ns",
+            ];
+            let samples = spans.map(|key| s.histograms.get(key).map_or(0, |h| h.count));
+            let [insert, delete, refresh] = spans.map(|key| span_ms(&s, key));
+            println!(
+                "{i:>6}  {tail:>5}  {open:>7.1}  {decode:>9.1}  {restore:>10.1}  {recovery:>11.1}  \
+                 {:>8.1}  {insert:>9.1}  {delete:>9.1}  {refresh:>10.1}  {samples:?}",
+                recovery - decode - restore
+            );
+        }
+    };
+    println!(
+        "reopen   tail  open ms  decode ms  restore ms  recovery ms  other ms  insert ms  \
+         delete ms  refresh ms  samples"
+    );
+    reopen(0, asserted);
+    if tail > 0 {
+        let mut db = SemanticWebDatabase::open_with_io(&dir, Arc::new(StdIo), Metrics::default())
+            .expect("open for the tail");
+        // The loaded students, each with its triples.
+        let mut students: BTreeMap<&Term, Graph> = BTreeMap::new();
+        for t in &triples {
+            if matches!(t.subject(), Term::Iri(iri) if iri.as_str().starts_with("uni:student")) {
+                students.entry(t.subject()).or_default().insert(t.clone());
+            }
+        }
+        let mut loaded = students.into_values().filter(|g| g.len() >= 4);
+        for i in 0..tail {
+            let d = i / 2 % departments;
+            if i % 2 == 0 {
+                let fresh = Term::iri(format!("uni:tailStudent{i}"));
+                let course = |c| Term::iri(format!("uni:course{d}_{c}"));
+                db.insert_graph(&Graph::from_triples([
+                    Triple::new(fresh.clone(), rdfs::type_(), Term::iri("uni:Student")),
+                    Triple::new(fresh.clone(), Iri::new("uni:takes"), course(0)),
+                    Triple::new(fresh.clone(), Iri::new("uni:takes"), course(1)),
+                    Triple::new(
+                        fresh,
+                        Iri::new("uni:advisedBy"),
+                        Term::blank(format!("tail{i}")),
+                    ),
+                ]));
+            } else {
+                let student = loaded.next().expect("a loaded student with four triples");
+                let four: Graph = student.iter().take(4).cloned().collect();
+                assert_eq!(db.remove_graph(&four), 4);
+            }
+        }
+        let expected = db.len();
+        drop(db);
+        reopen(tail, expected);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -18,7 +18,7 @@
 //! | semantics | [`entailment`] | deductive system, `RDFS-cl(G)` as whole-graph fixpoints |
 //! | normalization | [`normal`] | lean graphs, cores, normal forms (§3) |
 //! | storage | [`store`] | dictionary-encoded [`store::TripleStore`] (one ordering) and the SPO/POS/OSP [`store::IdIndex`] |
-//! | **reasoning** | [`reason`] | **incremental `RDFS-cl(G)` over id-triples** |
+//! | **reasoning** | [`reason`] | **incremental `RDFS-cl(G)` over id-triples**, one signed batch per write ([`reason::MaterializedStore::apply_ids`]) |
 //! | queries | [`query`], [`containment`] | tableau queries, answers, containment (§4–6) |
 //! | facade | [`core`] | [`core::SemanticWebDatabase`] ties everything together |
 //! | serving | [`server`] | std-only HTTP front end over published MVCC snapshots |
@@ -49,7 +49,8 @@
 //! (semi-naive propagation: only the new frontier is joined — batched for
 //! bulk loads via `insert_batch_logged`) and **delete** (DRed
 //! overdelete/rederive, one run per removal batch, immune to the rule
-//! system's derivation cycles);
+//! system's derivation cycles); a write is one signed batch of both, its
+//! DRed run first and its propagation second, reported as one net delta;
 //! a transient premise is the same insert on a clone of the engine. Both
 //! are loops around one rule-firing kernel, the rounds of
 //! [`reason::parallel`]: a round partitions the frontier by woken
@@ -116,7 +117,7 @@
 //! path evaluates in string space anymore. Every premise takes the
 //! **premise overlay**: the write path's insert on a fork of the state
 //! read — asserted, its closure growth propagated
-//! ([`reason::MaterializedStore::insert_ids_with_delta`]), that growth fed
+//! ([`reason::MaterializedStore::apply_ids`]), that growth fed
 //! to the core engine ([`normal::IdCoreEngine::apply_delta`]) — and the
 //! query joins the fork's evaluation index, the index a commit would
 //! publish. The fork's indexes are clones of the persistent
