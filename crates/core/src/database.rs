@@ -149,7 +149,7 @@ use std::io;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-use swdb_durable::snapshot::{engine_runs, run, Sections};
+use swdb_durable::snapshot::{engine_runs, flagged, run, Sections};
 use swdb_durable::{
     Durability, Io, SnapshotPayload, SnapshotSource, StdIo, WalRecord,
     DEFAULT_WAL_COMPACT_THRESHOLD,
@@ -350,10 +350,11 @@ impl State {
 
     /// Rebuilds a state from a decoded snapshot — pure deserialization: the
     /// dictionary replays in id order (reproducing the exact id
-    /// assignment), the closure and the base run (in `(s, p, o)` order, so
-    /// the asserted set, with no sort) are adopted without rule
-    /// propagation, and the evaluation engine restores from its exported
-    /// component states without any retraction search, then views the set
+    /// assignment), the closure and the base (the closure's flagged
+    /// triples, both strictly ascending as a version-3 segment decodes, so
+    /// built with no sort) are adopted without rule propagation, and the
+    /// evaluation engine restores from its exported component states
+    /// without any retraction search, then views the set
     /// it cores: a core fixes every URI, so the engine's ground side is
     /// that set's — the restored closure, or under simple entailment an
     /// index of the base run built for the engine.
@@ -411,7 +412,8 @@ impl State {
 }
 
 /// The complete durable image, borrowed from the live parts: regime,
-/// budget, the dictionary in id order, base + closure triples, and the
+/// budget, the dictionary in id order, the closure walked in step with the
+/// asserted set to flag the base triples in it ([`flagged`]), and the
 /// evaluation engine's components, if it is built (including their
 /// `uncored` flags, so degraded mode survives a reopen exactly) — what
 /// [`State::restore`] reads, and nothing else.
@@ -423,10 +425,7 @@ impl SnapshotSource for State {
         Sections {
             settings: (encode_regime(self.regime), mode, steps, millis),
             terms: run(dictionary.len(), dictionary.iter().map(|(_, term)| term)),
-            runs: [
-                run(store.len(), store.iter_ids()),
-                run(closure.len(), closure.iter()),
-            ],
+            closure: flagged(run(closure.len(), closure.iter()), store.iter_ids()),
             evaluation: self.evaluation.as_ref().map(engine_runs),
         }
     }

@@ -58,27 +58,31 @@
 //! per-record-checksummed **write-ahead log** with one append plus one
 //! fsync per facade call. [`SemanticWebDatabase::snapshot_now`] — or
 //! automatic compaction past `SWDB_WAL_COMPACT` records — rotates a
-//! versioned, checksummed **snapshot** of the entire state (dictionary,
-//! base store, maintained closure, the core engine's state including
+//! versioned, checksummed **snapshot** of the entire state (the
+//! dictionary front-coded, the maintained closure gap-coded with the base
+//! store a flag on each of its triples, the core engine's state including
 //! degraded-mode flags) and truncates the log. The snapshot streams from
 //! the live state to disk in chunks and is read back the same way, so a
 //! rotation holds a few chunk buffers, never an image of the state.
 //!
 //! [`SemanticWebDatabase::open`] recovers: the newest valid snapshot
 //! loads by pure deserialization — **no closure fixpoint, no core
-//! search** — and the WAL suffix replays through the live write path, one
-//! commit per run of insert/remove records netted to one signed batch (the
-//! last op on a triple wins). The asserted set, the closure and every term
+//! search, no sort**: its runs decode ascending — and the WAL suffix
+//! replays through the live write path, one commit per run of
+//! insert/remove records netted to one signed batch (the last op on a
+//! triple wins). The asserted set, the closure and every term
 //! id recover identical to a record-by-record replay's, since each record
 //! interns its terms in log order; the evaluation graph recovers isomorphic
 //! to it (under a core budget it may degrade another component, but stays
 //! equivalent). A crash mid-commit tears the final
 //! WAL record; recovery detects it by checksum, truncates it, and keeps
 //! everything durably acknowledged before it. Snapshot formats are
-//! versioned (`SNAPSHOT_VERSION` in [`swdb_durable`]); an unreadable or
-//! future-versioned snapshot falls back to the previous generation,
-//! which rotation deletes only after the new segment passes a read-back
-//! verification. Durability IO errors **fail-stop**: the layer detaches
+//! versioned (`SNAPSHOT_VERSION` in [`swdb_durable`]; versions 1 and 2
+//! still open, and the next rotation writes the current one); a damaged
+//! snapshot falls back to the previous generation, which rotation deletes
+//! only after the new segment passes a read-back verification, and an
+//! intact one of a future version stops the open, removing nothing.
+//! Durability IO errors **fail-stop**: the layer detaches
 //! (see [`SemanticWebDatabase::durability_error`]), the in-memory
 //! database keeps working, and the directory still recovers to its last
 //! durable state.

@@ -472,25 +472,19 @@ fn live_segment(dir: &PathBuf) -> PathBuf {
 /// `minimize` kept one.
 const VERSION_1_SEGMENT: &[u8] = include_bytes!("fixtures/snapshot-v1.seg");
 
-/// A version-1 data directory opens: the ground run and the
-/// `asserted_core` it carries are dropped, the database answers like the
-/// specification, and the next rotation writes version 2, which reopens to
-/// the same evaluation graph.
-#[test]
-fn a_version_1_data_directory_opens_and_rotates_to_version_2() {
-    let dir = scratch_dir("version-1");
-    std::fs::create_dir_all(&dir).expect("create");
-    std::fs::write(dir.join("snapshot-1.seg"), VERSION_1_SEGMENT).expect("write segment");
-    assert_eq!(VERSION_1_SEGMENT[8..12], 1u32.to_le_bytes());
-    let (payload, generation) = SnapshotPayload::decode(VERSION_1_SEGMENT).expect("decode");
-    let dropped = VERSION_1_SEGMENT.len() - payload.encode(generation).expect("encode").len();
-    assert_eq!(
-        dropped,
-        (4 + 9 * 12) + 73,
-        "a 9-triple ground run, a 73 B asserted_core"
-    );
+/// The segment a version-2 writer left for the same database, published
+/// and then persisted (generation 1): fixed-width terms and triples, and
+/// the base as a run of its own beside the closure.
+const VERSION_2_SEGMENT: &[u8] = include_bytes!("fixtures/snapshot-v2.seg");
 
-    let mut reopened = SemanticWebDatabase::open(&dir).expect("the version-1 file opens");
+/// A data directory holding `segment` opens, the database answers like the
+/// specification, and the next rotation writes the current version, which
+/// reopens to the same evaluation graph.
+fn opens_and_rotates_to_the_current_version(segment: &[u8], tag: &str) {
+    let dir = scratch_dir(tag);
+    std::fs::create_dir_all(&dir).expect("create");
+    std::fs::write(dir.join("snapshot-1.seg"), segment).expect("write segment");
+    let mut reopened = SemanticWebDatabase::open(&dir).expect("the older file opens");
     assert_eq!(reopened.len(), 3);
     let q = query([("?X", "ex:p", "?Y")], [("?X", "ex:p", "?Y")]);
     for semantics in [Semantics::Union, Semantics::Merge] {
@@ -506,9 +500,49 @@ fn a_version_1_data_directory_opens_and_rotates_to_version_2() {
     assert_eq!(bytes[8..12], SNAPSHOT_VERSION.to_le_bytes());
     let (rotated, _) = SnapshotPayload::decode(&bytes).expect("decode");
     assert_eq!(rotated.base.len(), 2);
-    let mut again = SemanticWebDatabase::open(&dir).expect("the version-2 file opens");
+    let mut again = SemanticWebDatabase::open(&dir).expect("the current file opens");
     assert_eq!(again.evaluation_graph(), evaluation);
     cleanup(&dir);
+}
+
+/// A version-1 data directory opens: the ground run and the
+/// `asserted_core` it carries are dropped (the bytes it holds beyond the
+/// version-2 segment of the same database), and it rotates to the current
+/// version.
+#[test]
+fn a_version_1_data_directory_opens_and_rotates_to_version_3() {
+    assert_eq!(VERSION_1_SEGMENT[8..12], 1u32.to_le_bytes());
+    let decode = |bytes| SnapshotPayload::decode(bytes).expect("decode");
+    assert_eq!(decode(VERSION_1_SEGMENT), decode(VERSION_2_SEGMENT));
+    assert_eq!(
+        VERSION_1_SEGMENT.len() - VERSION_2_SEGMENT.len(),
+        (4 + 9 * 12) + 73,
+        "a 9-triple ground run, a 73 B asserted_core"
+    );
+    opens_and_rotates_to_the_current_version(VERSION_1_SEGMENT, "version-1");
+}
+
+/// A version-2 data directory opens, its fixed-width runs and separate
+/// base run read through the one decoder, and it rotates to version 3: the
+/// same payload in under half the bytes.
+#[test]
+fn a_version_2_data_directory_opens_and_rotates_to_version_3() {
+    assert_eq!(VERSION_2_SEGMENT[8..12], 2u32.to_le_bytes());
+    let (payload, generation) = SnapshotPayload::decode(VERSION_2_SEGMENT).expect("decode");
+    assert_eq!((payload.base.len(), payload.closure.len()), (3, 10));
+    let components = payload.evaluation.as_deref().expect("the engine is built");
+    assert!(
+        components.iter().any(|c| c.survivors.len() < c.full.len()),
+        "one is folded"
+    );
+    let current = payload.encode(generation).expect("encode");
+    assert_eq!(SnapshotPayload::decode(&current), Ok((payload, generation)));
+    assert!(
+        current.len() * 2 < VERSION_2_SEGMENT.len(),
+        "{} B",
+        current.len()
+    );
+    opens_and_rotates_to_the_current_version(VERSION_2_SEGMENT, "version-2");
 }
 
 /// A checkpointed database whose evaluation engine is built (so its

@@ -591,7 +591,8 @@ mod tests {
         let listing = StdIo.list(&dir).unwrap();
         let err = Durability::open(&dir, io.clone(), Metrics::default(), 100).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("version 3"), "{err}");
+        let unknown = format!("version {}", crate::SNAPSHOT_VERSION + 1);
+        assert!(err.to_string().contains(&unknown), "{err}");
         assert_eq!(StdIo.list(&dir).unwrap(), listing, "nothing removed");
         assert_eq!(std::fs::read(&segment).unwrap(), bytes);
 
@@ -623,9 +624,11 @@ mod tests {
     fn large_payload() -> SnapshotPayload {
         let mut payload = sample_payload();
         payload.terms = (0..5_000).map(|i| Term::iri(format!("ex:t{i}"))).collect();
-        payload.base = (0..15_000)
-            .map(|i| (i % 5_000, 1, (i * 3) % 5_000))
+        payload.closure = (0..60_000)
+            .map(|i| (i % 5_000, 1, (i / 5_000 + i * 3) % 5_000))
             .collect();
+        payload.closure.sort_unstable();
+        payload.base = payload.closure.iter().copied().step_by(2).collect();
         payload
     }
 

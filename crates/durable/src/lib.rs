@@ -19,9 +19,10 @@
 //! back** in chunks, create the next WAL, and only then delete the
 //! previous generation.
 //!
-//! A segment holds only what a restore reads ([`snapshot`], version 2); a
-//! version-1 segment still opens, and an intact segment of an unknown
-//! version stops [`Durability::open`] before anything is removed.
+//! A segment holds only what a restore reads, the asserted set as a flag
+//! on the closure run, gap-coded and front-coded ([`snapshot`], version
+//! 3); a version-1 or -2 segment still opens, and an intact segment of an
+//! unknown version stops [`Durability::open`] before anything is removed.
 //!
 //! ## Torn tails and lying disks
 //!

@@ -2,21 +2,33 @@
 //! database state at one generation.
 //!
 //! A snapshot carries what a reopen reads, so it **recomputes nothing**:
-//! the settings, the term dictionary in id order, the base triples, the
-//! RDFS closure, and the evaluation core engine's components with their
-//! `uncored` flags (degraded mode survives a restart exactly), in this
-//! order. The engine's ground side is the closure's (the base's under
-//! simple entailment), since a core fixes every URI, so it is not written.
-//! Only the WAL suffix replays, through the incremental delta paths.
+//! the settings, the term dictionary in id order, the RDFS closure with the
+//! asserted (base) triples flagged in it (`D ⊆ cl(D)`), and the evaluation
+//! core engine's components with their `uncored` flags (degraded mode
+//! survives a restart exactly), in this order. The engine's ground side is
+//! the closure's (the base's under simple entailment), since a core fixes
+//! every URI, so it is not written. Only the WAL suffix replays, through
+//! the incremental delta paths.
 //!
 //! File layout: `[magic 8][version u32][generation u64][len u32]
 //! [crc u32][payload]`; every version keeps this 28-byte header, so a
 //! segment of an unknown version still has its CRC checked. The checksum
 //! covers `version ∥ generation ∥ payload` — a flipped bit anywhere except
-//! the (structurally validated) magic and length is caught. Version 1 also
-//! wrote each engine's ground run and, last, a second engine list
-//! (`asserted_core`); the one decoder reads both and drops them, and the
-//! next rotation writes version 2.
+//! the (structurally validated) magic and length is caught. Version 3's
+//! payload: the settings; the term count, each term front-coded against
+//! the one before ([`Writer::front_term`]); the closure run; per engine,
+//! its components, each three runs and an `uncored` byte. A run is a
+//! count, then each triple as varint gaps from the one before
+//! ([`Writer::gap_triple`]), the closure's asserted flag riding in the
+//! first; a decoded run is thus strictly ascending by construction, so a
+//! restore sorts nothing, and the base falls out of the closure walk.
+//! Versions 1 and 2 wrote terms and triples fixed-width and the base as a
+//! run of its own; version 1 also each engine's ground run and, last, an
+//! `asserted_core` engine list. The one decoder reads them through its
+//! fixed-width readers into the same payload, dropping what version 3
+//! lacks, and the next rotation writes version 3. A binary that writes
+//! version 2 stops at a version-3 segment, an unknown version, and does not
+//! delete it.
 //!
 //! One encoder streams a segment from a [`SnapshotSource`], the live state
 //! or a [`SnapshotPayload`], through a [`CHUNK`]-sized buffer; the header's
@@ -37,7 +49,7 @@ use swdb_normal::{ComponentState, IdCoreEngine};
 use swdb_store::IdTriple;
 
 pub use crate::codec::CHUNK;
-use crate::codec::{length_field, DecodeError, Reader, Writer};
+use crate::codec::{length_field, DecodeError, Gaps, Reader, Writer};
 use crate::crc::Crc32;
 use crate::io::Io;
 
@@ -46,7 +58,7 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"SWDBSNAP";
 
 /// Current segment format version. Bump on any layout change; readers
 /// reject versions they do not understand rather than misparse them.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Bytes of the header: magic, version, generation, length and CRC.
 const HEADER_LEN: usize = 28;
@@ -65,7 +77,7 @@ pub struct SnapshotPayload {
     /// Every interned term, in id order — replaying these through a fresh
     /// dictionary reproduces the exact id assignment.
     pub terms: Vec<Term>,
-    /// The asserted (base) triples.
+    /// The asserted (base) triples, a subset of the closure.
     pub base: Vec<IdTriple>,
     /// The maintained RDFS closure, under both regimes: simple entailment
     /// keeps it maintained too, so a regime switch needs no fixpoint.
@@ -118,8 +130,8 @@ pub struct Sections<'a> {
     pub settings: (u8, u8, u64, u64),
     /// Every interned term, in id order.
     pub terms: Run<'a, &'a Term>,
-    /// The asserted triples, then the closure.
-    pub runs: [Run<'a, IdTriple>; 2],
+    /// The closure, each triple flagged if asserted ([`flagged`]).
+    pub closure: Run<'a, (IdTriple, bool)>,
     /// The evaluation engine's components, if it is built.
     pub evaluation: Option<Run<'a, ComponentRuns<'a>>>,
 }
@@ -134,6 +146,26 @@ pub fn engine_runs<'a>(engine: &'a IdCoreEngine) -> Run<'a, ComponentRuns<'a>> {
     let set = |s: &'a BTreeSet<IdTriple>| run(s.len(), s.iter().copied());
     let components = components.map(move |(sets, uncored)| (sets.map(set), uncored));
     run(count, components)
+}
+
+/// The closure run, each triple flagged if `asserted` holds it: both in
+/// `(s, p, o)` order, walked in step with no lookups. It yields their
+/// union, so an asserted triple outside the closure outgrows the count,
+/// which the encoder makes an `InvalidData` error.
+pub fn flagged<'a>(
+    (len, closure): Run<'a, IdTriple>,
+    asserted: impl Iterator<Item = IdTriple> + 'a,
+) -> Run<'a, (IdTriple, bool)> {
+    let (mut closure, mut asserted) = (closure.peekable(), asserted.peekable());
+    let union = std::iter::from_fn(move || {
+        let next = match (closure.peek(), asserted.peek()) {
+            (Some(&c), Some(&a)) => c.min(a),
+            (c, a) => *c.or(a)?,
+        };
+        closure.next_if_eq(&next);
+        Some((next, asserted.next_if_eq(&next).is_some()))
+    });
+    run(len, union)
 }
 
 /// What a segment is written from: the live state, or a [`SnapshotPayload`].
@@ -166,7 +198,7 @@ impl SnapshotSource for SnapshotPayload {
         Sections {
             settings: (self.regime, budget.0, budget.1, budget.2),
             terms: run(self.terms.len(), self.terms.iter()),
-            runs: [triples(&self.base), triples(&self.closure)],
+            closure: flagged(triples(&self.closure), self.base.iter().copied()),
             evaluation: self.evaluation.as_deref().map(components),
         }
     }
@@ -179,17 +211,24 @@ fn write_body<W: io::Write>(w: &mut Writer<W>, sections: Sections<'_>) {
     w.u8(budget_mode);
     w.u64(budget_steps);
     w.u64(budget_millis);
-    w.seq(sections.terms, |w, t| w.term(t));
-    for run in sections.runs {
-        w.seq(run, Writer::id_triple);
-    }
+    let mut before = "";
+    w.seq(sections.terms, |w, t| before = w.front_term(before, t));
+    gap_run(w, sections.closure);
     let engines = sections.evaluation.into_iter();
     w.seq((engines.len(), engines), |w, components| {
         w.seq(components, |w, (runs, uncored)| {
-            runs.into_iter().for_each(|r| w.seq(r, Writer::id_triple));
+            for (len, run) in runs {
+                gap_run(w, (len, run.map(|t| (t, false))));
+            }
             w.u8(uncored as u8);
         });
     });
+}
+
+/// Appends a counted run of flagged triples, gap-coded.
+fn gap_run<W: io::Write>(w: &mut Writer<W>, run: (usize, impl Iterator<Item = (IdTriple, bool)>)) {
+    let mut last = Gaps::default();
+    w.seq(run, |w, (t, flag)| w.gap_triple(&mut last, t, flag));
 }
 
 /// Feeds the checksum the bytes of `chunk`, which starts at offset `at`
@@ -299,13 +338,13 @@ impl SnapshotPayload {
     pub fn decode(bytes: &[u8]) -> Result<(SnapshotPayload, u64), SnapshotError> {
         let mut r = Reader::new(bytes);
         let (version, generation, len, crc) = read_header(&mut r)?;
-        let v1 = supported(version)? == 1;
+        let version = supported(version)?;
         let mut sum = Crc32::default();
         checksum(&mut sum, 0, bytes);
         if r.remaining() != len || sum.finish() != crc {
             return Err(SnapshotError::ChecksumMismatch);
         }
-        let payload = decode_body(r, v1, true).map_err(SnapshotError::Malformed)?;
+        let payload = decode_body(r, version, true).map_err(SnapshotError::Malformed)?;
         Ok((payload, generation))
     }
 }
@@ -322,59 +361,90 @@ fn read_header(r: &mut Reader<'_>) -> Result<(u32, u64, usize, u32), SnapshotErr
     Ok((version, generation, len, r.u32().map_err(bad)?))
 }
 
-/// `version`, if this reader decodes it: the current one, or 1.
+/// `version`, if this reader decodes it: 1, 2 or the current one.
 fn supported(version: u32) -> Result<u32, SnapshotError> {
     match version {
-        1 | SNAPSHOT_VERSION => Ok(version),
+        1 | 2 | SNAPSHOT_VERSION => Ok(version),
         _ => Err(SnapshotError::UnsupportedVersion(version)),
     }
 }
 
-/// The one structural decoder of a segment's payload. Recovery keeps what
-/// it reads; a read-back does not (`keep`), and gets every run empty. Each
-/// triple id is checked against the term count as it is read. A version-1
-/// payload's trailing `asserted_core` engines are read and dropped.
-fn decode_body(mut r: Reader<'_>, v1: bool, keep: bool) -> Result<SnapshotPayload, DecodeError> {
+/// The one structural decoder of a segment's payload, of every version.
+/// Recovery keeps what it reads; a read-back does not (`keep`), and gets
+/// every run empty. Each triple id is checked against the term count as
+/// it is read. A version-1 payload's trailing `asserted_core` engines are
+/// read and dropped.
+fn decode_body(
+    mut r: Reader<'_>,
+    version: u32,
+    keep: bool,
+) -> Result<SnapshotPayload, DecodeError> {
     let (regime, budget_mode) = (r.u8()?, r.u8()?);
     let (budget_steps, budget_millis) = (r.u64()?, r.u64()?);
-    let bound = r.count(5)?;
-    let mut terms = Vec::with_capacity(if keep { bound } else { 0 });
+    let fixed = version < 3;
+    let bound = r.count(if fixed { 5 } else { 2 })?;
+    let (mut terms, mut text) = (Vec::with_capacity(if keep { bound } else { 0 }), Vec::new());
     for _ in 0..bound {
-        let term = r.term()?;
+        let term = if fixed {
+            r.term()?
+        } else {
+            r.front_term(&mut text)?
+        };
         if keep {
             terms.push(term);
         }
     }
+    let mut base = match fixed {
+        true => decode_run(&mut r, bound, fixed, keep, |_| {})?,
+        false => Vec::new(),
+    };
+    let closure = decode_run(&mut r, bound, fixed, keep, |t| base.push(t))?;
     let payload = SnapshotPayload {
         regime,
         budget_mode,
         budget_steps,
         budget_millis,
         terms,
-        base: decode_run(&mut r, bound, keep)?,
-        closure: decode_run(&mut r, bound, keep)?,
-        evaluation: decode_engines(&mut r, bound, v1, keep)?,
+        base,
+        closure,
+        evaluation: decode_engines(&mut r, bound, version, keep)?,
     };
-    if v1 {
-        decode_engines(&mut r, bound, v1, false)?;
+    if version == 1 {
+        decode_engines(&mut r, bound, version, false)?;
     }
     r.finish()?;
     Ok(payload)
 }
 
-fn decode_run(r: &mut Reader<'_>, bound: usize, keep: bool) -> Result<Vec<IdTriple>, DecodeError> {
-    let len = r.count(12)?;
-    let mut run = Vec::with_capacity(if keep { len } else { 0 });
+/// A counted run, fixed-width or gap-coded; with `keep`, it and each of its
+/// flagged triples (to `asserted`) are kept.
+fn decode_run(
+    r: &mut Reader<'_>,
+    bound: usize,
+    fixed: bool,
+    keep: bool,
+    mut asserted: impl FnMut(IdTriple),
+) -> Result<Vec<IdTriple>, DecodeError> {
+    let len = r.count(if fixed { 12 } else { 3 })?;
+    let (mut run, mut last) = (
+        Vec::with_capacity(if keep { len } else { 0 }),
+        Gaps::default(),
+    );
     for _ in 0..len {
-        let (s, p, o) = r.id_triple()?;
-        if s.max(p).max(o) as usize >= bound {
-            return Err(DecodeError {
-                offset: r.offset() - 12,
-                expected: "triple ids within dictionary bounds",
-            });
+        let offset = r.offset();
+        let (t, flag) = match fixed {
+            true => (r.id_triple()?, false),
+            false => r.gap_triple(&mut last)?,
+        };
+        if t.0.max(t.1).max(t.2) as usize >= bound {
+            let expected = "triple ids within dictionary bounds";
+            return Err(DecodeError { offset, expected });
+        }
+        if keep && flag {
+            asserted(t);
         }
         if keep {
-            run.push((s, p, o));
+            run.push(t);
         }
     }
     Ok(run)
@@ -385,20 +455,21 @@ fn decode_run(r: &mut Reader<'_>, bound: usize, keep: bool) -> Result<Vec<IdTrip
 fn decode_engines(
     r: &mut Reader<'_>,
     bound: usize,
-    v1: bool,
+    version: u32,
     keep: bool,
 ) -> Result<Option<Vec<ComponentState>>, DecodeError> {
-    let mut first = None;
+    let (mut first, fixed) = (None, version < 3);
     for _ in 0..r.count(4)? {
-        if v1 {
-            decode_run(r, bound, false)?;
+        if version == 1 {
+            decode_run(r, bound, fixed, false, |_| {})?;
         }
         let mut components = Vec::new();
         for _ in 0..r.count(13)? {
+            let mut run = || decode_run(r, bound, fixed, keep, |_| {});
             let component = ComponentState {
-                full: decode_run(r, bound, keep)?,
-                survivors: decode_run(r, bound, keep)?,
-                support: decode_run(r, bound, keep)?,
+                full: run()?,
+                survivors: run()?,
+                support: run()?,
                 uncored: r.u8()? != 0,
             };
             if keep {
@@ -441,7 +512,7 @@ pub fn read_segment(
         return Err(SnapshotError::ChecksumMismatch);
     }
     let payload = match supported(version) {
-        Ok(version) => Ok(decode_body(r, version == 1, keep).map_err(SnapshotError::Malformed)?),
+        Ok(version) => Ok(decode_body(r, version, keep).map_err(SnapshotError::Malformed)?),
         Err(unknown) => r
             .skip_rest()
             .map_or(Err(SnapshotError::ChecksumMismatch), |_| Err(unknown)),
@@ -458,6 +529,11 @@ mod tests {
 
     use std::io::Read as _;
 
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    use crate::codec::tests::term;
+
     fn sample() -> SnapshotPayload {
         SnapshotPayload {
             regime: 1,
@@ -471,7 +547,7 @@ mod tests {
                 Term::blank("b0"),
             ],
             base: vec![(0, 1, 2), (3, 1, 2)],
-            closure: vec![(0, 1, 2), (3, 1, 2), (0, 1, 3)],
+            closure: vec![(0, 1, 2), (0, 1, 3), (3, 1, 2)],
             evaluation: Some(vec![ComponentState {
                 full: vec![(3, 1, 2)],
                 survivors: vec![(3, 1, 2)],
@@ -479,6 +555,15 @@ mod tests {
                 uncored: true,
             }]),
         }
+    }
+
+    /// `sample()` as the version-1 and version-2 samples below hold it:
+    /// their closure is out of `(s, p, o)` order, which version 3 cannot
+    /// write.
+    fn written() -> SnapshotPayload {
+        let mut payload = sample();
+        payload.closure.swap(1, 2);
+        payload
     }
 
     #[test]
@@ -532,6 +617,7 @@ mod tests {
     fn out_of_bounds_ids_fail_validation() {
         let mut payload = sample();
         payload.base.push((99, 0, 0));
+        payload.closure.push((99, 0, 0));
         let bytes = payload.encode(1).unwrap();
         assert!(matches!(
             SnapshotPayload::decode(&bytes),
@@ -557,12 +643,12 @@ mod tests {
     #[test]
     fn the_sample_segment_keeps_its_length_and_crc() {
         let bytes = sample().encode(3).unwrap();
-        assert_eq!(bytes.len(), 209);
-        assert_eq!(bytes[24..28], 0xbce5_aee3u32.to_le_bytes());
-        assert_eq!(crate::crc32(&bytes), 0xbd5f_8f1a);
+        assert_eq!(bytes.len(), 109);
+        assert_eq!(bytes[24..28], 0x1581_1ebau32.to_le_bytes());
+        assert_eq!(crate::crc32(&bytes), 0x7055_9146);
     }
 
-    /// `sample()` for generation 3 as a version-1 writer laid it out: with
+    /// `written()` for generation 3 as a version-1 writer laid it out: with
     /// the evaluation engine's ground run `[(0, 1, 2)]` before its
     /// components, and an empty `asserted_core` section at the end.
     const SAMPLE_V1: [u8; 229] = [
@@ -584,20 +670,41 @@ mod tests {
         0x00, 0x00, 0x00, 0x00,
     ];
 
+    /// `written()` for generation 3 as a version-2 writer laid it out: the
+    /// base as a run of its own, every term and triple fixed-width.
+    const SAMPLE_V2: [u8; 209] = [
+        0x53, 0x57, 0x44, 0x42, 0x53, 0x4e, 0x41, 0x50, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0xb5, 0x00, 0x00, 0x00, 0xe3, 0xae, 0xe5, 0xbc, 0x01, 0x01,
+        0x64, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+        0xff, 0x04, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x65, 0x78, 0x3a, 0x73, 0x00,
+        0x04, 0x00, 0x00, 0x00, 0x65, 0x78, 0x3a, 0x70, 0x00, 0x04, 0x00, 0x00, 0x00, 0x65, 0x78,
+        0x3a, 0x6f, 0x01, 0x02, 0x00, 0x00, 0x00, 0x62, 0x30, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x01,
+        0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+        0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x03, 0x00,
+        0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x03,
+        0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+        0x03, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x01,
+    ];
+
     #[test]
-    fn a_version_1_segment_decodes_to_the_payload_of_version_2() {
+    fn version_1_and_2_segments_decode_to_the_payload_they_hold() {
         assert_eq!(SAMPLE_V1[24..28], 0x21d1_a2c1u32.to_le_bytes());
-        assert_eq!(SnapshotPayload::decode(&SAMPLE_V1), Ok((sample(), 3)));
-        let path = tmp_file("version-1");
-        std::fs::write(&path, SAMPLE_V1).unwrap();
-        let read = |keep| read_segment(&path, keep, |f, b| f.read(b));
-        assert_eq!(read(true), Ok((sample(), 3)));
-        assert_eq!(read(false).map(|(_, g)| g), Ok(3));
-        let _ = std::fs::remove_file(&path);
-        let v2 = sample().encode(3).unwrap();
+        assert_eq!(SAMPLE_V2[24..28], 0xbce5_aee3u32.to_le_bytes());
+        for (tag, bytes) in [("version-1", &SAMPLE_V1[..]), ("version-2", &SAMPLE_V2[..])] {
+            assert_eq!(SnapshotPayload::decode(bytes), Ok((written(), 3)), "{tag}");
+            let path = tmp_file(tag);
+            std::fs::write(&path, bytes).unwrap();
+            let read = |keep| read_segment(&path, keep, |f, b| f.read(b));
+            assert_eq!(read(true), Ok((written(), 3)), "{tag}");
+            assert_eq!(read(false).map(|(_, g)| g), Ok(3), "{tag}");
+            let _ = std::fs::remove_file(&path);
+        }
         let dropped = (4 + 12) + 4;
         assert_eq!(
-            SAMPLE_V1.len() - v2.len(),
+            SAMPLE_V1.len() - SAMPLE_V2.len(),
             dropped,
             "the ground run, the asserted_core"
         );
@@ -617,7 +724,10 @@ mod tests {
             .extend((0..3_000).map(|i| Term::iri(format!("ex:term/{i:07}"))));
         payload.terms.push(Term::blank("b".repeat(CHUNK + 10)));
         let n = payload.terms.len() as u32;
-        payload.closure = (0..20_000).map(|i| (i % n, 1, (i * 7) % n)).collect();
+        let spread = (0..60_000).map(|i| (i % n, 1, (i / n + i * 7) % n));
+        payload.closure.extend(spread);
+        payload.closure.sort_unstable();
+        payload.closure.dedup();
         payload
     }
 
@@ -681,7 +791,7 @@ mod tests {
             Sections {
                 settings: (0, 0, 0, 0),
                 terms: run(0, std::iter::empty()),
-                runs: [run(2, std::iter::empty()), run(0, std::iter::empty())],
+                closure: run(2, std::iter::empty()),
                 evaluation: None,
             }
         }
@@ -691,5 +801,121 @@ mod tests {
     fn a_section_that_disagrees_with_its_count_is_an_error_not_a_segment() {
         let err = encode(&Miscounted, 1).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// A run out of `(s, p, o)` order, or an asserted triple the closure
+    /// lacks, has no version-3 encoding.
+    #[test]
+    fn a_run_out_of_order_or_a_base_outside_the_closure_is_an_error_not_a_segment() {
+        let mut outside = sample();
+        outside.base.insert(1, (0, 2, 2));
+        for payload in [written(), outside] {
+            let err = payload.encode(1).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
+    }
+
+    /// A strictly ascending run of drawn triples, ids taken modulo `n`.
+    fn ascending(n: u32, draws: &[(u8, u8, u8)]) -> Vec<IdTriple> {
+        let id = |i: u8| u32::from(i) % n;
+        let mut run: Vec<_> = draws
+            .iter()
+            .map(|&(s, p, o)| (id(s), id(p), id(o)))
+            .collect();
+        run.sort_unstable();
+        run.dedup();
+        run
+    }
+
+    /// A payload whose base is any subset of its closure, with or without
+    /// an engine of up to three components.
+    fn payload() -> impl Strategy<Value = SnapshotPayload> {
+        let ids = || (0u8..16, 0u8..16, 0u8..16);
+        let component = (
+            (vec(ids(), 0..4), vec(ids(), 0..4), vec(ids(), 0..4)),
+            0u8..2,
+        );
+        let settings = (0u8..2, 0u8..3, 0u8..3);
+        let draws = (vec(term(), 1..10), vec((ids(), 0u8..2), 0..30));
+        (draws, vec(component, 0..3), settings).prop_map(|((terms, closure), engine, settings)| {
+            let n = terms.len() as u32;
+            let (draws, flags): (Vec<_>, Vec<_>) = closure.into_iter().unzip();
+            let closure = ascending(n, &draws);
+            let asserted = closure.iter().zip(flags.iter().cycle());
+            let base = asserted
+                .filter(|(_, &flag)| flag == 1)
+                .map(|(&t, _)| t)
+                .collect();
+            let evaluation = engine
+                .iter()
+                .map(|((full, survivors, support), uncored)| ComponentState {
+                    full: ascending(n, full),
+                    survivors: ascending(n, survivors),
+                    support: ascending(n, support),
+                    uncored: *uncored == 1,
+                })
+                .collect();
+            let (regime, budget_mode, engine_built) = settings;
+            SnapshotPayload {
+                regime,
+                budget_mode,
+                budget_steps: if budget_mode == 1 { 100 } else { u64::MAX },
+                budget_millis: u64::MAX,
+                terms,
+                base,
+                closure,
+                evaluation: (engine_built > 0).then_some(evaluation),
+            }
+        })
+    }
+
+    /// `bytes` with the header's length and CRC made to match its payload.
+    fn resealed(mut bytes: Vec<u8>) -> Vec<u8> {
+        let len = (bytes.len() - HEADER_LEN) as u32;
+        bytes[20..24].copy_from_slice(&len.to_le_bytes());
+        let mut crc = Crc32::default();
+        checksum(&mut crc, 0, &bytes);
+        bytes[24..28].copy_from_slice(&crc.finish().to_le_bytes());
+        bytes
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// A drawn payload round-trips bit-identically, in memory and
+        /// streamed.
+        #[test]
+        fn drawn_payloads_round_trip_bit_identically(payload in payload()) {
+            let bytes = payload.encode(7).unwrap();
+            prop_assert_eq!(SnapshotPayload::decode(&bytes), Ok((payload.clone(), 7)));
+            let path = tmp_file("drawn");
+            write_segment(&crate::StdIo, &path, 7, &payload).unwrap();
+            let read = read_segment(&path, true, |f, b| f.read(b));
+            let _ = std::fs::remove_file(&path);
+            prop_assert_eq!(read, Ok((payload, 7)));
+        }
+
+        /// A payload with bytes overwritten or cut off after a valid header,
+        /// its length and CRC recomputed, decodes to a payload or to
+        /// `Malformed`, and never panics.
+        #[test]
+        fn a_hostile_body_under_a_valid_crc_is_malformed_or_a_payload(
+            payload in payload(),
+            edits in vec((0usize..400, (0u16..256).prop_map(|b| b as u8)), 0..4),
+            cut in 0usize..40,
+        ) {
+            let mut bytes = payload.encode(1).unwrap();
+            for (at, byte) in edits {
+                let at = HEADER_LEN + at % (bytes.len() - HEADER_LEN);
+                bytes[at] = byte;
+            }
+            bytes.truncate((bytes.len() - cut).max(HEADER_LEN));
+            let decoded = SnapshotPayload::decode(&resealed(bytes));
+            prop_assert!(
+                matches!(decoded, Ok(_) | Err(SnapshotError::Malformed(_))),
+                "{:?}",
+                decoded
+            );
+        }
     }
 }

@@ -10,7 +10,9 @@
 //! fsync, rename) and `span_snapshot_verify_ns` (the chunked read-back),
 //! the most bytes it held live at once beyond the database's own, read
 //! off a counting global allocator, and the size of the segment it wrote,
-//! whole and per asserted triple.
+//! whole and per asserted triple, then section by section beside the
+//! bytes the same sections took in format version 2 (fixed-width terms
+//! and triples, the asserted set a run of its own).
 //!
 //! Before the reopens, the same allocator splits the live bytes of the
 //! loaded, published database into its parts — the dictionary, the
@@ -45,7 +47,9 @@ use std::sync::atomic::{AtomicI64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Instant;
 
-use semweb_foundations::core::durable::StdIo;
+use semweb_foundations::core::durable::codec::{Gaps, Writer};
+use semweb_foundations::core::durable::snapshot::{flagged, run, Run};
+use semweb_foundations::core::durable::{SnapshotPayload, StdIo};
 use semweb_foundations::core::{Metrics, MetricsLevel, SemanticWebDatabase};
 use semweb_foundations::model::{rdfs, Graph, Iri, Term, Triple};
 use semweb_foundations::normal::IdCoreEngine;
@@ -56,6 +60,45 @@ use semweb_foundations::workloads::{university, UniversityConfig};
 /// Live heap bytes, and their high-water mark since the last reset.
 static LIVE: AtomicI64 = AtomicI64::new(0);
 static PEAK: AtomicI64 = AtomicI64::new(0);
+
+/// The bytes of `payload`'s sections as a segment holds them, beside the
+/// bytes version 2 wrote for them: the terms, the asserted set (now a flag
+/// on each closure triple), the closure and the engine's components. The
+/// rest is the header and the settings.
+fn section_bytes(payload: &SnapshotPayload) -> [(&'static str, usize, usize); 4] {
+    fn gaps(triples: impl Iterator<Item = (IdTriple, bool)>) -> usize {
+        let (mut w, mut last) = (Writer::new(), Gaps::default());
+        triples.for_each(|(t, flag)| w.gap_triple(&mut last, t, flag));
+        4 + w.into_bytes().len()
+    }
+    fn triples(r: &[IdTriple]) -> Run<'_, IdTriple> {
+        run(r.len(), r.iter().copied())
+    }
+    let fixed = |r: &[IdTriple]| 4 + 12 * r.len();
+    let (mut w, mut before, mut text) = (Writer::new(), "", 4);
+    for term in &payload.terms {
+        before = w.front_term(before, term);
+        text += 5 + before.len();
+    }
+    let base = &payload.base;
+    let closure = gaps(flagged(triples(&payload.closure), base.iter().copied()).1);
+    let engine = payload.evaluation.iter().flatten();
+    let runs = engine.flat_map(|c| [&c.full, &c.survivors, &c.support]);
+    let flags = payload.evaluation.as_ref().map_or(0, |c| 4 + c.len());
+    let unflagged = |r: &Vec<IdTriple>| gaps(r.iter().map(|&t| (t, false)));
+    let components = runs.clone().map(unflagged).sum::<usize>();
+    let components_v2 = runs.map(|r| fixed(r)).sum::<usize>();
+    [
+        ("terms", 4 + w.into_bytes().len(), text),
+        ("asserted", 0, fixed(base)),
+        ("closure", closure, fixed(&payload.closure)),
+        (
+            "components",
+            4 + flags + components,
+            4 + flags + components_v2,
+        ),
+    ]
+}
 
 /// [`System`], counting live bytes.
 struct Counting;
@@ -195,12 +238,16 @@ fn main() {
         span_ms(&s, "span_snapshot_verify_ns"),
     );
     let parts = parts(db);
-    let segment: u64 = std::fs::read_dir(&dir)
+    let segment = std::fs::read_dir(&dir)
         .expect("list the data directory")
-        .map(|entry| entry.expect("an entry"))
-        .filter(|entry| entry.file_name().to_string_lossy().ends_with(".seg"))
-        .map(|entry| entry.metadata().expect("metadata").len())
-        .sum();
+        .map(|entry| entry.expect("an entry").path())
+        .find(|path| path.extension().is_some_and(|e| e == "seg"))
+        .map(|path| std::fs::read(path).expect("read the segment"))
+        .expect("a segment");
+    let payload = SnapshotPayload::decode(&segment)
+        .expect("decode the segment")
+        .0;
+    let segment = segment.len();
     println!(
         "U({departments}): {asserted} asserted, {evaluation} evaluation triples; checkpoint \
          span_snapshot_write_ns {rotation:.1} ms (write {:.1} ms, verify {verify:.1} ms), \
@@ -209,6 +256,12 @@ fn main() {
         rotation - verify,
         segment as f64 / asserted as f64
     );
+    let sections = section_bytes(&payload);
+    drop(payload);
+    println!("section         bytes  version 2");
+    for (name, now, v2) in sections {
+        println!("{name:<12}  {now:>8}  {v2:>9}");
+    }
 
     let mib = |bytes: i64| bytes as f64 / (1024.0 * 1024.0);
     let per_triple = |bytes: i64| bytes as f64 / asserted as f64;
